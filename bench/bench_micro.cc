@@ -1,16 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the engine and storage
-// primitives that every measured query path is built from: scans, hash
-// joins, semi joins (the ExtVP build primitive), distinct, columnar
-// encodings and the external sort of the MapReduce runtime.
+// primitives that every measured query path is built from: scans,
+// filters, hash joins, semi joins (the ExtVP build primitive), distinct,
+// columnar encodings and the external sort of the MapReduce runtime.
+// Scans and joins start at 8 rows, where the kernels run inline.
 
 #include <benchmark/benchmark.h>
 
 #include "common/file_util.h"
 #include "common/random.h"
+#include "engine/expression.h"
 #include "engine/operators.h"
-#include "engine/parallel_join.h"
 #include "engine/table.h"
 #include "mapreduce/external_sort.h"
+#include "rdf/dictionary.h"
 #include "storage/encoding.h"
 #include "storage/table_file.h"
 
@@ -41,7 +43,11 @@ void BM_ScanSelectProject(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ScanSelectProject)->Range(1 << 10, 1 << 18);
+BENCHMARK(BM_ScanSelectProject)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Range(1 << 10, 1 << 18);
 
 void BM_HashJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
@@ -56,23 +62,35 @@ void BM_HashJoin(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows * 2);
 }
-BENCHMARK(BM_HashJoin)->Range(1 << 10, 1 << 16);
+BENCHMARK(BM_HashJoin)->Arg(8)->Arg(32)->Arg(128)->Range(1 << 10, 1 << 16);
 
-void BM_ParallelHashJoin(benchmark::State& state) {
-  size_t rows = static_cast<size_t>(state.range(0));
-  engine::Table left =
-      MakeTwoColumnTable(rows, 1, static_cast<uint32_t>(rows));
-  engine::Table right =
-      MakeTwoColumnTable(rows, 2, static_cast<uint32_t>(rows))
-          .WithColumnNames({"o", "x"});
+// FILTER over a handful of rows of a store with a large dictionary: the
+// verdict memo must cost in proportion to the rows, not to the
+// dictionary.
+void BM_FilterSmallInputLargeDictionary(benchmark::State& state) {
+  rdf::Dictionary dict;
+  const auto terms = static_cast<uint32_t>(state.range(0));
+  for (uint32_t i = 0; i < terms; ++i) {
+    dict.Encode("\"" + std::to_string(i) +
+                "\"^^<http://www.w3.org/2001/XMLSchema#integer>");
+  }
+  SplitMix64 rng(8);
+  engine::Table t({"s", "o"});
+  for (int i = 0; i < 16; ++i) {
+    t.AppendRow({static_cast<uint32_t>(rng.Uniform(terms)),
+                 static_cast<uint32_t>(rng.Uniform(terms))});
+  }
+  engine::ExprPtr expr = engine::Expr::Compare(
+      engine::CompareOp::kLt, engine::Expr::Var("o"),
+      engine::Expr::Const(
+          "\"500\"^^<http://www.w3.org/2001/XMLSchema#integer>"));
   for (auto _ : state) {
     engine::ExecContext ctx;
-    ctx.num_partitions = 8;
-    benchmark::DoNotOptimize(engine::ParallelHashJoin(left, right, &ctx));
+    benchmark::DoNotOptimize(engine::Filter(t, *expr, dict, &ctx));
   }
-  state.SetItemsProcessed(state.iterations() * rows * 2);
+  state.SetItemsProcessed(state.iterations() * t.NumRows());
 }
-BENCHMARK(BM_ParallelHashJoin)->Range(1 << 12, 1 << 16);
+BENCHMARK(BM_FilterSmallInputLargeDictionary)->Arg(1 << 20);
 
 void BM_SemiJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));

@@ -1,15 +1,18 @@
-// Serial vs. morsel-parallel execution: wall-clock and metered work for
-// the operators that take the shared-TaskPool path (scan, filter, hash
-// join, distinct, order-by, group-by) plus the predicate-parallel ExtVP
-// build.
+// Row-at-a-time reference vs morsel-kernel execution: wall-clock and
+// metered work for the operators that run on the shared TaskPool (scan,
+// filter, hash join, distinct, order-by, group-by). The "serial" column
+// is the tests-only reference operator (tests/reference_ops.h), the
+// "parallel" column the engine's one kernel at the pool's width; run it
+// at S2RDF_TASK_POOL_THREADS=1 and =4 to separate algorithm wins from
+// core-count wins.
 //
 // The reproduction claim (DESIGN.md §8): parallelism changes wall-clock
-// only — every parallel entry must report the same ExecMetrics and the
-// same output as its serial twin — and the data-parallel operators
-// (scan, filter, hash join) beat their serial twins on the big WatDiv
-// inputs. The scan, filter and join inputs are derived from a WatDiv
-// graph (S2RDF_BENCH_OP_SF scale units, default 4.0 ~ 300 K triples) so
-// the gated speedups are measured on the paper's workload shape, not on
+// only — every kernel must report the same ExecMetrics and the same
+// output as its reference — and the data-parallel kernels (scan,
+// filter, hash join) beat their references on the big WatDiv inputs.
+// The scan, filter and join inputs are derived from a WatDiv graph
+// (S2RDF_BENCH_OP_SF scale units, default 4.0 ~ 300 K triples) so the
+// gated speedups are measured on the paper's workload shape, not on
 // synthetic uniform data.
 //
 // Output: a human-readable table on stderr and machine-readable JSON on
@@ -17,10 +20,10 @@
 //
 // Exit codes (scripts/check.sh depends on these):
 //   0  all gates passed
-//   1  identity failure: a parallel entry's output or metrics diverged
-//      from its serial twin (a correctness bug, not a slow result)
+//   1  identity failure: a kernel's output or metrics diverged from its
+//      reference (a correctness bug, not a slow result)
 //   2  the shared TaskPool reports parallelism 1: the run measured
-//      nothing (set S2RDF_TASK_POOL_THREADS to pin a real width)
+//      nothing parallel (set S2RDF_TASK_POOL_THREADS to pin a real width)
 //   3  a gated entry (scan/filter/join) missed the speedup floor
 //      (S2RDF_BENCH_SPEEDUP_FLOOR, default 1.5; enforced only when the
 //      pool width is >= 4)
@@ -32,18 +35,14 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/file_util.h"
 #include "common/random.h"
 #include "common/task_pool.h"
-#include "core/layouts.h"
 #include "engine/aggregate.h"
 #include "engine/expression.h"
 #include "engine/operators.h"
-#include "engine/parallel.h"
-#include "engine/parallel_join.h"
 #include "engine/table.h"
 #include "rdf/dictionary.h"
-#include "storage/catalog.h"
+#include "tests/reference_ops.h"
 #include "watdiv/generator.h"
 
 namespace s2rdf::bench {
@@ -90,7 +89,7 @@ bool SameTable(const Table& a, const Table& b) {
   return true;
 }
 
-// Times one serial/parallel operator pair. Each variant runs `reps`
+// Times one reference/kernel operator pair. Each variant runs `reps`
 // times; the last run's output and metrics feed the identity checks.
 Entry MeasureOperator(const std::string& name, int reps, bool gated,
                       const std::function<Table(ExecContext*)>& serial,
@@ -164,96 +163,52 @@ WatDivInputs BuildWatDivInputs() {
   return in;
 }
 
-// Stage split (parse / compile / execute) of full end-to-end queries,
-// serial vs parallel execution mode, averaged over `reps` rounds.
+// Stage split (parse / compile / execute) of full end-to-end queries on
+// the default engine, averaged over `reps` rounds. `mode` names the pool
+// width the kernels ran at.
 struct StageEntry {
   std::string name;
-  std::string mode;  // "serial" | "parallel"
+  std::string mode;  // "width<N>"
   double parse_ms = 0.0;
   double compile_ms = 0.0;
   double exec_ms = 0.0;
   double total_ms = 0.0;
-  bool output_identical = true;  // Parallel row vs its serial twin.
+  bool output_identical = true;  // Every round returned the same rows.
 };
 
-std::vector<StageEntry> MeasureQueryStages(int reps) {
+std::vector<StageEntry> MeasureQueryStages(int reps, size_t width) {
   watdiv::GeneratorOptions gen;
   gen.scale_factor = EnvDouble("S2RDF_BENCH_SF", 1.0);
-
-  core::S2RdfOptions serial_options;
-  auto serial_db = core::S2Rdf::Create(watdiv::Generate(gen), serial_options);
-  core::S2RdfOptions parallel_options;
-  parallel_options.parallel_execution = true;
-  auto parallel_db =
-      core::S2Rdf::Create(watdiv::Generate(gen), parallel_options);
+  auto db = core::S2Rdf::Create(watdiv::Generate(gen), core::S2RdfOptions());
   std::vector<StageEntry> out;
-  if (!serial_db.ok() || !parallel_db.ok()) return out;
+  if (!db.ok()) return out;
 
   for (const char* name : {"L2", "S3", "F3", "C3"}) {
     const watdiv::QueryTemplate* tmpl = watdiv::FindQuery(name);
     if (tmpl == nullptr) continue;
-    const std::string text = InstantiateFor(*tmpl, gen.scale_factor, 0);
     core::QueryRequest request;
-    request.query = text;
-    uint64_t serial_rows = 0;
-    uint64_t parallel_rows = 0;
-    for (auto* mode : {&serial_db, &parallel_db}) {
-      StageEntry e;
-      e.name = name;
-      e.mode = mode == &serial_db ? "serial" : "parallel";
-      bool ok = true;
-      for (int r = 0; r < reps; ++r) {
-        auto result = (**mode)->Execute(request);
-        if (!result.ok()) {
-          ok = false;
-          break;
-        }
-        e.parse_ms += result->parse_ms / reps;
-        e.compile_ms += result->compile_ms / reps;
-        e.exec_ms += result->exec_ms / reps;
-        e.total_ms += result->millis / reps;
-        (mode == &serial_db ? serial_rows : parallel_rows) =
-            result->metrics.output_tuples;
+    request.query = InstantiateFor(*tmpl, gen.scale_factor, 0);
+    StageEntry e;
+    e.name = name;
+    e.mode = "width" + std::to_string(width);
+    bool ok = true;
+    uint64_t first_rows = 0;
+    for (int r = 0; r < reps; ++r) {
+      auto result = (*db)->Execute(request);
+      if (!result.ok()) {
+        ok = false;
+        break;
       }
-      if (!ok) continue;
-      out.push_back(std::move(e));
+      e.parse_ms += result->parse_ms / reps;
+      e.compile_ms += result->compile_ms / reps;
+      e.exec_ms += result->exec_ms / reps;
+      e.total_ms += result->millis / reps;
+      if (r == 0) first_rows = result->metrics.output_tuples;
+      e.output_identical &= result->metrics.output_tuples == first_rows;
     }
-    if (!out.empty() && out.back().mode == "parallel") {
-      out.back().output_identical = serial_rows == parallel_rows;
-    }
+    if (ok) out.push_back(std::move(e));
   }
   return out;
-}
-
-Entry MeasureExtVpBuild(int reps) {
-  watdiv::GeneratorOptions gen;
-  gen.scale_factor = EnvDouble("S2RDF_BENCH_SF", 1.0);
-  rdf::Graph graph = watdiv::Generate(gen);
-
-  Entry entry;
-  entry.name = "extvp_build";
-  core::ExtVpBuildStats serial_stats;
-  core::ExtVpBuildStats parallel_stats;
-  auto build = [&](bool parallel_build, core::ExtVpBuildStats* stats) {
-    ScopedTempDir dir;
-    storage::Catalog catalog(dir.path());
-    (void)core::BuildVpLayout(graph, &catalog);
-    core::ExtVpOptions options;
-    options.parallel_build = parallel_build;
-    auto result = core::BuildExtVpLayout(graph, options, &catalog);
-    if (result.ok()) *stats = *result;
-  };
-  entry.serial_ms = MeanMs(reps, [&] { build(false, &serial_stats); });
-  entry.parallel_ms = MeanMs(reps, [&] { build(true, &parallel_stats); });
-  entry.output_identical =
-      serial_stats.tables_considered == parallel_stats.tables_considered &&
-      serial_stats.tables_materialized == parallel_stats.tables_materialized &&
-      serial_stats.tables_empty == parallel_stats.tables_empty &&
-      serial_stats.tables_equal_vp == parallel_stats.tables_equal_vp &&
-      serial_stats.tables_pruned == parallel_stats.tables_pruned &&
-      serial_stats.tuples_materialized == parallel_stats.tuples_materialized;
-  entry.metrics_identical = entry.output_identical;  // Build has no ctx.
-  return entry;
 }
 
 int Run() {
@@ -278,11 +233,10 @@ int Run() {
     entries.push_back(MeasureOperator(
         "scan_select_project", reps, /*gated=*/true,
         [&](ExecContext* ctx) {
-          return engine::ScanSelectProject(watdiv_in.triples, spec, ctx);
+          return reference::ScanSelectProject(watdiv_in.triples, spec, ctx);
         },
         [&](ExecContext* ctx) {
-          return engine::ParallelScanSelectProject(watdiv_in.triples, spec,
-                                                  ctx);
+          return engine::ScanSelectProject(watdiv_in.triples, spec, ctx);
         }));
   }
 
@@ -294,10 +248,10 @@ int Run() {
     entries.push_back(MeasureOperator(
         "filter", reps, /*gated=*/true,
         [&](ExecContext* ctx) {
-          return engine::Filter(watdiv_in.triples, *expr, dict, ctx);
+          return reference::Filter(watdiv_in.triples, *expr, dict, ctx);
         },
         [&](ExecContext* ctx) {
-          return engine::ParallelFilter(watdiv_in.triples, *expr, dict, ctx);
+          return engine::Filter(watdiv_in.triples, *expr, dict, ctx);
         }));
   }
 
@@ -305,11 +259,11 @@ int Run() {
     entries.push_back(MeasureOperator(
         "hash_join", reps, /*gated=*/true,
         [&](ExecContext* ctx) {
-          return engine::HashJoin(watdiv_in.friend_of, watdiv_in.follows, ctx);
+          return reference::HashJoin(watdiv_in.friend_of, watdiv_in.follows,
+                                     ctx);
         },
         [&](ExecContext* ctx) {
-          return engine::ParallelHashJoin(watdiv_in.friend_of,
-                                          watdiv_in.follows, ctx);
+          return engine::HashJoin(watdiv_in.friend_of, watdiv_in.follows, ctx);
         }));
   }
 
@@ -317,8 +271,8 @@ int Run() {
     Table t = RandomPairs(17, 500000, 200, 200, "a", "b");
     entries.push_back(MeasureOperator(
         "distinct", reps, /*gated=*/false,
-        [&](ExecContext* ctx) { return engine::Distinct(t, ctx); },
-        [&](ExecContext* ctx) { return engine::ParallelDistinct(t, ctx); }));
+        [&](ExecContext* ctx) { return reference::Distinct(t, ctx); },
+        [&](ExecContext* ctx) { return engine::Distinct(t, ctx); }));
   }
 
   {
@@ -339,10 +293,10 @@ int Run() {
     std::vector<engine::SortKey> keys = {{"n", true}, {"m", false}};
     entries.push_back(MeasureOperator(
         "order_by", reps, /*gated=*/false,
-        [&](ExecContext* ctx) { return engine::OrderBy(t, keys, dict, ctx); },
         [&](ExecContext* ctx) {
-          return engine::ParallelOrderBy(t, keys, dict, ctx);
-        }));
+          return reference::OrderBy(t, keys, dict, ctx);
+        },
+        [&](ExecContext* ctx) { return engine::OrderBy(t, keys, dict, ctx); }));
   }
 
   {
@@ -369,18 +323,17 @@ int Run() {
     entries.push_back(MeasureOperator(
         "group_by_aggregate", reps, /*gated=*/false,
         [&](ExecContext* ctx) {
-          auto result = engine::GroupByAggregate(t, keys, specs, &dict, ctx);
+          auto result =
+              reference::GroupByAggregate(t, keys, specs, &dict, ctx);
           return result.ok() ? std::move(*result) : Table();
         },
         [&](ExecContext* ctx) {
-          auto result =
-              engine::ParallelGroupByAggregate(t, keys, specs, &dict, ctx);
+          auto result = engine::GroupByAggregate(t, keys, specs, &dict, ctx);
           return result.ok() ? std::move(*result) : Table();
         }));
   }
 
-  entries.push_back(MeasureExtVpBuild(reps));
-  std::vector<StageEntry> stages = MeasureQueryStages(reps);
+  std::vector<StageEntry> stages = MeasureQueryStages(reps, width);
 
   TablePrinter printer(
       {"benchmark", "serial", "parallel", "speedup", "identical"});
@@ -393,8 +346,9 @@ int Run() {
                     e.metrics_identical && e.output_identical ? "yes" : "NO"});
   }
   std::fprintf(stderr,
-               "Parallel execution (task pool width %zu, hardware "
-               "concurrency %u; * = gated at %.2fx%s):\n",
+               "Reference (serial) vs morsel kernel (parallel) at task "
+               "pool width %zu, hardware concurrency %u; * = gated at "
+               "%.2fx%s:\n",
                width, std::thread::hardware_concurrency(), floor,
                enforce_floor ? "" : ", not enforced below width 4");
   printer.Print(stderr);
@@ -451,10 +405,10 @@ int Run() {
     if (!e.output_identical) return 1;
   }
 
-  // A width-1 run measured nothing: every parallel operator falls back
-  // to (or degenerates into) its single-threaded path, so the timings
-  // say nothing about the paper's parallel-execution claim. Fail loudly
-  // instead of producing a plausible-looking JSON.
+  // A width-1 run measured no parallelism: every kernel ran inline as
+  // one morsel and one partition, so the speedups are algorithm wins
+  // only and say nothing about the paper's parallel-execution claim.
+  // Fail loudly instead of producing a plausible-looking JSON.
   if (width <= 1) {
     std::fprintf(stderr,
                  "\nerror: task pool parallelism is 1 — this run measured "

@@ -4,7 +4,7 @@
 #
 #   scripts/bench_json.sh [--force] [build-dir]
 #
-#   BENCH_parallel.json  — serial vs parallel operators + end-to-end
+#   BENCH_parallel.json  — reference vs morsel-kernel operators + end-to-end
 #                          query stage split (parse/compile/exec)
 #   BENCH_profile.json   — EXPLAIN ANALYZE overhead vs the <5% budget
 #   BENCH_optimizer.json — paper vs cost-based optimizer on the WatDiv

@@ -41,13 +41,21 @@ for bench_json in BENCH_parallel.json BENCH_profile.json \
   fi
 done
 # The committed parallel baseline must come from a real multi-way pool
-# (width >= 4) and must have met its speedup floor when recorded — a
-# width-1 or floor-failing JSON would make the paper's parallel claim
+# (width >= 4) on a host with at least 4 hardware threads, and must have
+# met its speedup floor when recorded — a width-1, oversubscribed or
+# floor-failing JSON would make the paper's parallel claim
 # unreproducible from the repo.
 width="$(sed -n 's/.*"task_pool_parallelism": *\([0-9]*\).*/\1/p' BENCH_parallel.json | head -n1)"
 if [[ "${width:-0}" -lt 4 ]]; then
   echo "error: BENCH_parallel.json was recorded at task_pool_parallelism=${width:-unknown}" >&2
   echo "  (need >= 4); rerun scripts/bench_json.sh with S2RDF_TASK_POOL_THREADS=4" >&2
+  exit 1
+fi
+cores="$(sed -n 's/.*"hardware_concurrency": *\([0-9]*\).*/\1/p' BENCH_parallel.json | head -n1)"
+if [[ "${cores:-0}" -lt 4 ]]; then
+  echo "error: BENCH_parallel.json was recorded at hardware_concurrency=${cores:-unknown}" >&2
+  echo "  (need >= 4: a wider pool than the host measures oversubscription);" >&2
+  echo "  rerun scripts/bench_json.sh on a host with 4 or more cores" >&2
   exit 1
 fi
 if grep -q '"gated": true' BENCH_parallel.json; then

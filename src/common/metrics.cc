@@ -107,10 +107,28 @@ Histogram* MetricsRegistry::AddHistogram(const std::string& name,
   e.name = name;
   e.help = help;
   e.kind = Kind::kHistogram;
-  e.histogram = std::make_unique<Histogram>(std::move(bounds));
+  e.histogram = std::make_shared<Histogram>(std::move(bounds));
   Histogram* out = e.histogram.get();
   entries_.push_back(std::move(e));
   return out;
+}
+
+void MetricsRegistry::ShareHistogram(const std::string& name,
+                                     const std::string& help,
+                                     std::shared_ptr<Histogram> histogram) {
+  MutexLock lock(&mu_);
+  for (const Entry& e : entries_) {
+    if (e.name == name) {
+      S2RDF_CHECK(e.kind == Kind::kHistogram);
+      return;
+    }
+  }
+  Entry e;
+  e.name = name;
+  e.help = help;
+  e.kind = Kind::kHistogram;
+  e.histogram = std::move(histogram);
+  entries_.push_back(std::move(e));
 }
 
 void MetricsRegistry::AddGauge(const std::string& name,

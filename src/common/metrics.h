@@ -87,6 +87,12 @@ class MetricsRegistry {
   Counter* AddCounter(const std::string& name, const std::string& help);
   Histogram* AddHistogram(const std::string& name, const std::string& help,
                           std::vector<double> bounds);
+  // Registers a histogram someone else also owns (e.g. a long-lived pool
+  // whose series must survive this registry): the registry shares
+  // ownership, so neither side can outlive the other's pointer. An
+  // already-registered name keeps its histogram.
+  void ShareHistogram(const std::string& name, const std::string& help,
+                      std::shared_ptr<Histogram> histogram);
 
   // A gauge is sampled at render time. `fn` must stay valid for the
   // registry's lifetime and must not call back into this registry.
@@ -113,7 +119,7 @@ class MetricsRegistry {
     std::string help;
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Histogram> histogram;
+    std::shared_ptr<Histogram> histogram;
     std::function<uint64_t()> gauge;
     std::string info_labels;
   };

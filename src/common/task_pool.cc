@@ -8,7 +8,8 @@
 
 namespace s2rdf {
 
-TaskPool::TaskPool(int num_threads) {
+TaskPool::TaskPool(int num_threads)
+    : queue_wait_(std::make_shared<Histogram>(LogBuckets(1e-5, 4.0, 12))) {
   threads_.reserve(static_cast<size_t>(num_threads > 0 ? num_threads : 0));
   for (int i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -59,12 +60,11 @@ void TaskPool::AttachMetrics(MetricsRegistry* registry) {
       "s2rdf_task_pool_queue_depth",
       "Helper tasks parked in the shared morsel pool queue.",
       [this] { return static_cast<uint64_t>(QueueDepth()); });
-  Histogram* hist = registry->AddHistogram(
+  registry->ShareHistogram(
       "s2rdf_task_pool_queue_wait_seconds",
       "Time helper tasks wait in the shared pool queue before a thread "
       "claims them.",
-      LogBuckets(1e-5, 4.0, 12));
-  queue_wait_hist_.store(hist, std::memory_order_release);
+      queue_wait_);
 }
 
 void TaskPool::WorkerLoop() {
@@ -77,9 +77,7 @@ void TaskPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (Histogram* hist = queue_wait_hist_.load(std::memory_order_acquire)) {
-      hist->Observe(SecondsSince(task.enqueued));
-    }
+    queue_wait_->Observe(SecondsSince(task.enqueued));
     task.fn();
   }
 }

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -69,9 +70,13 @@ class TaskPool {
   // Registers this pool's saturation metrics on `registry`:
   //   s2rdf_task_pool_queue_depth        gauge, sampled at render time
   //   s2rdf_task_pool_queue_wait_seconds histogram of enqueue->dequeue
-  // `registry` must outlive the pool's last ParallelFor. Idempotent per
-  // registry (names dedupe); the wait histogram swaps to the most
-  // recently attached registry.
+  // The pool owns the wait histogram for its whole life and every
+  // attached registry shares it, so registries may come and go while
+  // the pool runs (an endpoint's registry dies with the endpoint; the
+  // shared pool never does). Every attached registry renders the same
+  // pool-lifetime series. The depth gauge samples the pool, so a
+  // registry must not render after a non-shared pool is destroyed.
+  // Idempotent per registry (names dedupe).
   void AttachMetrics(MetricsRegistry* registry) S2RDF_EXCLUDES(mu_);
 
  private:
@@ -86,8 +91,9 @@ class TaskPool {
   CondVar cv_;
   std::deque<QueuedTask> queue_ S2RDF_GUARDED_BY(mu_);
   bool stopping_ S2RDF_GUARDED_BY(mu_) = false;
-  // Observed lock-free on the dequeue path; null until AttachMetrics.
-  std::atomic<Histogram*> queue_wait_hist_{nullptr};
+  // Enqueue->dequeue wait of helper tasks, observed lock-free on the
+  // dequeue path. Owned by the pool, shared with attached registries.
+  const std::shared_ptr<Histogram> queue_wait_;
   // Written only during construction/destruction.
   std::vector<std::thread> threads_;
 };

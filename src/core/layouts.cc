@@ -1,7 +1,6 @@
 #include "core/layouts.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <map>
 #include <unordered_map>
@@ -9,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/task_pool.h"
 #include "engine/operators.h"
 
 namespace s2rdf::core {
@@ -114,54 +112,28 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   };
 
   // Pass 1: count |ExtVP_corr_p1|p2| for all non-empty combinations.
-  // The per-predicate counting is independent across p1 (all writes go
-  // to the accumulator passed in), so the parallel build runs strided
-  // predicate chunks on the shared TaskPool with per-chunk accumulators
-  // merged below — counts are additive, so the merged result is
-  // byte-identical to the serial sweep. The term->predicates indexes
-  // are read-only here (find, never operator[]).
   std::unordered_map<uint64_t, uint64_t> counts[kNumCorrelations];
-  auto count_rows_of = [&](size_t i1,
-                           std::unordered_map<uint64_t, uint64_t>* acc) {
+  for (size_t i1 = 0; i1 < k; ++i1) {
     uint32_t p1 = static_cast<uint32_t>(i1);
     for (const auto& [s, o] : vp.rows[vp.predicates[i1]]) {
       if (enabled[0]) {
         for (uint32_t p2 : subject_preds.find(s)->second) {
-          if (p2 != p1) ++acc[0][pair_key(p1, p2)];
+          if (p2 != p1) ++counts[0][pair_key(p1, p2)];
         }
       }
       if (enabled[1]) {
         auto it = subject_preds.find(o);
         if (it != subject_preds.end()) {
-          for (uint32_t p2 : it->second) ++acc[1][pair_key(p1, p2)];
+          for (uint32_t p2 : it->second) ++counts[1][pair_key(p1, p2)];
         }
       }
       if (enabled[2]) {
         auto it = object_preds.find(s);
         if (it != object_preds.end()) {
-          for (uint32_t p2 : it->second) ++acc[2][pair_key(p1, p2)];
+          for (uint32_t p2 : it->second) ++counts[2][pair_key(p1, p2)];
         }
       }
     }
-  };
-  if (options.parallel_build && k > 1) {
-    TaskPool* pool = TaskPool::Shared();
-    const size_t chunks = std::min(k, pool->ParallelismWidth() * 4);
-    std::vector<std::array<std::unordered_map<uint64_t, uint64_t>,
-                           kNumCorrelations>>
-        local(chunks);
-    pool->ParallelFor(chunks, [&](size_t chunk) {
-      for (size_t i1 = chunk; i1 < k; i1 += chunks) {
-        count_rows_of(i1, local[chunk].data());
-      }
-    });
-    for (auto& chunk_counts : local) {
-      for (int c = 0; c < kNumCorrelations; ++c) {
-        for (const auto& [key, n] : chunk_counts[c]) counts[c][key] += n;
-      }
-    }
-  } else {
-    for (size_t i1 = 0; i1 < k; ++i1) count_rows_of(i1, counts);
   }
 
   // Decide materialization per combination and register statistics.
@@ -205,13 +177,9 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
       build_stats.tables_considered -
       (counts[0].size() + counts[1].size() + counts[2].size());
 
-  // Pass 2: fill the selected tables in one more sweep. Every table
-  // ExtVP_corr_p1|p2 is keyed by p1 and receives rows only from p1's
-  // iteration, so running one task per p1 keeps each table
-  // single-writer (the `selected` maps themselves are only read) and
-  // fills it in exactly the serial row order — the parallel build's
-  // tables are byte-identical to the serial build's.
-  auto fill_rows_of = [&](size_t i1) {
+  // Pass 2: fill the selected tables in one more sweep, each in VP_p1's
+  // row order.
+  for (size_t i1 = 0; i1 < k; ++i1) {
     uint32_t p1 = static_cast<uint32_t>(i1);
     for (const auto& [s, o] : vp.rows[vp.predicates[i1]]) {
       if (enabled[0]) {
@@ -240,11 +208,6 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
         }
       }
     }
-  };
-  if (options.parallel_build && k > 1) {
-    TaskPool::Shared()->ParallelFor(k, fill_rows_of);
-  } else {
-    for (size_t i1 = 0; i1 < k; ++i1) fill_rows_of(i1);
   }
 
   for (int c = 0; c < kNumCorrelations; ++c) {

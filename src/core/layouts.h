@@ -56,13 +56,6 @@ struct ExtVpOptions {
   bool build_ss = true;
   bool build_os = true;
   bool build_so = true;
-  // Run the two ExtVP sweeps (pair counting and table fill) as
-  // predicate-parallel tasks on the shared TaskPool. The result is
-  // byte-identical to the serial build — counting is additive and every
-  // ExtVP_corr_p1|p2 table is written only by p1's task, in p1's row
-  // order — so this is on by default; disable it to measure the serial
-  // baseline (EXPERIMENTS.md, Table 2 discussion).
-  bool parallel_build = true;
 };
 
 struct ExtVpBuildStats {

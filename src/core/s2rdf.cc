@@ -23,11 +23,8 @@ namespace {
 // deadline covers the whole request (parse + compile + execute), so it
 // is computed once up front.
 void InitContext(const QueryOptions& options, int num_partitions,
-                 bool parallel_execution, MonotonicTime start,
-                 engine::ExecContext* ctx) {
+                 MonotonicTime start, engine::ExecContext* ctx) {
   ctx->num_partitions = num_partitions;
-  ctx->parallel_execution = parallel_execution;
-  ctx->morsel_rows = static_cast<size_t>(options.morsel_rows);
   ctx->collect_profile = options.collect_profile;
   ctx->profile_origin = start;
   ctx->cancel_flag = options.cancel;
@@ -162,8 +159,7 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
                                                const S2RdfOptions& options) {
   auto db = std::unique_ptr<S2Rdf>(
       new S2Rdf(std::move(graph), options.storage_dir,
-                options.num_partitions, options.parallel_execution,
-                options.env));
+                options.num_partitions, options.env));
   // ExtVP tables that fail their load-time checksum degrade to the base
   // VP table (a superset with the same schema), keeping results intact.
   db->catalog_.SetDegradedFallback(VpTableNameForExtVp);
@@ -230,7 +226,7 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
   // The reopened instance carries the dictionary but no triple list;
   // queries execute against the persisted tables.
   auto db = std::unique_ptr<S2Rdf>(new S2Rdf(
-      rdf::Graph(), storage_dir, num_partitions, false, env));
+      rdf::Graph(), storage_dir, num_partitions, env));
   // Startup recovery: verify the manifest chain and every table's
   // checksums, quarantine corruption, sweep crash debris. The
   // dictionary loads afterwards — which copy is current depends on the
@@ -355,8 +351,7 @@ StatusOr<QueryResult> S2Rdf::ExecuteInternal(
     const QueryOptions& query_options) {
   auto start = MonotonicNow();
   engine::ExecContext ctx;
-  InitContext(query_options, num_partitions_, parallel_execution_, start,
-              &ctx);
+  InitContext(query_options, num_partitions_, start, &ctx);
   engine::TaskSpanSink task_spans;
   if (ctx.collect_profile) ctx.task_spans = &task_spans;
 
@@ -474,8 +469,7 @@ StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
   auto start = MonotonicNow();
   const rdf::Dictionary& dict = graph_.dictionary();
   engine::ExecContext ctx;
-  InitContext(query_options, num_partitions_, parallel_execution_, start,
-              &ctx);
+  InitContext(query_options, num_partitions_, start, &ctx);
   ctx.collect_profile = false;
 
   // Solutions of the WHERE clause (all variables projected; the parser

@@ -69,8 +69,6 @@ struct S2RdfOptions {
   ExtVpOptions extvp;
   // Simulated cluster width for the shuffle meter.
   int num_partitions = 9;
-  // Execute large joins partition-parallel on num_partitions threads.
-  bool parallel_execution = false;
   // In-memory table-cache budget for disk-backed stores (0 = unlimited);
   // LRU tables are evicted between queries and reload from disk.
   uint64_t memory_budget_bytes = 0;
@@ -101,10 +99,6 @@ struct QueryOptions {
   bool explain_plan = false;
   // Optimizer selection and knobs (paper heuristic vs cost-based).
   OptimizerOptions optimizer;
-  // Rows per morsel for the parallel operators (HTTP ?morsel=). 0 (the
-  // default) auto-tunes from input width x rows; see MorselRowsFor in
-  // engine/parallel.h. Ignored unless parallel execution is on.
-  uint64_t morsel_rows = 0;
   // Optional external cancellation: while *cancel is true the query
   // returns kCancelled at the next operator boundary. The flag must
   // outlive the Execute call.
@@ -239,12 +233,11 @@ class S2Rdf {
 
  private:
   S2Rdf(rdf::Graph graph, std::string storage_dir, int num_partitions,
-        bool parallel_execution = false, storage::Env* env = nullptr)
+        storage::Env* env = nullptr)
       : graph_(std::move(graph)),
         catalog_(std::move(storage_dir), env),
         env_(env != nullptr ? env : storage::Env::Default()),
-        num_partitions_(num_partitions),
-        parallel_execution_(parallel_execution) {}
+        num_partitions_(num_partitions) {}
 
   // Common execution path behind both Execute overloads and
   // ExecuteWithOptions.
@@ -279,7 +272,6 @@ class S2Rdf {
   storage::Catalog catalog_;
   storage::Env* env_;
   int num_partitions_;
-  bool parallel_execution_ = false;
   bool lazy_extvp_ = false;
   double sf_threshold_ = 1.0;
   // Trace-file dump (S2RdfOptions::trace_dir); the sequence number keys

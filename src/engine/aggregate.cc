@@ -1,17 +1,9 @@
 #include "engine/aggregate.h"
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "common/hash.h"
-#include "common/task_pool.h"
 #include "engine/operators.h"
-#include "engine/parallel.h"
-#include "engine/value.h"
 
 namespace s2rdf::engine {
 
@@ -21,19 +13,6 @@ constexpr std::string_view kXsdInteger =
     "http://www.w3.org/2001/XMLSchema#integer";
 constexpr std::string_view kXsdDouble =
     "http://www.w3.org/2001/XMLSchema#double";
-
-// Running state of one aggregate within one group.
-struct Accumulator {
-  uint64_t count = 0;
-  bool numeric_ok = true;   // All inputs numeric so far (SUM/AVG).
-  bool all_int = true;      // Keep SUM integral when inputs are.
-  long long int_sum = 0;
-  double double_sum = 0.0;
-  TermId extremum = kNullTermId;  // MIN/MAX/SAMPLE witness.
-  std::unordered_set<TermId> distinct_terms;
-};
-
-using GroupMap = std::map<std::vector<TermId>, std::vector<Accumulator>>;
 
 std::string RenderDouble(double v) {
   char buf[64];
@@ -59,26 +38,16 @@ TermId EncodeDouble(double v, rdf::Dictionary* dict) {
                       std::string(kXsdDouble) + ">");
 }
 
-// Cache of typed values for numeric aggregates. Decode-only, so
-// workers may each own one (Dictionary::Decode is shared-lock-safe).
-class ValueCache {
- public:
-  explicit ValueCache(const rdf::Dictionary& dict) : dict_(dict) {}
+}  // namespace
 
-  const Value& Get(TermId id) {
-    auto it = cache_.find(id);
-    if (it != cache_.end()) return it->second;
-    Value v = id == kNullTermId ? Value()
-                                : ValueFromCanonicalTerm(dict_.Decode(id));
-    return cache_.emplace(id, std::move(v)).first->second;
-  }
+const Value& ValueCache::Get(TermId id) {
+  auto it = cache_.find(id);
+  if (it != cache_.end()) return it->second;
+  Value v = id == kNullTermId ? Value()
+                              : ValueFromCanonicalTerm(dict_.Decode(id));
+  return cache_.emplace(id, std::move(v)).first->second;
+}
 
- private:
-  const rdf::Dictionary& dict_;
-  std::unordered_map<TermId, Value> cache_;
-};
-
-// Resolves key/input columns; fills `input_cols` with -1 for COUNT(*).
 Status ResolveAggregateColumns(const Table& input,
                                const std::vector<std::string>& keys,
                                const std::vector<AggregateSpec>& specs,
@@ -106,7 +75,6 @@ Status ResolveAggregateColumns(const Table& input,
   return Status::Ok();
 }
 
-// Folds row `r` into its group's accumulators.
 void AccumulateRow(const Table& input, size_t r,
                    const std::vector<AggregateSpec>& specs,
                    const std::vector<int>& input_cols,
@@ -163,9 +131,6 @@ void AccumulateRow(const Table& input, size_t r,
   }
 }
 
-// Emits one row per group (std::map iteration = deterministic key
-// order). Mints literals, so single-threaded by construction. Checks
-// the interrupt state every kInterruptCheckRows groups.
 Table EmitGroups(const GroupMap& groups,
                  const std::vector<std::string>& keys,
                  const std::vector<AggregateSpec>& specs,
@@ -218,8 +183,6 @@ Table EmitGroups(const GroupMap& groups,
   return out;
 }
 
-}  // namespace
-
 StatusOr<Table> GroupByAggregate(const Table& input,
                                  const std::vector<std::string>& keys,
                                  const std::vector<AggregateSpec>& specs,
@@ -228,116 +191,63 @@ StatusOr<Table> GroupByAggregate(const Table& input,
   std::vector<int> input_cols;
   S2RDF_RETURN_IF_ERROR(
       ResolveAggregateColumns(input, keys, specs, &key_cols, &input_cols));
+  const size_t n = input.NumRows();
 
-  // Group rows. std::map keyed by the key tuple gives deterministic
-  // output order.
-  GroupMap groups;
+  // The implicit single group cannot be split group-exclusively; keyed
+  // groups are hash-partitioned when the input fans out, so each lands
+  // wholly in one partition and the partition maps are disjoint.
+  const FanOut fan(n, key_cols.size());
+  const size_t parts = keys.empty() ? 1 : fan.width;
+  std::vector<GroupMap> partial(parts);
   if (keys.empty()) {
     // Implicit single group exists even for empty input.
-    groups.emplace(std::vector<TermId>{},
-                   std::vector<Accumulator>(specs.size()));
+    partial[0].emplace(std::vector<TermId>{},
+                       std::vector<Accumulator>(specs.size()));
   }
-
-  ValueCache values(*dict);
-  for (size_t r = 0; r < input.NumRows(); ++r) {
-    if ((r % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      break;  // Partial groups; ExecutePlan reports the interrupt.
-    }
-    std::vector<TermId> key;
-    key.reserve(key_cols.size());
-    for (int c : key_cols) key.push_back(input.At(r, static_cast<size_t>(c)));
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups
-               .emplace(std::move(key),
-                        std::vector<Accumulator>(specs.size()))
-               .first;
-    }
-    AccumulateRow(input, r, specs, input_cols, &it->second, &values);
-  }
-
-  Table out = EmitGroups(groups, keys, specs, dict, ctx);
-  if (ctx != nullptr) {
-    ctx->AccountShuffle(input.NumRows());
-    ctx->metrics.intermediate_tuples += out.NumRows();
-  }
-  return out;
-}
-
-StatusOr<Table> ParallelGroupByAggregate(const Table& input,
-                                         const std::vector<std::string>& keys,
-                                         const std::vector<AggregateSpec>& specs,
-                                         rdf::Dictionary* dict,
-                                         ExecContext* ctx) {
-  // The implicit single group cannot be split group-exclusively, and
-  // small inputs don't amortize the extra key-hash pass.
-  if (keys.empty() || input.NumRows() < ParallelThreshold(ctx)) {
-    return GroupByAggregate(input, keys, specs, dict, ctx);
-  }
-  std::vector<int> key_cols;
-  std::vector<int> input_cols;
-  S2RDF_RETURN_IF_ERROR(
-      ResolveAggregateColumns(input, keys, specs, &key_cols, &input_cols));
-
-  // Hash-partition rows by group key: every group lands wholly in one
-  // worker's partition, so per-group accumulation order is the same
-  // ascending row scan as the serial path (exact floating-point sums,
-  // identical MIN/MAX/SAMPLE witnesses), and the partition maps are
-  // disjoint.
-  TaskPool* pool = TaskPool::Shared();
-  const size_t parts = pool->ParallelismWidth();
-  const size_t n = input.NumRows();
-  std::vector<GroupMap> partial(parts);
+  std::vector<uint64_t> hashes;
   std::atomic<bool> interrupted{false};
-  pool->ParallelFor(parts, [&](size_t w) {
-    ValueCache values(*dict);
-    GroupMap& groups = partial[w];
-    size_t since_check = 0;
-    for (size_t r = 0; r < n; ++r) {
-      if (++since_check >= kInterruptCheckRows) {
-        since_check = 0;
-        if (ctx != nullptr && ctx->InterruptRequested()) {
+  if (parts > 1 &&
+      !HashRows(input, key_cols, fan, ctx, "group hash morsel", &hashes)) {
+    interrupted.store(true, std::memory_order_relaxed);
+  } else {
+    fan.Run(parts, [&](size_t w) {
+      ScopedTaskSpan span(ctx, fan.partitioned, "group partition", w);
+      ValueCache values(*dict);
+      GroupMap& groups = partial[w];
+      // One key buffer per partition; a group's map node copies it once.
+      std::vector<TermId> key(key_cols.size());
+      for (size_t r = 0; r < n; ++r) {
+        if ((r % kInterruptCheckRows) == 0 && ctx != nullptr &&
+            ctx->InterruptRequested()) {
           interrupted.store(true, std::memory_order_relaxed);
           return;
         }
+        if (parts > 1 && PartitionOf(hashes[r], parts) != w) continue;
+        for (size_t i = 0; i < key_cols.size(); ++i) {
+          key[i] = input.At(r, static_cast<size_t>(key_cols[i]));
+        }
+        auto it = groups.find(key);
+        if (it == groups.end()) {
+          it = groups.emplace(key, std::vector<Accumulator>(specs.size()))
+                   .first;
+        }
+        AccumulateRow(input, r, specs, input_cols, &it->second, &values);
       }
-      if (RowKeyHash(input, r, key_cols) % parts != w) continue;
-      std::vector<TermId> key;
-      key.reserve(key_cols.size());
-      for (int c : key_cols) {
-        key.push_back(input.At(r, static_cast<size_t>(c)));
-      }
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups
-                 .emplace(std::move(key),
-                          std::vector<Accumulator>(specs.size()))
-                 .first;
-      }
-      AccumulateRow(input, r, specs, input_cols, &it->second, &values);
-    }
-  });
-
+    });
+  }
+  if (ctx != nullptr) ctx->AccountShuffle(n);
   if (interrupted.load(std::memory_order_relaxed)) {
-    if (ctx != nullptr) {
-      ctx->CheckInterrupt();
-      ctx->AccountShuffle(n);
-    }
+    if (ctx != nullptr) ctx->CheckInterrupt();
     std::vector<std::string> names = keys;
     for (const AggregateSpec& spec : specs) names.push_back(spec.output_name);
     return Table(names);  // Empty; ExecutePlan reports the interrupt.
   }
 
   // Merge the disjoint ordered maps; node moves, no re-accumulation.
-  GroupMap groups;
-  for (GroupMap& p : partial) groups.merge(p);
-
+  GroupMap groups = std::move(partial[0]);
+  for (size_t w = 1; w < parts; ++w) groups.merge(partial[w]);
   Table out = EmitGroups(groups, keys, specs, dict, ctx);
-  if (ctx != nullptr) {
-    ctx->AccountShuffle(n);
-    ctx->metrics.intermediate_tuples += out.NumRows();
-  }
+  if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
   return out;
 }
 

@@ -38,8 +38,8 @@ struct ExecMetrics {
   uint64_t output_tuples = 0;
   // High-water mark of simultaneously-live materialized Table bytes
   // (operator inputs + output at each operator boundary). A resource
-  // gauge, not a flow counter: identical between serial and parallel
-  // execution because both materialize the same operator results.
+  // gauge, not a flow counter: identical at every pool width because
+  // every width materializes the same operator results.
   uint64_t peak_table_bytes = 0;
 
   void Clear() { *this = ExecMetrics(); }
@@ -108,7 +108,7 @@ struct OperatorProfile {
   double estimated_rows = -1.0;
 };
 
-// One morsel/partition task executed while profiling a parallel
+// One morsel/partition task executed while profiling a partitioned
 // operator. `index` is the morsel or partition number (rendered as the
 // trace lane), not a thread id — task-to-thread assignment is pool
 // scheduling noise, the partition of work is what the plan determines.
@@ -154,27 +154,18 @@ class TaskSpanSink {
 inline constexpr size_t kInterruptCheckRows = 4096;
 
 struct ExecContext {
-  // Simulated cluster width; 9 workers matches the paper's testbed.
+  // Simulated cluster width for the shuffle meter; 9 workers matches the
+  // paper's testbed. Execution itself sizes its fan-out from the input
+  // (see FanOut in engine/operators.h).
   int num_partitions = 9;
-  // When set, large joins execute partition-parallel on num_partitions
-  // worker threads (see parallel_join.h) instead of the serial join.
-  bool parallel_execution = false;
-  // Rows per morsel for the parallel operators. 0 (the default) auto-
-  // tunes from input width x rows (see MorselRowsFor in
-  // engine/parallel.h); a positive value forces that many rows per
-  // morsel (QueryOptions::morsel_rows / HTTP ?morsel=).
-  size_t morsel_rows = 0;
-  // Rows below which operators stay serial even under
-  // parallel_execution. 0 = kParallelRowThreshold.
-  size_t parallel_threshold_rows = 0;
   // EXPLAIN ANALYZE: record per-operator rows and timings.
   bool collect_profile = false;
   std::vector<OperatorProfile> profile;
   // Zero point for profile start offsets. Set by the query owner (or by
   // ExecutePlan on first use when left at the epoch default).
   MonotonicTime profile_origin{};
-  // Optional sink for parallel-operator task spans; only consulted when
-  // collect_profile is set. Owned by the caller.
+  // Optional sink for partitioned operators' task spans; only consulted
+  // when collect_profile is set. Owned by the caller.
   TaskSpanSink* task_spans = nullptr;
   // Request-scoped trace id assigned at admission (HTTP endpoint) or by
   // the embedding caller; empty when untraced. Carried here so operator
@@ -182,7 +173,7 @@ struct ExecContext {
   std::string trace_id;
   ExecMetrics metrics;
 
-  // True when parallel operators should record per-morsel TaskSpans.
+  // True when partitioned operators should record per-morsel TaskSpans.
   bool ProfileTasks() const {
     return collect_profile && task_spans != nullptr;
   }
@@ -206,7 +197,7 @@ struct ExecContext {
   Status interrupt_status;
 
   // Point-in-time check without recording: reads only immutable fields
-  // and the atomic flag, so parallel-join worker threads may call it.
+  // and the atomic flag, so task-pool workers may call it.
   bool InterruptRequested() const {
     if (cancel_flag != nullptr &&
         cancel_flag->load(std::memory_order_relaxed)) {
@@ -245,6 +236,33 @@ struct ExecContext {
           static_cast<uint64_t>(num_partitions);
     }
   }
+};
+
+// Records one TaskSpan covering its own lifetime — one morsel or
+// partition task — when `enabled` and `ctx` profiles tasks.
+class ScopedTaskSpan {
+ public:
+  ScopedTaskSpan(const ExecContext* ctx, bool enabled, const char* label,
+                 size_t index)
+      : ctx_(enabled && ctx != nullptr && ctx->ProfileTasks() ? ctx : nullptr),
+        label_(label),
+        index_(index),
+        start_(ctx_ != nullptr ? MonotonicNow() : MonotonicTime{}) {}
+  ~ScopedTaskSpan() {
+    if (ctx_ != nullptr) {
+      ctx_->task_spans->Record(label_, index_, ctx_->profile_origin, start_,
+                               MonotonicNow());
+    }
+  }
+
+  ScopedTaskSpan(const ScopedTaskSpan&) = delete;
+  ScopedTaskSpan& operator=(const ScopedTaskSpan&) = delete;
+
+ private:
+  const ExecContext* ctx_;
+  const char* label_;
+  size_t index_;
+  MonotonicTime start_;
 };
 
 }  // namespace s2rdf::engine

@@ -1,17 +1,167 @@
 #include "engine/operators.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/task_pool.h"
+#include "engine/value.h"
 
 namespace s2rdf::engine {
 
+namespace {
+
+inline constexpr uint32_t kNoRow = 0xffffffffu;
+
+// Appends to `rows` every row of [begin, end) that passes `spec`, in
+// ascending order: the tail of `rows` serves as the selection vector of
+// each kVectorChunkRows sub-chunk, pruned one predicate column at a
+// time. Polls the interrupt state (read only) once per sub-chunk;
+// returns false when it bailed out.
+bool ScanChunk(const Table& base, const ScanSpec& spec, size_t begin,
+               size_t end, const ExecContext* ctx,
+               std::vector<uint32_t>* rows) {
+  rows->reserve(std::min(end - begin, kVectorChunkRows));
+  for (size_t b = begin; b < end; b += kVectorChunkRows) {
+    if (ctx != nullptr && ctx->InterruptRequested()) return false;
+    const size_t e = std::min(b + kVectorChunkRows, end);
+    const size_t first = rows->size();
+    if (spec.row_filter != nullptr) {
+      for (size_t r = b; r < e; ++r) {
+        if (spec.row_filter->Test(r)) {
+          rows->push_back(static_cast<uint32_t>(r));
+        }
+      }
+    } else {
+      for (size_t r = b; r < e; ++r) rows->push_back(static_cast<uint32_t>(r));
+    }
+    // Predicates prune the selection vector one column at a time: each
+    // pass is a tight compare-and-compact loop over a single column's
+    // contiguous ids. The surviving set (an AND of all predicates) and
+    // its ascending order are exactly the row-at-a-time result.
+    auto prune = [rows, first](auto keep) {
+      uint32_t* sel = rows->data() + first;
+      const size_t size = rows->size() - first;
+      size_t kept = 0;
+      for (size_t i = 0; i < size; ++i) {
+        sel[kept] = sel[i];
+        kept += keep(sel[i]);
+      }
+      rows->resize(first + kept);
+    };
+    for (const auto& [col, id] : spec.conditions) {
+      const TermId* v = base.ColumnData(static_cast<size_t>(col));
+      prune([v, id = id](uint32_t r) { return v[r] == id; });
+    }
+    for (int col : spec.not_null_columns) {
+      const TermId* v = base.ColumnData(static_cast<size_t>(col));
+      prune([v](uint32_t r) { return v[r] != kNullTermId; });
+    }
+    for (const auto& [col_a, col_b] : spec.equal_columns) {
+      const TermId* va = base.ColumnData(static_cast<size_t>(col_a));
+      const TermId* vb = base.ColumnData(static_cast<size_t>(col_b));
+      prune([va, vb](uint32_t r) { return va[r] == vb[r]; });
+    }
+  }
+  return true;
+}
+
+// FILTER verdicts of one morsel, keyed by the ids the morsel actually
+// reads: open addressing over at least twice as many slots as it can
+// meet distinct ids, so the memo is sized by the input (capped by the
+// dictionary), never by the dictionary alone.
+class VerdictMemo {
+ public:
+  enum : uint8_t { kUnseen = 0, kKeep = 1, kDrop = 2 };
+
+  explicit VerdictMemo(size_t max_ids)
+      : mask_(std::bit_ceil(2 * max_ids) - 1),
+        ids_(mask_ + 1),
+        verdicts_(mask_ + 1, kUnseen) {}
+
+  // The verdict slot of `id`; kUnseen until the caller fills it in.
+  uint8_t& Slot(TermId id) {
+    size_t i = ((uint64_t{id} * 0x9e3779b97f4a7c15ULL) >> 32) & mask_;
+    while (verdicts_[i] != kUnseen && ids_[i] != id) i = (i + 1) & mask_;
+    ids_[i] = id;
+    return verdicts_[i];
+  }
+
+ private:
+  size_t mask_;
+  std::vector<TermId> ids_;
+  std::vector<uint8_t> verdicts_;
+};
+
+// 0, 1, ..., t.NumColumns() - 1.
+std::vector<int> AllColumns(const Table& t) {
+  std::vector<int> cols(t.NumColumns());
+  std::iota(cols.begin(), cols.end(), 0);
+  return cols;
+}
+
+// Appends `source`'s `rows`, projected to `cols`, to `out` in
+// kInterruptCheckRows strides with a CheckInterrupt between strides.
+// Returns false when interrupted (partial output; ExecutePlan reports
+// why).
+bool GatherStrided(const Table& source, const std::vector<int>& cols,
+                   const std::vector<uint32_t>& rows, ExecContext* ctx,
+                   Table* out) {
+  for (size_t i = 0; i < rows.size(); i += kInterruptCheckRows) {
+    if (ctx != nullptr && ctx->CheckInterrupt()) return false;
+    out->AppendGather(source, cols, rows.data() + i,
+                      std::min(rows.size() - i, kInterruptCheckRows));
+  }
+  return true;
+}
+
+// Gathers every morsel's surviving rows of `source`, projected to
+// `cols`, into `out`. Morsel order is row order, so the output is the
+// ascending survivors; stops early (partial output) on an interrupt.
+void GatherMorsels(const Table& source, const std::vector<int>& cols,
+                   const std::vector<std::vector<uint32_t>>& survivors,
+                   ExecContext* ctx, Table* out) {
+  size_t total = 0;
+  for (const auto& rows : survivors) total += rows.size();
+  out->Reserve(total);
+  for (const auto& rows : survivors) {
+    if (!GatherStrided(source, cols, rows, ctx, out)) return;
+  }
+}
+
+}  // namespace
+
+size_t MorselRowsFor(size_t rows, size_t columns, size_t width) {
+  size_t m = kMorselTargetBytes /
+             (std::max<size_t>(columns, 1) * sizeof(TermId));
+  // Several morsels per worker so dynamic claiming can balance skew.
+  const size_t per_worker = rows / (4 * std::max<size_t>(width, 1));
+  if (per_worker > 0) m = std::min(m, per_worker);
+  return std::clamp(m, kMinMorselRows, kMaxMorselRows);
+}
+
+FanOut::FanOut(size_t n, size_t columns, bool partition)
+    : rows(n),
+      partitioned(partition),
+      width(partition ? TaskPool::Shared()->ParallelismWidth() : 1),
+      rows_per_morsel(width > 1 ? MorselRowsFor(n, columns, width)
+                                : std::max<size_t>(n, 1)),
+      morsels(std::max<size_t>(
+          (n + rows_per_morsel - 1) / rows_per_morsel, 1)) {}
+
+void FanOut::RunOnPool(size_t n, const std::function<void(size_t)>& body) {
+  TaskPool::Shared()->ParallelFor(n, body);
+}
+
 uint64_t RowKeyHash(const Table& table, size_t row,
                     const std::vector<int>& cols) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = kRowHashSeed;
   for (int c : cols) {
     h = HashCombine(h, table.At(row, static_cast<size_t>(c)));
   }
@@ -73,196 +223,333 @@ void EmitJoinedRow(const Table& left, size_t lrow, const Table& right,
   out->AppendRow(row);
 }
 
-bool ScanSelectProjectRange(const Table& base, const ScanSpec& spec,
-                            size_t begin, size_t end, const ExecContext* ctx,
-                            Table* out) {
-  for (size_t r = begin; r < end; ++r) {
-    if (((r - begin) % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->InterruptRequested()) {
-      return false;  // Caller discards/records; workers must not record.
-    }
-    if (spec.row_filter != nullptr && !spec.row_filter->Test(r)) continue;
-    bool match = true;
-    for (const auto& [col, id] : spec.conditions) {
-      if (base.At(r, static_cast<size_t>(col)) != id) {
-        match = false;
-        break;
+bool HashRows(const Table& t, const std::vector<int>& cols,
+              const FanOut& fan, const ExecContext* ctx,
+              const char* span_label, std::vector<uint64_t>* hashes) {
+  hashes->resize(t.NumRows());
+  std::atomic<bool> interrupted{false};
+  fan.Run(fan.morsels, [&](size_t m) {
+    if (interrupted.load(std::memory_order_relaxed)) return;
+    ScopedTaskSpan span(ctx, fan.partitioned, span_label, m);
+    uint64_t* h = hashes->data();
+    // The hash lane is seeded for a whole stride, then each column folds
+    // in with one tight pass over its contiguous ids.
+    for (size_t b = fan.Begin(m); b < fan.End(m); b += kInterruptCheckRows) {
+      if (ctx != nullptr && ctx->InterruptRequested()) {
+        interrupted.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const size_t e = std::min(b + kInterruptCheckRows, fan.End(m));
+      std::fill(h + b, h + e, kRowHashSeed);
+      for (int c : cols) {
+        const TermId* v = t.ColumnData(static_cast<size_t>(c));
+        for (size_t r = b; r < e; ++r) h[r] = HashCombine(h[r], v[r]);
       }
     }
-    for (int col : spec.not_null_columns) {
-      if (base.At(r, static_cast<size_t>(col)) == kNullTermId) {
-        match = false;
-        break;
-      }
-    }
-    for (const auto& [col_a, col_b] : spec.equal_columns) {
-      if (!match) break;
-      if (base.At(r, static_cast<size_t>(col_a)) !=
-          base.At(r, static_cast<size_t>(col_b))) {
-        match = false;
-      }
-    }
-    if (!match) continue;
-    std::vector<TermId> row;
-    row.reserve(spec.projections.size());
-    for (const auto& [col, name] : spec.projections) {
-      row.push_back(base.At(r, static_cast<size_t>(col)));
-    }
-    out->AppendRow(row);
-  }
-  return true;
-}
-
-bool ScanSelectProjectChunk(const Table& base, const ScanSpec& spec,
-                            size_t begin, size_t end, const ExecContext* ctx,
-                            Table* out) {
-  std::vector<int> proj_cols;
-  proj_cols.reserve(spec.projections.size());
-  for (const auto& [col, name] : spec.projections) proj_cols.push_back(col);
-
-  std::vector<uint32_t> sel;
-  sel.reserve(kVectorChunkRows);
-  for (size_t b = begin; b < end; b += kVectorChunkRows) {
-    if (ctx != nullptr && ctx->InterruptRequested()) {
-      return false;  // Caller discards/records; workers must not record.
-    }
-    const size_t e = std::min(b + kVectorChunkRows, end);
-    sel.clear();
-    if (spec.row_filter != nullptr) {
-      for (size_t r = b; r < e; ++r) {
-        if (spec.row_filter->Test(r)) sel.push_back(static_cast<uint32_t>(r));
-      }
-    } else {
-      for (size_t r = b; r < e; ++r) sel.push_back(static_cast<uint32_t>(r));
-    }
-    // Predicates prune the selection vector one column at a time: each
-    // pass is a tight compare-and-compact loop over a single column's
-    // contiguous ids. The surviving set (an AND of all predicates) and
-    // its ascending order are exactly the row-at-a-time result.
-    for (const auto& [col, id] : spec.conditions) {
-      if (sel.empty()) break;
-      const TermId* v = base.ColumnData(static_cast<size_t>(col));
-      size_t kept = 0;
-      for (uint32_t r : sel) {
-        sel[kept] = r;
-        kept += v[r] == id;
-      }
-      sel.resize(kept);
-    }
-    for (int col : spec.not_null_columns) {
-      if (sel.empty()) break;
-      const TermId* v = base.ColumnData(static_cast<size_t>(col));
-      size_t kept = 0;
-      for (uint32_t r : sel) {
-        sel[kept] = r;
-        kept += v[r] != kNullTermId;
-      }
-      sel.resize(kept);
-    }
-    for (const auto& [col_a, col_b] : spec.equal_columns) {
-      if (sel.empty()) break;
-      const TermId* va = base.ColumnData(static_cast<size_t>(col_a));
-      const TermId* vb = base.ColumnData(static_cast<size_t>(col_b));
-      size_t kept = 0;
-      for (uint32_t r : sel) {
-        sel[kept] = r;
-        kept += va[r] == vb[r];
-      }
-      sel.resize(kept);
-    }
-    if (!sel.empty()) {
-      out->AppendGather(base, proj_cols, sel.data(), sel.size());
-    }
-  }
-  return true;
+  });
+  return !interrupted.load(std::memory_order_relaxed);
 }
 
 Table ScanSelectProject(const Table& base, const ScanSpec& spec,
                         ExecContext* ctx) {
+  const size_t n = base.NumRows();
   if (spec.row_filter != nullptr) {
-    S2RDF_CHECK(spec.row_filter->size_bits() == base.NumRows());
+    S2RDF_CHECK(spec.row_filter->size_bits() == n);
   }
   if (ctx != nullptr) {
-    ctx->metrics.input_tuples += spec.row_filter != nullptr
-                                     ? spec.row_filter->CountSetBits()
-                                     : base.NumRows();
+    ctx->metrics.input_tuples +=
+        spec.row_filter != nullptr ? spec.row_filter->CountSetBits() : n;
   }
   std::vector<std::string> names;
-  names.reserve(spec.projections.size());
-  for (const auto& [col, name] : spec.projections) names.push_back(name);
-  Table out(std::move(names));
-  if (!ScanSelectProjectRange(base, spec, 0, base.NumRows(), ctx, &out) &&
-      ctx != nullptr) {
-    // Record why (owner thread); ExecutePlan discards the partial batch.
-    ctx->CheckInterrupt();
+  std::vector<int> proj_cols;
+  for (const auto& [col, name] : spec.projections) {
+    names.push_back(name);
+    proj_cols.push_back(col);
   }
+
+  const FanOut fan(n, base.NumColumns());
+  std::vector<std::vector<uint32_t>> keep(fan.morsels);
+  std::atomic<bool> interrupted{false};
+  fan.Run(fan.morsels, [&](size_t m) {
+    if (interrupted.load(std::memory_order_relaxed)) return;
+    ScopedTaskSpan span(ctx, fan.partitioned, "scan morsel", m);
+    if (!ScanChunk(base, spec, fan.Begin(m), fan.End(m), ctx, &keep[m])) {
+      interrupted.store(true, std::memory_order_relaxed);
+    }
+  });
+  Table out(std::move(names));
+  if (interrupted.load(std::memory_order_relaxed)) {
+    if (ctx != nullptr) ctx->CheckInterrupt();
+    return out;  // ExecutePlan reports the interrupt.
+  }
+  GatherMorsels(base, proj_cols, keep, ctx, &out);
   if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
   return out;
 }
 
-Table HashJoin(const Table& left, const Table& right, ExecContext* ctx) {
-  std::vector<int> left_keys;
-  std::vector<int> right_keys;
-  std::vector<int> right_only;
-  JoinSharedColumns(left, right, &left_keys, &right_keys, &right_only);
-  Table out = JoinOutputSchema(left, right, right_only);
-
-  if (ctx != nullptr) {
-    ctx->metrics.join_comparisons +=
-        static_cast<uint64_t>(left.NumRows()) * right.NumRows();
-    ctx->AccountShuffle(left.NumRows() + right.NumRows());
+Table Filter(const Table& t, const Expr& expr, const rdf::Dictionary& dict,
+             ExecContext* ctx) {
+  // When every variable the expression references resolves to the same
+  // table column, the verdict is a pure function of that column's id:
+  // morsels memoize verdicts per distinct id instead of re-decoding and
+  // re-parsing the term for every row (the dominant filter cost).
+  // Unprojected variables contribute a constant (unbound) and do not
+  // break the purity argument.
+  int memo_col = -1;
+  for (const std::string& var : expr.ReferencedVariables()) {
+    int c = t.ColumnIndex(var);
+    if (c < 0) continue;
+    if (memo_col >= 0 && c != memo_col) {
+      memo_col = -1;
+      break;
+    }
+    memo_col = c;
   }
+  // A morsel meets at most its row count of distinct ids, and at most
+  // every dictionary id plus the null id: every id in the input was
+  // encoded before the filter started, so today's size bounds them.
+  const size_t dict_ids = memo_col >= 0 ? dict.size() + 1 : 0;
 
-  if (left_keys.empty()) {
-    // Cross product.
-    size_t since_check = 0;
-    for (size_t lr = 0; lr < left.NumRows(); ++lr) {
-      for (size_t rr = 0; rr < right.NumRows(); ++rr) {
-        if (++since_check >= kInterruptCheckRows) {
-          since_check = 0;
-          if (ctx != nullptr && ctx->CheckInterrupt()) {
-            // Partial output; ExecutePlan reports the interrupt.
-            ctx->metrics.intermediate_tuples += out.NumRows();
-            return out;
+  const FanOut fan(t.NumRows(), t.NumColumns());
+  std::vector<std::vector<uint32_t>> keep(fan.morsels);
+  std::atomic<bool> interrupted{false};
+  fan.Run(fan.morsels, [&](size_t m) {
+    if (interrupted.load(std::memory_order_relaxed)) return;
+    ScopedTaskSpan span(ctx, fan.partitioned, "filter morsel", m);
+    const size_t begin = fan.Begin(m);
+    const size_t end = fan.End(m);
+    // The evaluator is bound per morsel (cheap: it only resolves column
+    // indices); Eval itself is const and dictionary reads take a shared
+    // lock, so morsels evaluate concurrently.
+    ExprEvaluator eval(expr, t, dict);
+    std::vector<uint32_t>& rows = keep[m];
+    std::optional<VerdictMemo> memo;
+    if (memo_col >= 0 && end > begin) {
+      memo.emplace(std::min(end - begin, dict_ids));
+    }
+    const TermId* v =
+        memo_col >= 0 ? t.ColumnData(static_cast<size_t>(memo_col)) : nullptr;
+    for (size_t b = begin; b < end; b += kInterruptCheckRows) {
+      if (ctx != nullptr && ctx->InterruptRequested()) {
+        interrupted.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const size_t e = std::min(b + kInterruptCheckRows, end);
+      for (size_t r = b; r < e; ++r) {
+        bool kept;
+        if (memo.has_value()) {
+          uint8_t& verdict = memo->Slot(v[r]);
+          if (verdict == VerdictMemo::kUnseen) {
+            verdict = eval.Keep(r) ? VerdictMemo::kKeep : VerdictMemo::kDrop;
           }
+          kept = verdict == VerdictMemo::kKeep;
+        } else {
+          kept = eval.Keep(r);
         }
-        EmitJoinedRow(left, lr, right, rr, right_only, &out);
+        if (kept) rows.push_back(static_cast<uint32_t>(r));
       }
     }
-    if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
-    return out;
+  });
+
+  Table out(t.column_names());
+  if (interrupted.load(std::memory_order_relaxed)) {
+    if (ctx != nullptr) ctx->CheckInterrupt();
+    return out;  // ExecutePlan reports the interrupt.
+  }
+  GatherMorsels(t, AllColumns(t), keep, ctx, &out);
+  if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
+  return out;
+}
+
+Table Distinct(const Table& t, ExecContext* ctx) {
+  const size_t n = t.NumRows();
+  const std::vector<int> all_cols = AllColumns(t);
+  auto interrupted_result = [&] {
+    if (ctx != nullptr) {
+      ctx->CheckInterrupt();
+      ctx->AccountShuffle(n);
+    }
+    return Table(t.column_names());  // ExecutePlan reports the interrupt.
+  };
+
+  const FanOut fan(n, t.NumColumns());
+  std::vector<uint64_t> hashes;
+  if (!HashRows(t, all_cols, fan, ctx, "distinct hash morsel", &hashes)) {
+    return interrupted_result();
   }
 
-  // Build on the right, probe with the left (right is typically the
-  // newly-selected smallest table under Algorithm 4's ordering). The
-  // bucket keeps right rows in ascending order, making the output
-  // sequence canonical (left input order, matches ascending) — the
-  // contract ParallelHashJoin's gather reproduces.
-  std::unordered_map<uint64_t, std::vector<size_t>> build;
-  build.reserve(right.NumRows());
-  for (size_t rr = 0; rr < right.NumRows(); ++rr) {
-    if ((rr % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      break;  // Partial build; the probe loop's check fires immediately.
-    }
-    if (RowKeyHasNull(right, rr, right_keys)) continue;
-    build[RowKeyHash(right, rr, right_keys)].push_back(rr);
-  }
-  for (size_t lr = 0; lr < left.NumRows(); ++lr) {
-    if ((lr % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      break;  // Partial output; ExecutePlan reports the interrupt.
-    }
-    if (RowKeyHasNull(left, lr, left_keys)) continue;
-    auto it = build.find(RowKeyHash(left, lr, left_keys));
-    if (it == build.end()) continue;
-    for (size_t rr : it->second) {
-      if (RowKeysEqual(left, lr, left_keys, right, rr, right_keys)) {
-        EmitJoinedRow(left, lr, right, rr, right_only, &out);
+  // Hash-partitioned dedup. Equal rows hash equal, so every duplicate set
+  // lives wholly inside one partition; each keeps the first occurrence
+  // (ascending row scan) of its rows in a flat open-addressing table of
+  // row indices. Partitions pick rows by the hash's low bits, slots by
+  // its high bits.
+  const size_t parts = fan.width;
+  std::vector<std::vector<uint32_t>> keep(parts);
+  std::atomic<bool> interrupted{false};
+  fan.Run(parts, [&](size_t w) {
+    ScopedTaskSpan span(ctx, fan.partitioned, "distinct partition", w);
+    // This partition's rows, ascending; unpartitioned, every row.
+    std::vector<uint32_t> mine;
+    if (parts > 1) {
+      for (size_t r = 0; r < n; ++r) {
+        if ((r % kInterruptCheckRows) == 0 && ctx != nullptr &&
+            ctx->InterruptRequested()) {
+          interrupted.store(true, std::memory_order_relaxed);
+          return;
+        }
+        if (PartitionOf(hashes[r], parts) == w) {
+          mine.push_back(static_cast<uint32_t>(r));
+        }
       }
     }
+    const size_t count = parts > 1 ? mine.size() : n;
+    const size_t mask = std::bit_ceil(2 * count + 1) - 1;
+    std::vector<uint32_t> slots(mask + 1, kNoRow);
+    for (size_t i = 0; i < count; ++i) {
+      if ((i % kInterruptCheckRows) == 0 && ctx != nullptr &&
+          ctx->InterruptRequested()) {
+        interrupted.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const uint32_t r = parts > 1 ? mine[i] : static_cast<uint32_t>(i);
+      const uint64_t h = hashes[r];
+      size_t slot = (h >> 32) & mask;
+      bool duplicate = false;
+      for (; slots[slot] != kNoRow; slot = (slot + 1) & mask) {
+        if (hashes[slots[slot]] == h &&
+            RowKeysEqual(t, r, all_cols, t, slots[slot], all_cols)) {
+          duplicate = true;
+          break;
+        }
+      }
+      if (!duplicate) {
+        slots[slot] = r;
+        keep[w].push_back(r);
+      }
+    }
+  });
+  if (interrupted.load(std::memory_order_relaxed)) return interrupted_result();
+
+  // The union of partition-local first occurrences is exactly the
+  // first-occurrence set, and ascending row order is the emission order.
+  std::vector<uint32_t> rows = std::move(keep[0]);
+  if (parts > 1) {
+    for (size_t w = 1; w < parts; ++w) {
+      rows.insert(rows.end(), keep[w].begin(), keep[w].end());
+    }
+    std::sort(rows.begin(), rows.end());
   }
-  if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
+  Table out(t.column_names());
+  out.Reserve(rows.size());
+  GatherStrided(t, all_cols, rows, ctx, &out);
+  if (ctx != nullptr) {
+    ctx->AccountShuffle(n);
+    ctx->metrics.intermediate_tuples += out.NumRows();
+  }
+  return out;
+}
+
+Table OrderBy(const Table& t, const std::vector<SortKey>& keys,
+              const rdf::Dictionary& dict, ExecContext* ctx) {
+  const size_t n = t.NumRows();
+  std::vector<std::pair<const TermId*, bool>> key_cols;
+  for (const SortKey& key : keys) {
+    int c = t.ColumnIndex(key.column);
+    if (c >= 0) {
+      key_cols.emplace_back(t.ColumnData(static_cast<size_t>(c)),
+                            key.ascending);
+    }
+  }
+  const size_t k = key_cols.size();
+
+  // Phase 1 (the dominant cost): decode every sort-key term once per
+  // morsel (Dictionary::Decode is shared-lock-safe) into the morsel's
+  // own cache, and point each row's key slots at the decoded values.
+  // Node-based caches keep those pointers valid; none is merged.
+  const FanOut fan(n, k);
+  std::vector<std::unordered_map<TermId, Value>> caches(fan.morsels);
+  std::vector<const Value*> values(n * k);
+  std::atomic<bool> interrupted{false};
+  fan.Run(fan.morsels, [&](size_t m) {
+    if (interrupted.load(std::memory_order_relaxed)) return;
+    ScopedTaskSpan span(ctx, fan.partitioned, "sort decode morsel", m);
+    std::unordered_map<TermId, Value>& cache = caches[m];
+    for (size_t r = fan.Begin(m); r < fan.End(m); ++r) {
+      if (((r - fan.Begin(m)) % kInterruptCheckRows) == 0 && ctx != nullptr &&
+          ctx->InterruptRequested()) {
+        interrupted.store(true, std::memory_order_relaxed);
+        return;
+      }
+      for (size_t j = 0; j < k; ++j) {
+        const TermId id = key_cols[j].first[r];
+        auto [it, inserted] = cache.try_emplace(id);
+        if (inserted && id != kNullTermId) {
+          it->second = ValueFromCanonicalTerm(dict.Decode(id));
+        }
+        values[r * k + j] = &it->second;
+      }
+    }
+  });
+  if (interrupted.load(std::memory_order_relaxed)) {
+    if (ctx != nullptr) ctx->CheckInterrupt();
+    return Table(t.column_names());  // ExecutePlan reports the interrupt.
+  }
+
+  auto less = [&](uint32_t a, uint32_t b) {
+    for (size_t j = 0; j < k; ++j) {
+      const auto& [col, asc] = key_cols[j];
+      if (col[a] == col[b]) continue;
+      bool comparable = true;
+      int c = CompareValues(*values[a * k + j], *values[b * k + j],
+                            &comparable);
+      if (c != 0) return asc ? c < 0 : c > 0;
+    }
+    return false;
+  };
+
+  // Phase 2: each partition stable-sorts one contiguous row range. The
+  // sort itself is not interruptible (a comparator that reads the clock
+  // would break strict weak ordering); the decode before and the merge
+  // and gather after it are.
+  const size_t parts = std::min(fan.width, fan.morsels);
+  const size_t part_rows = (n + parts - 1) / parts;
+  std::vector<std::vector<uint32_t>> sorted(parts);
+  fan.Run(parts, [&](size_t p) {
+    ScopedTaskSpan span(ctx, fan.partitioned, "sort chunk", p);
+    const size_t begin = std::min(n, p * part_rows);
+    std::vector<uint32_t>& order = sorted[p];
+    order.resize(std::min(n, begin + part_rows) - begin);
+    std::iota(order.begin(), order.end(), static_cast<uint32_t>(begin));
+    std::stable_sort(order.begin(), order.end(), less);
+  });
+
+  // Phase 3: k-way merge. Ranges are contiguous and each is stable-sorted;
+  // breaking ties toward the earliest range therefore reproduces one full
+  // stable sort.
+  std::vector<uint32_t> order;
+  if (parts == 1) {
+    order = std::move(sorted[0]);
+  } else {
+    order.reserve(n);
+    std::vector<size_t> pos(parts, 0);
+    for (size_t emitted = 0; emitted < n; ++emitted) {
+      if ((emitted % kInterruptCheckRows) == 0 && ctx != nullptr &&
+          ctx->CheckInterrupt()) {
+        return Table(t.column_names());  // ExecutePlan reports why.
+      }
+      size_t best = parts;
+      for (size_t p = 0; p < parts; ++p) {
+        if (pos[p] >= sorted[p].size()) continue;
+        if (best == parts || less(sorted[p][pos[p]], sorted[best][pos[best]])) {
+          best = p;
+        }
+      }
+      order.push_back(sorted[best][pos[best]++]);
+    }
+  }
+  Table out(t.column_names());
+  out.Reserve(n);
+  GatherStrided(t, AllColumns(t), order, ctx, &out);
   return out;
 }
 
@@ -384,7 +671,7 @@ Table SemiJoin(const Table& left, int left_col, const Table& right,
   // Metered like every other join: the Fig. 8/Fig. 12 model charges the
   // logical comparison space |L|x|R|, not the hash-accelerated probe
   // count (see exec_context.h). Charged before the build loop so an
-  // interrupted run still reports the same work estimate as serial.
+  // interrupted run still reports the same work estimate.
   if (ctx != nullptr) {
     ctx->metrics.join_comparisons +=
         static_cast<uint64_t>(left.NumRows()) * right.NumRows();
@@ -533,97 +820,6 @@ Table UnionAll(const Table& a, const Table& b, ExecContext* ctx) {
   return out;
 }
 
-Table Distinct(const Table& t, ExecContext* ctx) {
-  // Hash-based dedup with full-row verification via a bucket of row ids.
-  std::unordered_multimap<uint64_t, size_t> seen;
-  Table out(t.column_names());
-  std::vector<int> all_cols(t.NumColumns());
-  for (size_t i = 0; i < t.NumColumns(); ++i) all_cols[i] = static_cast<int>(i);
-  for (size_t r = 0; r < t.NumRows(); ++r) {
-    if ((r % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      break;  // Partial output; ExecutePlan reports the interrupt.
-    }
-    uint64_t h = RowKeyHash(t, r, all_cols);
-    bool duplicate = false;
-    auto [begin, end] = seen.equal_range(h);
-    for (auto it = begin; it != end; ++it) {
-      if (RowKeysEqual(t, r, all_cols, t, it->second, all_cols)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      seen.emplace(h, r);
-      out.AppendRowFrom(t, r);
-    }
-  }
-  if (ctx != nullptr) {
-    ctx->AccountShuffle(t.NumRows());
-    ctx->metrics.intermediate_tuples += out.NumRows();
-  }
-  return out;
-}
-
-Table OrderBy(const Table& t, const std::vector<SortKey>& keys,
-              const rdf::Dictionary& dict, ExecContext* ctx) {
-  // Decode cache: TermId -> typed Value (ids repeat heavily).
-  std::unordered_map<TermId, Value> cache;
-  auto value_of = [&](TermId id) -> const Value& {
-    auto it = cache.find(id);
-    if (it != cache.end()) return it->second;
-    Value v =
-        id == kNullTermId ? Value() : ValueFromCanonicalTerm(dict.Decode(id));
-    return cache.emplace(id, std::move(v)).first->second;
-  };
-
-  std::vector<std::pair<int, bool>> key_cols;
-  for (const SortKey& key : keys) {
-    int c = t.ColumnIndex(key.column);
-    if (c >= 0) key_cols.emplace_back(c, key.ascending);
-  }
-
-  // Interruptible warmup: decode every sort-key value up front. The
-  // decode cost dominates OrderBy, so checking the deadline here bounds
-  // the abort latency; the comparator below never reads the clock
-  // (returning inconsistent answers mid-sort would break strict weak
-  // ordering).
-  for (size_t r = 0; r < t.NumRows(); ++r) {
-    if ((r % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      return Table(t.column_names());  // ExecutePlan reports why.
-    }
-    for (const auto& [col, asc] : key_cols) {
-      value_of(t.At(r, static_cast<size_t>(col)));
-    }
-  }
-
-  std::vector<size_t> order(t.NumRows());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    for (const auto& [col, asc] : key_cols) {
-      TermId ia = t.At(a, static_cast<size_t>(col));
-      TermId ib = t.At(b, static_cast<size_t>(col));
-      if (ia == ib) continue;
-      bool comparable = true;
-      int c = CompareValues(value_of(ia), value_of(ib), &comparable);
-      if (c != 0) return asc ? c < 0 : c > 0;
-    }
-    return false;
-  });
-
-  Table out(t.column_names());
-  out.Reserve(t.NumRows());
-  for (size_t i = 0; i < order.size(); ++i) {
-    if ((i % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      break;  // Partial output; ExecutePlan reports the interrupt.
-    }
-    out.AppendRowFrom(t, order[i]);
-  }
-  return out;
-}
-
 Table Slice(const Table& t, uint64_t offset, uint64_t limit) {
   Table out(t.column_names());
   if (offset >= t.NumRows()) return out;
@@ -650,21 +846,6 @@ Table Project(const Table& t, const std::vector<std::string>& columns) {
   }
   Table out(columns);
   out.AdoptColumns(std::move(cols));
-  return out;
-}
-
-Table Filter(const Table& t, const Expr& expr, const rdf::Dictionary& dict,
-             ExecContext* ctx) {
-  ExprEvaluator eval(expr, t, dict);
-  Table out(t.column_names());
-  for (size_t r = 0; r < t.NumRows(); ++r) {
-    if ((r % kInterruptCheckRows) == 0 && ctx != nullptr &&
-        ctx->CheckInterrupt()) {
-      break;  // Partial output; ExecutePlan reports the interrupt.
-    }
-    if (eval.Keep(r)) out.AppendRowFrom(t, r);
-  }
-  if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
   return out;
 }
 

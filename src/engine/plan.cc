@@ -5,9 +5,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/task_pool.h"
-#include "engine/parallel.h"
-#include "engine/parallel_join.h"
 
 namespace s2rdf::engine {
 
@@ -396,62 +393,6 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
                                 rdf::Dictionary* dict, ExecContext* ctx,
                                 int depth);
 
-// Speedup over serial measured at pool width 4 (bench_parallel, PR 9
-// baseline), per operator kind. Scan/filter/join cleared the 1.5x
-// floor; the partition passes of distinct/order-by/aggregate pay more
-// in merge cost than width-4 parallelism returns, so their fan-out only
-// wins on wider pools.
-// Measured width-4 speedup of the merge-heavy operators' parallel
-// twins (BENCH_parallel.json, PR 9): distinct LOSES at width 4, order
-// by and group by roughly break even — their merge step is a serial
-// tail that Amdahl charges against the fan-out. Scan/filter/join have
-// no comparable tail and keep the seed gating (threshold + estimate
-// veto only), so returns 0 here, meaning "not speedup-gated".
-double WidthFourSpeedup(PlanNode::Kind kind) {
-  switch (kind) {
-    case PlanNode::Kind::kDistinct:
-      return 0.65;
-    case PlanNode::Kind::kOrderBy:
-      return 1.0;
-    case PlanNode::Kind::kAggregate:
-      return 0.9;
-    default:
-      return 0.0;
-  }
-}
-
-// Serial-vs-parallel choice for one operator. The exact runtime input
-// size gates first (below the threshold the task hand-off costs more
-// than it saves); on top of that, the optimizer's row estimate (PR 6
-// cost pipeline, carried on the plan node) vetoes the narrow band where
-// the input barely clears the threshold but the estimated output is
-// tiny — there the partition + gather overhead has nothing to amortize
-// against. Finally, for the merge-heavy kinds (distinct, order by,
-// group by) a cost gate projects the kind's measured width-4 speedup
-// linearly to the actual pool width and refuses the fan-out unless the
-// projection clears a 1.1x margin — this is what keeps those operators
-// serial on few-core hosts where they measurably lose. The choice never affects
-// results: parallel operators are byte-identical to their serial twins.
-bool UseParallel(const PlanNode& plan, const ExecContext* ctx,
-                 size_t input_rows) {
-  if (ctx == nullptr || !ctx->parallel_execution) return false;
-  const size_t threshold = ParallelThreshold(ctx);
-  if (input_rows < threshold) return false;
-  if (plan.estimated_rows >= 0.0 &&
-      plan.estimated_rows < static_cast<double>(threshold) &&
-      input_rows < 2 * threshold) {
-    return false;
-  }
-  const double speedup_at_four = WidthFourSpeedup(plan.kind);
-  if (speedup_at_four > 0.0) {
-    const double width =
-        static_cast<double>(TaskPool::Shared()->ParallelismWidth());
-    const double projected = speedup_at_four * width / 4.0;
-    if (projected <= 1.1) return false;
-  }
-  return true;
-}
-
 // Wraps one child execution with profiling bookkeeping.
 StatusOr<Table> ExecuteChild(const PlanNode& plan, const TableProvider& tables,
                              rdf::Dictionary* dict, ExecContext* ctx,
@@ -544,9 +485,6 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
         }
         spec.row_filter = plan.row_filter.get();
       }
-      if (UseParallel(plan, ctx, base->NumRows())) {
-        return ParallelScanSelectProject(*base, spec, ctx);
-      }
       return ScanSelectProject(*base, spec, ctx);
     }
     case PlanNode::Kind::kJoin: {
@@ -556,12 +494,8 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
                              ExecuteChild(*plan.right, tables, dict, ctx, depth + 1));
       live_input_bytes = l.ApproxBytes() + r.ApproxBytes();
       if (plan.join_algo == PlanNode::JoinAlgo::kSortMerge) {
-        // Sort-merge keeps the serial implementation either way; its
-        // output is the same bag as HashJoin in a different order.
+        // Same bag as HashJoin in a different order.
         return SortMergeJoin(l, r, ctx);
-      }
-      if (UseParallel(plan, ctx, l.NumRows() + r.NumRows())) {
-        return ParallelHashJoin(l, r, ctx);
       }
       return HashJoin(l, r, ctx);
     }
@@ -604,9 +538,6 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
       S2RDF_ASSIGN_OR_RETURN(Table l,
                              ExecuteChild(*plan.left, tables, dict, ctx, depth + 1));
       live_input_bytes = l.ApproxBytes();
-      if (UseParallel(plan, ctx, l.NumRows())) {
-        return ParallelFilter(l, *plan.filter, *dict, ctx);
-      }
       return Filter(l, *plan.filter, *dict, ctx);
     }
     case PlanNode::Kind::kProject: {
@@ -619,18 +550,12 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
       S2RDF_ASSIGN_OR_RETURN(Table l,
                              ExecuteChild(*plan.left, tables, dict, ctx, depth + 1));
       live_input_bytes = l.ApproxBytes();
-      if (UseParallel(plan, ctx, l.NumRows())) {
-        return ParallelDistinct(l, ctx);
-      }
       return Distinct(l, ctx);
     }
     case PlanNode::Kind::kOrderBy: {
       S2RDF_ASSIGN_OR_RETURN(Table l,
                              ExecuteChild(*plan.left, tables, dict, ctx, depth + 1));
       live_input_bytes = l.ApproxBytes();
-      if (UseParallel(plan, ctx, l.NumRows())) {
-        return ParallelOrderBy(l, plan.sort_keys, *dict, ctx);
-      }
       return OrderBy(l, plan.sort_keys, *dict, ctx);
     }
     case PlanNode::Kind::kSlice: {
@@ -643,10 +568,6 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
       S2RDF_ASSIGN_OR_RETURN(Table l,
                              ExecuteChild(*plan.left, tables, dict, ctx, depth + 1));
       live_input_bytes = l.ApproxBytes();
-      if (UseParallel(plan, ctx, l.NumRows())) {
-        return ParallelGroupByAggregate(l, plan.group_keys, plan.aggregates,
-                                        dict, ctx);
-      }
       return GroupByAggregate(l, plan.group_keys, plan.aggregates, dict,
                               ctx);
     }

@@ -30,7 +30,8 @@ struct QueryProfile {
   std::string trace_id;
   // Pre-order operator tree (depth reconstructs the shape).
   std::vector<OperatorProfile> operators;
-  // Morsel/partition spans of parallel operators (empty when serial).
+  // Morsel/partition spans of partitioned operators (empty when every
+  // operator input stayed below kParallelRowThreshold).
   std::vector<TaskSpan> tasks;
   // Stage split of the request, milliseconds.
   double parse_ms = 0.0;

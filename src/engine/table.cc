@@ -50,20 +50,6 @@ void Table::AppendRowFrom(const Table& source, size_t row) {
   ++num_rows_;
 }
 
-void Table::AppendGather(const Table& source, const uint32_t* rows,
-                         size_t count) {
-  S2RDF_DCHECK(source.NumColumns() == columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const TermId* src = source.columns_[c].data();
-    auto& dst = columns_[c];
-    size_t base = dst.size();
-    dst.resize(base + count);
-    TermId* out = dst.data() + base;
-    for (size_t i = 0; i < count; ++i) out[i] = src[rows[i]];
-  }
-  num_rows_ += count;
-}
-
 void Table::AppendGather(const Table& source,
                          const std::vector<int>& source_cols,
                          const uint32_t* rows, size_t count) {
@@ -77,17 +63,6 @@ void Table::AppendGather(const Table& source,
     for (size_t i = 0; i < count; ++i) out[i] = src[rows[i]];
   }
   num_rows_ += count;
-}
-
-void Table::AppendRange(const Table& source, size_t begin, size_t end) {
-  S2RDF_DCHECK(source.NumColumns() == columns_.size());
-  S2RDF_DCHECK(begin <= end && end <= source.NumRows());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    const auto& src = source.columns_[c];
-    columns_[c].insert(columns_[c].end(), src.begin() + begin,
-                       src.begin() + end);
-  }
-  num_rows_ += end - begin;
 }
 
 void Table::Reserve(size_t rows) {

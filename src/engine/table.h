@@ -50,24 +50,10 @@ class Table {
   // chunked/vectorized kernels consume instead of per-row At() calls.
   const TermId* ColumnData(size_t i) const { return columns_[i].data(); }
 
-  // Read-only chunked view of one column over rows [begin, end) — the
-  // columnar chunk the vectorized inner loops (engine/parallel*.cc)
-  // iterate. `data` is absolute-indexed: chunk.data[r] for r in
-  // [begin, end).
-  struct ColumnChunk {
-    const TermId* data = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-    size_t size() const { return end - begin; }
-  };
-  ColumnChunk Chunk(size_t col, size_t begin, size_t end) const {
-    return ColumnChunk{columns_[col].data(), begin, end};
-  }
-
   // Replaces the table's data wholesale with `columns` (one vector per
   // column, all the same length). The column-store fast path for
-  // operators that produce whole columns — Project — instead of
-  // assembling rows.
+  // operators that produce whole columns — Project, the hash join's
+  // gather — instead of assembling rows.
   void AdoptColumns(std::vector<std::vector<TermId>> columns);
 
   // Appends one row; `values.size()` must equal NumColumns().
@@ -78,20 +64,13 @@ class Table {
   // width (names may differ; caller guarantees positional compatibility).
   void AppendRowFrom(const Table& source, size_t row);
 
-  // Column-wise batch twin of AppendRowFrom: appends `source` rows
-  // rows[0..count) in order, gathering each output column in one pass so
-  // the inner loop touches a single column vector at a time.
-  void AppendGather(const Table& source, const uint32_t* rows, size_t count);
-
-  // Same gather, but output column j pulls from source column
-  // source_cols[j] (for projection reorders). source_cols.size() must
-  // equal NumColumns().
+  // Column-wise batch counterpart of AppendRowFrom: appends `source`
+  // rows rows[0..count) in order, output column j pulling from source
+  // column source_cols[j] (source_cols.size() must equal NumColumns()),
+  // gathering each output column in one pass so the inner loop touches a
+  // single column vector at a time.
   void AppendGather(const Table& source, const std::vector<int>& source_cols,
                     const uint32_t* rows, size_t count);
-
-  // Column-wise contiguous append of source rows [begin, end). Schemas
-  // must have equal width (positional compatibility, as AppendRowFrom).
-  void AppendRange(const Table& source, size_t begin, size_t end);
 
   void Reserve(size_t rows);
 

@@ -251,7 +251,8 @@ void SparqlEndpoint::RegisterMetrics() {
                      });
   // Shared-pool saturation: queue depth gauge + queue-wait histogram
   // (registered by the pool itself so the instrumentation lives next to
-  // the queue it measures).
+  // the queue it measures). The pool owns the histogram, so it outlives
+  // this endpoint's registry safely.
   TaskPool::Shared()->AttachMetrics(&registry_);
   latency_seconds_ = registry_.AddHistogram(
       "s2rdf_query_latency_seconds",
@@ -495,11 +496,6 @@ HttpResponse SparqlEndpoint::Handle(const HttpRequest& request) {
         InvalidArgumentError("'limit' must be a non-negative integer"));
   }
   if (present) query_request.options.max_result_rows = value;
-  if (!ParseParam(params, "morsel", &value, &present)) {
-    return ErrorResponse(
-        InvalidArgumentError("'morsel' must be a non-negative integer"));
-  }
-  if (present) query_request.options.morsel_rows = value;
 
   bool explain_plan = false;
   bool explain_analyze = false;

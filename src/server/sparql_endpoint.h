@@ -26,7 +26,6 @@
 //
 //   GET  /sparql?query=<urlencoded>[&timeout=<ms>][&limit=<rows>]
 //                [&explain=plan|analyze][&trace=1][&optimizer=paper|cost]
-//                [&morsel=<rows>]
 //   POST /sparql   (application/x-www-form-urlencoded: query=...)
 //   POST /sparql   (application/sparql-query: raw query body)
 //   GET  /health   liveness probe ("ok <git-sha>")
@@ -42,8 +41,6 @@
 // its cost estimates; `trace=1` returns Chrome trace_event JSON for
 // chrome://tracing / Perfetto. `optimizer=paper|cost` selects the
 // Optimize stage (paper heuristic vs cost-based, default paper).
-// `morsel=<rows>` pins the parallel operators' rows-per-morsel (default
-// 0 = auto-tuned from input width x rows).
 //
 // Result format is chosen from the Accept header (JSON by default;
 // XML, CSV, TSV supported). GET / serves a small status page.
@@ -67,13 +64,13 @@ namespace s2rdf::server {
 
 struct EndpointOptions {
   // Worker threads executing queries (one connection each). Intra-query
-  // morsel parallelism (parallel_execution) does NOT multiply this:
-  // every query draws helper tasks from the one process-wide TaskPool
-  // (sized to the hardware), and a query whose helpers are busy simply
-  // runs its morsels on its own worker thread — so total execution
-  // threads are bounded by num_workers + TaskPool::Shared()'s helpers
-  // regardless of load, and a saturated pool can never deadlock the
-  // endpoint.
+  // morsel parallelism does NOT multiply this: every operator input
+  // large enough to fan out draws helper tasks from the one process-wide
+  // TaskPool (sized to the hardware), and a query whose helpers are busy
+  // simply runs its morsels on its own worker thread — so total
+  // execution threads are bounded by num_workers + TaskPool::Shared()'s
+  // helpers regardless of load, and a saturated pool can never deadlock
+  // the endpoint.
   int num_workers = 4;
   // Connections allowed to wait beyond the busy workers; the next one
   // is rejected with 503.

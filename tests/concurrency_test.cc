@@ -129,27 +129,22 @@ TEST(ConcurrencyStressTest, ParallelMixedQueriesMatchSerial) {
             (*serial)->lazy_pairs_computed());
 }
 
-// The same mixed workload with intra-query morsel parallelism: every
-// query draws helper tasks from the one shared TaskPool, and results
-// must still match the serial instance exactly. The graph is sized so
-// scans and joins clear kParallelRowThreshold and actually go parallel.
+// The same mixed workload with intra-query morsel parallelism: the
+// graph is sized so scans and joins clear kParallelRowThreshold and fan
+// out, every query draws helper tasks from the one shared TaskPool, and
+// concurrent results must still match one-at-a-time execution exactly.
 TEST(ConcurrencyStressTest, ParallelExecutionMixedQueriesMatchSerial) {
   constexpr int kThreads = 8;
   constexpr int kRounds = 2;
 
-  auto serial = S2Rdf::Create(MakeSocialGraph(2500), S2RdfOptions());
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  auto shared = S2Rdf::Create(MakeSocialGraph(2500), S2RdfOptions());
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
   std::vector<std::vector<std::vector<std::string>>> expected;
   for (const char* query : kMixedQueries) {
-    auto result = (*serial)->Execute(query);
+    auto result = (*shared)->Execute(query);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    expected.push_back(SortedRows(**serial, result->table));
+    expected.push_back(SortedRows(**shared, result->table));
   }
-
-  S2RdfOptions options;
-  options.parallel_execution = true;
-  auto shared = S2Rdf::Create(MakeSocialGraph(2500), options);
-  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
 
   std::atomic<int> failures{0};
   std::atomic<int> mismatches{0};

@@ -1,4 +1,3 @@
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -8,8 +7,6 @@
 #include "engine/aggregate.h"
 #include "engine/expression.h"
 #include "engine/operators.h"
-#include "engine/parallel.h"
-#include "engine/parallel_join.h"
 #include "engine/plan.h"
 #include "engine/table.h"
 #include "engine/value.h"
@@ -17,24 +14,6 @@
 
 namespace s2rdf::engine {
 namespace {
-
-// Exact (row-order-sensitive) table equality: the parallel operators
-// promise byte-identical output, not just the same bag.
-void ExpectIdenticalTables(const Table& a, const Table& b) {
-  ASSERT_EQ(a.column_names(), b.column_names());
-  ASSERT_EQ(a.NumRows(), b.NumRows());
-  for (size_t c = 0; c < a.NumColumns(); ++c) {
-    EXPECT_EQ(a.Column(c), b.Column(c)) << "column " << c;
-  }
-}
-
-void ExpectIdenticalMetrics(const ExecMetrics& a, const ExecMetrics& b) {
-  EXPECT_EQ(a.input_tuples, b.input_tuples);
-  EXPECT_EQ(a.intermediate_tuples, b.intermediate_tuples);
-  EXPECT_EQ(a.join_comparisons, b.join_comparisons);
-  EXPECT_EQ(a.shuffled_tuples, b.shuffled_tuples);
-  EXPECT_EQ(a.output_tuples, b.output_tuples);
-}
 
 // --- Table --------------------------------------------------------------
 
@@ -317,208 +296,6 @@ TEST(SortMergeJoinTest, DuplicateKeysCrossWithinRuns) {
   EXPECT_EQ(out.NumRows(), 4u);  // 2x2 for k=1, nothing for k=2.
 }
 
-// --- Parallel join -----------------------------------------------------------
-
-class ParallelJoinTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelJoinTest, MatchesSerialJoin) {
-  s2rdf::SplitMix64 rng(static_cast<uint64_t>(GetParam()) * 41 + 5);
-  size_t rows = 3000 + rng.Uniform(8000);
-  Table left({"x", "y"});
-  Table right({"y", "z"});
-  for (size_t i = 0; i < rows; ++i) {
-    left.AppendRow({static_cast<TermId>(rng.Uniform(500)),
-                    static_cast<TermId>(rng.Uniform(200))});
-    right.AppendRow({static_cast<TermId>(rng.Uniform(200)),
-                     static_cast<TermId>(rng.Uniform(500))});
-  }
-  // A few null keys that must never match.
-  left.AppendRow({1, kNullTermId});
-  right.AppendRow({kNullTermId, 2});
-
-  ExecContext serial_ctx;
-  Table serial = HashJoin(left, right, &serial_ctx);
-  ExecContext parallel_ctx;
-  parallel_ctx.num_partitions = 7;
-  Table parallel = ParallelHashJoin(left, right, &parallel_ctx);
-  EXPECT_TRUE(Table::SameBag(serial, parallel));
-  EXPECT_EQ(serial_ctx.metrics.join_comparisons,
-            parallel_ctx.metrics.join_comparisons);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelJoinTest, ::testing::Range(0, 5));
-
-TEST(ParallelJoinTest, SmallInputsFallBackToSerial) {
-  Table left({"x", "y"});
-  left.AppendRow({1, 2});
-  Table right({"y", "z"});
-  right.AppendRow({2, 3});
-  ExecContext ctx;
-  ctx.num_partitions = 4;
-  Table out = ParallelHashJoin(left, right, &ctx);
-  ASSERT_EQ(out.NumRows(), 1u);
-  EXPECT_EQ(out.At(0, 2), 3u);
-}
-
-TEST(ParallelJoinTest, CrossJoinFallsBackToSerial) {
-  // No shared columns: must fall back to the serial cross product even
-  // above the size threshold.
-  Table left({"x"});
-  Table right({"z"});
-  for (TermId i = 0; i < 5000; ++i) left.AppendRow({i});
-  for (TermId i = 0; i < 3; ++i) right.AppendRow({i});
-  ExecContext ctx;
-  ctx.num_partitions = 4;
-  Table out = ParallelHashJoin(left, right, &ctx);
-  EXPECT_EQ(out.NumRows(), 15000u);
-}
-
-TEST(ParallelJoinTest, CanonicalOrderAndMetricsMatchSerial) {
-  // Stronger than SameBag: the gather must reproduce the serial
-  // output row for row, and every metric must match exactly.
-  s2rdf::SplitMix64 rng(97);
-  Table left({"x", "y"});
-  Table right({"y", "z"});
-  for (size_t i = 0; i < 9000; ++i) {
-    left.AppendRow({static_cast<TermId>(rng.Uniform(600) + 1),
-                    static_cast<TermId>(rng.Uniform(250) + 1)});
-    right.AppendRow({static_cast<TermId>(rng.Uniform(250) + 1),
-                     static_cast<TermId>(rng.Uniform(600) + 1)});
-  }
-  left.AppendRow({1, kNullTermId});
-  right.AppendRow({kNullTermId, 2});
-
-  ExecContext serial_ctx;
-  Table serial = HashJoin(left, right, &serial_ctx);
-  ExecContext parallel_ctx;
-  Table parallel = ParallelHashJoin(left, right, &parallel_ctx);
-  ExpectIdenticalTables(serial, parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
-TEST(ParallelJoinTest, InterruptedJoinSkipsGatherAndReturnsEmpty) {
-  // ~4M-row join output against a 1 ms deadline: the partition tasks
-  // must bail out mid-probe, and the interrupted join must return an
-  // empty table (no gather of partial partitions) with the reason
-  // recorded.
-  s2rdf::SplitMix64 rng(23);
-  Table left({"x", "y"});
-  Table right({"y", "z"});
-  for (size_t i = 0; i < 40000; ++i) {
-    left.AppendRow({static_cast<TermId>(rng.Uniform(1000) + 1),
-                    static_cast<TermId>(rng.Uniform(400) + 1)});
-    right.AppendRow({static_cast<TermId>(rng.Uniform(400) + 1),
-                     static_cast<TermId>(rng.Uniform(1000) + 1)});
-  }
-  ExecContext ctx;
-  ctx.has_deadline = true;
-  ctx.deadline =  // s2rdf-lint: allow(clock)
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
-  Table out = ParallelHashJoin(left, right, &ctx);
-  EXPECT_EQ(out.NumRows(), 0u);
-  EXPECT_EQ(ctx.interrupt_status.code(), StatusCode::kDeadlineExceeded);
-}
-
-// --- Parallel operators ------------------------------------------------------
-
-TEST(ParallelOperatorsTest, ScanSelectProjectMatchesSerial) {
-  s2rdf::SplitMix64 rng(7);
-  Table base({"s", "o"});
-  for (size_t i = 0; i < 20000; ++i) {
-    base.AppendRow({static_cast<TermId>(rng.Uniform(5) + 1),
-                    static_cast<TermId>(rng.Uniform(1000) + 1)});
-  }
-  ScanSpec spec;
-  spec.conditions.emplace_back(0, 3);
-  spec.projections.emplace_back(1, "o");
-
-  ExecContext serial_ctx;
-  Table serial = ScanSelectProject(base, spec, &serial_ctx);
-  ExecContext parallel_ctx;
-  Table parallel = ParallelScanSelectProject(base, spec, &parallel_ctx);
-  ExpectIdenticalTables(serial, parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
-TEST(ParallelOperatorsTest, DistinctMatchesSerial) {
-  // Low cardinality: heavy duplication, and first-occurrence order must
-  // survive the hash-partitioned dedup.
-  s2rdf::SplitMix64 rng(9);
-  Table t({"a", "b"});
-  for (size_t i = 0; i < 20000; ++i) {
-    t.AppendRow({static_cast<TermId>(rng.Uniform(40) + 1),
-                 static_cast<TermId>(rng.Uniform(40) + 1)});
-  }
-  ExecContext serial_ctx;
-  Table serial = Distinct(t, &serial_ctx);
-  ExecContext parallel_ctx;
-  Table parallel = ParallelDistinct(t, &parallel_ctx);
-  ExpectIdenticalTables(serial, parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
-TEST(ParallelOperatorsTest, OrderByMatchesSerial) {
-  // Many duplicate sort keys: the k-way merge's earliest-chunk
-  // tie-break must reproduce the serial stable_sort exactly.
-  rdf::Dictionary dict;
-  std::vector<TermId> terms;
-  for (int i = 0; i < 60; ++i) {
-    terms.push_back(dict.Encode(
-        "\"" + std::to_string(i) +
-        "\"^^<http://www.w3.org/2001/XMLSchema#integer>"));
-  }
-  s2rdf::SplitMix64 rng(11);
-  Table t({"n", "m"});
-  for (size_t i = 0; i < 20000; ++i) {
-    t.AppendRow({terms[rng.Uniform(60)], terms[rng.Uniform(60)]});
-  }
-  std::vector<SortKey> keys = {{"n", true}, {"m", false}};
-  ExecContext serial_ctx;
-  Table serial = OrderBy(t, keys, dict, &serial_ctx);
-  ExecContext parallel_ctx;
-  Table parallel = ParallelOrderBy(t, keys, dict, &parallel_ctx);
-  ExpectIdenticalTables(serial, parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
-TEST(ParallelOperatorsTest, GroupByAggregateMatchesSerial) {
-  // Mixed aggregate set including the states that cannot be merged
-  // across workers (FP sums, DISTINCT sets): group-exclusive
-  // partitioning must make the output and minted literals identical.
-  rdf::Dictionary dict;
-  std::vector<TermId> group_keys;
-  for (int i = 0; i < 50; ++i) {
-    group_keys.push_back(dict.Encode("<K" + std::to_string(i) + ">"));
-  }
-  std::vector<TermId> values;
-  for (int i = 0; i < 200; ++i) {
-    values.push_back(dict.Encode(
-        "\"" + std::to_string(i) + ".25" +
-        "\"^^<http://www.w3.org/2001/XMLSchema#double>"));
-  }
-  s2rdf::SplitMix64 rng(13);
-  Table t({"k", "v"});
-  for (size_t i = 0; i < 20000; ++i) {
-    t.AppendRow({group_keys[rng.Uniform(50)], values[rng.Uniform(200)]});
-  }
-  std::vector<AggregateSpec> specs = {
-      {AggregateSpec::Fn::kCountStar, "", "n", false},
-      {AggregateSpec::Fn::kSum, "v", "total", false},
-      {AggregateSpec::Fn::kAvg, "v", "avg", false},
-      {AggregateSpec::Fn::kCount, "v", "dv", true},
-      {AggregateSpec::Fn::kMin, "v", "mn", false},
-  };
-  ExecContext serial_ctx;
-  auto serial = GroupByAggregate(t, {"k"}, specs, &dict, &serial_ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ExecContext parallel_ctx;
-  auto parallel =
-      ParallelGroupByAggregate(t, {"k"}, specs, &dict, &parallel_ctx);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectIdenticalTables(*serial, *parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
 // --- Expressions -----------------------------------------------------------
 
 TEST(ExpressionTest, ThreeValuedLogic) {
@@ -646,95 +423,6 @@ TEST(PlanTest, ScanConstantMissingFromDictionaryMatchesNothing) {
   auto result = ExecutePlan(*plan, provider, &dict, &ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->NumRows(), 0u);
-}
-
-// --- Serial vs. parallel plan execution -------------------------------------
-
-// Two joinable 6000-row tables of dictionary-encoded IRIs, big enough
-// that every operator takes its morsel-parallel path.
-struct ParallelPlanFixture {
-  ParallelPlanFixture() : follows({"s", "o"}), likes({"s", "o"}) {
-    std::vector<TermId> ids;
-    for (int i = 0; i < 600; ++i) {
-      ids.push_back(dict.Encode("<P" + std::to_string(i) + ">"));
-    }
-    s2rdf::SplitMix64 rng(31);
-    for (size_t i = 0; i < 6000; ++i) {
-      follows.AppendRow({ids[rng.Uniform(600)], ids[rng.Uniform(600)]});
-      likes.AppendRow({ids[rng.Uniform(600)], ids[rng.Uniform(600)]});
-    }
-  }
-
-  TableProvider Provider() {
-    return [this](const std::string& name) -> const Table* {
-      if (name == "follows") return &follows;
-      if (name == "likes") return &likes;
-      return nullptr;
-    };
-  }
-
-  rdf::Dictionary dict;
-  Table follows;
-  Table likes;
-};
-
-// ?x follows ?y . ?y likes ?z, deduplicated and sorted.
-PlanPtr JoinDistinctOrderPlan() {
-  PlanPtr plan = PlanNode::Join(
-      PlanNode::Scan("follows", {}, {{"s", "x"}, {"o", "y"}}),
-      PlanNode::Scan("likes", {}, {{"s", "y"}, {"o", "z"}}));
-  plan = PlanNode::DistinctNode(std::move(plan));
-  return PlanNode::OrderByNode(std::move(plan), {{"x", true}, {"z", false}});
-}
-
-TEST(PlanTest, ParallelExecutionMatchesSerialExactly) {
-  ParallelPlanFixture f;
-  ExecContext serial_ctx;
-  auto serial = ExecutePlan(*JoinDistinctOrderPlan(), f.Provider(), &f.dict,
-                            &serial_ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_GT(serial->NumRows(), 0u);
-
-  ExecContext parallel_ctx;
-  parallel_ctx.parallel_execution = true;
-  auto parallel = ExecutePlan(*JoinDistinctOrderPlan(), f.Provider(), &f.dict,
-                              &parallel_ctx);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectIdenticalTables(*serial, *parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
-TEST(PlanTest, ParallelAggregatePlanMatchesSerial) {
-  ParallelPlanFixture f;
-  PlanPtr plan = PlanNode::AggregateNode(
-      PlanNode::Scan("follows", {}, {{"s", "k"}, {"o", "v"}}), {"k"},
-      {{AggregateSpec::Fn::kCountStar, "", "n", false},
-       {AggregateSpec::Fn::kCount, "v", "dv", true}});
-  ExecContext serial_ctx;
-  auto serial = ExecutePlan(*plan, f.Provider(), &f.dict, &serial_ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  ExecContext parallel_ctx;
-  parallel_ctx.parallel_execution = true;
-  auto parallel = ExecutePlan(*plan, f.Provider(), &f.dict, &parallel_ctx);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ExpectIdenticalTables(*serial, *parallel);
-  ExpectIdenticalMetrics(serial_ctx.metrics, parallel_ctx.metrics);
-}
-
-TEST(PlanTest, ParallelPlanReportsExpiredDeadline) {
-  // ExecutePlan must surface the interrupt as a status, not as a
-  // partial table, when the parallel operators bail out.
-  ParallelPlanFixture f;
-  ExecContext ctx;
-  ctx.parallel_execution = true;
-  ctx.has_deadline = true;
-  ctx.deadline =  // s2rdf-lint: allow(clock)
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  auto result = ExecutePlan(*JoinDistinctOrderPlan(), f.Provider(), &f.dict,
-                            &ctx);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

@@ -141,18 +141,33 @@ std::string MicroQuery() {
   return watdiv::InstantiateQuery(*tmpl, 0.1, &rng);
 }
 
+// A 3000-node graph of two <p> edges per node: its 6000-row VP table
+// and every join over it clear kParallelRowThreshold, so the operators
+// of a query over it fan out.
+rdf::Graph FanOutGraph() {
+  rdf::Graph g;
+  for (int i = 0; i < 3000; ++i) {
+    g.AddIris("N" + std::to_string(i), "p",
+              "N" + std::to_string((i + 1) % 3000));
+    g.AddIris("N" + std::to_string(i), "p",
+              "N" + std::to_string((i + 37) % 3000));
+  }
+  return g;
+}
+
+constexpr char kFanOutQuery[] = "SELECT * WHERE { ?a <p> ?b . ?b <p> ?c . }";
+
 // EXPLAIN ANALYZE must describe exactly what ran: the tables the
 // compiler chose (with the catalog's SF behind each choice), metric
 // deltas that add up to the query's ExecMetrics, and results that are
-// byte-identical to an unprofiled run — serially and in parallel.
-void CheckProfiledExecution(bool parallel) {
-  core::S2RdfOptions options;
-  options.parallel_execution = parallel;
-  auto db = core::S2Rdf::Create(MicroGraph(), options);
+// byte-identical to an unprofiled run — with operators running inline
+// (serially) and fanned out over the pool.
+void CheckProfiledExecution(rdf::Graph graph, const std::string& query) {
+  auto db = core::S2Rdf::Create(std::move(graph), core::S2RdfOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
 
   core::QueryRequest request;
-  request.query = MicroQuery();
+  request.query = query;
   auto plain = (*db)->Execute(request);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_TRUE(plain->profile.empty());
@@ -212,52 +227,21 @@ void CheckProfiledExecution(bool parallel) {
 }
 
 TEST(ProfileCorrectnessTest, SerialProfileMatchesEngineAndCatalog) {
-  CheckProfiledExecution(/*parallel=*/false);
+  CheckProfiledExecution(MicroGraph(), MicroQuery());
 }
 
 TEST(ProfileCorrectnessTest, ParallelProfileMatchesEngineAndCatalog) {
-  CheckProfiledExecution(/*parallel=*/true);
+  CheckProfiledExecution(FanOutGraph(), kFanOutQuery);
 }
 
-TEST(ProfileCorrectnessTest, ParallelMetricsEqualSerialMetrics) {
-  // The paper-metric meters are execution-strategy invariants; the
-  // profile totals of a parallel run must equal a serial run's.
-  auto serial = core::S2Rdf::Create(MicroGraph(), {});
-  ASSERT_TRUE(serial.ok());
-  core::S2RdfOptions parallel_options;
-  parallel_options.parallel_execution = true;
-  auto parallel = core::S2Rdf::Create(MicroGraph(), parallel_options);
-  ASSERT_TRUE(parallel.ok());
-
-  core::QueryRequest request;
-  request.query = MicroQuery();
-  request.options.collect_profile = true;
-  auto serial_result = (*serial)->Execute(request);
-  auto parallel_result = (*parallel)->Execute(request);
-  ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
-  EXPECT_TRUE(SameTable(serial_result->table, parallel_result->table));
-  EXPECT_TRUE(SameMetrics(serial_result->profile_data.totals,
-                          parallel_result->profile_data.totals));
-}
-
-// A join far above the parallel thresholds records per-partition task
+// A join far above kParallelRowThreshold records per-partition task
 // spans that land on their own trace lanes.
 TEST(ProfileCorrectnessTest, ParallelTasksRecordSpans) {
-  rdf::Graph g;
-  for (int i = 0; i < 3000; ++i) {
-    g.AddIris("N" + std::to_string(i), "p",
-              "N" + std::to_string((i + 1) % 3000));
-    g.AddIris("N" + std::to_string(i), "p",
-              "N" + std::to_string((i + 37) % 3000));
-  }
-  core::S2RdfOptions options;
-  options.parallel_execution = true;
-  auto db = core::S2Rdf::Create(std::move(g), options);
+  auto db = core::S2Rdf::Create(FanOutGraph(), core::S2RdfOptions());
   ASSERT_TRUE(db.ok());
 
   core::QueryRequest request;
-  request.query = "SELECT * WHERE { ?a <p> ?b . ?b <p> ?c . }";
+  request.query = kFanOutQuery;
   request.options.collect_profile = true;
   auto result = (*db)->Execute(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -645,6 +629,44 @@ TEST(TaskPoolMetricsTest, QueueWaitHistogramObservesEveryHelperHandoff) {
       << out;
   // Drained: depth samples back to zero at render time.
   EXPECT_NE(out.find("s2rdf_task_pool_queue_depth 0"), std::string::npos);
+}
+
+// The endpoint attaches the shared pool's metrics to its own registry.
+// Destroying the endpoint must leave the pool recording into memory it
+// still owns: a query that fans out afterwards makes helper threads
+// dequeue tasks and observe their queue wait (under the asan preset a
+// write into the dead registry fails the test).
+TEST(TaskPoolMetricsTest, EndpointTeardownLeavesPoolMetricsValid) {
+  auto db = core::S2Rdf::Create(FanOutGraph(), core::S2RdfOptions());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  { server::SparqlEndpoint endpoint(db->get()); }
+
+  core::QueryRequest request;
+  request.query = kFanOutQuery;
+  auto result = (*db)->Execute(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // Helpers dequeue in FIFO order, so once every pool thread has entered
+  // one barrier body, every task the query queued has been dequeued and
+  // its wait observed.
+  TaskPool* pool = TaskPool::Shared();
+  ASSERT_GT(pool->num_threads(), 0);
+  const size_t width = pool->ParallelismWidth();
+  std::atomic<size_t> entered{0};
+  pool->ParallelFor(width, [&](size_t) {
+    entered.fetch_add(1);
+    while (entered.load() < width) std::this_thread::yield();
+  });
+
+  // A registry attached now renders the pool's lifetime series.
+  MetricsRegistry registry;
+  pool->AttachMetrics(&registry);
+  const std::string out = registry.RenderPrometheus();
+  EXPECT_NE(out.find("s2rdf_task_pool_queue_wait_seconds_count"),
+            std::string::npos);
+  EXPECT_EQ(out.find("s2rdf_task_pool_queue_wait_seconds_count 0\n"),
+            std::string::npos)
+      << out;
 }
 
 // --- Trace-id propagation and resource accounting ---------------------------

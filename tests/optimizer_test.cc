@@ -28,6 +28,8 @@ namespace s2rdf::core {
 namespace {
 
 constexpr double kScaleFactor = 0.05;
+// Large enough that the biggest scans and joins fan out.
+constexpr double kFanOutScaleFactor = 1.0;
 
 // One WatDiv store shared by every test in this binary (building the
 // layouts dominates the suite's runtime).
@@ -109,24 +111,31 @@ INSTANTIATE_TEST_SUITE_P(WatDiv, PlanEquivalenceTest,
                          });
 
 // Equivalence must survive partition-parallel execution: the cost-based
-// trees are bushy and algo-annotated, so they exercise the parallel
-// operators differently than the paper's left-deep hash chains.
+// trees are bushy and algo-annotated, so they exercise the kernels'
+// fan-out differently than the paper's left-deep hash chains. The store
+// is large enough that scans and joins clear kParallelRowThreshold.
 TEST(ParallelEquivalenceTest, CostModeMatchesPaperModeInParallel) {
   watdiv::GeneratorOptions gen;
-  gen.scale_factor = kScaleFactor;
-  S2RdfOptions options;
-  options.parallel_execution = true;
-  auto db = S2Rdf::Create(watdiv::Generate(gen), options);
+  gen.scale_factor = kFanOutScaleFactor;
+  auto db = S2Rdf::Create(watdiv::Generate(gen), S2RdfOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  size_t fanned_out = 0;
   for (const auto& q : watdiv::BasicTestingQueries()) {
     SCOPED_TRACE(q.name);
-    const std::string text = QueryText(q);
-    auto paper = RunQuery(db->get(), text, OptimizerMode::kPaper, Layout::kExtVp);
-    auto cost = RunQuery(db->get(), text, OptimizerMode::kCost, Layout::kExtVp);
+    SplitMix64 rng(42);
+    const std::string text =
+        watdiv::InstantiateQuery(q, kFanOutScaleFactor, &rng);
+    auto paper = RunQuery(db->get(), text, OptimizerMode::kPaper,
+                          Layout::kExtVp, /*collect_profile=*/true);
+    auto cost = RunQuery(db->get(), text, OptimizerMode::kCost,
+                         Layout::kExtVp, /*collect_profile=*/true);
     ASSERT_TRUE(paper.ok()) << paper.status().ToString();
     ASSERT_TRUE(cost.ok()) << cost.status().ToString();
     EXPECT_EQ(SortedRows(db->get(), *paper), SortedRows(db->get(), *cost));
+    fanned_out += !paper->profile_data.tasks.empty();
+    fanned_out += !cost->profile_data.tasks.empty();
   }
+  EXPECT_GT(fanned_out, 0u);
 }
 
 // --- Degraded catalogs ---------------------------------------------------

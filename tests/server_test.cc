@@ -556,7 +556,7 @@ int CountProcThreads() {
   return -1;
 }
 
-// Many concurrent parallel-execution queries through the endpoint: the
+// Many concurrent fanned-out queries through the endpoint: the
 // morsel helpers all come from the one process-wide TaskPool, so the
 // storm must finish (no WorkerPool/TaskPool deadlock — the caller of a
 // ParallelFor always participates, so completion never depends on a
@@ -570,9 +570,7 @@ TEST(EndpointParallelStressTest, SharedPoolServesParallelQueriesBounded) {
     g.AddIris("N" + std::to_string(i), "p",
               "N" + std::to_string((i + 37) % 3000));
   }
-  core::S2RdfOptions db_options;
-  db_options.parallel_execution = true;
-  auto db = core::S2Rdf::Create(std::move(g), db_options);
+  auto db = core::S2Rdf::Create(std::move(g), core::S2RdfOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
 
   // Force the shared pool into existence before the baseline count.
@@ -587,8 +585,8 @@ TEST(EndpointParallelStressTest, SharedPoolServesParallelQueriesBounded) {
   const int before = CountProcThreads();
   ASSERT_GE(before, 1 + options.num_workers + pool_threads);
 
-  // ?a <p> ?b . ?b <p> ?c — a 6000x6000-row join, well above the
-  // parallel thresholds, so every in-flight query submits pool tasks.
+  // ?a <p> ?b . ?b <p> ?c — a 6000x6000-row join, well above
+  // kParallelRowThreshold, so every in-flight query submits pool tasks.
   const std::string request =
       "GET /sparql?query=SELECT%20%2A%20WHERE%20%7B%20%3Fa%20%3Cp%3E%20%3Fb"
       "%20.%20%3Fb%20%3Cp%3E%20%3Fc%20.%20%7D HTTP/1.1\r\n"
