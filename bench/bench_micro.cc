@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the engine and storage
 // primitives that every measured query path is built from: scans,
 // filters, hash joins, semi joins (the ExtVP build primitive), distinct,
-// columnar encodings and the external sort of the MapReduce runtime.
-// Scans and joins start at 8 rows, where the kernels run inline.
+// columnar encodings, the external sort of the MapReduce runtime and the
+// SPARQL result writer. Scans and joins start at 8 rows, where the
+// kernels run inline.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "common/file_util.h"
 #include "common/random.h"
@@ -13,6 +17,7 @@
 #include "engine/table.h"
 #include "mapreduce/external_sort.h"
 #include "rdf/dictionary.h"
+#include "sparql/results_io.h"
 #include "storage/encoding.h"
 #include "storage/table_file.h"
 
@@ -185,6 +190,79 @@ void BM_ExternalSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ExternalSort)->Range(1 << 10, 1 << 15);
+
+// A three-column answer (?user ?product ?value) of `rows` rows in the
+// shape of a WatDiv answer: two IRI columns and one of typed and
+// language-tagged literals. With `distinct` every cell is its own term;
+// otherwise cells repeat terms about as the benchmark's answers do (one
+// distinct id per ~43 cells; durable's 37 pass answers at WatDiv SF 1
+// repeat 97.8 % of their 459 979 bound cells).
+struct Answer {
+  rdf::Dictionary dict;
+  engine::Table table{std::vector<std::string>{"user", "product", "value"}};
+};
+
+std::unique_ptr<Answer> MakeAnswer(size_t rows, bool distinct) {
+  auto answer = std::make_unique<Answer>();
+  const uint64_t pool = distinct ? 0 : std::max<uint64_t>(1, rows * 3 / 43);
+  SplitMix64 rng(9);
+  uint64_t next = 0;
+  auto term = [&](int column) {
+    const uint64_t n = distinct ? next++ : rng.Uniform(pool);
+    const std::string i = std::to_string(n);
+    switch (column) {
+      case 0:
+        return "<http://db.uwaterloo.ca/~galuc/wsdbm/User" + i + ">";
+      case 1:
+        return "<http://db.uwaterloo.ca/~galuc/wsdbm/Product" + i + ">";
+      default:
+        return n % 2 == 0
+                   ? "\"" + i + "\"^^<http://www.w3.org/2001/XMLSchema#integer>"
+                   : "\"caption " + i + "\"@en";
+    }
+  };
+  answer->table.Reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    answer->table.AppendRow({answer->dict.Encode(term(0)),
+                             answer->dict.Encode(term(1)),
+                             answer->dict.Encode(term(2))});
+  }
+  return answer;
+}
+
+using ResultWriter = std::string (*)(const engine::Table&,
+                                    const rdf::Dictionary&);
+
+// Args: rows, and 1 when every cell is a distinct term.
+template <ResultWriter kWrite>
+void BM_ResultsTo(benchmark::State& state) {
+  const auto rows = static_cast<size_t>(state.range(0));
+  std::unique_ptr<Answer> answer = MakeAnswer(rows, state.range(1) != 0);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string body = kWrite(answer->table, answer->dict);
+    bytes = body.size();
+    benchmark::DoNotOptimize(body);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.counters["body_bytes"] = static_cast<double>(bytes);
+}
+
+void ResultArgs(benchmark::internal::Benchmark* b) {
+  b->ArgsProduct({{8, 1024, 30000}, {0, 1}});
+}
+BENCHMARK_TEMPLATE(BM_ResultsTo, sparql::ResultsToJson)
+    ->Name("BM_ResultsToJson")
+    ->Apply(ResultArgs);
+BENCHMARK_TEMPLATE(BM_ResultsTo, sparql::ResultsToXml)
+    ->Name("BM_ResultsToXml")
+    ->Apply(ResultArgs);
+BENCHMARK_TEMPLATE(BM_ResultsTo, sparql::ResultsToCsv)
+    ->Name("BM_ResultsToCsv")
+    ->Apply(ResultArgs);
+BENCHMARK_TEMPLATE(BM_ResultsTo, sparql::ResultsToTsv)
+    ->Name("BM_ResultsToTsv")
+    ->Apply(ResultArgs);
 
 }  // namespace
 }  // namespace s2rdf

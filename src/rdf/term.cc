@@ -97,16 +97,16 @@ std::string Term::ToNTriples() const {
   return "";
 }
 
-StatusOr<Term> Term::Parse(std::string_view token) {
+StatusOr<TermView> ParseTermView(std::string_view token) {
   if (token.empty()) return InvalidArgumentError("empty term token");
   if (token.front() == '<') {
     if (token.back() != '>' || token.size() < 2) {
       return InvalidArgumentError("malformed IRI: " + std::string(token));
     }
-    return Term::Iri(std::string(token.substr(1, token.size() - 2)));
+    return TermView{TermKind::kIri, token.substr(1, token.size() - 2), {}, {}};
   }
   if (token.size() >= 2 && token[0] == '_' && token[1] == ':') {
-    return Term::Blank(std::string(token.substr(2)));
+    return TermView{TermKind::kBlankNode, token.substr(2), {}, {}};
   }
   if (token.front() == '"') {
     // Find the closing unescaped quote.
@@ -125,21 +125,35 @@ StatusOr<Term> Term::Parse(std::string_view token) {
       return InvalidArgumentError("unterminated literal: " +
                                   std::string(token));
     }
-    std::string lexical = UnescapeLiteral(token.substr(1, close - 1));
+    TermView view{TermKind::kLiteral, token.substr(1, close - 1), {}, {}};
     std::string_view rest = token.substr(close + 1);
-    if (rest.empty()) return Term::Literal(std::move(lexical));
+    if (rest.empty()) return view;
     if (rest.front() == '@') {
-      return Term::Literal(std::move(lexical), "",
-                           std::string(rest.substr(1)));
+      view.language = rest.substr(1);
+      return view;
     }
     if (rest.size() > 4 && rest.substr(0, 3) == "^^<" && rest.back() == '>') {
-      return Term::Literal(std::move(lexical),
-                           std::string(rest.substr(3, rest.size() - 4)));
+      view.datatype = rest.substr(3, rest.size() - 4);
+      return view;
     }
     return InvalidArgumentError("malformed literal suffix: " +
                                 std::string(token));
   }
   return InvalidArgumentError("unrecognized term: " + std::string(token));
+}
+
+StatusOr<Term> Term::Parse(std::string_view token) {
+  S2RDF_ASSIGN_OR_RETURN(TermView view, ParseTermView(token));
+  switch (view.kind) {
+    case TermKind::kIri:
+      return Term::Iri(std::string(view.value));
+    case TermKind::kBlankNode:
+      return Term::Blank(std::string(view.value));
+    case TermKind::kLiteral:
+      break;
+  }
+  return Term::Literal(UnescapeLiteral(view.value),
+                       std::string(view.datatype), std::string(view.language));
 }
 
 }  // namespace s2rdf::rdf

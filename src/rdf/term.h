@@ -70,6 +70,22 @@ class Term {
   std::string language_;
 };
 
+// A term token cut into its parts as views of the token: what
+// Term::Parse copies into a Term.
+struct TermView {
+  TermKind kind = TermKind::kLiteral;
+  // The IRI, the blank node name, or a literal's lexical form still
+  // N-Triples-escaped (UnescapeLiteral gives the raw form).
+  std::string_view value;
+  std::string_view language;  // Language tag; empty if none.
+  std::string_view datatype;  // Datatype IRI; empty if none.
+};
+
+// Parses a single N-Triples term token into views of `token`, without
+// copying: accepts and rejects exactly what Term::Parse does, with the
+// same errors.
+StatusOr<TermView> ParseTermView(std::string_view token);
+
 // Escapes a literal lexical form per N-Triples rules (\\, \", \n, \r, \t).
 std::string EscapeLiteral(std::string_view raw);
 // Reverses EscapeLiteral. Unknown escapes are passed through verbatim.

@@ -35,7 +35,7 @@ std::string_view ReasonPhrase(int status_code) {
   return "Unknown";
 }
 
-std::string HttpResponse::Serialize() const {
+std::string HttpResponse::Head() const {
   std::string out = "HTTP/1.1 " + std::to_string(status_code) + " " +
                     std::string(ReasonPhrase(status_code)) + "\r\n";
   out += "Content-Type: " + content_type + "\r\n";
@@ -49,9 +49,10 @@ std::string HttpResponse::Serialize() const {
     out += name + ": " + value + "\r\n";
   }
   out += "\r\n";
-  out += body;
   return out;
 }
+
+std::string HttpResponse::Serialize() const { return Head() + body; }
 
 StatusOr<HttpRequest> ParseHttpRequest(std::string_view raw) {
   size_t head_end = raw.find("\r\n\r\n");

@@ -9,8 +9,11 @@
 
 // Minimal HTTP/1.1 plumbing for the SPARQL Protocol endpoint: request
 // parsing, response serialization, percent-decoding and query-string
-// handling. Deliberately small — one request per connection, no
-// keep-alive, no chunked encoding.
+// handling. Deliberately small — one request per connection (every
+// response says `Connection: close`), no keep-alive, no chunked
+// encoding. The endpoint sends a response as two buffers, Head() and
+// the body, in one gathered write, so a large body is never copied;
+// Serialize() joins them for callers that want one string.
 
 namespace s2rdf::server {
 
@@ -34,7 +37,9 @@ struct HttpResponse {
   std::map<std::string, std::string> headers;
   std::string body;
 
-  // Serializes status line + headers + body.
+  // Status line + headers + the blank line that ends them.
+  std::string Head() const;
+  // Head() + body.
   std::string Serialize() const;
 };
 

@@ -3,8 +3,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,9 +42,9 @@ std::string TruncateForDisplay(const std::string& text) {
   return text.substr(0, kQueryDisplayChars) + "...";
 }
 
-// Picks a result serialization from the Accept header.
-enum class ResultFormat { kJson, kXml, kCsv, kTsv };
+using sparql::ResultFormat;
 
+// Picks a result serialization from the Accept header.
 ResultFormat NegotiateFormat(const std::string& accept) {
   if (accept.find("sparql-results+xml") != std::string::npos ||
       accept.find("application/xml") != std::string::npos) {
@@ -137,6 +139,54 @@ uint64_t MakeTraceSalt() {
   uint64_t seed = static_cast<uint64_t>(
       MonotonicNow().time_since_epoch().count());
   return SplitMix64(seed).Next();
+}
+
+// Fills `response`'s body and content type from a successful query: the
+// plan, the profile or the trace when asked for, else the graph, the ASK
+// verdict or the solutions in `format`.
+void RenderQueryResponse(const core::QueryResult& result,
+                         const std::string& query_text,
+                         const rdf::Dictionary& dict, ResultFormat format,
+                         bool explain_plan, bool explain_analyze,
+                         bool want_trace, HttpResponse* response) {
+  if (explain_plan) {
+    // Compile-only: report the chosen plan with its estimates.
+    char fp[24];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(result.plan_fingerprint));
+    response->content_type = "text/plain; charset=utf-8";
+    response->body = "optimizer: " + result.optimizer_mode +
+                     "\nfingerprint: " + fp + "\n" + result.plan;
+    return;
+  }
+  if (explain_analyze) {
+    response->content_type = "text/plain; charset=utf-8";
+    response->body = result.profile;
+    return;
+  }
+  if (want_trace) {
+    response->content_type = "application/json; charset=utf-8";
+    response->body = engine::RenderTraceJson(result.profile_data, query_text);
+    return;
+  }
+  if (result.is_graph) {
+    // CONSTRUCT/DESCRIBE: the result is a graph, not solutions.
+    response->content_type = "application/n-triples; charset=utf-8";
+    response->body = result.graph_ntriples;
+    return;
+  }
+  if (result.is_ask) {
+    if (format == ResultFormat::kXml) {
+      response->content_type = ContentTypeFor(ResultFormat::kXml);
+      response->body = sparql::AskToXml(result.ask_result);
+    } else {
+      response->content_type = ContentTypeFor(ResultFormat::kJson);
+      response->body = sparql::AskToJson(result.ask_result);
+    }
+    return;
+  }
+  response->content_type = ContentTypeFor(format);
+  response->body = sparql::WriteResults(result.table, dict, format);
 }
 
 }  // namespace
@@ -268,6 +318,11 @@ void SparqlEndpoint::RegisterMetrics() {
   exec_seconds_ = registry_.AddHistogram(
       "s2rdf_exec_seconds", "Plan execution stage wall time.",
       LatencySecondsBuckets());
+  format_seconds_ = registry_.AddHistogram(
+      "s2rdf_format_seconds",
+      "Response body rendering wall time of successful queries (after "
+      "execution; not part of s2rdf_query_latency_seconds).",
+      LatencySecondsBuckets());
   shuffle_bytes_ = registry_.AddHistogram(
       "s2rdf_shuffle_bytes",
       "Estimated shuffle volume per successful query "
@@ -332,7 +387,9 @@ HttpResponse SparqlEndpoint::DebugQueriesResponse() const {
                "  parse=" + FormatMs(r.parse_ms) +
                " compile=" + FormatMs(r.compile_ms) +
                " exec=" + FormatMs(r.exec_ms) +
-               " total=" + FormatMs(r.total_ms) + " ms";
+               " total=" + FormatMs(r.total_ms) +
+               " ms  format=" + FormatMs(r.format_ms) +
+               " ms  bytes=" + std::to_string(r.response_bytes);
         if (!r.optimizer_mode.empty()) {
           char fp[24];
           std::snprintf(fp, sizeof(fp), "%016llx",
@@ -638,11 +695,12 @@ HttpResponse SparqlEndpoint::RunQuery(const HttpRequest& request,
     // queries_total == successes + queries_failed_total.
     query_errors_total_->Increment();
     queries_failed_->Increment();
-    record.http_status = HttpStatusForCode(result.status().code());
-    record.error = result.status().ToString();
-    FinishQuery(std::move(record));
     HttpResponse error = ErrorResponse(result.status());
     error.headers["X-S2RDF-Trace-Id"] = ticket.trace_id;
+    record.http_status = error.status_code;
+    record.error = result.status().ToString();
+    record.response_bytes = error.body.size();
+    FinishQuery(std::move(record));
     return error;
   }
 
@@ -667,70 +725,21 @@ HttpResponse SparqlEndpoint::RunQuery(const HttpRequest& request,
   record.exec_ms = result->exec_ms;
   record.optimizer_mode = result->optimizer_mode;
   record.plan_fingerprint = result->plan_fingerprint;
+
+  HttpResponse response;
+  response.headers["X-S2RDF-Trace-Id"] = ticket.trace_id;
+  const MonotonicTime format_start = MonotonicNow();
+  RenderQueryResponse(*result, query_request.query, db_.graph().dictionary(),
+                      NegotiateFormat(request.Header("accept")), explain_plan,
+                      explain_analyze, want_trace, &response);
+  record.format_ms = MillisSince(format_start);
+  record.response_bytes = response.body.size();
+  format_seconds_->Observe(record.format_ms / 1000.0);
   FinishQuery(std::move(record));
 
   if (slow) {
     slow_queries_->Increment();
     LogSlowQuery(ticket, total_ms, query_request.query);
-  }
-
-  HttpResponse response;
-  response.headers["X-S2RDF-Trace-Id"] = ticket.trace_id;
-  if (explain_plan) {
-    // Compile-only: report the chosen plan with its estimates.
-    char fp[24];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(result->plan_fingerprint));
-    response.content_type = "text/plain; charset=utf-8";
-    response.body = "optimizer: " + result->optimizer_mode +
-                    "\nfingerprint: " + fp + "\n" + result->plan;
-    return response;
-  }
-  if (explain_analyze) {
-    response.content_type = "text/plain; charset=utf-8";
-    response.body = result->profile;
-    return response;
-  }
-  if (want_trace) {
-    response.content_type = "application/json; charset=utf-8";
-    response.body =
-        engine::RenderTraceJson(result->profile_data, query_request.query);
-    return response;
-  }
-
-  ResultFormat format = NegotiateFormat(request.Header("accept"));
-  response.content_type = ContentTypeFor(format);
-  const rdf::Dictionary& dict = db_.graph().dictionary();
-  if (result->is_graph) {
-    // CONSTRUCT/DESCRIBE: the result is a graph, not solutions.
-    response.content_type = "application/n-triples; charset=utf-8";
-    response.body = result->graph_ntriples;
-    return response;
-  }
-  if (result->is_ask) {
-    switch (format) {
-      case ResultFormat::kXml:
-        response.body = sparql::AskToXml(result->ask_result);
-        break;
-      default:
-        response.content_type = ContentTypeFor(ResultFormat::kJson);
-        response.body = sparql::AskToJson(result->ask_result);
-    }
-    return response;
-  }
-  switch (format) {
-    case ResultFormat::kJson:
-      response.body = sparql::ResultsToJson(result->table, dict);
-      break;
-    case ResultFormat::kXml:
-      response.body = sparql::ResultsToXml(result->table, dict);
-      break;
-    case ResultFormat::kCsv:
-      response.body = sparql::ResultsToCsv(result->table, dict);
-      break;
-    case ResultFormat::kTsv:
-      response.body = sparql::ResultsToTsv(result->table, dict);
-      break;
   }
   return response;
 }
@@ -803,12 +812,31 @@ std::string SparqlEndpoint::ReadRequest(int client) {
 }
 
 void SparqlEndpoint::WriteResponse(int client, const HttpResponse& response) {
-  std::string wire = response.Serialize();
-  size_t written = 0;
-  while (written < wire.size()) {
-    ssize_t n = write(client, wire.data() + written, wire.size() - written);
+  // Head and body go out as two iovecs of one gathered send, so the body
+  // is never copied into a wire string. MSG_NOSIGNAL: a client that hung
+  // up gets EPIPE here instead of a SIGPIPE that kills the process.
+  std::string head = response.Head();
+  iovec parts[2] = {
+      {head.data(), head.size()},
+      {const_cast<char*>(response.body.data()), response.body.size()}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  while (message.msg_iovlen > 0) {
+    ssize_t n = sendmsg(client, &message, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
-    written += static_cast<size_t>(n);
+    auto sent = static_cast<size_t>(n);
+    while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
+      sent -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + sent;
+      message.msg_iov->iov_len -= sent;
+    }
   }
 }
 

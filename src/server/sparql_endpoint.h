@@ -119,7 +119,13 @@ struct QueryRecord {
   double parse_ms = 0.0;
   double compile_ms = 0.0;
   double exec_ms = 0.0;
+  // Parse + compile + execute: what s2rdf_query_latency_seconds and the
+  // slow-query threshold measure.
   double total_ms = 0.0;
+  // Rendering the response body after execution (result formatting,
+  // EXPLAIN text or trace JSON), outside total_ms; and the body's size.
+  double format_ms = 0.0;
+  uint64_t response_bytes = 0;
   bool slow = false;
   std::string error;  // Status message for failed queries.
   // Which Optimize stage planned the query ("paper" or "cost"; empty
@@ -240,6 +246,7 @@ class SparqlEndpoint {
   Histogram* parse_seconds_ = nullptr;
   Histogram* compile_seconds_ = nullptr;
   Histogram* exec_seconds_ = nullptr;
+  Histogram* format_seconds_ = nullptr;
   Histogram* shuffle_bytes_ = nullptr;
   Histogram* rows_scanned_ = nullptr;
   // Per-query high-water mark of materialized Table bytes.

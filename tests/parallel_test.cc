@@ -959,7 +959,10 @@ TEST(ParallelSpeedupTest, ScanAndJoinMeetFloorOnMultiCoreHosts) {
   }
 
   {
-    auto [left, right] = JoinInputs(13, 150000, 150000);
+    // 50 K x 50 K rows over 300 join keys emit ~8.3 M rows: enough work
+    // to show the floor, small enough for the row-at-a-time reference to
+    // finish well inside ctest's timeout under ThreadSanitizer.
+    auto [left, right] = JoinInputs(13, 50000, 50000);
     double serial = BestMs(reps, [&] {
       ExecContext ctx;
       (void)ref::HashJoin(left, right, &ctx);

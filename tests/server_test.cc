@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -636,6 +637,131 @@ TEST(EndpointParallelStressTest, SharedPoolServesParallelQueriesBounded) {
   // Anything beyond the baseline is a client or sampler thread of this
   // test — a saturated server must never spawn per-query threads.
   EXPECT_LE(max_threads.load(), before + kClients + 1);
+}
+
+// --- Large answers ----------------------------------------------------------
+
+// A store whose one predicate <p> links `triples` distinct subject IRIs
+// to distinct object IRIs, so `SELECT * { ?s <p> ?o }` answers `triples`
+// rows of two distinct terms each.
+std::unique_ptr<core::S2Rdf> WideStore(int triples) {
+  rdf::Graph g;
+  for (int i = 0; i < triples; ++i) {
+    g.AddIris("http://example.org/subject/" + std::to_string(i), "p",
+              "http://example.org/object/" + std::to_string(i));
+  }
+  auto db = core::S2Rdf::Create(std::move(g), core::S2RdfOptions());
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return db.ok() ? std::move(*db) : nullptr;
+}
+
+constexpr char kWideQuery[] =
+    "SELECT%20%2A%20WHERE%20%7B%20%3Fs%20%3Cp%3E%20%3Fo%20%7D";
+
+// A client that sends a query and hangs up before the answer must not
+// take the server down. The answer is megabytes, more than a socket send
+// buffer holds, so writing it meets the reset the closed connection
+// answers with; the server must then still answer the next client on a
+// new connection.
+TEST(EndpointHangUpTest, ClientThatHangsUpBeforeTheAnswer) {
+  constexpr int kTriples = 60000;
+  std::unique_ptr<core::S2Rdf> db = WideStore(kTriples);
+  ASSERT_NE(db, nullptr);
+
+  // The worker takes the first connection only once its client has hung
+  // up, so the answer always goes to a closed connection.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool hung_up = false;
+  EndpointOptions options;
+  options.num_workers = 1;
+  options.worker_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return hung_up; });
+  };
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const std::string request = std::string("GET /sparql?query=") + kWideQuery +
+                              " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  close(fd);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    hung_up = true;
+  }
+  cv.notify_all();
+
+  const std::string second = RoundTrip(
+      *port,
+      "GET /sparql?query=ASK%20%7B%20%3Fs%20%3Cp%3E%20%3Fo%20%7D HTTP/1.1\r\n"
+      "Host: localhost\r\n\r\n");
+  endpoint.Stop();
+  EXPECT_NE(second.find("HTTP/1.1 200 OK"), std::string::npos) << second;
+  EXPECT_NE(second.find("\"boolean\": true"), std::string::npos);
+  EXPECT_EQ(endpoint.Stats().queries_total, 2u);
+
+  // The first answer was rendered in full, then lost on the wire. It is
+  // larger than Linux's default maximum send buffer (4 MiB), so it could
+  // not have been handed to the kernel in one piece before the reset.
+  std::vector<QueryRecord> recent = endpoint.RecentQueries();
+  ASSERT_EQ(recent.size(), 2u);
+  EXPECT_EQ(recent[1].rows, static_cast<uint64_t>(kTriples));
+  EXPECT_GT(recent[1].response_bytes, uint64_t{4} << 20);
+}
+
+// The record of a large answer carries what formatting it cost: the
+// body's size and the time spent rendering it, outside total_ms.
+TEST(EndpointRecordTest, LargeAnswerRecordsBodySizeAndFormatTime) {
+  constexpr int kTriples = 20000;
+  std::unique_ptr<core::S2Rdf> db = WideStore(kTriples);
+  ASSERT_NE(db, nullptr);
+  SparqlEndpoint endpoint(db.get());
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/sparql";
+  request.query_string = std::string("query=") + kWideQuery;
+  const HttpResponse json = endpoint.Handle(request);
+  request.headers["accept"] = "text/csv";
+  const HttpResponse csv = endpoint.Handle(request);
+  ASSERT_EQ(json.status_code, 200);
+  ASSERT_EQ(csv.status_code, 200);
+  EXPECT_GT(json.body.size(), size_t{1} << 20);
+
+  std::vector<QueryRecord> recent = endpoint.RecentQueries();
+  ASSERT_EQ(recent.size(), 2u);
+  EXPECT_EQ(recent[0].response_bytes, csv.body.size());
+  EXPECT_EQ(recent[1].response_bytes, json.body.size());
+  EXPECT_EQ(recent[1].rows, static_cast<uint64_t>(kTriples));
+  EXPECT_GT(recent[1].format_ms, 0.0);
+
+  HttpRequest debug;
+  debug.method = "GET";
+  debug.path = "/debug/queries";
+  const std::string page = endpoint.Handle(debug).body;
+  EXPECT_NE(page.find("bytes=" + std::to_string(json.body.size())),
+            std::string::npos)
+      << page;
+  EXPECT_NE(page.find(" ms  format="), std::string::npos) << page;
+
+  HttpRequest metrics;
+  metrics.method = "GET";
+  metrics.path = "/metrics";
+  const std::string exposition = endpoint.Handle(metrics).body;
+  EXPECT_NE(exposition.find("s2rdf_format_seconds_count 2"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("s2rdf_query_latency_seconds_count 2"),
+            std::string::npos);
 }
 
 }  // namespace
