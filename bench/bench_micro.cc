@@ -14,9 +14,9 @@
 #include "common/random.h"
 #include "engine/expression.h"
 #include "engine/operators.h"
-#include "engine/table.h"
 #include "mapreduce/external_sort.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 #include "sparql/results_io.h"
 #include "storage/encoding.h"
 #include "storage/table_file.h"
@@ -24,10 +24,10 @@
 namespace s2rdf {
 namespace {
 
-engine::Table MakeTwoColumnTable(size_t rows, uint64_t seed,
-                                 uint32_t key_space) {
+rdf::Table MakeTwoColumnTable(size_t rows, uint64_t seed,
+                              uint32_t key_space) {
   SplitMix64 rng(seed);
-  engine::Table t({"s", "o"});
+  rdf::Table t({"s", "o"});
   t.Reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
     t.AppendRow({static_cast<uint32_t>(rng.Uniform(key_space)),
@@ -37,7 +37,7 @@ engine::Table MakeTwoColumnTable(size_t rows, uint64_t seed,
 }
 
 void BM_ScanSelectProject(benchmark::State& state) {
-  engine::Table t = MakeTwoColumnTable(
+  rdf::Table t = MakeTwoColumnTable(
       static_cast<size_t>(state.range(0)), 1, 1000);
   engine::ScanSpec spec;
   spec.conditions.emplace_back(0, 7);
@@ -56,9 +56,9 @@ BENCHMARK(BM_ScanSelectProject)
 
 void BM_HashJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
-  engine::Table left =
+  rdf::Table left =
       MakeTwoColumnTable(rows, 1, static_cast<uint32_t>(rows));
-  engine::Table right =
+  rdf::Table right =
       MakeTwoColumnTable(rows, 2, static_cast<uint32_t>(rows))
           .WithColumnNames({"o", "x"});
   for (auto _ : state) {
@@ -80,14 +80,14 @@ void BM_FilterSmallInputLargeDictionary(benchmark::State& state) {
                 "\"^^<http://www.w3.org/2001/XMLSchema#integer>");
   }
   SplitMix64 rng(8);
-  engine::Table t({"s", "o"});
+  rdf::Table t({"s", "o"});
   for (int i = 0; i < 16; ++i) {
     t.AppendRow({static_cast<uint32_t>(rng.Uniform(terms)),
                  static_cast<uint32_t>(rng.Uniform(terms))});
   }
-  engine::ExprPtr expr = engine::Expr::Compare(
-      engine::CompareOp::kLt, engine::Expr::Var("o"),
-      engine::Expr::Const(
+  sparql::ExprPtr expr = sparql::Expr::Compare(
+      sparql::CompareOp::kLt, sparql::Expr::Var("o"),
+      sparql::Expr::Const(
           "\"500\"^^<http://www.w3.org/2001/XMLSchema#integer>"));
   for (auto _ : state) {
     engine::ExecContext ctx;
@@ -99,9 +99,9 @@ BENCHMARK(BM_FilterSmallInputLargeDictionary)->Arg(1 << 20);
 
 void BM_SemiJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
-  engine::Table left =
+  rdf::Table left =
       MakeTwoColumnTable(rows, 1, static_cast<uint32_t>(rows));
-  engine::Table right =
+  rdf::Table right =
       MakeTwoColumnTable(rows / 4 + 1, 2, static_cast<uint32_t>(rows));
   for (auto _ : state) {
     engine::ExecContext ctx;
@@ -113,9 +113,9 @@ BENCHMARK(BM_SemiJoin)->Range(1 << 10, 1 << 18);
 
 void BM_SortMergeJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
-  engine::Table left =
+  rdf::Table left =
       MakeTwoColumnTable(rows, 1, static_cast<uint32_t>(rows));
-  engine::Table right =
+  rdf::Table right =
       MakeTwoColumnTable(rows, 2, static_cast<uint32_t>(rows))
           .WithColumnNames({"o", "x"});
   for (auto _ : state) {
@@ -127,7 +127,7 @@ void BM_SortMergeJoin(benchmark::State& state) {
 BENCHMARK(BM_SortMergeJoin)->Range(1 << 10, 1 << 16);
 
 void BM_Distinct(benchmark::State& state) {
-  engine::Table t = MakeTwoColumnTable(
+  rdf::Table t = MakeTwoColumnTable(
       static_cast<size_t>(state.range(0)), 3, 256);
   for (auto _ : state) {
     engine::ExecContext ctx;
@@ -163,7 +163,7 @@ void BM_DecodeColumn(benchmark::State& state) {
 BENCHMARK(BM_DecodeColumn)->Range(1 << 10, 1 << 18);
 
 void BM_TableSerialize(benchmark::State& state) {
-  engine::Table t = MakeTwoColumnTable(
+  rdf::Table t = MakeTwoColumnTable(
       static_cast<size_t>(state.range(0)), 5, 10000);
   for (auto _ : state) {
     benchmark::DoNotOptimize(storage::SerializeTable(t));
@@ -199,7 +199,7 @@ BENCHMARK(BM_ExternalSort)->Range(1 << 10, 1 << 15);
 // repeat 97.8 % of their 459 979 bound cells).
 struct Answer {
   rdf::Dictionary dict;
-  engine::Table table{std::vector<std::string>{"user", "product", "value"}};
+  rdf::Table table{std::vector<std::string>{"user", "product", "value"}};
 };
 
 std::unique_ptr<Answer> MakeAnswer(size_t rows, bool distinct) {
@@ -230,7 +230,7 @@ std::unique_ptr<Answer> MakeAnswer(size_t rows, bool distinct) {
   return answer;
 }
 
-using ResultWriter = std::string (*)(const engine::Table&,
+using ResultWriter = std::string (*)(const rdf::Table&,
                                     const rdf::Dictionary&);
 
 // Args: rows, and 1 when every cell is a distinct term.

@@ -52,7 +52,7 @@ struct QueryEntry {
 };
 
 std::vector<std::vector<std::string>> SortedRows(const core::S2Rdf& db,
-                                                 const engine::Table& table) {
+                                                 const rdf::Table& table) {
   std::vector<std::vector<std::string>> rows = db.DecodeRows(table);
   std::sort(rows.begin(), rows.end());
   return rows;

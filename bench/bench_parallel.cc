@@ -40,8 +40,8 @@
 #include "engine/aggregate.h"
 #include "engine/expression.h"
 #include "engine/operators.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 #include "tests/reference_ops.h"
 #include "watdiv/generator.h"
 
@@ -50,7 +50,7 @@ namespace {
 
 using engine::ExecContext;
 using engine::ExecMetrics;
-using engine::Table;
+using rdf::Table;
 using rdf::TermId;
 
 constexpr char kFriendOf[] = "<http://db.uwaterloo.ca/~galuc/wsdbm/friendOf>";
@@ -241,9 +241,9 @@ int Run() {
   }
 
   {
-    engine::ExprPtr expr = engine::Expr::Compare(engine::CompareOp::kEq,
-                                                 engine::Expr::Var("p"),
-                                                 engine::Expr::Const(kFriendOf));
+    sparql::ExprPtr expr = sparql::Expr::Compare(sparql::CompareOp::kEq,
+                                                 sparql::Expr::Var("p"),
+                                                 sparql::Expr::Const(kFriendOf));
     const rdf::Dictionary& dict = watdiv_in.graph.dictionary();
     entries.push_back(MeasureOperator(
         "filter", reps, /*gated=*/true,
@@ -290,7 +290,7 @@ int Run() {
       t.AppendRow({terms[rng.Uniform(terms.size())],
                    terms[rng.Uniform(terms.size())]});
     }
-    std::vector<engine::SortKey> keys = {{"n", true}, {"m", false}};
+    std::vector<sparql::SortKey> keys = {{"n", true}, {"m", false}};
     entries.push_back(MeasureOperator(
         "order_by", reps, /*gated=*/false,
         [&](ExecContext* ctx) {
@@ -315,10 +315,10 @@ int Run() {
                    values[rng.Uniform(values.size())]});
     }
     std::vector<std::string> keys = {"k"};
-    std::vector<engine::AggregateSpec> specs = {
-        {engine::AggregateSpec::Fn::kCountStar, "", "n", false},
-        {engine::AggregateSpec::Fn::kSum, "v", "total", false},
-        {engine::AggregateSpec::Fn::kCount, "v", "dv", true},
+    std::vector<sparql::AggregateSpec> specs = {
+        {sparql::AggregateSpec::Fn::kCountStar, "", "n", false},
+        {sparql::AggregateSpec::Fn::kSum, "v", "total", false},
+        {sparql::AggregateSpec::Fn::kCount, "v", "dv", true},
     };
     entries.push_back(MeasureOperator(
         "group_by_aggregate", reps, /*gated=*/false,

@@ -73,7 +73,7 @@ int main() {
 
   // --- Fig. 12: join-order optimization ---------------------------------
   s2rdf::core::CompilerOptions unopt;
-  unopt.optimize_join_order = false;
+  unopt.optimizer.reorder_joins = false;
   auto unoptimized = (*db)->ExecuteWithOptions(kQ1, unopt);
   if (unoptimized.ok()) {
     std::printf(

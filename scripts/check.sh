@@ -23,8 +23,7 @@ note "repo linter (ctest -L lint)"
 ctest --preset lint
 
 note "whole-program analysis (layering, lock-order, interrupt-coverage, status-discipline)"
-./build/tools/lint/s2rdf_lint --root=. --baseline=tools/lint/lint_baseline.txt \
-  src tests bench tools
+./build/tools/lint/s2rdf_lint --root=. src tests bench tools
 
 note "recorded benchmark consistency (committed BENCH_*.json)"
 # Every BENCH_*.json the bench leg below maintains must be present in

@@ -20,12 +20,12 @@ using sparql::TriplePattern;
 std::optional<TermId> Resolve(
     const PatternTerm& term, const rdf::Dictionary& dict,
     const std::unordered_map<std::string, int>& var_cols,
-    const engine::Table& bindings, size_t row) {
+    const rdf::Table& bindings, size_t row) {
   if (!term.is_variable()) {
     std::optional<TermId> id = dict.Find(term.value);
     // An absent constant matches nothing; the caller checks this via a
     // sentinel that can never appear in the data.
-    return id.has_value() ? id : std::optional<TermId>(engine::kNullTermId);
+    return id.has_value() ? id : std::optional<TermId>(rdf::kNullTermId);
   }
   auto it = var_cols.find(term.value);
   if (it == var_cols.end()) return std::nullopt;
@@ -51,15 +51,15 @@ StatusOr<CentralizedResult> CentralizedBgpEngine::ExecuteBgp(
     IndexPattern pattern;
     if (!tp.subject.is_variable()) {
       pattern.subject = dict_.Find(tp.subject.value).value_or(
-          engine::kNullTermId);
+          rdf::kNullTermId);
     }
     if (!tp.predicate.is_variable()) {
       pattern.predicate = dict_.Find(tp.predicate.value).value_or(
-          engine::kNullTermId);
+          rdf::kNullTermId);
     }
     if (!tp.object.is_variable()) {
       pattern.object = dict_.Find(tp.object.value).value_or(
-          engine::kNullTermId);
+          rdf::kNullTermId);
     }
     return store_.CountMatches(pattern);
   };
@@ -97,7 +97,7 @@ StatusOr<CentralizedResult> CentralizedBgpEngine::ExecuteBgp(
   }
 
   // Index nested loop: extend the binding table one pattern at a time.
-  engine::Table bindings(std::vector<std::string>{});
+  rdf::Table bindings(std::vector<std::string>{});
   bindings.AppendRow(std::vector<TermId>{});  // One empty binding.
   std::unordered_map<std::string, int> var_cols;
 
@@ -122,7 +122,7 @@ StatusOr<CentralizedResult> CentralizedBgpEngine::ExecuteBgp(
         }
       }
     }
-    engine::Table next(new_names);
+    rdf::Table next(new_names);
 
     for (size_t row = 0; row < bindings.NumRows(); ++row) {
       IndexPattern pattern;
@@ -132,7 +132,7 @@ StatusOr<CentralizedResult> CentralizedBgpEngine::ExecuteBgp(
         std::optional<TermId> id =
             Resolve(term, dict_, var_cols, bindings, row);
         if (id.has_value()) {
-          if (*id == engine::kNullTermId && !term.is_variable()) {
+          if (*id == rdf::kNullTermId && !term.is_variable()) {
             impossible = true;
           }
           *slot = id;
@@ -200,8 +200,8 @@ StatusOr<CentralizedResult> CentralizedBgpEngine::Execute(
   }
   S2RDF_ASSIGN_OR_RETURN(CentralizedResult result,
                          ExecuteBgp(query.where.triples));
-  engine::Table table = std::move(result.table);
-  for (const engine::ExprPtr& filter : query.where.filters) {
+  rdf::Table table = std::move(result.table);
+  for (const sparql::ExprPtr& filter : query.where.filters) {
     table = engine::Filter(table, *filter, dict_, nullptr);
   }
   std::vector<std::string> projection =
@@ -211,7 +211,7 @@ StatusOr<CentralizedResult> CentralizedBgpEngine::Execute(
   if (!query.order_by.empty()) {
     table = engine::OrderBy(table, query.order_by, dict_);
   }
-  if (query.offset > 0 || query.limit != engine::kNoLimit) {
+  if (query.offset > 0 || query.limit != sparql::kNoLimit) {
     table = engine::Slice(table, query.offset, query.limit);
   }
   result.table = std::move(table);

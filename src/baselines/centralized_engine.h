@@ -7,8 +7,8 @@
 
 #include "baselines/permutation_index.h"
 #include "common/status.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 #include "sparql/ast.h"
 
 // Single-node BGP evaluation over the sextuple permutation indexes using
@@ -21,7 +21,7 @@
 namespace s2rdf::baselines {
 
 struct CentralizedResult {
-  engine::Table table;  // Columns = variables in first-appearance order.
+  rdf::Table table;  // Columns = variables in first-appearance order.
   uint64_t index_lookups = 0;    // Range-scan probes issued.
   uint64_t scanned_triples = 0;  // Triples touched by those scans.
   double wall_ms = 0.0;

@@ -24,7 +24,7 @@ StatusOr<uint64_t> H2RdfEngine::EstimateInput(
     auto resolve = [&](const sparql::PatternTerm& term,
                        std::optional<rdf::TermId>* slot) {
       if (term.is_variable()) return;
-      *slot = dict.Find(term.value).value_or(engine::kNullTermId);
+      *slot = dict.Find(term.value).value_or(rdf::kNullTermId);
     };
     resolve(tp.subject, &pattern.subject);
     resolve(tp.predicate, &pattern.predicate);

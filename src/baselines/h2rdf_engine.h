@@ -28,7 +28,7 @@ struct H2RdfOptions {
 };
 
 struct H2RdfResult {
-  engine::Table table;
+  rdf::Table table;
   bool centralized = true;
   uint64_t jobs = 0;  // MapReduce jobs (0 when centralized).
   double wall_ms = 0.0;

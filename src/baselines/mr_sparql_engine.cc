@@ -190,7 +190,7 @@ StatusOr<Relation> JoinJob(const MrEngineOptions& options,
     // Cross product across tags with compatibility checks on all shared
     // variables (solution-mapping compatibility, Sec. 2.1).
     std::vector<std::vector<uint32_t>> partials;
-    partials.emplace_back(out_width, engine::kNullTermId);
+    partials.emplace_back(out_width, rdf::kNullTermId);
     for (size_t tag = 0; tag < schemas.size(); ++tag) {
       std::vector<std::vector<uint32_t>> next;
       for (const auto& partial : partials) {
@@ -200,7 +200,7 @@ StatusOr<Relation> JoinJob(const MrEngineOptions& options,
           for (size_t c = 0; c < schemas[tag].size(); ++c) {
             uint32_t value = r->value[1 + c];
             uint32_t& slot = merged[out_positions[tag][c]];
-            if (slot != engine::kNullTermId && slot != value) {
+            if (slot != rdf::kNullTermId && slot != value) {
               compatible = false;
               break;
             }
@@ -234,10 +234,10 @@ StatusOr<Relation> JoinJob(const MrEngineOptions& options,
   return out;
 }
 
-StatusOr<engine::Table> RelationToTable(const Relation& rel) {
+StatusOr<rdf::Table> RelationToTable(const Relation& rel) {
   S2RDF_ASSIGN_OR_RETURN(std::vector<Record> records,
                          mapreduce::ReadRecordFile(rel.path));
-  engine::Table table(rel.schema);
+  rdf::Table table(rel.schema);
   table.Reserve(records.size());
   for (const Record& r : records) table.AppendRow(r.value);
   return table;
@@ -319,9 +319,9 @@ StatusOr<MrQueryResult> MrSparqlEngine::Execute(
   }
   S2RDF_ASSIGN_OR_RETURN(MrQueryResult result,
                          ExecuteBgp(query.where.triples));
-  engine::Table table = std::move(result.table);
+  rdf::Table table = std::move(result.table);
   const rdf::Dictionary& dict = graph_.dictionary();
-  for (const engine::ExprPtr& filter : query.where.filters) {
+  for (const sparql::ExprPtr& filter : query.where.filters) {
     table = engine::Filter(table, *filter, dict, nullptr);
   }
   std::vector<std::string> projection =
@@ -331,7 +331,7 @@ StatusOr<MrQueryResult> MrSparqlEngine::Execute(
   if (!query.order_by.empty()) {
     table = engine::OrderBy(table, query.order_by, dict);
   }
-  if (query.offset > 0 || query.limit != engine::kNoLimit) {
+  if (query.offset > 0 || query.limit != sparql::kNoLimit) {
     table = engine::Slice(table, query.offset, query.limit);
   }
   result.table = std::move(table);

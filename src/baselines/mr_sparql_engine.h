@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/table.h"
 #include "mapreduce/job.h"
 #include "rdf/graph.h"
+#include "rdf/table.h"
 #include "sparql/ast.h"
 
 // MapReduce-based SPARQL baselines:
@@ -41,7 +41,7 @@ struct MrEngineOptions {
 };
 
 struct MrQueryResult {
-  engine::Table table;  // Columns = variables in first-appearance order.
+  rdf::Table table;  // Columns = variables in first-appearance order.
   uint64_t jobs = 0;
   mapreduce::JobMetrics metrics;
   double wall_ms = 0.0;

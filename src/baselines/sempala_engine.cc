@@ -40,7 +40,7 @@ StatusOr<std::unique_ptr<SempalaEngine>> SempalaEngine::Create(
   return engine;
 }
 
-StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
+StatusOr<rdf::Table> SempalaEngine::EvaluateStarGroup(
     const std::vector<const TriplePattern*>& group,
     engine::ExecContext* ctx) {
   const rdf::Dictionary& dict = graph_.dictionary();
@@ -63,7 +63,7 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
     std::optional<rdf::TermId> p = dict.Find(tp->predicate.value);
     if (!p.has_value()) {
       // Predicate absent from the data: the star has no results.
-      engine::Table empty({subject_var});
+      rdf::Table empty({subject_var});
       return empty;
     }
     if (inline_columns_.contains(*p) && used_columns.insert(*p).second) {
@@ -73,11 +73,11 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
     }
   }
 
-  engine::Table result(std::vector<std::string>{});
+  rdf::Table result(std::vector<std::string>{});
   bool have_result = false;
 
   if (!pt_patterns.empty()) {
-    S2RDF_ASSIGN_OR_RETURN(const engine::Table* pt,
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* pt,
                            catalog_.GetTable(core::PropertyTableName()));
     engine::ScanSpec spec;
     // Track first column of each variable for repeated-variable checks.
@@ -98,7 +98,7 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
       bind_var(subject_var, s_col);
     } else {
       spec.conditions.emplace_back(
-          s_col, dict.Find(subject.value).value_or(engine::kNullTermId));
+          s_col, dict.Find(subject.value).value_or(rdf::kNullTermId));
     }
     for (const TriplePattern* tp : pt_patterns) {
       rdf::TermId p = *dict.Find(tp->predicate.value);
@@ -109,7 +109,7 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
       } else {
         spec.conditions.emplace_back(
             col,
-            dict.Find(tp->object.value).value_or(engine::kNullTermId));
+            dict.Find(tp->object.value).value_or(rdf::kNullTermId));
       }
     }
     result = engine::ScanSelectProject(*pt, spec, ctx);
@@ -126,7 +126,7 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
   // subject.
   for (const TriplePattern* tp : join_patterns) {
     rdf::TermId p = *dict.Find(tp->predicate.value);
-    const engine::Table* base = nullptr;
+    const rdf::Table* base = nullptr;
     int s_col = 0;
     int o_col = 1;
     if (aux_predicates_.contains(p)) {
@@ -144,7 +144,7 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
       spec.projections.emplace_back(s_col, subject_var);
     } else {
       spec.conditions.emplace_back(
-          s_col, dict.Find(subject.value).value_or(engine::kNullTermId));
+          s_col, dict.Find(subject.value).value_or(rdf::kNullTermId));
     }
     if (tp->object.is_variable()) {
       spec.not_null_columns.push_back(o_col);
@@ -155,9 +155,9 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
       }
     } else {
       spec.conditions.emplace_back(
-          o_col, dict.Find(tp->object.value).value_or(engine::kNullTermId));
+          o_col, dict.Find(tp->object.value).value_or(rdf::kNullTermId));
     }
-    engine::Table scan = engine::ScanSelectProject(*base, spec, ctx);
+    rdf::Table scan = engine::ScanSelectProject(*base, spec, ctx);
     if (!aux_predicates_.contains(p) &&
         options_.strategy == core::PropertyTableStrategy::kDuplication) {
       scan = engine::Distinct(scan, ctx);
@@ -165,7 +165,7 @@ StatusOr<engine::Table> SempalaEngine::EvaluateStarGroup(
     if (!subject_is_var && scan.NumColumns() == 0) {
       // Fully-bound pattern: existence check.
       if (scan.NumRows() == 0) {
-        return engine::Table(result.column_names());
+        return rdf::Table(result.column_names());
       }
       continue;
     }
@@ -213,15 +213,15 @@ StatusOr<SempalaResult> SempalaEngine::Execute(std::string_view sparql) {
   result.star_groups = groups.size();
 
   // Evaluate groups, then join smallest-first avoiding cross joins.
-  std::vector<engine::Table> group_tables;
+  std::vector<rdf::Table> group_tables;
   for (const std::string& key : group_order) {
-    S2RDF_ASSIGN_OR_RETURN(engine::Table t,
+    S2RDF_ASSIGN_OR_RETURN(rdf::Table t,
                            EvaluateStarGroup(groups[key], &ctx));
     group_tables.push_back(std::move(t));
   }
   std::vector<size_t> remaining(group_tables.size());
   for (size_t i = 0; i < remaining.size(); ++i) remaining[i] = i;
-  auto shares_column = [&](const engine::Table& a, const engine::Table& b) {
+  auto shares_column = [&](const rdf::Table& a, const rdf::Table& b) {
     for (const std::string& name : b.column_names()) {
       if (a.ColumnIndex(name) >= 0) return true;
     }
@@ -231,7 +231,7 @@ StatusOr<SempalaResult> SempalaEngine::Execute(std::string_view sparql) {
   std::sort(remaining.begin(), remaining.end(), [&](size_t a, size_t b) {
     return group_tables[a].NumRows() < group_tables[b].NumRows();
   });
-  engine::Table joined = std::move(group_tables[remaining[0]]);
+  rdf::Table joined = std::move(group_tables[remaining[0]]);
   remaining.erase(remaining.begin());
   while (!remaining.empty()) {
     size_t pick = remaining.size();
@@ -247,7 +247,7 @@ StatusOr<SempalaResult> SempalaEngine::Execute(std::string_view sparql) {
   }
 
   const rdf::Dictionary& dict = graph_.dictionary();
-  for (const engine::ExprPtr& filter : query.where.filters) {
+  for (const sparql::ExprPtr& filter : query.where.filters) {
     joined = engine::Filter(joined, *filter, dict, &ctx);
   }
   std::vector<std::string> projection =
@@ -257,7 +257,7 @@ StatusOr<SempalaResult> SempalaEngine::Execute(std::string_view sparql) {
   if (!query.order_by.empty()) {
     joined = engine::OrderBy(joined, query.order_by, dict);
   }
-  if (query.offset > 0 || query.limit != engine::kNoLimit) {
+  if (query.offset > 0 || query.limit != sparql::kNoLimit) {
     joined = engine::Slice(joined, query.offset, query.limit);
   }
 

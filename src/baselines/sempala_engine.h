@@ -11,8 +11,8 @@
 #include "common/status.h"
 #include "core/layouts.h"
 #include "engine/exec_context.h"
-#include "engine/table.h"
 #include "rdf/graph.h"
+#include "rdf/table.h"
 #include "sparql/ast.h"
 #include "storage/catalog.h"
 
@@ -32,7 +32,7 @@ struct SempalaOptions {
 };
 
 struct SempalaResult {
-  engine::Table table;
+  rdf::Table table;
   engine::ExecMetrics metrics;
   uint64_t star_groups = 0;
   double wall_ms = 0.0;
@@ -59,7 +59,7 @@ class SempalaEngine {
       : graph_(*graph), options_(options), catalog_("") {}
 
   // Evaluates one star group (patterns sharing a subject).
-  StatusOr<engine::Table> EvaluateStarGroup(
+  StatusOr<rdf::Table> EvaluateStarGroup(
       const std::vector<const sparql::TriplePattern*>& group,
       engine::ExecContext* ctx);
 

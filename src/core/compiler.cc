@@ -44,7 +44,7 @@ std::vector<std::string> PatternVariables(const TriplePattern& tp) {
 // a variable may be bound by a sibling subtree this plan cannot see).
 PlanPtr ApplyReadyFilters(PlanPtr plan,
                           const std::unordered_set<std::string>& available,
-                          std::vector<const engine::Expr*>* pending) {
+                          std::vector<const sparql::Expr*>* pending) {
   for (auto it = pending->begin(); it != pending->end();) {
     bool ready = true;
     for (const std::string& v : (*it)->ReferencedVariables()) {
@@ -65,26 +65,13 @@ PlanPtr ApplyReadyFilters(PlanPtr plan,
 
 }  // namespace
 
-OptimizerOptions EffectiveOptimizerOptions(const CompilerOptions& options) {
-  OptimizerOptions opt = options.optimizer;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // The legacy ablation switch still works: false forces Algorithm 3
-  // ordering whatever the new options say.
-  // s2rdf-lint: allow(deprecated-api)
-  if (!options.optimize_join_order) opt.reorder_joins = false;
-#pragma GCC diagnostic pop
-  return opt;
-}
-
 QueryCompiler::QueryCompiler(const storage::Catalog* catalog,
                              const rdf::Dictionary* dict,
                              CompilerOptions options)
     : catalog_(*catalog),
       dict_(*dict),
       options_(std::move(options)),
-      optimizer_options_(EffectiveOptimizerOptions(options_)),
-      optimizer_(Optimizer::Create(optimizer_options_)) {}
+      optimizer_(Optimizer::Create(options_.optimizer)) {}
 
 StatusOr<PlanPtr> QueryCompiler::ScanForPattern(
     const TriplePattern& tp, const TableChoice& choice) const {
@@ -210,7 +197,7 @@ StatusOr<BgpAnalysis> QueryCompiler::Analyze(
 
 StatusOr<PlanPtr> QueryCompiler::LowerTree(
     const BgpAnalysis& analysis, const JoinTree& tree, bool is_right_leaf,
-    std::vector<const engine::Expr*>* pending,
+    std::vector<const sparql::Expr*>* pending,
     std::unordered_set<std::string>* available) const {
   // Filter placement rule: ready filters are applied after every
   // lowered node EXCEPT leaves that are right children of joins. For
@@ -275,8 +262,8 @@ StatusOr<PlanPtr> QueryCompiler::LowerTree(
 
 StatusOr<PlanPtr> QueryCompiler::Plan(
     const BgpAnalysis& analysis, const JoinTree& tree,
-    const std::vector<const engine::Expr*>& filters) const {
-  std::vector<const engine::Expr*> pending(filters.begin(), filters.end());
+    const std::vector<const sparql::Expr*>& filters) const {
+  std::vector<const sparql::Expr*> pending(filters.begin(), filters.end());
   std::unordered_set<std::string> available;
   S2RDF_ASSIGN_OR_RETURN(
       PlanPtr plan,
@@ -285,7 +272,7 @@ StatusOr<PlanPtr> QueryCompiler::Plan(
   // Filters that never became ready (variables not bound by this BGP)
   // still apply — on rows where they evaluate to error they drop the
   // row, matching FILTER semantics over the group.
-  for (const engine::Expr* filter : pending) {
+  for (const sparql::Expr* filter : pending) {
     plan = PlanNode::FilterNode(std::move(plan), filter->Clone());
   }
   return plan;
@@ -293,7 +280,7 @@ StatusOr<PlanPtr> QueryCompiler::Plan(
 
 StatusOr<PlanPtr> QueryCompiler::CompileBgp(
     const std::vector<TriplePattern>& bgp,
-    const std::vector<const engine::Expr*>& filters) const {
+    const std::vector<const sparql::Expr*>& filters) const {
   S2RDF_ASSIGN_OR_RETURN(BgpAnalysis analysis, Analyze(bgp));
   if (analysis.empty_result) {
     // Empty relation with the BGP's variables as schema.
@@ -317,14 +304,14 @@ StatusOr<PlanPtr> QueryCompiler::CompileGroup(
   // Filter pushdown: a group-level FILTER whose variables are all bound
   // by this group's BGP can run inside the BGP join pipeline. Filters
   // referencing UNION- or OPTIONAL-bound variables stay at group level.
-  std::vector<const engine::Expr*> pushable;
-  std::vector<const engine::Expr*> group_level;
+  std::vector<const sparql::Expr*> pushable;
+  std::vector<const sparql::Expr*> group_level;
   if (options_.push_filters && !pattern.triples.empty()) {
     std::unordered_set<std::string> bgp_vars;
     for (const TriplePattern& tp : pattern.triples) {
       for (const std::string& v : tp.Variables()) bgp_vars.insert(v);
     }
-    for (const engine::ExprPtr& filter : pattern.filters) {
+    for (const sparql::ExprPtr& filter : pattern.filters) {
       bool covered = true;
       for (const std::string& v : filter->ReferencedVariables()) {
         if (!bgp_vars.contains(v)) {
@@ -335,7 +322,7 @@ StatusOr<PlanPtr> QueryCompiler::CompileGroup(
       (covered ? pushable : group_level).push_back(filter.get());
     }
   } else {
-    for (const engine::ExprPtr& filter : pattern.filters) {
+    for (const sparql::ExprPtr& filter : pattern.filters) {
       group_level.push_back(filter.get());
     }
   }
@@ -386,15 +373,15 @@ StatusOr<PlanPtr> QueryCompiler::CompileGroup(
   // variables), per the SPARQL LeftJoin(P1, P2, C) semantics.
   for (const GraphPattern& optional : pattern.optionals) {
     PlanPtr opt_plan;
-    engine::ExprPtr condition;
+    sparql::ExprPtr condition;
     if (optional.unions.empty() && optional.optionals.empty()) {
       // Plain optional BGP: its filters become the join condition so
       // they can reference outer variables.
       S2RDF_ASSIGN_OR_RETURN(opt_plan, CompileBgp(optional.triples));
-      for (const engine::ExprPtr& f : optional.filters) {
+      for (const sparql::ExprPtr& f : optional.filters) {
         condition = condition == nullptr
                         ? f->Clone()
-                        : engine::Expr::And(std::move(condition), f->Clone());
+                        : sparql::Expr::And(std::move(condition), f->Clone());
       }
     } else {
       // Nested structure: compile the whole group; its filters then only
@@ -405,7 +392,7 @@ StatusOr<PlanPtr> QueryCompiler::CompileGroup(
                               std::move(condition));
   }
 
-  for (const engine::Expr* filter : group_level) {
+  for (const sparql::Expr* filter : group_level) {
     plan = PlanNode::FilterNode(std::move(plan), filter->Clone());
   }
   return plan;
@@ -430,7 +417,7 @@ StatusOr<PlanPtr> QueryCompiler::Compile(const sparql::Query& query) const {
     // Every plain projected variable must be a grouping key.
     for (const std::string& name : query.projection) {
       bool is_alias = false;
-      for (const engine::AggregateSpec& spec : query.aggregates) {
+      for (const sparql::AggregateSpec& spec : query.aggregates) {
         if (spec.output_name == name) is_alias = true;
       }
       if (is_alias) continue;
@@ -453,7 +440,7 @@ StatusOr<PlanPtr> QueryCompiler::Compile(const sparql::Query& query) const {
   if (!query.order_by.empty()) {
     plan = PlanNode::OrderByNode(std::move(plan), query.order_by);
   }
-  if (query.offset > 0 || query.limit != engine::kNoLimit) {
+  if (query.offset > 0 || query.limit != sparql::kNoLimit) {
     plan = PlanNode::SliceNode(std::move(plan), query.offset, query.limit);
   }
   return plan;

@@ -33,11 +33,6 @@ namespace s2rdf::core {
 
 struct CompilerOptions {
   Layout layout = Layout::kExtVp;
-  // Deprecated alias for optimizer.reorder_joins (Algorithm 4 vs 3).
-  // Still honored: setting it false disables reordering whatever the
-  // OptimizerOptions say. New code should use `optimizer`.
-  [[deprecated("use CompilerOptions::optimizer.reorder_joins")]]
-  bool optimize_join_order = true;
   // Allow the statistics-only empty-result shortcut (SF = 0 tables).
   bool use_statistics_shortcut = true;
   // Apply FILTERs as soon as their variables are bound inside the BGP
@@ -52,10 +47,6 @@ struct CompilerOptions {
   // Optimizer selection and knobs for the Optimize stage.
   OptimizerOptions optimizer;
 };
-
-// The OptimizerOptions a compiler will actually run with: `optimizer`
-// merged with the deprecated legacy switches above.
-OptimizerOptions EffectiveOptimizerOptions(const CompilerOptions& options);
 
 class QueryCompiler {
  public:
@@ -73,7 +64,7 @@ class QueryCompiler {
   // are never fully bound is applied last.
   StatusOr<engine::PlanPtr> CompileBgp(
       const std::vector<sparql::TriplePattern>& bgp,
-      const std::vector<const engine::Expr*>& filters = {}) const;
+      const std::vector<const sparql::Expr*>& filters = {}) const;
 
   // Stage 1: table selection + cardinality estimation + join graph.
   // When the statistics prove the BGP empty, the returned analysis has
@@ -84,13 +75,10 @@ class QueryCompiler {
   // Stage 3: lowers an optimized join tree over `analysis` to a plan.
   StatusOr<engine::PlanPtr> Plan(
       const BgpAnalysis& analysis, const JoinTree& tree,
-      const std::vector<const engine::Expr*>& filters = {}) const;
+      const std::vector<const sparql::Expr*>& filters = {}) const;
 
   // The resolved Optimize stage (paper or cost).
   const Optimizer& optimizer() const { return *optimizer_; }
-  const OptimizerOptions& optimizer_options() const {
-    return optimizer_options_;
-  }
 
  private:
   StatusOr<engine::PlanPtr> CompileGroup(
@@ -102,13 +90,12 @@ class QueryCompiler {
   // pre-pipeline compiler.
   StatusOr<engine::PlanPtr> LowerTree(
       const BgpAnalysis& analysis, const JoinTree& tree, bool is_right_leaf,
-      std::vector<const engine::Expr*>* pending,
+      std::vector<const sparql::Expr*>* pending,
       std::unordered_set<std::string>* available) const;
 
   const storage::Catalog& catalog_;
   const rdf::Dictionary& dict_;
   CompilerOptions options_;
-  OptimizerOptions optimizer_options_;
   std::unique_ptr<Optimizer> optimizer_;
   // One queries_degraded tick per compiled query, however many patterns
   // had to substitute tables. Compilers are per-query, so this does not

@@ -11,9 +11,9 @@
 
 #include "common/clock.h"
 #include "core/layout_names.h"
-#include "engine/table.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
+#include "rdf/table.h"
 #include "rdf/triple.h"
 
 namespace s2rdf::core {
@@ -65,7 +65,7 @@ using PairId = std::tuple<int, TermId, TermId>;
 class OldVpSource {
  public:
   OldVpSource(storage::Catalog* catalog, const rdf::Dictionary& dict,
-              const engine::Table* old_tt)
+              const rdf::Table* old_tt)
       : catalog_(catalog), dict_(dict), old_tt_(old_tt) {}
 
   const VpRows& Rows(TermId p) {
@@ -77,7 +77,7 @@ class OldVpSource {
     if (catalog_->Has(name) && !catalog_->IsQuarantined(name)) {
       auto table_or = catalog_->GetTableShared(name);
       if (table_or.ok()) {
-        const engine::Table& t = *table_or.value();
+        const rdf::Table& t = *table_or.value();
         rows->reserve(t.NumRows());
         for (size_t r = 0; r < t.NumRows(); ++r) {
           rows->emplace_back(t.At(r, 0), t.At(r, 1));
@@ -100,12 +100,12 @@ class OldVpSource {
  private:
   storage::Catalog* catalog_;
   const rdf::Dictionary& dict_;
-  const engine::Table* old_tt_;
+  const rdf::Table* old_tt_;
   std::unordered_map<TermId, std::unique_ptr<VpRows>> cache_;
 };
 
-engine::Table TableFromRows(const VpRows& rows) {
-  engine::Table table({"s", "o"});
+rdf::Table TableFromRows(const VpRows& rows) {
+  rdf::Table table({"s", "o"});
   table.Reserve(rows.size());
   for (const auto& [s, o] : rows) table.AppendRow({s, o});
   return table;
@@ -261,7 +261,7 @@ class DeltaMaintainer {
                old->materialized && !catalog_->IsQuarantined(name)) {
       auto table_or = catalog_->GetTableShared(name);
       if (table_or.ok()) {
-        const engine::Table& t = *table_or.value();
+        const rdf::Table& t = *table_or.value();
         out->reserve(t.NumRows());
         for (size_t r = 0; r < t.NumRows(); ++r) {
           out->emplace_back(t.At(r, 0), t.At(r, 1));
@@ -315,7 +315,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     return FailedPreconditionError(
         "ingest requires the triples table (build_triples_table)");
   }
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Table> old_tt,
+  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> old_tt,
                          catalog->GetTableShared(TriplesTableName()));
 
   // Encode the batch; new terms are interned (the caller persists the
@@ -398,7 +398,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
 
   // Triples-table and VP appends.
   {
-    engine::Table new_tt = *old_tt;
+    rdf::Table new_tt = *old_tt;
     for (const rdf::Triple& t : surviving) {
       new_tt.AppendRow({t.subject, t.predicate, t.object});
     }
@@ -408,7 +408,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     maintainer.updates().push_back(std::move(update));
   }
   for (TermId p : delta_preds) {
-    engine::Table new_vp = TableFromRows(old_vp.Rows(p));
+    rdf::Table new_vp = TableFromRows(old_vp.Rows(p));
     for (const auto& [s, o] : delta[p]) new_vp.AppendRow({s, o});
     TableUpdate update;
     update.name = VpTableName(*dict, p);
@@ -508,7 +508,7 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
   if (stale.empty()) return 0;
   std::set<std::string> stale_set(stale.begin(), stale.end());
 
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Table> tt,
+  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> tt,
                          catalog->GetTableShared(TriplesTableName()));
   std::set<TermId> all_preds;
   for (size_t r = 0; r < tt->NumRows(); ++r) all_preds.insert(tt->At(r, 1));

@@ -38,7 +38,7 @@ VpRowData CollectVpRows(const rdf::Graph& graph) {
 }
 
 Status BuildTriplesTable(const rdf::Graph& graph, storage::Catalog* catalog) {
-  engine::Table table({"s", "p", "o"});
+  rdf::Table table({"s", "p", "o"});
   table.Reserve(graph.NumTriples());
   std::unordered_set<uint64_t> seen;
   seen.reserve(graph.NumTriples());
@@ -62,7 +62,7 @@ Status BuildVpLayout(const rdf::Graph& graph, storage::Catalog* catalog) {
   VpRowData vp = CollectVpRows(graph);
   for (TermId p : vp.predicates) {
     const auto& rows = vp.rows[p];
-    engine::Table table({"s", "o"});
+    rdf::Table table({"s", "o"});
     table.Reserve(rows.size());
     for (const auto& [s, o] : rows) table.AppendRow({s, o});
     S2RDF_RETURN_IF_ERROR(
@@ -138,7 +138,7 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
 
   // Decide materialization per combination and register statistics.
   // selected[corr] maps pair key -> output table (filled in pass 2).
-  std::unordered_map<uint64_t, engine::Table> selected[kNumCorrelations];
+  std::unordered_map<uint64_t, rdf::Table> selected[kNumCorrelations];
   for (int c = 0; c < kNumCorrelations; ++c) {
     if (!enabled[c]) continue;
     // The number of combinations considered includes empty ones: all
@@ -168,7 +168,7 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
       }
       ++build_stats.tables_materialized;
       build_stats.tuples_materialized += count;
-      engine::Table table({"s", "o"});
+      rdf::Table table({"s", "o"});
       table.Reserve(count);
       selected[c].emplace(key, std::move(table));
     }
@@ -242,9 +242,9 @@ Status MaterializeExtVpPair(const rdf::Dictionary& dict, Correlation corr,
   if (catalog->Has(name)) return Status::Ok();  // Already computed.
   // Shared ownership: a concurrent query's eviction pass must not free
   // the VP tables while this reduction is being computed.
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Table> vp1,
+  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp1,
                          catalog->GetTableShared(VpTableName(dict, p1)));
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Table> vp2,
+  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp2,
                          catalog->GetTableShared(VpTableName(dict, p2)));
 
   // Column roles per correlation: reduce VP_p1 by the matching column
@@ -268,7 +268,7 @@ Status MaterializeExtVpPair(const rdf::Dictionary& dict, Correlation corr,
       return InvalidArgumentError("unknown correlation");
   }
 
-  engine::Table reduced =
+  rdf::Table reduced =
       engine::SemiJoin(*vp1, left_col, *vp2, right_col, nullptr);
   double sf = vp1->NumRows() == 0
                   ? 0.0
@@ -320,7 +320,7 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
   // columns uniformly.
   std::vector<std::string> names = {"s"};
   for (TermId p : inline_preds) names.push_back(VpTableName(dict, p));
-  engine::Table pt(std::move(names));
+  rdf::Table pt(std::move(names));
 
   for (const auto& [s, preds] : by_subject) {
     // Cross product over the value lists of the inlined predicates
@@ -332,7 +332,7 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
     for (TermId p : inline_preds) {
       auto it = preds.find(p);
       if (it == preds.end()) {
-        value_lists.push_back({engine::kNullTermId});
+        value_lists.push_back({rdf::kNullTermId});
       } else {
         value_lists.push_back(it->second);
         any = true;
@@ -364,7 +364,7 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
 
   for (TermId p : build_stats.multi_valued) {
     const auto& rows = vp.rows[p];
-    engine::Table aux({"s", "o"});
+    rdf::Table aux({"s", "o"});
     aux.Reserve(rows.size());
     for (const auto& [s, o] : rows) aux.AppendRow({s, o});
     build_stats.aux_tuples += rows.size();

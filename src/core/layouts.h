@@ -8,8 +8,8 @@
 
 #include "common/status.h"
 #include "core/layout_names.h"
-#include "engine/table.h"
 #include "rdf/graph.h"
+#include "rdf/table.h"
 #include "storage/catalog.h"
 
 // Builders for the relational RDF layouts of Secs. 4 and 5:

@@ -6,8 +6,10 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/mutex.h"
 #include "common/strings.h"
@@ -45,15 +47,6 @@ void InitContext(const QueryOptions& options, int num_partitions,
 
 constexpr char kDictMagic[] = "S2DICT1\n";
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string WrapDictionaryBlob(const std::string& payload) {
   char header[32];
   std::snprintf(header, sizeof(header), "%016llx\n",
@@ -65,8 +58,7 @@ StatusOr<std::string> UnwrapDictionaryBlob(const std::string& blob) {
   constexpr size_t kMagicLen = sizeof(kDictMagic) - 1;
   if (blob.size() < kMagicLen + 17 ||
       blob.compare(0, kMagicLen, kDictMagic) != 0) {
-    // Legacy (pre-checksum) dictionary file: the blob is the payload.
-    return blob;
+    return InvalidArgumentError("dictionary header missing");
   }
   if (blob[kMagicLen + 16] != '\n') {
     return InvalidArgumentError("dictionary header malformed");
@@ -104,15 +96,19 @@ bool ParseDictionaryFileName(const std::string& file, uint64_t* gen) {
   return true;
 }
 
-// Loads the newest dictionary at or below `generation` — exact match
-// first, then older suffixed copies, then the base "dictionary.bin".
-// Generations with no suffixed file (refresh-only commits, the initial
-// build) add no terms, so an older copy is the correct content. Files
-// ABOVE the recovered generation are debris of an ingest that never
-// committed (harmless supersets); they are swept here.
-Status LoadDictionaryForGeneration(storage::Env* env, const std::string& dir,
+// Loads the newest dictionary copy at or below `generation`: the
+// highest suffixed copy, else the base "dictionary.bin". Generations
+// with no suffixed file (refresh-only commits, the initial build) add no
+// terms, so an older copy is the correct content. Only an absent copy
+// is skipped: one that exists but fails its envelope or parse fails the
+// open, since an older copy would lack the newer terms and later ingests
+// would reuse their ids. Files ABOVE the recovered generation are debris
+// of an ingest that never committed (harmless supersets); they are
+// swept here. Reads retry transient failures like table loads do.
+Status LoadDictionaryForGeneration(const storage::Catalog& catalog, Env* env,
                                    uint64_t generation,
                                    rdf::Dictionary* dict) {
+  const std::string& dir = catalog.dir();
   std::vector<uint64_t> gens;
   if (StatusOr<std::vector<std::string>> files = env->ListDir(dir);
       files.ok()) {
@@ -120,7 +116,7 @@ Status LoadDictionaryForGeneration(storage::Env* env, const std::string& dir,
       uint64_t g = 0;
       if (!ParseDictionaryFileName(file, &g)) continue;
       if (g > generation) {
-        env->RemoveFile(dir + "/" + file);  // Uncommitted-batch debris.
+        (void)env->RemoveFile(dir + "/" + file);  // Uncommitted-batch debris.
       } else {
         gens.push_back(g);
       }
@@ -130,39 +126,58 @@ Status LoadDictionaryForGeneration(storage::Env* env, const std::string& dir,
   std::vector<std::string> candidates;
   for (uint64_t g : gens) candidates.push_back(DictionaryFileName(g));
   candidates.push_back("dictionary.bin");
-  Status last = NotFoundError("no dictionary file in " + dir);
   for (const std::string& file : candidates) {
+    const std::string path = dir + "/" + file;
     std::string blob;
-    if (Status s = env->ReadFile(dir + "/" + file, &blob); !s.ok()) {
-      last = std::move(s);
-      continue;
-    }
+    Status read = catalog.ReadFileRetrying(path, &blob);
+    if (read.code() == StatusCode::kNotFound) continue;
+    S2RDF_RETURN_IF_ERROR(read);
     StatusOr<std::string> payload = UnwrapDictionaryBlob(blob);
-    if (!payload.ok()) {
-      last = payload.status();
-      continue;
-    }
-    StatusOr<rdf::Dictionary> parsed = rdf::Dictionary::Deserialize(*payload);
+    StatusOr<rdf::Dictionary> parsed =
+        payload.ok() ? rdf::Dictionary::Deserialize(*payload)
+                     : StatusOr<rdf::Dictionary>(payload.status());
     if (!parsed.ok()) {
-      last = parsed.status();
-      continue;
+      return InvalidArgumentError(path + ": " + parsed.status().message());
     }
     *dict = std::move(*parsed);
     return Status::Ok();
   }
-  return last;
+  return NotFoundError("no dictionary file in " + dir);
 }
 
 }  // namespace
+
+engine::TableProvider CatalogProvider(storage::Catalog* catalog) {
+  // The pin map keeps every resolved table alive (and memoizes the
+  // lookup) for as long as the provider itself lives — one query.
+  auto pins = std::make_shared<
+      std::unordered_map<std::string, std::shared_ptr<const rdf::Table>>>();
+  // One degradation event per query, however many scans substitute.
+  auto degraded = std::make_shared<std::atomic<bool>>(false);
+  return [catalog, pins, degraded](const std::string& name)
+             -> const rdf::Table* {
+    auto pinned = pins->find(name);
+    if (pinned != pins->end()) return pinned->second.get();
+    StatusOr<std::shared_ptr<const rdf::Table>> table =
+        catalog->GetTableShared(name);
+    if (!table.ok()) {
+      const std::string substitute = VpTableNameForExtVp(name);
+      if (substitute.empty()) return nullptr;
+      table = catalog->GetTableShared(substitute);
+      if (!table.ok()) return nullptr;
+      if (!degraded->exchange(true)) catalog->NoteDegradedQuery();
+    }
+    const rdf::Table* ptr = table->get();
+    pins->emplace(name, std::move(*table));
+    return ptr;
+  };
+}
 
 StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
                                                const S2RdfOptions& options) {
   auto db = std::unique_ptr<S2Rdf>(
       new S2Rdf(std::move(graph), options.storage_dir,
                 options.num_partitions, options.env));
-  // ExtVP tables that fail their load-time checksum degrade to the base
-  // VP table (a superset with the same schema), keeping results intact.
-  db->catalog_.SetDegradedFallback(VpTableNameForExtVp);
   db->trace_dir_ = options.trace_dir;
   db->trace_env_ = options.env;
 
@@ -205,8 +220,8 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
   }
   if (!options.storage_dir.empty()) {
     S2RDF_RETURN_IF_ERROR(db->catalog_.SaveManifest());
-    storage::Env* env =
-        options.env != nullptr ? options.env : storage::Env::Default();
+    Env* env =
+        options.env != nullptr ? options.env : Env::Default();
     S2RDF_RETURN_IF_ERROR(env->WriteFileAtomic(
         options.storage_dir + "/dictionary.bin",
         WrapDictionaryBlob(db->graph_.dictionary().Serialize())));
@@ -218,11 +233,11 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
 
 StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
                                              int num_partitions,
-                                             storage::Env* env) {
+                                             Env* env) {
   if (storage_dir.empty()) {
     return InvalidArgumentError("Open requires a storage directory");
   }
-  if (env == nullptr) env = storage::Env::Default();
+  if (env == nullptr) env = Env::Default();
   // The reopened instance carries the dictionary but no triple list;
   // queries execute against the persisted tables.
   auto db = std::unique_ptr<S2Rdf>(new S2Rdf(
@@ -233,9 +248,8 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
   // generation recovery landed on.
   S2RDF_ASSIGN_OR_RETURN(db->recovery_report_, db->catalog_.Recover());
   S2RDF_RETURN_IF_ERROR(LoadDictionaryForGeneration(
-      env, storage_dir, db->recovery_report_.generation,
+      db->catalog_, env, db->recovery_report_.generation,
       &db->graph_.dictionary()));
-  db->catalog_.SetDegradedFallback(VpTableNameForExtVp);
   if (const storage::TableStats* meta =
           db->catalog_.GetStats("meta_sf_threshold")) {
     db->sf_threshold_ = meta->selectivity;
@@ -272,7 +286,7 @@ StatusOr<storage::IngestResult> S2Rdf::Ingest(
     S2RDF_RETURN_IF_ERROR(catalog_.ReadFileRetrying(path, &readback));
     StatusOr<std::string> verified = UnwrapDictionaryBlob(readback);
     if (!verified.ok() || *verified != payload) {
-      env_->RemoveFile(path);
+      (void)env_->RemoveFile(path);
       return InvalidArgumentError(
           "dictionary write failed read-back verification: " + path);
     }
@@ -284,15 +298,15 @@ StatusOr<storage::IngestResult> S2Rdf::Ingest(
       ApplyIngestBatch(batch, config, &dict, &catalog_);
   if (result.ok() && result->triples_added > 0 && !catalog_.dir().empty()) {
     // Prune dictionary copies older than the previous generation
-    // (mirrors manifest pruning; the base "dictionary.bin" stays as the
-    // legacy anchor).
+    // (mirrors manifest pruning; the initial build's "dictionary.bin"
+    // stays).
     if (StatusOr<std::vector<std::string>> files =
             env_->ListDir(catalog_.dir());
         files.ok()) {
       for (const std::string& file : *files) {
         uint64_t g = 0;
         if (ParseDictionaryFileName(file, &g) && g + 1 < result->generation) {
-          env_->RemoveFile(catalog_.dir() + "/" + file);
+          (void)env_->RemoveFile(catalog_.dir() + "/" + file);
         }
       }
     }
@@ -404,9 +418,9 @@ StatusOr<QueryResult> S2Rdf::ExecuteInternal(
   // destroyed, so concurrent eviction cannot free a table mid-scan.
   auto exec_start = MonotonicNow();
   S2RDF_ASSIGN_OR_RETURN(
-      engine::Table table,
-      engine::ExecutePlan(*plan, catalog_.AsProvider(), &graph_.dictionary(),
-                          &ctx));
+      rdf::Table table,
+      engine::ExecutePlan(*plan, CatalogProvider(&catalog_),
+                          &graph_.dictionary(), &ctx));
   const double exec_ms = MillisSince(exec_start);
   ctx.metrics.output_tuples = table.NumRows();
 
@@ -452,7 +466,7 @@ StatusOr<QueryResult> S2Rdf::ExecuteInternal(
 Status S2Rdf::MaybeDumpTrace(const engine::QueryProfile& profile,
                              std::string_view query_text) {
   if (trace_dir_.empty()) return Status::Ok();
-  storage::Env* env = trace_env_ != nullptr ? trace_env_ : storage::Env::Default();
+  Env* env = trace_env_ != nullptr ? trace_env_ : Env::Default();
   uint64_t seq = trace_seq_.fetch_add(1, std::memory_order_relaxed);
   char name[32];
   std::snprintf(name, sizeof(name), "trace-%06llu.json",
@@ -475,13 +489,13 @@ StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
   // Solutions of the WHERE clause (all variables projected; the parser
   // sets select_all for graph forms). DESCRIBE without a WHERE clause
   // skips this.
-  engine::Table solutions(std::vector<std::string>{});
+  rdf::Table solutions(std::vector<std::string>{});
   if (!query.where.triples.empty() || !query.where.unions.empty() ||
       !query.where.subqueries.empty() || !query.where.values.empty()) {
     QueryCompiler compiler(&catalog_, &dict, options);
     S2RDF_ASSIGN_OR_RETURN(engine::PlanPtr plan, compiler.Compile(query));
     S2RDF_ASSIGN_OR_RETURN(
-        solutions, engine::ExecutePlan(*plan, catalog_.AsProvider(),
+        solutions, engine::ExecutePlan(*plan, CatalogProvider(&catalog_),
                                        &graph_.dictionary(), &ctx));
   }
 
@@ -509,7 +523,7 @@ StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
             break;
           }
           rdf::TermId id = solutions.At(r, static_cast<size_t>(col));
-          if (id == engine::kNullTermId) {
+          if (id == rdf::kNullTermId) {
             ok = false;  // Unbound (OPTIONAL): skip this triple.
             break;
           }
@@ -543,12 +557,12 @@ StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
       }
       for (size_t r = 0; r < solutions.NumRows(); ++r) {
         rdf::TermId id = solutions.At(r, static_cast<size_t>(col));
-        if (id != engine::kNullTermId) targets.insert(id);
+        if (id != rdf::kNullTermId) targets.insert(id);
       }
     }
     // Shared ownership keeps the triples table valid even if another
     // query's EvictToBudget drops it from the cache mid-loop.
-    S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Table> triples,
+    S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> triples,
                            catalog_.GetTableShared(TriplesTableName()));
     ctx.metrics.input_tuples += triples->NumRows();
     for (size_t r = 0; r < triples->NumRows(); ++r) {
@@ -647,7 +661,7 @@ Status S2Rdf::EnsureExtVpPair(Correlation corr, rdf::TermId p1,
 }
 
 std::vector<std::vector<std::string>> S2Rdf::DecodeRows(
-    const engine::Table& table) const {
+    const rdf::Table& table) const {
   std::vector<std::vector<std::string>> rows;
   rows.reserve(table.NumRows());
   const rdf::Dictionary& dict = graph_.dictionary();
@@ -656,7 +670,7 @@ std::vector<std::vector<std::string>> S2Rdf::DecodeRows(
     row.reserve(table.NumColumns());
     for (size_t c = 0; c < table.NumColumns(); ++c) {
       rdf::TermId id = table.At(r, c);
-      row.push_back(id == engine::kNullTermId ? "" : dict.Decode(id));
+      row.push_back(id == rdf::kNullTermId ? "" : dict.Decode(id));
     }
     rows.push_back(std::move(row));
   }

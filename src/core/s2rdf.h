@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/env.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -15,9 +16,10 @@
 #include "core/extvp_bitmap.h"
 #include "core/layouts.h"
 #include "engine/exec_context.h"
+#include "engine/plan.h"
 #include "engine/profile.h"
-#include "engine/table.h"
 #include "rdf/graph.h"
+#include "rdf/table.h"
 #include "storage/catalog.h"
 #include "storage/ingest.h"
 
@@ -50,7 +52,7 @@ struct S2RdfOptions {
   // File-I/O environment for the catalog and persisted artifacts
   // (Env::Default() when null; fault-injection tests substitute their
   // own). Must outlive the S2Rdf instance.
-  storage::Env* env = nullptr;
+  Env* env = nullptr;
   // ExtVP selectivity-factor threshold (Sec. 5.3). 1.0 = no threshold.
   double sf_threshold = 1.0;
   // Layouts to build. The triples table is required for queries with
@@ -117,7 +119,7 @@ struct QueryRequest {
 };
 
 struct QueryResult {
-  engine::Table table;
+  rdf::Table table;
   // For ASK queries: whether any solution exists (`table` then holds at
   // most one undecoded witness row).
   bool is_ask = false;
@@ -164,6 +166,15 @@ struct LoadStats {
   ExtVpBuildStats extvp_stats;
 };
 
+// The table provider engine::ExecutePlan reads `catalog` through, one
+// per query. It loads lazily, returns nullptr for unknown tables, and
+// *pins* every table it resolves for its own lifetime, so concurrent
+// eviction cannot free a table mid-scan. An ExtVP table that fails to
+// load mid-query (checksum, missing file, quarantine) degrades to its
+// base VP table (VP ⊇ ExtVP keeps the answer intact), counted once per
+// provider in Catalog::queries_degraded.
+engine::TableProvider CatalogProvider(storage::Catalog* catalog);
+
 class S2Rdf {
  public:
   // Builds all configured layouts for `graph`.
@@ -179,7 +190,7 @@ class S2Rdf {
   // store.
   static StatusOr<std::unique_ptr<S2Rdf>> Open(const std::string& storage_dir,
                                                int num_partitions = 9,
-                                               storage::Env* env = nullptr);
+                                               Env* env = nullptr);
 
   // Primary entry point: parses, compiles and executes request.query
   // under request.options. Thread-safe.
@@ -210,7 +221,7 @@ class S2Rdf {
 
   // Decodes a result table's ids back to canonical term strings.
   std::vector<std::vector<std::string>> DecodeRows(
-      const engine::Table& table) const;
+      const rdf::Table& table) const;
 
   const rdf::Graph& graph() const { return graph_; }
   storage::Catalog& catalog() { return catalog_; }
@@ -233,10 +244,10 @@ class S2Rdf {
 
  private:
   S2Rdf(rdf::Graph graph, std::string storage_dir, int num_partitions,
-        storage::Env* env = nullptr)
+        Env* env = nullptr)
       : graph_(std::move(graph)),
         catalog_(std::move(storage_dir), env),
-        env_(env != nullptr ? env : storage::Env::Default()),
+        env_(env != nullptr ? env : Env::Default()),
         num_partitions_(num_partitions) {}
 
   // Common execution path behind both Execute overloads and
@@ -270,14 +281,14 @@ class S2Rdf {
   // bookkeeping). Per-query state lives in local ExecContexts.
   rdf::Graph graph_;
   storage::Catalog catalog_;
-  storage::Env* env_;
+  Env* env_;
   int num_partitions_;
   bool lazy_extvp_ = false;
   double sf_threshold_ = 1.0;
   // Trace-file dump (S2RdfOptions::trace_dir); the sequence number keys
   // the filenames without consulting a wall clock.
   std::string trace_dir_;
-  storage::Env* trace_env_ = nullptr;
+  Env* trace_env_ = nullptr;
   std::atomic<uint64_t> trace_seq_{0};
   std::atomic<uint64_t> lazy_pairs_computed_{0};
   LoadStats load_stats_;

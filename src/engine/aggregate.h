@@ -9,9 +9,10 @@
 
 #include "common/status.h"
 #include "engine/exec_context.h"
-#include "engine/table.h"
 #include "engine/value.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
+#include "sparql/expr.h"
 
 // GROUP BY / aggregation operator — the SPARQL 1.1 feature the paper's
 // Sec. 6.1 defers to future work. Aggregates follow the W3C semantics:
@@ -33,16 +34,10 @@
 
 namespace s2rdf::engine {
 
-struct AggregateSpec {
-  enum class Fn { kCountStar, kCount, kSum, kAvg, kMin, kMax, kSample };
-
-  Fn fn = Fn::kCountStar;
-  // Input variable (unused for kCountStar).
-  std::string input_var;
-  // Output column name (the AS variable).
-  std::string output_name;
-  bool distinct = false;
-};
+using rdf::kNullTermId;
+using rdf::Table;
+using rdf::TermId;
+using sparql::AggregateSpec;
 
 // Groups `input` by `keys` and evaluates `specs` per group. The output
 // schema is keys followed by the aggregate output names, one row per

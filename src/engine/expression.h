@@ -1,74 +1,30 @@
 #ifndef S2RDF_ENGINE_EXPRESSION_H_
 #define S2RDF_ENGINE_EXPRESSION_H_
 
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstddef>
 
-#include "engine/table.h"
 #include "engine/value.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
+#include "sparql/expr.h"
 
-// Boolean filter expressions over solution mappings (table rows whose
-// columns are SPARQL variables). These are the targets of SPARQL FILTER
-// compilation. Evaluation follows SPARQL's three-valued logic: a type
-// error makes the enclosing comparison "error", which FILTER treats as
-// false, while && / || / ! propagate errors per the W3C semantics.
+// Evaluation of SPARQL FILTER expressions (sparql/expr.h) over solution
+// mappings (table rows whose columns are SPARQL variables). Evaluation
+// follows SPARQL's three-valued logic: a type error makes the enclosing
+// comparison "error", which FILTER treats as false, while && / || / !
+// propagate errors per the W3C semantics.
 
 namespace s2rdf::engine {
 
-enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
+using rdf::kNullTermId;
+using rdf::Table;
+using rdf::TermId;
+using sparql::CompareOp;
+using sparql::Expr;
+using sparql::ExprPtr;
 
 // Tri-state result of expression evaluation.
 enum class Truth { kFalse, kTrue, kError };
-
-class Expr;
-using ExprPtr = std::unique_ptr<Expr>;
-
-class Expr {
- public:
-  enum class Kind { kVar, kConst, kCompare, kAnd, kOr, kNot, kBound, kRegex };
-
-  // Leaf: a SPARQL variable reference (name without '?').
-  static ExprPtr Var(std::string name);
-  // Leaf: a constant term in canonical N-Triples form.
-  static ExprPtr Const(std::string canonical_term);
-  // Comparison of two sub-expressions (both must be leaves).
-  static ExprPtr Compare(CompareOp op, ExprPtr left, ExprPtr right);
-  static ExprPtr And(ExprPtr left, ExprPtr right);
-  static ExprPtr Or(ExprPtr left, ExprPtr right);
-  static ExprPtr Not(ExprPtr operand);
-  // BOUND(?var).
-  static ExprPtr Bound(std::string var);
-  // REGEX(?var, "pattern") with ECMAScript syntax, optional "i" flag.
-  static ExprPtr Regex(std::string var, std::string pattern,
-                       bool case_insensitive);
-
-  Kind kind() const { return kind_; }
-  const std::string& name() const { return name_; }
-  CompareOp compare_op() const { return compare_op_; }
-  const Expr* left() const { return left_.get(); }
-  const Expr* right() const { return right_.get(); }
-
-  // Variables referenced anywhere in this expression.
-  std::vector<std::string> ReferencedVariables() const;
-
-  // Renders a SPARQL-ish debug form, e.g. "(?x > \"5\"^^xsd:int)".
-  std::string ToString() const;
-
-  ExprPtr Clone() const;
-
- private:
-  friend class ExprEvaluator;
-  explicit Expr(Kind kind) : kind_(kind) {}
-
-  Kind kind_;
-  std::string name_;           // Variable name, constant text, or pattern.
-  CompareOp compare_op_ = CompareOp::kEq;
-  bool case_insensitive_ = false;
-  ExprPtr left_;
-  ExprPtr right_;
-};
 
 // Binds an expression to a table schema once, then evaluates rows cheaply.
 class ExprEvaluator {

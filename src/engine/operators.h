@@ -11,8 +11,9 @@
 #include "common/bitmap.h"
 #include "engine/exec_context.h"
 #include "engine/expression.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
+#include "sparql/expr.h"
 
 // Relational operators over columnar tables. These are the execution
 // primitives the SPARQL compiler targets — the in-process analogue of the
@@ -35,6 +36,9 @@
 // returns an empty table — ExecutePlan discards partial results anyway.
 
 namespace s2rdf::engine {
+
+using sparql::kNoLimit;
+using sparql::SortKey;
 
 // --- Morsel execution ---------------------------------------------------
 
@@ -170,11 +174,6 @@ Table UnionAll(const Table& a, const Table& b, ExecContext* ctx);
 // partition in a flat open-addressing table.
 Table Distinct(const Table& t, ExecContext* ctx);
 
-struct SortKey {
-  std::string column;
-  bool ascending = true;
-};
-
 // Value-aware stable sort (numeric literals order numerically). Sort-key
 // terms are decoded once per morsel; partitions stable-sort contiguous
 // row ranges and a k-way merge that breaks ties toward the earlier range
@@ -184,7 +183,6 @@ Table OrderBy(const Table& t, const std::vector<SortKey>& keys,
               const rdf::Dictionary& dict, ExecContext* ctx = nullptr);
 
 // OFFSET/LIMIT. `limit` == kNoLimit keeps all remaining rows.
-inline constexpr uint64_t kNoLimit = ~0ull;
 Table Slice(const Table& t, uint64_t offset, uint64_t limit);
 
 // Keeps exactly `columns` in the given order. Unknown names yield

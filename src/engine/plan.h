@@ -10,7 +10,7 @@
 #include "common/status.h"
 #include "engine/aggregate.h"
 #include "engine/operators.h"
-#include "engine/table.h"
+#include "rdf/table.h"
 
 // Physical query plans. The SPARQL compiler in src/core lowers algebra
 // trees to this IR; ExecutePlan interprets it over a table provider

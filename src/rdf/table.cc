@@ -1,11 +1,11 @@
-#include "engine/table.h"
+#include "rdf/table.h"
 
 #include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
 
-namespace s2rdf::engine {
+namespace s2rdf::rdf {
 
 Table::Table(std::vector<std::string> column_names)
     : column_names_(std::move(column_names)),
@@ -107,7 +107,7 @@ bool Table::SameBag(const Table& a, const Table& b) {
   return sa.columns_ == sb.columns_;
 }
 
-std::string Table::DebugString(const rdf::Dictionary* dict,
+std::string Table::DebugString(const Dictionary* dict,
                                size_t max_rows) const {
   std::string out;
   for (size_t i = 0; i < column_names_.size(); ++i) {
@@ -136,4 +136,4 @@ std::string Table::DebugString(const rdf::Dictionary* dict,
   return out;
 }
 
-}  // namespace s2rdf::engine
+}  // namespace s2rdf::rdf

@@ -1,5 +1,5 @@
-#ifndef S2RDF_ENGINE_TABLE_H_
-#define S2RDF_ENGINE_TABLE_H_
+#ifndef S2RDF_RDF_TABLE_H_
+#define S2RDF_RDF_TABLE_H_
 
 #include <cstdint>
 #include <initializer_list>
@@ -9,17 +9,15 @@
 
 #include "rdf/dictionary.h"
 
-// Columnar in-memory table of dictionary-encoded term ids. This is the
-// engine's equivalent of a cached Spark SQL DataFrame: a named-column
-// relation whose cells are 32-bit ids resolved against an rdf::Dictionary.
-// Column names double as SPARQL variable names during query execution, so
-// natural joins join on shared names exactly like the paper's generated
-// SQL does.
+// Columnar in-memory table of dictionary-encoded term ids — the
+// equivalent of a cached Spark SQL DataFrame: a named-column relation
+// whose cells are 32-bit ids resolved against a Dictionary. Storage
+// serializes it, the engine's operators consume and produce it, and the
+// result writers render it. Column names double as SPARQL variable names
+// during query execution, so natural joins join on shared names exactly
+// like the paper's generated SQL does.
 
-namespace s2rdf::engine {
-
-using rdf::TermId;
-using rdf::kNullTermId;
+namespace s2rdf::rdf {
 
 class Table {
  public:
@@ -96,7 +94,7 @@ class Table {
 
   // Renders a bounded debug string: header plus up to `max_rows` rows of
   // raw ids (or decoded terms when `dict` is non-null).
-  std::string DebugString(const rdf::Dictionary* dict = nullptr,
+  std::string DebugString(const Dictionary* dict = nullptr,
                           size_t max_rows = 20) const;
 
  private:
@@ -105,6 +103,6 @@ class Table {
   size_t num_rows_ = 0;
 };
 
-}  // namespace s2rdf::engine
+}  // namespace s2rdf::rdf
 
-#endif  // S2RDF_ENGINE_TABLE_H_
+#endif  // S2RDF_RDF_TABLE_H_

@@ -204,16 +204,10 @@ SparqlEndpoint::SparqlEndpoint(core::S2Rdf* db, EndpointOptions options)
 void SparqlEndpoint::RegisterMetrics() {
   queries_total_ = registry_.AddCounter(
       "s2rdf_queries_total", "Queries admitted to execution.");
-  query_errors_total_ = registry_.AddCounter(
-      "s2rdf_query_errors_total",
-      "Admitted queries that returned an error (legacy name).");
   queries_failed_ = registry_.AddCounter(
       "s2rdf_queries_failed_total",
       "Admitted queries that returned an error (parse, compile or "
       "execution failure).");
-  rejected_total_ = registry_.AddCounter(
-      "s2rdf_rejected_total",
-      "Connections rejected by admission control (legacy name).");
   queries_rejected_ = registry_.AddCounter(
       "s2rdf_queries_rejected_total",
       "Connections rejected with 503 by admission control.");
@@ -693,7 +687,6 @@ HttpResponse SparqlEndpoint::RunQuery(const HttpRequest& request,
     // A failed query leaves no engine metrics behind, but it must not
     // vanish from the counters: reconciliation needs
     // queries_total == successes + queries_failed_total.
-    query_errors_total_->Increment();
     queries_failed_->Increment();
     HttpResponse error = ErrorResponse(result.status());
     error.headers["X-S2RDF-Trace-Id"] = ticket.trace_id;
@@ -866,7 +859,6 @@ void SparqlEndpoint::AcceptLoop() {
       // Admission control: every worker busy and the queue full. Read
       // the request before answering so the close doesn't RST the
       // client's receive buffer, then reject with 503.
-      rejected_total_->Increment();
       queries_rejected_->Increment();
       (void)ReadRequest(client);
       WriteResponse(client,
@@ -880,8 +872,8 @@ void SparqlEndpoint::AcceptLoop() {
 EndpointStats SparqlEndpoint::Stats() const {
   EndpointStats stats;
   stats.queries_total = queries_total_->Value();
-  stats.query_errors_total = query_errors_total_->Value();
-  stats.rejected_total = rejected_total_->Value();
+  stats.queries_failed_total = queries_failed_->Value();
+  stats.queries_rejected_total = queries_rejected_->Value();
   stats.in_flight = in_flight_.load(std::memory_order_relaxed);
   stats.queue_depth = pool_ != nullptr ? pool_->QueueDepth() : 0;
   stats.slow_queries_total = slow_queries_->Value();

@@ -98,8 +98,8 @@ struct EndpointOptions {
 // in_flight / queue_depth).
 struct EndpointStats {
   uint64_t queries_total = 0;
-  uint64_t query_errors_total = 0;
-  uint64_t rejected_total = 0;
+  uint64_t queries_failed_total = 0;
+  uint64_t queries_rejected_total = 0;
   uint64_t in_flight = 0;
   uint64_t queue_depth = 0;
   uint64_t slow_queries_total = 0;
@@ -225,10 +225,8 @@ class SparqlEndpoint {
   // --- Metrics (owned by registry_; raw pointers are stable) -------------
   MetricsRegistry registry_;
   Counter* queries_total_ = nullptr;
-  Counter* query_errors_total_ = nullptr;  // Legacy name, same increments
-  Counter* queries_failed_ = nullptr;      // as s2rdf_queries_failed_total.
-  Counter* rejected_total_ = nullptr;      // Legacy name, same increments
-  Counter* queries_rejected_ = nullptr;    // as s2rdf_queries_rejected_total.
+  Counter* queries_failed_ = nullptr;
+  Counter* queries_rejected_ = nullptr;
   Counter* slow_queries_ = nullptr;
   // POST /ingest bookkeeping.
   Counter* ingest_batches_ = nullptr;

@@ -6,9 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/aggregate.h"
-#include "engine/expression.h"
-#include "engine/operators.h"
+#include "sparql/expr.h"
 
 // Abstract syntax for the SPARQL 1.0 fragment S2RDF supports (the same
 // fragment the paper's prototype supports: BGPs, FILTER, OPTIONAL, UNION,
@@ -67,7 +65,7 @@ struct InlineData {
 // sub-SELECT / VALUES.
 struct GraphPattern {
   std::vector<TriplePattern> triples;
-  std::vector<engine::ExprPtr> filters;
+  std::vector<ExprPtr> filters;
   std::vector<GraphPattern> optionals;
   // Each element is one UNION chain: 2+ alternative group patterns.
   std::vector<std::vector<GraphPattern>> unions;
@@ -111,16 +109,16 @@ struct Query {
   // aliases interleaved as written.
   std::vector<std::string> projection;
   // SPARQL 1.1 aggregates (non-empty makes this an aggregate query).
-  std::vector<engine::AggregateSpec> aggregates;
+  std::vector<AggregateSpec> aggregates;
   std::vector<std::string> group_by;
   // CONSTRUCT template (triple patterns instantiated per solution).
   std::vector<TriplePattern> construct_template;
   // DESCRIBE targets: variables and/or constant terms.
   std::vector<PatternTerm> describe_targets;
   GraphPattern where;
-  std::vector<engine::SortKey> order_by;
+  std::vector<SortKey> order_by;
   uint64_t offset = 0;
-  uint64_t limit = engine::kNoLimit;
+  uint64_t limit = kNoLimit;
 };
 
 }  // namespace s2rdf::sparql

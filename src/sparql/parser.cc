@@ -178,19 +178,19 @@ class Parser {
   // Parses `( COUNT(DISTINCT ?v) AS ?alias )` and friends.
   Status ParseAggregateSelectItem(Query* query) {
     S2RDF_RETURN_IF_ERROR(Expect(TokenKind::kPunct, "("));
-    engine::AggregateSpec spec;
+    AggregateSpec spec;
     if (Cur().IsKeyword("COUNT")) {
-      spec.fn = engine::AggregateSpec::Fn::kCount;
+      spec.fn = AggregateSpec::Fn::kCount;
     } else if (Cur().IsKeyword("SUM")) {
-      spec.fn = engine::AggregateSpec::Fn::kSum;
+      spec.fn = AggregateSpec::Fn::kSum;
     } else if (Cur().IsKeyword("AVG")) {
-      spec.fn = engine::AggregateSpec::Fn::kAvg;
+      spec.fn = AggregateSpec::Fn::kAvg;
     } else if (Cur().IsKeyword("MIN")) {
-      spec.fn = engine::AggregateSpec::Fn::kMin;
+      spec.fn = AggregateSpec::Fn::kMin;
     } else if (Cur().IsKeyword("MAX")) {
-      spec.fn = engine::AggregateSpec::Fn::kMax;
+      spec.fn = AggregateSpec::Fn::kMax;
     } else if (Cur().IsKeyword("SAMPLE")) {
-      spec.fn = engine::AggregateSpec::Fn::kSample;
+      spec.fn = AggregateSpec::Fn::kSample;
     } else {
       return Error("expected aggregate function");
     }
@@ -201,10 +201,10 @@ class Parser {
       Advance();
     }
     if (Cur().IsPunct("*")) {
-      if (spec.fn != engine::AggregateSpec::Fn::kCount) {
+      if (spec.fn != AggregateSpec::Fn::kCount) {
         return Error("'*' is only valid inside COUNT");
       }
-      spec.fn = engine::AggregateSpec::Fn::kCountStar;
+      spec.fn = AggregateSpec::Fn::kCountStar;
       Advance();
     } else if (Cur().kind == TokenKind::kVariable) {
       spec.input_var = Cur().text;
@@ -315,7 +315,7 @@ class Parser {
       }
       if (Cur().IsKeyword("FILTER")) {
         Advance();
-        engine::ExprPtr expr;
+        ExprPtr expr;
         S2RDF_RETURN_IF_ERROR(ParseConstraint(&expr));
         pattern->filters.push_back(std::move(expr));
       } else if (Cur().IsKeyword("OPTIONAL")) {
@@ -544,7 +544,7 @@ class Parser {
 
   // --- FILTER constraints ---------------------------------------------
 
-  Status ParseConstraint(engine::ExprPtr* out) {
+  Status ParseConstraint(ExprPtr* out) {
     if (Cur().IsPunct("(")) {
       Advance();
       S2RDF_RETURN_IF_ERROR(ParseOrExpression(out));
@@ -553,7 +553,7 @@ class Parser {
     return ParseBuiltinCall(out);
   }
 
-  Status ParseBuiltinCall(engine::ExprPtr* out) {
+  Status ParseBuiltinCall(ExprPtr* out) {
     if (Cur().IsKeyword("REGEX")) {
       Advance();
       S2RDF_RETURN_IF_ERROR(Expect(TokenKind::kPunct, "("));
@@ -581,7 +581,7 @@ class Parser {
         Advance();
       }
       S2RDF_RETURN_IF_ERROR(Expect(TokenKind::kPunct, ")"));
-      *out = engine::Expr::Regex(std::move(var), std::move(pattern), icase);
+      *out = Expr::Regex(std::move(var), std::move(pattern), icase);
       return Status::Ok();
     }
     if (Cur().IsKeyword("BOUND")) {
@@ -593,40 +593,40 @@ class Parser {
       std::string var = Cur().text;
       Advance();
       S2RDF_RETURN_IF_ERROR(Expect(TokenKind::kPunct, ")"));
-      *out = engine::Expr::Bound(std::move(var));
+      *out = Expr::Bound(std::move(var));
       return Status::Ok();
     }
     return Error("expected '(' or builtin call after FILTER");
   }
 
-  Status ParseOrExpression(engine::ExprPtr* out) {
+  Status ParseOrExpression(ExprPtr* out) {
     S2RDF_RETURN_IF_ERROR(ParseAndExpression(out));
     while (Cur().IsOperator("||")) {
       Advance();
-      engine::ExprPtr rhs;
+      ExprPtr rhs;
       S2RDF_RETURN_IF_ERROR(ParseAndExpression(&rhs));
-      *out = engine::Expr::Or(std::move(*out), std::move(rhs));
+      *out = Expr::Or(std::move(*out), std::move(rhs));
     }
     return Status::Ok();
   }
 
-  Status ParseAndExpression(engine::ExprPtr* out) {
+  Status ParseAndExpression(ExprPtr* out) {
     S2RDF_RETURN_IF_ERROR(ParseUnaryExpression(out));
     while (Cur().IsOperator("&&")) {
       Advance();
-      engine::ExprPtr rhs;
+      ExprPtr rhs;
       S2RDF_RETURN_IF_ERROR(ParseUnaryExpression(&rhs));
-      *out = engine::Expr::And(std::move(*out), std::move(rhs));
+      *out = Expr::And(std::move(*out), std::move(rhs));
     }
     return Status::Ok();
   }
 
-  Status ParseUnaryExpression(engine::ExprPtr* out) {
+  Status ParseUnaryExpression(ExprPtr* out) {
     if (Cur().IsOperator("!")) {
       Advance();
-      engine::ExprPtr inner;
+      ExprPtr inner;
       S2RDF_RETURN_IF_ERROR(ParseUnaryExpression(&inner));
-      *out = engine::Expr::Not(std::move(inner));
+      *out = Expr::Not(std::move(inner));
       return Status::Ok();
     }
     if (Cur().IsPunct("(")) {
@@ -640,67 +640,67 @@ class Parser {
     return ParseComparison(out);
   }
 
-  Status ParseComparison(engine::ExprPtr* out) {
-    engine::ExprPtr left;
+  Status ParseComparison(ExprPtr* out) {
+    ExprPtr left;
     S2RDF_RETURN_IF_ERROR(ParsePrimary(&left));
     if (Cur().kind == TokenKind::kOperator) {
-      engine::CompareOp op;
+      CompareOp op;
       const std::string& text = Cur().text;
       if (text == "=") {
-        op = engine::CompareOp::kEq;
+        op = CompareOp::kEq;
       } else if (text == "!=") {
-        op = engine::CompareOp::kNe;
+        op = CompareOp::kNe;
       } else if (text == "<") {
-        op = engine::CompareOp::kLt;
+        op = CompareOp::kLt;
       } else if (text == "<=") {
-        op = engine::CompareOp::kLe;
+        op = CompareOp::kLe;
       } else if (text == ">") {
-        op = engine::CompareOp::kGt;
+        op = CompareOp::kGt;
       } else if (text == ">=") {
-        op = engine::CompareOp::kGe;
+        op = CompareOp::kGe;
       } else {
         return Error("unexpected operator in comparison");
       }
       Advance();
-      engine::ExprPtr right;
+      ExprPtr right;
       S2RDF_RETURN_IF_ERROR(ParsePrimary(&right));
-      *out = engine::Expr::Compare(op, std::move(left), std::move(right));
+      *out = Expr::Compare(op, std::move(left), std::move(right));
       return Status::Ok();
     }
     *out = std::move(left);  // Bare term: effective boolean value.
     return Status::Ok();
   }
 
-  Status ParsePrimary(engine::ExprPtr* out) {
+  Status ParsePrimary(ExprPtr* out) {
     switch (Cur().kind) {
       case TokenKind::kVariable:
-        *out = engine::Expr::Var(Cur().text);
+        *out = Expr::Var(Cur().text);
         Advance();
         return Status::Ok();
       case TokenKind::kIriRef:
-        *out = engine::Expr::Const("<" + Cur().text + ">");
+        *out = Expr::Const("<" + Cur().text + ">");
         Advance();
         return Status::Ok();
       case TokenKind::kPrefixedName: {
         S2RDF_ASSIGN_OR_RETURN(std::string iri,
                                ExpandPrefixedName(Cur().text));
-        *out = engine::Expr::Const(std::move(iri));
+        *out = Expr::Const(std::move(iri));
         Advance();
         return Status::Ok();
       }
       case TokenKind::kString: {
         S2RDF_ASSIGN_OR_RETURN(std::string canonical,
                                CanonicalizeString(Cur().text));
-        *out = engine::Expr::Const(std::move(canonical));
+        *out = Expr::Const(std::move(canonical));
         Advance();
         return Status::Ok();
       }
       case TokenKind::kNumber:
-        *out = engine::Expr::Const(CanonicalNumber(Cur().text));
+        *out = Expr::Const(CanonicalNumber(Cur().text));
         Advance();
         return Status::Ok();
       case TokenKind::kBoolean:
-        *out = engine::Expr::Const("\"" + Cur().text + "\"^^<" +
+        *out = Expr::Const("\"" + Cur().text + "\"^^<" +
                                    std::string(kXsdBoolean) + ">");
         Advance();
         return Status::Ok();

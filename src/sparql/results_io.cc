@@ -12,8 +12,8 @@ namespace s2rdf::sparql {
 
 namespace {
 
-using engine::kNullTermId;
-using engine::TermId;
+using rdf::kNullTermId;
+using rdf::TermId;
 
 // Rows written before the output buffer is sized for the whole answer.
 constexpr size_t kSampleRows = 1024;
@@ -327,7 +327,7 @@ std::vector<std::string> AppendHead(ResultFormat format,
 
 }  // namespace
 
-std::string WriteResults(const engine::Table& table,
+std::string WriteResults(const rdf::Table& table,
                          const rdf::Dictionary& dict, ResultFormat format) {
   const Syntax& syntax = SyntaxOf(format);
   std::string out;
@@ -379,22 +379,22 @@ std::string WriteResults(const engine::Table& table,
   return out;
 }
 
-std::string ResultsToJson(const engine::Table& table,
+std::string ResultsToJson(const rdf::Table& table,
                           const rdf::Dictionary& dict) {
   return WriteResults(table, dict, ResultFormat::kJson);
 }
 
-std::string ResultsToXml(const engine::Table& table,
+std::string ResultsToXml(const rdf::Table& table,
                          const rdf::Dictionary& dict) {
   return WriteResults(table, dict, ResultFormat::kXml);
 }
 
-std::string ResultsToCsv(const engine::Table& table,
+std::string ResultsToCsv(const rdf::Table& table,
                          const rdf::Dictionary& dict) {
   return WriteResults(table, dict, ResultFormat::kCsv);
 }
 
-std::string ResultsToTsv(const engine::Table& table,
+std::string ResultsToTsv(const rdf::Table& table,
                          const rdf::Dictionary& dict) {
   return WriteResults(table, dict, ResultFormat::kTsv);
 }

@@ -3,8 +3,8 @@
 
 #include <string>
 
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 
 // W3C SPARQL query-result serializers: the interchange formats a SPARQL
 // endpoint speaks. Implemented:
@@ -27,17 +27,17 @@ namespace s2rdf::sparql {
 enum class ResultFormat { kJson, kXml, kCsv, kTsv };
 
 // Serializes `table` in `format`.
-std::string WriteResults(const engine::Table& table,
+std::string WriteResults(const rdf::Table& table,
                          const rdf::Dictionary& dict, ResultFormat format);
 
 // WriteResults in one fixed format.
-std::string ResultsToJson(const engine::Table& table,
+std::string ResultsToJson(const rdf::Table& table,
                           const rdf::Dictionary& dict);
-std::string ResultsToXml(const engine::Table& table,
+std::string ResultsToXml(const rdf::Table& table,
                          const rdf::Dictionary& dict);
-std::string ResultsToCsv(const engine::Table& table,
+std::string ResultsToCsv(const rdf::Table& table,
                          const rdf::Dictionary& dict);
-std::string ResultsToTsv(const engine::Table& table,
+std::string ResultsToTsv(const rdf::Table& table,
                          const rdf::Dictionary& dict);
 
 // ASK results.

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/clock.h"
@@ -27,7 +26,6 @@ constexpr int kTransientRetries = 3;
 constexpr int kRetryBackoffMs = 1;
 
 constexpr char kCurrentFile[] = "CURRENT";
-constexpr char kLegacyManifestFile[] = "manifest.tsv";
 constexpr char kManifestPrefix[] = "manifest-";
 constexpr char kManifestSuffix[] = ".tsv";
 constexpr char kChecksumPrefix[] = "# checksum=";
@@ -135,7 +133,6 @@ Catalog::Catalog(Catalog&& other) noexcept S2RDF_NO_THREAD_SAFETY_ANALYSIS {
   lru_ = std::move(other.lru_);
   quarantined_ = std::move(other.quarantined_);
   stale_sources_ = std::move(other.stale_sources_);
-  degraded_fallback_ = std::move(other.degraded_fallback_);
   generation_ = other.generation_;
   corruptions_detected_.store(other.corruptions_detected_.load());
   queries_degraded_.store(other.queries_degraded_.load());
@@ -160,8 +157,7 @@ Catalog& Catalog::operator=(Catalog&& other) noexcept
     lru_ = std::move(other.lru_);
     quarantined_ = std::move(other.quarantined_);
     stale_sources_ = std::move(other.stale_sources_);
-    degraded_fallback_ = std::move(other.degraded_fallback_);
-    generation_ = other.generation_;
+      generation_ = other.generation_;
     corruptions_detected_.store(other.corruptions_detected_.load());
     queries_degraded_.store(other.queries_degraded_.load());
     quarantined_count_.store(other.quarantined_count_.load());
@@ -206,12 +202,12 @@ Status Catalog::ReadFileRetrying(const std::string& path,
   return status;
 }
 
-StatusOr<engine::Table> Catalog::LoadTableRetrying(
+StatusOr<rdf::Table> Catalog::LoadTableRetrying(
     const std::string& path) const {
   // Only transient (kIoError) failures are retried; corruption
   // (kInvalidArgument) and missing files (kNotFound) are final.
   for (int attempt = 0;; ++attempt) {
-    StatusOr<engine::Table> table = LoadTable(path, env_);
+    StatusOr<rdf::Table> table = LoadTable(path, env_);
     if (table.ok() || !IsTransient(table.status()) ||
         attempt >= kTransientRetries) {
       return table;
@@ -221,7 +217,7 @@ StatusOr<engine::Table> Catalog::LoadTableRetrying(
   }
 }
 
-Status Catalog::Put(const std::string& name, engine::Table table,
+Status Catalog::Put(const std::string& name, rdf::Table table,
                     double selectivity) {
   TableStats stats;
   stats.name = name;
@@ -236,7 +232,7 @@ Status Catalog::Put(const std::string& name, engine::Table table,
     S2RDF_ASSIGN_OR_RETURN(stats.bytes,
                            SaveTable(table, TablePath(name, 0), env_));
   }
-  auto owned = std::make_shared<const engine::Table>(std::move(table));
+  auto owned = std::make_shared<const rdf::Table>(std::move(table));
   uint64_t superseded_file_gen = 0;
   {
     MutexLock lock(&mu_);
@@ -283,12 +279,6 @@ const TableStats* Catalog::GetStats(const std::string& name) const {
 bool Catalog::IsQuarantined(const std::string& name) const {
   MutexLock lock(&mu_);
   return quarantined_.contains(name);
-}
-
-void Catalog::SetDegradedFallback(
-    std::function<std::string(const std::string&)> fallback) {
-  MutexLock lock(&mu_);
-  degraded_fallback_ = std::move(fallback);
 }
 
 void Catalog::NoteDegradedQuery() const {
@@ -355,7 +345,7 @@ void Catalog::QuarantineLocked(const std::string& name) {
   LogEvent(LogLevel::kError, "table_quarantined", {{"table", name}});
 }
 
-StatusOr<std::shared_ptr<const engine::Table>> Catalog::GetTableShared(
+StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTableShared(
     const std::string& name) {
   uint64_t file_gen = 0;
   {
@@ -378,7 +368,7 @@ StatusOr<std::shared_ptr<const engine::Table>> Catalog::GetTableShared(
   // concurrently. Two threads may race to load the same table; the
   // loser's copy simply replaces the winner's in the cache (both stay
   // valid through their shared_ptrs).
-  StatusOr<engine::Table> table = LoadTableRetrying(TablePath(name, file_gen));
+  StatusOr<rdf::Table> table = LoadTableRetrying(TablePath(name, file_gen));
   if (!table.ok()) {
     if (!IsTransient(table.status())) {
       // Corrupt or missing on disk: quarantine so future queries degrade
@@ -388,14 +378,14 @@ StatusOr<std::shared_ptr<const engine::Table>> Catalog::GetTableShared(
     }
     return table.status();
   }
-  auto owned = std::make_shared<const engine::Table>(std::move(*table));
+  auto owned = std::make_shared<const rdf::Table>(std::move(*table));
   MutexLock lock(&mu_);
   CacheInsertLocked(name, owned);
   return owned;
 }
 
-StatusOr<const engine::Table*> Catalog::GetTable(const std::string& name) {
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const engine::Table> table,
+StatusOr<const rdf::Table*> Catalog::GetTable(const std::string& name) {
+  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> table,
                          GetTableShared(name));
   // The cache keeps a reference; the raw pointer is valid until the
   // table is evicted or replaced.
@@ -403,7 +393,7 @@ StatusOr<const engine::Table*> Catalog::GetTable(const std::string& name) {
 }
 
 void Catalog::CacheInsertLocked(const std::string& name,
-                                std::shared_ptr<const engine::Table> table) {
+                                std::shared_ptr<const rdf::Table> table) {
   EvictFromMemoryLocked(name);  // Replace any stale copy.
   cached_bytes_ += table->ApproxBytes();
   cache_[name] = std::move(table);
@@ -651,7 +641,7 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       quarantined_.erase(new_stats[i].name);
       if (updates[i].table.has_value()) {
         CacheInsertLocked(new_stats[i].name,
-                          std::make_shared<const engine::Table>(
+                          std::make_shared<const rdf::Table>(
                               std::move(*updates[i].table)));
       } else if (!new_stats[i].materialized) {
         // Retained-file amendments keep any cached copy; true stats-only
@@ -678,28 +668,22 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
   return Status::Ok();
 }
 
-Status Catalog::AdoptManifest(const std::string& content,
-                              bool require_checksum) {
+Status Catalog::AdoptManifest(const std::string& content) {
   // Verify the self-checksum (everything up to the trailing checksum
   // line) before trusting any field.
   uint64_t generation = 0;
   size_t checksum_pos = content.rfind(kChecksumPrefix);
   if (checksum_pos == std::string::npos) {
-    if (require_checksum) {
-      return InvalidArgumentError("manifest missing checksum line");
-    }
-  } else {
-    if (checksum_pos != 0 && content[checksum_pos - 1] != '\n') {
-      return InvalidArgumentError("manifest checksum line misplaced");
-    }
-    std::string hex = content.substr(checksum_pos + sizeof(kChecksumPrefix) -
-                                     1);
-    uint64_t stored =
-        std::strtoull(std::string(StripWhitespace(hex)).c_str(), nullptr, 16);
-    if (Fnv1a64(std::string_view(content).substr(0, checksum_pos)) !=
-        stored) {
-      return InvalidArgumentError("manifest checksum mismatch");
-    }
+    return InvalidArgumentError("manifest missing checksum line");
+  }
+  if (checksum_pos != 0 && content[checksum_pos - 1] != '\n') {
+    return InvalidArgumentError("manifest checksum line misplaced");
+  }
+  std::string hex = content.substr(checksum_pos + sizeof(kChecksumPrefix) - 1);
+  uint64_t stored =
+      std::strtoull(std::string(StripWhitespace(hex)).c_str(), nullptr, 16);
+  if (Fnv1a64(std::string_view(content).substr(0, checksum_pos)) != stored) {
+    return InvalidArgumentError("manifest checksum mismatch");
   }
   std::map<std::string, TableStats> parsed;
   std::set<std::string> stale;
@@ -721,30 +705,24 @@ Status Catalog::AdoptManifest(const std::string& content,
       continue;
     }
     std::vector<std::string> fields = StrSplit(trimmed, '\t');
-    // 5 fields: pre-ingest manifests (no file_gen column).
-    if (fields.size() != 5 && fields.size() != 6) {
+    if (fields.size() != 6) {
       return InvalidArgumentError("malformed manifest line: " + line);
     }
     TableStats stats;
     stats.name = fields[0];
     long long rows = 0;
     long long bytes = 0;
+    long long file_gen = 0;
     double sel = 0.0;
     if (!ParseInt64(fields[1], &rows) || !ParseDouble(fields[2], &sel) ||
-        !ParseInt64(fields[3], &bytes)) {
+        !ParseInt64(fields[3], &bytes) || !ParseInt64(fields[5], &file_gen)) {
       return InvalidArgumentError("malformed manifest numbers: " + line);
     }
     stats.rows = static_cast<uint64_t>(rows);
     stats.selectivity = sel;
     stats.bytes = static_cast<uint64_t>(bytes);
     stats.materialized = fields[4] == "1";
-    if (fields.size() == 6) {
-      long long file_gen = 0;
-      if (!ParseInt64(fields[5], &file_gen)) {
-        return InvalidArgumentError("malformed manifest file_gen: " + line);
-      }
-      stats.file_gen = static_cast<uint64_t>(file_gen);
-    }
+    stats.file_gen = static_cast<uint64_t>(file_gen);
     parsed[stats.name] = stats;
   }
   MutexLock lock(&mu_);
@@ -770,22 +748,15 @@ Status Catalog::LoadManifest() {
     std::string name(StripWhitespace(current));
     std::string content;
     Status status = ReadFileRetrying(dir_ + "/" + name, &content);
-    if (status.ok()) status = AdoptManifest(content, /*require_checksum=*/true);
+    if (status.ok()) status = AdoptManifest(content);
     if (status.ok()) return status;
     if (IsTransient(status)) return status;  // Retryable, not corruption.
     corruptions_detected_.fetch_add(1, std::memory_order_relaxed);
     // Fall through to the chain scan.
   } else if (IsTransient(current_status)) {
     return current_status;
-  } else {
-    // 2. No CURRENT: a legacy (pre-generation) store, perhaps.
-    std::string content;
-    Status legacy =
-        ReadFileRetrying(dir_ + "/" + kLegacyManifestFile, &content);
-    if (legacy.ok()) return AdoptManifest(content, /*require_checksum=*/false);
-    if (IsTransient(legacy)) return legacy;
   }
-  // 3. Chain fallback: newest-first, adopt the first generation that
+  // 2. Chain fallback: newest-first, adopt the first generation that
   // still verifies.
   StatusOr<std::vector<std::string>> files = env_->ListDir(dir_);
   if (files.ok()) {
@@ -801,7 +772,7 @@ Status Catalog::LoadManifest() {
     for (const auto& [gen, file] : candidates) {
       std::string content;
       if (!ReadFileRetrying(dir_ + "/" + file, &content).ok()) continue;
-      if (AdoptManifest(content, /*require_checksum=*/true).ok()) {
+      if (AdoptManifest(content).ok()) {
         return Status::Ok();
       }
     }
@@ -881,49 +852,6 @@ StatusOr<RecoveryReport> Catalog::Recover() {
             {"old_manifests_removed", report.old_manifests_removed},
             {"orphan_tables_removed", report.orphan_tables_removed}});
   return report;
-}
-
-engine::TableProvider Catalog::AsProvider() {
-  // The pin map keeps every resolved table alive (and memoizes the
-  // lookup) for as long as the provider itself lives — one query.
-  auto pins = std::make_shared<
-      std::unordered_map<std::string, std::shared_ptr<const engine::Table>>>();
-  // One degradation event per query, however many scans substitute.
-  auto degraded = std::make_shared<std::atomic<bool>>(false);
-  return [this, pins, degraded](const std::string& name)
-             -> const engine::Table* {
-    auto pinned = pins->find(name);
-    if (pinned != pins->end()) return pinned->second.get();
-    StatusOr<std::shared_ptr<const engine::Table>> table =
-        GetTableShared(name);
-    if (!table.ok()) {
-      // Load-time failure (checksum, missing file, quarantine): degrade
-      // to the installed superset fallback (ExtVP -> base VP) so the
-      // query still answers — correctness rests on VP ⊇ ExtVP.
-      std::function<std::string(const std::string&)> fallback;
-      {
-        MutexLock lock(&mu_);
-        fallback = degraded_fallback_;
-      }
-      if (fallback != nullptr) {
-        std::string substitute = fallback(name);
-        if (!substitute.empty() && substitute != name) {
-          StatusOr<std::shared_ptr<const engine::Table>> fb =
-              GetTableShared(substitute);
-          if (fb.ok()) {
-            if (!degraded->exchange(true)) NoteDegradedQuery();
-            const engine::Table* ptr = fb->get();
-            pins->emplace(name, std::move(*fb));
-            return ptr;
-          }
-        }
-      }
-      return nullptr;
-    }
-    const engine::Table* ptr = table->get();
-    pins->emplace(name, std::move(*table));
-    return ptr;
-  };
 }
 
 }  // namespace s2rdf::storage

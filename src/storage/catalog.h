@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -13,12 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "engine/plan.h"
-#include "engine/table.h"
-#include "storage/env.h"
+#include "rdf/table.h"
 
 // Named-table catalog with persisted statistics — the analogue of the
 // HDFS directory of Parquet files plus the table statistics S2RDF
@@ -88,7 +86,7 @@ struct RecoveryReport {
 // file is superseded).
 struct TableUpdate {
   std::string name;
-  std::optional<engine::Table> table;
+  std::optional<rdf::Table> table;
   uint64_t rows = 0;          // Used when `table` is empty.
   double selectivity = 1.0;
   // When set (and `table` is empty), the existing materialized file is
@@ -123,7 +121,7 @@ class Catalog {
   Catalog& operator=(const Catalog&) = delete;
 
   // Registers and materializes `table` under `name`.
-  Status Put(const std::string& name, engine::Table table,
+  Status Put(const std::string& name, rdf::Table table,
              double selectivity);
 
   // Registers statistics for a table that is intentionally not
@@ -153,12 +151,12 @@ class Catalog {
   // NotFound for unknown or unmaterialized names; FailedPrecondition for
   // quarantined ones. Transient (kIoError) read failures are retried
   // with backoff; corruption quarantines the table.
-  StatusOr<std::shared_ptr<const engine::Table>> GetTableShared(
+  StatusOr<std::shared_ptr<const rdf::Table>> GetTableShared(
       const std::string& name);
 
   // Raw-pointer variant for single-threaded callers (layout builders,
   // baselines, tests): valid until the table is evicted or replaced.
-  StatusOr<const engine::Table*> GetTable(const std::string& name);
+  StatusOr<const rdf::Table*> GetTable(const std::string& name);
 
   // Drops a materialized table's in-memory copy (it stays on disk).
   void EvictFromMemory(const std::string& name);
@@ -168,7 +166,7 @@ class Catalog {
   // Disk-backed catalogs can bound their in-memory cache: EvictToBudget
   // drops least-recently-used tables until CachedBytes() fits the
   // budget. Queries pin the tables they scan via the shared_ptr handles
-  // of GetTableShared / AsProvider, so eviction only drops the
+  // of GetTableShared, so eviction only drops the
   // catalog's own reference; the bytes are reclaimed when the last
   // in-flight query releases its pin. In-memory catalogs (empty `dir`)
   // never evict — their tables have no disk copy.
@@ -199,8 +197,8 @@ class Catalog {
   Status SaveManifest() const;
 
   // Restores the stats from the manifest chain: CURRENT's generation if
-  // it verifies, else the newest generation that does, else a legacy
-  // un-checksummed "manifest.tsv".
+  // it verifies, else the newest generation that does. NotFound when no
+  // generation verifies.
   Status LoadManifest();
 
   // Startup recovery: LoadManifest, then verify every materialized
@@ -215,16 +213,9 @@ class Catalog {
   // selection degrades to the base VP table / triples table instead.
   bool IsQuarantined(const std::string& name) const;
 
-  // Installs the name-level fallback used by AsProvider when a table
-  // fails its load-time checksum mid-query: maps a table name to the
-  // name of a superset table that answers the same scans (ExtVP -> base
-  // VP); return "" for "no fallback". Installed by core::S2Rdf.
-  void SetDegradedFallback(
-      std::function<std::string(const std::string&)> fallback);
-
-  // Incremented by the query compiler when table selection had to
-  // substitute a worse table for a quarantined one. const because the
-  // compiler only holds a const catalog reference.
+  // Incremented once per query that had to substitute a superset table
+  // for a quarantined or corrupt one (at table selection or mid-query).
+  // const because the compiler only holds a const catalog reference.
   void NoteDegradedQuery() const;
 
   // --- Staleness (deferred ExtVP/SF maintenance) --------------------------
@@ -272,15 +263,6 @@ class Catalog {
   // Generation of the manifest currently loaded / last saved.
   uint64_t generation() const;
 
-  // Adapter for engine::ExecutePlan. The provider loads lazily, returns
-  // nullptr for unknown tables, and *pins* every table it resolves for
-  // its own lifetime — callers keep the provider alive for the duration
-  // of one query, making concurrent eviction safe. When a table fails
-  // its load-time checksum the provider degrades to the installed
-  // fallback table (recording the substitution) instead of failing the
-  // query.
-  engine::TableProvider AsProvider();
-
   const std::string& dir() const { return dir_; }
 
   // On-disk file name of a table at file generation `file_gen`:
@@ -294,7 +276,7 @@ class Catalog {
   // unknown).
   std::string CurrentTablePath(const std::string& name) const
       S2RDF_EXCLUDES(mu_);
-  StatusOr<engine::Table> LoadTableRetrying(const std::string& path) const;
+  StatusOr<rdf::Table> LoadTableRetrying(const std::string& path) const;
   // Renders the checksummed manifest content for generation `gen` from
   // the given stats + stale snapshot.
   static std::string RenderManifest(
@@ -306,13 +288,12 @@ class Catalog {
   // Best-effort prune of manifest generations older than `gen` - 1.
   void PruneOldManifests(uint64_t gen) const;
   // Parses + verifies one manifest blob and swaps it in. mu_ NOT held.
-  Status AdoptManifest(const std::string& content, bool require_checksum)
-      S2RDF_EXCLUDES(mu_);
+  Status AdoptManifest(const std::string& content) S2RDF_EXCLUDES(mu_);
   // The *Locked helpers require mu_ to be held (compiler-checked under
   // the analyze preset).
   void QuarantineLocked(const std::string& name) S2RDF_REQUIRES(mu_);
   void CacheInsertLocked(const std::string& name,
-                         std::shared_ptr<const engine::Table> table)
+                         std::shared_ptr<const rdf::Table> table)
       S2RDF_REQUIRES(mu_);
   void EvictFromMemoryLocked(const std::string& name) S2RDF_REQUIRES(mu_);
   void TouchLruLocked(const std::string& name) S2RDF_REQUIRES(mu_);
@@ -321,7 +302,7 @@ class Catalog {
   Env* env_;
   mutable Mutex mu_;
   std::map<std::string, TableStats> stats_ S2RDF_GUARDED_BY(mu_);
-  std::map<std::string, std::shared_ptr<const engine::Table>> cache_
+  std::map<std::string, std::shared_ptr<const rdf::Table>> cache_
       S2RDF_GUARDED_BY(mu_);
   uint64_t memory_budget_ S2RDF_GUARDED_BY(mu_) = 0;
   uint64_t cached_bytes_ S2RDF_GUARDED_BY(mu_) = 0;
@@ -332,8 +313,6 @@ class Catalog {
   // Base VP tables whose ExtVP dependents are pending a deferred
   // refresh (see MarkStaleSource).
   std::set<std::string> stale_sources_ S2RDF_GUARDED_BY(mu_);
-  std::function<std::string(const std::string&)> degraded_fallback_
-      S2RDF_GUARDED_BY(mu_);
   // SaveManifest is logically const (it persists, not mutates, the
   // stats), so the generation cursor it advances is mutable.
   mutable uint64_t generation_ S2RDF_GUARDED_BY(mu_) = 0;

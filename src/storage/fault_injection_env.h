@@ -5,10 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "storage/env.h"
 
 // Deterministic fault injection for the storage layer. Wraps a base Env
 // and can

@@ -10,8 +10,7 @@ namespace s2rdf::storage {
 namespace {
 
 constexpr char kMagic[4] = {'S', '2', 'T', 'B'};
-// Version 2 adds a per-column chunk checksum; version 1 files stay
-// readable.
+// Version 2 carries a checksum per column chunk.
 constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderBytes = 8;   // magic + version
 constexpr size_t kTrailerBytes = 8;  // FNV-1a64 of the rest
@@ -19,34 +18,7 @@ constexpr size_t kTrailerBytes = 8;  // FNV-1a64 of the rest
 // trailer.
 constexpr size_t kMinFileBytes = kHeaderBytes + 2 + kTrailerBytes;
 
-// Size, magic and version checks shared by deserialization and
-// verification. Rejects blobs shorter than header + trailer outright so
-// no downstream substr/memcpy ever reads out of bounds.
-Status CheckHeader(std::string_view blob, uint32_t* version) {
-  if (blob.size() < kMinFileBytes) {
-    return InvalidArgumentError(
-        "table file too short (" + std::to_string(blob.size()) +
-        " bytes; minimum is " + std::to_string(kMinFileBytes) + ")");
-  }
-  if (std::memcmp(blob.data(), kMagic, 4) != 0) {
-    return InvalidArgumentError("not an S2TB table file");
-  }
-  std::memcpy(version, blob.data() + 4, 4);
-  if (*version != 1 && *version != kVersion) {
-    return InvalidArgumentError("unsupported table file version " +
-                                std::to_string(*version));
-  }
-  return Status::Ok();
-}
-
-bool FileChecksumOk(std::string_view blob) {
-  uint64_t stored = 0;
-  std::memcpy(&stored, blob.data() + blob.size() - kTrailerBytes,
-              kTrailerBytes);
-  return Fnv1a64(blob.substr(0, blob.size() - kTrailerBytes)) == stored;
-}
-
-// Walks a v2 payload verifying each column's chunk checksum without
+// Walks a payload verifying each column's chunk checksum without
 // decoding, to pin file-level corruption onto one column. The walk is
 // fully bounds-checked: the payload itself may be damaged.
 Status LocalizeCorruption(std::string_view payload) {
@@ -85,7 +57,7 @@ Status LocalizeCorruption(std::string_view payload) {
 
 }  // namespace
 
-std::string SerializeTable(const engine::Table& table) {
+std::string SerializeTable(const rdf::Table& table) {
   std::string out;
   out.append(kMagic, 4);
   char version[4];
@@ -108,25 +80,33 @@ std::string SerializeTable(const engine::Table& table) {
   return out;
 }
 
+// Rejects blobs shorter than header + trailer outright so no downstream
+// substr/memcpy ever reads out of bounds.
 Status VerifyTableBlob(std::string_view blob) {
-  uint32_t version = 0;
-  S2RDF_RETURN_IF_ERROR(CheckHeader(blob, &version));
-  if (FileChecksumOk(blob)) return Status::Ok();
-  if (version == kVersion) {
-    return LocalizeCorruption(blob.substr(0, blob.size() - kTrailerBytes));
+  if (blob.size() < kMinFileBytes) {
+    return InvalidArgumentError(
+        "table file too short (" + std::to_string(blob.size()) +
+        " bytes; minimum is " + std::to_string(kMinFileBytes) + ")");
   }
-  return InvalidArgumentError("table file checksum mismatch");
+  if (std::memcmp(blob.data(), kMagic, 4) != 0) {
+    return InvalidArgumentError("not an S2TB table file");
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, blob.data() + 4, 4);
+  if (version != kVersion) {
+    return InvalidArgumentError("unsupported table file version " +
+                                std::to_string(version));
+  }
+  uint64_t stored = 0;
+  std::memcpy(&stored, blob.data() + blob.size() - kTrailerBytes,
+              kTrailerBytes);
+  std::string_view payload = blob.substr(0, blob.size() - kTrailerBytes);
+  if (Fnv1a64(payload) == stored) return Status::Ok();
+  return LocalizeCorruption(payload);
 }
 
-StatusOr<engine::Table> DeserializeTable(std::string_view blob) {
-  uint32_t version = 0;
-  S2RDF_RETURN_IF_ERROR(CheckHeader(blob, &version));
-  if (!FileChecksumOk(blob)) {
-    if (version == kVersion) {
-      return LocalizeCorruption(blob.substr(0, blob.size() - kTrailerBytes));
-    }
-    return InvalidArgumentError("table file checksum mismatch");
-  }
+StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
+  S2RDF_RETURN_IF_ERROR(VerifyTableBlob(blob));
   // All parsing below is bounded by the payload (trailer excluded), so a
   // damaged length field can never read checksum bytes as data.
   std::string_view payload = blob.substr(0, blob.size() - kTrailerBytes);
@@ -153,10 +133,8 @@ StatusOr<engine::Table> DeserializeTable(std::string_view blob) {
       return InvalidArgumentError("table file truncated (column block)");
     }
     std::vector<uint32_t> column;
-    std::string_view chunk = payload.substr(pos, chunk_len);
-    Status decoded = version == kVersion
-                         ? DecodeColumnChecksummed(chunk, &column)
-                         : DecodeColumn(chunk, &column);
+    Status decoded =
+        DecodeColumnChecksummed(payload.substr(pos, chunk_len), &column);
     if (!decoded.ok()) {
       return InvalidArgumentError("column '" + names.back() +
                                   "': " + decoded.message());
@@ -167,20 +145,18 @@ StatusOr<engine::Table> DeserializeTable(std::string_view blob) {
     columns.push_back(std::move(column));
     pos += chunk_len;
   }
-  engine::Table table(std::move(names));
-  if (nrows > 0) {
-    table.Reserve(nrows);
-    for (uint64_t r = 0; r < nrows; ++r) {
-      std::vector<uint32_t> row;
-      row.reserve(ncols);
-      for (uint64_t c = 0; c < ncols; ++c) row.push_back(columns[c][r]);
-      table.AppendRow(row);
-    }
+  rdf::Table table(std::move(names));
+  if (ncols > 0) {
+    table.AdoptColumns(std::move(columns));
+  } else {
+    // A zero-column table (the join identity) has no column to carry
+    // its row count.
+    for (uint64_t r = 0; r < nrows; ++r) table.AppendRow({});
   }
   return table;
 }
 
-StatusOr<uint64_t> SaveTable(const engine::Table& table,
+StatusOr<uint64_t> SaveTable(const rdf::Table& table,
                              const std::string& path, Env* env) {
   if (env == nullptr) env = Env::Default();
   std::string blob = SerializeTable(table);
@@ -188,7 +164,7 @@ StatusOr<uint64_t> SaveTable(const engine::Table& table,
   return static_cast<uint64_t>(blob.size());
 }
 
-StatusOr<engine::Table> LoadTable(const std::string& path, Env* env) {
+StatusOr<rdf::Table> LoadTable(const std::string& path, Env* env) {
   if (env == nullptr) env = Env::Default();
   std::string blob;
   S2RDF_RETURN_IF_ERROR(env->ReadFile(path, &blob));

@@ -3,42 +3,41 @@
 
 #include <string>
 
+#include "common/env.h"
 #include "common/status.h"
-#include "engine/table.h"
-#include "storage/env.h"
+#include "rdf/table.h"
 
 // Single-table binary file format ("S2TB"): the project's Parquet
-// analogue. Version 2 layout:
+// analogue. Layout (version 2, the only version read or written):
 //   magic "S2TB" | version u32 | ncols varint | nrows varint
 //   per column: name (varint length + bytes) | chunk (varint length +
 //   EncodeColumnChecksummed bytes — block + its own FNV-1a64)
 //   trailer: FNV-1a64 checksum of everything before it.
-// Version 1 files (no per-column checksums) remain readable. The
-// per-chunk checksums localize corruption to one column; the trailer
+// The per-chunk checksums localize corruption to one column; the trailer
 // checksum still guards the whole file.
 
 namespace s2rdf::storage {
 
-// Serializes `table` into the S2TB byte format (current version).
-std::string SerializeTable(const engine::Table& table);
+// Serializes `table` into the S2TB byte format.
+std::string SerializeTable(const rdf::Table& table);
 
-// Parses an S2TB blob (verifies the file checksum and, for v2, the
-// per-column chunk checksums; errors name the corrupt column).
-StatusOr<engine::Table> DeserializeTable(std::string_view blob);
+// Parses an S2TB blob straight into columns (verifies the file checksum
+// and the per-column chunk checksums; errors name the corrupt column).
+StatusOr<rdf::Table> DeserializeTable(std::string_view blob);
 
 // Integrity check without materializing the table: header, trailer
-// checksum and (v2) every chunk checksum. kInvalidArgument describes
-// where the corruption sits.
+// checksum and every chunk checksum. kInvalidArgument describes where
+// the corruption sits.
 Status VerifyTableBlob(std::string_view blob);
 
 // Writes `table` to `path` crash-safely (temp file + fsync + rename via
 // `env`, Env::Default() when null); returns the file size in bytes.
-StatusOr<uint64_t> SaveTable(const engine::Table& table,
+StatusOr<uint64_t> SaveTable(const rdf::Table& table,
                              const std::string& path, Env* env = nullptr);
 
 // Reads a table written by SaveTable.
-StatusOr<engine::Table> LoadTable(const std::string& path,
-                                  Env* env = nullptr);
+StatusOr<rdf::Table> LoadTable(const std::string& path,
+                               Env* env = nullptr);
 
 }  // namespace s2rdf::storage
 

@@ -11,7 +11,7 @@
 namespace s2rdf {
 namespace {
 
-using engine::AggregateSpec;
+using sparql::AggregateSpec;
 
 std::string IntLit(long long v) {
   return "\"" + std::to_string(v) +
@@ -38,7 +38,7 @@ class GroupByOperatorTest : public ::testing::Test {
   rdf::TermId Find(const std::string& s) { return *dict_.Find(s); }
 
   rdf::Dictionary dict_;
-  engine::Table table_;
+  rdf::Table table_;
   rdf::TermId a_, b_, one_, two_, five_;
 };
 
@@ -77,7 +77,7 @@ TEST_F(GroupByOperatorTest, CountDistinct) {
 }
 
 TEST_F(GroupByOperatorTest, ImplicitGroupOverEmptyInput) {
-  engine::Table empty({"v"});
+  rdf::Table empty({"v"});
   std::vector<AggregateSpec> specs = {
       {AggregateSpec::Fn::kCountStar, "", "n", false},
       {AggregateSpec::Fn::kSum, "v", "total", false},
@@ -88,13 +88,13 @@ TEST_F(GroupByOperatorTest, ImplicitGroupOverEmptyInput) {
   ASSERT_EQ(out->NumRows(), 1u);
   EXPECT_EQ(out->At(0, 0), Find(IntLit(0)));  // COUNT = 0.
   EXPECT_EQ(out->At(0, 1), Find(IntLit(0)));  // SUM of empty = 0.
-  EXPECT_EQ(out->At(0, 2), engine::kNullTermId);  // MIN unbound.
+  EXPECT_EQ(out->At(0, 2), rdf::kNullTermId);  // MIN unbound.
 }
 
 TEST_F(GroupByOperatorTest, UnboundBindingsAreSkipped) {
-  engine::Table t({"v"});
+  rdf::Table t({"v"});
   t.AppendRow({one_});
-  t.AppendRow({engine::kNullTermId});
+  t.AppendRow({rdf::kNullTermId});
   std::vector<AggregateSpec> specs = {
       {AggregateSpec::Fn::kCount, "v", "n", false},
       {AggregateSpec::Fn::kCountStar, "", "all", false},
@@ -106,14 +106,14 @@ TEST_F(GroupByOperatorTest, UnboundBindingsAreSkipped) {
 }
 
 TEST_F(GroupByOperatorTest, SumOverNonNumericIsUnbound) {
-  engine::Table t({"v"});
+  rdf::Table t({"v"});
   t.AppendRow({dict_.Encode("\"abc\"")});
   std::vector<AggregateSpec> specs = {
       {AggregateSpec::Fn::kSum, "v", "total", false},
   };
   auto out = engine::GroupByAggregate(t, {}, specs, &dict_, nullptr);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->At(0, 0), engine::kNullTermId);
+  EXPECT_EQ(out->At(0, 0), rdf::kNullTermId);
 }
 
 TEST_F(GroupByOperatorTest, ErrorsOnUnknownVariables) {
@@ -283,8 +283,8 @@ TEST_F(AggregateQueryTest, AggregatesAcrossLayoutsAgree) {
   ASSERT_TRUE(extvp.ok());
   ASSERT_TRUE(vp.ok());
   ASSERT_TRUE(tt.ok());
-  EXPECT_TRUE(engine::Table::SameBag(extvp->table, vp->table));
-  EXPECT_TRUE(engine::Table::SameBag(extvp->table, tt->table));
+  EXPECT_TRUE(rdf::Table::SameBag(extvp->table, vp->table));
+  EXPECT_TRUE(rdf::Table::SameBag(extvp->table, tt->table));
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ constexpr char kQ1[] =
     "SELECT ?x ?y ?z ?w WHERE { ?x <likes> ?w . ?x <follows> ?y . "
     "?y <follows> ?z . ?z <likes> ?w }";
 
-void ExpectQ1Result(const engine::Table& table, const rdf::Graph& g) {
+void ExpectQ1Result(const rdf::Table& table, const rdf::Graph& g) {
   ASSERT_EQ(table.NumRows(), 1u);
   const rdf::Dictionary& dict = g.dictionary();
   auto col = [&](const char* name) {

@@ -11,9 +11,9 @@
 #include "core/s2rdf.h"
 #include "engine/aggregate.h"
 #include "engine/operators.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
+#include "rdf/table.h"
 
 // Concurrency tests for the S2Rdf facade: many threads sharing one
 // instance (with lazy ExtVP and a tiny memory budget to force eviction
@@ -59,7 +59,7 @@ constexpr size_t kNumMixedQueries =
     sizeof(kMixedQueries) / sizeof(kMixedQueries[0]);
 
 std::vector<std::vector<std::string>> SortedRows(const S2Rdf& db,
-                                                 const engine::Table& table) {
+                                                 const rdf::Table& table) {
   std::vector<std::vector<std::string>> rows = db.DecodeRows(table);
   std::sort(rows.begin(), rows.end());
   return rows;
@@ -265,7 +265,7 @@ TEST(QueryOptionsTest, LayoutOverrideSelectsLayout) {
   auto vp = (*db)->Execute(request);
   ASSERT_TRUE(vp.ok());
   EXPECT_EQ(vp->sql.find("extvp_"), std::string::npos);
-  EXPECT_TRUE(engine::Table::SameBag(extvp->table, vp->table));
+  EXPECT_TRUE(rdf::Table::SameBag(extvp->table, vp->table));
 }
 
 TEST(QueryOptionsTest, TimeoutAppliesToGraphForms) {
@@ -330,8 +330,8 @@ engine::ExecContext ExpiredDeadline() {
 }
 
 // n rows of (i+1, i+1): two such tables join 1:1 on a shared column.
-engine::Table SeqPairs(const char* c0, const char* c1, size_t n) {
-  engine::Table t({c0, c1});
+rdf::Table SeqPairs(const char* c0, const char* c1, size_t n) {
+  rdf::Table t({c0, c1});
   for (size_t i = 0; i < n; ++i) {
     t.AppendRow({static_cast<rdf::TermId>(i + 1),
                  static_cast<rdf::TermId>(i + 1)});
@@ -340,77 +340,77 @@ engine::Table SeqPairs(const char* c0, const char* c1, size_t n) {
 }
 
 TEST(OperatorInterruptTest, SortMergeJoinHonorsDeadline) {
-  engine::Table left = SeqPairs("x", "y", 6000);
-  engine::Table right = SeqPairs("y", "z", 6000);
+  rdf::Table left = SeqPairs("x", "y", 6000);
+  rdf::Table right = SeqPairs("y", "z", 6000);
   engine::ExecContext expired = ExpiredDeadline();
-  engine::Table out = engine::SortMergeJoin(left, right, &expired);
+  rdf::Table out = engine::SortMergeJoin(left, right, &expired);
   EXPECT_EQ(out.NumRows(), 0u);
   EXPECT_EQ(expired.interrupt_status.code(), StatusCode::kDeadlineExceeded);
 
   engine::ExecContext fresh;
-  engine::Table full = engine::SortMergeJoin(left, right, &fresh);
+  rdf::Table full = engine::SortMergeJoin(left, right, &fresh);
   EXPECT_TRUE(fresh.interrupt_status.ok());
   EXPECT_EQ(full.NumRows(), 6000u);
 }
 
 TEST(OperatorInterruptTest, SemiJoinHonorsDeadline) {
-  engine::Table left = SeqPairs("x", "y", 6000);
-  engine::Table right = SeqPairs("y", "z", 6000);
+  rdf::Table left = SeqPairs("x", "y", 6000);
+  rdf::Table right = SeqPairs("y", "z", 6000);
   engine::ExecContext expired = ExpiredDeadline();
-  engine::Table out = engine::SemiJoin(left, 1, right, 0, &expired);
+  rdf::Table out = engine::SemiJoin(left, 1, right, 0, &expired);
   EXPECT_EQ(out.NumRows(), 0u);
   EXPECT_EQ(expired.interrupt_status.code(), StatusCode::kDeadlineExceeded);
 
   engine::ExecContext fresh;
-  engine::Table full = engine::SemiJoin(left, 1, right, 0, &fresh);
+  rdf::Table full = engine::SemiJoin(left, 1, right, 0, &fresh);
   EXPECT_TRUE(fresh.interrupt_status.ok());
   EXPECT_EQ(full.NumRows(), 6000u);
 }
 
 TEST(OperatorInterruptTest, LeftOuterJoinHonorsDeadline) {
-  engine::Table left = SeqPairs("x", "y", 6000);
-  engine::Table right = SeqPairs("y", "z", 6000);
+  rdf::Table left = SeqPairs("x", "y", 6000);
+  rdf::Table right = SeqPairs("y", "z", 6000);
   rdf::Dictionary dict;
   engine::ExecContext expired = ExpiredDeadline();
-  engine::Table out =
+  rdf::Table out =
       engine::LeftOuterJoin(left, right, nullptr, dict, &expired);
   EXPECT_EQ(out.NumRows(), 0u);
   EXPECT_EQ(expired.interrupt_status.code(), StatusCode::kDeadlineExceeded);
 
   engine::ExecContext fresh;
-  engine::Table full =
+  rdf::Table full =
       engine::LeftOuterJoin(left, right, nullptr, dict, &fresh);
   EXPECT_TRUE(fresh.interrupt_status.ok());
   EXPECT_EQ(full.NumRows(), 6000u);
 }
 
 TEST(OperatorInterruptTest, UnionAllHonorsDeadline) {
-  engine::Table a = SeqPairs("x", "y", 6000);
-  engine::Table b = SeqPairs("y", "z", 6000);
+  rdf::Table a = SeqPairs("x", "y", 6000);
+  rdf::Table b = SeqPairs("y", "z", 6000);
   engine::ExecContext expired = ExpiredDeadline();
-  engine::Table out = engine::UnionAll(a, b, &expired);
+  rdf::Table out = engine::UnionAll(a, b, &expired);
   EXPECT_EQ(out.NumRows(), 0u);
   EXPECT_EQ(expired.interrupt_status.code(), StatusCode::kDeadlineExceeded);
 
   engine::ExecContext fresh;
-  engine::Table full = engine::UnionAll(a, b, &fresh);
+  rdf::Table full = engine::UnionAll(a, b, &fresh);
   EXPECT_TRUE(fresh.interrupt_status.ok());
   EXPECT_EQ(full.NumRows(), 12000u);
 }
 
 TEST(OperatorInterruptTest, DistinctHonorsDeadline) {
-  engine::Table t({"a", "b"});
+  rdf::Table t({"a", "b"});
   for (size_t i = 0; i < 6000; ++i) {
     t.AppendRow({static_cast<rdf::TermId>(i % 100 + 1),
                  static_cast<rdf::TermId>(i % 100 + 1)});
   }
   engine::ExecContext expired = ExpiredDeadline();
-  engine::Table out = engine::Distinct(t, &expired);
+  rdf::Table out = engine::Distinct(t, &expired);
   EXPECT_EQ(out.NumRows(), 0u);
   EXPECT_EQ(expired.interrupt_status.code(), StatusCode::kDeadlineExceeded);
 
   engine::ExecContext fresh;
-  engine::Table full = engine::Distinct(t, &fresh);
+  rdf::Table full = engine::Distinct(t, &fresh);
   EXPECT_TRUE(fresh.interrupt_status.ok());
   EXPECT_EQ(full.NumRows(), 100u);
 }
@@ -423,31 +423,31 @@ TEST(OperatorInterruptTest, OrderByHonorsDeadline) {
         "\"" + std::to_string(i) +
         "\"^^<http://www.w3.org/2001/XMLSchema#integer>"));
   }
-  engine::Table t({"n"});
+  rdf::Table t({"n"});
   for (size_t i = 0; i < 6000; ++i) {
     t.AppendRow({terms[(i * 37) % terms.size()]});
   }
   engine::ExecContext expired = ExpiredDeadline();
-  engine::Table out = engine::OrderBy(t, {{"n", true}}, dict, &expired);
+  rdf::Table out = engine::OrderBy(t, {{"n", true}}, dict, &expired);
   EXPECT_EQ(out.NumRows(), 0u);
   EXPECT_EQ(expired.interrupt_status.code(), StatusCode::kDeadlineExceeded);
 
   engine::ExecContext fresh;
-  engine::Table full = engine::OrderBy(t, {{"n", true}}, dict, &fresh);
+  rdf::Table full = engine::OrderBy(t, {{"n", true}}, dict, &fresh);
   EXPECT_TRUE(fresh.interrupt_status.ok());
   ASSERT_EQ(full.NumRows(), 6000u);
   EXPECT_EQ(full.At(0, 0), terms[0]);
 }
 
 TEST(OperatorInterruptTest, GroupByAggregateHonorsDeadline) {
-  engine::Table t({"k", "v"});
+  rdf::Table t({"k", "v"});
   for (size_t i = 0; i < 6000; ++i) {
     t.AppendRow({static_cast<rdf::TermId>(i % 50 + 1),
                  static_cast<rdf::TermId>(i + 1)});
   }
   rdf::Dictionary dict;
-  std::vector<engine::AggregateSpec> specs = {
-      {engine::AggregateSpec::Fn::kCountStar, "", "n", false}};
+  std::vector<sparql::AggregateSpec> specs = {
+      {sparql::AggregateSpec::Fn::kCountStar, "", "n", false}};
 
   engine::ExecContext expired = ExpiredDeadline();
   auto out = engine::GroupByAggregate(t, {"k"}, specs, &dict, &expired);

@@ -2,6 +2,7 @@
 
 #include "common/file_util.h"
 #include "core/compiler.h"
+#include "core/layout_names.h"
 #include "core/layouts.h"
 #include "core/s2rdf.h"
 #include "core/table_selection.h"
@@ -242,15 +243,13 @@ TEST_F(ExtVpG1Test, JoinOrderOptimizationReducesIntermediates) {
   ASSERT_TRUE(db.ok());
   CompilerOptions opt;
   opt.layout = Layout::kExtVp;
-  // Exercises the deprecated alias on purpose (back-compat coverage).
-  opt.optimize_join_order = true;  // s2rdf-lint: allow(deprecated-api)
   CompilerOptions unopt = opt;
-  unopt.optimize_join_order = false;  // s2rdf-lint: allow(deprecated-api)
+  unopt.optimizer.reorder_joins = false;
   auto with = (*db)->ExecuteWithOptions(kQ1, opt);
   auto without = (*db)->ExecuteWithOptions(kQ1, unopt);
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
-  EXPECT_TRUE(engine::Table::SameBag(with->table, without->table));
+  EXPECT_TRUE(rdf::Table::SameBag(with->table, without->table));
   // Fig. 12: ordering by table size joins the two smallest tables first.
   EXPECT_LE(with->metrics.join_comparisons,
             without->metrics.join_comparisons);
@@ -304,7 +303,7 @@ TEST_F(ExtVpBitmapG1Test, Q1MatchesOtherLayouts) {
   ASSERT_TRUE(bitmap.ok()) << bitmap.status().ToString();
   auto extvp = db_->Execute(kQ1, Layout::kExtVp);
   ASSERT_TRUE(extvp.ok());
-  EXPECT_TRUE(engine::Table::SameBag(bitmap->table, extvp->table));
+  EXPECT_TRUE(rdf::Table::SameBag(bitmap->table, extvp->table));
   // The rendered SQL mentions the bitmap filter.
   EXPECT_NE(bitmap->sql.find("BITMAP("), std::string::npos);
 }
@@ -384,7 +383,7 @@ TEST_F(SparqlFeaturesTest, FilterPushdownPreservesResults) {
   auto b = db_->ExecuteWithOptions(kQuery, unpushed);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(engine::Table::SameBag(a->table, b->table));
+  EXPECT_TRUE(rdf::Table::SameBag(a->table, b->table));
   EXPECT_EQ(a->table.NumRows(), 2u);  // A follows B; C follows D.
   // With pushdown the filter sits below the final join.
   EXPECT_LE(a->metrics.intermediate_tuples, b->metrics.intermediate_tuples);
@@ -438,7 +437,7 @@ TEST_F(SparqlFeaturesTest, UnionJoinedWithBgp) {
   auto tt = db_->Execute(kQuery, Layout::kTriplesTable);
   ASSERT_TRUE(extvp.ok());
   ASSERT_TRUE(tt.ok());
-  EXPECT_TRUE(engine::Table::SameBag(extvp->table, tt->table));
+  EXPECT_TRUE(rdf::Table::SameBag(extvp->table, tt->table));
   EXPECT_GT(extvp->table.NumRows(), 0u);
 }
 
@@ -500,7 +499,7 @@ TEST(LazyExtVpTest, MaterializesOnFirstUseAndCaches) {
   auto second = (*db)->Execute(kQ1, Layout::kExtVp);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ((*db)->lazy_pairs_computed(), computed);
-  EXPECT_TRUE(engine::Table::SameBag(first->table, second->table));
+  EXPECT_TRUE(rdf::Table::SameBag(first->table, second->table));
 }
 
 TEST(LazyExtVpTest, MatchesEagerResultsAndSelectivities) {
@@ -514,7 +513,7 @@ TEST(LazyExtVpTest, MatchesEagerResultsAndSelectivities) {
   auto b = (*eager)->Execute(kQ1, Layout::kExtVp);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(engine::Table::SameBag(a->table, b->table));
+  EXPECT_TRUE(rdf::Table::SameBag(a->table, b->table));
   // The lazily-computed tables carry the same SF values as Fig. 10.
   const rdf::Dictionary& dict = (*lazy)->graph().dictionary();
   rdf::TermId follows = *dict.Find("<follows>");
@@ -624,6 +623,63 @@ TEST(CompilerEdgeTest, DuplicateTriplesInInputAreDeduplicated) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.NumRows(), 1u);
   }
+}
+
+// --- The query-time table provider ---------------------------------------
+
+rdf::Table MakeTable(uint32_t rows) {
+  rdf::Table t({"s", "o"});
+  for (uint32_t i = 0; i < rows; ++i) t.AppendRow({i / 10, i * 7 % 97});
+  return t;
+}
+
+TEST(CatalogProviderTest, ResolvesAndPinsTables) {
+  ScopedTempDir dir;
+  storage::Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.Put("t1", MakeTable(500), 1.0).ok());
+  engine::TableProvider provider = CatalogProvider(&catalog);
+  const rdf::Table* table = provider("t1");
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(provider("missing"), nullptr);
+  // The pin outlives the catalog's own cache entry.
+  catalog.EvictFromMemory("t1");
+  EXPECT_EQ(catalog.CachedBytes(), 0u);
+  EXPECT_EQ(table->NumRows(), 500u);
+  EXPECT_EQ(provider("t1"), table);
+}
+
+TEST(CatalogProviderTest, CorruptExtVpDegradesToVpOncePerQuery) {
+  ScopedTempDir dir;
+  storage::Catalog catalog(dir.path());
+  const std::string extvp = "extvp_ss_follows_1__likes_2";
+  const std::string vp = VpTableNameForExtVp(extvp);
+  ASSERT_EQ(vp, "vp_follows_1");
+  rdf::Table reduced({"s", "o"});
+  reduced.AppendRow({1, 2});
+  ASSERT_TRUE(catalog.Put(extvp, std::move(reduced), 0.5).ok());
+  ASSERT_TRUE(catalog.Put(vp, MakeTable(500), 1.0).ok());
+  catalog.EvictFromMemory(extvp);
+  const std::string path = dir.path() + "/" + extvp + ".s2tb";
+  std::string blob;
+  ASSERT_TRUE(ReadFile(path, &blob).ok());
+  blob[blob.size() / 2] ^= 0x01;
+  ASSERT_TRUE(WriteFile(path, blob).ok());
+
+  engine::TableProvider provider = CatalogProvider(&catalog);
+  const rdf::Table* table = provider(extvp);
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->NumRows(), 500u);  // The base VP table's (superset) data.
+  EXPECT_EQ(catalog.queries_degraded(), 1u);
+  EXPECT_TRUE(catalog.IsQuarantined(extvp));
+  // Re-resolving within the same query is pinned and counts once.
+  EXPECT_EQ(provider(extvp), table);
+  EXPECT_EQ(catalog.queries_degraded(), 1u);
+  // A non-ExtVP table has nothing to degrade to.
+  EXPECT_EQ(provider("vp_missing_3"), nullptr);
+  EXPECT_EQ(catalog.queries_degraded(), 1u);
+  // The next query counts its own degradation.
+  EXPECT_EQ(CatalogProvider(&catalog)(extvp)->NumRows(), 500u);
+  EXPECT_EQ(catalog.queries_degraded(), 2u);
 }
 
 TEST(LayoutNamesTest, FragmentsAreSanitized) {

@@ -8,9 +8,9 @@
 #include "engine/expression.h"
 #include "engine/operators.h"
 #include "engine/plan.h"
-#include "engine/table.h"
 #include "engine/value.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 
 namespace s2rdf::engine {
 namespace {

@@ -526,6 +526,104 @@ TEST(IngestRecoveryTest, QuarantinedVpReingestedUnderSameName) {
   ExpectSameAnswers(reopened->get(), reference.get());
 }
 
+TEST(IngestRecoveryTest, CorruptCurrentDictionaryFailsOpen) {
+  ScopedTempDir dir;
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    auto db = S2Rdf::Create(
+        GraphFrom({{"a", "knows", "b"}, {"c", "knows", "d"}}), options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto result = (*db)->Ingest(MakeBatch({{"c", "knows", "zz_new_term"}}));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->generation, 2u);
+  }
+  // Flip one payload byte of the dictionary generation 2 committed. The
+  // older dictionary.bin lacks <zz_new_term>: serving from it would fail
+  // to decode the new term's id and let the next ingest reuse that id.
+  const std::string path = dir.path() + "/dictionary@2.bin";
+  std::string blob;
+  ASSERT_TRUE(ReadFile(path, &blob).ok());
+  blob[blob.size() - 2] ^= 0x01;
+  ASSERT_TRUE(WriteFile(path, blob).ok());
+
+  auto db = S2Rdf::Open(dir.path());
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().message().find("dictionary@2.bin"), std::string::npos)
+      << db.status().ToString();
+}
+
+TEST(IngestRecoveryTest, CorruptUncommittedDictionaryDebrisIsSwept) {
+  ScopedTempDir dir;
+  std::vector<T> stream = {{"a", "knows", "b"}, {"c", "knows", "d"}};
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    auto db = S2Rdf::Create(GraphFrom(stream), options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto result = (*db)->Ingest(MakeBatch({{"c", "knows", "zz_new_term"}}));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->generation, 2u);
+  }
+  stream.push_back({"c", "knows", "zz_new_term"});
+  // A batch that died before its commit left generation 3's dictionary
+  // behind, torn. It lies above the committed generation, so Open
+  // removes it unread instead of failing on its envelope.
+  const std::string debris = dir.path() + "/dictionary@3.bin";
+  ASSERT_TRUE(WriteFile(debris, "S2DICT1\n0123").ok());
+
+  auto db = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_FALSE(PathExists(debris));
+  ExpectSameAnswers(db->get(), Rebuild(stream).get());
+
+  // The next batch writes generation 3's dictionary afresh.
+  auto more = (*db)->Ingest(MakeBatch({{"e", "knows", "zz_newer_term"}}));
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_EQ(more->generation, 3u);
+  stream.push_back({"e", "knows", "zz_newer_term"});
+  db->reset();
+  auto reopened = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectSameAnswers(reopened->get(), Rebuild(stream).get());
+}
+
+TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
+  ScopedTempDir dir;
+  std::vector<T> stream = G1();
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    auto db = S2Rdf::Create(GraphFrom(stream), options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    IngestBatch batch =
+        MakeBatch({{"D", "follows", "E"}, {"E", "likes", "I3"}});
+    batch.defer_extvp_maintenance = true;
+    auto result = (*db)->Ingest(batch);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->generation, 2u);
+    auto refreshed = (*db)->RefreshStaleExtVp();
+    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+    ASSERT_GT(*refreshed, 0u);
+    ASSERT_EQ((*db)->catalog().generation(), 3u);
+  }
+  stream.push_back({"D", "follows", "E"});
+  stream.push_back({"E", "likes", "I3"});
+  // The refresh added no terms, so generation 3 has no dictionary copy
+  // of its own: the absent copy is skipped and generation 2's is read.
+  EXPECT_FALSE(PathExists(dir.path() + "/dictionary@3.bin"));
+  ASSERT_TRUE(PathExists(dir.path() + "/dictionary@2.bin"));
+
+  auto db = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->catalog().generation(), 3u);
+  EXPECT_TRUE((*db)->graph().dictionary().Find("<I3>").has_value());
+  std::unique_ptr<S2Rdf> reference = Rebuild(stream);
+  ExpectStoresIdentical(db->get(), reference.get());
+  ExpectSameAnswers(db->get(), reference.get());
+}
+
 // --- Transient reads during ingest ---------------------------------------
 
 TEST(IngestRetryTest, TransientReadFailuresAreRetriedAndCounted) {

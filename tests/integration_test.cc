@@ -85,14 +85,14 @@ class CrossEngineTest : public ::testing::TestWithParam<std::string> {
 
  protected:
   // Decodes to strings so tables from different dictionaries compare.
-  static std::vector<std::string> Decoded(const engine::Table& table,
+  static std::vector<std::string> Decoded(const rdf::Table& table,
                                           const rdf::Dictionary& dict) {
     std::vector<std::string> rows;
     for (size_t r = 0; r < table.NumRows(); ++r) {
       std::string row;
       for (size_t c = 0; c < table.NumColumns(); ++c) {
         rdf::TermId id = table.At(r, c);
-        row += (id == engine::kNullTermId ? "NULL" : dict.Decode(id));
+        row += (id == rdf::kNullTermId ? "NULL" : dict.Decode(id));
         row += '\x1f';
       }
       rows.push_back(std::move(row));
@@ -199,7 +199,7 @@ TEST_P(ThresholdInvarianceTest, ResultsDoNotDependOnThreshold) {
     auto actual = (*db)->Execute(query, core::Layout::kExtVp);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok());
-    EXPECT_TRUE(engine::Table::SameBag(expected->table, actual->table))
+    EXPECT_TRUE(rdf::Table::SameBag(expected->table, actual->table))
         << name << " differs at threshold " << GetParam();
   }
 }
@@ -231,7 +231,7 @@ TEST(LazyEagerTest, LazyStoreMatchesEagerOnAllWorkloads) {
       auto b = (*lazy)->Execute(query, core::Layout::kExtVp);
       ASSERT_TRUE(a.ok()) << tmpl.name;
       ASSERT_TRUE(b.ok()) << tmpl.name;
-      EXPECT_TRUE(engine::Table::SameBag(a->table, b->table)) << tmpl.name;
+      EXPECT_TRUE(rdf::Table::SameBag(a->table, b->table)) << tmpl.name;
       // Once warm, the lazy store reads exactly the eager inputs.
       auto warm = (*lazy)->Execute(query, core::Layout::kExtVp);
       ASSERT_TRUE(warm.ok());
@@ -269,8 +269,8 @@ TEST(MetricsShapeTest, ExtVpReadsNoMoreInputThanVp) {
     // best ExtVP table (the paper's unification-strategy conjecture).
     EXPECT_LE(bitmap->metrics.input_tuples, extvp->metrics.input_tuples)
         << tmpl.name;
-    EXPECT_TRUE(engine::Table::SameBag(extvp->table, vp->table)) << tmpl.name;
-    EXPECT_TRUE(engine::Table::SameBag(bitmap->table, vp->table))
+    EXPECT_TRUE(rdf::Table::SameBag(extvp->table, vp->table)) << tmpl.name;
+    EXPECT_TRUE(rdf::Table::SameBag(bitmap->table, vp->table))
         << tmpl.name;
   }
 }

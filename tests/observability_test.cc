@@ -109,7 +109,7 @@ TEST(ClockTest, TestClockOverridesAndRestores) {
 
 // --- Profile correctness ----------------------------------------------------
 
-bool SameTable(const engine::Table& a, const engine::Table& b) {
+bool SameTable(const rdf::Table& a, const rdf::Table& b) {
   if (a.column_names() != b.column_names() || a.NumRows() != b.NumRows()) {
     return false;
   }
@@ -421,10 +421,9 @@ TEST_F(ObservabilityEndpointTest, MetricsExposeHistogramsAndStageTimings) {
   EXPECT_NE(body.find("s2rdf_rows_scanned_count 1"), std::string::npos);
   EXPECT_NE(body.find("s2rdf_query_latency_seconds_bucket{le=\"+Inf\"} 2"),
             std::string::npos);
-  // New failure-accounting names alongside the legacy ones.
+  // Failure accounting.
   EXPECT_NE(body.find("s2rdf_queries_failed_total 1"), std::string::npos);
   EXPECT_NE(body.find("s2rdf_queries_rejected_total 0"), std::string::npos);
-  EXPECT_NE(body.find("s2rdf_query_errors_total 1"), std::string::npos);
 }
 
 TEST_F(ObservabilityEndpointTest, DebugQueriesListsRecentWork) {

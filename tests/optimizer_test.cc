@@ -298,31 +298,24 @@ TEST(OptimizerKnobsTest, GreedyFallbackMatchesDpResults) {
   }
 }
 
-TEST(OptimizerKnobsTest, DeprecatedJoinOrderAliasStillHonored) {
+TEST(OptimizerKnobsTest, JoinOrderSwitchKeepsResults) {
   S2Rdf* db = SharedDb();
   ASSERT_NE(db, nullptr);
   const watdiv::QueryTemplate* tmpl = watdiv::FindQuery("F3");
   ASSERT_NE(tmpl, nullptr);
   const std::string text = QueryText(*tmpl);
 
-  CompilerOptions legacy;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // Exercises the deprecated alias on purpose (back-compat coverage).
-  legacy.optimize_join_order = false;  // s2rdf-lint: allow(deprecated-api)
-#pragma GCC diagnostic pop
-  CompilerOptions modern;
-  modern.optimizer.reorder_joins = false;
+  CompilerOptions reordered;
+  CompilerOptions pattern_order;
+  pattern_order.optimizer.reorder_joins = false;
 
-  EXPECT_FALSE(EffectiveOptimizerOptions(legacy).reorder_joins);
-  EXPECT_FALSE(EffectiveOptimizerOptions(modern).reorder_joins);
-
-  auto via_legacy = db->ExecuteWithOptions(text, legacy);
-  auto via_modern = db->ExecuteWithOptions(text, modern);
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status().ToString();
-  ASSERT_TRUE(via_modern.ok()) << via_modern.status().ToString();
-  EXPECT_EQ(via_legacy->plan_fingerprint, via_modern->plan_fingerprint);
-  EXPECT_EQ(SortedRows(db, *via_legacy), SortedRows(db, *via_modern));
+  auto via_reordered = db->ExecuteWithOptions(text, reordered);
+  auto via_pattern_order = db->ExecuteWithOptions(text, pattern_order);
+  ASSERT_TRUE(via_reordered.ok()) << via_reordered.status().ToString();
+  ASSERT_TRUE(via_pattern_order.ok())
+      << via_pattern_order.status().ToString();
+  EXPECT_EQ(SortedRows(db, *via_reordered),
+            SortedRows(db, *via_pattern_order));
 }
 
 // --- Analysis and estimator primitives -----------------------------------

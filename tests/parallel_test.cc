@@ -32,8 +32,8 @@
 #include "engine/expression.h"
 #include "engine/operators.h"
 #include "engine/plan.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 #include "tests/reference_ops.h"
 
 namespace s2rdf::engine {

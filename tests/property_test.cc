@@ -103,7 +103,7 @@ TEST_P(RandomBgpTest, AllLayoutsAndIndexEngineAgree) {
           core::Layout::kExtVpBitmap}) {
       auto result = (*db)->Execute(query, layout);
       ASSERT_TRUE(result.ok()) << query;
-      EXPECT_TRUE(engine::Table::SameBag(reference->table, result->table))
+      EXPECT_TRUE(rdf::Table::SameBag(reference->table, result->table))
           << "layout " << static_cast<int>(layout) << " disagrees on\n"
           << query;
     }
@@ -111,7 +111,7 @@ TEST_P(RandomBgpTest, AllLayoutsAndIndexEngineAgree) {
     auto central = centralized.Execute(query);
     ASSERT_TRUE(central.ok()) << query;
     ASSERT_EQ(central->table.NumRows(), reference->table.NumRows()) << query;
-    auto decode_sorted = [](const engine::Table& t,
+    auto decode_sorted = [](const rdf::Table& t,
                             const rdf::Dictionary& dict) {
       std::vector<std::string> rows;
       for (size_t r = 0; r < t.NumRows(); ++r) {
@@ -126,7 +126,7 @@ TEST_P(RandomBgpTest, AllLayoutsAndIndexEngineAgree) {
     };
     // Column order may differ between engines; compare projected to the
     // reference's column order.
-    engine::Table aligned =
+    rdf::Table aligned =
         engine::Project(central->table, reference->table.column_names());
     EXPECT_EQ(decode_sorted(aligned, baseline_copy.dictionary()),
               decode_sorted(reference->table,
@@ -181,7 +181,7 @@ class StorageFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StorageFuzzTest, CorruptedTableFilesAreRejectedNotCrashing) {
   SplitMix64 rng(static_cast<uint64_t>(GetParam()) * 31337 + 3);
-  engine::Table t({"s", "o"});
+  rdf::Table t({"s", "o"});
   for (uint32_t i = 0; i < 200; ++i) {
     t.AppendRow({static_cast<uint32_t>(rng.Uniform(50)),
                  static_cast<uint32_t>(rng.Uniform(50))});
@@ -197,7 +197,7 @@ TEST_P(StorageFuzzTest, CorruptedTableFilesAreRejectedNotCrashing) {
     auto result = storage::DeserializeTable(corrupted);
     if (result.ok()) {
       // Only acceptable if the corruption was a no-op (hit bytes equal).
-      EXPECT_TRUE(engine::Table::SameBag(t, *result));
+      EXPECT_TRUE(rdf::Table::SameBag(t, *result));
     }
   }
   // Truncations of every length must be rejected cleanly.

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "core/s2rdf.h"
 #include "server/sparql_endpoint.h"
 #include "storage/catalog.h"
+#include "storage/encoding.h"
 #include "storage/fault_injection_env.h"
+#include "storage/table_file.h"
 
 // Fault-injection tests for the durability protocol end to end: the
 // crash-point matrix (crash after every k-th mutating I/O op during a
@@ -76,7 +81,7 @@ int CorruptTables(const std::string& dir, const std::string& prefix) {
 }
 
 StatusOr<std::unique_ptr<S2Rdf>> CreatePersisted(const std::string& dir,
-                                                 storage::Env* env = nullptr) {
+                                                 Env* env = nullptr) {
   S2RdfOptions options;
   options.storage_dir = dir;
   options.env = env;
@@ -186,6 +191,67 @@ TEST(DegradationTest, CorruptExtVpDegradesToVpWithIdenticalResults) {
   EXPECT_GE((*db)->catalog().queries_degraded(), 1u);
 }
 
+// `t` in the S2TB version-1 layout: column blocks without their own
+// checksums, guarded only by the file trailer.
+std::string Version1Blob(const rdf::Table& t) {
+  std::string out("S2TB", 4);
+  const uint32_t version = 1;
+  out.append(reinterpret_cast<const char*>(&version), 4);
+  storage::PutVarint64(&out, t.NumColumns());
+  storage::PutVarint64(&out, t.NumRows());
+  for (size_t c = 0; c < t.NumColumns(); ++c) {
+    const std::string& name = t.column_names()[c];
+    storage::PutVarint64(&out, name.size());
+    out += name;
+    std::string block = storage::EncodeColumn(t.Column(c));
+    storage::PutVarint64(&out, block.size());
+    out += block;
+  }
+  const uint64_t checksum = Fnv1a64(out);
+  out.append(reinterpret_cast<const char*>(&checksum), 8);
+  return out;
+}
+
+TEST(DegradationTest, Version1ExtVpRejectedQuarantinedAndDegradesToVp) {
+  s2rdf::ScopedTempDir dir;
+  std::vector<std::vector<std::string>> healthy;
+  {
+    auto db = CreatePersisted(dir.path());
+    ASSERT_TRUE(db.ok());
+    healthy = SortedRows(db->get(), kQ1);
+    ASSERT_FALSE(healthy.empty());
+  }
+  // Rewrite every ExtVP reduction, unchanged, in the version-1 layout.
+  auto files = s2rdf::ListDir(dir.path());
+  ASSERT_TRUE(files.ok());
+  size_t rewritten = 0;
+  for (const std::string& file : *files) {
+    if (!s2rdf::StartsWith(file, "extvp_") || !s2rdf::EndsWith(file, ".s2tb")) {
+      continue;
+    }
+    const std::string path = dir.path() + "/" + file;
+    auto table = storage::LoadTable(path);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const std::string v1 = Version1Blob(*table);
+    Status verified = storage::VerifyTableBlob(v1);
+    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(verified.message().find("version 1"), std::string::npos)
+        << verified.ToString();
+    EXPECT_EQ(storage::DeserializeTable(v1).status().code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(s2rdf::WriteFile(path, v1).ok());
+    ++rewritten;
+  }
+  ASSERT_GT(rewritten, 0u);
+
+  auto db = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->recovery_report().tables_quarantined, rewritten);
+  // Q1 reads the base VP tables instead, with the same answer.
+  EXPECT_EQ(SortedRows(db->get(), kQ1), healthy);
+  EXPECT_GE((*db)->catalog().queries_degraded(), 1u);
+}
+
 TEST(DegradationTest, CorruptVpDegradesToTriplesTable) {
   s2rdf::ScopedTempDir dir;
   const std::string query = "SELECT * WHERE { ?s <likes> ?o }";
@@ -231,6 +297,63 @@ TEST(DegradationTest, MidQueryChecksumFailureFallsBackToVp) {
   EXPECT_GT((*db)->catalog().corruptions_detected(), 0u);
   // The corruption is remembered: later queries degrade at compile time.
   EXPECT_EQ(SortedRows(db->get(), kQ1), healthy);
+}
+
+TEST(DictionaryFileTest, HeaderlessDictionaryFailsOpen) {
+  s2rdf::ScopedTempDir dir;
+  ASSERT_TRUE(CreatePersisted(dir.path()).ok());
+  // Strip the "S2DICT1\n<16 hex digits>\n" envelope, keeping the
+  // serialized terms.
+  const std::string path = dir.path() + "/dictionary.bin";
+  std::string blob;
+  ASSERT_TRUE(s2rdf::ReadFile(path, &blob).ok());
+  ASSERT_TRUE(s2rdf::StartsWith(blob, "S2DICT1\n"));
+  ASSERT_TRUE(s2rdf::WriteFile(path, blob.substr(8 + 17)).ok());
+
+  auto db = S2Rdf::Open(dir.path());
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(db.status().message().find("dictionary.bin"), std::string::npos)
+      << db.status().ToString();
+}
+
+TEST(DictionaryFileTest, EnvelopeChecksumIsFnv1a64OfThePayload) {
+  s2rdf::ScopedTempDir dir;
+  auto db = CreatePersisted(dir.path());
+  ASSERT_TRUE(db.ok());
+  std::string blob;
+  ASSERT_TRUE(s2rdf::ReadFile(dir.path() + "/dictionary.bin", &blob).ok());
+  // "S2DICT1\n", the payload's FNV-1a64 as 16 lowercase hex digits, "\n",
+  // then the serialized terms.
+  ASSERT_GT(blob.size(), 8u + 17u);
+  ASSERT_TRUE(s2rdf::StartsWith(blob, "S2DICT1\n"));
+  EXPECT_EQ(blob[8 + 16], '\n');
+  const std::string_view payload = std::string_view(blob).substr(8 + 17);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(payload)));
+  EXPECT_EQ(blob.substr(8, 16), hex);
+  auto dict = rdf::Dictionary::Deserialize(payload);
+  ASSERT_TRUE(dict.ok()) << dict.status().ToString();
+  EXPECT_EQ(dict->size(), (*db)->graph().dictionary().size());
+}
+
+TEST(DictionaryFileTest, TruncatedDictionaryFailsOpen) {
+  s2rdf::ScopedTempDir dir;
+  ASSERT_TRUE(CreatePersisted(dir.path()).ok());
+  const std::string path = dir.path() + "/dictionary.bin";
+  std::string blob;
+  ASSERT_TRUE(s2rdf::ReadFile(path, &blob).ok());
+  // Torn writes: the payload loses its tail, loses everything, or the
+  // envelope itself is cut short.
+  for (size_t keep : {blob.size() - 1, size_t{8 + 17}, size_t{8 + 10}}) {
+    ASSERT_TRUE(s2rdf::WriteFile(path, blob.substr(0, keep)).ok());
+    auto db = S2Rdf::Open(dir.path());
+    ASSERT_FALSE(db.ok()) << keep;
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << keep;
+    EXPECT_NE(db.status().message().find("dictionary.bin"), std::string::npos)
+        << db.status().ToString();
+  }
 }
 
 TEST(DegradationTest, TransientReadErrorsInvisibleToQueries) {

@@ -14,26 +14,26 @@ namespace s2rdf::reference {
 
 using engine::Accumulator;
 using engine::AccumulateRow;
-using engine::AggregateSpec;
+using sparql::AggregateSpec;
 using engine::CompareValues;
 using engine::EmitGroups;
 using engine::EmitJoinedRow;
 using engine::ExecContext;
-using engine::Expr;
+using sparql::Expr;
 using engine::ExprEvaluator;
 using engine::GroupMap;
 using engine::JoinOutputSchema;
 using engine::JoinSharedColumns;
 using engine::kInterruptCheckRows;
-using engine::kNullTermId;
+using rdf::kNullTermId;
 using engine::ResolveAggregateColumns;
 using engine::RowKeyHash;
 using engine::RowKeyHasNull;
 using engine::RowKeysEqual;
 using engine::ScanSpec;
-using engine::SortKey;
-using engine::Table;
-using engine::TermId;
+using sparql::SortKey;
+using rdf::Table;
+using rdf::TermId;
 using engine::Value;
 using engine::ValueCache;
 using engine::ValueFromCanonicalTerm;

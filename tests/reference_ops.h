@@ -9,8 +9,8 @@
 #include "engine/exec_context.h"
 #include "engine/expression.h"
 #include "engine/operators.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 
 // Row-at-a-time reference implementations of the engine's morsel kernels
 // (engine/operators.h, engine/aggregate.h): one straightforward loop per
@@ -22,25 +22,25 @@
 
 namespace s2rdf::reference {
 
-engine::Table ScanSelectProject(const engine::Table& base,
-                                const engine::ScanSpec& spec,
-                                engine::ExecContext* ctx);
+rdf::Table ScanSelectProject(const rdf::Table& base,
+                             const engine::ScanSpec& spec,
+                             engine::ExecContext* ctx);
 
-engine::Table Filter(const engine::Table& t, const engine::Expr& expr,
-                     const rdf::Dictionary& dict, engine::ExecContext* ctx);
+rdf::Table Filter(const rdf::Table& t, const sparql::Expr& expr,
+                  const rdf::Dictionary& dict, engine::ExecContext* ctx);
 
-engine::Table HashJoin(const engine::Table& left, const engine::Table& right,
-                       engine::ExecContext* ctx);
+rdf::Table HashJoin(const rdf::Table& left, const rdf::Table& right,
+                    engine::ExecContext* ctx);
 
-engine::Table Distinct(const engine::Table& t, engine::ExecContext* ctx);
+rdf::Table Distinct(const rdf::Table& t, engine::ExecContext* ctx);
 
-engine::Table OrderBy(const engine::Table& t,
-                      const std::vector<engine::SortKey>& keys,
-                      const rdf::Dictionary& dict, engine::ExecContext* ctx);
+rdf::Table OrderBy(const rdf::Table& t,
+                   const std::vector<sparql::SortKey>& keys,
+                   const rdf::Dictionary& dict, engine::ExecContext* ctx);
 
-StatusOr<engine::Table> GroupByAggregate(
-    const engine::Table& input, const std::vector<std::string>& keys,
-    const std::vector<engine::AggregateSpec>& specs, rdf::Dictionary* dict,
+StatusOr<rdf::Table> GroupByAggregate(
+    const rdf::Table& input, const std::vector<std::string>& keys,
+    const std::vector<sparql::AggregateSpec>& specs, rdf::Dictionary* dict,
     engine::ExecContext* ctx);
 
 }  // namespace s2rdf::reference

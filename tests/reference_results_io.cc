@@ -135,7 +135,7 @@ std::string TermToCsv(const std::string& canonical) {
 
 }  // namespace
 
-std::string ResultsToJson(const engine::Table& table,
+std::string ResultsToJson(const rdf::Table& table,
                           const rdf::Dictionary& dict) {
   std::string out = "{\n  \"head\": { \"vars\": [";
   for (size_t c = 0; c < table.NumColumns(); ++c) {
@@ -147,8 +147,8 @@ std::string ResultsToJson(const engine::Table& table,
     out += "    {";
     bool first = true;
     for (size_t c = 0; c < table.NumColumns(); ++c) {
-      engine::TermId id = table.At(r, c);
-      if (id == engine::kNullTermId) continue;  // Unbound: omitted.
+      rdf::TermId id = table.At(r, c);
+      if (id == rdf::kNullTermId) continue;  // Unbound: omitted.
       if (!first) out += ", ";
       first = false;
       out += "\"" + JsonEscape(table.column_names()[c]) +
@@ -160,7 +160,7 @@ std::string ResultsToJson(const engine::Table& table,
   return out;
 }
 
-std::string ResultsToXml(const engine::Table& table,
+std::string ResultsToXml(const rdf::Table& table,
                          const rdf::Dictionary& dict) {
   std::string out =
       "<?xml version=\"1.0\"?>\n"
@@ -173,8 +173,8 @@ std::string ResultsToXml(const engine::Table& table,
   for (size_t r = 0; r < table.NumRows(); ++r) {
     out += "    <result>\n";
     for (size_t c = 0; c < table.NumColumns(); ++c) {
-      engine::TermId id = table.At(r, c);
-      if (id == engine::kNullTermId) continue;
+      rdf::TermId id = table.At(r, c);
+      if (id == rdf::kNullTermId) continue;
       out += "      <binding name=\"" +
              XmlEscape(table.column_names()[c]) + "\">" +
              TermToXml(dict.Decode(id)) + "</binding>\n";
@@ -185,7 +185,7 @@ std::string ResultsToXml(const engine::Table& table,
   return out;
 }
 
-std::string ResultsToCsv(const engine::Table& table,
+std::string ResultsToCsv(const rdf::Table& table,
                          const rdf::Dictionary& dict) {
   std::string out;
   for (size_t c = 0; c < table.NumColumns(); ++c) {
@@ -196,15 +196,15 @@ std::string ResultsToCsv(const engine::Table& table,
   for (size_t r = 0; r < table.NumRows(); ++r) {
     for (size_t c = 0; c < table.NumColumns(); ++c) {
       if (c > 0) out += ",";
-      engine::TermId id = table.At(r, c);
-      if (id != engine::kNullTermId) out += TermToCsv(dict.Decode(id));
+      rdf::TermId id = table.At(r, c);
+      if (id != rdf::kNullTermId) out += TermToCsv(dict.Decode(id));
     }
     out += "\r\n";
   }
   return out;
 }
 
-std::string ResultsToTsv(const engine::Table& table,
+std::string ResultsToTsv(const rdf::Table& table,
                          const rdf::Dictionary& dict) {
   std::string out;
   for (size_t c = 0; c < table.NumColumns(); ++c) {
@@ -215,8 +215,8 @@ std::string ResultsToTsv(const engine::Table& table,
   for (size_t r = 0; r < table.NumRows(); ++r) {
     for (size_t c = 0; c < table.NumColumns(); ++c) {
       if (c > 0) out += "\t";
-      engine::TermId id = table.At(r, c);
-      if (id != engine::kNullTermId) out += dict.Decode(id);
+      rdf::TermId id = table.At(r, c);
+      if (id != rdf::kNullTermId) out += dict.Decode(id);
     }
     out += "\n";
   }

@@ -3,8 +3,8 @@
 
 #include <string>
 
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 
 // Reference SPARQL result serializers: one row loop per format that
 // decodes every cell, re-parses it with rdf::Term::Parse and renders it
@@ -15,13 +15,13 @@
 
 namespace s2rdf::reference {
 
-std::string ResultsToJson(const engine::Table& table,
+std::string ResultsToJson(const rdf::Table& table,
                           const rdf::Dictionary& dict);
-std::string ResultsToXml(const engine::Table& table,
+std::string ResultsToXml(const rdf::Table& table,
                          const rdf::Dictionary& dict);
-std::string ResultsToCsv(const engine::Table& table,
+std::string ResultsToCsv(const rdf::Table& table,
                          const rdf::Dictionary& dict);
-std::string ResultsToTsv(const engine::Table& table,
+std::string ResultsToTsv(const rdf::Table& table,
                          const rdf::Dictionary& dict);
 
 std::string AskToJson(bool result);

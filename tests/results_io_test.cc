@@ -6,8 +6,8 @@
 
 #include "common/random.h"
 #include "core/s2rdf.h"
-#include "engine/table.h"
 #include "rdf/dictionary.h"
+#include "rdf/table.h"
 #include "sparql/results_io.h"
 #include "tests/reference_results_io.h"
 #include "watdiv/generator.h"
@@ -18,7 +18,7 @@ namespace {
 
 struct Fixture {
   rdf::Dictionary dict;
-  engine::Table table{std::vector<std::string>{"x", "name", "age"}};
+  rdf::Table table{std::vector<std::string>{"x", "name", "age"}};
 
   Fixture() {
     rdf::TermId a = dict.Encode("<http://e/A>");
@@ -27,7 +27,7 @@ struct Fixture {
         dict.Encode("\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>");
     rdf::TermId blank = dict.Encode("_:b0");
     table.AppendRow({a, name, age});
-    table.AppendRow({blank, engine::kNullTermId, age});
+    table.AppendRow({blank, rdf::kNullTermId, age});
   }
 };
 
@@ -66,7 +66,7 @@ TEST(ResultsIoTest, XmlFormat) {
 
 TEST(ResultsIoTest, CsvQuotesSpecialCharacters) {
   rdf::Dictionary dict;
-  engine::Table t({"v"});
+  rdf::Table t({"v"});
   t.AppendRow({dict.Encode("\"a,b\"")});
   t.AppendRow({dict.Encode("\"say \\\"hi\\\"\"")});
   t.AppendRow({dict.Encode("<http://e/plain>")});
@@ -94,7 +94,7 @@ TEST(ResultsIoTest, AskFormats) {
 
 TEST(ResultsIoTest, EmptyTable) {
   rdf::Dictionary dict;
-  engine::Table t({"a"});
+  rdf::Table t({"a"});
   EXPECT_NE(ResultsToJson(t, dict).find("\"bindings\": [\n  ]"),
             std::string::npos);
   EXPECT_NE(ResultsToXml(t, dict).find("<results>\n  </results>"),
@@ -117,9 +117,9 @@ std::string FirstDifference(const std::string& got, const std::string& want) {
 }
 
 // All four formats of `table` equal the reference serializers' bytes.
-void ExpectSameBytes(const engine::Table& table, const rdf::Dictionary& dict,
+void ExpectSameBytes(const rdf::Table& table, const rdf::Dictionary& dict,
                      const std::string& what) {
-  using Writer = std::string (*)(const engine::Table&, const rdf::Dictionary&);
+  using Writer = std::string (*)(const rdf::Table&, const rdf::Dictionary&);
   const std::pair<Writer, Writer> writers[] = {
       {ResultsToJson, reference::ResultsToJson},
       {ResultsToXml, reference::ResultsToXml},
@@ -174,8 +174,8 @@ TEST(ResultsIoIdentityTest, EdgeTermsMatchReference) {
   for (const std::string& term : EdgeTerms()) ids.push_back(dict.Encode(term));
   // Column names that need JSON or XML escaping (CSV and TSV emit them
   // raw).
-  engine::Table table(std::vector<std::string>{"a\"b", "x<y>&z", "back\\slash",
-                                               "line\nbreak", "t\tab", "c,d"});
+  rdf::Table table(std::vector<std::string>{"a\"b", "x<y>&z", "back\\slash",
+                                            "line\nbreak", "t\tab", "c,d"});
   const size_t n = ids.size();
   for (size_t r = 0; r < 3 * n; ++r) {
     std::vector<rdf::TermId> row;
@@ -184,19 +184,19 @@ TEST(ResultsIoIdentityTest, EdgeTermsMatchReference) {
     }
     // Unbound cells in the first, a middle and the last column, and a
     // row with nothing bound.
-    if (r % 5 == 1) row.front() = engine::kNullTermId;
-    if (r % 5 == 2) row[2] = engine::kNullTermId;
-    if (r % 5 == 3) row.back() = engine::kNullTermId;
+    if (r % 5 == 1) row.front() = rdf::kNullTermId;
+    if (r % 5 == 2) row[2] = rdf::kNullTermId;
+    if (r % 5 == 3) row.back() = rdf::kNullTermId;
     if (r % 11 == 4) {
-      for (rdf::TermId& id : row) id = engine::kNullTermId;
+      for (rdf::TermId& id : row) id = rdf::kNullTermId;
     }
     table.AppendRow(row);
   }
   ExpectSameBytes(table, dict, "edge terms");
   // One column, so every row has a single cell, bound or not.
-  engine::Table narrow(std::vector<std::string>{"only"});
+  rdf::Table narrow(std::vector<std::string>{"only"});
   for (size_t r = 0; r < n; ++r) {
-    narrow.AppendRow({r % 4 == 3 ? engine::kNullTermId : ids[r]});
+    narrow.AppendRow({r % 4 == 3 ? rdf::kNullTermId : ids[r]});
   }
   ExpectSameBytes(narrow, dict, "one column");
 }
@@ -204,16 +204,16 @@ TEST(ResultsIoIdentityTest, EdgeTermsMatchReference) {
 TEST(ResultsIoIdentityTest, EmptyShapesMatchReference) {
   rdf::Dictionary dict;
   const rdf::TermId a = dict.Encode("<http://e/A>");
-  ExpectSameBytes(engine::Table(std::vector<std::string>{"a", "b"}), dict,
+  ExpectSameBytes(rdf::Table(std::vector<std::string>{"a", "b"}), dict,
                   "zero rows");
-  ExpectSameBytes(engine::Table(), dict, "zero columns, zero rows");
-  engine::Table no_columns;
+  ExpectSameBytes(rdf::Table(), dict, "zero columns, zero rows");
+  rdf::Table no_columns;
   for (int r = 0; r < 3; ++r) no_columns.AppendRow({});
   ExpectSameBytes(no_columns, dict, "zero columns, three rows");
-  engine::Table unbound(std::vector<std::string>{"a", "b"});
-  unbound.AppendRow({engine::kNullTermId, engine::kNullTermId});
+  rdf::Table unbound(std::vector<std::string>{"a", "b"});
+  unbound.AppendRow({rdf::kNullTermId, rdf::kNullTermId});
   ExpectSameBytes(unbound, dict, "one row, nothing bound");
-  engine::Table one(std::vector<std::string>{"a"});
+  rdf::Table one(std::vector<std::string>{"a"});
   one.AppendRow({a});
   ExpectSameBytes(one, dict, "one cell");
 }
@@ -225,7 +225,7 @@ TEST(ResultsIoIdentityTest, RandomCanonicalStringsMatchReference) {
   static constexpr char kAlphabet[] = "<>\"\\_:@^a,&\n\r\t\x01";
   SplitMix64 rng(19);
   rdf::Dictionary dict;
-  engine::Table table(std::vector<std::string>{"s", "o"});
+  rdf::Table table(std::vector<std::string>{"s", "o"});
   for (int i = 0; i < 4000; ++i) {
     std::string term;
     const size_t length = rng.Uniform(9);

@@ -294,9 +294,10 @@ TEST_F(EndpointTest, MetricsEndpoint) {
   HttpResponse response = Get("/metrics");
   EXPECT_EQ(response.status_code, 200);
   EXPECT_NE(response.body.find("s2rdf_queries_total 2"), std::string::npos);
-  EXPECT_NE(response.body.find("s2rdf_query_errors_total 1"),
+  EXPECT_NE(response.body.find("s2rdf_queries_failed_total 1"),
             std::string::npos);
-  EXPECT_NE(response.body.find("s2rdf_rejected_total 0"), std::string::npos);
+  EXPECT_NE(response.body.find("s2rdf_queries_rejected_total 0"),
+            std::string::npos);
   EXPECT_NE(response.body.find("s2rdf_exec_input_tuples_total"),
             std::string::npos);
   EXPECT_NE(response.body.find("s2rdf_catalog_materialized_tables"),
@@ -476,7 +477,7 @@ TEST(EndpointSaturationTest, OverloadedServerReturns503) {
   EXPECT_NE(rejected.find("HTTP/1.1 503 Service Unavailable"),
             std::string::npos);
   EXPECT_NE(rejected.find("resource_exhausted"), std::string::npos);
-  EXPECT_EQ(endpoint.Stats().rejected_total, 1u);
+  EXPECT_EQ(endpoint.Stats().queries_rejected_total, 1u);
 
   // Release the worker: both admitted connections complete.
   {
@@ -534,13 +535,14 @@ TEST(EndpointSaturationTest, ConcurrentClientsAllGetResponses) {
 
   // Counter reconciliation: every connection is accounted exactly once
   // — admitted queries in queries_total (all of which succeeded here),
-  // admission rejections in rejected_total — and the two sides match
-  // what the clients observed on the wire.
+  // admission rejections in queries_rejected_total — and the two sides
+  // match what the clients observed on the wire.
   EndpointStats stats = endpoint.Stats();
   EXPECT_EQ(stats.queries_total, static_cast<uint64_t>(ok.load()));
-  EXPECT_EQ(stats.rejected_total, static_cast<uint64_t>(rejected.load()));
-  EXPECT_EQ(stats.query_errors_total, 0u);
-  EXPECT_EQ(stats.queries_total + stats.rejected_total, 64u);
+  EXPECT_EQ(stats.queries_rejected_total,
+            static_cast<uint64_t>(rejected.load()));
+  EXPECT_EQ(stats.queries_failed_total, 0u);
+  EXPECT_EQ(stats.queries_total + stats.queries_rejected_total, 64u);
 }
 
 // --- Shared task-pool stress ------------------------------------------------

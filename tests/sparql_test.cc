@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "sparql/expr.h"
 #include "sparql/lexer.h"
 #include "sparql/parser.h"
 
@@ -106,7 +110,7 @@ TEST(ParserTest, FilterComparison) {
       "SELECT * WHERE { ?x <http://e/p> ?y . FILTER (?y >= 10 && ?y < 20) }");
   ASSERT_TRUE(q.ok());
   ASSERT_EQ(q->where.filters.size(), 1u);
-  EXPECT_EQ(q->where.filters[0]->kind(), engine::Expr::Kind::kAnd);
+  EXPECT_EQ(q->where.filters[0]->kind(), sparql::Expr::Kind::kAnd);
 }
 
 TEST(ParserTest, FilterRegexAndBound) {
@@ -115,8 +119,23 @@ TEST(ParserTest, FilterRegexAndBound) {
       "FILTER regex(?y, \"abc\", \"i\") FILTER bound(?x) }");
   ASSERT_TRUE(q.ok());
   ASSERT_EQ(q->where.filters.size(), 2u);
-  EXPECT_EQ(q->where.filters[0]->kind(), engine::Expr::Kind::kRegex);
-  EXPECT_EQ(q->where.filters[1]->kind(), engine::Expr::Kind::kBound);
+  EXPECT_EQ(q->where.filters[0]->kind(), sparql::Expr::Kind::kRegex);
+  EXPECT_EQ(q->where.filters[1]->kind(), sparql::Expr::Kind::kBound);
+}
+
+TEST(ParserTest, RegexFlagSetsCaseInsensitive) {
+  auto q = ParseQuery(
+      "SELECT * WHERE { ?x <http://e/p> ?y . "
+      "FILTER regex(?y, \"^ab\", \"i\") FILTER regex(?x, \"cd\") }");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q->where.filters.size(), 2u);
+  const Expr& icase = *q->where.filters[0];
+  EXPECT_TRUE(icase.case_insensitive());
+  EXPECT_EQ(icase.ReferencedVariables(), std::vector<std::string>{"y"});
+  ASSERT_NE(icase.left(), nullptr);
+  EXPECT_EQ(icase.left()->name(), "^ab");
+  EXPECT_FALSE(q->where.filters[1]->case_insensitive());
+  EXPECT_EQ(q->where.filters[1]->ToString(), "REGEX(?x, \"cd\")");
 }
 
 TEST(ParserTest, OptionalAndUnion) {
@@ -242,6 +261,34 @@ TEST(ParserTest, WatDivStyleQueryParses) {
   EXPECT_EQ(q->where.triples.size(), 3u);
   EXPECT_EQ(q->where.triples[0].subject.value,
             "<http://db.uwaterloo.ca/~galuc/wsdbm/City102>");
+}
+
+TEST(ExprTest, CloneIsDeepAndKeepsEveryField) {
+  ExprPtr original = Expr::Or(
+      Expr::And(Expr::Compare(CompareOp::kGe, Expr::Var("a"),
+                              Expr::Const("\"5\"^^<http://www.w3.org/2001/"
+                                          "XMLSchema#integer>")),
+                Expr::Not(Expr::Bound("b"))),
+      Expr::Regex("c", "x.*y", true));
+  const std::string rendered = original->ToString();
+  EXPECT_EQ(rendered,
+            "(((?a >= \"5\"^^<http://www.w3.org/2001/XMLSchema#integer>) && "
+            "!BOUND(?b)) || REGEX(?c, \"x.*y\"))");
+  EXPECT_EQ(original->ReferencedVariables(),
+            (std::vector<std::string>{"a", "b", "c"}));
+
+  ExprPtr copy = original->Clone();
+  original.reset();  // The copy shares no node with the original.
+  EXPECT_EQ(copy->ToString(), rendered);
+  EXPECT_EQ(copy->ReferencedVariables(),
+            (std::vector<std::string>{"a", "b", "c"}));
+  const Expr* compare = copy->left()->left();
+  EXPECT_EQ(compare->kind(), Expr::Kind::kCompare);
+  EXPECT_EQ(compare->compare_op(), CompareOp::kGe);
+  const Expr* regex = copy->right();
+  EXPECT_EQ(regex->kind(), Expr::Kind::kRegex);
+  EXPECT_TRUE(regex->case_insensitive());
+  EXPECT_EQ(regex->left()->name(), "x.*y");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/strings.h"
@@ -79,17 +81,17 @@ TEST(EncodingTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeColumn("\x07junk", &out).ok());
 }
 
-engine::Table MakeTable() {
-  engine::Table t({"s", "o"});
+rdf::Table MakeTable() {
+  rdf::Table t({"s", "o"});
   for (uint32_t i = 0; i < 500; ++i) t.AppendRow({i / 10, i * 7 % 97});
   return t;
 }
 
 TEST(TableFileTest, SerializeRoundtrip) {
-  engine::Table t = MakeTable();
+  rdf::Table t = MakeTable();
   auto back = DeserializeTable(SerializeTable(t));
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(engine::Table::SameBag(t, *back));
+  EXPECT_TRUE(rdf::Table::SameBag(t, *back));
 }
 
 TEST(TableFileTest, ChecksumDetectsCorruption) {
@@ -100,17 +102,17 @@ TEST(TableFileTest, ChecksumDetectsCorruption) {
 
 TEST(TableFileTest, SaveLoadFile) {
   ScopedTempDir dir;
-  engine::Table t = MakeTable();
+  rdf::Table t = MakeTable();
   auto bytes = SaveTable(t, dir.path() + "/t.s2tb");
   ASSERT_TRUE(bytes.ok());
   EXPECT_GT(*bytes, 0u);
   auto back = LoadTable(dir.path() + "/t.s2tb");
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(engine::Table::SameBag(t, *back));
+  EXPECT_TRUE(rdf::Table::SameBag(t, *back));
 }
 
 TEST(TableFileTest, CompressionBeatsRawForRepetitiveData) {
-  engine::Table t({"s", "o"});
+  rdf::Table t({"s", "o"});
   for (uint32_t i = 0; i < 10000; ++i) t.AppendRow({3, i});
   std::string blob = SerializeTable(t);
   EXPECT_LT(blob.size(), 10000u * 2 * 4);  // Smaller than raw u32 columns.
@@ -218,14 +220,6 @@ TEST(CatalogTest, CachedBytesTracksEvictions) {
   EXPECT_EQ(catalog.CachedBytes(), before);
 }
 
-TEST(CatalogTest, ProviderResolvesTables) {
-  Catalog catalog("");
-  ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
-  engine::TableProvider provider = catalog.AsProvider();
-  EXPECT_NE(provider("t1"), nullptr);
-  EXPECT_EQ(provider("missing"), nullptr);
-}
-
 // --- S2TB robustness -----------------------------------------------------
 
 TEST(TableFileTest, RejectsBlobShorterThanMinimum) {
@@ -265,31 +259,62 @@ TEST(TableFileTest, BitFlipIsLocalizedToOneColumn) {
   EXPECT_FALSE(VerifyTableBlob(blob).ok());
 }
 
-TEST(TableFileTest, Version1FilesStillReadable) {
-  // Hand-build a v1 blob (no per-column chunk checksums) and check the
-  // current reader accepts it.
-  engine::Table t = MakeTable();
-  std::string out;
-  out.append("S2TB", 4);
-  uint32_t version = 1;
-  out.append(reinterpret_cast<const char*>(&version), 4);
-  PutVarint64(&out, t.NumColumns());
-  PutVarint64(&out, t.NumRows());
-  for (size_t c = 0; c < t.NumColumns(); ++c) {
-    const std::string& name = t.column_names()[c];
-    PutVarint64(&out, name.size());
-    out += name;
-    std::string block = EncodeColumn(t.Column(c));
-    PutVarint64(&out, block.size());
-    out += block;
+TEST(TableFileTest, RoundtripKeepsColumnAndRowOrder) {
+  // One column per encoding (run-length, delta, plain) plus a single
+  // row and an empty table: decoded columns are adopted as they are, so
+  // names, column order and row order must all come back unchanged.
+  rdf::Table t({"runs", "sorted", "scattered"});
+  for (uint32_t i = 0; i < 3000; ++i) {
+    t.AppendRow({i / 1000, 7 * i, (i * 2654435761u) % 100003});
   }
-  uint64_t checksum = Fnv1a64(out);
-  out.append(reinterpret_cast<const char*>(&checksum), 8);
+  rdf::Table one({"x"});
+  one.AppendRow({42});
+  rdf::Table empty({"s", "o"});
+  for (const rdf::Table* table : {&t, &one, &empty}) {
+    auto back = DeserializeTable(SerializeTable(*table));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->column_names(), table->column_names());
+    ASSERT_EQ(back->NumRows(), table->NumRows());
+    for (size_t c = 0; c < table->NumColumns(); ++c) {
+      EXPECT_EQ(back->Column(c), table->Column(c)) << "column " << c;
+    }
+  }
+}
 
-  ASSERT_TRUE(VerifyTableBlob(out).ok());
-  auto back = DeserializeTable(out);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(engine::Table::SameBag(t, *back));
+TEST(TableFileTest, ZeroColumnTableKeepsRowCount) {
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{5}}) {
+    rdf::Table t(std::vector<std::string>{});
+    for (size_t r = 0; r < rows; ++r) t.AppendRow({});
+    auto back = DeserializeTable(SerializeTable(t));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->NumColumns(), 0u);
+    EXPECT_EQ(back->NumRows(), rows);
+  }
+}
+
+TEST(TableFileTest, OnlyVersion2IsAccepted) {
+  const std::string good = SerializeTable(MakeTable());
+  ASSERT_TRUE(VerifyTableBlob(good).ok());
+  for (uint32_t version : {0u, 1u, 3u, 0xffffffffu}) {
+    // Patch the version and re-seal the trailer, so the version is the
+    // blob's only fault.
+    std::string blob = good;
+    std::memcpy(blob.data() + 4, &version, 4);
+    const uint64_t checksum =
+        Fnv1a64(std::string_view(blob).substr(0, blob.size() - 8));
+    std::memcpy(blob.data() + blob.size() - 8, &checksum, 8);
+    const std::string expected =
+        "unsupported table file version " + std::to_string(version);
+    Status verified = VerifyTableBlob(blob);
+    EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument) << version;
+    EXPECT_NE(verified.message().find(expected), std::string::npos)
+        << verified.ToString();
+    auto decoded = DeserializeTable(blob);
+    ASSERT_FALSE(decoded.ok()) << version;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find(expected), std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(EncodingTest, ChecksummedColumnRoundtripAndDetection) {
@@ -344,17 +369,44 @@ TEST(CatalogTest, CorruptCurrentGenerationFallsBackToPrevious) {
   EXPECT_FALSE(restored.Has("t2"));
 }
 
-TEST(CatalogTest, LegacyUnchecksummedManifestStillReadable) {
+TEST(CatalogTest, UncheckedManifestWithoutChainIsNotFound) {
+  // A directory holding only the un-checksummed, generation-less
+  // manifest of the original store format: no CURRENT and no
+  // manifest-<g>.tsv, so there is no store to load.
   ScopedTempDir dir;
-  std::string legacy =
+  std::string unchecked =
       "# name\trows\tselectivity\tbytes\tmaterialized\n"
       "ghost\t42\t0.5\t0\t0\n";
-  ASSERT_TRUE(WriteFile(dir.path() + "/manifest.tsv", legacy).ok());
+  ASSERT_TRUE(WriteFile(dir.path() + "/manifest.tsv", unchecked).ok());
   Catalog catalog(dir.path());
-  ASSERT_TRUE(catalog.LoadManifest().ok());
-  ASSERT_NE(catalog.GetStats("ghost"), nullptr);
-  EXPECT_EQ(catalog.GetStats("ghost")->rows, 42u);
-  EXPECT_EQ(catalog.generation(), 0u);
+  Status status = catalog.LoadManifest();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
+  EXPECT_EQ(catalog.GetStats("ghost"), nullptr);
+}
+
+TEST(CatalogTest, UncheckedManifestBesideChainIsIgnored) {
+  // The checksummed chain is the only manifest format read: a stray
+  // manifest.tsv next to it neither adds entries nor overrides the
+  // chain's statistics.
+  ScopedTempDir dir;
+  {
+    Catalog catalog(dir.path());
+    ASSERT_TRUE(catalog.Put("t1", MakeTable(), 0.25).ok());
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+  }
+  std::string unchecked =
+      "# name\trows\tselectivity\tbytes\tmaterialized\n"
+      "t1\t7\t0.9\t0\t0\n"
+      "ghost\t42\t0.5\t0\t0\n";
+  ASSERT_TRUE(WriteFile(dir.path() + "/manifest.tsv", unchecked).ok());
+  Catalog restored(dir.path());
+  ASSERT_TRUE(restored.LoadManifest().ok());
+  EXPECT_EQ(restored.NumStatsEntries(), 1u);
+  EXPECT_EQ(restored.GetStats("ghost"), nullptr);
+  ASSERT_NE(restored.GetStats("t1"), nullptr);
+  EXPECT_EQ(restored.GetStats("t1")->rows, 500u);
+  EXPECT_DOUBLE_EQ(restored.GetStats("t1")->selectivity, 0.25);
+  EXPECT_TRUE(restored.GetStats("t1")->materialized);
 }
 
 TEST(CatalogTest, StaleTempFilesSweptAtRecovery) {
@@ -473,7 +525,7 @@ TEST(CatalogTest, AtomicPutLeavesOldTableOnCrash) {
   FaultInjectionEnv fenv;
   fenv.set_crash_style(FaultInjectionEnv::CrashStyle::kTorn);
   Catalog catalog(dir.path(), &fenv);
-  engine::Table small({"s", "o"});
+  rdf::Table small({"s", "o"});
   small.AppendRow({1, 2});
   ASSERT_TRUE(catalog.Put("t1", std::move(small), 1.0).ok());
   ASSERT_TRUE(catalog.SaveManifest().ok());
@@ -489,33 +541,6 @@ TEST(CatalogTest, AtomicPutLeavesOldTableOnCrash) {
   auto table = reopened.GetTable("t1");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ((*table)->NumRows(), 1u);  // Old state, intact.
-}
-
-TEST(CatalogTest, ProviderDegradesToFallbackTable) {
-  ScopedTempDir dir;
-  Catalog catalog(dir.path());
-  engine::Table reduced({"s", "o"});
-  reduced.AppendRow({1, 2});
-  ASSERT_TRUE(catalog.Put("extvp_t", std::move(reduced), 0.5).ok());
-  ASSERT_TRUE(catalog.Put("vp_t", MakeTable(), 1.0).ok());
-  catalog.SetDegradedFallback([](const std::string& name) {
-    return name == "extvp_t" ? "vp_t" : std::string();
-  });
-  catalog.EvictFromMemory("extvp_t");
-  std::string blob;
-  ASSERT_TRUE(ReadFile(dir.path() + "/extvp_t.s2tb", &blob).ok());
-  blob[blob.size() / 2] ^= 0x01;
-  ASSERT_TRUE(WriteFile(dir.path() + "/extvp_t.s2tb", blob).ok());
-
-  engine::TableProvider provider = catalog.AsProvider();
-  const engine::Table* table = provider("extvp_t");
-  ASSERT_NE(table, nullptr);
-  EXPECT_EQ(table->NumRows(), 500u);  // The fallback's (superset) data.
-  EXPECT_EQ(catalog.queries_degraded(), 1u);
-  EXPECT_TRUE(catalog.IsQuarantined("extvp_t"));
-  // Re-resolving within the same query is pinned and counts once.
-  EXPECT_NE(provider("extvp_t"), nullptr);
-  EXPECT_EQ(catalog.queries_degraded(), 1u);
 }
 
 TEST(FaultInjectionEnvTest, CrashPointSemantics) {

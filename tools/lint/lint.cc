@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 namespace s2rdf::lint {
 namespace {
@@ -301,14 +301,6 @@ const std::vector<BannedToken>& BareMutexTokens() {
   return kTokens;
 }
 
-// Deprecated back-compat aliases; the message names the replacement.
-const std::vector<BannedToken>& DeprecatedApiTokens() {
-  static const std::vector<BannedToken> kTokens = {
-      {"optimize_join_order", TokenKind::kType},
-  };
-  return kTokens;
-}
-
 // Filesystem mutations that bypass the Env seam. Renames and unlinks
 // are the commit-protocol primitives (atomic manifest flips, orphan
 // sweeps); issued directly they evade fault injection AND can break
@@ -411,11 +403,11 @@ bool Suppressions::Allows(const std::string& rule, int line,
 
 bool IsKnownRule(const std::string& rule) {
   static const std::set<std::string> kRules = {
-      "raw-io",         "raw-file-mutation", "bare-mutex",
-      "nondeterminism", "clock",             "include-guard",
-      "deprecated-api", "layering",          "transitive-include",
-      "lock-order",     "interrupt-coverage", "status-discipline",
-      "raw-log",        "io",
+      "raw-io",         "raw-file-mutation",  "bare-mutex",
+      "nondeterminism", "clock",              "include-guard",
+      "layering",       "transitive-include", "lock-order",
+      "interrupt-coverage", "status-discipline", "raw-log",
+      "io",
   };
   return kRules.count(rule) > 0;
 }
@@ -469,7 +461,7 @@ FileScanResult ScanContent(const std::string& path,
   // raw-io: only the Env implementation may touch the OS directly.
   if (!EndsWithAny(npath, {"common/posix_env.cc", "common/env.cc"})) {
     CheckTokens(path, lines, "raw-io", RawIoTokens(),
-                "bypasses the injectable storage Env (route I/O through "
+                "bypasses the injectable Env (route I/O through "
                 "s2rdf::Env so fault-injection tests cover it)",
                 &out);
   }
@@ -479,15 +471,6 @@ FileScanResult ScanContent(const std::string& path,
     CheckTokens(path, lines, "bare-mutex", BareMutexTokens(),
                 "evades Clang thread-safety analysis (use s2rdf::Mutex / "
                 "MutexLock / CondVar from common/mutex.h)",
-                &out);
-  }
-
-  // deprecated-api: back-compat aliases stay contained. The declaring
-  // header keeps the field; everything else uses the replacement.
-  if (!EndsWithAny(npath, {"core/compiler.h"})) {
-    CheckTokens(path, lines, "deprecated-api", DeprecatedApiTokens(),
-                "is a deprecated alias (use "
-                "CompilerOptions::optimizer.reorder_joins)",
                 &out);
   }
 
@@ -577,29 +560,6 @@ std::vector<Violation> LintFile(const std::string& path) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return LintContent(path, buffer.str());
-}
-
-std::vector<Violation> LintTree(const std::string& root) {
-  namespace fs = std::filesystem;
-  std::vector<Violation> out;
-  std::error_code ec;
-  if (fs::is_regular_file(root, ec)) {
-    return LintFile(root);
-  }
-  std::vector<std::string> files;
-  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
-       it.increment(ec)) {
-    if (ec) break;
-    if (!it->is_regular_file()) continue;
-    std::string p = it->path().string();
-    if (EndsWithAny(p, {".h", ".cc", ".cpp"})) files.push_back(p);
-  }
-  std::sort(files.begin(), files.end());
-  for (const std::string& f : files) {
-    std::vector<Violation> v = LintFile(f);
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  return out;
 }
 
 std::string FormatViolation(const Violation& v) {

@@ -8,10 +8,11 @@
 // invariant the design depends on (see DESIGN.md "Static enforcement"):
 //
 //   raw-io          All file I/O must flow through the injectable
-//                   storage Env so fault-injection tests cover it. Raw
-//                   primitives (fopen, std::ofstream, ::open, ...) are
-//                   permitted only in the Env implementation itself
-//                   (common/posix_env.cc, common/env.cc).
+//                   Env seam (common/env.h) so fault-injection tests
+//                   cover it. Raw primitives (fopen, std::ofstream,
+//                   ::open, ...) are permitted only in the Env
+//                   implementation itself (common/posix_env.cc,
+//                   common/env.cc).
 //   raw-file-mutation
 //                   rename/unlink are the commit-protocol primitives
 //                   (atomic manifest flips, orphan sweeps); called
@@ -28,10 +29,6 @@
 //                   common/random.* (the seeded SplitMix64 home).
 //   include-guard   Headers must open with an #ifndef S2RDF_...
 //                   include guard (no #pragma once, no missing guard).
-//   deprecated-api  Identifiers kept only as [[deprecated]] back-compat
-//                   aliases (e.g. CompilerOptions::optimize_join_order)
-//                   must not spread to new code; the declaring header
-//                   is allowlisted, intentional shims suppress inline.
 //   raw-log         Diagnostics must flow through the structured event
 //                   log (common/log.h) so every line shares one JSON
 //                   schema, one injectable sink, and rate limiting.
@@ -116,11 +113,7 @@ std::vector<Violation> LintContent(const std::string& path,
 // violation with rule "io" so a broken tree fails loudly.
 std::vector<Violation> LintFile(const std::string& path);
 
-// Recursively lints every *.h / *.cc / *.cpp under `root` (or the file
-// itself when `root` is a regular file). Results are path-sorted.
-std::vector<Violation> LintTree(const std::string& root);
-
-// "file:line: [rule] message" rendering used by the CLI.
+// "file:line: [rule] message" rendering used by the reports.
 std::string FormatViolation(const Violation& v);
 
 }  // namespace s2rdf::lint

@@ -181,27 +181,6 @@ TEST(LintRawLogTest, SuppressionsWork) {
   EXPECT_TRUE(LintContent("src/server/x.cc", snippet).empty());
 }
 
-TEST(LintDeprecatedApiTest, FiresOutsideDeclaringHeader) {
-  const std::string snippet = "options.optimize_join_order = false;\n";
-  EXPECT_EQ(RulesIn(LintContent("src/core/s2rdf.cc", snippet)),
-            std::set<std::string>{"deprecated-api"});
-  // The declaring header keeps the field without tripping the rule.
-  EXPECT_FALSE(RulesIn(LintContent("src/core/compiler.h", snippet))
-                   .contains("deprecated-api"));
-}
-
-TEST(LintDeprecatedApiTest, InlineSuppressionMarksIntentionalShims) {
-  const std::string snippet =
-      "// s2rdf-lint: allow(deprecated-api)\n"
-      "if (!options.optimize_join_order) opt.reorder_joins = false;\n";
-  EXPECT_TRUE(LintContent("src/core/compiler.cc", snippet).empty());
-}
-
-TEST(LintDeprecatedApiTest, DoesNotFireOnSubstrings) {
-  const std::string snippet = "bool my_optimize_join_order_flag = true;\n";
-  EXPECT_TRUE(LintContent("src/core/x.cc", snippet).empty());
-}
-
 TEST(LintIncludeGuardTest, FiresOnPragmaOnce) {
   auto vs = LintFile(Testdata("missing_guard.h"));
   ASSERT_EQ(vs.size(), 1u);
@@ -238,30 +217,6 @@ TEST(LintStrippingTest, CommentsAndStringsNeverFire) {
 TEST(LintCliContractTest, FormatIsFileLineRuleMessage) {
   Violation v{"src/a.cc", 7, "raw-io", "msg"};
   EXPECT_EQ(FormatViolation(v), "src/a.cc:7: [raw-io] msg");
-}
-
-TEST(LintTreeTest, WalksDirectoriesAndSortsResults) {
-  auto vs = LintTree(std::string(S2RDF_LINT_TESTDATA));
-  // The violation fixtures fire; the suppressed/clean ones do not.
-  EXPECT_FALSE(vs.empty());
-  EXPECT_TRUE(std::is_sorted(
-      vs.begin(), vs.end(), [](const Violation& a, const Violation& b) {
-        return std::tie(a.file, a.line, a.rule) <
-               std::tie(b.file, b.line, b.rule);
-      }));
-  for (const Violation& v : vs) {
-    EXPECT_TRUE(v.file.find("suppressed") == std::string::npos &&
-                v.file.find("clean") == std::string::npos &&
-                v.file.find("good_guard") == std::string::npos)
-        << FormatViolation(v);
-  }
-}
-
-// The real tree must be lint-clean — the same invariant the ctest entry
-// enforces via the CLI, asserted here with precise diagnostics.
-TEST(LintTreeTest, RepoSourceTreeIsClean) {
-  auto vs = LintTree(std::string(S2RDF_LINT_SRC));
-  for (const Violation& v : vs) ADD_FAILURE() << FormatViolation(v);
 }
 
 }  // namespace

@@ -47,8 +47,7 @@
 //                        AND pass findings).
 //
 // All passes are heuristic and token-level; they err conservative and
-// every finding is suppressible with the normal marker syntax or the
-// checked-in baseline (tools/lint/lint_baseline.txt).
+// every finding is suppressible with the normal marker syntax.
 
 namespace s2rdf::lint {
 

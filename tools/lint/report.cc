@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 namespace s2rdf::lint {
 namespace {
@@ -50,93 +48,14 @@ size_t CountStaleMarkers(const AnalysisResult& result) {
 
 }  // namespace
 
-std::string BaselineKey(const Violation& v) {
-  return v.rule + "|" + v.file + "|" + v.message;
-}
-
-Baseline LoadBaseline(const std::string& path) {
-  Baseline b;
-  std::ifstream in(path);
-  if (!in) return b;
-  b.exists = true;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    size_t s = line.find_first_not_of(" \t");
-    if (s == std::string::npos || line[s] == '#') continue;
-    b.entries.push_back(line.substr(s));
-  }
-  return b;
-}
-
-bool WriteBaseline(const std::string& path,
-                   const std::vector<std::string>& entries) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << "# s2rdf_lint baseline: grandfathered whole-program findings.\n"
-      << "# One `rule|path|message` per line (no line numbers, so edits\n"
-      << "# elsewhere in a file do not churn this list). This file is a\n"
-      << "# ratchet: it may only shrink. `s2rdf_lint --update-baseline`\n"
-      << "# removes entries that no longer fire; it refuses to add new\n"
-      << "# ones. See DESIGN.md §13.\n";
-  for (const std::string& e : entries) out << e << "\n";
-  return out.good();
-}
-
-BaselineDelta ApplyBaseline(const std::vector<Violation>& findings,
-                            const Baseline& baseline) {
-  BaselineDelta delta;
-  std::multiset<std::string> pool(baseline.entries.begin(),
-                                  baseline.entries.end());
-  for (const Violation& v : findings) {
-    auto it = pool.find(BaselineKey(v));
-    if (it != pool.end()) {
-      pool.erase(it);
-      ++delta.matched;
-    } else {
-      delta.fresh.push_back(v);
-    }
-  }
-  delta.stale.assign(pool.begin(), pool.end());
-  return delta;
-}
-
-bool RatchetBaseline(const std::string& path, const Baseline& current,
-                     const BaselineDelta& delta) {
-  if (!delta.fresh.empty()) return false;
-  std::multiset<std::string> stale(delta.stale.begin(), delta.stale.end());
-  std::vector<std::string> kept;
-  for (const std::string& e : current.entries) {
-    auto it = stale.find(e);
-    if (it != stale.end()) {
-      stale.erase(it);
-      continue;
-    }
-    kept.push_back(e);
-  }
-  return WriteBaseline(path, kept);
-}
-
-std::string RenderText(const AnalysisResult& result,
-                       const std::vector<Violation>& fresh,
-                       const BaselineDelta* delta) {
+std::string RenderText(const AnalysisResult& result) {
   std::string out;
-  for (const Violation& v : fresh) {
+  for (const Violation& v : result.findings) {
     out += FormatViolation(v) + "\n";
   }
-  if (delta != nullptr) {
-    for (const std::string& e : delta->stale) {
-      out += "stale baseline entry (fixed? run --update-baseline): " + e +
-             "\n";
-    }
-  }
   out += "s2rdf_lint: " + std::to_string(result.files_scanned) +
-         " file(s), " + std::to_string(fresh.size()) + " finding(s)";
-  if (delta != nullptr) {
-    out += ", " + std::to_string(delta->matched) + " baselined, " +
-           std::to_string(delta->stale.size()) + " stale baseline entr" +
-           (delta->stale.size() == 1 ? "y" : "ies");
-  }
+         " file(s), " + std::to_string(result.findings.size()) +
+         " finding(s)";
   size_t total_markers = result.markers.size();
   size_t stale_markers = CountStaleMarkers(result);
   out += "; suppressions: " + std::to_string(total_markers) + " (" +
@@ -144,42 +63,29 @@ std::string RenderText(const AnalysisResult& result,
   return out;
 }
 
-std::string RenderJson(const AnalysisResult& result,
-                       const std::vector<Violation>& fresh,
-                       const BaselineDelta* delta) {
+std::string RenderJson(const AnalysisResult& result) {
   std::string out = "{\"tool\":\"s2rdf_lint\",\"files_scanned\":" +
                     std::to_string(result.files_scanned) + ",";
   out += "\"findings\":[";
-  for (size_t i = 0; i < fresh.size(); ++i) {
+  for (size_t i = 0; i < result.findings.size(); ++i) {
     if (i) out += ",";
-    AppendFindingJson(fresh[i], &out);
+    AppendFindingJson(result.findings[i], &out);
   }
   out += "],";
   out += "\"suppressions\":{\"total\":" +
          std::to_string(result.markers.size()) +
          ",\"stale\":" + std::to_string(CountStaleMarkers(result)) + "}";
-  if (delta != nullptr) {
-    out += ",\"baseline\":{\"matched\":" + std::to_string(delta->matched) +
-           ",\"fresh\":" + std::to_string(delta->fresh.size()) +
-           ",\"stale\":[";
-    for (size_t i = 0; i < delta->stale.size(); ++i) {
-      if (i) out += ",";
-      out += "\"" + JsonEscape(delta->stale[i]) + "\"";
-    }
-    out += "]}";
-  }
   out += "}\n";
   return out;
 }
 
-std::string RenderSarif(const AnalysisResult& result,
-                        const std::vector<Violation>& fresh) {
-  (void)result;
+std::string RenderSarif(const AnalysisResult& result) {
+  const std::vector<Violation>& findings = result.findings;
   // Rule metadata: one reportingDescriptor per distinct rule.
   std::vector<std::string> rules;
   {
     std::set<std::string> seen;
-    for (const Violation& v : fresh) {
+    for (const Violation& v : findings) {
       if (seen.insert(v.rule).second) rules.push_back(v.rule);
     }
     std::sort(rules.begin(), rules.end());
@@ -198,8 +104,8 @@ std::string RenderSarif(const AnalysisResult& result,
     out += "{\"id\":\"" + JsonEscape(rules[i]) + "\"}";
   }
   out += "]}},\"results\":[";
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    const Violation& v = fresh[i];
+  for (size_t i = 0; i < findings.size(); ++i) {
+    const Violation& v = findings[i];
     if (i) out += ",";
     out += "{\"ruleId\":\"" + JsonEscape(v.rule) + "\",\"ruleIndex\":" +
            std::to_string(rule_index[v.rule]) +

@@ -2,69 +2,17 @@
 #define S2RDF_TOOLS_LINT_REPORT_H_
 
 #include <string>
-#include <vector>
 
 #include "analyzer.h"
 #include "lint.h"
 
-// Reporting and the finding baseline for the whole-program analyzer.
-//
-// Baseline file format (tools/lint/lint_baseline.txt): one grandfathered
-// finding per line, `rule|path|message`, '#' comments and blank lines
-// ignored. Line numbers are deliberately NOT part of the key so
-// unrelated edits do not churn the baseline. Matching is multiset:
-// duplicates must be listed as many times as they occur.
-//
-// The baseline is a ratchet — it may only shrink:
-//   * a finding not covered by the baseline fails the run;
-//   * a baseline entry with no matching finding is itself an error
-//     ("stale baseline entry") and `--update-baseline` removes it;
-//   * `--update-baseline` refuses to ADD entries (it reports the fresh
-//     findings and fails), except when the baseline file does not
-//     exist yet (bootstrap).
+// Text, JSON and SARIF reports of a whole-program analysis.
 
 namespace s2rdf::lint {
 
-struct Baseline {
-  bool exists = false;
-  std::vector<std::string> entries;  // keys, file order preserved
-};
-
-std::string BaselineKey(const Violation& v);
-
-Baseline LoadBaseline(const std::string& path);
-
-// Writes `entries` one per line with a header comment.
-bool WriteBaseline(const std::string& path,
-                   const std::vector<std::string>& entries);
-
-struct BaselineDelta {
-  std::vector<Violation> fresh;     // findings not in the baseline
-  std::vector<std::string> stale;   // baseline entries with no finding
-  size_t matched = 0;               // findings absorbed by the baseline
-};
-
-BaselineDelta ApplyBaseline(const std::vector<Violation>& findings,
-                            const Baseline& baseline);
-
-// The ratchet update: when `delta.fresh` is empty, rewrites `path`
-// keeping only the entries of `current` that still fire (each stale
-// occurrence removes exactly one matching line, order preserved) and
-// returns true. When `delta.fresh` is non-empty the baseline may not
-// grow: the file is left untouched and the call returns false.
-bool RatchetBaseline(const std::string& path, const Baseline& current,
-                     const BaselineDelta& delta);
-
-// Rendered reports. `fresh` is what remains after baseline filtering
-// (== result.findings when no baseline is in play).
-std::string RenderText(const AnalysisResult& result,
-                       const std::vector<Violation>& fresh,
-                       const BaselineDelta* delta);
-std::string RenderJson(const AnalysisResult& result,
-                       const std::vector<Violation>& fresh,
-                       const BaselineDelta* delta);
-std::string RenderSarif(const AnalysisResult& result,
-                        const std::vector<Violation>& fresh);
+std::string RenderText(const AnalysisResult& result);
+std::string RenderJson(const AnalysisResult& result);
+std::string RenderSarif(const AnalysisResult& result);
 
 }  // namespace s2rdf::lint
 

@@ -1,25 +1,11 @@
 // s2rdf_lint: repo-invariant linter CLI.
 //
-// Whole-program mode (the CI entry point):
-//
-//   s2rdf_lint --root=<repo> [--format=text|json|sarif]
-//              [--baseline=<file>] [--update-baseline] [subdir...]
+//   s2rdf_lint --root=<repo> [--format=text|json|sarif] [subdir...]
 //
 //   Runs phase 1 (per-file line rules + syntactic model) and phase 2
 //   (layering, lock-order, interrupt-coverage, status-discipline,
 //   suppression hygiene) over the given subdirs (default: src tests
-//   bench tools). Exits 0 only when there are zero non-baselined
-//   findings and zero stale baseline entries.
-//
-//   --update-baseline rewrites the baseline, removing entries that no
-//   longer fire. It refuses to add entries (the ratchet only shrinks)
-//   unless the baseline file does not exist yet (bootstrap).
-//
-// Legacy per-file mode (kept for ad-hoc use and back-compat):
-//
-//   s2rdf_lint <file-or-dir>...
-//
-//   Line rules only, suppressions applied per file, text output.
+//   bench tools). Exits 0 only when there are zero findings.
 //
 // See tools/lint/lint.h for the rules, tools/lint/passes/passes.h for
 // the whole-program passes, and DESIGN.md §13 for the architecture.
@@ -29,7 +15,6 @@
 #include <vector>
 
 #include "analyzer.h"
-#include "lint.h"
 #include "report.h"
 
 namespace {
@@ -43,29 +28,11 @@ bool ConsumeFlag(const std::string& arg, const char* name,
 }
 
 int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --root=<repo> [--format=text|json|sarif]\n"
-      "          [--baseline=<file>] [--update-baseline] [subdir...]\n"
-      "       %s <file-or-dir>...   (legacy per-file mode)\n",
-      argv0, argv0);
+  std::fprintf(stderr,
+               "usage: %s --root=<repo> [--format=text|json|sarif] "
+               "[subdir...]\n",
+               argv0);
   return 2;
-}
-
-int RunLegacy(const std::vector<std::string>& paths) {
-  std::vector<s2rdf::lint::Violation> all;
-  for (const std::string& p : paths) {
-    std::vector<s2rdf::lint::Violation> v = s2rdf::lint::LintTree(p);
-    all.insert(all.end(), v.begin(), v.end());
-  }
-  for (const s2rdf::lint::Violation& v : all) {
-    std::fprintf(stderr, "%s\n", s2rdf::lint::FormatViolation(v).c_str());
-  }
-  if (!all.empty()) {
-    std::fprintf(stderr, "s2rdf_lint: %zu violation(s)\n", all.size());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -73,8 +40,6 @@ int RunLegacy(const std::vector<std::string>& paths) {
 int main(int argc, char** argv) {
   std::string root;
   std::string format = "text";
-  std::string baseline_path;
-  bool update_baseline = false;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -84,10 +49,6 @@ int main(int argc, char** argv) {
       root = value;
     } else if (ConsumeFlag(arg, "--format", &value)) {
       format = value;
-    } else if (ConsumeFlag(arg, "--baseline", &value)) {
-      baseline_path = value;
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
     } else if (arg == "--help" || arg == "-h") {
       return Usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -101,21 +62,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --format: %s\n", format.c_str());
     return Usage(argv[0]);
   }
-  if (update_baseline && baseline_path.empty()) {
-    std::fprintf(stderr, "--update-baseline requires --baseline=<file>\n");
-    return Usage(argv[0]);
-  }
-
-  if (root.empty()) {
-    if (paths.empty()) return Usage(argv[0]);
-    if (!baseline_path.empty() || format != "text") {
-      std::fprintf(stderr,
-                   "--baseline/--format require whole-program mode "
-                   "(--root=<repo>)\n");
-      return Usage(argv[0]);
-    }
-    return RunLegacy(paths);
-  }
+  if (root.empty()) return Usage(argv[0]);
 
   s2rdf::lint::AnalyzerOptions options;
   options.root = root;
@@ -125,71 +72,14 @@ int main(int argc, char** argv) {
                         : paths;
   s2rdf::lint::AnalysisResult result = s2rdf::lint::AnalyzeTree(options);
 
-  std::vector<s2rdf::lint::Violation> fresh = result.findings;
-  s2rdf::lint::BaselineDelta delta;
-  bool have_baseline = false;
-  if (!baseline_path.empty()) {
-    s2rdf::lint::Baseline baseline = s2rdf::lint::LoadBaseline(baseline_path);
-    if (!baseline.exists && !update_baseline) {
-      std::fprintf(stderr, "s2rdf_lint: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    if (!baseline.exists && update_baseline) {
-      // Bootstrap: grandfather everything currently firing.
-      std::vector<std::string> entries;
-      for (const s2rdf::lint::Violation& v : result.findings) {
-        entries.push_back(s2rdf::lint::BaselineKey(v));
-      }
-      if (!s2rdf::lint::WriteBaseline(baseline_path, entries)) {
-        std::fprintf(stderr, "s2rdf_lint: cannot write %s\n",
-                     baseline_path.c_str());
-        return 2;
-      }
-      std::fprintf(stderr, "s2rdf_lint: baseline bootstrapped with %zu entr%s\n",
-                   entries.size(), entries.size() == 1 ? "y" : "ies");
-      return 0;
-    }
-    have_baseline = true;
-    delta = s2rdf::lint::ApplyBaseline(result.findings, baseline);
-    fresh = delta.fresh;
-    if (update_baseline) {
-      if (!fresh.empty()) {
-        for (const s2rdf::lint::Violation& v : fresh) {
-          std::fprintf(stderr, "%s\n",
-                       s2rdf::lint::FormatViolation(v).c_str());
-        }
-        std::fprintf(stderr,
-                     "s2rdf_lint: refusing to add %zu new finding(s) to the "
-                     "baseline (the ratchet only shrinks); fix or suppress "
-                     "them instead\n",
-                     fresh.size());
-        return 1;
-      }
-      if (!s2rdf::lint::RatchetBaseline(baseline_path, baseline, delta)) {
-        std::fprintf(stderr, "s2rdf_lint: cannot write %s\n",
-                     baseline_path.c_str());
-        return 2;
-      }
-      size_t kept = baseline.entries.size() - delta.stale.size();
-      std::fprintf(stderr, "s2rdf_lint: baseline now %zu entr%s\n", kept,
-                   kept == 1 ? "y" : "ies");
-      return 0;
-    }
-  }
-
   std::string report;
   if (format == "json") {
-    report = s2rdf::lint::RenderJson(result, fresh,
-                                     have_baseline ? &delta : nullptr);
+    report = s2rdf::lint::RenderJson(result);
   } else if (format == "sarif") {
-    report = s2rdf::lint::RenderSarif(result, fresh);
+    report = s2rdf::lint::RenderSarif(result);
   } else {
-    report = s2rdf::lint::RenderText(result, fresh,
-                                     have_baseline ? &delta : nullptr);
+    report = s2rdf::lint::RenderText(result);
   }
   std::fputs(report.c_str(), format == "text" ? stderr : stdout);
-
-  bool failed = !fresh.empty() || (have_baseline && !delta.stale.empty());
-  return failed ? 1 : 0;
+  return result.findings.empty() ? 0 : 1;
 }

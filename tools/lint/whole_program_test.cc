@@ -1,13 +1,10 @@
 // Tests for the whole-program analyzer: the syntactic model, each
 // cross-file pass against its golden fixture trees
-// (testdata/wp/<pass>_{ok,bad}/), report shapes (text/JSON/SARIF), the
-// baseline ratchet, and the self-test that the repo tree itself is
-// green against the checked-in baseline.
+// (testdata/wp/<pass>_{ok,bad}/), report shapes (JSON/SARIF), and the
+// self-test that the repo tree itself has zero findings.
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -375,6 +372,22 @@ TEST(Profiles, RelaxationsPerTopDir) {
   EXPECT_TRUE(RuleEnabledFor("layering", "tests/engine_test.cc"));
 }
 
+TEST(Profiles, TreeRunAppliesLineRulesPerTopDir) {
+  // The tree run is the only gate, so it must report the per-file line
+  // rules too: the stdio call in src/storage/ is a raw-io finding, the
+  // identical one under the relaxed tools/ profile is not.
+  AnalyzerOptions options;
+  options.root = Testdata("wp/line_rules_bad");
+  options.subdirs = {"src", "tools"};
+  AnalysisResult result = AnalyzeTree(options);
+  EXPECT_EQ(result.files_scanned, 2u);
+  std::vector<Violation> raw_io = FindingsFor(result, "raw-io");
+  ASSERT_EQ(raw_io.size(), 1u);
+  EXPECT_EQ(raw_io[0].file, "src/storage/raw.cc");
+  EXPECT_EQ(raw_io[0].line, 7);
+  EXPECT_EQ(result.findings.size(), 1u);
+}
+
 // --- Report shapes ----------------------------------------------------------
 
 AnalysisResult OneFinding() {
@@ -387,7 +400,7 @@ AnalysisResult OneFinding() {
 
 TEST(Report, JsonShape) {
   AnalysisResult result = OneFinding();
-  std::string json = RenderJson(result, result.findings, nullptr);
+  std::string json = RenderJson(result);
   EXPECT_NE(json.find("\"tool\":\"s2rdf_lint\""), std::string::npos);
   EXPECT_NE(json.find("\"files_scanned\":3"), std::string::npos);
   EXPECT_NE(json.find("\"file\":\"src/a.cc\""), std::string::npos);
@@ -400,7 +413,7 @@ TEST(Report, JsonShape) {
 
 TEST(Report, SarifShape) {
   AnalysisResult result = OneFinding();
-  std::string sarif = RenderSarif(result, result.findings);
+  std::string sarif = RenderSarif(result);
   EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
   EXPECT_NE(sarif.find("\"name\":\"s2rdf_lint\""), std::string::npos);
@@ -411,77 +424,9 @@ TEST(Report, SarifShape) {
             std::string::npos);
 }
 
-// --- Baseline ratchet -------------------------------------------------------
-
-TEST(Baseline, MatchingAbsorbsAndFlagsStale) {
-  Baseline b;
-  b.exists = true;
-  b.entries = {"layering|src/a.cc|msg-one", "layering|src/b.cc|gone"};
-  std::vector<Violation> findings = {{"src/a.cc", 7, "layering", "msg-one"}};
-  BaselineDelta delta = ApplyBaseline(findings, b);
-  EXPECT_EQ(delta.matched, 1u);
-  EXPECT_TRUE(delta.fresh.empty());
-  ASSERT_EQ(delta.stale.size(), 1u);
-  EXPECT_EQ(delta.stale[0], "layering|src/b.cc|gone");
-}
-
-TEST(Baseline, NewFindingIsFresh) {
-  Baseline b;
-  b.exists = true;
-  b.entries = {"layering|src/a.cc|msg-one"};
-  std::vector<Violation> findings = {
-      {"src/a.cc", 7, "layering", "msg-one"},
-      {"src/c.cc", 3, "lock-order", "brand new"},
-  };
-  BaselineDelta delta = ApplyBaseline(findings, b);
-  ASSERT_EQ(delta.fresh.size(), 1u);
-  EXPECT_EQ(delta.fresh[0].file, "src/c.cc");
-}
-
-TEST(Baseline, RatchetShrinksButRefusesToGrow) {
-  std::string path = testing::TempDir() + "/ratchet_baseline.txt";
-  Baseline b;
-  b.exists = true;
-  b.entries = {"layering|src/a.cc|kept", "layering|src/b.cc|fixed"};
-  ASSERT_TRUE(WriteBaseline(path, b.entries));
-
-  // A run where src/b.cc's finding is fixed: the ratchet shrinks.
-  std::vector<Violation> findings = {{"src/a.cc", 1, "layering", "kept"}};
-  BaselineDelta delta = ApplyBaseline(findings, LoadBaseline(path));
-  ASSERT_TRUE(RatchetBaseline(path, LoadBaseline(path), delta));
-  Baseline after = LoadBaseline(path);
-  ASSERT_EQ(after.entries.size(), 1u);
-  EXPECT_EQ(after.entries[0], "layering|src/a.cc|kept");
-
-  // A run with a NEW finding: the ratchet refuses to grow, file intact.
-  findings.push_back({"src/new.cc", 2, "lock-order", "regression"});
-  delta = ApplyBaseline(findings, LoadBaseline(path));
-  ASSERT_FALSE(delta.fresh.empty());
-  EXPECT_FALSE(RatchetBaseline(path, LoadBaseline(path), delta));
-  after = LoadBaseline(path);
-  ASSERT_EQ(after.entries.size(), 1u);
-  EXPECT_EQ(after.entries[0], "layering|src/a.cc|kept");
-  std::remove(path.c_str());
-}
-
-TEST(Baseline, DuplicateEntriesMatchAsMultiset) {
-  Baseline b;
-  b.exists = true;
-  b.entries = {"layering|src/a.cc|dup", "layering|src/a.cc|dup"};
-  std::vector<Violation> findings = {
-      {"src/a.cc", 1, "layering", "dup"},
-      {"src/a.cc", 9, "layering", "dup"},
-      {"src/a.cc", 20, "layering", "dup"},
-  };
-  BaselineDelta delta = ApplyBaseline(findings, b);
-  EXPECT_EQ(delta.matched, 2u);
-  EXPECT_EQ(delta.fresh.size(), 1u);
-  EXPECT_TRUE(delta.stale.empty());
-}
-
 // --- The repo itself --------------------------------------------------------
 
-TEST(RepoTree, GreenAgainstCheckedInBaseline) {
+TEST(RepoTree, HasZeroFindings) {
   AnalyzerOptions options;
   options.root = S2RDF_LINT_REPO_ROOT;
   options.subdirs = {"src", "tests", "bench", "tools"};
@@ -493,29 +438,13 @@ TEST(RepoTree, GreenAgainstCheckedInBaseline) {
                     std::chrono::steady_clock::now() -  // s2rdf-lint: allow(clock)
                     start)
                     .count();
-  Baseline baseline = LoadBaseline(S2RDF_LINT_BASELINE);
-  ASSERT_TRUE(baseline.exists) << S2RDF_LINT_BASELINE;
-  BaselineDelta delta = ApplyBaseline(result.findings, baseline);
-  for (const Violation& v : delta.fresh) {
+  for (const Violation& v : result.findings) {
     ADD_FAILURE() << FormatViolation(v);
-  }
-  for (const std::string& e : delta.stale) {
-    ADD_FAILURE() << "stale baseline entry: " << e;
   }
   EXPECT_GT(result.files_scanned, 100u);
   // EXPERIMENTS.md promises < 5s on the full tree; leave slack for
   // loaded CI machines but catch order-of-magnitude regressions.
   EXPECT_LT(secs, 30.0);
-}
-
-TEST(RepoTree, BaselineOnlyGrandfathersLayering) {
-  // The checked-in baseline must never grow beyond the layering debt:
-  // every other rule is enforced at zero.
-  Baseline baseline = LoadBaseline(S2RDF_LINT_BASELINE);
-  ASSERT_TRUE(baseline.exists);
-  for (const std::string& e : baseline.entries) {
-    EXPECT_EQ(e.rfind("layering|", 0), 0u) << e;
-  }
 }
 
 }  // namespace
