@@ -105,16 +105,16 @@ int Main() {
                            "opt comparisons", "unopt comparisons"});
   for (const watdiv::QueryTemplate& tmpl : watdiv::BasicTestingQueries()) {
     std::string query = InstantiateFor(tmpl, sf, 0);
-    core::CompilerOptions opt;
-    core::CompilerOptions unopt;
-    unopt.optimizer.reorder_joins = false;
+    const core::QueryRequest opt{.query = query};
+    const core::QueryRequest unopt{
+        .query = query, .options = {.optimizer = {.reorder_joins = false}}};
     double opt_ms = 0;
     double unopt_ms = 0;
     engine::ExecMetrics opt_metrics;
     engine::ExecMetrics unopt_metrics;
     for (int r = 0; r < rounds; ++r) {
-      auto a = (*db)->ExecuteWithOptions(query, opt);
-      auto b = (*db)->ExecuteWithOptions(query, unopt);
+      auto a = (*db)->Execute(opt);
+      auto b = (*db)->Execute(unopt);
       if (!a.ok() || !b.ok()) continue;
       opt_ms += a->millis;
       unopt_ms += b->millis;
@@ -138,11 +138,9 @@ int Main() {
   for (const char* name : {"ST-8-1", "ST-8-2"}) {
     const watdiv::QueryTemplate* tmpl = watdiv::FindQuery(name);
     std::string query = InstantiateFor(*tmpl, sf, 0);
-    core::CompilerOptions with;
-    core::CompilerOptions without;
-    without.use_statistics_shortcut = false;
-    auto a = (*db)->ExecuteWithOptions(query, with);
-    auto b = (*db)->ExecuteWithOptions(query, without);
+    auto a = (*db)->Execute({.query = query});
+    auto b = (*db)->Execute(
+        {.query = query, .options = {.use_statistics_shortcut = false}});
     if (!a.ok() || !b.ok()) continue;
     empty_table.AddRow({name, FormatMs(a->millis), FormatMs(b->millis),
                         FormatCount(b->metrics.input_tuples)});
@@ -155,8 +153,10 @@ int Main() {
   uint64_t vp_input = 0;
   for (const watdiv::QueryTemplate& tmpl : watdiv::BasicTestingQueries()) {
     std::string query = InstantiateFor(tmpl, sf, 0);
-    auto a = (*db)->Execute(query, core::Layout::kExtVp);
-    auto b = (*db)->Execute(query, core::Layout::kVp);
+    auto a = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kExtVp}});
+    auto b = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kVp}});
     if (a.ok()) extvp_input += a->metrics.input_tuples;
     if (b.ok()) vp_input += b->metrics.input_tuples;
   }
@@ -207,8 +207,10 @@ int Main() {
         &watdiv::SelectivityTestingQueries()}) {
     for (const watdiv::QueryTemplate& tmpl : *workload) {
       std::string query = InstantiateFor(tmpl, sf, 0);
-      auto a = (*db)->Execute(query, core::Layout::kExtVp);
-      auto b = (*db)->Execute(query, core::Layout::kExtVpBitmap);
+      auto a = (*db)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
+      auto b = (*db)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVpBitmap}});
       if (a.ok() && b.ok()) {
         table_input += a->metrics.input_tuples;
         bitmap_input += b->metrics.input_tuples;
@@ -239,7 +241,8 @@ int Main() {
     for (const watdiv::QueryTemplate& tmpl :
          watdiv::BasicTestingQueries()) {
       std::string query = InstantiateFor(tmpl, sf, 0);
-      auto result = target.Execute(query, core::Layout::kExtVp);
+      auto result = target.Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
       if (result.ok()) total += result->millis;
     }
     return total;

@@ -67,8 +67,10 @@ int Main() {
         if (name == "S2RDF-ExtVP") rows = outcome->rows;
       }
       // Meter the paper's input-size mechanism on the S2RDF layouts.
-      auto extvp = (*suite)->s2rdf().Execute(query, core::Layout::kExtVp);
-      auto vp = (*suite)->s2rdf().Execute(query, core::Layout::kVp);
+      auto extvp = (*suite)->s2rdf().Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
+      auto vp = (*suite)->s2rdf().Execute(
+          {.query = query, .options = {.layout = core::Layout::kVp}});
       if (extvp.ok()) extvp_input_total += extvp->metrics.input_tuples;
       if (vp.ok()) vp_input_total += vp->metrics.input_tuples;
     }

@@ -29,6 +29,7 @@
 #include "common/task_pool.h"
 #include "core/optimizer.h"
 #include "core/s2rdf.h"
+#include "engine/profile.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
 
@@ -76,9 +77,11 @@ void MaybeExplain(core::S2Rdf* db, const std::string& name,
         m == 0 ? core::OptimizerMode::kPaper : core::OptimizerMode::kCost;
     auto result = db->Execute(request);
     if (!result.ok()) continue;
+    const std::string rendered =
+        level < 2 ? result->plan->ToString()
+                  : engine::RenderProfileText(result->profile_data);
     std::fprintf(stderr, "-- %s (%s) --\n%s", name.c_str(),
-                 result->optimizer_mode.c_str(),
-                 level < 2 ? result->plan.c_str() : result->profile.c_str());
+                 result->optimizer_mode.c_str(), rendered.c_str());
   }
 }
 

@@ -119,14 +119,16 @@ int Main() {
     uint64_t vp_input = 0;
     uint64_t rows = 0;
     extvp_ms = MeanMs(repetitions, [&] {
-      auto result = (*db)->Execute(query, core::Layout::kExtVp);
+      auto result = (*db)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
       if (result.ok()) {
         extvp_input = result->metrics.input_tuples;
         rows = result->table.NumRows();
       }
     });
     vp_ms = MeanMs(repetitions, [&] {
-      auto result = (*db)->Execute(query, core::Layout::kVp);
+      auto result = (*db)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kVp}});
       if (result.ok()) vp_input = result->metrics.input_tuples;
     });
     char speedup[32];

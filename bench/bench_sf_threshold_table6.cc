@@ -55,7 +55,8 @@ int Main() {
          watdiv::BasicTestingQueries()) {
       for (int round = 0; round < rounds; ++round) {
         std::string query = InstantiateFor(tmpl, sf, round);
-        auto result = (*db)->Execute(query, core::Layout::kExtVp);
+        auto result = (*db)->Execute(
+            {.query = query, .options = {.layout = core::Layout::kExtVp}});
         if (!result.ok()) {
           std::fprintf(stderr, "%s: %s\n", tmpl.name.c_str(),
                        result.status().ToString().c_str());

@@ -125,13 +125,16 @@ int main(int argc, char** argv) {
 
   for (const NamedQuery& query : AnalyticsQueries()) {
     std::printf("\n=== %s ===\n", query.title);
-    auto extvp = (*db)->Execute(query.text, s2rdf::core::Layout::kExtVp);
+    auto extvp = (*db)->Execute(
+        {.query = query.text,
+         .options = {.layout = s2rdf::core::Layout::kExtVp}});
     if (!extvp.ok()) {
       std::fprintf(stderr, "  failed: %s\n",
                    extvp.status().ToString().c_str());
       continue;
     }
-    auto vp = (*db)->Execute(query.text, s2rdf::core::Layout::kVp);
+    auto vp = (*db)->Execute(
+        {.query = query.text, .options = {.layout = s2rdf::core::Layout::kVp}});
     std::printf("  ExtVP: %zu rows in %.2f ms (input %llu tuples)",
                 extvp->table.NumRows(), extvp->millis,
                 static_cast<unsigned long long>(

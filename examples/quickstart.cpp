@@ -57,20 +57,18 @@ int main(int argc, char** argv) {
               (*db)->catalog().NumMaterializedTables(),
               static_cast<unsigned long long>((*db)->catalog().TotalTuples()));
 
-  // 3. Run a SPARQL query over ExtVP. QueryRequest carries per-query
-  //    controls (deadline, row limit, layout); plain
-  //    Execute("SELECT ...") works too.
-  s2rdf::core::QueryRequest request;
-  request.query = kQuery;
-  request.options.timeout_ms = 5000;
-  auto result = (*db)->Execute(request);
+  // 3. Run a SPARQL query over ExtVP. Execute takes one QueryRequest:
+  //    the query text plus its per-query controls (deadline, row limit,
+  //    layout, ...); omitted options keep their defaults.
+  auto result = (*db)->Execute(
+      {.query = kQuery, .options = {.timeout_ms = 5000}});
   if (!result.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  result.status().ToString().c_str());
     return 1;
   }
 
-  std::printf("compiled SQL:\n%s\n\n", result->sql.c_str());
+  std::printf("compiled SQL:\n%s\n\n", result->plan->ToSql().c_str());
   std::printf("results (%zu rows, %.3f ms, %s):\n",
               result->table.NumRows(), result->millis,
               result->metrics.ToString().c_str());

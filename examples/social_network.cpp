@@ -56,14 +56,15 @@ int main() {
   }
 
   // --- Fig. 11: table selection + generated SQL -------------------------
-  auto optimized = (*db)->Execute(kQ1, s2rdf::core::Layout::kExtVp);
+  auto optimized = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = s2rdf::core::Layout::kExtVp}});
   if (!optimized.ok()) {
     std::fprintf(stderr, "%s\n", optimized.status().ToString().c_str());
     return 1;
   }
   std::printf("\nQ1 over ExtVP (Fig. 11) — generated SQL:\n%s\n",
-              optimized->sql.c_str());
-  std::printf("\nphysical plan:\n%s", optimized->plan.c_str());
+              optimized->plan->ToSql().c_str());
+  std::printf("\nphysical plan:\n%s", optimized->plan->ToString().c_str());
 
   std::printf("\nresult (expected: x=A, w=I2, y=B, z=C):\n");
   for (const auto& row : (*db)->DecodeRows(optimized->table)) {
@@ -72,9 +73,8 @@ int main() {
   }
 
   // --- Fig. 12: join-order optimization ---------------------------------
-  s2rdf::core::CompilerOptions unopt;
-  unopt.optimizer.reorder_joins = false;
-  auto unoptimized = (*db)->ExecuteWithOptions(kQ1, unopt);
+  auto unoptimized = (*db)->Execute(
+      {.query = kQ1, .options = {.optimizer = {.reorder_joins = false}}});
   if (unoptimized.ok()) {
     std::printf(
         "\njoin-order optimization (Fig. 12):\n"
@@ -87,7 +87,8 @@ int main() {
   }
 
   // --- Fig. 8: ExtVP vs VP ----------------------------------------------
-  auto vp = (*db)->Execute(kQ1, s2rdf::core::Layout::kVp);
+  auto vp = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = s2rdf::core::Layout::kVp}});
   if (vp.ok()) {
     std::printf(
         "\nExtVP vs VP on Q1 (Fig. 8 mechanism):\n"

@@ -25,6 +25,7 @@
 
 #include "common/strings.h"
 #include "core/s2rdf.h"
+#include "engine/profile.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "sparql/results_io.h"
@@ -175,17 +176,23 @@ int main(int argc, char** argv) {
     if (text.find("PREFIX") == std::string::npos) {
       text = s2rdf::watdiv::PrefixHeader() + text;
     }
-    s2rdf::core::CompilerOptions exec_options;
-    exec_options.layout = layout;
-    exec_options.collect_profile = show_profile;
-    auto result = (*db)->ExecuteWithOptions(text, exec_options);
+    auto result = (*db)->Execute(
+        {.query = text,
+         .options = {.layout = layout, .collect_profile = show_profile}});
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       continue;
     }
-    if (show_sql) std::printf("%s\n", result->sql.c_str());
-    if (show_plan) std::printf("%s", result->plan.c_str());
-    if (show_profile) std::printf("%s", result->profile.c_str());
+    // A DESCRIBE without WHERE compiles no plan.
+    if (result->plan != nullptr) {
+      if (show_sql) std::printf("%s\n", result->plan->ToSql().c_str());
+      if (show_plan) std::printf("%s", result->plan->ToString().c_str());
+    }
+    if (show_profile) {
+      std::printf("%s",
+                  s2rdf::engine::RenderProfileText(result->profile_data)
+                      .c_str());
+    }
     if (result->is_graph) {
       std::printf("%s%llu triples in %.2f ms\n",
                   result->graph_ntriples.c_str(),

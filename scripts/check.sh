@@ -3,7 +3,8 @@
 # DESIGN.md §7. Usage:
 #
 #   scripts/check.sh          # everything (release, lint, analyze, sanitizers)
-#   scripts/check.sh quick    # release build + full ctest + lint only
+#   scripts/check.sh quick    # release build + full ctest + lint +
+#                             # benchmark build only
 #
 # Each leg is independent; the script fails fast on the first broken
 # one. The `analyze` leg needs clang++ (thread-safety analysis) and is
@@ -24,6 +25,13 @@ ctest --preset lint
 
 note "whole-program analysis (layering, lock-order, interrupt-coverage, status-discipline)"
 ./build/tools/lint/s2rdf_lint --root=. src tests bench tools
+
+note "benchmark package (perfbench/) builds against the library's public API"
+# perfbench/ is built from the unedited benchmark sources on top of
+# src/, as the benchmark run builds it: an API change that breaks the
+# benchmark fails here instead of in the benchmark run.
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j"$(nproc)" --target perfbench
 
 note "recorded benchmark consistency (committed BENCH_*.json)"
 # Every BENCH_*.json the bench leg below maintains must be present in

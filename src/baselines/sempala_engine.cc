@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 
 #include "common/clock.h"
 #include "core/layout_names.h"
@@ -77,7 +78,7 @@ StatusOr<rdf::Table> SempalaEngine::EvaluateStarGroup(
   bool have_result = false;
 
   if (!pt_patterns.empty()) {
-    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* pt,
+    S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> pt,
                            catalog_.GetTable(core::PropertyTableName()));
     engine::ScanSpec spec;
     // Track first column of each variable for repeated-variable checks.
@@ -126,7 +127,7 @@ StatusOr<rdf::Table> SempalaEngine::EvaluateStarGroup(
   // subject.
   for (const TriplePattern* tp : join_patterns) {
     rdf::TermId p = *dict.Find(tp->predicate.value);
-    const rdf::Table* base = nullptr;
+    std::shared_ptr<const rdf::Table> base;
     int s_col = 0;
     int o_col = 1;
     if (aux_predicates_.contains(p)) {

@@ -401,7 +401,7 @@ StatusOr<PlanPtr> QueryCompiler::CompileGroup(
 StatusOr<PlanPtr> QueryCompiler::Compile(const sparql::Query& query) const {
   S2RDF_ASSIGN_OR_RETURN(PlanPtr plan, CompileGroup(query.where));
 
-  if (query.is_ask) {
+  if (query.form == sparql::QueryForm::kAsk) {
     // ASK: any single solution answers the query.
     return PlanNode::SliceNode(std::move(plan), 0, 1);
   }

@@ -39,9 +39,6 @@ struct CompilerOptions {
   // join pipeline instead of after the whole group (the "filter
   // pushing" of Sec. 6).
   bool push_filters = true;
-  // EXPLAIN ANALYZE: record per-operator rows and timings in
-  // QueryResult::profile.
-  bool collect_profile = false;
   // Required for Layout::kExtVpBitmap; must outlive the compiler.
   const ExtVpBitmapStore* bitmap_store = nullptr;
   // Optimizer selection and knobs for the Optimize stage.

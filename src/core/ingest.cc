@@ -75,7 +75,7 @@ class OldVpSource {
     std::string name = VpTableName(dict_, p);
     bool loaded = false;
     if (catalog_->Has(name) && !catalog_->IsQuarantined(name)) {
-      auto table_or = catalog_->GetTableShared(name);
+      auto table_or = catalog_->GetTable(name);
       if (table_or.ok()) {
         const rdf::Table& t = *table_or.value();
         rows->reserve(t.NumRows());
@@ -259,7 +259,7 @@ class DeltaMaintainer {
       // Nothing matched before and the key set is unchanged.
     } else if (trust_old_stats_ && !right_may_grow && old != nullptr &&
                old->materialized && !catalog_->IsQuarantined(name)) {
-      auto table_or = catalog_->GetTableShared(name);
+      auto table_or = catalog_->GetTable(name);
       if (table_or.ok()) {
         const rdf::Table& t = *table_or.value();
         out->reserve(t.NumRows());
@@ -316,7 +316,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
         "ingest requires the triples table (build_triples_table)");
   }
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> old_tt,
-                         catalog->GetTableShared(TriplesTableName()));
+                         catalog->GetTable(TriplesTableName()));
 
   // Encode the batch; new terms are interned (the caller persists the
   // dictionary before the commit).
@@ -509,7 +509,7 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
   std::set<std::string> stale_set(stale.begin(), stale.end());
 
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> tt,
-                         catalog->GetTableShared(TriplesTableName()));
+                         catalog->GetTable(TriplesTableName()));
   std::set<TermId> all_preds;
   for (size_t r = 0; r < tt->NumRows(); ++r) all_preds.insert(tt->At(r, 1));
   std::set<TermId> stale_pids;

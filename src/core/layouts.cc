@@ -243,9 +243,9 @@ Status MaterializeExtVpPair(const rdf::Dictionary& dict, Correlation corr,
   // Shared ownership: a concurrent query's eviction pass must not free
   // the VP tables while this reduction is being computed.
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp1,
-                         catalog->GetTableShared(VpTableName(dict, p1)));
+                         catalog->GetTable(VpTableName(dict, p1)));
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp2,
-                         catalog->GetTableShared(VpTableName(dict, p2)));
+                         catalog->GetTable(VpTableName(dict, p2)));
 
   // Column roles per correlation: reduce VP_p1 by the matching column
   // of VP_p2 (Sec. 5.2's semi-join definitions).

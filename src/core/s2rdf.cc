@@ -21,22 +21,6 @@ namespace s2rdf::core {
 
 namespace {
 
-// Seeds an ExecContext with the per-query controls of `options`. The
-// deadline covers the whole request (parse + compile + execute), so it
-// is computed once up front.
-void InitContext(const QueryOptions& options, int num_partitions,
-                 MonotonicTime start, engine::ExecContext* ctx) {
-  ctx->num_partitions = num_partitions;
-  ctx->collect_profile = options.collect_profile;
-  ctx->profile_origin = start;
-  ctx->cancel_flag = options.cancel;
-  ctx->trace_id = options.trace_id;
-  if (options.timeout_ms > 0) {
-    ctx->has_deadline = true;
-    ctx->deadline = start + std::chrono::milliseconds(options.timeout_ms);
-  }
-}
-
 // --- Checksummed dictionary persistence ---------------------------------
 //
 // The dictionary is the one artifact the tables cannot reconstruct (they
@@ -159,11 +143,11 @@ engine::TableProvider CatalogProvider(storage::Catalog* catalog) {
     auto pinned = pins->find(name);
     if (pinned != pins->end()) return pinned->second.get();
     StatusOr<std::shared_ptr<const rdf::Table>> table =
-        catalog->GetTableShared(name);
+        catalog->GetTable(name);
     if (!table.ok()) {
       const std::string substitute = VpTableNameForExtVp(name);
       if (substitute.empty()) return nullptr;
-      table = catalog->GetTableShared(substitute);
+      table = catalog->GetTable(substitute);
       if (!table.ok()) return nullptr;
       if (!degraded->exchange(true)) catalog->NoteDegradedQuery();
     }
@@ -336,127 +320,113 @@ StatusOr<uint64_t> S2Rdf::RefreshStaleExtVp() {
 }
 
 StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
-  CompilerOptions compiler_options;
-  compiler_options.layout = request.options.layout;
-  compiler_options.collect_profile = request.options.collect_profile;
-  compiler_options.optimizer = request.options.optimizer;
-  return ExecuteInternal(request.query, compiler_options, request.options);
-}
-
-StatusOr<QueryResult> S2Rdf::Execute(std::string_view sparql_text,
-                                     Layout layout) {
-  CompilerOptions compiler_options;
-  compiler_options.layout = layout;
-  QueryOptions query_options;
-  query_options.layout = layout;
-  return ExecuteInternal(sparql_text, compiler_options, query_options);
-}
-
-StatusOr<QueryResult> S2Rdf::ExecuteWithOptions(
-    std::string_view sparql_text, const CompilerOptions& options) {
-  QueryOptions query_options;
-  query_options.layout = options.layout;
-  query_options.collect_profile = options.collect_profile;
-  return ExecuteInternal(sparql_text, options, query_options);
-}
-
-StatusOr<QueryResult> S2Rdf::ExecuteInternal(
-    std::string_view sparql_text, const CompilerOptions& compiler_options,
-    const QueryOptions& query_options) {
-  auto start = MonotonicNow();
+  const QueryOptions& options = request.options;
+  const MonotonicTime start = MonotonicNow();
   engine::ExecContext ctx;
-  InitContext(query_options, num_partitions_, start, &ctx);
+  ctx.num_partitions = num_partitions_;
+  ctx.collect_profile = options.collect_profile;
+  ctx.profile_origin = start;
+  ctx.cancel_flag = options.cancel;
+  ctx.trace_id = options.trace_id;
+  // The deadline covers the whole request (parse + compile + execute).
+  if (options.timeout_ms > 0) {
+    ctx.has_deadline = true;
+    ctx.deadline = start + std::chrono::milliseconds(options.timeout_ms);
+  }
   engine::TaskSpanSink task_spans;
   if (ctx.collect_profile) ctx.task_spans = &task_spans;
 
   S2RDF_ASSIGN_OR_RETURN(sparql::Query query,
-                         sparql::ParseQuery(sparql_text));
+                         sparql::ParseQuery(request.query));
   const double parse_ms = MillisSince(start);
   if (ctx.CheckInterrupt()) return ctx.interrupt_status;
-  if (lazy_extvp_ && compiler_options.layout == Layout::kExtVp) {
+  const bool is_graph = query.form == sparql::QueryForm::kConstruct ||
+                        query.form == sparql::QueryForm::kDescribe;
+  if (is_graph && options.explain_plan) {
+    return InvalidArgumentError(
+        "explain=plan is not supported for CONSTRUCT/DESCRIBE queries");
+  }
+  if (lazy_extvp_ && options.layout == Layout::kExtVp) {
     S2RDF_RETURN_IF_ERROR(LazyMaterializeFor(query.where));
     if (ctx.CheckInterrupt()) return ctx.interrupt_status;
   }
-  CompilerOptions effective = compiler_options;
-  if (effective.layout == Layout::kExtVpBitmap) {
-    if (bitmap_store_ == nullptr) {
-      return FailedPreconditionError(
-          "Layout::kExtVpBitmap requires S2RdfOptions.build_extvp_bitmaps");
-    }
-    effective.bitmap_store = bitmap_store_.get();
+  const CompilerOptions compiler_options{
+      .layout = options.layout,
+      .use_statistics_shortcut = options.use_statistics_shortcut,
+      .push_filters = options.push_filters,
+      .bitmap_store = bitmap_store_.get(),
+      .optimizer = options.optimizer};
+  if (options.layout == Layout::kExtVpBitmap && bitmap_store_ == nullptr) {
+    return FailedPreconditionError(
+        "Layout::kExtVpBitmap requires S2RdfOptions.build_extvp_bitmaps");
   }
-  if (query.form == sparql::QueryForm::kConstruct ||
-      query.form == sparql::QueryForm::kDescribe) {
-    if (query_options.explain_plan) {
-      return InvalidArgumentError(
-          "explain=plan is not supported for CONSTRUCT/DESCRIBE queries");
-    }
-    return ExecuteGraphForm(query, effective, query_options);
+
+  QueryResult result;
+  // A DESCRIBE of constant targets has no WHERE clause to compile.
+  const sparql::GraphPattern& where = query.where;
+  if (query.form != sparql::QueryForm::kDescribe || !where.triples.empty() ||
+      !where.unions.empty() || !where.subqueries.empty() ||
+      !where.values.empty()) {
+    QueryCompiler compiler(&catalog_, &graph_.dictionary(), compiler_options);
+    S2RDF_ASSIGN_OR_RETURN(result.plan, compiler.Compile(query));
+    result.optimizer_mode = compiler.optimizer().name();
   }
-  QueryCompiler compiler(&catalog_, &graph_.dictionary(), effective);
-  S2RDF_ASSIGN_OR_RETURN(engine::PlanPtr plan, compiler.Compile(query));
   const double compile_ms = MillisSince(start) - parse_ms;
   if (ctx.CheckInterrupt()) return ctx.interrupt_status;
 
-  if (query_options.explain_plan) {
-    // EXPLAIN: stop after the compile stage; the plan with its
-    // estimates is the result.
-    QueryResult result;
-    result.millis = MillisSince(start);
-    result.parse_ms = parse_ms;
-    result.compile_ms = compile_ms;
-    result.is_ask = query.is_ask;
-    result.sql = plan->ToSql();
-    result.plan = plan->ToString();
-    result.optimizer_mode = compiler.optimizer().name();
-    result.plan_fingerprint = engine::PlanFingerprint(*plan);
-    result.trace_id = query_options.trace_id;
-    return result;
+  // EXPLAIN stops after the compile stage: the plan with its estimates
+  // is the result.
+  double exec_ms = 0.0;
+  if (!options.explain_plan) {
+    // The provider pins every table it resolves until it is destroyed,
+    // so concurrent eviction cannot free a table mid-scan.
+    const MonotonicTime exec_start = MonotonicNow();
+    rdf::Table solutions;
+    if (result.plan != nullptr) {
+      S2RDF_ASSIGN_OR_RETURN(
+          solutions, engine::ExecutePlan(*result.plan,
+                                         CatalogProvider(&catalog_),
+                                         &graph_.dictionary(), &ctx));
+    }
+    if (is_graph) {
+      S2RDF_ASSIGN_OR_RETURN(result.graph_ntriples,
+                             BuildGraph(query, solutions, &ctx));
+    } else {
+      ctx.metrics.output_tuples = solutions.NumRows();
+      result.table = std::move(solutions);
+    }
+    exec_ms = MillisSince(exec_start);
   }
 
-  // The provider pins every table it resolves until `provider` is
-  // destroyed, so concurrent eviction cannot free a table mid-scan.
-  auto exec_start = MonotonicNow();
-  S2RDF_ASSIGN_OR_RETURN(
-      rdf::Table table,
-      engine::ExecutePlan(*plan, CatalogProvider(&catalog_),
-                          &graph_.dictionary(), &ctx));
-  const double exec_ms = MillisSince(exec_start);
-  ctx.metrics.output_tuples = table.NumRows();
-
-  QueryResult result;
-  // Timing covers parse + compile + execute; the debug renderings below
-  // are excluded (they are inspection aids, not part of the query path).
   result.millis = MillisSince(start);
   result.parse_ms = parse_ms;
   result.compile_ms = compile_ms;
   result.exec_ms = exec_ms;
-  result.is_ask = query.is_ask;
-  result.ask_result = query.is_ask && table.NumRows() > 0;
-  if (query_options.max_result_rows > 0 &&
-      table.NumRows() > query_options.max_result_rows) {
-    table = engine::Slice(table, 0, query_options.max_result_rows);
+  result.is_ask = query.form == sparql::QueryForm::kAsk;
+  result.ask_result = result.is_ask && result.table.NumRows() > 0;
+  result.is_graph = is_graph;
+  if (options.max_result_rows > 0 &&
+      result.table.NumRows() > options.max_result_rows) {
+    result.table = engine::Slice(result.table, 0, options.max_result_rows);
     result.truncated = true;
   }
-  result.trace_id = query_options.trace_id;
-  if (effective.collect_profile) {
-    result.profile_data.trace_id = query_options.trace_id;
-    result.profile_data.operators = std::move(ctx.profile);
-    result.profile_data.tasks = task_spans.Take();
-    result.profile_data.parse_ms = parse_ms;
-    result.profile_data.compile_ms = compile_ms;
-    result.profile_data.exec_ms = exec_ms;
-    result.profile_data.total_ms = result.millis;
-    result.profile_data.totals = ctx.metrics;
-    result.profile = engine::RenderProfileText(result.profile_data);
-    S2RDF_RETURN_IF_ERROR(MaybeDumpTrace(result.profile_data, sparql_text));
+  result.trace_id = options.trace_id;
+  if (result.plan != nullptr) {
+    result.plan_fingerprint = engine::PlanFingerprint(*result.plan);
   }
-  result.sql = plan->ToSql();
-  result.plan = plan->ToString();
-  result.optimizer_mode = compiler.optimizer().name();
-  result.plan_fingerprint = engine::PlanFingerprint(*plan);
-  result.table = std::move(table);
   result.metrics = ctx.metrics;
+  if (ctx.collect_profile) {
+    engine::QueryProfile& profile = result.profile_data;
+    profile.trace_id = options.trace_id;
+    profile.operators = std::move(ctx.profile);
+    profile.tasks = task_spans.Take();
+    profile.parse_ms = parse_ms;
+    profile.compile_ms = compile_ms;
+    profile.exec_ms = exec_ms;
+    profile.total_ms = result.millis;
+    profile.totals = ctx.metrics;
+    S2RDF_RETURN_IF_ERROR(MaybeDumpTrace(profile, request.query));
+  }
   // Enforce the memory budget between queries; in-flight queries keep
   // their tables alive through provider pins.
   catalog_.EvictToBudget();
@@ -477,35 +447,17 @@ Status S2Rdf::MaybeDumpTrace(const engine::QueryProfile& profile,
       engine::RenderTraceJson(profile, std::string(query_text)));
 }
 
-StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
-    const sparql::Query& query, const CompilerOptions& options,
-    const QueryOptions& query_options) {
-  auto start = MonotonicNow();
+StatusOr<std::string> S2Rdf::BuildGraph(const sparql::Query& query,
+                                        const rdf::Table& solutions,
+                                        engine::ExecContext* ctx) {
   const rdf::Dictionary& dict = graph_.dictionary();
-  engine::ExecContext ctx;
-  InitContext(query_options, num_partitions_, start, &ctx);
-  ctx.collect_profile = false;
-
-  // Solutions of the WHERE clause (all variables projected; the parser
-  // sets select_all for graph forms). DESCRIBE without a WHERE clause
-  // skips this.
-  rdf::Table solutions(std::vector<std::string>{});
-  if (!query.where.triples.empty() || !query.where.unions.empty() ||
-      !query.where.subqueries.empty() || !query.where.values.empty()) {
-    QueryCompiler compiler(&catalog_, &dict, options);
-    S2RDF_ASSIGN_OR_RETURN(engine::PlanPtr plan, compiler.Compile(query));
-    S2RDF_ASSIGN_OR_RETURN(
-        solutions, engine::ExecutePlan(*plan, CatalogProvider(&catalog_),
-                                       &graph_.dictionary(), &ctx));
-  }
-
   // Collect output statements, deduplicated (graphs are sets).
   std::set<std::string> statements;
 
   if (query.form == sparql::QueryForm::kConstruct) {
     for (size_t r = 0; r < solutions.NumRows(); ++r) {
-      if ((r % engine::kInterruptCheckRows) == 0 && ctx.CheckInterrupt()) {
-        return ctx.interrupt_status;
+      if ((r % engine::kInterruptCheckRows) == 0 && ctx->CheckInterrupt()) {
+        return ctx->interrupt_status;
       }
       for (const sparql::TriplePattern& tp : query.construct_template) {
         std::string parts[3];
@@ -563,11 +515,11 @@ StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
     // Shared ownership keeps the triples table valid even if another
     // query's EvictToBudget drops it from the cache mid-loop.
     S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> triples,
-                           catalog_.GetTableShared(TriplesTableName()));
-    ctx.metrics.input_tuples += triples->NumRows();
+                           catalog_.GetTable(TriplesTableName()));
+    ctx->metrics.input_tuples += triples->NumRows();
     for (size_t r = 0; r < triples->NumRows(); ++r) {
-      if ((r % engine::kInterruptCheckRows) == 0 && ctx.CheckInterrupt()) {
-        return ctx.interrupt_status;
+      if ((r % engine::kInterruptCheckRows) == 0 && ctx->CheckInterrupt()) {
+        return ctx->interrupt_status;
       }
       if (!targets.contains(triples->At(r, 0))) continue;
       statements.insert(dict.Decode(triples->At(r, 0)) + " " +
@@ -576,17 +528,12 @@ StatusOr<QueryResult> S2Rdf::ExecuteGraphForm(
     }
   }
 
-  QueryResult result;
-  result.is_graph = true;
+  std::string ntriples;
   for (const std::string& statement : statements) {
-    result.graph_ntriples += statement + "\n";
+    ntriples += statement + "\n";
   }
-  ctx.metrics.output_tuples = statements.size();
-  result.metrics = ctx.metrics;
-  result.millis = MillisSince(start);
-  result.trace_id = query_options.trace_id;
-  catalog_.EvictToBudget();
-  return result;
+  ctx->metrics.output_tuples = statements.size();
+  return ntriples;
 }
 
 Status S2Rdf::LazyMaterializeFor(const sparql::GraphPattern& pattern) {

@@ -39,10 +39,10 @@
 //   rdf::Graph g;
 //   rdf::ParseNTriples(data, &g);
 //   S2RDF_ASSIGN_OR_RETURN(auto db, core::S2Rdf::Create(std::move(g), {}));
-//   core::QueryRequest request;
-//   request.query = "SELECT * WHERE { ?s ?p ?o }";
-//   request.options.timeout_ms = 5000;
-//   S2RDF_ASSIGN_OR_RETURN(auto result, db->Execute(request));
+//   S2RDF_ASSIGN_OR_RETURN(
+//       auto result, db->Execute({.query = "SELECT * WHERE { ?s ?p ?o }",
+//                                 .options = {.timeout_ms = 5000}}));
+//   std::printf("%s", result.plan->ToSql().c_str());
 
 namespace s2rdf::core {
 
@@ -81,7 +81,10 @@ struct S2RdfOptions {
   std::string trace_dir;
 };
 
-// Per-query execution controls, carried by a QueryRequest.
+// Per-query execution controls, carried by a QueryRequest. Fields of
+// class type carry a `{}` initializer so designated initializers that
+// omit them (`{.layout = Layout::kVp}`) stay free of
+// -Wmissing-field-initializers.
 struct QueryOptions {
   // Wall-clock budget covering parse + compile + execute, milliseconds;
   // 0 = unlimited. On expiry Execute returns kDeadlineExceeded (checked
@@ -93,14 +96,20 @@ struct QueryOptions {
   uint64_t max_result_rows = 0;
   // Layout to execute against.
   Layout layout = Layout::kExtVp;
-  // EXPLAIN ANALYZE: record per-operator rows and timings.
+  // Ablation switches of the compiler (bench_ablations, DESIGN.md §5):
+  // the statistics-only empty-result shortcut (SF = 0 tables), and
+  // FILTER pushdown into the BGP join pipeline (Sec. 6).
+  bool use_statistics_shortcut = true;
+  bool push_filters = true;
+  // EXPLAIN ANALYZE: record per-operator rows and timings in
+  // QueryResult::profile_data.
   bool collect_profile = false;
   // EXPLAIN: parse and compile only; QueryResult carries the plan,
-  // SQL, optimizer mode/estimates and fingerprint, but no rows. Not
+  // optimizer mode/estimates and fingerprint, but no rows. Not
   // supported for CONSTRUCT/DESCRIBE.
   bool explain_plan = false;
   // Optimizer selection and knobs (paper heuristic vs cost-based).
-  OptimizerOptions optimizer;
+  OptimizerOptions optimizer{};
   // Optional external cancellation: while *cancel is true the query
   // returns kCancelled at the next operator boundary. The flag must
   // outlive the Execute call.
@@ -109,13 +118,13 @@ struct QueryOptions {
   // generates one per request) or by an embedding caller. Carried into
   // the ExecContext, the profile/Chrome trace, and QueryResult so every
   // artifact of one request shares one id. Empty = untraced.
-  std::string trace_id;
+  std::string trace_id{};
 };
 
-// The primary query-submission unit: SPARQL text plus its options.
+// The query-submission unit: SPARQL text plus its options.
 struct QueryRequest {
-  std::string query;
-  QueryOptions options;
+  std::string query{};
+  QueryOptions options{};
 };
 
 struct QueryResult {
@@ -131,32 +140,32 @@ struct QueryResult {
   // True when QueryOptions::max_result_rows dropped trailing rows.
   bool truncated = false;
   engine::ExecMetrics metrics;
-  // Wall-clock execution time (compile + execute), milliseconds.
+  // Wall-clock time of parse + compile + execute, milliseconds.
   double millis = 0.0;
   // Stage split of `millis`: parsing, compilation (including lazy-ExtVP
-  // materialization), and plan execution. Always populated.
+  // materialization), and execution (for graph forms including the
+  // construction of the graph). Always populated; exec_ms is 0 under
+  // EXPLAIN.
   double parse_ms = 0.0;
   double compile_ms = 0.0;
   double exec_ms = 0.0;
-  // The Spark-SQL-style statement the compiler produced.
-  std::string sql;
-  // The physical plan, for inspection.
-  std::string plan;
+  // The compiled plan tree; null only for a DESCRIBE without WHERE.
+  // Readers render it where they need text: plan->ToSql() is the
+  // Spark-SQL-style statement the paper's compiler emits, and
+  // plan->ToString() the operator tree with the optimizer's estimates.
+  std::shared_ptr<const engine::PlanNode> plan;
   // Which Optimize stage compiled the plan ("paper" or "cost"); empty
-  // for graph forms, which bypass the SELECT pipeline.
+  // when there is no plan.
   std::string optimizer_mode;
-  // FNV-1a hash of `plan` — tells plan shapes apart cheaply in
-  // /debug/queries and logs. 0 for graph forms.
+  // engine::PlanFingerprint of `plan` — tells plan shapes apart cheaply
+  // in /debug/queries and logs. 0 when there is no plan.
   uint64_t plan_fingerprint = 0;
   // Echo of QueryOptions::trace_id.
   std::string trace_id;
-  // EXPLAIN ANALYZE rendering (per-operator rows and inclusive times);
-  // empty unless profiling was requested.
-  std::string profile;
-  // The structured profile behind `profile` (operator tree with scan
-  // provenance and metric deltas, parallel task spans, stage split);
-  // empty unless profiling was requested. Render a Chrome trace with
-  // engine::RenderTraceJson.
+  // The structured profile (operator tree with scan provenance and
+  // metric deltas, parallel task spans, stage split); empty unless
+  // profiling was requested. Render it with engine::RenderProfileText
+  // (EXPLAIN ANALYZE) or engine::RenderTraceJson (Chrome trace).
   engine::QueryProfile profile_data;
 };
 
@@ -192,18 +201,10 @@ class S2Rdf {
                                                int num_partitions = 9,
                                                Env* env = nullptr);
 
-  // Primary entry point: parses, compiles and executes request.query
-  // under request.options. Thread-safe.
+  // The one query entry point: parses, compiles and executes
+  // request.query under request.options, for every query form.
+  // Thread-safe.
   StatusOr<QueryResult> Execute(const QueryRequest& request);
-
-  // Back-compat convenience overload: query text + layout, default
-  // options otherwise.
-  StatusOr<QueryResult> Execute(std::string_view sparql_text,
-                                Layout layout = Layout::kExtVp);
-
-  // Like Execute with full compiler control (ablation switches).
-  StatusOr<QueryResult> ExecuteWithOptions(std::string_view sparql_text,
-                                           const CompilerOptions& options);
 
   // Applies one batch of new triples: appends to the triples table and
   // VP tables and delta-maintains dependent ExtVP reductions and SF
@@ -250,12 +251,6 @@ class S2Rdf {
         env_(env != nullptr ? env : Env::Default()),
         num_partitions_(num_partitions) {}
 
-  // Common execution path behind both Execute overloads and
-  // ExecuteWithOptions.
-  StatusOr<QueryResult> ExecuteInternal(std::string_view sparql_text,
-                                        const CompilerOptions& compiler_options,
-                                        const QueryOptions& query_options);
-
   // Materializes every ExtVP reduction the pattern's correlations could
   // use (lazy mode pre-pass; recurses into OPTIONAL/UNION/subqueries).
   Status LazyMaterializeFor(const sparql::GraphPattern& pattern);
@@ -265,10 +260,12 @@ class S2Rdf {
   // builder finishes instead of computing it twice.
   Status EnsureExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2);
 
-  // CONSTRUCT / DESCRIBE execution (produces graph_ntriples).
-  StatusOr<QueryResult> ExecuteGraphForm(const sparql::Query& query,
-                                         const CompilerOptions& options,
-                                         const QueryOptions& query_options);
+  // The CONSTRUCT/DESCRIBE tail of Execute: the N-Triples graph built
+  // from the WHERE clause's solutions (empty for a DESCRIBE without
+  // WHERE).
+  StatusOr<std::string> BuildGraph(const sparql::Query& query,
+                                   const rdf::Table& solutions,
+                                   engine::ExecContext* ctx);
 
   // Writes the query's Chrome trace to S2RdfOptions::trace_dir (no-op
   // when unset).

@@ -120,7 +120,7 @@ struct TaskSpan {
 };
 
 // Thread-safe collector for TaskSpans. Owned by whoever owns the query
-// (e.g. core::S2Rdf::ExecuteInternal) and attached to the ExecContext by
+// (e.g. core::S2Rdf::Execute) and attached to the ExecContext by
 // pointer, keeping the context itself copyable. Pool workers append
 // concurrently; one lock per morsel (>= thousands of rows) is noise.
 class TaskSpanSink {

@@ -300,7 +300,7 @@ Table HashJoin(const Table& left, const Table& right, ExecContext* ctx) {
     return interrupted_result();
   }
   Table out = JoinOutputSchema(left, right, right_only);
-  out.AdoptColumns(std::move(cols));
+  out.AdoptColumns(std::move(cols), total);
   if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
   return out;
 }

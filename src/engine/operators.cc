@@ -845,7 +845,7 @@ Table Project(const Table& t, const std::vector<std::string>& columns) {
     }
   }
   Table out(columns);
-  out.AdoptColumns(std::move(cols));
+  out.AdoptColumns(std::move(cols), t.NumRows());
   return out;
 }
 

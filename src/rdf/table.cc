@@ -18,9 +18,10 @@ int Table::ColumnIndex(std::string_view name) const {
   return -1;
 }
 
-void Table::AdoptColumns(std::vector<std::vector<TermId>> columns) {
+void Table::AdoptColumns(std::vector<std::vector<TermId>> columns,
+                         size_t num_rows) {
   S2RDF_DCHECK(columns.size() == column_names_.size());
-  num_rows_ = columns.empty() ? 0 : columns[0].size();
+  num_rows_ = num_rows;
   for ([[maybe_unused]] const auto& col : columns) {
     S2RDF_DCHECK(col.size() == num_rows_);
   }

@@ -49,10 +49,12 @@ class Table {
   const TermId* ColumnData(size_t i) const { return columns_[i].data(); }
 
   // Replaces the table's data wholesale with `columns` (one vector per
-  // column, all the same length). The column-store fast path for
+  // column, each `num_rows` long). The column-store fast path for
   // operators that produce whole columns — Project, the hash join's
-  // gather — instead of assembling rows.
-  void AdoptColumns(std::vector<std::vector<TermId>> columns);
+  // gather, table decoding — instead of assembling rows. The row count
+  // is explicit because a table with no columns still has rows: each is
+  // one solution that binds no variable.
+  void AdoptColumns(std::vector<std::vector<TermId>> columns, size_t num_rows);
 
   // Appends one row; `values.size()` must equal NumColumns().
   void AppendRow(const std::vector<TermId>& values);

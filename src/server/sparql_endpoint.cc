@@ -142,32 +142,33 @@ uint64_t MakeTraceSalt() {
 }
 
 // Fills `response`'s body and content type from a successful query: the
-// plan, the profile or the trace when asked for, else the graph, the ASK
-// verdict or the solutions in `format`.
+// plan, the profile or the trace when `rendering` asks for one, else the
+// graph, the ASK verdict or the solutions in `format`. Plan and profile
+// text is rendered here, the one place that reads it.
 void RenderQueryResponse(const core::QueryResult& result,
                          const std::string& query_text,
                          const rdf::Dictionary& dict, ResultFormat format,
-                         bool explain_plan, bool explain_analyze,
-                         bool want_trace, HttpResponse* response) {
-  if (explain_plan) {
-    // Compile-only: report the chosen plan with its estimates.
-    char fp[24];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(result.plan_fingerprint));
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = "optimizer: " + result.optimizer_mode +
-                     "\nfingerprint: " + fp + "\n" + result.plan;
-    return;
-  }
-  if (explain_analyze) {
-    response->content_type = "text/plain; charset=utf-8";
-    response->body = result.profile;
-    return;
-  }
-  if (want_trace) {
-    response->content_type = "application/json; charset=utf-8";
-    response->body = engine::RenderTraceJson(result.profile_data, query_text);
-    return;
+                         QueryRendering rendering, HttpResponse* response) {
+  switch (rendering) {
+    case QueryRendering::kPlan:
+      // Compile-only: report the chosen plan with its estimates.
+      response->content_type = "text/plain; charset=utf-8";
+      response->body = "optimizer: " + result.optimizer_mode +
+                       "\nfingerprint: " +
+                       FormatHex64(result.plan_fingerprint) + "\n" +
+                       result.plan->ToString();
+      return;
+    case QueryRendering::kProfile:
+      response->content_type = "text/plain; charset=utf-8";
+      response->body = engine::RenderProfileText(result.profile_data);
+      return;
+    case QueryRendering::kTrace:
+      response->content_type = "application/json; charset=utf-8";
+      response->body =
+          engine::RenderTraceJson(result.profile_data, query_text);
+      return;
+    case QueryRendering::kAnswer:
+      break;
   }
   if (result.is_graph) {
     // CONSTRUCT/DESCRIBE: the result is a graph, not solutions.
@@ -385,10 +386,8 @@ HttpResponse SparqlEndpoint::DebugQueriesResponse() const {
                " ms  format=" + FormatMs(r.format_ms) +
                " ms  bytes=" + std::to_string(r.response_bytes);
         if (!r.optimizer_mode.empty()) {
-          char fp[24];
-          std::snprintf(fp, sizeof(fp), "%016llx",
-                        static_cast<unsigned long long>(r.plan_fingerprint));
-          out += "  opt=" + r.optimizer_mode + " plan=" + fp;
+          out += "  opt=" + r.optimizer_mode +
+                 " plan=" + FormatHex64(r.plan_fingerprint);
         }
       } else {
         out += "  total=" + FormatMs(r.total_ms) + " ms  error=" + r.error;
@@ -548,26 +547,27 @@ HttpResponse SparqlEndpoint::Handle(const HttpRequest& request) {
   }
   if (present) query_request.options.max_result_rows = value;
 
-  bool explain_plan = false;
-  bool explain_analyze = false;
+  QueryRendering rendering = QueryRendering::kAnswer;
   auto explain_it = params.find("explain");
   if (explain_it != params.end()) {
     if (explain_it->second == "plan") {
-      explain_plan = true;
+      rendering = QueryRendering::kPlan;
     } else if (explain_it->second == "analyze") {
-      explain_analyze = true;
+      rendering = QueryRendering::kProfile;
     } else {
       return ErrorResponse(
           InvalidArgumentError("'explain' must be 'plan' or 'analyze'"));
     }
   }
-  bool want_trace = false;
   auto trace_it = params.find("trace");
   if (trace_it != params.end()) {
     if (trace_it->second != "1" && trace_it->second != "0") {
       return ErrorResponse(InvalidArgumentError("'trace' must be 0 or 1"));
     }
-    want_trace = trace_it->second == "1";
+    // An EXPLAIN rendering takes precedence over the trace.
+    if (trace_it->second == "1" && rendering == QueryRendering::kAnswer) {
+      rendering = QueryRendering::kTrace;
+    }
   }
   auto optimizer_it = params.find("optimizer");
   if (optimizer_it != params.end()) {
@@ -575,11 +575,12 @@ HttpResponse SparqlEndpoint::Handle(const HttpRequest& request) {
     if (!mode.ok()) return ErrorResponse(mode.status());
     query_request.options.optimizer.mode = *mode;
   }
-  query_request.options.collect_profile = explain_analyze || want_trace;
-  query_request.options.explain_plan = explain_plan;
+  query_request.options.collect_profile =
+      rendering == QueryRendering::kProfile ||
+      rendering == QueryRendering::kTrace;
+  query_request.options.explain_plan = rendering == QueryRendering::kPlan;
 
-  return RunQuery(request, query_request, explain_plan, explain_analyze,
-                  want_trace);
+  return RunQuery(request, query_request, rendering);
 }
 
 HttpResponse SparqlEndpoint::RunIngest(const HttpRequest& request) {
@@ -661,8 +662,7 @@ void SparqlEndpoint::LogSlowQuery(const QueryTicket& ticket, double total_ms,
 
 HttpResponse SparqlEndpoint::RunQuery(const HttpRequest& request,
                                       core::QueryRequest query_request,
-                                      bool explain_plan, bool explain_analyze,
-                                      bool want_trace) {
+                                      QueryRendering rendering) {
   queries_total_->Increment();
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   QueryTicket ticket = BeginQuery(query_request.query);
@@ -723,8 +723,8 @@ HttpResponse SparqlEndpoint::RunQuery(const HttpRequest& request,
   response.headers["X-S2RDF-Trace-Id"] = ticket.trace_id;
   const MonotonicTime format_start = MonotonicNow();
   RenderQueryResponse(*result, query_request.query, db_.graph().dictionary(),
-                      NegotiateFormat(request.Header("accept")), explain_plan,
-                      explain_analyze, want_trace, &response);
+                      NegotiateFormat(request.Header("accept")), rendering,
+                      &response);
   record.format_ms = MillisSince(format_start);
   record.response_bytes = response.body.size();
   format_seconds_->Observe(record.format_ms / 1000.0);

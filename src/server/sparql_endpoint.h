@@ -107,6 +107,15 @@ struct EndpointStats {
   engine::ExecMetrics cumulative;
 };
 
+// What a successful /sparql response carries: the answer in the
+// negotiated result format, or one inspection rendering instead.
+enum class QueryRendering {
+  kAnswer,   // Solutions, ASK verdict or graph.
+  kPlan,     // ?explain=plan: the compiled plan with its estimates.
+  kProfile,  // ?explain=analyze: the EXPLAIN ANALYZE text.
+  kTrace,    // ?trace=1: Chrome trace_event JSON.
+};
+
 // One completed query in the /debug/queries ring buffer.
 struct QueryRecord {
   uint64_t id = 0;
@@ -129,9 +138,9 @@ struct QueryRecord {
   bool slow = false;
   std::string error;  // Status message for failed queries.
   // Which Optimize stage planned the query ("paper" or "cost"; empty
-  // for graph forms and failures) and the plan's fingerprint hash —
-  // two /debug/queries entries with the same fingerprint ran the same
-  // plan shape.
+  // for failures and a DESCRIBE without WHERE) and the plan's
+  // fingerprint hash — two /debug/queries entries with the same
+  // fingerprint ran the same plan shape.
   std::string optimizer_mode;
   uint64_t plan_fingerprint = 0;
 };
@@ -190,10 +199,11 @@ class SparqlEndpoint {
   // bookkeeping (in-flight tracking, counters, histograms, ring buffer,
   // slow-query log).
   // `query_request` is taken by value: RunQuery stamps the minted trace
-  // id into its options before execution.
+  // id into its options before execution. `rendering` picks the body of
+  // a successful response.
   HttpResponse RunQuery(const HttpRequest& request,
-                        core::QueryRequest query_request, bool explain_plan,
-                        bool explain_analyze, bool want_trace);
+                        core::QueryRequest query_request,
+                        QueryRendering rendering);
 
   // POST /ingest: N-Triples body appended as one atomic batch
   // (?defer=1 skips ExtVP maintenance, marking sources stale;

@@ -8,10 +8,11 @@
 
 #include "sparql/expr.h"
 
-// Abstract syntax for the SPARQL 1.0 fragment S2RDF supports (the same
-// fragment the paper's prototype supports: BGPs, FILTER, OPTIONAL, UNION,
-// DISTINCT, ORDER BY, LIMIT, OFFSET; no SPARQL 1.1 aggregates or
-// subqueries — see Sec. 6.1 of the paper).
+// Abstract syntax for the SPARQL fragment S2RDF supports: the paper
+// prototype's SPARQL 1.0 fragment (Sec. 6.1: BGPs, FILTER, OPTIONAL,
+// UNION, DISTINCT, ORDER BY, LIMIT, OFFSET), the ASK, CONSTRUCT and
+// DESCRIBE query forms, and the SPARQL 1.1 aggregates with GROUP BY,
+// subqueries and VALUES blocks that the paper left for future work.
 
 namespace s2rdf::sparql {
 
@@ -99,9 +100,6 @@ enum class QueryForm {
 
 struct Query {
   QueryForm form = QueryForm::kSelect;
-  // ASK query: the result is whether the pattern has any solution.
-  // (Kept in sync with `form` for backward compatibility.)
-  bool is_ask = false;
   bool distinct = false;
   // True for `SELECT *`.
   bool select_all = false;

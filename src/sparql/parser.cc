@@ -79,7 +79,6 @@ class Parser {
     if (Cur().IsKeyword("ASK")) {
       Advance();
       query->form = QueryForm::kAsk;
-      query->is_ask = true;
       query->select_all = true;
       if (Cur().IsKeyword("WHERE")) Advance();
       return ParseGroupGraphPattern(&query->where);

@@ -8,13 +8,20 @@
 
 // Recursive-descent parser for the supported SPARQL fragment:
 //
-//   PREFIX declarations; SELECT [DISTINCT] (* | vars) WHERE { ... };
+//   PREFIX declarations; the query forms
+//     SELECT [DISTINCT|REDUCED] (* | vars and (AGG(...) AS ?v)) WHERE {...}
+//     ASK [WHERE] { ... }
+//     CONSTRUCT { template } WHERE { ... }
+//     DESCRIBE (IRIs | vars) [WHERE { ... }];
 //   basic graph patterns (with ';' and ',' abbreviations and the 'a'
 //   keyword); FILTER with comparisons, &&/||/!, BOUND, REGEX; OPTIONAL;
-//   UNION; ORDER BY; LIMIT; OFFSET.
+//   UNION; nested { SELECT ... } subqueries; VALUES blocks; the
+//   aggregates COUNT, SUM, AVG, MIN, MAX and SAMPLE with GROUP BY (no
+//   HAVING); ORDER BY; LIMIT; OFFSET.
 //
-// This matches the SPARQL 1.0 surface of the paper's prototype (Sec. 6.1:
-// no 1.1 aggregates/subqueries).
+// That is the SPARQL 1.0 surface of the paper's prototype (Sec. 6.1)
+// plus the query forms, aggregates and subqueries it left for future
+// work.
 
 namespace s2rdf::sparql {
 

@@ -345,7 +345,7 @@ void Catalog::QuarantineLocked(const std::string& name) {
   LogEvent(LogLevel::kError, "table_quarantined", {{"table", name}});
 }
 
-StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTableShared(
+StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
     const std::string& name) {
   uint64_t file_gen = 0;
   {
@@ -382,14 +382,6 @@ StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTableShared(
   MutexLock lock(&mu_);
   CacheInsertLocked(name, owned);
   return owned;
-}
-
-StatusOr<const rdf::Table*> Catalog::GetTable(const std::string& name) {
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> table,
-                         GetTableShared(name));
-  // The cache keeps a reference; the raw pointer is valid until the
-  // table is evicted or replaced.
-  return table.get();
 }
 
 void Catalog::CacheInsertLocked(const std::string& name,

@@ -137,7 +137,7 @@ class Catalog {
   // quarantine/stale sets) swaps under a single lock hold. A crash
   // before the CURRENT flip leaves the previous generation fully intact
   // — Recover() deletes the unreferenced "@<g>" files — and readers
-  // that pinned tables via GetTableShared keep their generation until
+  // that pinned tables via GetTable keep their generation until
   // they release the pins. Superseded table files are removed best
   // effort after the flip.
   Status CommitBatch(std::vector<TableUpdate> updates,
@@ -151,12 +151,8 @@ class Catalog {
   // NotFound for unknown or unmaterialized names; FailedPrecondition for
   // quarantined ones. Transient (kIoError) read failures are retried
   // with backoff; corruption quarantines the table.
-  StatusOr<std::shared_ptr<const rdf::Table>> GetTableShared(
+  StatusOr<std::shared_ptr<const rdf::Table>> GetTable(
       const std::string& name);
-
-  // Raw-pointer variant for single-threaded callers (layout builders,
-  // baselines, tests): valid until the table is evicted or replaced.
-  StatusOr<const rdf::Table*> GetTable(const std::string& name);
 
   // Drops a materialized table's in-memory copy (it stays on disk).
   void EvictFromMemory(const std::string& name);
@@ -166,7 +162,7 @@ class Catalog {
   // Disk-backed catalogs can bound their in-memory cache: EvictToBudget
   // drops least-recently-used tables until CachedBytes() fits the
   // budget. Queries pin the tables they scan via the shared_ptr handles
-  // of GetTableShared, so eviction only drops the
+  // of GetTable, so eviction only drops the
   // catalog's own reference; the bytes are reclaimed when the last
   // in-flight query releases its pin. In-memory catalogs (empty `dir`)
   // never evict — their tables have no disk copy.

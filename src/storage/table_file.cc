@@ -146,13 +146,7 @@ StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
     pos += chunk_len;
   }
   rdf::Table table(std::move(names));
-  if (ncols > 0) {
-    table.AdoptColumns(std::move(columns));
-  } else {
-    // A zero-column table (the join identity) has no column to carry
-    // its row count.
-    for (uint64_t r = 0; r < nrows; ++r) table.AppendRow({});
-  }
+  table.AdoptColumns(std::move(columns), nrows);
   return table;
 }
 

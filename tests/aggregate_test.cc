@@ -208,8 +208,8 @@ class AggregateQueryTest : public ::testing::Test {
 
 TEST_F(AggregateQueryTest, CountPerGroupWithOrdering) {
   auto result = db_->Execute(
-      "SELECT ?x (COUNT(*) AS ?n) WHERE { ?x <follows> ?y . } "
-      "GROUP BY ?x ORDER BY DESC(?n)");
+      {.query = "SELECT ?x (COUNT(*) AS ?n) WHERE { ?x <follows> ?y . } "
+                "GROUP BY ?x ORDER BY DESC(?n)"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto rows = db_->DecodeRows(result->table);
   ASSERT_EQ(rows.size(), 2u);
@@ -221,8 +221,9 @@ TEST_F(AggregateQueryTest, CountPerGroupWithOrdering) {
 
 TEST_F(AggregateQueryTest, GlobalAggregatesOverJoin) {
   auto result = db_->Execute(
-      "SELECT (COUNT(*) AS ?n) (SUM(?s) AS ?total) (AVG(?s) AS ?mean) "
-      "(MAX(?s) AS ?best) WHERE { <A> <follows> ?y . ?y <score> ?s . }");
+      {.query = "SELECT (COUNT(*) AS ?n) (SUM(?s) AS ?total) "
+                "(AVG(?s) AS ?mean) (MAX(?s) AS ?best) "
+                "WHERE { <A> <follows> ?y . ?y <score> ?s . }"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto rows = db_->DecodeRows(result->table);
   ASSERT_EQ(rows.size(), 1u);
@@ -235,14 +236,15 @@ TEST_F(AggregateQueryTest, GlobalAggregatesOverJoin) {
 
 TEST_F(AggregateQueryTest, GroupByWithoutAggregatesYieldsDistinctKeys) {
   auto result = db_->Execute(
-      "SELECT ?x WHERE { ?x <follows> ?y . } GROUP BY ?x");
+      {.query = "SELECT ?x WHERE { ?x <follows> ?y . } GROUP BY ?x"});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 2u);
 }
 
 TEST_F(AggregateQueryTest, ProjectionMustBeGroupedOrAggregated) {
   auto result = db_->Execute(
-      "SELECT ?y (COUNT(*) AS ?n) WHERE { ?x <follows> ?y . } GROUP BY ?x");
+      {.query = "SELECT ?y (COUNT(*) AS ?n) WHERE { ?x <follows> ?y . } "
+                "GROUP BY ?x"});
   EXPECT_FALSE(result.ok());
 }
 
@@ -250,9 +252,9 @@ TEST_F(AggregateQueryTest, SubqueryJoinsWithOuterPattern) {
   // Scores of users followed by A, where the inner query picks users
   // with at least one incoming follow.
   auto result = db_->Execute(
-      "SELECT ?y ?n WHERE { <A> <follows> ?y . "
-      "{ SELECT ?y (COUNT(?x) AS ?n) WHERE { ?x <follows> ?y . } "
-      "GROUP BY ?y } }");
+      {.query = "SELECT ?y ?n WHERE { <A> <follows> ?y . "
+                "{ SELECT ?y (COUNT(?x) AS ?n) WHERE { ?x <follows> ?y . } "
+                "GROUP BY ?y } }"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto rows = db_->DecodeRows(result->table);
   ASSERT_EQ(rows.size(), 3u);  // B, C, D all followed by A.
@@ -268,8 +270,8 @@ TEST_F(AggregateQueryTest, SubqueryJoinsWithOuterPattern) {
 
 TEST_F(AggregateQueryTest, SubqueryLimitsAreLocal) {
   auto result = db_->Execute(
-      "SELECT ?y WHERE { { SELECT ?y WHERE { ?x <follows> ?y . } "
-      "ORDER BY ?y LIMIT 2 } }");
+      {.query = "SELECT ?y WHERE { { SELECT ?y WHERE { ?x <follows> ?y . } "
+                "ORDER BY ?y LIMIT 2 } }"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->table.NumRows(), 2u);
 }
@@ -277,9 +279,12 @@ TEST_F(AggregateQueryTest, SubqueryLimitsAreLocal) {
 TEST_F(AggregateQueryTest, AggregatesAcrossLayoutsAgree) {
   const char* query =
       "SELECT ?x (COUNT(*) AS ?n) WHERE { ?x <follows> ?y . } GROUP BY ?x";
-  auto extvp = db_->Execute(query, core::Layout::kExtVp);
-  auto vp = db_->Execute(query, core::Layout::kVp);
-  auto tt = db_->Execute(query, core::Layout::kTriplesTable);
+  auto extvp = db_->Execute(
+      {.query = query, .options = {.layout = core::Layout::kExtVp}});
+  auto vp = db_->Execute(
+      {.query = query, .options = {.layout = core::Layout::kVp}});
+  auto tt = db_->Execute(
+      {.query = query, .options = {.layout = core::Layout::kTriplesTable}});
   ASSERT_TRUE(extvp.ok());
   ASSERT_TRUE(vp.ok());
   ASSERT_TRUE(tt.ok());

@@ -82,7 +82,7 @@ TEST(ConcurrencyStressTest, ParallelMixedQueriesMatchSerial) {
 
   std::vector<std::vector<std::vector<std::string>>> expected;
   for (const char* query : kMixedQueries) {
-    auto result = (*serial)->Execute(query);
+    auto result = (*serial)->Execute({.query = query});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     expected.push_back(SortedRows(**serial, result->table));
   }
@@ -141,7 +141,7 @@ TEST(ConcurrencyStressTest, ParallelExecutionMixedQueriesMatchSerial) {
   ASSERT_TRUE(shared.ok()) << shared.status().ToString();
   std::vector<std::vector<std::vector<std::string>>> expected;
   for (const char* query : kMixedQueries) {
-    auto result = (*shared)->Execute(query);
+    auto result = (*shared)->Execute({.query = query});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     expected.push_back(SortedRows(**shared, result->table));
   }
@@ -247,6 +247,15 @@ TEST(QueryOptionsTest, MaxResultRowsTruncates) {
   ASSERT_TRUE(exact.ok());
   EXPECT_FALSE(exact->truncated);
   EXPECT_EQ(exact->table.NumRows(), full->table.NumRows());
+
+  // The cap applies to solutions, not to the statements of a graph.
+  request.query = "CONSTRUCT { ?y <followedBy> ?x . } "
+                  "WHERE { ?x <follows> ?y . }";
+  request.options.max_result_rows = 5;
+  auto graph = (*db)->Execute(request);
+  ASSERT_TRUE(graph.ok());
+  EXPECT_FALSE(graph->truncated);
+  EXPECT_EQ(graph->metrics.output_tuples, full->table.NumRows());
 }
 
 TEST(QueryOptionsTest, LayoutOverrideSelectsLayout) {
@@ -259,12 +268,12 @@ TEST(QueryOptionsTest, LayoutOverrideSelectsLayout) {
   request.options.layout = Layout::kExtVp;
   auto extvp = (*db)->Execute(request);
   ASSERT_TRUE(extvp.ok());
-  EXPECT_NE(extvp->sql.find("extvp_"), std::string::npos);
+  EXPECT_NE(extvp->plan->ToSql().find("extvp_"), std::string::npos);
 
   request.options.layout = Layout::kVp;
   auto vp = (*db)->Execute(request);
   ASSERT_TRUE(vp.ok());
-  EXPECT_EQ(vp->sql.find("extvp_"), std::string::npos);
+  EXPECT_EQ(vp->plan->ToSql().find("extvp_"), std::string::npos);
   EXPECT_TRUE(rdf::Table::SameBag(extvp->table, vp->table));
 }
 

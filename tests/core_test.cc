@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <tuple>
+
 #include "common/file_util.h"
 #include "core/compiler.h"
 #include "core/layout_names.h"
 #include "core/layouts.h"
 #include "core/s2rdf.h"
 #include "core/table_selection.h"
+#include "engine/profile.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
@@ -168,7 +173,7 @@ TEST_F(ExtVpG1Test, Q1HasTheSingleExpectedResult) {
   ASSERT_TRUE(db.ok());
   for (Layout layout :
        {Layout::kExtVp, Layout::kVp, Layout::kTriplesTable}) {
-    auto result = (*db)->Execute(kQ1, layout);
+    auto result = (*db)->Execute({.query = kQ1, .options = {.layout = layout}});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->table.NumRows(), 1u)
         << "layout " << static_cast<int>(layout);
@@ -185,8 +190,9 @@ TEST_F(ExtVpG1Test, ExtVpReducesJoinComparisons) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto extvp = (*db)->Execute(kQ1, Layout::kExtVp);
-  auto vp = (*db)->Execute(kQ1, Layout::kVp);
+  auto extvp = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
+  auto vp = (*db)->Execute({.query = kQ1, .options = {.layout = Layout::kVp}});
   ASSERT_TRUE(extvp.ok());
   ASSERT_TRUE(vp.ok());
   // Fig. 8 / Fig. 12: ExtVP reduces both input size and comparisons.
@@ -202,7 +208,8 @@ TEST_F(ExtVpG1Test, EmptyCorrelationShortCircuits) {
   // OS(follows, likes) = 0.25 (non-empty). Use the empty one:
   // ?x likes ?y . ?y likes ?z (OS likes|likes is empty).
   auto result = (*db)->Execute(
-      "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }", Layout::kExtVp);
+      {.query = "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }",
+       .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 0u);
   // The statistics shortcut answers without reading any table.
@@ -210,10 +217,20 @@ TEST_F(ExtVpG1Test, EmptyCorrelationShortCircuits) {
 
   // VP layout actually runs the query (same — empty — result).
   auto vp = (*db)->Execute(
-      "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }", Layout::kVp);
+      {.query = "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }",
+       .options = {.layout = Layout::kVp}});
   ASSERT_TRUE(vp.ok());
   EXPECT_EQ(vp->table.NumRows(), 0u);
   EXPECT_GT(vp->metrics.input_tuples, 0u);
+
+  // With the shortcut switched off, ExtVP reads its tables too.
+  auto unshortcut = (*db)->Execute(
+      {.query = "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }",
+       .options = {.layout = Layout::kExtVp,
+                   .use_statistics_shortcut = false}});
+  ASSERT_TRUE(unshortcut.ok());
+  EXPECT_EQ(unshortcut->table.NumRows(), 0u);
+  EXPECT_GT(unshortcut->metrics.input_tuples, 0u);
 }
 
 TEST_F(ExtVpG1Test, ThresholdPrunesButPreservesResults) {
@@ -222,7 +239,8 @@ TEST_F(ExtVpG1Test, ThresholdPrunesButPreservesResults) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   EXPECT_GT((*db)->load_stats().extvp_stats.tables_pruned, 0u);
-  auto result = (*db)->Execute(kQ1, Layout::kExtVp);
+  auto result = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 1u);
 }
@@ -231,8 +249,8 @@ TEST_F(ExtVpG1Test, UnboundPredicateUsesTriplesTable) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto result =
-      (*db)->Execute("SELECT * WHERE { <A> ?p ?o }", Layout::kExtVp);
+  auto result = (*db)->Execute({.query = "SELECT * WHERE { <A> ?p ?o }",
+                                .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 3u);  // follows B, likes I1, likes I2.
 }
@@ -241,12 +259,12 @@ TEST_F(ExtVpG1Test, JoinOrderOptimizationReducesIntermediates) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  CompilerOptions opt;
-  opt.layout = Layout::kExtVp;
-  CompilerOptions unopt = opt;
-  unopt.optimizer.reorder_joins = false;
-  auto with = (*db)->ExecuteWithOptions(kQ1, opt);
-  auto without = (*db)->ExecuteWithOptions(kQ1, unopt);
+  auto with = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
+  auto without = (*db)->Execute(
+      {.query = kQ1,
+       .options = {.layout = Layout::kExtVp,
+                   .optimizer = {.reorder_joins = false}}});
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_TRUE(rdf::Table::SameBag(with->table, without->table));
@@ -299,20 +317,24 @@ TEST_F(ExtVpBitmapG1Test, BitmapsAreFarSmallerThanTables) {
 }
 
 TEST_F(ExtVpBitmapG1Test, Q1MatchesOtherLayouts) {
-  auto bitmap = db_->Execute(kQ1, Layout::kExtVpBitmap);
+  auto bitmap = db_->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
   ASSERT_TRUE(bitmap.ok()) << bitmap.status().ToString();
-  auto extvp = db_->Execute(kQ1, Layout::kExtVp);
+  auto extvp = db_->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(extvp.ok());
   EXPECT_TRUE(rdf::Table::SameBag(bitmap->table, extvp->table));
   // The rendered SQL mentions the bitmap filter.
-  EXPECT_NE(bitmap->sql.find("BITMAP("), std::string::npos);
+  EXPECT_NE(bitmap->plan->ToSql().find("BITMAP("), std::string::npos);
 }
 
 TEST_F(ExtVpBitmapG1Test, IntersectionBeatsBestSingleTable) {
   // TP2 in Q1 (?x follows ?y) has SS follows|likes (SF 0.5) and
   // OS follows|follows (SF 0.5); their intersection is {(A,B)} = 0.25.
-  auto bitmap = db_->Execute(kQ1, Layout::kExtVpBitmap);
-  auto extvp = db_->Execute(kQ1, Layout::kExtVp);
+  auto bitmap = db_->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
+  auto extvp = db_->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(bitmap.ok());
   ASSERT_TRUE(extvp.ok());
   EXPECT_LT(bitmap->metrics.input_tuples, extvp->metrics.input_tuples);
@@ -321,8 +343,8 @@ TEST_F(ExtVpBitmapG1Test, IntersectionBeatsBestSingleTable) {
 TEST_F(ExtVpBitmapG1Test, EmptyIntersectionShortCircuits) {
   // ?x likes ?y . ?y likes ?z: OS likes|likes is empty.
   auto result = db_->Execute(
-      "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }",
-      Layout::kExtVpBitmap);
+      {.query = "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }",
+       .options = {.layout = Layout::kExtVpBitmap}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 0u);
   EXPECT_EQ(result->metrics.input_tuples, 0u);
@@ -332,7 +354,8 @@ TEST_F(ExtVpBitmapG1Test, RequiresBitmapBuild) {
   S2RdfOptions options;  // build_extvp_bitmaps defaults to false.
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto result = (*db)->Execute(kQ1, Layout::kExtVpBitmap);
+  auto result = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -345,7 +368,8 @@ TEST_F(ExtVpBitmapG1Test, ThresholdDropsBitmapsButKeepsResults) {
   ASSERT_TRUE(db.ok());
   EXPECT_LT((*db)->bitmap_store()->NumBitmaps(),
             db_->bitmap_store()->NumBitmaps());
-  auto result = (*db)->Execute(kQ1, Layout::kExtVpBitmap);
+  auto result = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 1u);
 }
@@ -376,18 +400,15 @@ TEST_F(SparqlFeaturesTest, FilterPushdownPreservesResults) {
   constexpr char kQuery[] =
       "SELECT ?x ?y ?a WHERE { ?x <follows> ?y . ?x <age> ?a . "
       "FILTER (?a >= 30) }";
-  CompilerOptions pushed;
-  CompilerOptions unpushed;
-  unpushed.push_filters = false;
-  auto a = db_->ExecuteWithOptions(kQuery, pushed);
-  auto b = db_->ExecuteWithOptions(kQuery, unpushed);
+  auto a = db_->Execute({.query = kQuery});
+  auto b = db_->Execute({.query = kQuery, .options = {.push_filters = false}});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(rdf::Table::SameBag(a->table, b->table));
   EXPECT_EQ(a->table.NumRows(), 2u);  // A follows B; C follows D.
   // With pushdown the filter sits below the final join.
   EXPECT_LE(a->metrics.intermediate_tuples, b->metrics.intermediate_tuples);
-  EXPECT_NE(a->plan, b->plan);
+  EXPECT_NE(a->plan->ToString(), b->plan->ToString());
 }
 
 TEST_F(SparqlFeaturesTest, FilterReferencingOptionalVarStaysAtGroupLevel) {
@@ -395,7 +416,7 @@ TEST_F(SparqlFeaturesTest, FilterReferencingOptionalVarStaysAtGroupLevel) {
   constexpr char kQuery[] =
       "SELECT ?x ?w WHERE { ?x <follows> ?y . "
       "OPTIONAL { ?x <likes> ?w . } FILTER (!bound(?w)) }";
-  auto result = db_->Execute(kQuery);
+  auto result = db_->Execute({.query = kQuery});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Only B follows with no likes.
   ASSERT_EQ(result->table.NumRows(), 2u);  // B->C, B->D rows collapse on x,w.
@@ -409,7 +430,7 @@ TEST_F(SparqlFeaturesTest, OptionalWithInnerFilter) {
   constexpr char kQuery[] =
       "SELECT ?x ?a WHERE { ?x <follows> ?y . "
       "OPTIONAL { ?x <age> ?a . FILTER (?a > 35) } }";
-  auto result = db_->Execute(kQuery);
+  auto result = db_->Execute({.query = kQuery});
   ASSERT_TRUE(result.ok());
   auto rows = db_->DecodeRows(engine::Distinct(result->table, nullptr));
   // A keeps age 42; B and C follow but their ages fail the filter.
@@ -424,7 +445,7 @@ TEST_F(SparqlFeaturesTest, UnionCombinesBranches) {
   constexpr char kQuery[] =
       "SELECT ?x ?t WHERE { { ?x <likes> ?t . } UNION "
       "{ ?x <age> ?t . } }";
-  auto result = db_->Execute(kQuery);
+  auto result = db_->Execute({.query = kQuery});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 6u);  // 3 likes + 3 ages.
 }
@@ -433,8 +454,10 @@ TEST_F(SparqlFeaturesTest, UnionJoinedWithBgp) {
   constexpr char kQuery[] =
       "SELECT ?x ?y ?t WHERE { ?x <follows> ?y . "
       "{ ?x <likes> ?t . } UNION { ?x <age> ?t . } }";
-  auto extvp = db_->Execute(kQuery, Layout::kExtVp);
-  auto tt = db_->Execute(kQuery, Layout::kTriplesTable);
+  auto extvp = db_->Execute(
+      {.query = kQuery, .options = {.layout = Layout::kExtVp}});
+  auto tt = db_->Execute(
+      {.query = kQuery, .options = {.layout = Layout::kTriplesTable}});
   ASSERT_TRUE(extvp.ok());
   ASSERT_TRUE(tt.ok());
   EXPECT_TRUE(rdf::Table::SameBag(extvp->table, tt->table));
@@ -445,7 +468,7 @@ TEST_F(SparqlFeaturesTest, OrderByLimitOffset) {
   constexpr char kQuery[] =
       "SELECT ?x ?a WHERE { ?x <age> ?a . } ORDER BY DESC(?a) "
       "LIMIT 2 OFFSET 1";
-  auto result = db_->Execute(kQuery);
+  auto result = db_->Execute({.query = kQuery});
   ASSERT_TRUE(result.ok());
   auto rows = db_->DecodeRows(result->table);
   ASSERT_EQ(rows.size(), 2u);
@@ -487,16 +510,18 @@ TEST(LazyExtVpTest, MaterializesOnFirstUseAndCaches) {
   EXPECT_EQ((*db)->load_stats().extvp_stats.tables_materialized, 0u);
   EXPECT_EQ((*db)->lazy_pairs_computed(), 0u);
 
-  auto first = (*db)->Execute(kQ1, Layout::kExtVp);
+  auto first = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->table.NumRows(), 1u);
   uint64_t computed = (*db)->lazy_pairs_computed();
   EXPECT_GT(computed, 0u);
   // The warm query selects ExtVP tables (not plain VP).
-  EXPECT_NE(first->sql.find("extvp_"), std::string::npos);
+  EXPECT_NE(first->plan->ToSql().find("extvp_"), std::string::npos);
 
   // Re-running the same query computes nothing new.
-  auto second = (*db)->Execute(kQ1, Layout::kExtVp);
+  auto second = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(second.ok());
   EXPECT_EQ((*db)->lazy_pairs_computed(), computed);
   EXPECT_TRUE(rdf::Table::SameBag(first->table, second->table));
@@ -509,8 +534,10 @@ TEST(LazyExtVpTest, MatchesEagerResultsAndSelectivities) {
   auto eager = S2Rdf::Create(MakeG1(), S2RdfOptions());
   ASSERT_TRUE(lazy.ok());
   ASSERT_TRUE(eager.ok());
-  auto a = (*lazy)->Execute(kQ1, Layout::kExtVp);
-  auto b = (*eager)->Execute(kQ1, Layout::kExtVp);
+  auto a = (*lazy)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
+  auto b = (*eager)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(rdf::Table::SameBag(a->table, b->table));
@@ -532,7 +559,8 @@ TEST(LazyExtVpTest, EmptyCorrelationShortCircuitsAfterMaterialization) {
   // OS likes|likes is empty; the lazy pass records this and the
   // compiler answers from statistics.
   auto result = (*db)->Execute(
-      "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }", Layout::kExtVp);
+      {.query = "SELECT * WHERE { ?x <likes> ?y . ?y <likes> ?z }",
+       .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 0u);
   EXPECT_EQ(result->metrics.input_tuples, 0u);
@@ -544,7 +572,8 @@ TEST(LazyExtVpTest, RespectsSfThreshold) {
   options.sf_threshold = 0.3;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto result = (*db)->Execute(kQ1, Layout::kExtVp);
+  auto result = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 1u);
   // SF 0.5 tables (e.g. SS follows|likes) were pruned: stats only.
@@ -562,7 +591,7 @@ TEST(CompilerEdgeTest, CrossJoinBetweenDisconnectedPatterns) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   auto result = (*db)->Execute(
-      "SELECT * WHERE { ?a <likes> ?b . ?c <follows> ?d }");
+      {.query = "SELECT * WHERE { ?a <likes> ?b . ?c <follows> ?d }"});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 12u);
 }
@@ -576,7 +605,9 @@ TEST(CompilerEdgeTest, RepeatedVariableWithinPattern) {
   ASSERT_TRUE(db.ok());
   for (Layout layout : {Layout::kExtVp, Layout::kVp,
                         Layout::kTriplesTable}) {
-    auto result = (*db)->Execute("SELECT * WHERE { ?x <p> ?x }", layout);
+    auto result = (*db)->Execute(
+        {.query = "SELECT * WHERE { ?x <p> ?x }",
+         .options = {.layout = layout}});
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.NumRows(), 1u);
   }
@@ -587,7 +618,7 @@ TEST(CompilerEdgeTest, ProjectionOfUnboundVariableIsNullColumn) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   auto result = (*db)->Execute(
-      "SELECT ?x ?nope WHERE { ?x <likes> ?w }");
+      {.query = "SELECT ?x ?nope WHERE { ?x <likes> ?w }"});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumColumns(), 2u);
   auto rows = (*db)->DecodeRows(result->table);
@@ -600,11 +631,11 @@ TEST(CompilerEdgeTest, FullyBoundPatternActsAsExistenceCheck) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   auto hit = (*db)->Execute(
-      "SELECT * WHERE { <A> <follows> <B> . <A> <likes> ?w }");
+      {.query = "SELECT * WHERE { <A> <follows> <B> . <A> <likes> ?w }"});
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->table.NumRows(), 2u);
   auto miss = (*db)->Execute(
-      "SELECT * WHERE { <A> <follows> <D> . <A> <likes> ?w }");
+      {.query = "SELECT * WHERE { <A> <follows> <D> . <A> <likes> ?w }"});
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->table.NumRows(), 0u);
 }
@@ -619,11 +650,77 @@ TEST(CompilerEdgeTest, DuplicateTriplesInInputAreDeduplicated) {
   ASSERT_TRUE(db.ok());
   for (Layout layout : {Layout::kExtVp, Layout::kVp,
                         Layout::kTriplesTable}) {
-    auto result = (*db)->Execute("SELECT * WHERE { ?x <p> ?y }", layout);
+    auto result = (*db)->Execute(
+        {.query = "SELECT * WHERE { ?x <p> ?y }",
+         .options = {.layout = layout}});
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.NumRows(), 1u);
   }
 }
+
+// --- Solutions that bind no variable ------------------------------------
+//
+// An all-constant pattern that holds in the data has exactly one
+// solution, the empty mapping; SELECT * then answers one row with no
+// columns, not zero rows. The cases cover a single pattern, a joined
+// pair, and OPTIONAL, UNION and VALUES around it, on every table layout.
+
+struct EmptySolutionCase {
+  const char* name;
+  const char* query;
+  size_t columns;
+  size_t rows;
+};
+
+constexpr EmptySolutionCase kEmptySolutionCases[] = {
+    {"SinglePattern", "SELECT * WHERE { <A> <follows> <B> }", 0, 1},
+    {"JoinedPair", "SELECT * WHERE { <A> <follows> <B> . <B> <follows> <C> }",
+     0, 1},
+    {"OptionalUnmatched",
+     "SELECT * WHERE { <A> <follows> <B> OPTIONAL { <B> <follows> <A> } }", 0,
+     1},
+    {"UnionOfTwoHolding",
+     "SELECT * WHERE { { <A> <follows> <B> } UNION { <B> <follows> <C> } }",
+     0, 2},
+    {"ValuesJoinedWithSubquery",
+     "SELECT * WHERE { { SELECT * WHERE { <A> <follows> <B> } } "
+     "VALUES ?v { <I1> <I2> } }",
+     1, 2},
+    {"PatternNotHolding", "SELECT * WHERE { <A> <follows> <C> }", 0, 0},
+};
+
+// Keeps the parameter's printed form (and so the test's listed name)
+// free of pointer values.
+void PrintTo(const EmptySolutionCase& c, std::ostream* os) { *os << c.name; }
+
+class EmptySolutionTest
+    : public ::testing::TestWithParam<std::tuple<EmptySolutionCase, Layout>> {
+};
+
+TEST_P(EmptySolutionTest, AnswersOneRowPerEmptySolution) {
+  const auto& [c, layout] = GetParam();
+  auto db = S2Rdf::Create(MakeG1(), S2RdfOptions());
+  ASSERT_TRUE(db.ok());
+  auto result =
+      (*db)->Execute({.query = c.query, .options = {.layout = layout}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->table.NumColumns(), c.columns);
+  EXPECT_EQ(result->table.NumRows(), c.rows);
+  EXPECT_EQ(result->metrics.output_tuples, c.rows);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, EmptySolutionTest,
+    ::testing::Combine(::testing::ValuesIn(kEmptySolutionCases),
+                       ::testing::Values(Layout::kExtVp, Layout::kVp,
+                                         Layout::kTriplesTable)),
+    [](const auto& info) {
+      const Layout layout = std::get<1>(info.param);
+      return std::string(std::get<0>(info.param).name) +
+             (layout == Layout::kExtVp ? "_ExtVp"
+              : layout == Layout::kVp  ? "_Vp"
+                                       : "_TriplesTable");
+    });
 
 // --- The query-time table provider ---------------------------------------
 
@@ -699,7 +796,7 @@ TEST(S2RdfTest, PersistentStorageRoundtrip) {
   EXPECT_TRUE(s2rdf::PathExists(dir.path() + "/CURRENT"));
   EXPECT_TRUE(s2rdf::PathExists(dir.path() + "/manifest-1.tsv"));
   EXPECT_GT((*db)->catalog().TotalBytes(), 0u);
-  auto result = (*db)->Execute(kQ1);
+  auto result = (*db)->Execute({.query = kQ1});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 1u);
 }
@@ -715,13 +812,15 @@ TEST(S2RdfTest, OpenReloadsPersistedStore) {
   // Reopen cold: no graph, only the persisted catalog + dictionary.
   auto reopened = S2Rdf::Open(dir.path());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto result = (*reopened)->Execute(kQ1, Layout::kExtVp);
+  auto result = (*reopened)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->table.NumRows(), 1u);
   auto rows = (*reopened)->DecodeRows(result->table);
   EXPECT_EQ(rows[0][0], "<A>");
   // The bit-vector store is not persisted.
-  auto bitmap = (*reopened)->Execute(kQ1, Layout::kExtVpBitmap);
+  auto bitmap = (*reopened)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
   EXPECT_FALSE(bitmap.ok());
 }
 
@@ -735,20 +834,54 @@ TEST(S2RdfTest, AskQueries) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto yes = (*db)->Execute("ASK { <A> <follows> ?x . }");
+  auto yes = (*db)->Execute({.query = "ASK { <A> <follows> ?x . }"});
   ASSERT_TRUE(yes.ok());
   EXPECT_TRUE(yes->is_ask);
   EXPECT_TRUE(yes->ask_result);
-  auto no = (*db)->Execute("ASK { <D> <follows> ?x . }");
+  auto no = (*db)->Execute({.query = "ASK { <D> <follows> ?x . }"});
   ASSERT_TRUE(no.ok());
   EXPECT_TRUE(no->is_ask);
   EXPECT_FALSE(no->ask_result);
   // The statistics shortcut answers ASK on empty correlations for free.
   auto empty = (*db)->Execute(
-      "ASK { ?x <likes> ?y . ?y <likes> ?z . }", Layout::kExtVp);
+      {.query = "ASK { ?x <likes> ?y . ?y <likes> ?z . }",
+       .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(empty.ok());
   EXPECT_FALSE(empty->ask_result);
   EXPECT_EQ(empty->metrics.input_tuples, 0u);
+}
+
+// ASK runs the same path as SELECT: one clock and one compile, so it
+// reports the stage split and the plan, and stops after one solution.
+// An all-constant pattern that holds is one empty solution on every
+// layout.
+TEST(S2RdfTest, AskReportsStagesAndPlan) {
+  auto db = S2Rdf::Create(MakeG1(), S2RdfOptions());
+  ASSERT_TRUE(db.ok());
+  auto ask = (*db)->Execute(
+      {.query = "ASK { ?x <follows> ?y . ?y <follows> ?z . }"});
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  EXPECT_TRUE(ask->ask_result);
+  EXPECT_EQ(ask->table.NumRows(), 1u);
+  ASSERT_NE(ask->plan, nullptr);
+  EXPECT_EQ(ask->plan_fingerprint, engine::PlanFingerprint(*ask->plan));
+  EXPECT_NE(ask->plan_fingerprint, 0u);
+  EXPECT_EQ(ask->optimizer_mode, "paper");
+  const double stages = ask->parse_ms + ask->compile_ms + ask->exec_ms;
+  EXPECT_GT(stages, 0.0);
+  EXPECT_GE(ask->millis, stages);
+
+  for (Layout layout :
+       {Layout::kExtVp, Layout::kVp, Layout::kTriplesTable}) {
+    auto holds = (*db)->Execute({.query = "ASK { <A> <follows> <B> }",
+                                 .options = {.layout = layout}});
+    ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+    EXPECT_TRUE(holds->ask_result) << static_cast<int>(layout);
+    auto fails = (*db)->Execute({.query = "ASK { <A> <follows> <C> }",
+                                 .options = {.layout = layout}});
+    ASSERT_TRUE(fails.ok()) << fails.status().ToString();
+    EXPECT_FALSE(fails->ask_result) << static_cast<int>(layout);
+  }
 }
 
 TEST(S2RdfTest, ValuesJoinsWithBgp) {
@@ -756,20 +889,21 @@ TEST(S2RdfTest, ValuesJoinsWithBgp) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   auto result = (*db)->Execute(
-      "SELECT ?x ?y WHERE { ?x <follows> ?y . VALUES ?x { <A> <C> } }");
+      {.query = "SELECT ?x ?y WHERE { ?x <follows> ?y . "
+                "VALUES ?x { <A> <C> } }"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->table.NumRows(), 2u);  // A->B, C->D.
 
   // Standalone VALUES (constants need not exist in the data).
   auto standalone = (*db)->Execute(
-      "SELECT ?x WHERE { VALUES ?x { <NotInData> <A> } }");
+      {.query = "SELECT ?x WHERE { VALUES ?x { <NotInData> <A> } }"});
   ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
   EXPECT_EQ(standalone->table.NumRows(), 2u);
 
   // Multi-variable rows restrict combinations, not just columns.
   auto multi = (*db)->Execute(
-      "SELECT ?x ?y WHERE { ?x <follows> ?y . "
-      "VALUES (?x ?y) { (<A> <B>) (<A> <D>) } }");
+      {.query = "SELECT ?x ?y WHERE { ?x <follows> ?y . "
+                "VALUES (?x ?y) { (<A> <B>) (<A> <D>) } }"});
   ASSERT_TRUE(multi.ok());
   EXPECT_EQ(multi->table.NumRows(), 1u);  // Only A->B exists.
 }
@@ -779,8 +913,8 @@ TEST(S2RdfTest, ConstructBuildsGraph) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   auto result = (*db)->Execute(
-      "CONSTRUCT { ?y <followedBy> ?x . ?x <type> <User> . } "
-      "WHERE { ?x <follows> ?y }");
+      {.query = "CONSTRUCT { ?y <followedBy> ?x . ?x <type> <User> . } "
+                "WHERE { ?x <follows> ?y }"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->is_graph);
   // 4 reversed edges + 3 distinct follower subjects typed.
@@ -805,8 +939,8 @@ TEST(S2RdfTest, ConstructSkipsIllFormedAndUnboundTriples) {
   // ?a is a literal: using it as subject is ill-formed and skipped; the
   // OPTIONAL leaves ?w unbound for B, skipping that instantiation.
   auto result = (*db)->Execute(
-      "CONSTRUCT { ?a <of> ?x . ?x <liked> ?w . } WHERE { "
-      "?x <age> ?a . OPTIONAL { ?x <likes> ?w . } }");
+      {.query = "CONSTRUCT { ?a <of> ?x . ?x <liked> ?w . } WHERE { "
+                "?x <age> ?a . OPTIONAL { ?x <likes> ?w . } }"});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // A has age + 2 likes -> 2 '<A> <liked> ...' triples; the literal
   // subject triple is dropped.
@@ -818,18 +952,101 @@ TEST(S2RdfTest, DescribeConstantAndVariable) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto constant = (*db)->Execute("DESCRIBE <A>");
+  auto constant = (*db)->Execute({.query = "DESCRIBE <A>"});
   ASSERT_TRUE(constant.ok()) << constant.status().ToString();
   EXPECT_EQ(constant->metrics.output_tuples, 3u);  // follows B, likes I1/I2.
 
   auto variable = (*db)->Execute(
-      "DESCRIBE ?x WHERE { ?x <likes> <I2> }");
+      {.query = "DESCRIBE ?x WHERE { ?x <likes> <I2> }"});
   ASSERT_TRUE(variable.ok());
   // A (3 statements) and C (2 statements).
   EXPECT_EQ(variable->metrics.output_tuples, 5u);
 
-  auto unbound = (*db)->Execute("DESCRIBE ?x");
+  auto unbound = (*db)->Execute({.query = "DESCRIBE ?x"});
   EXPECT_FALSE(unbound.ok());
+}
+
+// CONSTRUCT and DESCRIBE run the same path as SELECT: one clock, one
+// compile, so they report the stage split, the plan and its fingerprint.
+TEST(S2RdfTest, GraphFormsReportStagesAndPlan) {
+  auto db = S2Rdf::Create(MakeG1(), S2RdfOptions());
+  ASSERT_TRUE(db.ok());
+  auto construct = (*db)->Execute(
+      {.query = "CONSTRUCT { ?x <fof> ?z . } "
+                "WHERE { ?x <follows> ?y . ?y <follows> ?z . }"});
+  ASSERT_TRUE(construct.ok()) << construct.status().ToString();
+  EXPECT_TRUE(construct->is_graph);
+  // A->C, A->D and B->D, deduplicated.
+  EXPECT_EQ(construct->metrics.output_tuples, 3u);
+  ASSERT_NE(construct->plan, nullptr);
+  EXPECT_EQ(construct->plan_fingerprint,
+            engine::PlanFingerprint(*construct->plan));
+  EXPECT_NE(construct->plan_fingerprint, 0u);
+  EXPECT_EQ(construct->optimizer_mode, "paper");
+  const double stages =
+      construct->parse_ms + construct->compile_ms + construct->exec_ms;
+  EXPECT_GT(stages, 0.0);
+  EXPECT_GE(construct->millis, stages);
+
+  // The same WHERE as a SELECT compiles the same plan.
+  auto select = (*db)->Execute(
+      {.query = "SELECT * WHERE { ?x <follows> ?y . ?y <follows> ?z . }"});
+  ASSERT_TRUE(select.ok());
+  EXPECT_EQ(select->plan_fingerprint, construct->plan_fingerprint);
+
+  // A DESCRIBE of a constant has no WHERE clause, hence no plan.
+  auto describe = (*db)->Execute({.query = "DESCRIBE <A>"});
+  ASSERT_TRUE(describe.ok());
+  EXPECT_EQ(describe->plan, nullptr);
+  EXPECT_EQ(describe->plan_fingerprint, 0u);
+  EXPECT_TRUE(describe->optimizer_mode.empty());
+  EXPECT_GE(describe->millis, describe->parse_ms + describe->compile_ms +
+                                  describe->exec_ms);
+
+  // EXPLAIN covers solution queries only.
+  for (const char* graph_query :
+       {"CONSTRUCT { ?x <p> ?y . } WHERE { ?x <follows> ?y . }",
+        "DESCRIBE <A>"}) {
+    auto explained = (*db)->Execute(
+        {.query = graph_query, .options = {.explain_plan = true}});
+    ASSERT_FALSE(explained.ok()) << graph_query;
+    EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// EXPLAIN ANALYZE of a graph form profiles the WHERE clause's plan, on
+// the same clock as its stage split.
+TEST(S2RdfTest, GraphFormsCanBeProfiled) {
+  auto db = S2Rdf::Create(MakeG1(), S2RdfOptions());
+  ASSERT_TRUE(db.ok());
+  auto result = (*db)->Execute(
+      {.query = "CONSTRUCT { ?y <followedBy> ?x . } WHERE { ?x <follows> ?y }",
+       .options = {.collect_profile = true}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const engine::QueryProfile& profile = result->profile_data;
+  ASSERT_FALSE(profile.operators.empty());
+  EXPECT_EQ(profile.operators.front().depth, 0);
+  EXPECT_EQ(profile.total_ms, result->millis);
+  EXPECT_EQ(profile.exec_ms, result->exec_ms);
+  EXPECT_NE(engine::RenderProfileText(profile).find("Scan("),
+            std::string::npos);
+}
+
+// EXPLAIN stops after compiling: the plan and its fingerprint, no rows.
+TEST(S2RdfTest, ExplainReturnsThePlanWithoutExecuting) {
+  auto db = S2Rdf::Create(MakeG1(), S2RdfOptions());
+  ASSERT_TRUE(db.ok());
+  auto explained =
+      (*db)->Execute({.query = kQ1, .options = {.explain_plan = true}});
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  ASSERT_NE(explained->plan, nullptr);
+  EXPECT_EQ(explained->table.NumRows(), 0u);
+  EXPECT_EQ(explained->metrics.input_tuples, 0u);
+  EXPECT_EQ(explained->exec_ms, 0.0);
+  auto executed = (*db)->Execute({.query = kQ1});
+  ASSERT_TRUE(executed.ok());
+  EXPECT_EQ(explained->plan_fingerprint, executed->plan_fingerprint);
+  EXPECT_EQ(explained->plan->ToSql(), executed->plan->ToSql());
 }
 
 TEST(S2RdfTest, MemoryBudgetedStoreStillAnswersQueries) {
@@ -840,7 +1057,8 @@ TEST(S2RdfTest, MemoryBudgetedStoreStillAnswersQueries) {
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   for (int i = 0; i < 3; ++i) {
-    auto result = (*db)->Execute(kQ1, Layout::kExtVp);
+    auto result = (*db)->Execute(
+        {.query = kQ1, .options = {.layout = Layout::kExtVp}});
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->table.NumRows(), 1u);
     EXPECT_LE((*db)->catalog().CachedBytes(), 64u);
@@ -851,28 +1069,30 @@ TEST(S2RdfTest, ExplainAnalyzeProfile) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  CompilerOptions exec;
-  exec.collect_profile = true;
-  auto result = (*db)->ExecuteWithOptions(kQ1, exec);
+  auto result =
+      (*db)->Execute({.query = kQ1, .options = {.collect_profile = true}});
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(result->profile.find("Scan("), std::string::npos);
-  EXPECT_NE(result->profile.find("Join"), std::string::npos);
-  EXPECT_NE(result->profile.find("rows=1"), std::string::npos);
-  EXPECT_NE(result->profile.find("ms"), std::string::npos);
-  // Without the flag, no profile is rendered.
-  auto plain = (*db)->Execute(kQ1);
+  const std::string text = engine::RenderProfileText(result->profile_data);
+  EXPECT_NE(text.find("Scan("), std::string::npos);
+  EXPECT_NE(text.find("Join"), std::string::npos);
+  EXPECT_NE(text.find("rows=1"), std::string::npos);
+  EXPECT_NE(text.find("ms"), std::string::npos);
+  // Without the flag, no profile is collected.
+  auto plain = (*db)->Execute({.query = kQ1});
   ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(plain->profile.empty());
+  EXPECT_TRUE(plain->profile_data.operators.empty());
 }
 
 TEST(S2RdfTest, SqlRenderingMentionsSelectedTables) {
   S2RdfOptions options;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  auto result = (*db)->Execute(kQ1, Layout::kExtVp);
+  auto result = (*db)->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
-  EXPECT_NE(result->sql.find("extvp_os_follows"), std::string::npos);
-  EXPECT_NE(result->sql.find("vp_likes"), std::string::npos);
+  const std::string sql = result->plan->ToSql();
+  EXPECT_NE(sql.find("extvp_os_follows"), std::string::npos);
+  EXPECT_NE(sql.find("vp_likes"), std::string::npos);
 }
 
 }  // namespace

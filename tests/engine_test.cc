@@ -50,6 +50,30 @@ TEST(TableTest, SameBagRespectsDuplicates) {
   EXPECT_FALSE(Table::SameBag(a, b));
 }
 
+// The caller states the row count: a table without columns still holds
+// rows, each one solution that binds no variable.
+TEST(TableTest, AdoptColumnsTakesTheRowCount) {
+  Table t({"x", "y"});
+  t.AdoptColumns({{1, 2, 3}, {4, 5, 6}}, 3);
+  ASSERT_EQ(t.NumRows(), 3u);
+  EXPECT_EQ(t.At(2, 0), 3u);
+  EXPECT_EQ(t.At(0, 1), 4u);
+  t.AppendRow({7, 8});
+  EXPECT_EQ(t.NumRows(), 4u);
+
+  Table empty_solutions(std::vector<std::string>{});
+  empty_solutions.AdoptColumns({}, 2);
+  EXPECT_EQ(empty_solutions.NumColumns(), 0u);
+  EXPECT_EQ(empty_solutions.NumRows(), 2u);
+  empty_solutions.AppendRow({});
+  EXPECT_EQ(empty_solutions.NumRows(), 3u);
+  Table two(std::vector<std::string>{});
+  two.AdoptColumns({}, 2);
+  EXPECT_FALSE(Table::SameBag(empty_solutions, two));
+  two.AppendRow({});
+  EXPECT_TRUE(Table::SameBag(empty_solutions, two));
+}
+
 // --- Values --------------------------------------------------------------
 
 TEST(ValueTest, ParsesTypedNumerics) {
@@ -149,6 +173,25 @@ TEST_F(OperatorsTest, HashJoinNoSharedColumnsIsCross) {
   EXPECT_EQ(out.NumColumns(), 2u);
 }
 
+// Tables without columns join as bags of empty solutions: each pairing
+// of rows is one solution, and an empty side leaves none.
+TEST_F(OperatorsTest, HashJoinOfNoColumnTablesPairsEveryRow) {
+  Table two(std::vector<std::string>{});
+  two.AdoptColumns({}, 2);
+  Table three(std::vector<std::string>{});
+  three.AdoptColumns({}, 3);
+  Table out = HashJoin(two, three, &ctx_);
+  EXPECT_EQ(out.NumColumns(), 0u);
+  EXPECT_EQ(out.NumRows(), 6u);
+  EXPECT_EQ(HashJoin(two, Table(std::vector<std::string>{}), &ctx_).NumRows(),
+            0u);
+  // Against a table with columns, each of its rows comes out once per
+  // empty solution.
+  Table with_likes = HashJoin(two, likes_, &ctx_);
+  EXPECT_EQ(with_likes.column_names(), likes_.column_names());
+  EXPECT_EQ(with_likes.NumRows(), 2 * likes_.NumRows());
+}
+
 TEST_F(OperatorsTest, HashJoinNullKeysNeverMatch) {
   Table a({"x"});
   a.AppendRow({kNullTermId});
@@ -217,6 +260,16 @@ TEST_F(OperatorsTest, SliceAndProject) {
   Table projected = Project(follows_, {"y"});
   EXPECT_EQ(projected.NumColumns(), 1u);
   EXPECT_EQ(projected.At(0, 0), 1u);
+}
+
+// Projecting onto no columns keeps one (empty) row per input row: each
+// is still a solution, it just binds nothing.
+TEST_F(OperatorsTest, ProjectOntoNoColumnsKeepsRows) {
+  Table projected = Project(follows_, {});
+  EXPECT_EQ(projected.NumColumns(), 0u);
+  EXPECT_EQ(projected.NumRows(), follows_.NumRows());
+  Table none = Project(Table(std::vector<std::string>{}), {});
+  EXPECT_EQ(none.NumRows(), 0u);
 }
 
 TEST_F(OperatorsTest, OrderByNumericValues) {

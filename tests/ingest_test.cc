@@ -71,7 +71,7 @@ IngestBatch MakeBatch(const std::vector<T>& triples) {
 
 std::vector<std::vector<std::string>> SortedRows(S2Rdf* db,
                                                  const std::string& query) {
-  auto result = db->Execute(query);
+  auto result = db->Execute({.query = query});
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return {};
   std::vector<std::vector<std::string>> rows = db->DecodeRows(result->table);
@@ -324,7 +324,9 @@ TEST(IngestCrashMatrixTest, EveryCrashPointRollsBackOrCommits) {
       EXPECT_EQ(report.tables_quarantined, 0u);
       ASSERT_TRUE(report.generation == 1u || report.generation == 2u)
           << report.generation;
-      if (committed) EXPECT_EQ(report.generation, 2u);
+      if (committed) {
+        EXPECT_EQ(report.generation, 2u);
+      }
       auto files = ListDir(dir.path());
       ASSERT_TRUE(files.ok());
       for (const std::string& file : *files) {
@@ -393,7 +395,7 @@ TEST(IngestCrashMatrixTest, BitFlipAtEveryWriteSiteIsNeverSilent) {
       S2Rdf* expected =
           report.generation == 2u ? post_ref.get() : pre_ref.get();
       for (const char* q : {kQ1, kLikes, kSpo}) {
-        auto result = (*db)->Execute(q);
+        auto result = (*db)->Execute({.query = q});
         if (!result.ok()) continue;  // Loud failure is acceptable.
         std::vector<std::vector<std::string>> rows =
             (*db)->DecodeRows(result->table);

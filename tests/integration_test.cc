@@ -110,7 +110,8 @@ TEST_P(CrossEngineTest, AllEnginesAgree) {
       watdiv::InstantiateQuery(*tmpl, kScaleFactor, &rng);
 
   // Reference: S2RDF over ExtVP.
-  auto reference = g_engines->s2rdf->Execute(query, core::Layout::kExtVp);
+  auto reference = g_engines->s2rdf->Execute(
+      {.query = query, .options = {.layout = core::Layout::kExtVp}});
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   std::vector<std::string> expected =
       Decoded(reference->table, g_engines->s2rdf->graph().dictionary());
@@ -120,7 +121,8 @@ TEST_P(CrossEngineTest, AllEnginesAgree) {
   for (core::Layout layout :
        {core::Layout::kVp, core::Layout::kTriplesTable,
         core::Layout::kExtVpBitmap}) {
-    auto result = g_engines->s2rdf->Execute(query, layout);
+    auto result = g_engines->s2rdf->Execute(
+        {.query = query, .options = {.layout = layout}});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->table.column_names(), columns);
     EXPECT_EQ(Decoded(result->table,
@@ -195,8 +197,10 @@ TEST_P(ThresholdInvarianceTest, ResultsDoNotDependOnThreshold) {
     SplitMix64 query_rng(rng.Next());
     std::string query =
         watdiv::InstantiateQuery(*tmpl, gen.scale_factor, &query_rng);
-    auto expected = (*reference)->Execute(query, core::Layout::kExtVp);
-    auto actual = (*db)->Execute(query, core::Layout::kExtVp);
+    auto expected = (*reference)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kExtVp}});
+    auto actual = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kExtVp}});
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok());
     EXPECT_TRUE(rdf::Table::SameBag(expected->table, actual->table))
@@ -227,13 +231,16 @@ TEST(LazyEagerTest, LazyStoreMatchesEagerOnAllWorkloads) {
       SplitMix64 query_rng(rng.Next());
       std::string query =
           watdiv::InstantiateQuery(tmpl, gen.scale_factor, &query_rng);
-      auto a = (*eager)->Execute(query, core::Layout::kExtVp);
-      auto b = (*lazy)->Execute(query, core::Layout::kExtVp);
+      auto a = (*eager)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
+      auto b = (*lazy)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
       ASSERT_TRUE(a.ok()) << tmpl.name;
       ASSERT_TRUE(b.ok()) << tmpl.name;
       EXPECT_TRUE(rdf::Table::SameBag(a->table, b->table)) << tmpl.name;
       // Once warm, the lazy store reads exactly the eager inputs.
-      auto warm = (*lazy)->Execute(query, core::Layout::kExtVp);
+      auto warm = (*lazy)->Execute(
+          {.query = query, .options = {.layout = core::Layout::kExtVp}});
       ASSERT_TRUE(warm.ok());
       EXPECT_EQ(warm->metrics.input_tuples, a->metrics.input_tuples)
           << tmpl.name;
@@ -257,9 +264,12 @@ TEST(MetricsShapeTest, ExtVpReadsNoMoreInputThanVp) {
     SplitMix64 query_rng(rng.Next());
     std::string query =
         watdiv::InstantiateQuery(tmpl, gen.scale_factor, &query_rng);
-    auto extvp = (*db)->Execute(query, core::Layout::kExtVp);
-    auto vp = (*db)->Execute(query, core::Layout::kVp);
-    auto bitmap = (*db)->Execute(query, core::Layout::kExtVpBitmap);
+    auto extvp = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kExtVp}});
+    auto vp = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kVp}});
+    auto bitmap = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kExtVpBitmap}});
     ASSERT_TRUE(extvp.ok());
     ASSERT_TRUE(vp.ok());
     ASSERT_TRUE(bitmap.ok());

@@ -170,7 +170,7 @@ void CheckProfiledExecution(rdf::Graph graph, const std::string& query) {
   request.query = query;
   auto plain = (*db)->Execute(request);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_TRUE(plain->profile.empty());
+  EXPECT_TRUE(plain->profile_data.operators.empty());
 
   request.options.collect_profile = true;
   auto profiled = (*db)->Execute(request);
@@ -206,12 +206,13 @@ void CheckProfiledExecution(rdf::Graph graph, const std::string& query) {
   // family, and the catalog's selectivity factor for that table.
   const std::set<std::string> kLayouts = {"ExtVP", "ExtVP-bitmap", "VP",
                                           "TT"};
+  const std::string sql = profiled->plan->ToSql();
   size_t scans = 0;
   for (const engine::OperatorProfile& op : profile.operators) {
     if (op.table.empty()) continue;
     ++scans;
     EXPECT_TRUE(kLayouts.contains(op.layout)) << op.layout;
-    EXPECT_NE(profiled->sql.find(op.table), std::string::npos)
+    EXPECT_NE(sql.find(op.table), std::string::npos)
         << op.table << " not in compiled SQL";
     const storage::TableStats* stats = (*db)->catalog().GetStats(op.table);
     ASSERT_NE(stats, nullptr) << op.table;
@@ -220,10 +221,11 @@ void CheckProfiledExecution(rdf::Graph graph, const std::string& query) {
   EXPECT_GT(scans, 0u);
 
   // The rendered tree mentions the stage header and the scans.
-  EXPECT_NE(profiled->profile.find("stages: parse="), std::string::npos);
-  EXPECT_NE(profiled->profile.find("Scan("), std::string::npos);
-  EXPECT_NE(profiled->profile.find("[layout="), std::string::npos);
-  EXPECT_NE(profiled->profile.find("totals: "), std::string::npos);
+  const std::string text = engine::RenderProfileText(profile);
+  EXPECT_NE(text.find("stages: parse="), std::string::npos);
+  EXPECT_NE(text.find("Scan("), std::string::npos);
+  EXPECT_NE(text.find("[layout="), std::string::npos);
+  EXPECT_NE(text.find("totals: "), std::string::npos);
 }
 
 TEST(ProfileCorrectnessTest, SerialProfileMatchesEngineAndCatalog) {
@@ -253,7 +255,8 @@ TEST(ProfileCorrectnessTest, ParallelTasksRecordSpans) {
     EXPECT_GE(task.start_ms, 0.0);
     EXPECT_GE(task.millis, 0.0);
   }
-  EXPECT_NE(result->profile.find("parallel tasks: "), std::string::npos);
+  EXPECT_NE(engine::RenderProfileText(profile).find("parallel tasks: "),
+            std::string::npos);
 
   // Task lanes appear in the trace as tids above the main lane.
   std::string trace = engine::RenderTraceJson(profile, request.query);
@@ -403,6 +406,37 @@ TEST_F(ObservabilityEndpointTest, TraceParamReturnsTraceEventJson) {
   EXPECT_EQ(Get("/sparql?" + FollowsQuery() + "&trace=0").content_type,
             "application/sparql-results+json");
   EXPECT_EQ(Get("/sparql?" + FollowsQuery() + "&trace=yes").status_code, 400);
+}
+
+// One request renders one body: EXPLAIN wins over trace=1, and a graph
+// form has no EXPLAIN but does run the one query path to a recorded plan.
+TEST_F(ObservabilityEndpointTest, OneRenderingPerRequest) {
+  server::HttpResponse plan =
+      Get("/sparql?" + FollowsQuery() + "&explain=plan&trace=1");
+  EXPECT_EQ(plan.status_code, 200);
+  EXPECT_EQ(plan.body.rfind("optimizer: paper\nfingerprint: ", 0), 0u)
+      << plan.body;
+  EXPECT_NE(plan.body.find("Scan("), std::string::npos);
+
+  server::HttpResponse analyze =
+      Get("/sparql?" + FollowsQuery() + "&explain=analyze&trace=1");
+  EXPECT_EQ(analyze.status_code, 200);
+  EXPECT_NE(analyze.body.find("stages: parse="), std::string::npos)
+      << analyze.body;
+  EXPECT_EQ(analyze.body.find("traceEvents"), std::string::npos);
+
+  const std::string construct =
+      "query=CONSTRUCT%20%7B%20%3Fo%20%3Cby%3E%20%3Fs%20%7D%20WHERE%20%7B%20"
+      "%3Fs%20%3Cfollows%3E%20%3Fo%20%7D";
+  EXPECT_EQ(Get("/sparql?" + construct + "&explain=plan").status_code, 400);
+  server::HttpResponse graph = Get("/sparql?" + construct);
+  EXPECT_EQ(graph.status_code, 200);
+  EXPECT_NE(graph.content_type.find("application/n-triples"),
+            std::string::npos);
+  std::vector<server::QueryRecord> recent = endpoint_->RecentQueries();
+  ASSERT_FALSE(recent.empty());
+  EXPECT_EQ(recent.front().optimizer_mode, "paper");
+  EXPECT_NE(recent.front().plan_fingerprint, 0u);
 }
 
 TEST_F(ObservabilityEndpointTest, MetricsExposeHistogramsAndStageTimings) {

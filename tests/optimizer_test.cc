@@ -266,8 +266,10 @@ TEST(OptimizerKnobsTest, SemiJoinToggleChangesPlanNotResults) {
   auto off = db->Execute(without_reducers);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_NE(on->plan.find("SemiJoinReduce"), std::string::npos) << on->plan;
-  EXPECT_EQ(off->plan.find("SemiJoinReduce"), std::string::npos) << off->plan;
+  const std::string on_plan = on->plan->ToString();
+  const std::string off_plan = off->plan->ToString();
+  EXPECT_NE(on_plan.find("SemiJoinReduce"), std::string::npos) << on_plan;
+  EXPECT_EQ(off_plan.find("SemiJoinReduce"), std::string::npos) << off_plan;
   EXPECT_EQ(SortedRows(db, *on), SortedRows(db, *off));
 }
 
@@ -294,7 +296,7 @@ TEST(OptimizerKnobsTest, GreedyFallbackMatchesDpResults) {
     auto again = db->Execute(dp);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->plan_fingerprint, dp_result->plan_fingerprint);
-    EXPECT_EQ(again->plan, dp_result->plan);
+    EXPECT_EQ(again->plan->ToString(), dp_result->plan->ToString());
   }
 }
 
@@ -305,12 +307,9 @@ TEST(OptimizerKnobsTest, JoinOrderSwitchKeepsResults) {
   ASSERT_NE(tmpl, nullptr);
   const std::string text = QueryText(*tmpl);
 
-  CompilerOptions reordered;
-  CompilerOptions pattern_order;
-  pattern_order.optimizer.reorder_joins = false;
-
-  auto via_reordered = db->ExecuteWithOptions(text, reordered);
-  auto via_pattern_order = db->ExecuteWithOptions(text, pattern_order);
+  auto via_reordered = db->Execute({.query = text});
+  auto via_pattern_order = db->Execute(
+      {.query = text, .options = {.optimizer = {.reorder_joins = false}}});
   ASSERT_TRUE(via_reordered.ok()) << via_reordered.status().ToString();
   ASSERT_TRUE(via_pattern_order.ok())
       << via_pattern_order.status().ToString();

@@ -95,13 +95,15 @@ TEST_P(RandomBgpTest, AllLayoutsAndIndexEngineAgree) {
 
   for (int q = 0; q < 25; ++q) {
     std::string query = RandomBgpQuery(&rng, num_entities, num_predicates);
-    auto reference = (*db)->Execute(query, core::Layout::kTriplesTable);
+    auto reference = (*db)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kTriplesTable}});
     ASSERT_TRUE(reference.ok())
         << query << "\n" << reference.status().ToString();
     for (core::Layout layout :
          {core::Layout::kExtVp, core::Layout::kVp,
           core::Layout::kExtVpBitmap}) {
-      auto result = (*db)->Execute(query, layout);
+      auto result = (*db)->Execute(
+          {.query = query, .options = {.layout = layout}});
       ASSERT_TRUE(result.ok()) << query;
       EXPECT_TRUE(rdf::Table::SameBag(reference->table, result->table))
           << "layout " << static_cast<int>(layout) << " disagrees on\n"

@@ -52,7 +52,7 @@ constexpr char kQ1[] =
 // tests compare byte-for-byte against the healthy store.
 std::vector<std::vector<std::string>> SortedRows(S2Rdf* db,
                                                  const std::string& query) {
-  auto result = db->Execute(query);
+  auto result = db->Execute({.query = query});
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return {};
   std::vector<std::vector<std::string>> rows =

@@ -299,7 +299,7 @@ TEST(ResultsIoIdentityTest, WatDivAnswersMatchReference) {
   const rdf::Dictionary& dict = (*db)->graph().dictionary();
   size_t rows = 0;
   for (const std::string& query : queries) {
-    auto result = (*db)->Execute(query);
+    auto result = (*db)->Execute({.query = query});
     ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n" << query;
     rows += result->table.NumRows();
     ExpectSameBytes(result->table, dict, query);

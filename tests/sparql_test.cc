@@ -188,11 +188,11 @@ TEST(ParserTest, MalformedQueriesRejected) {
 TEST(ParserTest, AskQuery) {
   auto q = ParseQuery("ASK { ?x <http://e/p> ?y . }");
   ASSERT_TRUE(q.ok());
-  EXPECT_TRUE(q->is_ask);
+  EXPECT_EQ(q->form, QueryForm::kAsk);
   EXPECT_EQ(q->where.triples.size(), 1u);
   auto q2 = ParseQuery("ASK WHERE { ?x <http://e/p> ?y . FILTER (?y > 3) }");
   ASSERT_TRUE(q2.ok());
-  EXPECT_TRUE(q2->is_ask);
+  EXPECT_EQ(q2->form, QueryForm::kAsk);
   EXPECT_EQ(q2->where.filters.size(), 1u);
 }
 

@@ -200,6 +200,25 @@ TEST(CatalogTest, MemoryBudgetEvictsLru) {
   }
 }
 
+// GetTable hands out shared ownership: a table the budget evicts from
+// the cache stays readable by whoever still holds it.
+TEST(CatalogTest, GetTableOutlivesEviction) {
+  ScopedTempDir dir;
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  auto table = catalog.GetTable("t1");
+  ASSERT_TRUE(table.ok());
+  catalog.SetMemoryBudget(1);
+  EXPECT_EQ(catalog.EvictToBudget(), 1u);
+  EXPECT_EQ(catalog.CachedBytes(), 0u);
+  const rdf::Table expected = MakeTable();
+  ASSERT_EQ((*table)->NumRows(), expected.NumRows());
+  ASSERT_EQ((*table)->column_names(), expected.column_names());
+  for (size_t c = 0; c < expected.NumColumns(); ++c) {
+    EXPECT_EQ((*table)->Column(c), expected.Column(c)) << c;
+  }
+}
+
 TEST(CatalogTest, InMemoryCatalogNeverEvicts) {
   Catalog catalog("");
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
