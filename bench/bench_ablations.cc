@@ -186,10 +186,7 @@ int Main() {
   // --- 5. Bit-vector ExtVP (Sec. 8 future work, implemented) --------------
   std::printf("\n--- 5. Bit-vector ExtVP + correlation intersection ---\n");
   const core::ExtVpBitmapStore* store = (*db)->bitmap_store();
-  uint64_t extvp_bytes = 0;
-  for (const storage::TableStats* stats : (*db)->catalog().AllStats()) {
-    if (stats->name.rfind("extvp_", 0) == 0) extvp_bytes += stats->bytes;
-  }
+  const uint64_t extvp_bytes = EncodedTableBytes(&(*db)->catalog(), "extvp_");
   std::printf(
       "storage: bitmaps %s across %zu bitmaps vs ExtVP tables %s "
       "(%.1f%% of the table bytes)\n",

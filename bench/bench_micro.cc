@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the engine and storage
 // primitives that every measured query path is built from: scans,
 // filters, hash joins, semi joins (the ExtVP build primitive), distinct,
-// columnar encodings, the external sort of the MapReduce runtime and the
-// SPARQL result writer. Scans and joins start at 8 rows, where the
-// kernels run inline.
+// columnar encodings, the catalog's table cache, the external sort of the
+// MapReduce runtime and the SPARQL result writer. Scans and joins start
+// at 8 rows, where the kernels run inline.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/file_util.h"
 #include "common/random.h"
@@ -18,6 +20,7 @@
 #include "rdf/dictionary.h"
 #include "rdf/table.h"
 #include "sparql/results_io.h"
+#include "storage/catalog.h"
 #include "storage/encoding.h"
 #include "storage/table_file.h"
 
@@ -171,6 +174,29 @@ void BM_TableSerialize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TableSerialize)->Range(1 << 10, 1 << 16);
+
+// A catalog cache hit with `range(0)` tables cached, cycling over the
+// five most recently used: the lookup and the LRU touch must not grow
+// with the number of cached tables.
+void BM_CatalogCacheHit(benchmark::State& state) {
+  storage::Catalog catalog("");
+  const auto tables = static_cast<int>(state.range(0));
+  for (int i = 0; i < tables; ++i) {
+    (void)catalog.Put("extvp_ss_table_" + std::to_string(i),
+                      MakeTwoColumnTable(4, static_cast<uint64_t>(i), 100),
+                      0.5);
+  }
+  std::vector<std::string> hot;
+  for (int i = tables - 5; i < tables; ++i) {
+    hot.push_back("extvp_ss_table_" + std::to_string(i));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(catalog.GetTable(hot[next]));
+    next = (next + 1) % hot.size();
+  }
+}
+BENCHMARK(BM_CatalogCacheHit)->Arg(10)->Arg(1000);
 
 void BM_ExternalSort(benchmark::State& state) {
   ScopedTempDir dir;

@@ -90,9 +90,9 @@ int Main() {
                                : std::string(check.correlation) == "SO"
                                    ? core::Correlation::kSO
                                    : core::Correlation::kSS;
-      const storage::TableStats* stats = (*db)->catalog().GetStats(
-          core::ExtVpTableName(dict, corr, *p1, *p2));
-      if (stats != nullptr) {
+      const std::optional<storage::TableStats> stats =
+          (*db)->catalog().GetStats(core::ExtVpTableName(dict, corr, *p1, *p2));
+      if (stats.has_value()) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.2f", stats->selectivity);
         measured = buf;

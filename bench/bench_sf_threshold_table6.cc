@@ -48,7 +48,7 @@ int Main() {
     }
     report.tables = (*db)->catalog().NumMaterializedTables();
     report.tuples = (*db)->catalog().TotalTuples();
-    report.bytes = (*db)->catalog().TotalBytes();
+    report.bytes = EncodedTableBytes(&(*db)->catalog(), "");
 
     CategoryMeans means;
     for (const watdiv::QueryTemplate& tmpl :

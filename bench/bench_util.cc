@@ -8,6 +8,7 @@
 
 #include "common/hash.h"
 #include "common/strings.h"
+#include "storage/table_file.h"
 
 namespace s2rdf::bench {
 
@@ -39,6 +40,17 @@ double MeanMs(int repetitions, const std::function<void()>& fn) {
   double total = 0.0;
   for (int i = 0; i < repetitions; ++i) total += TimeMs(fn);
   return total / repetitions;
+}
+
+uint64_t EncodedTableBytes(storage::Catalog* catalog,
+                           const std::string& prefix) {
+  uint64_t bytes = 0;
+  for (const storage::TableStats* stats : catalog->AllStats()) {
+    if (!stats->materialized || !StartsWith(stats->name, prefix)) continue;
+    auto table = catalog->GetTable(stats->name);
+    if (table.ok()) bytes += storage::SerializeTable(**table).size();
+  }
+  return bytes;
 }
 
 std::string InstantiateFor(const watdiv::QueryTemplate& tmpl,

@@ -31,6 +31,12 @@ double TimeMs(const std::function<void()>& fn);
 // (AM, the statistic the paper reports).
 double MeanMs(int repetitions, const std::function<void()>& fn);
 
+// Bytes the materialized tables whose names start with `prefix` take
+// encoded as S2TB blobs — their on-disk footprint. In-memory stores never
+// encode, so the table harnesses measure it here.
+uint64_t EncodedTableBytes(storage::Catalog* catalog,
+                           const std::string& prefix);
+
 // Instantiates a workload query with a deterministic per-(query, round)
 // seed so every engine sees the same text.
 std::string InstantiateFor(const watdiv::QueryTemplate& tmpl,

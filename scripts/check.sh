@@ -2,7 +2,8 @@
 # Local CI gate: runs the full verification matrix described in
 # DESIGN.md §7. Usage:
 #
-#   scripts/check.sh          # everything (release, lint, analyze, sanitizers)
+#   scripts/check.sh          # everything (release, lint, durable benchmark
+#                             # answers, analyze, sanitizers)
 #   scripts/check.sh quick    # release build + full ctest + lint +
 #                             # benchmark build only
 #
@@ -98,6 +99,19 @@ scripts/bench_json.sh build
 if [[ "${1:-}" == "quick" ]]; then
   note "quick mode: skipping analyze + sanitizer legs"
   exit 0
+fi
+
+note "durable benchmark answers (perfbench durable, seed 1, 4 s)"
+# The durable workload loads a store to disk, reopens it, queries it with
+# the table cache capped and ingests into it; its answer oracle reads
+# back what the store format wrote. Run in run.py's default build
+# directory, as the benchmark itself is run.
+durable="$(env -u CARGO_TARGET_DIR python3 perfbench/run.py --workload durable \
+  --seed 1 --seconds 4 --trace 0 | tail -n1)"
+if ! grep -q '"correct": true' <<<"${durable}"; then
+  echo "error: perfbench durable run did not answer correctly:" >&2
+  echo "  ${durable}" >&2
+  exit 1
 fi
 
 note "clang-tidy (bugprone / performance / concurrency; config in .clang-tidy)"

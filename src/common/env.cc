@@ -17,6 +17,17 @@ Status Env::WriteFileAtomic(const std::string& path,
   return SyncDir(ParentDir(path));
 }
 
+Status Env::ReadFileRange(const std::string& path, uint64_t offset,
+                          uint64_t length, std::string* data) {
+  std::string whole;
+  S2RDF_RETURN_IF_ERROR(ReadFile(path, &whole));
+  if (offset > whole.size() || length > whole.size() - offset) {
+    return OutOfRangeError("range past end of file: " + path);
+  }
+  *data = whole.substr(offset, length);
+  return Status::Ok();
+}
+
 std::string Env::ParentDir(const std::string& path) {
   size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? "." : path.substr(0, slash);

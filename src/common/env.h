@@ -1,6 +1,7 @@
 #ifndef S2RDF_COMMON_ENV_H_
 #define S2RDF_COMMON_ENV_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,8 +10,8 @@
 // Injectable file-I/O environment — the single choke point for file
 // access in the library, and the seam the fault-injection harness plugs
 // into. On HDFS the paper gets replication and atomic rename for free;
-// here every durable write site (table files, manifest generations, the
-// CURRENT pointer, the dictionary, MapReduce spill files) goes through
+// here every durable write site (table segments, manifest generations,
+// the CURRENT pointer, the dictionary, MapReduce spill files) goes through
 // an Env so that crashes, torn writes and bit flips can be injected
 // deterministically and the recovery protocol proven against them.
 //
@@ -39,6 +40,14 @@ class Env {
   // Reads the whole file. kNotFound when the file does not exist,
   // kIoError for (possibly transient) read failures.
   virtual Status ReadFile(const std::string& path, std::string* data) = 0;
+
+  // Reads `length` bytes starting at byte `offset` — one table's blob
+  // inside a segment file. Codes as ReadFile, plus kOutOfRange when the
+  // range runs past the end of the file (a truncated file, not a
+  // transient fault). This fallback reads the whole file and cuts the
+  // range out; PosixEnv reads only the range.
+  virtual Status ReadFileRange(const std::string& path, uint64_t offset,
+                               uint64_t length, std::string* data);
 
   // Atomically replaces `to` with `from` (POSIX rename semantics).
   virtual Status RenameFile(const std::string& from,
@@ -83,6 +92,8 @@ class PosixEnv : public Env {
  public:
   Status WriteFile(const std::string& path, const std::string& data) override;
   Status ReadFile(const std::string& path, std::string* data) override;
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       uint64_t length, std::string* data) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   Status SyncFile(const std::string& path) override;

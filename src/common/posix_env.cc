@@ -55,6 +55,35 @@ Status PosixEnv::ReadFile(const std::string& path, std::string* data) {
   return Status::Ok();
 }
 
+Status PosixEnv::ReadFileRange(const std::string& path, uint64_t offset,
+                               uint64_t length, std::string* data) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return NotFoundError("no such file: " + path);
+    return IoError("cannot open for read: " + path + ": " +
+                   std::strerror(errno));
+  }
+  data->resize(static_cast<size_t>(length));
+  size_t done = 0;
+  while (done < length) {
+    ssize_t n = ::pread(fd, data->data() + done, length - done,
+                        static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return IoError("read failed: " + path + ": " + std::strerror(err));
+    }
+    if (n == 0) {
+      ::close(fd);
+      return OutOfRangeError("range past end of file: " + path);
+    }
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  return Status::Ok();
+}
+
 Status PosixEnv::RenameFile(const std::string& from, const std::string& to) {
   if (std::rename(from.c_str(), to.c_str()) != 0) {
     return IoError("rename failed: " + from + " -> " + to + ": " +

@@ -45,8 +45,9 @@ double CardinalityEstimator::ScanRows(const TriplePattern& tp,
   if (choice.is_triples_table && !tp.predicate.is_variable()) {
     std::optional<rdf::TermId> p = dict_.Find(tp.predicate.value);
     if (p.has_value()) {
-      const storage::TableStats* vp = catalog_.GetStats(VpTableName(dict_, *p));
-      if (vp != nullptr) rows = static_cast<double>(vp->rows);
+      const std::optional<storage::TableStats> vp =
+          catalog_.GetStats(VpTableName(dict_, *p));
+      if (vp) rows = static_cast<double>(vp->rows);
     }
   }
 
@@ -88,9 +89,9 @@ double CardinalityEstimator::KeepFraction(const TriplePattern& tp,
       catalog_.NoteStaleSfFallback();
       continue;
     }
-    const storage::TableStats* stats =
+    const std::optional<storage::TableStats> stats =
         catalog_.GetStats(ExtVpTableName(dict_, cand.corr, *p1, *p2));
-    if (stats == nullptr) continue;  // Direction not precomputed.
+    if (!stats) continue;  // Direction not precomputed.
     // |ExtVP| rows are recorded whether or not the reduction was
     // materialized; against the chosen table they bound the surviving
     // fraction (clamped: the choice may itself be a smaller reduction).

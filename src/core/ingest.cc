@@ -1,6 +1,7 @@
 #include "core/ingest.h"
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -143,7 +144,7 @@ class DeltaMaintainer {
       // use builds them from the updated VP tables.
       return Status::Ok();
     }
-    const storage::TableStats* old = catalog_->GetStats(name);
+    const std::optional<storage::TableStats> old = catalog_->GetStats(name);
     const CorrCols cols = CorrColumns(corr);
     const VpRows& old_vp1 = old_vp_->Rows(p1);
     const VpRows* delta_p1 = DeltaOf(p1);
@@ -159,7 +160,7 @@ class DeltaMaintainer {
       have_rows = true;
       count = rows.size();
     } else {
-      if (old == nullptr || old->rows == 0) return Status::Ok();
+      if (!old.has_value() || old->rows == 0) return Status::Ok();
       count = old->rows;
     }
 
@@ -170,7 +171,7 @@ class DeltaMaintainer {
     }
     const double sf =
         static_cast<double>(count) / static_cast<double>(new_vp1_rows);
-    if (old != nullptr && old->rows == count) {
+    if (old.has_value() && old->rows == count) {
       if (old->selectivity == (count == new_vp1_rows ? 1.0 : sf) &&
           old->materialized == (count != new_vp1_rows &&
                                 sf < config_.sf_threshold)) {
@@ -238,7 +239,8 @@ class DeltaMaintainer {
   // order: the surviving pre-batch rows first (part 1), then the
   // surviving batch rows (part 2) — exactly the order a from-scratch
   // rebuild over the concatenated triple stream emits.
-  Status ComputeRows(const std::string& name, const storage::TableStats* old,
+  Status ComputeRows(const std::string& name,
+                     const std::optional<storage::TableStats>& old,
                      CorrCols cols, TermId p1, TermId p2, VpRows* out) {
     const VpRows& old_vp1 = old_vp_->Rows(p1);
     const VpRows* delta_p1 = DeltaOf(p1);
@@ -252,12 +254,12 @@ class DeltaMaintainer {
     // is sound even against a stale entry: rows <= |old VP_p1| <=
     // |VP_p1| forces equality throughout, i.e. every row matched and
     // monotonicity keeps it that way.)
-    if (old != nullptr && old->rows == old_vp1.size() && old->rows > 0) {
+    if (old.has_value() && old->rows == old_vp1.size() && old->rows > 0) {
       *out = old_vp1;
     } else if (trust_old_stats_ && !right_may_grow &&
-               (old == nullptr || old->rows == 0)) {
+               (!old.has_value() || old->rows == 0)) {
       // Nothing matched before and the key set is unchanged.
-    } else if (trust_old_stats_ && !right_may_grow && old != nullptr &&
+    } else if (trust_old_stats_ && !right_may_grow && old.has_value() &&
                old->materialized && !catalog_->IsQuarantined(name)) {
       auto table_or = catalog_->GetTable(name);
       if (table_or.ok()) {

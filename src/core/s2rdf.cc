@@ -203,12 +203,15 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
     db->catalog_.PutStatsOnly("meta_lazy_extvp", 1, 1.0);
   }
   if (!options.storage_dir.empty()) {
-    S2RDF_RETURN_IF_ERROR(db->catalog_.SaveManifest());
+    // The dictionary lands first: once the commit flips CURRENT to
+    // generation 1, Open must find it. The commit then writes the whole
+    // build — every staged table — as one segment.
     Env* env =
         options.env != nullptr ? options.env : Env::Default();
     S2RDF_RETURN_IF_ERROR(env->WriteFileAtomic(
         options.storage_dir + "/dictionary.bin",
         WrapDictionaryBlob(db->graph_.dictionary().Serialize())));
+    S2RDF_RETURN_IF_ERROR(db->catalog_.SaveManifest());
   }
   db->catalog_.SetMemoryBudget(options.memory_budget_bytes);
   db->catalog_.EvictToBudget();
@@ -234,7 +237,7 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
   S2RDF_RETURN_IF_ERROR(LoadDictionaryForGeneration(
       db->catalog_, env, db->recovery_report_.generation,
       &db->graph_.dictionary()));
-  if (const storage::TableStats* meta =
+  if (std::optional<storage::TableStats> meta =
           db->catalog_.GetStats("meta_sf_threshold")) {
     db->sf_threshold_ = meta->selectivity;
   }

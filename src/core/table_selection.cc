@@ -115,9 +115,9 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
 
   // Unbound predicate: only the triples table can answer it (Sec. 5.2).
   if (tp.predicate.is_variable() || layout == Layout::kTriplesTable) {
-    const storage::TableStats* stats =
+    const std::optional<storage::TableStats> stats =
         catalog.GetStats(TriplesTableName());
-    if (stats == nullptr) {
+    if (!stats) {
       return FailedPreconditionError(
           "triples table required but not built (unbound predicate or "
           "triples-table layout)");
@@ -137,8 +137,9 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
   }
 
   std::string vp_name = VpTableName(dict, *p1);
-  const storage::TableStats* vp_stats = catalog.GetStats(vp_name);
-  if (vp_stats == nullptr) {
+  const std::optional<storage::TableStats> vp_stats =
+      catalog.GetStats(vp_name);
+  if (!vp_stats) {
     return FailedPreconditionError("VP table missing: " + vp_name);
   }
   choice.table_name = vp_name;
@@ -149,9 +150,9 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
   // table with an explicit predicate selection (is_triples_table makes
   // ScanForPattern emit it). TT ⊇ VP, so results are unchanged.
   if (catalog.IsQuarantined(vp_name)) {
-    const storage::TableStats* tt_stats =
+    const std::optional<storage::TableStats> tt_stats =
         catalog.GetStats(TriplesTableName());
-    if (tt_stats == nullptr || catalog.IsQuarantined(TriplesTableName())) {
+    if (!tt_stats || catalog.IsQuarantined(TriplesTableName())) {
       return FailedPreconditionError(
           "VP table quarantined and no triples table to degrade to: " +
           vp_name);
@@ -203,8 +204,9 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
         // may use it until RefreshStaleExtVp catches up.
         continue;
       }
-      const storage::TableStats* stats = catalog.GetStats(name);
-      if (stats == nullptr) {
+      const std::optional<storage::TableStats> stats =
+          catalog.GetStats(name);
+      if (!stats) {
         // No stats entry for a built direction means the semi-join was
         // empty (SF = 0): the whole BGP can be answered statically.
         if (use_statistics_shortcut) {

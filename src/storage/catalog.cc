@@ -1,10 +1,10 @@
 #include "storage/catalog.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -31,16 +31,17 @@ constexpr char kManifestSuffix[] = ".tsv";
 constexpr char kChecksumPrefix[] = "# checksum=";
 constexpr char kGenerationHeader[] = "# s2rdf-manifest generation=";
 constexpr char kStaleHeader[] = "# s2rdf-stale ";
-constexpr char kTableSuffix[] = ".s2tb";
+constexpr char kSegmentHeader[] = "# s2rdf-segment ";
+constexpr char kSegmentPrefix[] = "segment-";
+constexpr char kSegmentSuffix[] = ".s2seg";
 
 std::string ManifestFileName(uint64_t generation) {
   return kManifestPrefix + std::to_string(generation) + kManifestSuffix;
 }
 
-// "manifest-<digits>.tsv" -> generation; false for anything else.
-bool ParseManifestGeneration(const std::string& filename, uint64_t* gen) {
-  const std::string prefix = kManifestPrefix;
-  const std::string suffix = kManifestSuffix;
+// "<prefix><digits><suffix>" -> the number; false for anything else.
+bool ParseNumberedFile(const std::string& filename, std::string_view prefix,
+                       std::string_view suffix, uint64_t* gen) {
   if (filename.size() <= prefix.size() + suffix.size() ||
       filename.compare(0, prefix.size(), prefix) != 0 ||
       filename.compare(filename.size() - suffix.size(), suffix.size(),
@@ -55,6 +56,10 @@ bool ParseManifestGeneration(const std::string& filename, uint64_t* gen) {
   }
   *gen = std::strtoull(digits.c_str(), nullptr, 10);
   return true;
+}
+
+bool ParseManifestGeneration(const std::string& filename, uint64_t* gen) {
+  return ParseNumberedFile(filename, kManifestPrefix, kManifestSuffix, gen);
 }
 
 bool IsTransient(const Status& status) {
@@ -83,29 +88,6 @@ void Backoff(int attempt) {
   }
 }
 
-// Splits a table file name "<name>[@<gen>].s2tb" into its parts; false
-// when `file` is not a table file at all.
-bool ParseTableFileName(const std::string& file, std::string* name,
-                        uint64_t* file_gen) {
-  if (!EndsWith(file, kTableSuffix)) return false;
-  std::string base =
-      file.substr(0, file.size() - std::string_view(kTableSuffix).size());
-  *file_gen = 0;
-  size_t at = base.rfind('@');
-  if (at != std::string::npos && at + 1 < base.size()) {
-    bool digits = true;
-    for (size_t i = at + 1; i < base.size(); ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(base[i]))) digits = false;
-    }
-    if (digits) {
-      *file_gen = std::strtoull(base.c_str() + at + 1, nullptr, 10);
-      base = base.substr(0, at);
-    }
-  }
-  *name = base;
-  return true;
-}
-
 }  // namespace
 
 void Catalog::SetRetrySleepFnForTest(void (*fn)(std::chrono::milliseconds)) {
@@ -115,7 +97,7 @@ void Catalog::SetRetrySleepFnForTest(void (*fn)(std::chrono::milliseconds)) {
 Catalog::Catalog(std::string dir, Env* env)
     : dir_(std::move(dir)), env_(env != nullptr ? env : Env::Default()) {
   if (!dir_.empty()) {
-    // Best-effort; Put reports real errors.
+    // Best-effort; the first commit reports real errors.
     (void)env_->MakeDirs(dir_);
   }
 }
@@ -131,6 +113,9 @@ Catalog::Catalog(Catalog&& other) noexcept S2RDF_NO_THREAD_SAFETY_ANALYSIS {
   memory_budget_ = other.memory_budget_;
   cached_bytes_ = other.cached_bytes_;
   lru_ = std::move(other.lru_);
+  staged_ = std::move(other.staged_);
+  stage_seq_ = other.stage_seq_;
+  segments_ = std::move(other.segments_);
   quarantined_ = std::move(other.quarantined_);
   stale_sources_ = std::move(other.stale_sources_);
   generation_ = other.generation_;
@@ -155,9 +140,12 @@ Catalog& Catalog::operator=(Catalog&& other) noexcept
     memory_budget_ = other.memory_budget_;
     cached_bytes_ = other.cached_bytes_;
     lru_ = std::move(other.lru_);
+    staged_ = std::move(other.staged_);
+    stage_seq_ = other.stage_seq_;
+    segments_ = std::move(other.segments_);
     quarantined_ = std::move(other.quarantined_);
     stale_sources_ = std::move(other.stale_sources_);
-      generation_ = other.generation_;
+    generation_ = other.generation_;
     corruptions_detected_.store(other.corruptions_detected_.load());
     queries_degraded_.store(other.queries_degraded_.load());
     quarantined_count_.store(other.quarantined_count_.load());
@@ -167,54 +155,44 @@ Catalog& Catalog::operator=(Catalog&& other) noexcept
   return *this;
 }
 
-std::string Catalog::TableFileName(const std::string& name,
-                                   uint64_t file_gen) {
-  if (file_gen == 0) return name + kTableSuffix;
-  return name + "@" + std::to_string(file_gen) + kTableSuffix;
+std::string Catalog::SegmentPath(uint64_t segment) const {
+  return dir_ + "/" + kSegmentPrefix + std::to_string(segment) +
+         kSegmentSuffix;
 }
 
-std::string Catalog::TablePath(const std::string& name,
-                               uint64_t file_gen) const {
-  return dir_ + "/" + TableFileName(name, file_gen);
-}
-
-std::string Catalog::CurrentTablePath(const std::string& name) const {
-  uint64_t file_gen = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = stats_.find(name);
-    if (it != stats_.end()) file_gen = it->second.file_gen;
-  }
-  return TablePath(name, file_gen);
-}
-
-Status Catalog::ReadFileRetrying(const std::string& path,
-                                 std::string* data) const {
+template <typename ReadFn>
+Status Catalog::Retrying(const ReadFn& read) const {
+  // Only transient (kIoError) failures are retried; corruption, missing
+  // files and truncated ranges are final.
   Status status;
   for (int attempt = 0; attempt <= kTransientRetries; ++attempt) {
     if (attempt > 0) {
       read_retries_.fetch_add(1, std::memory_order_relaxed);
       Backoff(attempt - 1);
     }
-    status = env_->ReadFile(path, data);
+    status = read();
     if (status.ok() || !IsTransient(status)) return status;
   }
   return status;
 }
 
-StatusOr<rdf::Table> Catalog::LoadTableRetrying(
-    const std::string& path) const {
-  // Only transient (kIoError) failures are retried; corruption
-  // (kInvalidArgument) and missing files (kNotFound) are final.
-  for (int attempt = 0;; ++attempt) {
-    StatusOr<rdf::Table> table = LoadTable(path, env_);
-    if (table.ok() || !IsTransient(table.status()) ||
-        attempt >= kTransientRetries) {
-      return table;
-    }
-    read_retries_.fetch_add(1, std::memory_order_relaxed);
-    Backoff(attempt);
+Status Catalog::ReadFileRetrying(const std::string& path,
+                                 std::string* data) const {
+  return Retrying([&] { return env_->ReadFile(path, data); });
+}
+
+void Catalog::Stage(TableStats stats,
+                    std::shared_ptr<const rdf::Table> table) {
+  const std::string name = stats.name;
+  MutexLock lock(&mu_);
+  stats_[name] = std::move(stats);
+  if (table != nullptr) {
+    quarantined_.erase(name);  // A fresh write supersedes old corruption.
+    CacheInsertLocked(name, std::move(table), /*staged=*/!dir_.empty());
+  } else {
+    EvictFromMemoryLocked(name);
   }
+  if (!dir_.empty()) staged_[name] = ++stage_seq_;
 }
 
 Status Catalog::Put(const std::string& name, rdf::Table table,
@@ -224,31 +202,7 @@ Status Catalog::Put(const std::string& name, rdf::Table table,
   stats.rows = table.NumRows();
   stats.selectivity = selectivity;
   stats.materialized = true;
-  stats.file_gen = 0;
-  // Serialize/save outside the lock: disk writes must not stall readers.
-  if (dir_.empty()) {
-    stats.bytes = SerializeTable(table).size();
-  } else {
-    S2RDF_ASSIGN_OR_RETURN(stats.bytes,
-                           SaveTable(table, TablePath(name, 0), env_));
-  }
-  auto owned = std::make_shared<const rdf::Table>(std::move(table));
-  uint64_t superseded_file_gen = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = stats_.find(name);
-    if (it != stats_.end() && it->second.materialized) {
-      superseded_file_gen = it->second.file_gen;
-    }
-    stats_[name] = stats;
-    quarantined_.erase(name);  // A fresh write supersedes old corruption.
-    CacheInsertLocked(name, std::move(owned));
-  }
-  if (!dir_.empty() && superseded_file_gen != 0) {
-    // The write above replaced a generation-suffixed file with the base
-    // path; drop the superseded file (best effort — Recover sweeps it).
-    (void)env_->RemoveFile(TablePath(name, superseded_file_gen));
-  }
+  Stage(std::move(stats), std::make_shared<const rdf::Table>(std::move(table)));
   return Status::Ok();
 }
 
@@ -258,9 +212,7 @@ void Catalog::PutStatsOnly(const std::string& name, uint64_t rows,
   stats.name = name;
   stats.rows = rows;
   stats.selectivity = selectivity;
-  stats.materialized = false;
-  MutexLock lock(&mu_);
-  stats_[name] = stats;
+  Stage(std::move(stats), nullptr);
 }
 
 bool Catalog::Has(const std::string& name) const {
@@ -268,12 +220,11 @@ bool Catalog::Has(const std::string& name) const {
   return stats_.contains(name);
 }
 
-const TableStats* Catalog::GetStats(const std::string& name) const {
+std::optional<TableStats> Catalog::GetStats(const std::string& name) const {
   MutexLock lock(&mu_);
   auto it = stats_.find(name);
-  // Safe to return after unlock: map nodes are stable and stats entries
-  // are never erased.
-  return it == stats_.end() ? nullptr : &it->second;
+  if (it == stats_.end()) return std::nullopt;
+  return it->second;
 }
 
 bool Catalog::IsQuarantined(const std::string& name) const {
@@ -347,76 +298,80 @@ void Catalog::QuarantineLocked(const std::string& name) {
 
 StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
     const std::string& name) {
-  uint64_t file_gen = 0;
-  {
-    MutexLock lock(&mu_);
-    auto cached = cache_.find(name);
-    if (cached != cache_.end()) {
-      TouchLruLocked(name);
-      return cached->second;
-    }
-    auto it = stats_.find(name);
-    if (it == stats_.end() || !it->second.materialized) {
-      return NotFoundError("table not materialized: " + name);
-    }
-    if (quarantined_.contains(name)) {
-      return FailedPreconditionError("table quarantined: " + name);
-    }
-    file_gen = it->second.file_gen;
-  }
-  // Load from disk outside the lock so distinct tables page in
-  // concurrently. Two threads may race to load the same table; the
-  // loser's copy simply replaces the winner's in the cache (both stay
-  // valid through their shared_ptrs).
-  StatusOr<rdf::Table> table = LoadTableRetrying(TablePath(name, file_gen));
-  if (!table.ok()) {
-    if (!IsTransient(table.status())) {
-      // Corrupt or missing on disk: quarantine so future queries degrade
-      // at selection time instead of re-reading a broken file.
+  for (;;) {
+    BlobLocation at;
+    {
       MutexLock lock(&mu_);
-      QuarantineLocked(name);
+      auto cached = cache_.find(name);
+      if (cached != cache_.end()) {
+        CacheEntry& entry = cached->second;
+        if (!entry.staged) lru_.splice(lru_.end(), lru_, entry.lru);
+        return entry.table;
+      }
+      auto it = stats_.find(name);
+      if (it == stats_.end() || !it->second.materialized) {
+        return NotFoundError("table not materialized: " + name);
+      }
+      if (quarantined_.contains(name)) {
+        return FailedPreconditionError("table quarantined: " + name);
+      }
+      at = LocationOf(it->second);
     }
-    return table.status();
+    // Read only the table's byte range, outside the lock so distinct
+    // tables page in concurrently.
+    const std::string path = SegmentPath(at.segment);
+    std::string blob;
+    Status read = Retrying(
+        [&] { return env_->ReadFileRange(path, at.offset, at.bytes, &blob); });
+    StatusOr<rdf::Table> table =
+        read.ok() ? DeserializeTable(blob) : StatusOr<rdf::Table>(read);
+    MutexLock lock(&mu_);
+    auto it = stats_.find(name);
+    // A commit moved or replaced the blob while it was being read (a
+    // compacted segment is deleted right after the flip).
+    const bool moved = it == stats_.end() || !(LocationOf(it->second) == at);
+    if (!table.ok()) {
+      if (IsTransient(table.status())) return table.status();
+      if (moved) continue;  // Look the table up again.
+      // Corrupt or missing on disk: quarantine so future queries degrade
+      // at selection time instead of re-reading a broken blob.
+      QuarantineLocked(name);
+      return table.status();
+    }
+    auto owned = std::make_shared<const rdf::Table>(std::move(*table));
+    // The previous generation's copy serves this caller but must not
+    // shadow the committed one in the cache.
+    if (moved) return owned;
+    auto cached = cache_.find(name);
+    if (cached != cache_.end()) return cached->second.table;  // Lost a race.
+    CacheInsertLocked(name, owned, /*staged=*/false);
+    return owned;
   }
-  auto owned = std::make_shared<const rdf::Table>(std::move(*table));
-  MutexLock lock(&mu_);
-  CacheInsertLocked(name, owned);
-  return owned;
 }
 
 void Catalog::CacheInsertLocked(const std::string& name,
-                                std::shared_ptr<const rdf::Table> table) {
+                                std::shared_ptr<const rdf::Table> table,
+                                bool staged) {
   EvictFromMemoryLocked(name);  // Replace any stale copy.
   cached_bytes_ += table->ApproxBytes();
-  cache_[name] = std::move(table);
-  lru_.push_back(name);
-}
-
-void Catalog::TouchLruLocked(const std::string& name) {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (*it == name) {
-      lru_.erase(it);
-      break;
-    }
-  }
-  lru_.push_back(name);
+  CacheEntry& entry = cache_[name];
+  entry.table = std::move(table);
+  entry.staged = staged;
+  if (!staged) entry.lru = lru_.insert(lru_.end(), name);
 }
 
 void Catalog::EvictFromMemoryLocked(const std::string& name) {
   auto it = cache_.find(name);
   if (it == cache_.end()) return;
-  cached_bytes_ -= it->second->ApproxBytes();
+  cached_bytes_ -= it->second.table->ApproxBytes();
+  if (!it->second.staged) lru_.erase(it->second.lru);
   cache_.erase(it);
-  for (auto lru_it = lru_.begin(); lru_it != lru_.end(); ++lru_it) {
-    if (*lru_it == name) {
-      lru_.erase(lru_it);
-      break;
-    }
-  }
 }
 
 void Catalog::EvictFromMemory(const std::string& name) {
   MutexLock lock(&mu_);
+  auto it = cache_.find(name);
+  if (dir_.empty() || it == cache_.end() || it->second.staged) return;
   EvictFromMemoryLocked(name);
 }
 
@@ -440,8 +395,7 @@ size_t Catalog::EvictToBudget() {
   if (memory_budget_ == 0 || dir_.empty()) return 0;
   size_t evicted = 0;
   while (cached_bytes_ > memory_budget_ && !lru_.empty()) {
-    std::string victim = lru_.front();
-    EvictFromMemoryLocked(victim);
+    EvictFromMemoryLocked(lru_.front());
     ++evicted;
   }
   return evicted;
@@ -487,23 +441,31 @@ std::vector<const TableStats*> Catalog::AllStats() const {
 
 std::string Catalog::RenderManifest(
     uint64_t gen, const std::map<std::string, TableStats>& stats,
-    const std::set<std::string>& stale_sources) {
+    const std::set<std::string>& stale_sources,
+    const std::map<uint64_t, uint64_t>& segments) {
   std::string out = kGenerationHeader + std::to_string(gen) + "\n";
-  out += "# name\trows\tselectivity\tbytes\tmaterialized\tfile_gen\n";
+  out += "# name\trows\tselectivity\tbytes\tmaterialized\tsegment\toffset\n";
   // Stale markers are part of the checksummed content: deferred-refresh
   // state must survive restarts or a reopened store would trust ExtVP
   // reductions that miss triples.
   for (const std::string& source : stale_sources) {
     out += kStaleHeader + source + "\n";
   }
+  // The live segments' sizes: the next commit's space rule needs them.
+  for (const auto& [segment, bytes] : segments) {
+    out += kSegmentHeader + std::to_string(segment) + "\t" +
+           std::to_string(bytes) + "\n";
+  }
   for (const auto& [name, entry] : stats) {
     char line[512];
-    std::snprintf(line, sizeof(line), "%s\t%llu\t%.17g\t%llu\t%d\t%llu\n",
-                  name.c_str(), static_cast<unsigned long long>(entry.rows),
+    std::snprintf(line, sizeof(line),
+                  "%s\t%llu\t%.17g\t%llu\t%d\t%llu\t%llu\n", name.c_str(),
+                  static_cast<unsigned long long>(entry.rows),
                   entry.selectivity,
                   static_cast<unsigned long long>(entry.bytes),
                   entry.materialized ? 1 : 0,
-                  static_cast<unsigned long long>(entry.file_gen));
+                  static_cast<unsigned long long>(entry.segment),
+                  static_cast<unsigned long long>(entry.offset));
     out += line;
   }
   char checksum[32];
@@ -517,7 +479,8 @@ Status Catalog::WriteManifestGeneration(uint64_t gen,
                                         const std::string& content) const {
   // Commit protocol: the generation file lands first (atomically), then
   // CURRENT flips to it (atomically). A crash anywhere leaves CURRENT on
-  // the previous generation.
+  // the previous generation. The first SyncDir also makes the segment's
+  // directory entry durable before CURRENT can reference it.
   S2RDF_RETURN_IF_ERROR(
       env_->WriteFileAtomic(dir_ + "/" + ManifestFileName(gen), content));
   return env_->WriteFileAtomic(dir_ + "/" + kCurrentFile,
@@ -537,125 +500,193 @@ void Catalog::PruneOldManifests(uint64_t gen) const {
   }
 }
 
-Status Catalog::SaveManifest() const {
+Status Catalog::SaveManifest() {
   if (dir_.empty()) {
     return FailedPreconditionError("in-memory catalog has no manifest");
   }
-  // Concurrent saves are not supported (generations would collide);
-  // callers serialize manifest writes (Create / ingest / checkpoints).
-  uint64_t gen;
-  std::string out;
-  {
-    MutexLock lock(&mu_);
-    gen = generation_ + 1;
-    out = RenderManifest(gen, stats_, stale_sources_);
-  }
-  S2RDF_RETURN_IF_ERROR(WriteManifestGeneration(gen, out));
-  {
-    MutexLock lock(&mu_);
-    generation_ = gen;
-  }
-  PruneOldManifests(gen);
-  return Status::Ok();
+  return CommitBatch({});
 }
 
 Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
                             const CommitOptions& options) {
-  // Phase 1 — land every replacement file under its generation-suffixed
-  // name. Nothing references these files yet, so a crash here only
-  // leaves orphans for Recover() to sweep.
-  uint64_t next_gen;
+  const bool on_disk = !dir_.empty();
+  // One table this commit writes: its next stats entry, the table whose
+  // blob it encodes (null when the entry keeps its blob or has none),
+  // and the stage sequence number of the staged version it writes (0 for
+  // a batch update).
+  struct Pending {
+    TableStats stats;
+    std::shared_ptr<const rdf::Table> table;
+    uint64_t staged_seq = 0;
+  };
+  std::map<std::string, Pending> pending;
+  std::map<std::string, TableStats> next;  // The generation's whole view.
+  std::set<std::string> stale;
+  std::map<uint64_t, uint64_t> segments;
+  uint64_t gen;
+  // Phase 1 — under one lock hold, gather everything staged and the
+  // batch's updates over the current state.
   {
     MutexLock lock(&mu_);
-    next_gen = generation_ + 1;
-  }
-  std::vector<TableStats> new_stats(updates.size());
-  for (size_t i = 0; i < updates.size(); ++i) {
-    TableStats entry;
-    entry.name = updates[i].name;
-    entry.selectivity = updates[i].selectivity;
-    if (updates[i].table.has_value()) {
-      entry.rows = updates[i].table->NumRows();
-      entry.materialized = true;
-      if (dir_.empty()) {
-        entry.bytes = SerializeTable(*updates[i].table).size();
-      } else {
-        entry.file_gen = next_gen;
-        S2RDF_ASSIGN_OR_RETURN(
-            entry.bytes, SaveTable(*updates[i].table,
-                                   TablePath(entry.name, next_gen), env_));
+    gen = generation_ + 1;
+    for (const auto& [name, seq] : staged_) {
+      Pending staged{stats_.at(name), nullptr, seq};
+      if (staged.stats.materialized) {
+        auto cached = cache_.find(name);
+        if (cached == cache_.end()) {
+          return InternalError("staged table not cached: " + name);
+        }
+        staged.table = cached->second.table;
       }
-    } else if (updates[i].retain_table) {
-      // Stats-only amendment of a table whose file is unchanged: carry
-      // the existing materialization (bytes, file_gen) forward.
-      MutexLock lock(&mu_);
-      auto it = stats_.find(entry.name);
-      if (it != stats_.end() && it->second.materialized) {
-        entry.bytes = it->second.bytes;
-        entry.materialized = true;
-        entry.file_gen = it->second.file_gen;
+      pending[name] = std::move(staged);
+    }
+    for (TableUpdate& update : updates) {
+      Pending entry;
+      entry.stats.name = update.name;
+      entry.stats.selectivity = update.selectivity;
+      entry.stats.rows = update.rows;
+      if (update.table.has_value()) {
+        entry.stats.rows = update.table->NumRows();
+        entry.stats.materialized = true;
+        entry.table =
+            std::make_shared<const rdf::Table>(std::move(*update.table));
+      } else if (update.retain_table) {
+        // Stats-only amendment: the table keeps its bytes — its staged
+        // copy, or its committed blob where it lies.
+        auto prior = pending.find(update.name);
+        auto current = stats_.find(update.name);
+        if (prior != pending.end() && prior->second.table != nullptr) {
+          entry.stats.materialized = true;
+          entry.table = prior->second.table;
+        } else if (current != stats_.end() && current->second.materialized) {
+          entry.stats.materialized = true;
+          entry.stats.bytes = current->second.bytes;
+          entry.stats.segment = current->second.segment;
+          entry.stats.offset = current->second.offset;
+        }
       }
-      entry.rows = updates[i].rows;
-    } else {
-      entry.rows = updates[i].rows;
+      pending[update.name] = std::move(entry);
     }
-    new_stats[i] = entry;
-  }
-  // Phase 2 — flip the manifest to a generation referencing the new
-  // files. This single atomic write is the batch's commit point.
-  if (!dir_.empty()) {
-    std::string content;
-    {
-      MutexLock lock(&mu_);
-      std::map<std::string, TableStats> merged = stats_;
-      std::set<std::string> stale = stale_sources_;
-      for (const TableStats& entry : new_stats) merged[entry.name] = entry;
-      for (const std::string& s : options.mark_stale) stale.insert(s);
-      for (const std::string& s : options.clear_stale) stale.erase(s);
-      content = RenderManifest(next_gen, merged, stale);
+    if (on_disk) {
+      next = stats_;
+      stale = stale_sources_;
+      segments = segments_;
     }
-    S2RDF_RETURN_IF_ERROR(WriteManifestGeneration(next_gen, content));
   }
-  // Phase 3 — swap the in-memory state under one lock hold, so a
+  for (const std::string& s : options.mark_stale) stale.insert(s);
+  for (const std::string& s : options.clear_stale) stale.erase(s);
+
+  // Phase 2 — pack every new blob into this generation's segment, in
+  // name order (deterministic contents), then copy forward the live
+  // blobs of segments left less than half live.
+  std::string segment;
+  std::vector<std::pair<std::string, BlobLocation>> moved;  // Old places.
+  std::vector<uint64_t> dropped;                            // Segments.
+  if (on_disk) {
+    for (auto& [name, entry] : pending) {
+      if (entry.table != nullptr) {
+        const std::string blob = SerializeTable(*entry.table);
+        entry.stats.segment = gen;
+        entry.stats.offset = segment.size();
+        entry.stats.bytes = blob.size();
+        segment += blob;
+      }
+      next[name] = entry.stats;
+    }
+    std::map<uint64_t, uint64_t> live;
+    for (const auto& [name, stats] : next) {
+      if (stats.materialized && stats.segment != gen) {
+        live[stats.segment] += stats.bytes;
+      }
+    }
+    for (const auto& [old_segment, size] : segments) {
+      if (live[old_segment] * 2 >= size) continue;
+      // One read of the old segment; a segment that cannot be read whole
+      // stays, and a later commit tries again.
+      std::string data;
+      if (live[old_segment] > 0 &&
+          !ReadFileRetrying(SegmentPath(old_segment), &data).ok()) {
+        continue;
+      }
+      std::vector<std::pair<std::string, BlobLocation>> copied;
+      for (const auto& [name, stats] : next) {
+        if (!stats.materialized || stats.segment != old_segment) continue;
+        copied.emplace_back(name, LocationOf(stats));
+      }
+      const bool complete =
+          std::all_of(copied.begin(), copied.end(), [&](const auto& entry) {
+            const BlobLocation& at = entry.second;
+            return at.offset <= data.size() &&
+                   at.bytes <= data.size() - at.offset;
+          });
+      if (!complete) continue;
+      for (const auto& [name, from] : copied) {
+        TableStats& stats = next[name];
+        stats.segment = gen;
+        stats.offset = segment.size();
+        segment.append(data, from.offset, from.bytes);
+        moved.emplace_back(name, from);
+      }
+      dropped.push_back(old_segment);
+    }
+    for (uint64_t old_segment : dropped) segments.erase(old_segment);
+    if (!segment.empty()) segments[gen] = segment.size();
+
+    // Phase 3 — one sync for the segment, then the manifest flip: the
+    // commit point. A crash before it leaves only an unreferenced
+    // segment for Recover() to sweep.
+    if (!segment.empty()) {
+      S2RDF_RETURN_IF_ERROR(env_->WriteFile(SegmentPath(gen), segment));
+      S2RDF_RETURN_IF_ERROR(env_->SyncFile(SegmentPath(gen)));
+    }
+    S2RDF_RETURN_IF_ERROR(WriteManifestGeneration(
+        gen, RenderManifest(gen, next, stale, segments)));
+  }
+
+  // Phase 4 — swap the in-memory state under one lock hold, so a
   // concurrent query observes either the whole batch or none of it
   // (tables it already pinned stay alive via their shared_ptrs).
-  std::vector<std::pair<std::string, uint64_t>> superseded;
   {
     MutexLock lock(&mu_);
-    for (size_t i = 0; i < updates.size(); ++i) {
-      auto it = stats_.find(new_stats[i].name);
-      if (it != stats_.end() && it->second.materialized &&
-          (!new_stats[i].materialized ||
-           it->second.file_gen != new_stats[i].file_gen)) {
-        superseded.emplace_back(it->first, it->second.file_gen);
+    for (auto& [name, entry] : pending) {
+      auto staged = staged_.find(name);
+      if (staged != staged_.end()) {
+        // A version staged after phase 1 lands in the next commit; a
+        // batch update replaces any staged one.
+        if (entry.staged_seq != 0 && staged->second != entry.staged_seq) {
+          continue;
+        }
+        staged_.erase(staged);
       }
-      stats_[new_stats[i].name] = new_stats[i];
-      quarantined_.erase(new_stats[i].name);
-      if (updates[i].table.has_value()) {
-        CacheInsertLocked(new_stats[i].name,
-                          std::make_shared<const rdf::Table>(
-                              std::move(*updates[i].table)));
-      } else if (!new_stats[i].materialized) {
-        // Retained-file amendments keep any cached copy; true stats-only
-        // demotions drop it.
-        EvictFromMemoryLocked(new_stats[i].name);
+      stats_[name] = entry.stats;
+      if (entry.table != nullptr) {
+        quarantined_.erase(name);
+        CacheInsertLocked(name, std::move(entry.table), /*staged=*/false);
+      } else if (!entry.stats.materialized) {
+        quarantined_.erase(name);
+        EvictFromMemoryLocked(name);
+      }
+      // Retained blobs keep their cached copy and their quarantine.
+    }
+    for (const auto& [name, from] : moved) {
+      auto it = stats_.find(name);
+      if (it != stats_.end() && LocationOf(it->second) == from) {
+        it->second.segment = gen;
+        it->second.offset = next[name].offset;
       }
     }
-    for (const std::string& s : options.mark_stale) {
-      stale_sources_.insert(s);
-    }
-    for (const std::string& s : options.clear_stale) {
-      stale_sources_.erase(s);
-    }
-    generation_ = next_gen;
+    for (const std::string& s : options.mark_stale) stale_sources_.insert(s);
+    for (const std::string& s : options.clear_stale) stale_sources_.erase(s);
+    if (on_disk) segments_ = std::move(segments);
+    generation_ = gen;
   }
-  // Phase 4 — best-effort cleanup of files the new generation no longer
-  // references; failures leave debris Recover() removes.
-  if (!dir_.empty()) {
-    for (const auto& [name, file_gen] : superseded) {
-      (void)env_->RemoveFile(TablePath(name, file_gen));
+  // Phase 5 — best-effort removal of what the new generation no longer
+  // references; a crash here leaves debris Recover() removes.
+  if (on_disk) {
+    for (uint64_t old_segment : dropped) {
+      (void)env_->RemoveFile(SegmentPath(old_segment));
     }
-    PruneOldManifests(next_gen);
+    PruneOldManifests(gen);
   }
   return Status::Ok();
 }
@@ -679,6 +710,7 @@ Status Catalog::AdoptManifest(const std::string& content) {
   }
   std::map<std::string, TableStats> parsed;
   std::set<std::string> stale;
+  std::map<uint64_t, uint64_t> segments;
   for (const std::string& line : StrSplit(content, '\n')) {
     std::string_view trimmed = StripWhitespace(line);
     if (trimmed.empty()) continue;
@@ -694,36 +726,55 @@ Status Catalog::AdoptManifest(const std::string& content) {
           trimmed.substr(0, stale_header.size()) == stale_header) {
         stale.insert(std::string(trimmed.substr(stale_header.size())));
       }
+      std::string_view segment_header(kSegmentHeader);
+      if (trimmed.size() > segment_header.size() &&
+          trimmed.substr(0, segment_header.size()) == segment_header) {
+        std::vector<std::string> fields =
+            StrSplit(trimmed.substr(segment_header.size()), '\t');
+        long long segment = 0;
+        long long bytes = 0;
+        if (fields.size() != 2 || !ParseInt64(fields[0], &segment) ||
+            !ParseInt64(fields[1], &bytes)) {
+          return InvalidArgumentError("malformed manifest segment: " + line);
+        }
+        segments[static_cast<uint64_t>(segment)] =
+            static_cast<uint64_t>(bytes);
+      }
       continue;
     }
     std::vector<std::string> fields = StrSplit(trimmed, '\t');
-    if (fields.size() != 6) {
+    if (fields.size() != 7) {
       return InvalidArgumentError("malformed manifest line: " + line);
     }
     TableStats stats;
     stats.name = fields[0];
     long long rows = 0;
     long long bytes = 0;
-    long long file_gen = 0;
+    long long segment = 0;
+    long long offset = 0;
     double sel = 0.0;
     if (!ParseInt64(fields[1], &rows) || !ParseDouble(fields[2], &sel) ||
-        !ParseInt64(fields[3], &bytes) || !ParseInt64(fields[5], &file_gen)) {
+        !ParseInt64(fields[3], &bytes) || !ParseInt64(fields[5], &segment) ||
+        !ParseInt64(fields[6], &offset)) {
       return InvalidArgumentError("malformed manifest numbers: " + line);
     }
     stats.rows = static_cast<uint64_t>(rows);
     stats.selectivity = sel;
     stats.bytes = static_cast<uint64_t>(bytes);
     stats.materialized = fields[4] == "1";
-    stats.file_gen = static_cast<uint64_t>(file_gen);
+    stats.segment = static_cast<uint64_t>(segment);
+    stats.offset = static_cast<uint64_t>(offset);
     parsed[stats.name] = stats;
   }
   MutexLock lock(&mu_);
   stats_ = std::move(parsed);
   cache_.clear();
   lru_.clear();
+  staged_.clear();
   cached_bytes_ = 0;
   quarantined_.clear();
   stale_sources_ = std::move(stale);
+  segments_ = std::move(segments);
   generation_ = generation;
   return Status::Ok();
 }
@@ -775,63 +826,60 @@ Status Catalog::LoadManifest() {
 StatusOr<RecoveryReport> Catalog::Recover() {
   S2RDF_RETURN_IF_ERROR(LoadManifest());
   RecoveryReport report;
-  std::vector<std::pair<std::string, uint64_t>> materialized;
+  // Materialized tables by the segment that holds them.
+  std::map<uint64_t, std::vector<std::pair<std::string, BlobLocation>>>
+      by_segment;
   {
     MutexLock lock(&mu_);
     report.generation = generation_;
     for (const auto& [name, stats] : stats_) {
-      if (stats.materialized) materialized.emplace_back(name, stats.file_gen);
+      if (stats.materialized) {
+        by_segment[stats.segment].emplace_back(name, LocationOf(stats));
+      }
     }
   }
-  // Verify every materialized table's checksums; quarantine failures so
-  // queries degrade (ExtVP -> VP -> TT) instead of erroring.
-  for (const auto& [name, file_gen] : materialized) {
-    std::string blob;
-    Status status = ReadFileRetrying(TablePath(name, file_gen), &blob);
-    if (status.ok()) status = VerifyTableBlob(blob);
-    if (status.ok()) {
-      ++report.tables_verified;
-    } else {
-      MutexLock lock(&mu_);
-      QuarantineLocked(name);
-      ++report.tables_quarantined;
+  // Read each segment once and verify every table's byte range;
+  // quarantine failures table by table so queries degrade (ExtVP -> VP
+  // -> TT) instead of erroring.
+  for (const auto& [segment, tables] : by_segment) {
+    std::string data;
+    const bool readable = ReadFileRetrying(SegmentPath(segment), &data).ok();
+    for (const auto& [name, at] : tables) {
+      const bool verified =
+          readable && at.offset <= data.size() &&
+          at.bytes <= data.size() - at.offset &&
+          VerifyTableBlob(std::string_view(data).substr(at.offset, at.bytes))
+              .ok();
+      if (verified) {
+        ++report.tables_verified;
+      } else {
+        MutexLock lock(&mu_);
+        QuarantineLocked(name);
+        ++report.tables_quarantined;
+      }
     }
   }
   // Delete orphaned staging files (crash debris), manifests older than
-  // the previous generation, and table files no longer referenced by
-  // the adopted manifest — the latter roll back a torn ingest batch
-  // (files landed, manifest flip did not) to the durable generation.
+  // the previous generation, and segments the adopted manifest does not
+  // reference — the latter roll back a commit whose flip never happened.
   StatusOr<std::vector<std::string>> files = env_->ListDir(dir_);
   if (files.ok()) {
-    const std::string temp_suffix = Env::kTempSuffix;
     for (const std::string& file : *files) {
-      if (file.size() > temp_suffix.size() &&
-          file.compare(file.size() - temp_suffix.size(), temp_suffix.size(),
-                       temp_suffix) == 0) {
+      uint64_t gen = 0;
+      if (EndsWith(file, Env::kTempSuffix)) {
         if (env_->RemoveFile(dir_ + "/" + file).ok()) {
           ++report.temp_files_removed;
         }
-        continue;
-      }
-      uint64_t gen = 0;
-      if (ParseManifestGeneration(file, &gen) && gen + 1 < report.generation) {
-        if (env_->RemoveFile(dir_ + "/" + file).ok()) {
+      } else if (ParseManifestGeneration(file, &gen)) {
+        if (gen + 1 < report.generation &&
+            env_->RemoveFile(dir_ + "/" + file).ok()) {
           ++report.old_manifests_removed;
         }
-        continue;
-      }
-      std::string table_name;
-      uint64_t file_gen = 0;
-      if (ParseTableFileName(file, &table_name, &file_gen)) {
-        bool referenced;
-        {
-          MutexLock lock(&mu_);
-          auto it = stats_.find(table_name);
-          referenced = it != stats_.end() && it->second.materialized &&
-                       it->second.file_gen == file_gen;
-        }
-        if (!referenced && env_->RemoveFile(dir_ + "/" + file).ok()) {
-          ++report.orphan_tables_removed;
+      } else if (ParseNumberedFile(file, kSegmentPrefix, kSegmentSuffix,
+                                   &gen)) {
+        if (!by_segment.contains(gen) &&
+            env_->RemoveFile(dir_ + "/" + file).ok()) {
+          ++report.orphan_segments_removed;
         }
       }
     }
@@ -842,7 +890,7 @@ StatusOr<RecoveryReport> Catalog::Recover() {
             {"tables_quarantined", report.tables_quarantined},
             {"temp_files_removed", report.temp_files_removed},
             {"old_manifests_removed", report.old_manifests_removed},
-            {"orphan_tables_removed", report.orphan_tables_removed}});
+            {"orphan_segments_removed", report.orphan_segments_removed}});
   return report;
 }
 

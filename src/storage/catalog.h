@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/env.h"
@@ -26,23 +27,37 @@
 // tables and tables pruned by the SF threshold), which is what enables
 // the paper's "answer from statistics alone" shortcut.
 //
-// Durability (what HDFS gave the paper for free): every table file and
-// manifest generation is written via temp-file + fsync + rename through
-// an injectable Env, so a crash leaves either the old or the new state,
-// never a torn file. The manifest is a generation chain — immutable
-// "manifest-<g>.tsv" files (self-checksummed, carrying their generation)
-// plus a CURRENT pointer updated atomically; if the current generation
-// is damaged, loading falls back to the newest generation that still
-// verifies. Recover() additionally verifies every materialized table's
-// checksums, quarantines unreadable/corrupt tables (queries then degrade
-// to the base VP table instead of failing — see core/table_selection),
-// and deletes orphaned "*.tmp" staging files.
+// Durability (what HDFS gave the paper for free): CommitBatch is the one
+// code path that writes table bytes. A commit at generation g packs the
+// S2TB blob of every table it materializes into one segment file
+// ("segment-<g>.s2seg", blobs back to back, no framing of its own),
+// fsyncs it once, then writes manifest generation g and flips CURRENT.
+// Each manifest line records where its table lies (segment, offset,
+// bytes). The manifest is a generation chain — immutable
+// "manifest-<g>.tsv" files (self-checksummed, carrying their generation
+// and the live segments' sizes) plus a CURRENT pointer updated
+// atomically; if the current generation is damaged, loading falls back
+// to the newest generation that still verifies. A crash before the flip
+// leaves only an unreferenced segment, which Recover() deletes.
 //
-// Thread safety: all public methods are safe to call concurrently. The
-// in-memory cache hands out shared_ptr ownership, so evicting a table
-// under memory pressure never invalidates a copy an in-flight query is
-// still scanning. Stats entries are never erased (only added), so the
-// pointers returned by GetStats stay valid for the catalog's lifetime.
+// Space: a commit copies forward, byte for byte, the live blobs of any
+// older segment whose live bytes fall below half its size, and deletes
+// that segment after the flip — so segment files never hold more than
+// twice the live table bytes.
+//
+// Put/PutStatsOnly only stage: a staged table is cached, cannot be
+// evicted, and becomes durable with the next commit (CommitBatch or
+// SaveManifest). Recover() verifies every materialized table's
+// checksums (one read per segment), quarantines unreadable/corrupt
+// tables (queries then degrade to the base VP table instead of failing
+// — see core/table_selection), and deletes orphaned "*.tmp" staging
+// files, unreferenced segments and superseded manifests.
+//
+// Thread safety: all public methods are safe to call concurrently,
+// except that commits (CommitBatch, SaveManifest) must be serialized by
+// the caller. The in-memory cache hands out shared_ptr ownership, so
+// evicting a table under memory pressure never invalidates a copy an
+// in-flight query is still scanning.
 
 namespace s2rdf::storage {
 
@@ -52,15 +67,14 @@ struct TableStats {
   // Selectivity factor SF = |table| / |base VP table| (1.0 for VP/base
   // tables themselves).
   double selectivity = 1.0;
-  // On-disk footprint; 0 when not materialized.
+  // Size of the table's S2TB blob on disk; 0 when it is not on disk
+  // (stats-only, staged, or an in-memory catalog).
   uint64_t bytes = 0;
   bool materialized = false;
-  // Manifest generation whose CommitBatch last rewrote the table file:
-  // 0 = the base "<name>.s2tb" path (initial build / Put), g > 0 = the
-  // generation-suffixed "<name>@<g>.s2tb" path. Old and new files
-  // coexist until the manifest flip, which is what makes a multi-table
-  // ingest batch atomic.
-  uint64_t file_gen = 0;
+  // Where the blob lies: the generation of the commit whose segment file
+  // holds it (0 = not on disk) and its byte offset inside that file.
+  uint64_t segment = 0;
+  uint64_t offset = 0;
 };
 
 // What startup recovery found and repaired.
@@ -75,21 +89,22 @@ struct RecoveryReport {
   size_t temp_files_removed = 0;
   // Superseded manifest generations pruned.
   size_t old_manifests_removed = 0;
-  // Table files no manifest generation references — debris of a torn
-  // ingest batch, rolled back by deletion.
-  size_t orphan_tables_removed = 0;
+  // Segment files the recovered generation does not reference — debris
+  // of a commit that never flipped, or of one whose clean-up a crash cut
+  // short.
+  size_t orphan_segments_removed = 0;
 };
 
 // One table's new state within an atomic CommitBatch: a materialized
 // replacement (`table` set) or a statistics-only entry (`table` empty —
 // SF = 0/1 or pruned by the SF threshold; any previously materialized
-// file is superseded).
+// blob is superseded).
 struct TableUpdate {
   std::string name;
   std::optional<rdf::Table> table;
   uint64_t rows = 0;          // Used when `table` is empty.
   double selectivity = 1.0;
-  // When set (and `table` is empty), the existing materialized file is
+  // When set (and `table` is empty), the existing materialized blob is
   // kept and only rows/selectivity change — the SF-denominator update
   // for reductions whose row set is untouched by a batch. Ignored when
   // the table was not materialized.
@@ -108,9 +123,9 @@ struct CommitOptions {
 class Catalog {
  public:
   // `dir` is the storage directory; empty keeps everything in memory
-  // (bytes are then the serialized size, computed on registration).
-  // `env` is the file-I/O environment (Env::Default() when null); it
-  // must outlive the catalog.
+  // (nothing is then encoded: every table's `bytes` stays 0). `env` is
+  // the file-I/O environment (Env::Default() when null); it must outlive
+  // the catalog.
   explicit Catalog(std::string dir, Env* env = nullptr);
 
   // Moves transfer the table map; neither operand may be in concurrent
@@ -120,34 +135,40 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  // Registers and materializes `table` under `name`.
+  // Registers `table` under `name`. No I/O: on a disk catalog the table
+  // is staged — cached, not evictable — until the next commit writes it.
   Status Put(const std::string& name, rdf::Table table,
              double selectivity);
 
   // Registers statistics for a table that is intentionally not
-  // materialized (SF = 0, SF = 1, or above the SF threshold).
+  // materialized (SF = 0, SF = 1, or above the SF threshold); staged
+  // like Put.
   void PutStatsOnly(const std::string& name, uint64_t rows,
                     double selectivity);
 
-  // Atomically applies a multi-table batch (the ingest commit path).
-  // Protocol: every replacement table file lands first under a
-  // generation-suffixed name ("<name>@<g>.s2tb", temp+fsync+rename),
-  // then one manifest generation referencing the new files is written
-  // and CURRENT flips to it, then the in-memory state (stats, cache,
-  // quarantine/stale sets) swaps under a single lock hold. A crash
-  // before the CURRENT flip leaves the previous generation fully intact
-  // — Recover() deletes the unreferenced "@<g>" files — and readers
-  // that pinned tables via GetTable keep their generation until
-  // they release the pins. Superseded table files are removed best
-  // effort after the flip.
+  // Atomically applies `updates` together with everything staged — the
+  // one commit path of Create, ingest and refresh. Protocol: the blobs
+  // of every table the commit materializes (plus the live blobs copied
+  // forward from sparse segments) land in "segment-<g>.s2seg", which is
+  // fsynced once; then manifest generation g is written and CURRENT
+  // flips to it; then the in-memory state (stats, cache, quarantine and
+  // stale sets) swaps under a single lock hold. A crash before the
+  // CURRENT flip leaves the previous generation fully intact — Recover()
+  // deletes the unreferenced segment — and readers that pinned tables
+  // via GetTable keep their generation until they release the pins.
+  // Segments the commit emptied or compacted are removed best effort
+  // after the flip. An in-memory catalog applies the batch with no I/O.
   Status CommitBatch(std::vector<TableUpdate> updates,
                      const CommitOptions& options = {});
 
   bool Has(const std::string& name) const;
-  const TableStats* GetStats(const std::string& name) const;
+  // A copy of the entry, taken under the lock: a commit may replace the
+  // entry right after this returns.
+  std::optional<TableStats> GetStats(const std::string& name) const;
 
-  // Returns shared ownership of the table, loading it from disk on
-  // first access. The returned pointer stays valid across evictions.
+  // Returns shared ownership of the table, reading its byte range from
+  // its segment on a cache miss. The returned pointer stays valid across
+  // evictions.
   // NotFound for unknown or unmaterialized names; FailedPrecondition for
   // quarantined ones. Transient (kIoError) read failures are retried
   // with backoff; corruption quarantines the table.
@@ -155,17 +176,19 @@ class Catalog {
       const std::string& name);
 
   // Drops a materialized table's in-memory copy (it stays on disk).
+  // Tables that are not on disk — staged, or in an in-memory catalog —
+  // stay cached.
   void EvictFromMemory(const std::string& name);
 
   // --- Memory budget -----------------------------------------------------
   //
   // Disk-backed catalogs can bound their in-memory cache: EvictToBudget
-  // drops least-recently-used tables until CachedBytes() fits the
-  // budget. Queries pin the tables they scan via the shared_ptr handles
-  // of GetTable, so eviction only drops the
-  // catalog's own reference; the bytes are reclaimed when the last
-  // in-flight query releases its pin. In-memory catalogs (empty `dir`)
-  // never evict — their tables have no disk copy.
+  // drops least-recently-used committed tables until CachedBytes() fits
+  // the budget (staged tables are not evictable). Queries pin the tables
+  // they scan via the shared_ptr handles of GetTable, so eviction only
+  // drops the catalog's own reference; the bytes are reclaimed when the
+  // last in-flight query releases its pin. In-memory catalogs (empty
+  // `dir`) never evict — their tables have no disk copy.
 
   // 0 (default) = unlimited.
   void SetMemoryBudget(uint64_t bytes);
@@ -187,19 +210,20 @@ class Catalog {
   // All stats entries, name-ordered.
   std::vector<const TableStats*> AllStats() const;
 
-  // Persists the stats as a new manifest generation ("<dir>/
-  // manifest-<g>.tsv" + atomic CURRENT update), then prunes generations
-  // older than the previous one.
-  Status SaveManifest() const;
+  // Commits everything staged: CommitBatch with no updates. Always
+  // writes a new manifest generation, then prunes generations older than
+  // the previous one. FailedPrecondition for an in-memory catalog.
+  Status SaveManifest();
 
   // Restores the stats from the manifest chain: CURRENT's generation if
   // it verifies, else the newest generation that does. NotFound when no
   // generation verifies.
   Status LoadManifest();
 
-  // Startup recovery: LoadManifest, then verify every materialized
-  // table's checksums (quarantining failures) and delete orphaned
-  // staging files and superseded manifests.
+  // Startup recovery: LoadManifest, then read each referenced segment
+  // once and verify every materialized table's byte range (quarantining
+  // failures table by table), and delete orphaned staging files,
+  // unreferenced segments and superseded manifests.
   StatusOr<RecoveryReport> Recover();
 
   // --- Corruption handling ----------------------------------------------
@@ -246,9 +270,9 @@ class Catalog {
 
   // Reads `path` through the catalog's Env with bounded retry and
   // jittered exponential backoff on transient kIoError, counted in
-  // read_retries(). For sibling artifacts on the ingest path (e.g. the
-  // dictionary read-back verification) that need the same transient-
-  // fault tolerance as table loads.
+  // read_retries(). For sibling artifacts (the dictionary and its
+  // read-back verification) that need the same transient-fault
+  // tolerance as table loads.
   Status ReadFileRetrying(const std::string& path, std::string* data) const;
 
   // Test seam for the jittered retry backoff: replaces the real
@@ -261,23 +285,42 @@ class Catalog {
 
   const std::string& dir() const { return dir_; }
 
-  // On-disk file name of a table at file generation `file_gen`:
-  // "<name>.s2tb" for 0, "<name>@<g>.s2tb" otherwise.
-  static std::string TableFileName(const std::string& name,
-                                   uint64_t file_gen);
+  // Path of the segment file written by the commit of generation
+  // `segment` (see TableStats::segment).
+  std::string SegmentPath(uint64_t segment) const;
 
  private:
-  std::string TablePath(const std::string& name, uint64_t file_gen) const;
-  // Path for the table's current file generation per stats_ (0 when
-  // unknown).
-  std::string CurrentTablePath(const std::string& name) const
+  // A cached table. Committed tables sit on the LRU list at `lru`;
+  // staged ones (not yet on disk) are off it and cannot be evicted.
+  struct CacheEntry {
+    std::shared_ptr<const rdf::Table> table;
+    bool staged = false;
+    std::list<std::string>::iterator lru;
+  };
+  // Where a table's committed blob lies; equal locations mean equal
+  // bytes, since a referenced segment is never rewritten.
+  struct BlobLocation {
+    uint64_t segment = 0;
+    uint64_t offset = 0;
+    uint64_t bytes = 0;
+    bool operator==(const BlobLocation&) const = default;
+  };
+  static BlobLocation LocationOf(const TableStats& stats) {
+    return {stats.segment, stats.offset, stats.bytes};
+  }
+
+  // `read` through bounded retry with jittered backoff on transient
+  // kIoError, counted in read_retries().
+  template <typename ReadFn>
+  Status Retrying(const ReadFn& read) const;
+  // Registers a staged entry (and its table, if materialized).
+  void Stage(TableStats stats, std::shared_ptr<const rdf::Table> table)
       S2RDF_EXCLUDES(mu_);
-  StatusOr<rdf::Table> LoadTableRetrying(const std::string& path) const;
-  // Renders the checksummed manifest content for generation `gen` from
-  // the given stats + stale snapshot.
+  // Renders the checksummed manifest content for generation `gen`.
   static std::string RenderManifest(
       uint64_t gen, const std::map<std::string, TableStats>& stats,
-      const std::set<std::string>& stale_sources);
+      const std::set<std::string>& stale_sources,
+      const std::map<uint64_t, uint64_t>& segments);
   // Writes "manifest-<gen>.tsv" and flips CURRENT to it (both atomic).
   Status WriteManifestGeneration(uint64_t gen, const std::string& content)
       const;
@@ -289,29 +332,32 @@ class Catalog {
   // the analyze preset).
   void QuarantineLocked(const std::string& name) S2RDF_REQUIRES(mu_);
   void CacheInsertLocked(const std::string& name,
-                         std::shared_ptr<const rdf::Table> table)
+                         std::shared_ptr<const rdf::Table> table, bool staged)
       S2RDF_REQUIRES(mu_);
   void EvictFromMemoryLocked(const std::string& name) S2RDF_REQUIRES(mu_);
-  void TouchLruLocked(const std::string& name) S2RDF_REQUIRES(mu_);
 
   std::string dir_;
   Env* env_;
   mutable Mutex mu_;
   std::map<std::string, TableStats> stats_ S2RDF_GUARDED_BY(mu_);
-  std::map<std::string, std::shared_ptr<const rdf::Table>> cache_
-      S2RDF_GUARDED_BY(mu_);
+  std::unordered_map<std::string, CacheEntry> cache_ S2RDF_GUARDED_BY(mu_);
   uint64_t memory_budget_ S2RDF_GUARDED_BY(mu_) = 0;
   uint64_t cached_bytes_ S2RDF_GUARDED_BY(mu_) = 0;
-  // Least-recently-used at front; names mirror cache_ keys.
+  // Committed cached tables, least recently used at the front.
   std::list<std::string> lru_ S2RDF_GUARDED_BY(mu_);
+  // Entries staged since the last commit, by name, each with the stage
+  // sequence number of its latest Put/PutStatsOnly: a commit consumes
+  // only the versions it wrote.
+  std::map<std::string, uint64_t> staged_ S2RDF_GUARDED_BY(mu_);
+  uint64_t stage_seq_ S2RDF_GUARDED_BY(mu_) = 0;
+  // Live segment files: generation -> size in bytes.
+  std::map<uint64_t, uint64_t> segments_ S2RDF_GUARDED_BY(mu_);
   // Tables that failed verification; never loaded again this run.
   std::set<std::string> quarantined_ S2RDF_GUARDED_BY(mu_);
   // Base VP tables whose ExtVP dependents are pending a deferred
   // refresh (see MarkStaleSource).
   std::set<std::string> stale_sources_ S2RDF_GUARDED_BY(mu_);
-  // SaveManifest is logically const (it persists, not mutates, the
-  // stats), so the generation cursor it advances is mutable.
-  mutable uint64_t generation_ S2RDF_GUARDED_BY(mu_) = 0;
+  uint64_t generation_ S2RDF_GUARDED_BY(mu_) = 0;
   mutable std::atomic<uint64_t> corruptions_detected_{0};
   mutable std::atomic<uint64_t> queries_degraded_{0};
   mutable std::atomic<uint64_t> quarantined_count_{0};

@@ -63,7 +63,8 @@ bool FaultInjectionEnv::crashed() const {
 
 void FaultInjectionEnv::AttachMetrics(MetricsRegistry* registry) {
   reads_total_ = registry->AddCounter(
-      "s2rdf_faultenv_reads_total", "ReadFile calls through the fault env.");
+      "s2rdf_faultenv_reads_total",
+      "ReadFile and ReadFileRange calls through the fault env.");
   mutations_total_ = registry->AddCounter(
       "s2rdf_faultenv_mutations_total",
       "Mutating ops (write/rename/remove/sync) that succeeded.");
@@ -119,18 +120,28 @@ Status FaultInjectionEnv::WriteFile(const std::string& path,
   return base_->WriteFile(path, data);
 }
 
+Status FaultInjectionEnv::NoteRead(const std::string& path) {
+  if (reads_total_ != nullptr) reads_total_->Increment();
+  MutexLock lock(&mu_);
+  if (transient_read_failures_ > 0) {
+    --transient_read_failures_;
+    if (faults_injected_ != nullptr) faults_injected_->Increment();
+    return IoError("injected transient read error: " + path);
+  }
+  return Status::Ok();
+}
+
 Status FaultInjectionEnv::ReadFile(const std::string& path,
                                    std::string* data) {
-  if (reads_total_ != nullptr) reads_total_->Increment();
-  {
-    MutexLock lock(&mu_);
-    if (transient_read_failures_ > 0) {
-      --transient_read_failures_;
-      if (faults_injected_ != nullptr) faults_injected_->Increment();
-      return IoError("injected transient read error: " + path);
-    }
-  }
+  S2RDF_RETURN_IF_ERROR(NoteRead(path));
   return base_->ReadFile(path, data);
+}
+
+Status FaultInjectionEnv::ReadFileRange(const std::string& path,
+                                        uint64_t offset, uint64_t length,
+                                        std::string* data) {
+  S2RDF_RETURN_IF_ERROR(NoteRead(path));
+  return base_->ReadFileRange(path, offset, length, data);
 }
 
 Status FaultInjectionEnv::RenameFile(const std::string& from,

@@ -58,7 +58,8 @@ class FaultInjectionEnv : public Env {
   // matrix uses this to size the FlipBitInWrite sweep.
   uint64_t write_count() const;
 
-  // The next `k` ReadFile calls fail with kIoError, then reads recover.
+  // The next `k` reads (ReadFile or ReadFileRange) fail with kIoError,
+  // then reads recover.
   void FailNextReads(int k);
 
   // Clears all pending faults and the crashed state (counters persist).
@@ -76,6 +77,8 @@ class FaultInjectionEnv : public Env {
 
   Status WriteFile(const std::string& path, const std::string& data) override;
   Status ReadFile(const std::string& path, std::string* data) override;
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       uint64_t length, std::string* data) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   Status SyncFile(const std::string& path) override;
@@ -88,6 +91,8 @@ class FaultInjectionEnv : public Env {
   // Returns true when the current mutating op must fail; `torn_out` is
   // set when this op is the crash point of a torn-style crash.
   bool ShouldFailMutation(bool* torn_out) S2RDF_REQUIRES(mu_);
+  // Counts one read and consumes a pending transient failure, if any.
+  Status NoteRead(const std::string& path) S2RDF_EXCLUDES(mu_);
 
   Env* base_;
   mutable Mutex mu_;

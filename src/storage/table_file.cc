@@ -150,19 +150,4 @@ StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
   return table;
 }
 
-StatusOr<uint64_t> SaveTable(const rdf::Table& table,
-                             const std::string& path, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  std::string blob = SerializeTable(table);
-  S2RDF_RETURN_IF_ERROR(env->WriteFileAtomic(path, blob));
-  return static_cast<uint64_t>(blob.size());
-}
-
-StatusOr<rdf::Table> LoadTable(const std::string& path, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  std::string blob;
-  S2RDF_RETURN_IF_ERROR(env->ReadFile(path, &blob));
-  return DeserializeTable(blob);
-}
-
 }  // namespace s2rdf::storage

@@ -3,18 +3,20 @@
 
 #include <string>
 
-#include "common/env.h"
 #include "common/status.h"
 #include "rdf/table.h"
 
-// Single-table binary file format ("S2TB"): the project's Parquet
-// analogue. Layout (version 2, the only version read or written):
+// Single-table binary format ("S2TB"): the project's Parquet analogue.
+// Blobs are stored back to back in the catalog's segment files, one
+// blob per table, with no framing of their own: every byte lies under
+// its own table's checksums. Layout (version 2, the only version read
+// or written):
 //   magic "S2TB" | version u32 | ncols varint | nrows varint
 //   per column: name (varint length + bytes) | chunk (varint length +
 //   EncodeColumnChecksummed bytes — block + its own FNV-1a64)
 //   trailer: FNV-1a64 checksum of everything before it.
 // The per-chunk checksums localize corruption to one column; the trailer
-// checksum still guards the whole file.
+// checksum still guards the whole blob.
 
 namespace s2rdf::storage {
 
@@ -29,15 +31,6 @@ StatusOr<rdf::Table> DeserializeTable(std::string_view blob);
 // checksum and every chunk checksum. kInvalidArgument describes where
 // the corruption sits.
 Status VerifyTableBlob(std::string_view blob);
-
-// Writes `table` to `path` crash-safely (temp file + fsync + rename via
-// `env`, Env::Default() when null); returns the file size in bytes.
-StatusOr<uint64_t> SaveTable(const rdf::Table& table,
-                             const std::string& path, Env* env = nullptr);
-
-// Reads a table written by SaveTable.
-StatusOr<rdf::Table> LoadTable(const std::string& path,
-                               Env* env = nullptr);
 
 }  // namespace s2rdf::storage
 

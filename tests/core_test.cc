@@ -15,6 +15,7 @@
 #include "rdf/ntriples.h"
 #include "sparql/parser.h"
 #include "storage/catalog.h"
+#include "tests/table_corruption.h"
 
 // Tests built around the paper's running example: RDF graph G1 (Fig. 1),
 // query Q1 (Fig. 2), the ExtVP tables of Fig. 10 and the table selection
@@ -58,9 +59,9 @@ class ExtVpG1Test : public ::testing::Test {
   }
 
   double Sf(Correlation corr, rdf::TermId p1, rdf::TermId p2) {
-    const storage::TableStats* stats = catalog_->GetStats(
+    const std::optional<storage::TableStats> stats = catalog_->GetStats(
         ExtVpTableName(graph_.dictionary(), corr, p1, p2));
-    return stats == nullptr ? 0.0 : stats->selectivity;
+    return stats.has_value() ? stats->selectivity : 0.0;
   }
 
   rdf::Graph graph_;
@@ -71,12 +72,12 @@ class ExtVpG1Test : public ::testing::Test {
 };
 
 TEST_F(ExtVpG1Test, VpTablesMatchFig5) {
-  const storage::TableStats* vf =
+  const std::optional<storage::TableStats> vf =
       catalog_->GetStats(VpTableName(graph_.dictionary(), follows_));
-  const storage::TableStats* vl =
+  const std::optional<storage::TableStats> vl =
       catalog_->GetStats(VpTableName(graph_.dictionary(), likes_));
-  ASSERT_NE(vf, nullptr);
-  ASSERT_NE(vl, nullptr);
+  ASSERT_TRUE(vf.has_value());
+  ASSERT_TRUE(vl.has_value());
   EXPECT_EQ(vf->rows, 4u);
   EXPECT_EQ(vl->rows, 3u);
 }
@@ -97,10 +98,10 @@ TEST_F(ExtVpG1Test, SelectivitiesMatchFig10) {
 }
 
 TEST_F(ExtVpG1Test, Sf1TablesAreNotMaterialized) {
-  const storage::TableStats* stats = catalog_->GetStats(
+  const std::optional<storage::TableStats> stats = catalog_->GetStats(
       ExtVpTableName(graph_.dictionary(), Correlation::kSS, likes_,
                      follows_));
-  ASSERT_NE(stats, nullptr);
+  ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->materialized);
   EXPECT_EQ(build_stats_.tables_equal_vp, 1u);
 }
@@ -545,9 +546,10 @@ TEST(LazyExtVpTest, MatchesEagerResultsAndSelectivities) {
   const rdf::Dictionary& dict = (*lazy)->graph().dictionary();
   rdf::TermId follows = *dict.Find("<follows>");
   rdf::TermId likes = *dict.Find("<likes>");
-  const storage::TableStats* stats = (*lazy)->catalog().GetStats(
-      ExtVpTableName(dict, Correlation::kOS, follows, likes));
-  ASSERT_NE(stats, nullptr);
+  const std::optional<storage::TableStats> stats =
+      (*lazy)->catalog().GetStats(
+          ExtVpTableName(dict, Correlation::kOS, follows, likes));
+  ASSERT_TRUE(stats.has_value());
   EXPECT_DOUBLE_EQ(stats->selectivity, 0.25);
 }
 
@@ -580,9 +582,9 @@ TEST(LazyExtVpTest, RespectsSfThreshold) {
   const rdf::Dictionary& dict = (*db)->graph().dictionary();
   rdf::TermId follows = *dict.Find("<follows>");
   rdf::TermId likes = *dict.Find("<likes>");
-  const storage::TableStats* stats = (*db)->catalog().GetStats(
+  const std::optional<storage::TableStats> stats = (*db)->catalog().GetStats(
       ExtVpTableName(dict, Correlation::kSS, follows, likes));
-  ASSERT_NE(stats, nullptr);
+  ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->materialized);
 }
 
@@ -734,6 +736,7 @@ TEST(CatalogProviderTest, ResolvesAndPinsTables) {
   ScopedTempDir dir;
   storage::Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(500), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   engine::TableProvider provider = CatalogProvider(&catalog);
   const rdf::Table* table = provider("t1");
   ASSERT_NE(table, nullptr);
@@ -755,12 +758,9 @@ TEST(CatalogProviderTest, CorruptExtVpDegradesToVpOncePerQuery) {
   reduced.AppendRow({1, 2});
   ASSERT_TRUE(catalog.Put(extvp, std::move(reduced), 0.5).ok());
   ASSERT_TRUE(catalog.Put(vp, MakeTable(500), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   catalog.EvictFromMemory(extvp);
-  const std::string path = dir.path() + "/" + extvp + ".s2tb";
-  std::string blob;
-  ASSERT_TRUE(ReadFile(path, &blob).ok());
-  blob[blob.size() / 2] ^= 0x01;
-  ASSERT_TRUE(WriteFile(path, blob).ok());
+  ASSERT_TRUE(testing::CorruptTable(catalog, extvp));
 
   engine::TableProvider provider = CatalogProvider(&catalog);
   const rdf::Table* table = provider(extvp);

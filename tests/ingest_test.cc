@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/file_util.h"
@@ -16,6 +19,7 @@
 #include "storage/catalog.h"
 #include "storage/fault_injection_env.h"
 #include "storage/ingest.h"
+#include "tests/table_corruption.h"
 
 // Incremental-ingest suite: delta-maintained ExtVP reductions and SF
 // statistics must be indistinguishable from a from-scratch rebuild over
@@ -92,7 +96,8 @@ std::unique_ptr<S2Rdf> Rebuild(const std::vector<T>& stream,
 // The oracle: the delta-maintained store and the rebuild must have the
 // same statistics entries (rows, SF, materialization decision) and, for
 // every materialized table, byte-identical contents in identical row
-// order. bytes/file_gen are storage-representation details and ignored.
+// order. bytes/segment/offset are storage-representation details and
+// ignored.
 void ExpectStoresIdentical(S2Rdf* delta, S2Rdf* rebuild) {
   std::map<std::string, const storage::TableStats*> ds, rs;
   for (const storage::TableStats* s : delta->catalog().AllStats()) {
@@ -241,9 +246,27 @@ TEST(IngestDeltaTest, LazyStoreMaintainsOnlyComputedPairs) {
   auto before = SortedRows(db->get(), kQ1);
   ASSERT_EQ(before.size(), 1u);
   EXPECT_GT((*db)->lazy_pairs_computed(), 0u);
+  // The computed pairs are staged: cached, not yet on disk.
+  std::vector<std::string> staged;
+  for (const storage::TableStats* stats : (*db)->catalog().AllStats()) {
+    if (StartsWith(stats->name, "extvp_") && stats->materialized) {
+      EXPECT_EQ(stats->segment, 0u) << stats->name;
+      staged.push_back(stats->name);
+    }
+  }
+  ASSERT_FALSE(staged.empty());
 
   auto result = (*db)->Ingest(MakeBatch({{"D", "follows", "A"}}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The batch's commit wrote them.
+  for (const std::string& name : staged) {
+    std::optional<storage::TableStats> stats =
+        (*db)->catalog().GetStats(name);
+    ASSERT_TRUE(stats.has_value()) << name;
+    if (stats->materialized) {
+      EXPECT_NE(stats->segment, 0u) << name;
+    }
+  }
 
   // Answers match a lazy rebuild over the full stream.
   std::vector<T> stream = G1();
@@ -253,6 +276,15 @@ TEST(IngestDeltaTest, LazyStoreMaintainsOnlyComputedPairs) {
   auto reference = S2Rdf::Create(GraphFrom(stream), ref_options);
   ASSERT_TRUE(reference.ok());
   ExpectSameAnswers(db->get(), reference->get());
+
+  // ...and they survive a reopen.
+  db->reset();
+  auto reopened = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (const std::string& name : staged) {
+    EXPECT_TRUE((*reopened)->catalog().Has(name)) << name;
+  }
+  ExpectSameAnswers(reopened->get(), reference->get());
 }
 
 // --- Crash-point matrix over the ingest path -----------------------------
@@ -471,22 +503,6 @@ TEST(IngestDeferredTest, StaleDegradationThenRefreshConverges) {
 
 // --- Quarantine interaction (recovery races) -----------------------------
 
-// Flips one bit in the middle of every matching table file.
-int CorruptTables(const std::string& dir, const std::string& prefix) {
-  auto files = ListDir(dir);
-  EXPECT_TRUE(files.ok());
-  int corrupted = 0;
-  for (const std::string& file : *files) {
-    if (!StartsWith(file, prefix) || !EndsWith(file, ".s2tb")) continue;
-    std::string blob;
-    EXPECT_TRUE(ReadFile(dir + "/" + file, &blob).ok());
-    blob[blob.size() / 2] ^= 0x01;
-    EXPECT_TRUE(WriteFile(dir + "/" + file, blob).ok());
-    ++corrupted;
-  }
-  return corrupted;
-}
-
 TEST(IngestRecoveryTest, QuarantinedVpReingestedUnderSameName) {
   ScopedTempDir dir;
   {
@@ -495,7 +511,7 @@ TEST(IngestRecoveryTest, QuarantinedVpReingestedUnderSameName) {
     auto created = S2Rdf::Create(GraphFrom(G1()), options);
     ASSERT_TRUE(created.ok());
   }
-  ASSERT_GT(CorruptTables(dir.path(), "vp_likes"), 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), "vp_likes"), 0);
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -624,6 +640,133 @@ TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
   std::unique_ptr<S2Rdf> reference = Rebuild(stream);
   ExpectStoresIdentical(db->get(), reference.get());
   ExpectSameAnswers(db->get(), reference.get());
+}
+
+// --- Space and concurrency over many batches ------------------------------
+
+// Batch `b` of a growing stream: new subjects and objects joined to G1's
+// terms, so every batch rewrites the triples table, VP tables and ExtVP
+// reductions and leaves earlier segments partly dead.
+std::vector<T> GrowthBatch(int b) {
+  const std::string n = "N" + std::to_string(b);
+  return {{n, "follows", "A"},
+          {"B", "likes", "I" + std::to_string(b)},
+          {n, "likes", "I2"},
+          {"C", "follows", n}};
+}
+
+// Segment files in `dir` by name, with their sizes.
+std::map<std::string, uint64_t> SegmentFiles(const std::string& dir) {
+  std::map<std::string, uint64_t> segments;
+  auto files = ListDir(dir);
+  EXPECT_TRUE(files.ok());
+  for (const std::string& file : *files) {
+    if (StartsWith(file, "segment-")) {
+      segments[dir + "/" + file] = FileSizeBytes(dir + "/" + file);
+    }
+  }
+  return segments;
+}
+
+TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
+  ScopedTempDir dir;
+  S2RdfOptions options;
+  options.storage_dir = dir.path();
+  auto db = S2Rdf::Create(GraphFrom(G1()), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::vector<T> stream = G1();
+  for (int b = 0; b < 12; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const std::vector<T> batch = GrowthBatch(b);
+    auto result = (*db)->Ingest(MakeBatch(batch));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    stream.insert(stream.end(), batch.begin(), batch.end());
+    uint64_t on_disk = 0;
+    for (const auto& [path, bytes] : SegmentFiles(dir.path())) {
+      on_disk += bytes;
+    }
+    EXPECT_LE(on_disk, 2 * (*db)->catalog().TotalBytes());
+  }
+  db->reset();
+
+  auto reopened = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->recovery_report().tables_quarantined, 0u);
+  // Every segment that survives recovery holds a live table.
+  std::set<std::string> referenced;
+  for (const storage::TableStats* stats :
+       (*reopened)->catalog().AllStats()) {
+    if (stats->materialized) {
+      referenced.insert((*reopened)->catalog().SegmentPath(stats->segment));
+    }
+  }
+  for (const auto& [path, bytes] : SegmentFiles(dir.path())) {
+    EXPECT_TRUE(referenced.contains(path)) << path;
+  }
+  std::unique_ptr<S2Rdf> reference = Rebuild(stream);
+  ExpectStoresIdentical(reopened->get(), reference.get());
+  ExpectSameAnswers(reopened->get(), reference.get());
+}
+
+// Readers query the store while batches commit. With the table cache
+// capped at one byte every scan reads its table back from the segments,
+// so the readers race each commit's manifest flip, copy-forward and
+// segment deletion; on a lazy store they also stage ExtVP pairs while
+// the commits run. Every query must succeed, and once the last batch has
+// committed the store must answer as a rebuild does.
+void QueriesDuringIngest(bool lazy_extvp) {
+  ScopedTempDir dir;
+  S2RdfOptions options;
+  options.storage_dir = dir.path();
+  options.memory_budget_bytes = 1;
+  options.lazy_extvp = lazy_extvp;
+  auto db = S2Rdf::Create(GraphFrom(G1()), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  S2Rdf* store = db->get();
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        for (const char* q : {kQ1, kLikes, kSpo}) {
+          if (!store->Execute({.query = q}).ok()) failures.fetch_add(1);
+          queries.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::vector<T> stream = G1();
+  for (int b = 0; b < 8; ++b) {
+    const std::vector<T> batch = GrowthBatch(b);
+    auto result = store->Ingest(MakeBatch(batch));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    stream.insert(stream.end(), batch.begin(), batch.end());
+  }
+  // Let the readers see the final generation too.
+  const uint64_t seen = queries.load();
+  while (queries.load() < seen + 6) std::this_thread::yield();
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(store->catalog().quarantined_tables(), 0u);
+
+  S2RdfOptions ref_options = options;
+  ref_options.storage_dir.clear();
+  auto reference = S2Rdf::Create(GraphFrom(stream), ref_options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  if (!lazy_extvp) ExpectStoresIdentical(store, reference->get());
+  ExpectSameAnswers(store, reference->get());
+}
+
+TEST(IngestConcurrencyTest, QueriesDuringIngestSucceedAndConverge) {
+  QueriesDuringIngest(/*lazy_extvp=*/false);
+}
+
+TEST(IngestConcurrencyTest, LazyStoreQueriesDuringIngestSucceed) {
+  QueriesDuringIngest(/*lazy_extvp=*/true);
 }
 
 // --- Transient reads during ingest ---------------------------------------

@@ -214,8 +214,9 @@ void CheckProfiledExecution(rdf::Graph graph, const std::string& query) {
     EXPECT_TRUE(kLayouts.contains(op.layout)) << op.layout;
     EXPECT_NE(sql.find(op.table), std::string::npos)
         << op.table << " not in compiled SQL";
-    const storage::TableStats* stats = (*db)->catalog().GetStats(op.table);
-    ASSERT_NE(stats, nullptr) << op.table;
+    const std::optional<storage::TableStats> stats =
+        (*db)->catalog().GetStats(op.table);
+    ASSERT_TRUE(stats.has_value()) << op.table;
     EXPECT_DOUBLE_EQ(op.sf, stats->selectivity) << op.table;
   }
   EXPECT_GT(scans, 0u);

@@ -13,6 +13,7 @@
 #include "core/cost_model.h"
 #include "core/optimizer.h"
 #include "core/s2rdf.h"
+#include "tests/table_corruption.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
 
@@ -169,21 +170,7 @@ TEST(DegradedStoreTest, OptimizersAgreeAfterExtVpQuarantine) {
   }
 
   // Flip a bit in the middle of every persisted ExtVP table.
-  auto files = s2rdf::ListDir(dir.path());
-  ASSERT_TRUE(files.ok());
-  int corrupted = 0;
-  for (const std::string& file : *files) {
-    if (!s2rdf::StartsWith(file, "extvp_") ||
-        !s2rdf::EndsWith(file, ".s2tb")) {
-      continue;
-    }
-    std::string blob;
-    ASSERT_TRUE(s2rdf::ReadFile(dir.path() + "/" + file, &blob).ok());
-    blob[blob.size() / 2] ^= 0x01;
-    ASSERT_TRUE(s2rdf::WriteFile(dir.path() + "/" + file, blob).ok());
-    ++corrupted;
-  }
-  ASSERT_GT(corrupted, 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), "extvp_"), 0);
 
   auto reopened = S2Rdf::Open(dir.path());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();

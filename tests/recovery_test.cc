@@ -15,6 +15,7 @@
 #include "storage/encoding.h"
 #include "storage/fault_injection_env.h"
 #include "storage/table_file.h"
+#include "tests/table_corruption.h"
 
 // Fault-injection tests for the durability protocol end to end: the
 // crash-point matrix (crash after every k-th mutating I/O op during a
@@ -61,25 +62,6 @@ std::vector<std::vector<std::string>> SortedRows(S2Rdf* db,
   return rows;
 }
 
-// Flips one bit in the middle of every file in `dir` whose name starts
-// with `prefix` and ends in ".s2tb"; returns how many were damaged.
-int CorruptTables(const std::string& dir, const std::string& prefix) {
-  auto files = s2rdf::ListDir(dir);
-  EXPECT_TRUE(files.ok());
-  int corrupted = 0;
-  for (const std::string& file : *files) {
-    if (!s2rdf::StartsWith(file, prefix) || !s2rdf::EndsWith(file, ".s2tb")) {
-      continue;
-    }
-    std::string blob;
-    EXPECT_TRUE(s2rdf::ReadFile(dir + "/" + file, &blob).ok());
-    blob[blob.size() / 2] ^= 0x01;
-    EXPECT_TRUE(s2rdf::WriteFile(dir + "/" + file, blob).ok());
-    ++corrupted;
-  }
-  return corrupted;
-}
-
 StatusOr<std::unique_ptr<S2Rdf>> CreatePersisted(const std::string& dir,
                                                  Env* env = nullptr) {
   S2RdfOptions options;
@@ -95,13 +77,17 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToConsistentState) {
   // count its mutating I/O ops. The workload is deterministic, so run k
   // of pass 2 sees the identical op sequence.
   uint64_t total_mutations = 0;
+  std::vector<std::vector<std::string>> healthy;
   {
     s2rdf::ScopedTempDir dir;
     FaultInjectionEnv env;
     auto db = CreatePersisted(dir.path(), &env);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     total_mutations = env.mutation_count();
-    ASSERT_GT(total_mutations, 10u);  // Tables + manifest + dictionary.
+    // Dictionary (4 ops), segment (2), manifest and CURRENT (4 each).
+    ASSERT_GT(total_mutations, 10u);
+    healthy = SortedRows(db->get(), kQ1);
+    ASSERT_EQ(healthy.size(), 1u);
   }
 
   // Pass 2: crash at every point, in both styles, and reboot.
@@ -134,12 +120,17 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToConsistentState) {
           if (!stats->materialized) continue;
           EXPECT_TRUE(catalog.GetTable(stats->name).ok()) << stats->name;
         }
-        // ...and no staging debris survives the sweep.
+        // ...no staging debris survives the sweep...
         auto files = s2rdf::ListDir(dir.path());
         ASSERT_TRUE(files.ok());
         for (const std::string& file : *files) {
           EXPECT_FALSE(s2rdf::EndsWith(file, ".tmp")) << file;
         }
+        // ...and the store opens and answers as the healthy one does: a
+        // recoverable generation always has its dictionary.
+        auto reopened = S2Rdf::Open(dir.path());
+        ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+        EXPECT_EQ(SortedRows(reopened->get(), kQ1), healthy);
       } else {
         // Acceptable only when the crash predates the first durable
         // manifest generation: the store then never existed.
@@ -178,7 +169,7 @@ TEST(DegradationTest, CorruptExtVpDegradesToVpWithIdenticalResults) {
     healthy = SortedRows(db->get(), kQ1);
     ASSERT_FALSE(healthy.empty());
   }
-  ASSERT_GT(CorruptTables(dir.path(), "extvp_"), 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), "extvp_"), 0);
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -221,25 +212,30 @@ TEST(DegradationTest, Version1ExtVpRejectedQuarantinedAndDegradesToVp) {
     healthy = SortedRows(db->get(), kQ1);
     ASSERT_FALSE(healthy.empty());
   }
-  // Rewrite every ExtVP reduction, unchanged, in the version-1 layout.
-  auto files = s2rdf::ListDir(dir.path());
-  ASSERT_TRUE(files.ok());
+  // Rewrite every ExtVP reduction, unchanged, in the version-1 layout:
+  // the shorter v1 blob overwrites the head of the table's byte range.
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.LoadManifest().ok());
   size_t rewritten = 0;
-  for (const std::string& file : *files) {
-    if (!s2rdf::StartsWith(file, "extvp_") || !s2rdf::EndsWith(file, ".s2tb")) {
-      continue;
-    }
-    const std::string path = dir.path() + "/" + file;
-    auto table = storage::LoadTable(path);
+  for (const storage::TableStats* stats : catalog.AllStats()) {
+    if (!s2rdf::StartsWith(stats->name, "extvp_")) continue;
+    std::optional<testing::TableRange> range =
+        testing::FindTableRange(catalog, stats->name);
+    if (!range.has_value()) continue;
+    auto table = catalog.GetTable(stats->name);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
-    const std::string v1 = Version1Blob(*table);
+    const std::string v1 = Version1Blob(**table);
     Status verified = storage::VerifyTableBlob(v1);
     EXPECT_EQ(verified.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(verified.message().find("version 1"), std::string::npos)
         << verified.ToString();
     EXPECT_EQ(storage::DeserializeTable(v1).status().code(),
               StatusCode::kInvalidArgument);
-    ASSERT_TRUE(s2rdf::WriteFile(path, v1).ok());
+    ASSERT_LE(v1.size(), range->bytes);
+    std::string segment;
+    ASSERT_TRUE(s2rdf::ReadFile(range->path, &segment).ok());
+    segment.replace(range->offset, v1.size(), v1);
+    ASSERT_TRUE(s2rdf::WriteFile(range->path, segment).ok());
     ++rewritten;
   }
   ASSERT_GT(rewritten, 0u);
@@ -264,7 +260,7 @@ TEST(DegradationTest, CorruptVpDegradesToTriplesTable) {
   }
   // Damage every VP table: single-pattern queries then have nothing
   // between VP and the last-resort triples-table layout.
-  ASSERT_GT(CorruptTables(dir.path(), "vp_"), 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), "vp_"), 0);
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -290,7 +286,7 @@ TEST(DegradationTest, MidQueryChecksumFailureFallsBackToVp) {
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok());
   ASSERT_EQ((*db)->recovery_report().tables_quarantined, 0u);
-  ASSERT_GT(CorruptTables(dir.path(), "extvp_"), 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), "extvp_"), 0);
 
   EXPECT_EQ(SortedRows(db->get(), kQ1), healthy);
   EXPECT_GE((*db)->catalog().queries_degraded(), 1u);
@@ -379,7 +375,7 @@ TEST(DegradationTest, CountersExposedThroughMetricsRoute) {
     auto created = CreatePersisted(dir.path());
     ASSERT_TRUE(created.ok());
   }
-  ASSERT_GT(CorruptTables(dir.path(), "extvp_"), 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), "extvp_"), 0);
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok());
   ASSERT_FALSE(SortedRows(db->get(), kQ1).empty());

@@ -9,6 +9,7 @@
 #include "storage/encoding.h"
 #include "storage/fault_injection_env.h"
 #include "storage/table_file.h"
+#include "tests/table_corruption.h"
 
 namespace s2rdf::storage {
 namespace {
@@ -100,15 +101,29 @@ TEST(TableFileTest, ChecksumDetectsCorruption) {
   EXPECT_FALSE(DeserializeTable(blob).ok());
 }
 
+// Blobs need no framing of their own: one read back out of the middle
+// of a file of concatenated blobs, by byte range, decodes on its own.
 TEST(TableFileTest, SaveLoadFile) {
   ScopedTempDir dir;
   rdf::Table t = MakeTable();
-  auto bytes = SaveTable(t, dir.path() + "/t.s2tb");
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_GT(*bytes, 0u);
-  auto back = LoadTable(dir.path() + "/t.s2tb");
+  const std::string before = SerializeTable(rdf::Table({"x"}));
+  const std::string blob = SerializeTable(t);
+  const std::string path = dir.path() + "/segment";
+  ASSERT_TRUE(WriteFile(path, before + blob + before).ok());
+  std::string read;
+  ASSERT_TRUE(
+      Env::Default()->ReadFileRange(path, before.size(), blob.size(), &read)
+          .ok());
+  EXPECT_EQ(read, blob);
+  auto back = DeserializeTable(read);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(rdf::Table::SameBag(t, *back));
+  // A range past the end of the file is a truncated file, not a
+  // transient fault.
+  EXPECT_EQ(Env::Default()
+                ->ReadFileRange(path, before.size() * 2 + blob.size(), 1, &read)
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(TableFileTest, CompressionBeatsRawForRepetitiveData) {
@@ -123,8 +138,9 @@ TEST(CatalogTest, PutAndGet) {
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 0.5).ok());
   EXPECT_TRUE(catalog.Has("t1"));
-  const TableStats* stats = catalog.GetStats("t1");
-  ASSERT_NE(stats, nullptr);
+  ASSERT_TRUE(catalog.SaveManifest().ok());
+  std::optional<TableStats> stats = catalog.GetStats("t1");
+  ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->rows, 500u);
   EXPECT_DOUBLE_EQ(stats->selectivity, 0.5);
   EXPECT_TRUE(stats->materialized);
@@ -146,6 +162,7 @@ TEST(CatalogTest, EvictAndReloadFromDisk) {
   ScopedTempDir dir;
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   catalog.EvictFromMemory("t1");
   auto table = catalog.GetTable("t1");
   ASSERT_TRUE(table.ok());
@@ -171,10 +188,12 @@ TEST(CatalogTest, ManifestRoundtrip) {
   EXPECT_EQ((*table)->NumRows(), 500u);
 }
 
-TEST(CatalogTest, InMemoryCatalogTracksSerializedBytes) {
+// An in-memory catalog never encodes: a table's bytes are its size on
+// disk, and it has none.
+TEST(CatalogTest, InMemoryCatalogEncodesNothing) {
   Catalog catalog("");
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
-  EXPECT_GT(catalog.GetStats("t1")->bytes, 0u);
+  EXPECT_EQ(catalog.GetStats("t1")->bytes, 0u);
   EXPECT_EQ(catalog.NumMaterializedTables(), 1u);
   EXPECT_EQ(catalog.TotalTuples(), 500u);
 }
@@ -185,6 +204,7 @@ TEST(CatalogTest, MemoryBudgetEvictsLru) {
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
   ASSERT_TRUE(catalog.Put("t2", MakeTable(), 1.0).ok());
   ASSERT_TRUE(catalog.Put("t3", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   uint64_t per_table = catalog.CachedBytes() / 3;
   // Budget fits two tables; t1 is least recently used.
   catalog.SetMemoryBudget(per_table * 2);
@@ -206,6 +226,7 @@ TEST(CatalogTest, GetTableOutlivesEviction) {
   ScopedTempDir dir;
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   auto table = catalog.GetTable("t1");
   ASSERT_TRUE(table.ok());
   catalog.SetMemoryBudget(1);
@@ -231,6 +252,7 @@ TEST(CatalogTest, CachedBytesTracksEvictions) {
   ScopedTempDir dir;
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   uint64_t before = catalog.CachedBytes();
   EXPECT_GT(before, 0u);
   catalog.EvictFromMemory("t1");
@@ -262,7 +284,9 @@ TEST(TableFileTest, TruncatedBlobDetected) {
 TEST(TableFileTest, ZeroLengthFileRejectedWithClearError) {
   ScopedTempDir dir;
   ASSERT_TRUE(WriteFile(dir.path() + "/zero.s2tb", "").ok());
-  auto result = LoadTable(dir.path() + "/zero.s2tb");
+  std::string blob;
+  ASSERT_TRUE(ReadFile(dir.path() + "/zero.s2tb", &blob).ok());
+  auto result = DeserializeTable(blob);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("too short"), std::string::npos);
@@ -400,7 +424,7 @@ TEST(CatalogTest, UncheckedManifestWithoutChainIsNotFound) {
   Catalog catalog(dir.path());
   Status status = catalog.LoadManifest();
   EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
-  EXPECT_EQ(catalog.GetStats("ghost"), nullptr);
+  EXPECT_FALSE(catalog.GetStats("ghost").has_value());
 }
 
 TEST(CatalogTest, UncheckedManifestBesideChainIsIgnored) {
@@ -421,8 +445,8 @@ TEST(CatalogTest, UncheckedManifestBesideChainIsIgnored) {
   Catalog restored(dir.path());
   ASSERT_TRUE(restored.LoadManifest().ok());
   EXPECT_EQ(restored.NumStatsEntries(), 1u);
-  EXPECT_EQ(restored.GetStats("ghost"), nullptr);
-  ASSERT_NE(restored.GetStats("t1"), nullptr);
+  EXPECT_FALSE(restored.GetStats("ghost").has_value());
+  ASSERT_TRUE(restored.GetStats("t1").has_value());
   EXPECT_EQ(restored.GetStats("t1")->rows, 500u);
   EXPECT_DOUBLE_EQ(restored.GetStats("t1")->selectivity, 0.25);
   EXPECT_TRUE(restored.GetStats("t1")->materialized);
@@ -454,11 +478,8 @@ TEST(CatalogTest, CorruptTableQuarantinedAtRecovery) {
     ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
     ASSERT_TRUE(catalog.Put("t2", MakeTable(), 1.0).ok());
     ASSERT_TRUE(catalog.SaveManifest().ok());
+    ASSERT_TRUE(testing::CorruptTable(catalog, "t1", std::nullopt, 0x08));
   }
-  std::string blob;
-  ASSERT_TRUE(ReadFile(dir.path() + "/t1.s2tb", &blob).ok());
-  blob[blob.size() / 2] ^= 0x08;
-  ASSERT_TRUE(WriteFile(dir.path() + "/t1.s2tb", blob).ok());
 
   Catalog restored(dir.path());
   auto report = restored.Recover();
@@ -482,8 +503,12 @@ TEST(CatalogTest, ZeroLengthTableQuarantinedAtRecovery) {
     Catalog catalog(dir.path());
     ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
     ASSERT_TRUE(catalog.SaveManifest().ok());
+    // t1's segment, truncated to nothing.
+    std::optional<testing::TableRange> range =
+        testing::FindTableRange(catalog, "t1");
+    ASSERT_TRUE(range.has_value());
+    ASSERT_TRUE(WriteFile(range->path, "").ok());
   }
-  ASSERT_TRUE(WriteFile(dir.path() + "/t1.s2tb", "").ok());
   Catalog restored(dir.path());
   auto report = restored.Recover();
   ASSERT_TRUE(report.ok());
@@ -495,11 +520,11 @@ TEST(CatalogTest, CorruptLoadQuarantinesOnFirstAccess) {
   ScopedTempDir dir;
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   catalog.EvictFromMemory("t1");
-  std::string blob;
-  ASSERT_TRUE(ReadFile(dir.path() + "/t1.s2tb", &blob).ok());
-  blob[blob.size() - 1] ^= 0x02;  // Trailer checksum byte.
-  ASSERT_TRUE(WriteFile(dir.path() + "/t1.s2tb", blob).ok());
+  ASSERT_TRUE(testing::CorruptTable(
+      catalog, "t1", catalog.GetStats("t1")->bytes - 1,  // Trailer byte.
+      0x02));
 
   EXPECT_FALSE(catalog.GetTable("t1").ok());
   EXPECT_TRUE(catalog.IsQuarantined("t1"));
@@ -515,6 +540,7 @@ TEST(CatalogTest, TransientReadErrorsAreRetriedNotQuarantined) {
   FaultInjectionEnv fenv;
   Catalog catalog(dir.path(), &fenv);
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   catalog.EvictFromMemory("t1");
   fenv.FailNextReads(2);  // Fewer than the retry budget.
   auto table = catalog.GetTable("t1");
@@ -528,6 +554,7 @@ TEST(CatalogTest, PersistentTransientErrorsSurfaceWithoutQuarantine) {
   FaultInjectionEnv fenv;
   Catalog catalog(dir.path(), &fenv);
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
   catalog.EvictFromMemory("t1");
   fenv.FailNextReads(100);  // Outlasts any retry budget.
   auto table = catalog.GetTable("t1");
@@ -549,10 +576,11 @@ TEST(CatalogTest, AtomicPutLeavesOldTableOnCrash) {
   ASSERT_TRUE(catalog.Put("t1", std::move(small), 1.0).ok());
   ASSERT_TRUE(catalog.SaveManifest().ok());
 
-  // Crash during the replacement write: the torn prefix only ever hits
-  // the staging file, never t1.s2tb itself.
+  // Crash during the replacement's commit: the torn prefix only ever
+  // hits the new, unreferenced segment, never the one holding t1.
+  ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
   fenv.CrashAfterMutations(0);
-  EXPECT_FALSE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  EXPECT_FALSE(catalog.SaveManifest().ok());
   fenv.ClearFaults();
 
   Catalog reopened(dir.path());
@@ -560,6 +588,205 @@ TEST(CatalogTest, AtomicPutLeavesOldTableOnCrash) {
   auto table = reopened.GetTable("t1");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ((*table)->NumRows(), 1u);  // Old state, intact.
+}
+
+// --- Segments -----------------------------------------------------------
+
+// Counts what reaches the POSIX Env: syncs, files written, bytes read.
+class CountingEnv : public PosixEnv {
+ public:
+  Status WriteFile(const std::string& path, const std::string& data) override {
+    ++files_written;
+    return PosixEnv::WriteFile(path, data);
+  }
+  Status ReadFile(const std::string& path, std::string* data) override {
+    Status status = PosixEnv::ReadFile(path, data);
+    if (status.ok()) bytes_read += data->size();
+    return status;
+  }
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       uint64_t length, std::string* data) override {
+    Status status = PosixEnv::ReadFileRange(path, offset, length, data);
+    if (status.ok()) bytes_read += data->size();
+    return status;
+  }
+  Status SyncFile(const std::string& path) override {
+    ++syncs;
+    return PosixEnv::SyncFile(path);
+  }
+  Status SyncDir(const std::string& dir) override {
+    ++syncs;
+    return PosixEnv::SyncDir(dir);
+  }
+
+  uint64_t syncs = 0;
+  uint64_t files_written = 0;
+  uint64_t bytes_read = 0;
+};
+
+rdf::Table MakeRows(uint32_t rows) {
+  rdf::Table t({"s", "o"});
+  for (uint32_t i = 0; i < rows; ++i) t.AppendRow({i, i * 3 % 11});
+  return t;
+}
+
+TEST(SegmentTest, CommitSyncsDoNotGrowWithTableCount) {
+  auto commit = [](uint32_t tables, CountingEnv* env) {
+    ScopedTempDir dir;
+    Catalog catalog(dir.path(), env);
+    for (uint32_t i = 0; i < tables; ++i) {
+      ASSERT_TRUE(catalog.Put("t" + std::to_string(i), MakeRows(i % 7 + 1),
+                              1.0)
+                      .ok());
+    }
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+    EXPECT_EQ(catalog.NumMaterializedTables(), tables);
+  };
+  CountingEnv ten;
+  CountingEnv thousand;
+  commit(10, &ten);
+  commit(1000, &thousand);
+  EXPECT_EQ(ten.syncs, thousand.syncs);
+  EXPECT_EQ(ten.files_written, thousand.files_written);
+  // The segment, then the manifest and CURRENT (file + directory each).
+  EXPECT_EQ(thousand.syncs, 5u);
+  EXPECT_EQ(thousand.files_written, 3u);
+}
+
+TEST(SegmentTest, GetTableReadsExactlyItsBytes) {
+  ScopedTempDir dir;
+  CountingEnv env;
+  Catalog catalog(dir.path(), &env);
+  ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.Put("t2", MakeRows(3), 1.0).ok());
+  ASSERT_TRUE(catalog.Put("t3", MakeTable(), 1.0).ok());
+  ASSERT_TRUE(catalog.SaveManifest().ok());
+  // One segment holds all three.
+  EXPECT_EQ(catalog.GetStats("t1")->segment, catalog.GetStats("t3")->segment);
+  catalog.EvictFromMemory("t2");
+  env.bytes_read = 0;
+  auto table = catalog.GetTable("t2");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ((*table)->NumRows(), 3u);
+  EXPECT_EQ(env.bytes_read, catalog.GetStats("t2")->bytes);
+}
+
+TEST(SegmentTest, BitFlipQuarantinesOnlyTheTableItLandsIn) {
+  ScopedTempDir dir;
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  {
+    Catalog catalog(dir.path());
+    for (size_t i = 0; i < names.size(); ++i) {
+      const auto rows = static_cast<uint32_t>(50 * (i + 1));
+      ASSERT_TRUE(catalog.Put(names[i], MakeRows(rows), 1.0).ok());
+    }
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+  }
+  Catalog committed(dir.path());
+  ASSERT_TRUE(committed.LoadManifest().ok());
+  for (const std::string& victim : names) {
+    const uint64_t bytes = committed.GetStats(victim)->bytes;
+    // Header, middle and trailer of the blob.
+    for (uint64_t pos : {uint64_t{0}, bytes / 2, bytes - 1}) {
+      SCOPED_TRACE(victim + " byte " + std::to_string(pos));
+      ASSERT_TRUE(testing::CorruptTable(committed, victim, pos));
+      Catalog restored(dir.path());
+      auto report = restored.Recover();
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report->tables_quarantined, 1u);
+      EXPECT_EQ(report->tables_verified, names.size() - 1);
+      for (const std::string& name : names) {
+        EXPECT_EQ(restored.IsQuarantined(name), name == victim) << name;
+      }
+      ASSERT_TRUE(testing::CorruptTable(committed, victim, pos));  // Undo.
+    }
+  }
+}
+
+TEST(SegmentTest, StagedTablesStayCachedUntilCommitted) {
+  ScopedTempDir dir;
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+  catalog.SetMemoryBudget(1);
+  // Nothing is on disk yet, so nothing may be dropped.
+  EXPECT_EQ(catalog.EvictToBudget(), 0u);
+  catalog.EvictFromMemory("t1");
+  EXPECT_GT(catalog.CachedBytes(), 0u);
+  EXPECT_EQ(catalog.GetStats("t1")->bytes, 0u);
+  EXPECT_FALSE(PathExists(dir.path() + "/CURRENT"));
+  ASSERT_TRUE(catalog.SaveManifest().ok());
+  EXPECT_GT(catalog.GetStats("t1")->bytes, 0u);
+  EXPECT_EQ(catalog.EvictToBudget(), 1u);
+  auto table = catalog.GetTable("t1");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ((*table)->NumRows(), 500u);
+}
+
+TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
+  ScopedTempDir dir;
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.Put("keep", MakeRows(5), 1.0).ok());
+  for (const char* name : {"r1", "r2", "r3"}) {
+    ASSERT_TRUE(catalog.Put(name, MakeTable(), 1.0).ok());
+  }
+  ASSERT_TRUE(catalog.SaveManifest().ok());
+  std::optional<testing::TableRange> before =
+      testing::FindTableRange(catalog, "keep");
+  ASSERT_TRUE(before.has_value());
+  std::string blob;
+  ASSERT_TRUE(Env::Default()
+                  ->ReadFileRange(before->path, before->offset, before->bytes,
+                                  &blob)
+                  .ok());
+  // Replacing the three large tables leaves the first segment far less
+  // than half live: its one live blob moves to the new segment.
+  std::vector<TableUpdate> updates;
+  for (const char* name : {"r1", "r2", "r3"}) {
+    TableUpdate update;
+    update.name = name;
+    update.table = MakeRows(400);
+    updates.push_back(std::move(update));
+  }
+  ASSERT_TRUE(catalog.CommitBatch(std::move(updates)).ok());
+  std::optional<testing::TableRange> after =
+      testing::FindTableRange(catalog, "keep");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(catalog.GetStats("keep")->segment, catalog.generation());
+  EXPECT_FALSE(PathExists(before->path));
+  std::string moved;
+  ASSERT_TRUE(Env::Default()
+                  ->ReadFileRange(after->path, after->offset, after->bytes,
+                                  &moved)
+                  .ok());
+  EXPECT_EQ(moved, blob);
+
+  Catalog restored(dir.path());
+  auto report = restored.Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->tables_verified, 4u);
+  EXPECT_EQ(report->tables_quarantined, 0u);
+  EXPECT_EQ(report->orphan_segments_removed, 0u);
+}
+
+TEST(SegmentTest, UnreferencedSegmentSweptAtRecovery) {
+  ScopedTempDir dir;
+  std::string referenced;
+  {
+    Catalog catalog(dir.path());
+    ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+    referenced = catalog.SegmentPath(catalog.GetStats("t1")->segment);
+  }
+  // A commit that died before its flip leaves its segment behind.
+  Catalog restored(dir.path());
+  const std::string debris = restored.SegmentPath(2);
+  ASSERT_TRUE(WriteFile(debris, "half a segment").ok());
+  auto report = restored.Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->orphan_segments_removed, 1u);
+  EXPECT_FALSE(PathExists(debris));
+  EXPECT_TRUE(PathExists(referenced));
+  EXPECT_TRUE(restored.GetTable("t1").ok());
 }
 
 TEST(FaultInjectionEnvTest, CrashPointSemantics) {

@@ -1,0 +1,45 @@
+#include "tests/table_corruption.h"
+
+#include "common/file_util.h"
+#include "common/strings.h"
+
+namespace s2rdf::testing {
+
+std::optional<TableRange> FindTableRange(const storage::Catalog& catalog,
+                                         const std::string& name) {
+  std::optional<storage::TableStats> stats = catalog.GetStats(name);
+  if (!stats.has_value() || !stats->materialized || stats->segment == 0) {
+    return std::nullopt;
+  }
+  return TableRange{catalog.SegmentPath(stats->segment), stats->offset,
+                    stats->bytes};
+}
+
+bool CorruptTable(const storage::Catalog& catalog, const std::string& name,
+                  std::optional<uint64_t> pos, uint8_t mask) {
+  std::optional<TableRange> range = FindTableRange(catalog, name);
+  if (!range.has_value()) return false;
+  const uint64_t at = pos.value_or(range->bytes / 2);
+  if (at >= range->bytes) return false;
+  std::string segment;
+  if (!ReadFile(range->path, &segment).ok() ||
+      range->offset + at >= segment.size()) {
+    return false;
+  }
+  segment[range->offset + at] ^= static_cast<char>(mask);
+  return WriteFile(range->path, segment).ok();
+}
+
+int CorruptTables(const std::string& dir, const std::string& prefix) {
+  storage::Catalog catalog(dir);
+  if (!catalog.LoadManifest().ok()) return 0;
+  int corrupted = 0;
+  for (const storage::TableStats* stats : catalog.AllStats()) {
+    if (StartsWith(stats->name, prefix) && CorruptTable(catalog, stats->name)) {
+      ++corrupted;
+    }
+  }
+  return corrupted;
+}
+
+}  // namespace s2rdf::testing
