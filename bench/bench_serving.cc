@@ -1,5 +1,5 @@
 // Open-loop serving benchmark: drives the real HTTP endpoint (socket
-// accept loop, admission control, worker pool — the full serving path)
+// accept loop, admission control, epoll workers — the full serving path)
 // at fixed arrival rates and reports the latency distribution a client
 // would see, queueing delay included.
 //

@@ -2,8 +2,9 @@
 # Local CI gate: runs the full verification matrix described in
 # DESIGN.md §7. Usage:
 #
-#   scripts/check.sh          # everything (release, lint, durable benchmark
-#                             # answers, analyze, sanitizers)
+#   scripts/check.sh          # everything (release, lint, durable and
+#                             # http-short benchmark answers, analyze,
+#                             # sanitizers)
 #   scripts/check.sh quick    # release build + full ctest + lint +
 #                             # benchmark build only
 #
@@ -111,6 +112,19 @@ durable="$(env -u CARGO_TARGET_DIR python3 perfbench/run.py --workload durable \
 if ! grep -q '"correct": true' <<<"${durable}"; then
   echo "error: perfbench durable run did not answer correctly:" >&2
   echo "  ${durable}" >&2
+  exit 1
+fi
+
+note "http-short benchmark answers (perfbench http-short, seed 1, 4 s)"
+# The one leg where several clients drive the endpoint over connections
+# it keeps open (durable's passes use one client): every request must be
+# answered, and answered right.
+http_short="$(env -u CARGO_TARGET_DIR python3 perfbench/run.py --workload http-short \
+  --seed 1 --seconds 4 --trace 0 | tail -n1)"
+if ! grep -q '"correct": true' <<<"${http_short}" ||
+   ! grep -q '"failed": 0[,}]' <<<"${http_short}"; then
+  echo "error: perfbench http-short run failed or answered wrongly:" >&2
+  echo "  ${http_short}" >&2
   exit 1
 fi
 

@@ -25,7 +25,7 @@
 // themselves alongside the pool's helpers, so a ParallelFor completes
 // even when every helper thread is busy with other queries' morsels
 // (or when the pool has zero threads). This is what makes it safe to
-// call from server::WorkerPool workers: a saturated TaskPool degrades
+// call from the endpoint's workers: a saturated TaskPool degrades
 // to serial execution on the calling thread, it never blocks it.
 
 namespace s2rdf {

@@ -2,11 +2,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +38,27 @@ constexpr size_t kQueryDisplayChars = 160;
 
 // Completed queries kept for /debug/queries.
 constexpr size_t kRecentQueryCapacity = 64;
+
+// A connection that has sent nothing for this long is closed by the
+// acceptor, which looks for such connections at least this often.
+constexpr auto kIdleTimeout = std::chrono::seconds(5);
+constexpr int kIdleSweepMs = 500;
+
+// How long the 503 path waits for a rejected client's request, which it
+// reads before answering so that the close does not reset the answer.
+constexpr int kRejectWaitMs = 100;
+
+// Bytes a worker reads from a socket per recv.
+constexpr size_t kReadChunkBytes = 16 << 10;
+
+// epoll data of the stop eventfd; connection ids start at 1.
+constexpr uint64_t kStopToken = 0;
+
+// Bytes the kernel holds for socket `fd` that nobody has read yet.
+int UnreadBytes(int fd) {
+  int bytes = 0;
+  return ioctl(fd, FIONREAD, &bytes) == 0 ? bytes : 0;
+}
 
 // Bytes a shuffled tuple is accounted as in s2rdf_shuffle_bytes: one
 // 64-bit term id per column, three columns as the working-set estimate
@@ -195,6 +223,9 @@ void RenderQueryResponse(const core::QueryResult& result,
 SparqlEndpoint::SparqlEndpoint(core::S2Rdf* db, EndpointOptions options)
     : db_(*db),
       options_(std::move(options)),
+      num_workers_(std::max(1, options_.num_workers)),
+      max_connections_(static_cast<size_t>(num_workers_) +
+                       options_.queue_capacity),
       slow_query_limiter_(
           static_cast<double>(options_.slow_query_log_interval_ms) / 1000.0),
       started_at_(MonotonicNow()),
@@ -212,6 +243,10 @@ void SparqlEndpoint::RegisterMetrics() {
   queries_rejected_ = registry_.AddCounter(
       "s2rdf_queries_rejected_total",
       "Connections rejected with 503 by admission control.");
+  connections_idle_closed_ = registry_.AddCounter(
+      "s2rdf_connections_idle_closed_total",
+      "Connections closed for idling past the timeout, or evicted at the "
+      "connection cap to admit a new one.");
   slow_queries_ = registry_.AddCounter(
       "s2rdf_slow_queries_total",
       "Queries at or above EndpointOptions::slow_query_ms.");
@@ -228,10 +263,22 @@ void SparqlEndpoint::RegisterMetrics() {
                      "Queries currently inside Execute.", [this]() {
                        return in_flight_.load(std::memory_order_relaxed);
                      });
-  registry_.AddGauge("s2rdf_queue_depth",
-                     "Connections waiting for a worker.", [this]() {
-                       return pool_ != nullptr ? pool_->QueueDepth() : 0;
-                     });
+  registry_.AddGauge(
+      "s2rdf_queue_depth",
+      "Open connections holding a request no worker has started.",
+      [this]() { return CountConnections().queued; });
+  registry_.AddGauge("s2rdf_workers_busy",
+                     "Endpoint workers currently serving a request.",
+                     [this]() { return CountConnections().busy_workers; });
+  registry_.AddGauge("s2rdf_connections_open", "Client connections open now.",
+                     [this]() { return CountConnections().open; });
+  admission_wait_seconds_ = registry_.AddHistogram(
+      "s2rdf_admission_wait_seconds",
+      "Per request, a bound on its wait for a free worker: 0 when a "
+      "waiting worker took it, else from the later of its connection's "
+      "accept or re-arm and the start of the all-workers-busy spell it "
+      "waited out.",
+      LogBuckets(1e-5, 4.0, 12));
   exec_input_ = registry_.AddCounter(
       "s2rdf_exec_input_tuples_total",
       "Base-table tuples scanned by successful queries.");
@@ -430,15 +477,18 @@ HttpResponse SparqlEndpoint::StatuszResponse() const {
          " slow=" + std::to_string(slow_queries_->Value()) +
          " in_flight=" + std::to_string(in_flight) +
          " recent=" + std::to_string(recent) + "\n";
-  if (pool_ != nullptr) {
-    out += "workers: total=" + std::to_string(pool_->num_workers()) +
-           " busy=" + std::to_string(pool_->BusyWorkers()) +
-           " queue_depth=" + std::to_string(pool_->QueueDepth()) +
+  const ConnectionCounts connections = CountConnections();
+  if (running_) {
+    out += "workers: total=" + std::to_string(num_workers_) +
+           " busy=" + std::to_string(connections.busy_workers) +
+           " queue_depth=" + std::to_string(connections.queued) +
            " queue_capacity=" + std::to_string(options_.queue_capacity) +
            "\n";
   } else {
     out += "workers: not started\n";
   }
+  out += "connections: open=" + std::to_string(connections.open) +
+         " idle=" + std::to_string(connections.idle) + "\n";
   TaskPool* task_pool = TaskPool::Shared();
   out += "task_pool: width=" +
          std::to_string(task_pool->ParallelismWidth()) +
@@ -738,7 +788,7 @@ HttpResponse SparqlEndpoint::RunQuery(const HttpRequest& request,
 }
 
 StatusOr<int> SparqlEndpoint::Start(int port) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return IoError("socket() failed");
   int reuse = 1;
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
@@ -758,53 +808,252 @@ StatusOr<int> SparqlEndpoint::Start(int port) {
   socklen_t len = sizeof(addr);
   getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   int bound_port = ntohs(addr.sin_port);
-  listen_fd_.store(fd);
 
-  pool_ = std::make_unique<WorkerPool>(options_.num_workers,
-                                       options_.queue_capacity);
-  pool_->Start();
-  pool_->AttachMetrics(&registry_);
+  const int epoll_fd = epoll_create1(EPOLL_CLOEXEC);
+  const int stop_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  epoll_event stop_event{};
+  stop_event.events = EPOLLIN;  // Level-triggered: every worker sees it.
+  stop_event.data.u64 = kStopToken;
+  if (epoll_fd < 0 || stop_fd < 0 ||
+      epoll_ctl(epoll_fd, EPOLL_CTL_ADD, stop_fd, &stop_event) != 0) {
+    for (int open_fd : {fd, epoll_fd, stop_fd}) {
+      if (open_fd >= 0) close(open_fd);
+    }
+    return IoError("epoll set-up failed");
+  }
+  listen_fd_ = fd;
+  epoll_fd_ = epoll_fd;
+  stop_fd_ = stop_fd;
+
   running_ = true;
+  workers_.reserve(static_cast<size_t>(num_workers_));
+  for (int i = 0; i < num_workers_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   LogEvent(LogLevel::kInfo, "server_start",
            {{"port", bound_port},
-            {"workers", options_.num_workers},
+            {"workers", num_workers_},
             {"queue_capacity", static_cast<uint64_t>(options_.queue_capacity)},
             {"build_sha", GetBuildInfo().git_sha}});
   return bound_port;
 }
 
-std::string SparqlEndpoint::ReadRequest(int client) {
-  // Read the head, then honor Content-Length.
-  std::string raw;
-  char buf[4096];
-  size_t content_length = 0;
-  size_t head_end = std::string::npos;
+void SparqlEndpoint::AcceptLoop() {
+  pollfd watched[2] = {{listen_fd_, POLLIN, 0}, {stop_fd_, POLLIN, 0}};
+  MonotonicTime last_sweep = MonotonicNow();
   while (true) {
-    ssize_t n = read(client, buf, sizeof(buf));
-    if (n <= 0) break;
-    raw.append(buf, static_cast<size_t>(n));
-    if (head_end == std::string::npos) {
-      head_end = raw.find("\r\n\r\n");
-      if (head_end != std::string::npos) {
-        auto parsed = ParseHttpRequest(raw.substr(0, head_end + 4));
-        if (parsed.ok()) {
-          std::string cl = parsed->Header("content-length");
-          content_length = cl.empty()
-                               ? 0
-                               : static_cast<size_t>(std::atoll(cl.c_str()));
-        }
-      }
+    const int ready = poll(watched, 2, kIdleSweepMs);
+    if (ready > 0 && watched[1].revents != 0) return;
+    if (ready > 0 && (watched[0].revents & POLLIN) != 0) {
+      const int client = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (client >= 0) Admit(client);
     }
-    if (head_end != std::string::npos &&
-        raw.size() >= head_end + 4 + content_length) {
-      break;
+    if (MonotonicNow() - last_sweep >=
+        std::chrono::milliseconds(kIdleSweepMs)) {
+      CloseIdleConnections();
+      last_sweep = MonotonicNow();
     }
   }
-  return raw;
 }
 
-void SparqlEndpoint::WriteResponse(int client, const HttpResponse& response) {
+void SparqlEndpoint::Admit(int fd) {
+  // An answer leaves as soon as it is written: on a connection that stays
+  // open, Nagle would hold the tail of a multi-segment answer until the
+  // client acknowledged the rest.
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  int evicted = -1;
+  bool admitted = false;
+  {
+    MutexLock lock(&conn_mu_);
+    if (connections_.size() >= max_connections_) {
+      auto victim = connections_.end();
+      for (auto it = connections_.begin(); it != connections_.end(); ++it) {
+        const Connection& conn = it->second;
+        if (conn.serving || !conn.answered || conn.stream.buffered() > 0 ||
+            UnreadBytes(conn.fd) > 0) {
+          continue;
+        }
+        if (victim == connections_.end() ||
+            conn.armed_at < victim->second.armed_at) {
+          victim = it;
+        }
+      }
+      if (victim != connections_.end()) {
+        evicted = victim->second.fd;
+        epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, evicted, nullptr);
+        connections_.erase(victim);
+      }
+    }
+    if (connections_.size() < max_connections_) {
+      const uint64_t id = next_connection_id_++;
+      Connection& conn = connections_[id];
+      conn.fd = fd;
+      conn.armed_at = MonotonicNow();
+      conn.armed_spell = spells_ended_;
+      epoll_event event{};
+      event.events = EPOLLIN | EPOLLONESHOT;
+      event.data.u64 = id;
+      admitted = epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) == 0;
+      if (!admitted) connections_.erase(id);
+    }
+  }
+  if (evicted >= 0) {
+    close(evicted);
+    connections_idle_closed_->Increment();
+  }
+  if (!admitted) Reject(fd);
+}
+
+void SparqlEndpoint::Reject(int fd) {
+  queries_rejected_->Increment();
+  pollfd request{fd, POLLIN, 0};
+  if (poll(&request, 1, kRejectWaitMs) > 0) {
+    char buf[kReadChunkBytes];
+    (void)recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+  }
+  WriteResponse(fd, ErrorResponse(ResourceExhaustedError(
+                        "server overloaded: every connection slot is busy")));
+  close(fd);
+}
+
+void SparqlEndpoint::CloseIdleConnections() {
+  std::vector<int> idle;
+  {
+    MutexLock lock(&conn_mu_);
+    const MonotonicTime now = MonotonicNow();
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const Connection& conn = it->second;
+      // A request that waits for a worker is not idle, however long it
+      // waits; a head that stopped arriving is.
+      if (conn.serving || now - conn.armed_at < kIdleTimeout ||
+          UnreadBytes(conn.fd) > 0) {
+        ++it;
+        continue;
+      }
+      epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+      idle.push_back(conn.fd);
+      it = connections_.erase(it);
+    }
+  }
+  for (int fd : idle) close(fd);
+  connections_idle_closed_->Increment(idle.size());
+}
+
+void SparqlEndpoint::WorkerLoop() {
+  // Once Stop begins, a worker serves what is already waiting, without
+  // blocking, and leaves when nothing is.
+  bool draining = false;
+  while (true) {
+    epoll_event events[2];
+    const bool was_draining = draining;
+    const int ready =
+        epoll_wait(epoll_fd_, events, draining ? 2 : 1, draining ? 0 : -1);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready < 0) return;
+    int served = 0;
+    for (int i = 0; i < ready; ++i) {
+      if (events[i].data.u64 == kStopToken) {
+        draining = true;
+      } else {
+        ServeReady(events[i].data.u64);
+        ++served;
+      }
+    }
+    if (was_draining && served == 0) return;
+  }
+}
+
+void SparqlEndpoint::ServeReady(uint64_t id) {
+  Connection* conn = nullptr;
+  double admission_wait_s = 0.0;
+  {
+    MutexLock lock(&conn_mu_);
+    auto it = connections_.find(id);
+    // Evicted or timed out after its wakeup fired.
+    if (it == connections_.end()) return;
+    conn = &it->second;
+    conn->serving = true;
+    const MonotonicTime now = MonotonicNow();
+    if (spells_ended_ != conn->armed_spell) {
+      admission_wait_s = std::chrono::duration<double>(
+                             now - std::max(conn->armed_at, spell_start_))
+                             .count();
+    }
+    if (++busy_workers_ == num_workers_) spell_start_ = now;
+  }
+  const bool keep_open = ServeConnection(conn, admission_wait_s);
+  int closing = -1;
+  {
+    MutexLock lock(&conn_mu_);
+    if (busy_workers_-- == num_workers_) ++spells_ended_;
+    if (keep_open && !stopping_) {
+      conn->serving = false;
+      conn->armed_at = MonotonicNow();
+      conn->armed_spell = spells_ended_;
+      // Under the lock: once serving is false, only the lock keeps the
+      // acceptor from closing the socket and reusing its number.
+      epoll_event event{};
+      event.events = EPOLLIN | EPOLLONESHOT;
+      event.data.u64 = id;
+      if (epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event) == 0) return;
+    }
+    closing = conn->fd;
+    connections_.erase(id);
+  }
+  close(closing);
+}
+
+bool SparqlEndpoint::ServeConnection(Connection* conn,
+                                     double admission_wait_s) {
+  // Read what has arrived without blocking. A short read leaves the
+  // socket empty for now, so it ends the reading without one more recv.
+  bool peer_closed = false;
+  char buf[kReadChunkBytes];
+  while (conn->stream.buffered() <= HttpRequestStream::kMaxRequestBytes) {
+    const ssize_t n = recv(conn->fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      conn->stream.Append(buf, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
+    } else if (n == 0) {
+      // The client will send no more: answer what it sent, then close.
+      peer_closed = true;
+      break;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else if (errno != EINTR) {
+      return false;  // Reset: no one is left to answer.
+    }
+  }
+  while (true) {
+    HttpRequest request;
+    HttpResponse response;
+    switch (conn->stream.Next(&request, &response)) {
+      case HttpRequestStream::Frame::kIncomplete:
+        return !peer_closed;
+      case HttpRequestStream::Frame::kRefused:
+        WriteResponse(conn->fd, response);
+        return false;
+      case HttpRequestStream::Frame::kRequest:
+        break;
+    }
+    admission_wait_seconds_->Observe(admission_wait_s);
+    // A pipelined request behind this one waits for it, not for a worker.
+    admission_wait_s = 0.0;
+    if (options_.worker_hook) options_.worker_hook();
+    response = Handle(request);
+    // Handle answers HEAD with a body, which a client that keeps the
+    // connection would misread as the start of the next answer.
+    response.keep_alive = request.KeepAlive() && request.method != "HEAD";
+    conn->answered = true;
+    if (!WriteResponse(conn->fd, response) || !response.keep_alive) {
+      return false;
+    }
+  }
+}
+
+bool SparqlEndpoint::WriteResponse(int client, const HttpResponse& response) {
   // Head and body go out as two iovecs of one gathered send, so the body
   // is never copied into a wire string. MSG_NOSIGNAL: a client that hung
   // up gets EPIPE here instead of a SIGPIPE that kills the process.
@@ -818,7 +1067,7 @@ void SparqlEndpoint::WriteResponse(int client, const HttpResponse& response) {
   while (message.msg_iovlen > 0) {
     ssize_t n = sendmsg(client, &message, MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
+    if (n <= 0) return false;
     auto sent = static_cast<size_t>(n);
     while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
       sent -= message.msg_iov->iov_len;
@@ -831,42 +1080,23 @@ void SparqlEndpoint::WriteResponse(int client, const HttpResponse& response) {
       message.msg_iov->iov_len -= sent;
     }
   }
+  return true;
 }
 
-void SparqlEndpoint::HandleConnection(int client) {
-  if (options_.worker_hook) options_.worker_hook();
-  std::string raw = ReadRequest(client);
-  HttpResponse response;
-  auto request = ParseHttpRequest(raw);
-  if (!request.ok()) {
-    response = ErrorResponse(request.status());
-  } else {
-    response = Handle(*request);
-  }
-  WriteResponse(client, response);
-  close(client);
-}
-
-void SparqlEndpoint::AcceptLoop() {
-  while (running_) {
-    int client = accept(listen_fd_.load(), nullptr, nullptr);
-    if (client < 0) {
-      if (!running_) break;
-      continue;
-    }
-    bool admitted = pool_->Submit([this, client] { HandleConnection(client); });
-    if (!admitted) {
-      // Admission control: every worker busy and the queue full. Read
-      // the request before answering so the close doesn't RST the
-      // client's receive buffer, then reject with 503.
-      queries_rejected_->Increment();
-      (void)ReadRequest(client);
-      WriteResponse(client,
-                    ErrorResponse(ResourceExhaustedError(
-                        "server overloaded: connection queue is full")));
-      close(client);
+SparqlEndpoint::ConnectionCounts SparqlEndpoint::CountConnections() const {
+  ConnectionCounts counts;
+  MutexLock lock(&conn_mu_);
+  counts.open = connections_.size();
+  counts.busy_workers = static_cast<size_t>(busy_workers_);
+  for (const auto& [id, conn] : connections_) {
+    if (conn.serving) continue;
+    if (UnreadBytes(conn.fd) > 0) {
+      ++counts.queued;
+    } else if (conn.stream.buffered() == 0) {
+      ++counts.idle;
     }
   }
+  return counts;
 }
 
 EndpointStats SparqlEndpoint::Stats() const {
@@ -875,7 +1105,7 @@ EndpointStats SparqlEndpoint::Stats() const {
   stats.queries_failed_total = queries_failed_->Value();
   stats.queries_rejected_total = queries_rejected_->Value();
   stats.in_flight = in_flight_.load(std::memory_order_relaxed);
-  stats.queue_depth = pool_ != nullptr ? pool_->QueueDepth() : 0;
+  stats.queue_depth = CountConnections().queued;
   stats.slow_queries_total = slow_queries_->Value();
   stats.cumulative.input_tuples = exec_input_->Value();
   stats.cumulative.intermediate_tuples = exec_intermediate_->Value();
@@ -886,17 +1116,29 @@ EndpointStats SparqlEndpoint::Stats() const {
 }
 
 void SparqlEndpoint::Stop() {
-  if (!running_) return;
-  running_ = false;
-  // Unblock accept() by shutting the listener down.
-  int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    shutdown(fd, SHUT_RDWR);
-    close(fd);
+  if (!running_.exchange(false)) return;
+  {
+    MutexLock lock(&conn_mu_);
+    stopping_ = true;
   }
+  // Wakes the acceptor and every worker; the eventfd stays readable.
+  const uint64_t one = 1;
+  (void)!write(stop_fd_, &one, sizeof(one));
   if (accept_thread_.joinable()) accept_thread_.join();
-  // Drain admitted connections, then join the workers.
-  if (pool_ != nullptr) pool_->Stop();
+  close(listen_fd_);
+  listen_fd_ = -1;
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+  // What is left is idle, or sent its request after the workers drained.
+  {
+    MutexLock lock(&conn_mu_);
+    for (const auto& [id, conn] : connections_) close(conn.fd);
+    connections_.clear();
+  }
+  close(epoll_fd_);
+  close(stop_fd_);
+  epoll_fd_ = -1;
+  stop_fd_ = -1;
   LogEvent(LogLevel::kInfo, "server_stop",
            {{"queries_total", queries_total_->Value()},
             {"queries_failed", queries_failed_->Value()},

@@ -6,9 +6,9 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/log.h"
@@ -18,7 +18,6 @@
 #include "common/thread_annotations.h"
 #include "core/s2rdf.h"
 #include "server/http.h"
-#include "server/worker_pool.h"
 
 // SPARQL Protocol endpoint over an S2RDF store: the network face an
 // RDF store is expected to have. Implements the query operation of the
@@ -45,9 +44,19 @@
 // Result format is chosen from the Accept header (JSON by default;
 // XML, CSV, TSV supported). GET / serves a small status page.
 //
-// Connections are served by a fixed worker pool over a bounded queue;
-// when the queue is full new requests are answered 503 instead of
-// queueing unboundedly (admission control). Query errors map onto HTTP
+// Connections are persistent (HTTP/1.1 keep-alive, pipelining allowed)
+// and no request is handed from one thread to another. A fixed set of
+// worker threads waits on one epoll set that holds every open connection,
+// each armed for one wakeup at a time (EPOLLONESHOT). The worker the
+// kernel wakes reads what the connection holds without blocking, answers
+// every complete request in order on its own thread, and re-arms the
+// connection; an incomplete request stays buffered on the connection, so
+// a silent or slow client holds no worker. The acceptor thread only
+// accepts and admits: at most num_workers + queue_capacity connections
+// are open at once. At that cap it closes the longest-idle connection
+// that has been answered and holds no unread bytes, and answers the new
+// one 503 only when no connection is idle. It also closes connections
+// idle for longer than a fixed timeout. Query errors map onto HTTP
 // statuses: kInvalidArgument -> 400, kNotFound -> 404,
 // kDeadlineExceeded -> 408, kCancelled/kResourceExhausted -> 503,
 // kUnimplemented -> 501, everything else -> 500.
@@ -63,17 +72,21 @@
 namespace s2rdf::server {
 
 struct EndpointOptions {
-  // Worker threads executing queries (one connection each). Intra-query
-  // morsel parallelism does NOT multiply this: every operator input
-  // large enough to fan out draws helper tasks from the one process-wide
-  // TaskPool (sized to the hardware), and a query whose helpers are busy
-  // simply runs its morsels on its own worker thread — so total
-  // execution threads are bounded by num_workers + TaskPool::Shared()'s
-  // helpers regardless of load, and a saturated pool can never deadlock
-  // the endpoint.
+  // Worker threads serving requests. Each one waits for any open
+  // connection to become readable and serves the request that woke it;
+  // a connection holds a worker only while one of its requests is in
+  // service. Intra-query morsel parallelism does NOT multiply this:
+  // every operator input large enough to fan out draws helper tasks
+  // from the one process-wide TaskPool (sized to the hardware), and a
+  // query whose helpers are busy simply runs its morsels on its own
+  // worker thread — so total execution threads are bounded by
+  // num_workers + TaskPool::Shared()'s helpers regardless of load, and a
+  // saturated pool can never deadlock the endpoint.
   int num_workers = 4;
-  // Connections allowed to wait beyond the busy workers; the next one
-  // is rejected with 503.
+  // Open connections allowed beyond num_workers. At num_workers +
+  // queue_capacity open connections, a new one replaces the longest-idle
+  // connection, or is answered 503 when every open connection holds a
+  // request in service or waiting for a worker.
   size_t queue_capacity = 16;
   // Applied to requests that carry no ?timeout= parameter (0 = none).
   uint64_t default_timeout_ms = 0;
@@ -90,12 +103,13 @@ struct EndpointOptions {
   // the next emitted line carries (`suppressed=N`). 0 = log every slow
   // query. Protects the sink from a hot pathological query.
   uint64_t slow_query_log_interval_ms = 5000;
-  // Test hook, run by the worker before handling each connection.
+  // Test hook, run by the worker before serving each request.
   std::function<void()> worker_hook;
 };
 
 // Point-in-time server counters (all cumulative since Start except
-// in_flight / queue_depth).
+// in_flight / queue_depth). queue_depth counts open connections that
+// hold a request no worker has started.
 struct EndpointStats {
   uint64_t queries_total = 0;
   uint64_t queries_failed_total = 0;
@@ -156,10 +170,12 @@ class SparqlEndpoint {
   HttpResponse Handle(const HttpRequest& request);
 
   // Starts the socket server on 127.0.0.1:`port` (0 = ephemeral): an
-  // acceptor thread plus the worker pool. Returns the bound port.
+  // acceptor thread plus num_workers workers. Returns the bound port.
   StatusOr<int> Start(int port);
 
-  // Stops accepting, drains admitted connections, joins all threads.
+  // Closes the listener, lets the requests in service and those already
+  // waiting for a worker finish, closes every other connection and joins
+  // all threads.
   void Stop();
 
   EndpointStats Stats() const;
@@ -188,12 +204,55 @@ class SparqlEndpoint {
     std::string trace_id;
   };
 
+  // One open client connection. A worker that claims it (serving) is the
+  // only thread that touches its socket and stream until it re-arms or
+  // closes it; everything else reads it under conn_mu_ only while it is
+  // not being served.
+  struct Connection {
+    int fd = -1;
+    HttpRequestStream stream;
+    bool serving = false;
+    // Whether a response has gone out on it: a connection that has sent
+    // nothing yet may have its first request in flight, so it is never
+    // evicted at the cap.
+    bool answered = false;
+    // Accept or last re-arm: where its idle time and the bound on its
+    // next request's admission wait start.
+    MonotonicTime armed_at{};
+    // spells_ended_ when it was armed.
+    uint64_t armed_spell = 0;
+  };
+
   void AcceptLoop();
-  // Reads one request from `client`, handles it, writes the response.
-  void HandleConnection(int client);
-  // Reads head + Content-Length body; empty string on read failure.
-  std::string ReadRequest(int client);
-  void WriteResponse(int client, const HttpResponse& response);
+  // Admits accepted socket `fd`, evicting an idle connection at the cap,
+  // or answers it 503 when none is idle.
+  void Admit(int fd);
+  // The 503 path: waits briefly for the request, answers and closes.
+  void Reject(int fd);
+  // Closes connections idle for kIdleTimeout or longer.
+  void CloseIdleConnections();
+  void WorkerLoop();
+  // Claims connection `id` after its wakeup, serves it and re-arms or
+  // closes it. A connection closed since the wakeup is skipped.
+  void ServeReady(uint64_t id);
+  // Reads what `conn` holds and answers each complete request; false
+  // when the connection must close. `admission_wait_s` is the bound on
+  // the first request's wait for this worker.
+  bool ServeConnection(Connection* conn, double admission_wait_s);
+  // Sends head and body in one gathered write; false when the peer is
+  // gone.
+  bool WriteResponse(int client, const HttpResponse& response);
+
+  // The open connections as /metrics, /statusz and Stats() report them.
+  struct ConnectionCounts {
+    size_t open = 0;
+    // Not in service and holding no unread bytes.
+    size_t idle = 0;
+    // Holding a request no worker has started.
+    size_t queued = 0;
+    size_t busy_workers = 0;
+  };
+  ConnectionCounts CountConnections() const S2RDF_EXCLUDES(conn_mu_);
 
   // /sparql behind parameter validation: runs the query with full
   // bookkeeping (in-flight tracking, counters, histograms, ring buffer,
@@ -226,11 +285,27 @@ class SparqlEndpoint {
 
   core::S2Rdf& db_;
   EndpointOptions options_;
-  // Atomic: Stop() closes the listener while AcceptLoop reads it.
-  std::atomic<int> listen_fd_{-1};
+  const int num_workers_;
+  const size_t max_connections_;
+  // Set by Start, closed by Stop after the threads that use them joined.
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  // An eventfd that turns readable, and stays so, when Stop begins: it
+  // wakes the acceptor and every worker.
+  int stop_fd_ = -1;
   std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::unique_ptr<WorkerPool> pool_;
+
+  // --- Open connections and admission ------------------------------------
+  mutable Mutex conn_mu_;
+  std::map<uint64_t, Connection> connections_ S2RDF_GUARDED_BY(conn_mu_);
+  uint64_t next_connection_id_ S2RDF_GUARDED_BY(conn_mu_) = 1;
+  bool stopping_ S2RDF_GUARDED_BY(conn_mu_) = false;
+  int busy_workers_ S2RDF_GUARDED_BY(conn_mu_) = 0;
+  // Spells with every worker busy: when the current or last one started,
+  // and how many have ended. A request whose connection was armed before
+  // a spell ended may have waited for a worker.
+  MonotonicTime spell_start_ S2RDF_GUARDED_BY(conn_mu_){};
+  uint64_t spells_ended_ S2RDF_GUARDED_BY(conn_mu_) = 0;
 
   // --- Metrics (owned by registry_; raw pointers are stable) -------------
   MetricsRegistry registry_;
@@ -260,6 +335,8 @@ class SparqlEndpoint {
   // Per-query high-water mark of materialized Table bytes.
   Histogram* peak_table_bytes_ = nullptr;
   Counter* slow_queries_suppressed_ = nullptr;
+  Histogram* admission_wait_seconds_ = nullptr;
+  Counter* connections_idle_closed_ = nullptr;
   std::atomic<uint64_t> in_flight_{0};
 
   // Slow-query log rate limiting (keyed by truncated query text).
@@ -277,6 +354,9 @@ class SparqlEndpoint {
       S2RDF_GUARDED_BY(queries_mu_);
   // Most recent completions, newest at the back; bounded.
   std::deque<QueryRecord> recent_ S2RDF_GUARDED_BY(queries_mu_);
+
+  std::thread accept_thread_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace s2rdf::server

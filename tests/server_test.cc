@@ -6,70 +6,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/task_pool.h"
 #include "core/s2rdf.h"
 #include "server/http.h"
 #include "server/sparql_endpoint.h"
-#include "server/worker_pool.h"
 
 namespace s2rdf::server {
 namespace {
-
-// --- Worker pool ----------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsSubmittedTasks) {
-  WorkerPool pool(4, 16);
-  pool.Start();
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    while (!pool.Submit([&ran] { ++ran; })) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  pool.Stop();  // Drains the queue before joining.
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(WorkerPoolTest, RejectsWhenQueueFull) {
-  WorkerPool pool(1, 1);
-  pool.Start();
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  bool entered = false;
-  // Occupy the only worker.
-  ASSERT_TRUE(pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  }));
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
-  // Fill the one queue slot, then overflow.
-  EXPECT_TRUE(pool.Submit([] {}));
-  EXPECT_EQ(pool.QueueDepth(), 1u);
-  EXPECT_FALSE(pool.Submit([] {}));
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  pool.Stop();
-  EXPECT_FALSE(pool.Submit([] {}));  // Stopped pools reject.
-}
 
 // --- HTTP plumbing --------------------------------------------------------
 
@@ -126,6 +82,34 @@ TEST(HttpTest, ResponseSerialization) {
   EXPECT_NE(wire.find("HTTP/1.1 404 Not Found"), std::string::npos);
   EXPECT_NE(wire.find("Content-Length: 4"), std::string::npos);
   EXPECT_NE(wire.find("\r\n\r\nnope"), std::string::npos);
+}
+
+// Fed one byte at a time, the stream frames a pipelined POST (body waited
+// for by Content-Length) and the GET behind it, in order.
+TEST(HttpTest, RequestStreamFramesPipelinedRequestsByteByByte) {
+  const std::string wire =
+      "POST /ingest HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+      "GET /health HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n";
+  HttpRequestStream stream;
+  std::vector<HttpRequest> requests;
+  for (char c : wire) {
+    stream.Append(&c, 1);
+    HttpRequest request;
+    HttpResponse refusal;
+    HttpRequestStream::Frame frame = stream.Next(&request, &refusal);
+    ASSERT_NE(frame, HttpRequestStream::Frame::kRefused) << refusal.body;
+    if (frame == HttpRequestStream::Frame::kRequest) {
+      requests.push_back(std::move(request));
+    }
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests[0].path, "/ingest");
+  EXPECT_EQ(requests[0].body, "hello");
+  EXPECT_TRUE(requests[0].KeepAlive());
+  EXPECT_EQ(requests[1].path, "/health");
+  EXPECT_EQ(requests[1].version, "HTTP/1.0");
+  EXPECT_TRUE(requests[1].KeepAlive());
+  EXPECT_EQ(stream.buffered(), 0u);
 }
 
 // --- Endpoint request handling ----------------------------------------------
@@ -253,6 +237,7 @@ TEST_F(EndpointTest, SocketRoundTrip) {
   std::string request =
       "POST /sparql HTTP/1.1\r\n"
       "Host: localhost\r\n"
+      "Connection: close\r\n"
       "Content-Type: application/sparql-query\r\n"
       "Content-Length: 35\r\n"
       "\r\n"
@@ -448,7 +433,7 @@ TEST(EndpointSaturationTest, OverloadedServerReturns503) {
 
   const std::string request =
       "GET /sparql?query=ASK%20%7B%20%3CA%3E%20%3Cfollows%3E%20%3CB%3E%20%7D"
-      " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
 
   // Connection 1 occupies the worker (blocked in the hook).
   std::thread first([&] {
@@ -508,7 +493,8 @@ TEST(EndpointSaturationTest, ConcurrentClientsAllGetResponses) {
 
   const std::string request =
       "GET /sparql?query=SELECT%20%2A%20WHERE%20%7B%20%3Fs%20%3Cfollows%3E"
-      "%20%3Fo%20%7D HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      "%20%3Fo%20%7D HTTP/1.1\r\nHost: localhost\r\n"
+      "Connection: close\r\n\r\n";
   std::atomic<int> ok{0};
   std::atomic<int> rejected{0};
   std::atomic<int> other{0};
@@ -561,7 +547,7 @@ int CountProcThreads() {
 
 // Many concurrent fanned-out queries through the endpoint: the
 // morsel helpers all come from the one process-wide TaskPool, so the
-// storm must finish (no WorkerPool/TaskPool deadlock — the caller of a
+// storm must finish (no endpoint-worker/TaskPool deadlock — the caller of a
 // ParallelFor always participates, so completion never depends on a
 // free helper) and the process thread count must stay at its pre-storm
 // level plus this test's own client/sampler threads.
@@ -593,7 +579,7 @@ TEST(EndpointParallelStressTest, SharedPoolServesParallelQueriesBounded) {
   const std::string request =
       "GET /sparql?query=SELECT%20%2A%20WHERE%20%7B%20%3Fa%20%3Cp%3E%20%3Fb"
       "%20.%20%3Fb%20%3Cp%3E%20%3Fc%20.%20%7D HTTP/1.1\r\n"
-      "Host: localhost\r\n\r\n";
+      "Host: localhost\r\nConnection: close\r\n\r\n";
   constexpr int kClients = 10;
   constexpr int kRequestsPerClient = 3;
 
@@ -707,7 +693,7 @@ TEST(EndpointHangUpTest, ClientThatHangsUpBeforeTheAnswer) {
   const std::string second = RoundTrip(
       *port,
       "GET /sparql?query=ASK%20%7B%20%3Fs%20%3Cp%3E%20%3Fo%20%7D HTTP/1.1\r\n"
-      "Host: localhost\r\n\r\n");
+      "Host: localhost\r\nConnection: close\r\n\r\n");
   endpoint.Stop();
   EXPECT_NE(second.find("HTTP/1.1 200 OK"), std::string::npos) << second;
   EXPECT_NE(second.find("\"boolean\": true"), std::string::npos);
@@ -764,6 +750,587 @@ TEST(EndpointRecordTest, LargeAnswerRecordsBodySizeAndFormatTime) {
             std::string::npos);
   EXPECT_NE(exposition.find("s2rdf_query_latency_seconds_count 2"),
             std::string::npos);
+}
+
+
+// --- Persistent connections ------------------------------------------------
+
+// A client socket connected to 127.0.0.1:`port` whose reads give up after
+// two seconds, so that a server that never answers fails a test instead
+// of hanging it. -1 when the connection fails.
+int Connect(int port) {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval timeout{2, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool Send(int fd, const std::string& bytes) {
+  return send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(bytes.size());
+}
+
+// Reads one response, framed by its Content-Length, from `fd`; bytes
+// past it stay in `*pending` for the next call. "" when the connection
+// ends or the read times out first.
+std::string ReadResponse(int fd, std::string* pending) {
+  char buf[4096];
+  while (true) {
+    const size_t head_end = pending->find("\r\n\r\n");
+    const size_t length_at = pending->find("Content-Length: ");
+    if (head_end != std::string::npos && length_at < head_end) {
+      const size_t size =
+          head_end + 4 +
+          std::strtoull(pending->c_str() + length_at + 16, nullptr, 10);
+      if (pending->size() >= size) {
+        std::string response = pending->substr(0, size);
+        pending->erase(0, size);
+        return response;
+      }
+    }
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n <= 0) return "";
+    pending->append(buf, static_cast<size_t>(n));
+  }
+}
+
+std::string ReadResponse(int fd) {
+  std::string pending;
+  return ReadResponse(fd, &pending);
+}
+
+// RoundTrip for one request that gives up after the read timeout.
+std::string Fetch(int port, const std::string& wire) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
+  const std::string response = Send(fd, wire) ? ReadResponse(fd) : "";
+  close(fd);
+  return response;
+}
+
+// Whether the server has closed `fd`: the next read sees EOF (or the
+// reset of a close with unread bytes) before the read timeout.
+bool ReadsEof(int fd) {
+  char c = 0;
+  const ssize_t n = read(fd, &c, 1);
+  return n == 0 || (n < 0 && errno == ECONNRESET);
+}
+
+std::string TraceIdOf(const std::string& response) {
+  const std::string key = "X-S2RDF-Trace-Id: ";
+  const size_t pos = response.find(key);
+  if (pos == std::string::npos) return "";
+  return response.substr(pos + key.size(), 16);
+}
+
+// The value of metric `name` in a /metrics exposition, or -1.
+long MetricValue(const std::string& exposition, const std::string& name) {
+  const size_t pos = exposition.find("\n" + name + " ");
+  if (pos == std::string::npos) return -1;
+  return std::atol(exposition.c_str() + pos + name.size() + 2);
+}
+
+// Sends `wire` on a new connection and returns the one response, after
+// checking that it closes the connection.
+std::string AnswerThenClose(int port, const std::string& wire) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
+  if (!Send(fd, wire)) {
+    close(fd);
+    return "";
+  }
+  const std::string response = ReadResponse(fd);
+  EXPECT_NE(response.find("Connection: close"), std::string::npos) << wire;
+  EXPECT_TRUE(ReadsEof(fd)) << wire;
+  close(fd);
+  return response;
+}
+
+std::unique_ptr<core::S2Rdf> FollowsStore() {
+  rdf::Graph g;
+  g.AddIris("A", "follows", "B");
+  g.AddIris("B", "follows", "C");
+  auto db = core::S2Rdf::Create(std::move(g), core::S2RdfOptions());
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return db.ok() ? std::move(*db) : nullptr;
+}
+
+// ASK { <A> <follows> <B> } is true; ASK { <B> <follows> <A> } is false.
+// Neither says anything about the connection.
+constexpr char kAskTrue[] =
+    "GET /sparql?query=ASK%20%7B%20%3CA%3E%20%3Cfollows%3E%20%3CB%3E%20%7D"
+    " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+constexpr char kAskFalse[] =
+    "GET /sparql?query=ASK%20%7B%20%3CB%3E%20%3Cfollows%3E%20%3CA%3E%20%7D"
+    " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+constexpr char kHealthThenClose[] =
+    "GET /health HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
+
+TEST(EndpointKeepAliveTest, ThreeRequestsShareOneConnection) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  SparqlEndpoint endpoint(db.get());
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const int fd = Connect(*port);
+  ASSERT_GE(fd, 0);
+  std::string pending;
+  std::set<std::string> trace_ids;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(Send(fd, kAskTrue));
+    const std::string response = ReadResponse(fd, &pending);
+    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+    EXPECT_NE(response.find("Connection: keep-alive"), std::string::npos);
+    trace_ids.insert(TraceIdOf(response));
+  }
+  close(fd);
+  endpoint.Stop();
+  EXPECT_EQ(trace_ids.size(), 3u);
+  EXPECT_EQ(trace_ids.count(""), 0u);
+  EXPECT_EQ(endpoint.Stats().queries_total, 3u);
+}
+
+TEST(EndpointKeepAliveTest, PipelinedRequestsAreAnsweredInOrder) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  SparqlEndpoint endpoint(db.get());
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const int fd = Connect(*port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(Send(fd, std::string(kAskTrue) + kAskFalse));
+  std::string pending;
+  const std::string first = ReadResponse(fd, &pending);
+  const std::string second = ReadResponse(fd, &pending);
+  close(fd);
+  endpoint.Stop();
+  EXPECT_NE(first.find("\"boolean\": true"), std::string::npos) << first;
+  EXPECT_NE(second.find("\"boolean\": false"), std::string::npos) << second;
+  EXPECT_EQ(endpoint.Stats().queries_total, 2u);
+}
+
+// `Connection: close`, HTTP/1.0 without keep-alive and HEAD each get one
+// response that says `Connection: close`, then EOF; a request pipelined
+// behind the close is not answered. HTTP/1.0 that asks for keep-alive
+// stays open.
+TEST(EndpointKeepAliveTest, CloseAndHttp10EndTheConnection) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  SparqlEndpoint endpoint(db.get());
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  for (const std::string& wire :
+       {std::string(kHealthThenClose) + kAskTrue,
+        std::string("GET /health HTTP/1.0\r\n\r\n")}) {
+    EXPECT_NE(AnswerThenClose(*port, wire).find("HTTP/1.1 200 OK"),
+              std::string::npos)
+        << wire;
+  }
+  EXPECT_NE(AnswerThenClose(*port, "HEAD /health HTTP/1.1\r\n\r\n")
+                .find("HTTP/1.1 "),
+            std::string::npos);
+
+  const int fd = Connect(*port);
+  ASSERT_GE(fd, 0);
+  const std::string http10_keep_alive =
+      "GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
+  std::string pending;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(Send(fd, http10_keep_alive));
+    const std::string response = ReadResponse(fd, &pending);
+    EXPECT_NE(response.find("Connection: keep-alive"), std::string::npos)
+        << response;
+  }
+  close(fd);
+  endpoint.Stop();
+  EXPECT_EQ(endpoint.Stats().queries_total, 0u);
+}
+
+// With the cap full of answered connections that sent nothing since, a
+// new client closes the longest-idle one and is served.
+TEST(EndpointKeepAliveTest, IdleConnectionIsEvictedAtTheCap) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  EndpointOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  int idle[2];
+  std::string pending[2];
+  for (int i = 0; i < 2; ++i) {
+    idle[i] = Connect(*port);
+    ASSERT_GE(idle[i], 0);
+    ASSERT_TRUE(Send(idle[i], kAskTrue));
+    EXPECT_NE(ReadResponse(idle[i], &pending[i]).find("HTTP/1.1 200"),
+              std::string::npos);
+  }
+  const std::string newcomer = Fetch(*port, kHealthThenClose);
+  EXPECT_NE(newcomer.find("HTTP/1.1 200 OK"), std::string::npos) << newcomer;
+  // The older connection went; the younger one still serves.
+  EXPECT_TRUE(ReadsEof(idle[0]));
+  ASSERT_TRUE(Send(idle[1], kAskTrue));
+  EXPECT_NE(ReadResponse(idle[1], &pending[1]).find("HTTP/1.1 200"),
+            std::string::npos);
+  const std::string metrics = Fetch(
+      *port,
+      "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
+  close(idle[0]);
+  close(idle[1]);
+  endpoint.Stop();
+  EXPECT_GE(MetricValue(metrics, "s2rdf_connections_idle_closed_total"), 1)
+      << metrics;
+  EXPECT_EQ(endpoint.Stats().queries_rejected_total, 0u);
+}
+
+// With the one worker parked and the cap full of connections that hold
+// requests, the answered connection among them included, a new
+// connection is answered 503 and counted; the pending requests are then
+// served.
+TEST(EndpointKeepAliveTest, PendingConnectionsAtTheCapGet503) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool park = false;
+  bool release = false;
+  int parked = 0;
+  EndpointOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  options.worker_hook = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!park) return;
+    ++parked;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const int kept = Connect(*port);
+  ASSERT_GE(kept, 0);
+  std::string kept_pending;
+  ASSERT_TRUE(Send(kept, kAskTrue));
+  EXPECT_NE(ReadResponse(kept, &kept_pending).find("HTTP/1.1 200"),
+            std::string::npos);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    park = true;
+  }
+  const int parker = Connect(*port);
+  ASSERT_GE(parker, 0);
+  ASSERT_TRUE(Send(parker, kAskTrue));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return parked == 1; }));
+  }
+  // From here on the worker is parked: no ASSERT may end the test before
+  // it is released, or Stop would wait for it forever.
+  EXPECT_TRUE(Send(kept, kAskFalse));
+  for (int i = 0; i < 5000 && endpoint.Stats().queue_depth == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(endpoint.Stats().queue_depth, 1u);
+
+  const std::string rejected = Fetch(*port, kHealthThenClose);
+  EXPECT_NE(rejected.find("HTTP/1.1 503 Service Unavailable"),
+            std::string::npos)
+      << rejected;
+  EXPECT_EQ(endpoint.Stats().queries_rejected_total, 1u);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_NE(ReadResponse(parker).find("\"boolean\": true"), std::string::npos);
+  EXPECT_NE(ReadResponse(kept, &kept_pending).find("\"boolean\": false"),
+            std::string::npos);
+  close(parker);
+  close(kept);
+  endpoint.Stop();
+  EXPECT_EQ(endpoint.Stats().queries_total, 3u);
+}
+
+// Eight keep-alive clients against a cap of four connections: every new
+// connection evicts an idle one or is answered 503, while the evicted
+// connections' clients keep sending. A request lost with its evicted
+// connection was never served, and its client retries once on a new
+// connection, as HTTP clients do; so every request ends in exactly one
+// 200 or 503, and the server's counters match what the clients saw.
+TEST(EndpointKeepAliveTest, EvictionsRacingTrafficLoseNoAnswer) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  EndpointOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 2;
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 20;
+  std::atomic<int> ok{0};
+  std::atomic<int> rejected{0};
+  std::atomic<int> other{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      int fd = -1;
+      std::string pending;
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+          const bool reused = fd >= 0;
+          if (fd < 0) fd = Connect(*port);
+          const std::string response =
+              fd >= 0 && Send(fd, kAskTrue) ? ReadResponse(fd, &pending) : "";
+          const bool closes =
+              response.empty() ||
+              response.find("Connection: close") != std::string::npos;
+          if (closes && fd >= 0) {
+            close(fd);
+            fd = -1;
+            pending.clear();
+          }
+          if (response.empty() && reused) continue;
+          if (response.find("\"boolean\": true") != std::string::npos) {
+            ++ok;
+          } else if (response.find("HTTP/1.1 503") != std::string::npos) {
+            ++rejected;
+          } else {
+            ++other;
+          }
+          break;
+        }
+      }
+      if (fd >= 0) close(fd);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  endpoint.Stop();
+  EXPECT_EQ(other.load(), 0);
+  EXPECT_EQ(ok.load() + rejected.load(), kClients * kRequestsPerClient);
+  EXPECT_GT(ok.load(), 0);
+  const EndpointStats stats = endpoint.Stats();
+  EXPECT_EQ(stats.queries_total, static_cast<uint64_t>(ok.load()));
+  EXPECT_EQ(stats.queries_rejected_total,
+            static_cast<uint64_t>(rejected.load()));
+}
+
+// --- Silent and slow clients -------------------------------------------------
+
+TEST(EndpointSilentClientTest, SilentConnectionsHoldNoWorker) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  EndpointOptions options;
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  std::vector<int> silent;
+  for (int i = 0; i < options.num_workers + 1; ++i) {
+    silent.push_back(Connect(*port));
+    ASSERT_GE(silent.back(), 0);
+  }
+  const MonotonicTime start = MonotonicNow();
+  const int fd = Connect(*port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(Send(fd, kHealthThenClose));
+  const std::string health = ReadResponse(fd);
+  const double health_ms = MillisSince(start);
+  close(fd);
+  // Closing the silent clients first lets a server whose workers wait on
+  // them stop.
+  for (int s : silent) close(s);
+  endpoint.Stop();
+  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos) << health;
+  EXPECT_LT(health_ms, 1000.0);
+}
+
+TEST(EndpointSilentClientTest, HalfSentHeadHoldsNoWorker) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  EndpointOptions options;
+  options.num_workers = 1;
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const int slow = Connect(*port);
+  ASSERT_GE(slow, 0);
+  ASSERT_TRUE(Send(slow, "GET /health HTTP/1.1\r\nHost: loc"));
+  // Lets the one worker take the half head before the next client comes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const MonotonicTime start = MonotonicNow();
+  const int fd = Connect(*port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(Send(fd, kHealthThenClose));
+  const std::string health = ReadResponse(fd);
+  const double health_ms = MillisSince(start);
+  close(fd);
+  // The rest of the head completes the buffered request.
+  ASSERT_TRUE(Send(slow, "alhost\r\nConnection: close\r\n\r\n"));
+  const std::string completed = ReadResponse(slow);
+  close(slow);
+  endpoint.Stop();
+  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos) << health;
+  EXPECT_LT(health_ms, 1000.0);
+  EXPECT_NE(completed.find("HTTP/1.1 200 OK"), std::string::npos) << completed;
+}
+
+TEST(EndpointSilentClientTest, StopReturnsWithIdleAndHalfSentConnections) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  SparqlEndpoint endpoint(db.get());
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  const int silent = Connect(*port);
+  const int half_sent = Connect(*port);
+  const int kept = Connect(*port);
+  ASSERT_GE(silent, 0);
+  ASSERT_GE(half_sent, 0);
+  ASSERT_GE(kept, 0);
+  ASSERT_TRUE(Send(half_sent, "GET /health HTTP/1.1\r\n"));
+  ASSERT_TRUE(Send(kept, kAskTrue));
+  EXPECT_NE(ReadResponse(kept).find("HTTP/1.1 200"), std::string::npos);
+
+  std::atomic<bool> stopped{false};
+  const MonotonicTime start = MonotonicNow();
+  std::thread stopper([&] {
+    endpoint.Stop();
+    stopped = true;
+  });
+  while (!stopped && MillisSince(start) < 1000.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool stopped_in_time = stopped;
+  // A server that waits on its clients stops once they are gone.
+  for (int fd : {silent, half_sent, kept}) close(fd);
+  stopper.join();
+  EXPECT_TRUE(stopped_in_time);
+}
+
+// At the cap, a client that connects and sends nothing is answered 503
+// after a short wait, and the accept behind it is not held up.
+TEST(EndpointSilentClientTest, SilentClientAtTheCapDoesNotStallAccept) {
+  std::unique_ptr<core::S2Rdf> db = FollowsStore();
+  ASSERT_NE(db, nullptr);
+  EndpointOptions options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  // Two silent connections fill the cap; a connection that has not been
+  // answered yet is never evicted, since its request may be in flight.
+  std::vector<int> silent;
+  for (int i = 0; i < 3; ++i) {
+    silent.push_back(Connect(*port));
+    ASSERT_GE(silent.back(), 0);
+  }
+  const MonotonicTime start = MonotonicNow();
+  const int fd = Connect(*port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(Send(fd, kHealthThenClose));
+  const std::string next = ReadResponse(fd);
+  const double next_ms = MillisSince(start);
+  close(fd);
+  const std::string silent_answer = ReadResponse(silent[2]);
+  for (int s : silent) close(s);
+  endpoint.Stop();
+  EXPECT_NE(silent_answer.find("HTTP/1.1 503"), std::string::npos)
+      << silent_answer;
+  EXPECT_NE(next.find("HTTP/1.1 503"), std::string::npos) << next;
+  EXPECT_LT(next_ms, 1000.0);
+  EXPECT_EQ(endpoint.Stats().queries_rejected_total, 2u);
+}
+
+// --- Request framing on a stream that stays open ----------------------------
+
+class EndpointFramingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = FollowsStore();
+    ASSERT_NE(db_, nullptr);
+    endpoint_ = std::make_unique<SparqlEndpoint>(db_.get());
+    auto port = endpoint_->Start(0);
+    ASSERT_TRUE(port.ok()) << port.status().ToString();
+    port_ = *port;
+  }
+  void TearDown() override {
+    if (endpoint_ != nullptr) endpoint_->Stop();
+  }
+
+  static std::string PostWithLength(const std::string& length) {
+    return "POST /sparql HTTP/1.1\r\nHost: localhost\r\n"
+           "Content-Type: application/sparql-query\r\n"
+           "Content-Length: " +
+           length + "\r\n\r\n";
+  }
+
+  std::unique_ptr<core::S2Rdf> db_;
+  std::unique_ptr<SparqlEndpoint> endpoint_;
+  int port_ = 0;
+};
+
+TEST_F(EndpointFramingTest, NonDecimalContentLengthGets400AndClose) {
+  for (const char* length : {"-1", "ten", "1 0"}) {
+    const std::string response =
+        AnswerThenClose(port_, PostWithLength(length));
+    EXPECT_NE(response.find("HTTP/1.1 400 Bad Request"), std::string::npos)
+        << length << ": " << response;
+  }
+}
+
+TEST_F(EndpointFramingTest, OversizedRequestGets413AndClose) {
+  const std::string over_limit =
+      std::to_string(HttpRequestStream::kMaxRequestBytes + 1);
+  const std::string response =
+      AnswerThenClose(port_, PostWithLength(over_limit));
+  EXPECT_NE(response.find("HTTP/1.1 413 Content Too Large"), std::string::npos)
+      << response;
+}
+
+TEST_F(EndpointFramingTest, TransferEncodingGets501AndClose) {
+  const std::string response = AnswerThenClose(
+      port_,
+      "POST /sparql HTTP/1.1\r\nHost: localhost\r\n"
+      "Content-Type: application/sparql-query\r\n"
+      "Transfer-Encoding: chunked\r\n\r\n"
+      "5\r\nASK{}\r\n0\r\n\r\n");
+  EXPECT_NE(response.find("HTTP/1.1 501 Not Implemented"), std::string::npos)
+      << response;
+}
+
+TEST_F(EndpointFramingTest, RequestFollowedByFinIsAnswered) {
+  const int fd = Connect(port_);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(Send(fd, kAskTrue));
+  shutdown(fd, SHUT_WR);
+  const std::string response = ReadResponse(fd);
+  EXPECT_NE(response.find("\"boolean\": true"), std::string::npos)
+      << response;
+  EXPECT_TRUE(ReadsEof(fd));
+  close(fd);
 }
 
 }  // namespace

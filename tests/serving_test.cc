@@ -1,5 +1,5 @@
 // Live-socket serving tests: the observability contract of the full
-// HTTP path (acceptor -> worker pool -> Handle), which the in-process
+// HTTP path (acceptor -> epoll workers -> Handle), which the in-process
 // Handle() tests cannot cover — response headers on the wire, admission
 // metrics that only move when real connections queue, /statusz under a
 // running pool. Suites skip (printing SKIPPED, which ctest maps to the
@@ -130,7 +130,7 @@ TEST_F(ServingTest, StatuszRendersBuildStoreAndPoolState) {
   EXPECT_NE(statusz.find("uptime_ms: "), std::string::npos);
   EXPECT_NE(statusz.find("store: tables="), std::string::npos);
   EXPECT_NE(statusz.find("queries: total=1"), std::string::npos);
-  // The worker pool is running, so /statusz reports its saturation.
+  // The workers are running, so /statusz reports their saturation.
   EXPECT_NE(statusz.find("workers: total=4 busy="), std::string::npos);
   EXPECT_NE(statusz.find("task_pool: width="), std::string::npos);
 }
