@@ -39,7 +39,7 @@ int Main() {
     ThresholdReport report;
     report.threshold = threshold;
     core::S2RdfOptions options;
-    options.sf_threshold = threshold;
+    options.extvp.sf_threshold = threshold;
     options.build_extvp = threshold > 0.0;
     auto db = core::S2Rdf::Create(watdiv::Generate(gen), options);
     if (!db.ok()) {

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   std::printf("%zu triples\n", graph.NumTriples());
 
   s2rdf::core::S2RdfOptions options;
-  options.sf_threshold = 0.25;  // The paper's recommended threshold.
+  options.extvp.sf_threshold = 0.25;  // The paper's recommended threshold.
   auto db = s2rdf::core::S2Rdf::Create(std::move(graph), options);
   if (!db.ok()) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     std::printf("building persistent store in %s...\n", store_dir.c_str());
     s2rdf::core::S2RdfOptions options;
     options.storage_dir = store_dir;
-    options.sf_threshold = 0.25;
+    options.extvp.sf_threshold = 0.25;
     auto db = s2rdf::core::S2Rdf::Create(std::move(graph), options);
     if (!db.ok()) {
       std::fprintf(stderr, "%s\n", db.status().ToString().c_str());

@@ -10,9 +10,9 @@
 // Injectable file-I/O environment — the single choke point for file
 // access in the library, and the seam the fault-injection harness plugs
 // into. On HDFS the paper gets replication and atomic rename for free;
-// here every durable write site (table segments, manifest generations,
-// the CURRENT pointer, the dictionary, MapReduce spill files) goes through
-// an Env so that crashes, torn writes and bit flips can be injected
+// here every durable write site (segments of table and dictionary blobs,
+// manifest generations, the CURRENT pointer, MapReduce spill files) goes
+// through an Env so that crashes, torn writes and bit flips can be injected
 // deterministically and the recovery protocol proven against them.
 //
 // Raw I/O primitives (fopen, ::open, std::ofstream, ...) are allowed

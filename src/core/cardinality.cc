@@ -1,7 +1,6 @@
 #include "core/cardinality.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
 
@@ -9,30 +8,7 @@
 
 namespace s2rdf::core {
 
-namespace {
-
-using sparql::PatternTerm;
 using sparql::TriplePattern;
-
-bool SameVar(const PatternTerm& a, const PatternTerm& b) {
-  return a.is_variable() && b.is_variable() && a.value == b.value;
-}
-
-struct CorrelationCase {
-  bool applies;
-  Correlation corr;
-};
-
-// Mirrors table_selection.cc: the correlations of `tp` to `other` in the
-// fixed SS/SO/OS order Algorithm 1 examines them.
-std::array<CorrelationCase, 3> CorrelationsTo(const TriplePattern& tp,
-                                              const TriplePattern& other) {
-  return {{{SameVar(tp.subject, other.subject), Correlation::kSS},
-           {SameVar(tp.subject, other.object), Correlation::kSO},
-           {SameVar(tp.object, other.subject), Correlation::kOS}}};
-}
-
-}  // namespace
 
 double CardinalityEstimator::ScanRows(const TriplePattern& tp,
                                       const TableChoice& choice) const {
@@ -101,20 +77,16 @@ double CardinalityEstimator::KeepFraction(const TriplePattern& tp,
   return keep;
 }
 
-double CardinalityEstimator::JoinRows(const TriplePattern& a,
-                                      const TableChoice& ca,
-                                      double scan_rows_a,
-                                      const TriplePattern& b,
-                                      const TableChoice& cb,
-                                      double scan_rows_b) const {
+double CardinalityEstimator::JoinRows(double scan_rows_a, double keep_a,
+                                      double scan_rows_b, double keep_b) {
   // Every surviving row matches at least one partner row (that is what
   // |ExtVP| counts), so max(surviving) is a guaranteed lower bound on
   // the join size — and it is exact whenever the smaller surviving
   // side's join column is key-like, the common case along WatDiv-style
   // chains. min(surviving) underestimates chains to ~0, which makes
   // every downstream plan look free.
-  const double surviving_a = scan_rows_a * KeepFraction(a, ca, b);
-  const double surviving_b = scan_rows_b * KeepFraction(b, cb, a);
+  const double surviving_a = scan_rows_a * keep_a;
+  const double surviving_b = scan_rows_b * keep_b;
   return std::max(std::max(surviving_a, surviving_b), 0.0);
 }
 

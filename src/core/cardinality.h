@@ -45,13 +45,13 @@ class CardinalityEstimator {
                       const TableChoice& choice,
                       const sparql::TriplePattern& other) const;
 
-  // Estimated rows of joining the two patterns' scans on their shared
-  // variables: max over both directions of rows * keep — a lower bound
+  // Estimated rows of joining two patterns' scans on their shared
+  // variables, from each side's scan rows and its KeepFraction toward
+  // the other: max over both sides of rows * keep — a lower bound
   // (every ExtVP-surviving row matches at least one partner), exact
   // when the smaller side's join column is key-like.
-  double JoinRows(const sparql::TriplePattern& a, const TableChoice& ca,
-                  double scan_rows_a, const sparql::TriplePattern& b,
-                  const TableChoice& cb, double scan_rows_b) const;
+  static double JoinRows(double scan_rows_a, double keep_a,
+                         double scan_rows_b, double keep_b);
 
  private:
   const storage::Catalog& catalog_;

@@ -184,8 +184,8 @@ StatusOr<BgpAnalysis> QueryCompiler::Analyze(
       const PatternInfo& pb = analysis.patterns[j];
       edge.keep_a = estimator.KeepFraction(bgp[i], pa.choice, bgp[j]);
       edge.keep_b = estimator.KeepFraction(bgp[j], pb.choice, bgp[i]);
-      const double out = estimator.JoinRows(bgp[i], pa.choice, pa.scan_rows,
-                                            bgp[j], pb.choice, pb.scan_rows);
+      const double out = CardinalityEstimator::JoinRows(
+          pa.scan_rows, edge.keep_a, pb.scan_rows, edge.keep_b);
       const double denom =
           std::max(pa.scan_rows, 1e-6) * std::max(pb.scan_rows, 1e-6);
       edge.selectivity = std::clamp(out / denom, 1e-12, 1.0);

@@ -307,7 +307,8 @@ class DeltaMaintainer {
 
 StatusOr<storage::IngestResult> ApplyIngestBatch(
     const storage::IngestBatch& batch, const IngestConfig& config,
-    rdf::Dictionary* dict, storage::Catalog* catalog) {
+    rdf::Dictionary* dict, TermId* dict_committed,
+    storage::Catalog* catalog) {
   auto start = MonotonicNow();
   storage::IngestResult result;
   result.triples_in_batch = batch.triples.size();
@@ -320,8 +321,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> old_tt,
                          catalog->GetTable(TriplesTableName()));
 
-  // Encode the batch; new terms are interned (the caller persists the
-  // dictionary before the commit).
+  // Encode the batch; new terms are interned (and stored by the commit).
   std::vector<rdf::Triple> stream;
   stream.reserve(batch.triples.size());
   for (const storage::IngestTriple& t : batch.triples) {
@@ -496,8 +496,15 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
         maintainer.updates().size() - 1 - delta_preds.size();
   }
 
+  // The commit stores every term minted since the previous one: this
+  // batch's, and any a query minted meanwhile that the batch reuses.
+  const auto minted = static_cast<TermId>(dict->size());
+  if (!catalog->dir().empty() && minted > *dict_committed) {
+    commit.dictionary_blob = dict->Serialize(*dict_committed, minted);
+  }
   S2RDF_RETURN_IF_ERROR(
       catalog->CommitBatch(std::move(maintainer.updates()), commit));
+  *dict_committed = minted;
   result.generation = catalog->generation();
   result.millis = MillisSince(start);
   return result;

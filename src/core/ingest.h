@@ -45,13 +45,15 @@ struct IngestConfig {
 
 // Encodes, deduplicates and applies `batch` to the catalog's triples
 // table, VP tables and (unless deferred) dependent ExtVP reductions,
-// committing atomically. New terms are interned into `dict`; the caller
-// persists the dictionary *before* calling (a crash between the two
-// must leave the dictionary a superset of what the manifest references,
-// never a subset). Requires the triples table ("triples") to exist.
+// committing atomically. New terms are interned into `dict`; the commit
+// carries the terms with ids from `*dict_committed` on as its dictionary
+// blob, so the tables never reference a term the stored dictionary
+// lacks, and advances `*dict_committed` past them once it lands.
+// Requires the triples table ("triples") to exist.
 StatusOr<storage::IngestResult> ApplyIngestBatch(
     const storage::IngestBatch& batch, const IngestConfig& config,
-    rdf::Dictionary* dict, storage::Catalog* catalog);
+    rdf::Dictionary* dict, rdf::TermId* dict_committed,
+    storage::Catalog* catalog);
 
 // Recomputes every ExtVP reduction that depends on a stale source VP
 // table (deferred batches) from the current VP tables and commits the

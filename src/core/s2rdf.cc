@@ -1,19 +1,15 @@
 #include "core/s2rdf.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
 
-#include "common/file_util.h"
-#include "common/hash.h"
 #include "common/log.h"
 #include "common/mutex.h"
-#include "common/strings.h"
 #include "core/ingest.h"
+#include "core/table_selection.h"
 #include "engine/operators.h"
 #include "sparql/parser.h"
 
@@ -21,112 +17,32 @@ namespace s2rdf::core {
 
 namespace {
 
-// --- Checksummed dictionary persistence ---------------------------------
-//
-// The dictionary is the one artifact the tables cannot reconstruct (they
-// store term ids only), so its file gets the same protection a table
-// file has: a checksummed envelope, a generation-suffixed name written
-// BEFORE the manifest flip, and a read-back verification so a silently
-// corrupted write can never be referenced by a committed generation.
-
-constexpr char kDictMagic[] = "S2DICT1\n";
-
-std::string WrapDictionaryBlob(const std::string& payload) {
-  char header[32];
-  std::snprintf(header, sizeof(header), "%016llx\n",
-                static_cast<unsigned long long>(Fnv1a64(payload)));
-  return std::string(kDictMagic) + header + payload;
-}
-
-StatusOr<std::string> UnwrapDictionaryBlob(const std::string& blob) {
-  constexpr size_t kMagicLen = sizeof(kDictMagic) - 1;
-  if (blob.size() < kMagicLen + 17 ||
-      blob.compare(0, kMagicLen, kDictMagic) != 0) {
-    return InvalidArgumentError("dictionary header missing");
+// Rebuilds the dictionary from the catalog generation's dictionary
+// blobs, in id order. A blob that cannot be read back intact fails with
+// kInvalidArgument naming it (a transient kIoError passes through):
+// serving without its terms would decode wrong strings, and the next
+// ingest would hand their ids out again.
+Status LoadDictionary(const storage::Catalog& catalog, rdf::Dictionary* dict) {
+  const std::vector<storage::BlobLocation> blobs = catalog.DictionaryBlobs();
+  if (blobs.empty()) {
+    return InvalidArgumentError("no dictionary blob in the manifest of " +
+                                catalog.dir());
   }
-  if (blob[kMagicLen + 16] != '\n') {
-    return InvalidArgumentError("dictionary header malformed");
-  }
-  std::string payload = blob.substr(kMagicLen + 17);
-  char expected[32];
-  std::snprintf(expected, sizeof(expected), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(payload)));
-  if (blob.compare(kMagicLen, 16, expected) != 0) {
-    return InvalidArgumentError("dictionary checksum mismatch");
-  }
-  return payload;
-}
-
-// "dictionary.bin" for the initial build, "dictionary@<g>.bin" for the
-// copy an ingest batch persisted just before committing generation g.
-std::string DictionaryFileName(uint64_t gen) {
-  if (gen <= 1) return "dictionary.bin";
-  return "dictionary@" + std::to_string(gen) + ".bin";
-}
-
-// True (and sets *gen) for "dictionary@<g>.bin" names.
-bool ParseDictionaryFileName(const std::string& file, uint64_t* gen) {
-  if (!StartsWith(file, "dictionary@") || !EndsWith(file, ".bin")) {
-    return false;
-  }
-  const std::string digits = file.substr(11, file.size() - 11 - 4);
-  if (digits.empty()) return false;
-  uint64_t g = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    g = g * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *gen = g;
-  return true;
-}
-
-// Loads the newest dictionary copy at or below `generation`: the
-// highest suffixed copy, else the base "dictionary.bin". Generations
-// with no suffixed file (refresh-only commits, the initial build) add no
-// terms, so an older copy is the correct content. Only an absent copy
-// is skipped: one that exists but fails its envelope or parse fails the
-// open, since an older copy would lack the newer terms and later ingests
-// would reuse their ids. Files ABOVE the recovered generation are debris
-// of an ingest that never committed (harmless supersets); they are
-// swept here. Reads retry transient failures like table loads do.
-Status LoadDictionaryForGeneration(const storage::Catalog& catalog, Env* env,
-                                   uint64_t generation,
-                                   rdf::Dictionary* dict) {
-  const std::string& dir = catalog.dir();
-  std::vector<uint64_t> gens;
-  if (StatusOr<std::vector<std::string>> files = env->ListDir(dir);
-      files.ok()) {
-    for (const std::string& file : *files) {
-      uint64_t g = 0;
-      if (!ParseDictionaryFileName(file, &g)) continue;
-      if (g > generation) {
-        (void)env->RemoveFile(dir + "/" + file);  // Uncommitted-batch debris.
-      } else {
-        gens.push_back(g);
-      }
-    }
-  }
-  std::sort(gens.begin(), gens.end(), std::greater<uint64_t>());
-  std::vector<std::string> candidates;
-  for (uint64_t g : gens) candidates.push_back(DictionaryFileName(g));
-  candidates.push_back("dictionary.bin");
-  for (const std::string& file : candidates) {
-    const std::string path = dir + "/" + file;
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    const storage::BlobLocation& at = blobs[i];
     std::string blob;
-    Status read = catalog.ReadFileRetrying(path, &blob);
-    if (read.code() == StatusCode::kNotFound) continue;
-    S2RDF_RETURN_IF_ERROR(read);
-    StatusOr<std::string> payload = UnwrapDictionaryBlob(blob);
-    StatusOr<rdf::Dictionary> parsed =
-        payload.ok() ? rdf::Dictionary::Deserialize(*payload)
-                     : StatusOr<rdf::Dictionary>(payload.status());
-    if (!parsed.ok()) {
-      return InvalidArgumentError(path + ": " + parsed.status().message());
+    Status status = catalog.ReadBlob(at, &blob);
+    if (status.code() == StatusCode::kIoError) return status;
+    if (status.ok()) status = dict->Append(blob);
+    if (!status.ok()) {
+      return InvalidArgumentError(
+          "dictionary blob " + std::to_string(i + 1) + " of " +
+          std::to_string(blobs.size()) + " (" +
+          catalog.SegmentPath(at.segment) + " at " +
+          std::to_string(at.offset) + "): " + status.message());
     }
-    *dict = std::move(*parsed);
-    return Status::Ok();
   }
-  return NotFoundError("no dictionary file in " + dir);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -172,7 +88,7 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
   S2RDF_RETURN_IF_ERROR(BuildVpLayout(db->graph_, &db->catalog_));
   db->load_stats_.vp_seconds = SecondsSince(start);
 
-  db->sf_threshold_ = options.sf_threshold;
+  db->sf_threshold_ = options.extvp.sf_threshold;
   if (options.lazy_extvp) {
     // "Pay as you go": no precomputation; only register the correlation
     // markers so Algorithm 1 consults ExtVP statistics.
@@ -181,37 +97,34 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
     db->catalog_.PutStatsOnly("meta_extvp_os", 1, 1.0);
     db->catalog_.PutStatsOnly("meta_extvp_so", 1, 1.0);
   } else if (options.build_extvp) {
-    ExtVpOptions extvp = options.extvp;
-    extvp.sf_threshold = options.sf_threshold;
     S2RDF_ASSIGN_OR_RETURN(
         db->load_stats_.extvp_stats,
-        BuildExtVpLayout(db->graph_, extvp, &db->catalog_));
+        BuildExtVpLayout(db->graph_, options.extvp, &db->catalog_));
     db->load_stats_.extvp_seconds =
         db->load_stats_.extvp_stats.build_seconds;
   }
   if (options.build_extvp_bitmaps) {
-    ExtVpOptions extvp = options.extvp;
-    extvp.sf_threshold = options.sf_threshold;
     S2RDF_ASSIGN_OR_RETURN(db->bitmap_store_,
-                           ExtVpBitmapStore::Build(db->graph_, extvp));
+                           ExtVpBitmapStore::Build(db->graph_, options.extvp));
   }
   // Persist the build parameters ingest needs to reproduce the eager
   // builder's materialization decisions on a reopened store. The SF
   // threshold rides in the entry's selectivity field.
-  db->catalog_.PutStatsOnly("meta_sf_threshold", 1, options.sf_threshold);
+  db->catalog_.PutStatsOnly("meta_sf_threshold", 1,
+                            options.extvp.sf_threshold);
   if (options.lazy_extvp) {
     db->catalog_.PutStatsOnly("meta_lazy_extvp", 1, 1.0);
   }
   if (!options.storage_dir.empty()) {
-    // The dictionary lands first: once the commit flips CURRENT to
-    // generation 1, Open must find it. The commit then writes the whole
-    // build — every staged table — as one segment.
-    Env* env =
-        options.env != nullptr ? options.env : Env::Default();
-    S2RDF_RETURN_IF_ERROR(env->WriteFileAtomic(
-        options.storage_dir + "/dictionary.bin",
-        WrapDictionaryBlob(db->graph_.dictionary().Serialize())));
-    S2RDF_RETURN_IF_ERROR(db->catalog_.SaveManifest());
+    // One commit makes the whole build durable: every staged table and
+    // the whole dictionary, in generation 1's segment.
+    const rdf::Dictionary& dict = db->graph_.dictionary();
+    const auto terms = static_cast<rdf::TermId>(dict.size());
+    storage::CommitOptions commit;
+    commit.dictionary_blob = dict.Serialize(0, terms);
+    S2RDF_RETURN_IF_ERROR(db->catalog_.CommitBatch({}, commit));
+    MutexLock lock(&db->ingest_mu_);
+    db->dictionary_committed_ = terms;
   }
   db->catalog_.SetMemoryBudget(options.memory_budget_bytes);
   db->catalog_.EvictToBudget();
@@ -224,19 +137,20 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
   if (storage_dir.empty()) {
     return InvalidArgumentError("Open requires a storage directory");
   }
-  if (env == nullptr) env = Env::Default();
   // The reopened instance carries the dictionary but no triple list;
   // queries execute against the persisted tables.
   auto db = std::unique_ptr<S2Rdf>(new S2Rdf(
       rdf::Graph(), storage_dir, num_partitions, env));
   // Startup recovery: verify the manifest chain and every table's
-  // checksums, quarantine corruption, sweep crash debris. The
-  // dictionary loads afterwards — which copy is current depends on the
-  // generation recovery landed on.
+  // checksums, quarantine corruption, sweep crash debris. The dictionary
+  // is then the adopted generation's dictionary blobs.
   S2RDF_ASSIGN_OR_RETURN(db->recovery_report_, db->catalog_.Recover());
-  S2RDF_RETURN_IF_ERROR(LoadDictionaryForGeneration(
-      db->catalog_, env, db->recovery_report_.generation,
-      &db->graph_.dictionary()));
+  rdf::Dictionary& dict = db->graph_.dictionary();
+  S2RDF_RETURN_IF_ERROR(LoadDictionary(db->catalog_, &dict));
+  {
+    MutexLock lock(&db->ingest_mu_);
+    db->dictionary_committed_ = static_cast<rdf::TermId>(dict.size());
+  }
   if (std::optional<storage::TableStats> meta =
           db->catalog_.GetStats("meta_sf_threshold")) {
     db->sf_threshold_ = meta->selectivity;
@@ -248,56 +162,12 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
 StatusOr<storage::IngestResult> S2Rdf::Ingest(
     const storage::IngestBatch& batch) {
   MutexLock lock(&ingest_mu_);
-  rdf::Dictionary& dict = graph_.dictionary();
-  if (!catalog_.dir().empty()) {
-    // Persist the dictionary (with the batch's new terms interned)
-    // BEFORE the table commit, under the next generation's name: a
-    // crash between the two leaves the current generation's dictionary
-    // untouched and the new file as harmless superset debris that Open
-    // sweeps.
-    for (const storage::IngestTriple& t : batch.triples) {
-      dict.Encode(t.subject);
-      dict.Encode(t.predicate);
-      dict.Encode(t.object);
-    }
-    const uint64_t next_gen = catalog_.generation() + 1;
-    const std::string path =
-        catalog_.dir() + "/" + DictionaryFileName(next_gen);
-    const std::string payload = dict.Serialize();
-    S2RDF_RETURN_IF_ERROR(
-        env_->WriteFileAtomic(path, WrapDictionaryBlob(payload)));
-    // Read back and verify before anything can reference the file: a
-    // silently corrupted write (bit rot) must fail the batch while the
-    // previous generation — and its dictionary — is still intact.
-    std::string readback;
-    S2RDF_RETURN_IF_ERROR(catalog_.ReadFileRetrying(path, &readback));
-    StatusOr<std::string> verified = UnwrapDictionaryBlob(readback);
-    if (!verified.ok() || *verified != payload) {
-      (void)env_->RemoveFile(path);
-      return InvalidArgumentError(
-          "dictionary write failed read-back verification: " + path);
-    }
-  }
   IngestConfig config;
   config.sf_threshold = sf_threshold_;
   config.lazy_extvp = lazy_extvp_;
   StatusOr<storage::IngestResult> result =
-      ApplyIngestBatch(batch, config, &dict, &catalog_);
-  if (result.ok() && result->triples_added > 0 && !catalog_.dir().empty()) {
-    // Prune dictionary copies older than the previous generation
-    // (mirrors manifest pruning; the initial build's "dictionary.bin"
-    // stays).
-    if (StatusOr<std::vector<std::string>> files =
-            env_->ListDir(catalog_.dir());
-        files.ok()) {
-      for (const std::string& file : *files) {
-        uint64_t g = 0;
-        if (ParseDictionaryFileName(file, &g) && g + 1 < result->generation) {
-          (void)env_->RemoveFile(catalog_.dir() + "/" + file);
-        }
-      }
-    }
-  }
+      ApplyIngestBatch(batch, config, &graph_.dictionary(),
+                       &dictionary_committed_, &catalog_);
   if (result.ok()) {
     LogEvent(LogLevel::kInfo, "ingest_commit",
              {{"triples_in_batch", result->triples_in_batch},
@@ -542,10 +412,6 @@ StatusOr<std::string> S2Rdf::BuildGraph(const sparql::Query& query,
 Status S2Rdf::LazyMaterializeFor(const sparql::GraphPattern& pattern) {
   const rdf::Dictionary& dict = graph_.dictionary();
   const auto& bgp = pattern.triples;
-  auto same_var = [](const sparql::PatternTerm& a,
-                     const sparql::PatternTerm& b) {
-    return a.is_variable() && b.is_variable() && a.value == b.value;
-  };
   for (size_t i = 0; i < bgp.size(); ++i) {
     if (bgp[i].predicate.is_variable()) continue;
     std::optional<rdf::TermId> p1 = dict.Find(bgp[i].predicate.value);
@@ -554,16 +420,7 @@ Status S2Rdf::LazyMaterializeFor(const sparql::GraphPattern& pattern) {
       if (i == j || bgp[j].predicate.is_variable()) continue;
       std::optional<rdf::TermId> p2 = dict.Find(bgp[j].predicate.value);
       if (!p2.has_value()) continue;
-      struct Case {
-        bool applies;
-        Correlation corr;
-      };
-      const Case cases[3] = {
-          {same_var(bgp[i].subject, bgp[j].subject), Correlation::kSS},
-          {same_var(bgp[i].subject, bgp[j].object), Correlation::kSO},
-          {same_var(bgp[i].object, bgp[j].subject), Correlation::kOS},
-      };
-      for (const Case& c : cases) {
+      for (const CorrelationCase& c : CorrelationsTo(bgp[i], bgp[j])) {
         if (!c.applies) continue;
         if (c.corr == Correlation::kSS && *p1 == *p2) continue;
         S2RDF_RETURN_IF_ERROR(EnsureExtVpPair(c.corr, *p1, *p2));

@@ -53,8 +53,6 @@ struct S2RdfOptions {
   // (Env::Default() when null; fault-injection tests substitute their
   // own). Must outlive the S2Rdf instance.
   Env* env = nullptr;
-  // ExtVP selectivity-factor threshold (Sec. 5.3). 1.0 = no threshold.
-  double sf_threshold = 1.0;
   // Layouts to build. The triples table is required for queries with
   // unbound predicates; VP is always built (base layout).
   bool build_triples_table = true;
@@ -68,6 +66,8 @@ struct S2RdfOptions {
   // Sec. 8), enabling Layout::kExtVpBitmap with correlation
   // intersection.
   bool build_extvp_bitmaps = false;
+  // ExtVP build options, the selectivity-factor threshold (Sec. 5.3)
+  // among them; the lazy mode and ingest apply the same threshold.
   ExtVpOptions extvp;
   // Simulated cluster width for the shuffle meter.
   int num_partitions = 9;
@@ -193,8 +193,10 @@ class S2Rdf {
   // Reopens a store previously persisted by Create with a non-empty
   // `storage_dir`: runs the startup recovery pass (manifest chain,
   // table verification, quarantine, temp-file cleanup — see
-  // recovery_report()), loads the dictionary, then serves queries with
-  // tables paged in lazily from disk. The bit-vector ExtVP store is not
+  // recovery_report()), rebuilds the dictionary from the recovered
+  // generation's dictionary blobs (kInvalidArgument naming a blob that
+  // cannot be read back intact), then serves queries with tables paged
+  // in lazily from disk. The bit-vector ExtVP store is not
   // persisted, so Layout::kExtVpBitmap is unavailable on a reopened
   // store.
   static StatusOr<std::unique_ptr<S2Rdf>> Open(const std::string& storage_dir,
@@ -248,7 +250,6 @@ class S2Rdf {
         Env* env = nullptr)
       : graph_(std::move(graph)),
         catalog_(std::move(storage_dir), env),
-        env_(env != nullptr ? env : Env::Default()),
         num_partitions_(num_partitions) {}
 
   // Materializes every ExtVP reduction the pattern's correlations could
@@ -278,7 +279,6 @@ class S2Rdf {
   // bookkeeping). Per-query state lives in local ExecContexts.
   rdf::Graph graph_;
   storage::Catalog catalog_;
-  Env* env_;
   int num_partitions_;
   bool lazy_extvp_ = false;
   double sf_threshold_ = 1.0;
@@ -297,6 +297,9 @@ class S2Rdf {
   // ingest-side refresh may trigger lazy materialization, never the
   // reverse (enforced globally by the s2rdf_lint lock-order pass).
   Mutex ingest_mu_ S2RDF_ACQUIRED_BEFORE(lazy_mu_);
+  // Terms with ids below this lie in a committed dictionary blob; the
+  // next commit that mints terms stores the rest.
+  rdf::TermId dictionary_committed_ S2RDF_GUARDED_BY(ingest_mu_) = 0;
 
   // Guards the lazy-ExtVP in-flight set; lazy_cv_ wakes waiters when a
   // build completes.

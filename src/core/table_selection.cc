@@ -1,26 +1,15 @@
 #include "core/table_selection.h"
 
-#include <array>
 #include <optional>
 
 namespace s2rdf::core {
 
-namespace {
-
 using sparql::PatternTerm;
 using sparql::TriplePattern;
 
-// True when both positions are the same variable.
 bool SameVar(const PatternTerm& a, const PatternTerm& b) {
   return a.is_variable() && b.is_variable() && a.value == b.value;
 }
-
-// The correlations of bgp[tp_index] to one other pattern, in the fixed
-// SS/SO/OS order Algorithm 1 examines them.
-struct CorrelationCase {
-  bool applies;
-  Correlation corr;
-};
 
 std::array<CorrelationCase, 3> CorrelationsTo(const TriplePattern& tp,
                                               const TriplePattern& other) {
@@ -28,6 +17,8 @@ std::array<CorrelationCase, 3> CorrelationsTo(const TriplePattern& tp,
            {SameVar(tp.subject, other.object), Correlation::kSO},
            {SameVar(tp.object, other.subject), Correlation::kOS}}};
 }
+
+namespace {
 
 // Layout::kExtVpBitmap selection: intersect the bitmaps of every
 // applicable correlation over the pattern's VP table (the paper's

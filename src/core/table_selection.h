@@ -1,6 +1,7 @@
 #ifndef S2RDF_CORE_TABLE_SELECTION_H_
 #define S2RDF_CORE_TABLE_SELECTION_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -61,6 +62,23 @@ struct TableChoice {
   // carried into the plan for EXPLAIN ANALYZE.
   std::string layout_label = "VP";
 };
+
+// True when both positions are the same variable.
+bool SameVar(const sparql::PatternTerm& a, const sparql::PatternTerm& b);
+
+// One correlation of a triple pattern to another: whether the two share
+// the variable it names, and which correlation it is.
+struct CorrelationCase {
+  bool applies;
+  Correlation corr;
+};
+
+// The correlations of `tp` to `other`, in the fixed SS/SO/OS order
+// Algorithm 1 examines them (OO is never precomputed) — the one
+// enumeration table selection, the estimator and the lazy ExtVP mode
+// share.
+std::array<CorrelationCase, 3> CorrelationsTo(
+    const sparql::TriplePattern& tp, const sparql::TriplePattern& other);
 
 // Runs Algorithm 1 for `tp` within `bgp`. `tp_index` is the position of
 // `tp` inside `bgp` (used to skip self-correlation). When

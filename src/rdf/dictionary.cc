@@ -1,8 +1,11 @@
 #include "rdf/dictionary.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/mutex.h"
 
 namespace s2rdf::rdf {
@@ -41,6 +44,18 @@ const std::string& Dictionary::Decode(TermId id) const {
 
 namespace {
 
+// The blob envelope: magic, the payload's FNV-1a64 in hex, newline.
+constexpr char kBlobMagic[] = "S2DICT1\n";
+constexpr size_t kMagicLen = sizeof(kBlobMagic) - 1;
+constexpr size_t kHeaderLen = kMagicLen + 17;
+
+std::string ChecksumHex(std::string_view payload) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(payload)));
+  return hex;
+}
+
 void PutU32(std::string* out, uint32_t v) {
   char buf[4];
   std::memcpy(buf, &v, 4);
@@ -56,36 +71,52 @@ bool GetU32(std::string_view blob, size_t* pos, uint32_t* v) {
 
 }  // namespace
 
-std::string Dictionary::Serialize() const {
-  ReaderLock lock(&mu_);
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(by_id_.size()));
-  for (const std::string* term : by_id_) {
-    PutU32(&out, static_cast<uint32_t>(term->size()));
-    out += *term;
+std::string Dictionary::Serialize(TermId first, TermId end) const {
+  std::string blob(kBlobMagic);
+  blob.append(17, '\n');  // The checksum goes here once the payload is in.
+  {
+    ReaderLock lock(&mu_);
+    end = std::min<TermId>(end, static_cast<TermId>(by_id_.size()));
+    first = std::min(first, end);
+    PutU32(&blob, end - first);
+    for (TermId id = first; id < end; ++id) {
+      PutU32(&blob, static_cast<uint32_t>(by_id_[id]->size()));
+      blob += *by_id_[id];
+    }
   }
-  return out;
+  blob.replace(kMagicLen, 16,
+               ChecksumHex(std::string_view(blob).substr(kHeaderLen)));
+  return blob;
 }
 
-StatusOr<Dictionary> Dictionary::Deserialize(std::string_view blob) {
-  Dictionary dict;
+Status Dictionary::Append(std::string_view blob) {
+  if (blob.size() < kHeaderLen || blob.substr(0, kMagicLen) != kBlobMagic) {
+    return InvalidArgumentError("dictionary header missing");
+  }
+  if (blob[kHeaderLen - 1] != '\n') {
+    return InvalidArgumentError("dictionary header malformed");
+  }
+  const std::string_view payload = blob.substr(kHeaderLen);
+  if (blob.substr(kMagicLen, 16) != ChecksumHex(payload)) {
+    return InvalidArgumentError("dictionary checksum mismatch");
+  }
   size_t pos = 0;
   uint32_t count = 0;
-  if (!GetU32(blob, &pos, &count)) {
+  if (!GetU32(payload, &pos, &count)) {
     return InvalidArgumentError("dictionary blob truncated (count)");
   }
+  auto next = static_cast<TermId>(size());
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t len = 0;
-    if (!GetU32(blob, &pos, &len) || pos + len > blob.size()) {
+    if (!GetU32(payload, &pos, &len) || pos + len > payload.size()) {
       return InvalidArgumentError("dictionary blob truncated (entry)");
     }
-    TermId id = dict.Encode(blob.substr(pos, len));
-    if (id != i) {
+    if (Encode(payload.substr(pos, len)) != next++) {
       return InvalidArgumentError("dictionary blob has duplicate terms");
     }
     pos += len;
   }
-  return dict;
+  return Status::Ok();
 }
 
 }  // namespace s2rdf::rdf

@@ -65,9 +65,19 @@ class Dictionary {
     return by_id_.size();
   }
 
-  // Serializes to / from a length-prefixed binary blob.
-  std::string Serialize() const;
-  static StatusOr<Dictionary> Deserialize(std::string_view blob);
+  // Serializes the terms with ids in [first, end) (an `end` past size()
+  // means size()) as one checksummed blob: "S2DICT1\n", the FNV-1a64 of
+  // the payload as 16 lowercase hex digits, "\n", then the payload (the
+  // term count, then each term length-prefixed). Ids are append-only, so
+  // a store commits one blob per commit: the terms minted since the
+  // previous one.
+  std::string Serialize(TermId first = 0, TermId end = kNullTermId) const;
+
+  // Appends the terms of one Serialize blob; they take the next ids in
+  // order. InvalidArgument naming the damage when the envelope, checksum
+  // or payload does not verify or a term is already interned (the
+  // dictionary then holds the terms appended before it).
+  Status Append(std::string_view blob);
 
  private:
   // Guards ids_/by_id_: Encode takes it exclusively, lookups shared.

@@ -863,6 +863,14 @@ void SparqlEndpoint::Admit(int fd) {
   // client acknowledged the rest.
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  // A client that stops reading gets as long to take the next bytes of
+  // an answer as an idle connection gets to send a request; then the
+  // write times out and the worker closes the connection.
+  const timeval send_timeout{
+      .tv_sec = std::chrono::duration_cast<std::chrono::seconds>(kIdleTimeout)
+                    .count(),
+      .tv_usec = 0};
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof(send_timeout));
   int evicted = -1;
   bool admitted = false;
   {
@@ -1064,11 +1072,22 @@ bool SparqlEndpoint::WriteResponse(int client, const HttpResponse& response) {
   msghdr message{};
   message.msg_iov = parts;
   message.msg_iovlen = 2;
-  while (message.msg_iovlen > 0) {
+  size_t remaining = head.size() + response.body.size();
+  while (remaining > 0) {
+    const MonotonicTime call = MonotonicNow();
     ssize_t n = sendmsg(client, &message, MSG_NOSIGNAL);
     if (n < 0 && errno == EINTR) continue;
+    // Nothing sent: the peer is gone, or SO_SNDTIMEO expired (EAGAIN).
     if (n <= 0) return false;
     auto sent = static_cast<size_t>(n);
+    remaining -= sent;
+    // A short count after blocking for about the send timeout is a
+    // timeout too: the peer took part of the answer, then stopped
+    // reading. (A signal cuts a call short early; that write goes on.)
+    if (remaining > 0 &&
+        MonotonicNow() - call >= std::chrono::milliseconds(kIdleTimeout) / 2) {
+      return false;
+    }
     while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
       sent -= message.msg_iov->iov_len;
       ++message.msg_iov;

@@ -25,6 +25,10 @@ namespace {
 constexpr int kTransientRetries = 3;
 constexpr int kRetryBackoffMs = 1;
 
+// A commit reads its segment and manifest back at most this many bytes
+// at a time, so it never holds a second copy of a large segment.
+constexpr uint64_t kReadBackChunkBytes = 1 << 20;
+
 constexpr char kCurrentFile[] = "CURRENT";
 constexpr char kManifestPrefix[] = "manifest-";
 constexpr char kManifestSuffix[] = ".tsv";
@@ -32,6 +36,7 @@ constexpr char kChecksumPrefix[] = "# checksum=";
 constexpr char kGenerationHeader[] = "# s2rdf-manifest generation=";
 constexpr char kStaleHeader[] = "# s2rdf-stale ";
 constexpr char kSegmentHeader[] = "# s2rdf-segment ";
+constexpr char kDictionaryHeader[] = "# s2rdf-dictionary ";
 constexpr char kSegmentPrefix[] = "segment-";
 constexpr char kSegmentSuffix[] = ".s2seg";
 
@@ -60,6 +65,28 @@ bool ParseNumberedFile(const std::string& filename, std::string_view prefix,
 
 bool ParseManifestGeneration(const std::string& filename, uint64_t* gen) {
   return ParseNumberedFile(filename, kManifestPrefix, kManifestSuffix, gen);
+}
+
+// True, dropping the prefix from *line, when *line is `prefix` followed
+// by something.
+bool ConsumePrefix(std::string_view* line, std::string_view prefix) {
+  if (line->size() <= prefix.size() || !StartsWith(*line, prefix)) {
+    return false;
+  }
+  line->remove_prefix(prefix.size());
+  return true;
+}
+
+// Parses `text` as exactly `n` tab-separated non-negative integers.
+bool ParseNumbers(std::string_view text, size_t n,
+                  std::vector<uint64_t>* numbers) {
+  numbers->clear();
+  for (const std::string& field : StrSplit(text, '\t')) {
+    long long value = 0;
+    if (!ParseInt64(field, &value) || value < 0) return false;
+    numbers->push_back(static_cast<uint64_t>(value));
+  }
+  return numbers->size() == n;
 }
 
 bool IsTransient(const Status& status) {
@@ -102,59 +129,6 @@ Catalog::Catalog(std::string dir, Env* env)
   }
 }
 
-// Moves require external exclusion (header contract), so the lock
-// analysis — which cannot pair two objects' capabilities — is off here.
-Catalog::Catalog(Catalog&& other) noexcept S2RDF_NO_THREAD_SAFETY_ANALYSIS {
-  MutexLock lock(&other.mu_);
-  dir_ = std::move(other.dir_);
-  env_ = other.env_;
-  stats_ = std::move(other.stats_);
-  cache_ = std::move(other.cache_);
-  memory_budget_ = other.memory_budget_;
-  cached_bytes_ = other.cached_bytes_;
-  lru_ = std::move(other.lru_);
-  staged_ = std::move(other.staged_);
-  stage_seq_ = other.stage_seq_;
-  segments_ = std::move(other.segments_);
-  quarantined_ = std::move(other.quarantined_);
-  stale_sources_ = std::move(other.stale_sources_);
-  generation_ = other.generation_;
-  corruptions_detected_.store(other.corruptions_detected_.load());
-  queries_degraded_.store(other.queries_degraded_.load());
-  quarantined_count_.store(other.quarantined_count_.load());
-  read_retries_.store(other.read_retries_.load());
-  stale_sf_fallbacks_.store(other.stale_sf_fallbacks_.load());
-}
-
-Catalog& Catalog::operator=(Catalog&& other) noexcept
-    S2RDF_NO_THREAD_SAFETY_ANALYSIS {
-  if (this != &other) {
-    // Lock order self-then-other is safe: moves forbid concurrent use
-    // of either operand, so no cycle can form.
-    MutexLock self_lock(&mu_);
-    MutexLock other_lock(&other.mu_);
-    dir_ = std::move(other.dir_);
-    env_ = other.env_;
-    stats_ = std::move(other.stats_);
-    cache_ = std::move(other.cache_);
-    memory_budget_ = other.memory_budget_;
-    cached_bytes_ = other.cached_bytes_;
-    lru_ = std::move(other.lru_);
-    staged_ = std::move(other.staged_);
-    stage_seq_ = other.stage_seq_;
-    segments_ = std::move(other.segments_);
-    quarantined_ = std::move(other.quarantined_);
-    stale_sources_ = std::move(other.stale_sources_);
-    generation_ = other.generation_;
-    corruptions_detected_.store(other.corruptions_detected_.load());
-    queries_degraded_.store(other.queries_degraded_.load());
-    quarantined_count_.store(other.quarantined_count_.load());
-    read_retries_.store(other.read_retries_.load());
-    stale_sf_fallbacks_.store(other.stale_sf_fallbacks_.load());
-  }
-  return *this;
-}
-
 std::string Catalog::SegmentPath(uint64_t segment) const {
   return dir_ + "/" + kSegmentPrefix + std::to_string(segment) +
          kSegmentSuffix;
@@ -179,6 +153,29 @@ Status Catalog::Retrying(const ReadFn& read) const {
 Status Catalog::ReadFileRetrying(const std::string& path,
                                  std::string* data) const {
   return Retrying([&] { return env_->ReadFile(path, data); });
+}
+
+Status Catalog::ReadBlob(const BlobLocation& at, std::string* blob) const {
+  const std::string path = SegmentPath(at.segment);
+  return Retrying(
+      [&] { return env_->ReadFileRange(path, at.offset, at.bytes, blob); });
+}
+
+Status Catalog::VerifyWritten(const std::string& path,
+                              std::string_view written) const {
+  std::string chunk;
+  for (uint64_t offset = 0; offset < written.size();
+       offset += kReadBackChunkBytes) {
+    const uint64_t bytes =
+        std::min<uint64_t>(kReadBackChunkBytes, written.size() - offset);
+    S2RDF_RETURN_IF_ERROR(Retrying(
+        [&] { return env_->ReadFileRange(path, offset, bytes, &chunk); }));
+    if (written.substr(offset, bytes) != chunk) {
+      return InvalidArgumentError("write failed read-back verification: " +
+                                  path);
+    }
+  }
+  return Status::Ok();
 }
 
 void Catalog::Stage(TableStats stats,
@@ -319,10 +316,8 @@ StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
     }
     // Read only the table's byte range, outside the lock so distinct
     // tables page in concurrently.
-    const std::string path = SegmentPath(at.segment);
     std::string blob;
-    Status read = Retrying(
-        [&] { return env_->ReadFileRange(path, at.offset, at.bytes, &blob); });
+    Status read = ReadBlob(at, &blob);
     StatusOr<rdf::Table> table =
         read.ok() ? DeserializeTable(blob) : StatusOr<rdf::Table>(read);
     MutexLock lock(&mu_);
@@ -439,10 +434,16 @@ std::vector<const TableStats*> Catalog::AllStats() const {
   return out;
 }
 
+std::vector<BlobLocation> Catalog::DictionaryBlobs() const {
+  MutexLock lock(&mu_);
+  return dictionary_blobs_;
+}
+
 std::string Catalog::RenderManifest(
     uint64_t gen, const std::map<std::string, TableStats>& stats,
     const std::set<std::string>& stale_sources,
-    const std::map<uint64_t, uint64_t>& segments) {
+    const std::map<uint64_t, uint64_t>& segments,
+    const std::vector<BlobLocation>& dictionary) {
   std::string out = kGenerationHeader + std::to_string(gen) + "\n";
   out += "# name\trows\tselectivity\tbytes\tmaterialized\tsegment\toffset\n";
   // Stale markers are part of the checksummed content: deferred-refresh
@@ -455,6 +456,12 @@ std::string Catalog::RenderManifest(
   for (const auto& [segment, bytes] : segments) {
     out += kSegmentHeader + std::to_string(segment) + "\t" +
            std::to_string(bytes) + "\n";
+  }
+  // The dictionary blobs in id order: their concatenated terms are the
+  // generation's dictionary.
+  for (const BlobLocation& at : dictionary) {
+    out += kDictionaryHeader + std::to_string(at.segment) + "\t" +
+           std::to_string(at.offset) + "\t" + std::to_string(at.bytes) + "\n";
   }
   for (const auto& [name, entry] : stats) {
     char line[512];
@@ -473,18 +480,6 @@ std::string Catalog::RenderManifest(
                 static_cast<unsigned long long>(Fnv1a64(out)));
   out += kChecksumPrefix + std::string(checksum) + "\n";
   return out;
-}
-
-Status Catalog::WriteManifestGeneration(uint64_t gen,
-                                        const std::string& content) const {
-  // Commit protocol: the generation file lands first (atomically), then
-  // CURRENT flips to it (atomically). A crash anywhere leaves CURRENT on
-  // the previous generation. The first SyncDir also makes the segment's
-  // directory entry durable before CURRENT can reference it.
-  S2RDF_RETURN_IF_ERROR(
-      env_->WriteFileAtomic(dir_ + "/" + ManifestFileName(gen), content));
-  return env_->WriteFileAtomic(dir_ + "/" + kCurrentFile,
-                               ManifestFileName(gen) + "\n");
 }
 
 void Catalog::PruneOldManifests(uint64_t gen) const {
@@ -523,6 +518,7 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
   std::map<std::string, TableStats> next;  // The generation's whole view.
   std::set<std::string> stale;
   std::map<uint64_t, uint64_t> segments;
+  std::vector<BlobLocation> dictionary;
   uint64_t gen;
   // Phase 1 — under one lock hold, gather everything staged and the
   // batch's updates over the current state.
@@ -571,14 +567,16 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       next = stats_;
       stale = stale_sources_;
       segments = segments_;
+      dictionary = dictionary_blobs_;
     }
   }
   for (const std::string& s : options.mark_stale) stale.insert(s);
   for (const std::string& s : options.clear_stale) stale.erase(s);
 
-  // Phase 2 — pack every new blob into this generation's segment, in
-  // name order (deterministic contents), then copy forward the live
-  // blobs of segments left less than half live.
+  // Phase 2 — pack every new table blob into this generation's segment,
+  // in name order (deterministic contents), then the dictionary blob,
+  // then copy forward the live blobs of segments left less than half
+  // live.
   std::string segment;
   std::vector<std::pair<std::string, BlobLocation>> moved;  // Old places.
   std::vector<uint64_t> dropped;                            // Segments.
@@ -593,11 +591,19 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       }
       next[name] = entry.stats;
     }
+    if (!options.dictionary_blob.empty()) {
+      dictionary.push_back(
+          {gen, segment.size(), options.dictionary_blob.size()});
+      segment += options.dictionary_blob;
+    }
     std::map<uint64_t, uint64_t> live;
     for (const auto& [name, stats] : next) {
       if (stats.materialized && stats.segment != gen) {
         live[stats.segment] += stats.bytes;
       }
+    }
+    for (const BlobLocation& at : dictionary) {
+      if (at.segment != gen) live[at.segment] += at.bytes;
     }
     for (const auto& [old_segment, size] : segments) {
       if (live[old_segment] * 2 >= size) continue;
@@ -613,13 +619,19 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         if (!stats.materialized || stats.segment != old_segment) continue;
         copied.emplace_back(name, LocationOf(stats));
       }
-      const bool complete =
-          std::all_of(copied.begin(), copied.end(), [&](const auto& entry) {
-            const BlobLocation& at = entry.second;
-            return at.offset <= data.size() &&
-                   at.bytes <= data.size() - at.offset;
-          });
-      if (!complete) continue;
+      std::vector<BlobLocation*> copied_dictionary;
+      for (BlobLocation& at : dictionary) {
+        if (at.segment == old_segment) copied_dictionary.push_back(&at);
+      }
+      auto fits = [&](const BlobLocation& at) {
+        return at.offset <= data.size() && at.bytes <= data.size() - at.offset;
+      };
+      if (!std::all_of(copied.begin(), copied.end(),
+                       [&](const auto& entry) { return fits(entry.second); }) ||
+          !std::all_of(copied_dictionary.begin(), copied_dictionary.end(),
+                       [&](const BlobLocation* at) { return fits(*at); })) {
+        continue;
+      }
       for (const auto& [name, from] : copied) {
         TableStats& stats = next[name];
         stats.segment = gen;
@@ -627,20 +639,35 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         segment.append(data, from.offset, from.bytes);
         moved.emplace_back(name, from);
       }
+      for (BlobLocation* at : copied_dictionary) {
+        const BlobLocation from = *at;
+        *at = {gen, segment.size(), from.bytes};
+        segment.append(data, from.offset, from.bytes);
+      }
       dropped.push_back(old_segment);
     }
     for (uint64_t old_segment : dropped) segments.erase(old_segment);
     if (!segment.empty()) segments[gen] = segment.size();
 
-    // Phase 3 — one sync for the segment, then the manifest flip: the
-    // commit point. A crash before it leaves only an unreferenced
-    // segment for Recover() to sweep.
+    // Phase 3 — one sync for the segment, then the manifest (written
+    // atomically), each read back; then the CURRENT flip: the commit
+    // point. A crash or a failed read-back before it leaves only an
+    // unreferenced segment for Recover() to sweep. The manifest's SyncDir
+    // also makes the segment's directory entry durable before CURRENT
+    // can reference it.
     if (!segment.empty()) {
-      S2RDF_RETURN_IF_ERROR(env_->WriteFile(SegmentPath(gen), segment));
-      S2RDF_RETURN_IF_ERROR(env_->SyncFile(SegmentPath(gen)));
+      const std::string path = SegmentPath(gen);
+      S2RDF_RETURN_IF_ERROR(env_->WriteFile(path, segment));
+      S2RDF_RETURN_IF_ERROR(env_->SyncFile(path));
+      S2RDF_RETURN_IF_ERROR(VerifyWritten(path, segment));
     }
-    S2RDF_RETURN_IF_ERROR(WriteManifestGeneration(
-        gen, RenderManifest(gen, next, stale, segments)));
+    const std::string manifest = dir_ + "/" + ManifestFileName(gen);
+    const std::string content =
+        RenderManifest(gen, next, stale, segments, dictionary);
+    S2RDF_RETURN_IF_ERROR(env_->WriteFileAtomic(manifest, content));
+    S2RDF_RETURN_IF_ERROR(VerifyWritten(manifest, content));
+    S2RDF_RETURN_IF_ERROR(env_->WriteFileAtomic(
+        dir_ + "/" + kCurrentFile, ManifestFileName(gen) + "\n"));
   }
 
   // Phase 4 — swap the in-memory state under one lock hold, so a
@@ -677,7 +704,10 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     }
     for (const std::string& s : options.mark_stale) stale_sources_.insert(s);
     for (const std::string& s : options.clear_stale) stale_sources_.erase(s);
-    if (on_disk) segments_ = std::move(segments);
+    if (on_disk) {
+      segments_ = std::move(segments);
+      dictionary_blobs_ = std::move(dictionary);
+    }
     generation_ = gen;
   }
   // Phase 5 — best-effort removal of what the new generation no longer
@@ -711,34 +741,27 @@ Status Catalog::AdoptManifest(const std::string& content) {
   std::map<std::string, TableStats> parsed;
   std::set<std::string> stale;
   std::map<uint64_t, uint64_t> segments;
+  std::vector<BlobLocation> dictionary;
   for (const std::string& line : StrSplit(content, '\n')) {
     std::string_view trimmed = StripWhitespace(line);
     if (trimmed.empty()) continue;
     if (trimmed.front() == '#') {
-      std::string_view header(kGenerationHeader);
-      if (trimmed.size() > header.size() &&
-          trimmed.substr(0, header.size()) == header) {
-        generation = std::strtoull(
-            std::string(trimmed.substr(header.size())).c_str(), nullptr, 10);
-      }
-      std::string_view stale_header(kStaleHeader);
-      if (trimmed.size() > stale_header.size() &&
-          trimmed.substr(0, stale_header.size()) == stale_header) {
-        stale.insert(std::string(trimmed.substr(stale_header.size())));
-      }
-      std::string_view segment_header(kSegmentHeader);
-      if (trimmed.size() > segment_header.size() &&
-          trimmed.substr(0, segment_header.size()) == segment_header) {
-        std::vector<std::string> fields =
-            StrSplit(trimmed.substr(segment_header.size()), '\t');
-        long long segment = 0;
-        long long bytes = 0;
-        if (fields.size() != 2 || !ParseInt64(fields[0], &segment) ||
-            !ParseInt64(fields[1], &bytes)) {
+      std::string_view rest = trimmed;
+      std::vector<uint64_t> numbers;
+      if (ConsumePrefix(&rest, kGenerationHeader)) {
+        generation = std::strtoull(std::string(rest).c_str(), nullptr, 10);
+      } else if (ConsumePrefix(&rest, kStaleHeader)) {
+        stale.insert(std::string(rest));
+      } else if (ConsumePrefix(&rest, kSegmentHeader)) {
+        if (!ParseNumbers(rest, 2, &numbers)) {
           return InvalidArgumentError("malformed manifest segment: " + line);
         }
-        segments[static_cast<uint64_t>(segment)] =
-            static_cast<uint64_t>(bytes);
+        segments[numbers[0]] = numbers[1];
+      } else if (ConsumePrefix(&rest, kDictionaryHeader)) {
+        if (!ParseNumbers(rest, 3, &numbers)) {
+          return InvalidArgumentError("malformed manifest dictionary: " + line);
+        }
+        dictionary.push_back({numbers[0], numbers[1], numbers[2]});
       }
       continue;
     }
@@ -775,11 +798,18 @@ Status Catalog::AdoptManifest(const std::string& content) {
   quarantined_.clear();
   stale_sources_ = std::move(stale);
   segments_ = std::move(segments);
+  dictionary_blobs_ = std::move(dictionary);
   generation_ = generation;
   return Status::Ok();
 }
 
 Status Catalog::LoadManifest() {
+  bool named_by_current = false;
+  return AdoptNewestManifest(&named_by_current);
+}
+
+Status Catalog::AdoptNewestManifest(bool* named_by_current) {
+  *named_by_current = false;
   if (dir_.empty()) {
     return FailedPreconditionError("in-memory catalog has no manifest");
   }
@@ -792,6 +822,7 @@ Status Catalog::LoadManifest() {
     std::string content;
     Status status = ReadFileRetrying(dir_ + "/" + name, &content);
     if (status.ok()) status = AdoptManifest(content);
+    *named_by_current = status.ok();
     if (status.ok()) return status;
     if (IsTransient(status)) return status;  // Retryable, not corruption.
     corruptions_detected_.fetch_add(1, std::memory_order_relaxed);
@@ -824,18 +855,25 @@ Status Catalog::LoadManifest() {
 }
 
 StatusOr<RecoveryReport> Catalog::Recover() {
-  S2RDF_RETURN_IF_ERROR(LoadManifest());
+  bool named_by_current = false;
+  S2RDF_RETURN_IF_ERROR(AdoptNewestManifest(&named_by_current));
   RecoveryReport report;
-  // Materialized tables by the segment that holds them.
+  // Materialized tables by the segment that holds them, and every
+  // segment holding a live blob of either kind.
   std::map<uint64_t, std::vector<std::pair<std::string, BlobLocation>>>
       by_segment;
+  std::set<uint64_t> referenced;
   {
     MutexLock lock(&mu_);
     report.generation = generation_;
     for (const auto& [name, stats] : stats_) {
       if (stats.materialized) {
         by_segment[stats.segment].emplace_back(name, LocationOf(stats));
+        referenced.insert(stats.segment);
       }
+    }
+    for (const BlobLocation& at : dictionary_blobs_) {
+      referenced.insert(at.segment);
     }
   }
   // Read each segment once and verify every table's byte range;
@@ -862,6 +900,9 @@ StatusOr<RecoveryReport> Catalog::Recover() {
   // Delete orphaned staging files (crash debris), manifests older than
   // the previous generation, and segments the adopted manifest does not
   // reference — the latter roll back a commit whose flip never happened.
+  // After a fallback from a damaged CURRENT generation the newer
+  // segments stay: the adopted manifest cannot account for them, and one
+  // may hold the only intact copy of a blob.
   StatusOr<std::vector<std::string>> files = env_->ListDir(dir_);
   if (files.ok()) {
     for (const std::string& file : *files) {
@@ -877,7 +918,7 @@ StatusOr<RecoveryReport> Catalog::Recover() {
         }
       } else if (ParseNumberedFile(file, kSegmentPrefix, kSegmentSuffix,
                                    &gen)) {
-        if (!by_segment.contains(gen) &&
+        if (named_by_current && !referenced.contains(gen) &&
             env_->RemoveFile(dir_ + "/" + file).ok()) {
           ++report.orphan_segments_removed;
         }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,22 +29,24 @@
 // the paper's "answer from statistics alone" shortcut.
 //
 // Durability (what HDFS gave the paper for free): CommitBatch is the one
-// code path that writes table bytes. A commit at generation g packs the
-// S2TB blob of every table it materializes into one segment file
-// ("segment-<g>.s2seg", blobs back to back, no framing of its own),
-// fsyncs it once, then writes manifest generation g and flips CURRENT.
-// Each manifest line records where its table lies (segment, offset,
-// bytes). The manifest is a generation chain — immutable
-// "manifest-<g>.tsv" files (self-checksummed, carrying their generation
-// and the live segments' sizes) plus a CURRENT pointer updated
+// code path that writes durable bytes. A commit at generation g packs the
+// S2TB blob of every table it materializes, then the dictionary blob it
+// carries (the terms minted since the previous commit), into one segment
+// file ("segment-<g>.s2seg", blobs back to back, no framing of its own),
+// fsyncs it once and reads it back; then it writes manifest generation g,
+// reads that back, and flips CURRENT. Each manifest line records where
+// its table lies (segment, offset, bytes), and the manifest lists the
+// dictionary blobs in id order. The manifest is a generation chain —
+// immutable "manifest-<g>.tsv" files (self-checksummed, carrying their
+// generation and the live segments' sizes) plus a CURRENT pointer updated
 // atomically; if the current generation is damaged, loading falls back
 // to the newest generation that still verifies. A crash before the flip
 // leaves only an unreferenced segment, which Recover() deletes.
 //
-// Space: a commit copies forward, byte for byte, the live blobs of any
-// older segment whose live bytes fall below half its size, and deletes
-// that segment after the flip — so segment files never hold more than
-// twice the live table bytes.
+// Space: a commit copies forward, byte for byte, the live blobs (tables'
+// and dictionary's alike) of any older segment whose live bytes fall
+// below half its size, and deletes that segment after the flip — so
+// segment files never hold more than twice the live bytes.
 //
 // Put/PutStatsOnly only stage: a staged table is cached, cannot be
 // evicted, and becomes durable with the next commit (CommitBatch or
@@ -51,7 +54,8 @@
 // checksums (one read per segment), quarantines unreadable/corrupt
 // tables (queries then degrade to the base VP table instead of failing
 // — see core/table_selection), and deletes orphaned "*.tmp" staging
-// files, unreferenced segments and superseded manifests.
+// files, superseded manifests and — when it adopted the generation
+// CURRENT names — unreferenced segments.
 //
 // Thread safety: all public methods are safe to call concurrently,
 // except that commits (CommitBatch, SaveManifest) must be serialized by
@@ -77,6 +81,16 @@ struct TableStats {
   uint64_t offset = 0;
 };
 
+// Where a committed blob lies: the generation whose segment file holds
+// it, its byte offset there and its size. Equal locations mean equal
+// bytes, since a referenced segment is never rewritten.
+struct BlobLocation {
+  uint64_t segment = 0;
+  uint64_t offset = 0;
+  uint64_t bytes = 0;
+  bool operator==(const BlobLocation&) const = default;
+};
+
 // What startup recovery found and repaired.
 struct RecoveryReport {
   // Manifest generation the store recovered to.
@@ -91,7 +105,8 @@ struct RecoveryReport {
   size_t old_manifests_removed = 0;
   // Segment files the recovered generation does not reference — debris
   // of a commit that never flipped, or of one whose clean-up a crash cut
-  // short.
+  // short. A fallback generation sweeps none: it cannot account for the
+  // newer segments.
   size_t orphan_segments_removed = 0;
 };
 
@@ -118,6 +133,11 @@ struct CommitOptions {
   std::vector<std::string> mark_stale;
   // Sources whose dependents this batch brought back up to date.
   std::vector<std::string> clear_stale;
+  // The dictionary terms minted since the previous commit, as one blob
+  // (rdf::Dictionary::Serialize), which the catalog stores as opaque
+  // bytes and appends to the list DictionaryBlobs() returns. Empty adds
+  // none; an in-memory catalog ignores it.
+  std::string dictionary_blob;
 };
 
 class Catalog {
@@ -128,10 +148,6 @@ class Catalog {
   // the catalog.
   explicit Catalog(std::string dir, Env* env = nullptr);
 
-  // Moves transfer the table map; neither operand may be in concurrent
-  // use during the move.
-  Catalog(Catalog&& other) noexcept;
-  Catalog& operator=(Catalog&& other) noexcept;
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
@@ -148,16 +164,17 @@ class Catalog {
 
   // Atomically applies `updates` together with everything staged — the
   // one commit path of Create, ingest and refresh. Protocol: the blobs
-  // of every table the commit materializes (plus the live blobs copied
-  // forward from sparse segments) land in "segment-<g>.s2seg", which is
-  // fsynced once; then manifest generation g is written and CURRENT
-  // flips to it; then the in-memory state (stats, cache, quarantine and
-  // stale sets) swaps under a single lock hold. A crash before the
-  // CURRENT flip leaves the previous generation fully intact — Recover()
-  // deletes the unreferenced segment — and readers that pinned tables
-  // via GetTable keep their generation until they release the pins.
-  // Segments the commit emptied or compacted are removed best effort
-  // after the flip. An in-memory catalog applies the batch with no I/O.
+  // of every table the commit materializes, its dictionary blob and the
+  // live blobs copied forward from sparse segments land in
+  // "segment-<g>.s2seg", which is fsynced once and read back; then
+  // manifest generation g is written and read back, and CURRENT flips
+  // to it; then the in-memory state swaps under a single lock hold. A
+  // crash, or a read-back that differs from what was written, before the
+  // flip leaves the previous generation fully intact — Recover() deletes
+  // the unreferenced segment — and readers that pinned tables via
+  // GetTable keep their generation until they release the pins. Segments
+  // the commit emptied or compacted are removed best effort after the
+  // flip. An in-memory catalog applies the batch with no I/O.
   Status CommitBatch(std::vector<TableUpdate> updates,
                      const CommitOptions& options = {});
 
@@ -210,6 +227,14 @@ class Catalog {
   // All stats entries, name-ordered.
   std::vector<const TableStats*> AllStats() const;
 
+  // Where each committed dictionary blob lies, in id order (see
+  // CommitOptions::dictionary_blob); empty for an in-memory catalog.
+  std::vector<BlobLocation> DictionaryBlobs() const;
+
+  // Reads the committed blob at `at`, retrying transient (kIoError)
+  // failures with backoff like GetTable does.
+  Status ReadBlob(const BlobLocation& at, std::string* blob) const;
+
   // Commits everything staged: CommitBatch with no updates. Always
   // writes a new manifest generation, then prunes generations older than
   // the previous one. FailedPrecondition for an in-memory catalog.
@@ -223,7 +248,8 @@ class Catalog {
   // Startup recovery: LoadManifest, then read each referenced segment
   // once and verify every materialized table's byte range (quarantining
   // failures table by table), and delete orphaned staging files,
-  // unreferenced segments and superseded manifests.
+  // superseded manifests and — only when the adopted generation is the
+  // one CURRENT names — segments no live blob references.
   StatusOr<RecoveryReport> Recover();
 
   // --- Corruption handling ----------------------------------------------
@@ -268,13 +294,6 @@ class Catalog {
   // Transient-read retry attempts performed (s2rdf_read_retries_total).
   uint64_t read_retries() const;
 
-  // Reads `path` through the catalog's Env with bounded retry and
-  // jittered exponential backoff on transient kIoError, counted in
-  // read_retries(). For sibling artifacts (the dictionary and its
-  // read-back verification) that need the same transient-fault
-  // tolerance as table loads.
-  Status ReadFileRetrying(const std::string& path, std::string* data) const;
-
   // Test seam for the jittered retry backoff: replaces the real
   // sleep-for with `fn` (nullptr restores sleeping). Process-wide.
   static void SetRetrySleepFnForTest(
@@ -297,14 +316,6 @@ class Catalog {
     bool staged = false;
     std::list<std::string>::iterator lru;
   };
-  // Where a table's committed blob lies; equal locations mean equal
-  // bytes, since a referenced segment is never rewritten.
-  struct BlobLocation {
-    uint64_t segment = 0;
-    uint64_t offset = 0;
-    uint64_t bytes = 0;
-    bool operator==(const BlobLocation&) const = default;
-  };
   static BlobLocation LocationOf(const TableStats& stats) {
     return {stats.segment, stats.offset, stats.bytes};
   }
@@ -313,6 +324,10 @@ class Catalog {
   // kIoError, counted in read_retries().
   template <typename ReadFn>
   Status Retrying(const ReadFn& read) const;
+  Status ReadFileRetrying(const std::string& path, std::string* data) const;
+  // Reads `path` back in bounded chunks and compares it with `written`.
+  Status VerifyWritten(const std::string& path,
+                       std::string_view written) const;
   // Registers a staged entry (and its table, if materialized).
   void Stage(TableStats stats, std::shared_ptr<const rdf::Table> table)
       S2RDF_EXCLUDES(mu_);
@@ -320,10 +335,11 @@ class Catalog {
   static std::string RenderManifest(
       uint64_t gen, const std::map<std::string, TableStats>& stats,
       const std::set<std::string>& stale_sources,
-      const std::map<uint64_t, uint64_t>& segments);
-  // Writes "manifest-<gen>.tsv" and flips CURRENT to it (both atomic).
-  Status WriteManifestGeneration(uint64_t gen, const std::string& content)
-      const;
+      const std::map<uint64_t, uint64_t>& segments,
+      const std::vector<BlobLocation>& dictionary);
+  // LoadManifest; `*named_by_current` tells whether the adopted
+  // generation is the one CURRENT names (false after a fallback).
+  Status AdoptNewestManifest(bool* named_by_current);
   // Best-effort prune of manifest generations older than `gen` - 1.
   void PruneOldManifests(uint64_t gen) const;
   // Parses + verifies one manifest blob and swaps it in. mu_ NOT held.
@@ -352,6 +368,8 @@ class Catalog {
   uint64_t stage_seq_ S2RDF_GUARDED_BY(mu_) = 0;
   // Live segment files: generation -> size in bytes.
   std::map<uint64_t, uint64_t> segments_ S2RDF_GUARDED_BY(mu_);
+  // The committed dictionary blobs, in id order.
+  std::vector<BlobLocation> dictionary_blobs_ S2RDF_GUARDED_BY(mu_);
   // Tables that failed verification; never loaded again this run.
   std::set<std::string> quarantined_ S2RDF_GUARDED_BY(mu_);
   // Base VP tables whose ExtVP dependents are pending a deferred

@@ -236,7 +236,7 @@ TEST_F(ExtVpG1Test, EmptyCorrelationShortCircuits) {
 
 TEST_F(ExtVpG1Test, ThresholdPrunesButPreservesResults) {
   S2RdfOptions options;
-  options.sf_threshold = 0.3;  // Keeps only SF < 0.3 tables.
+  options.extvp.sf_threshold = 0.3;  // Keeps only SF < 0.3 tables.
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   EXPECT_GT((*db)->load_stats().extvp_stats.tables_pruned, 0u);
@@ -364,7 +364,7 @@ TEST_F(ExtVpBitmapG1Test, RequiresBitmapBuild) {
 TEST_F(ExtVpBitmapG1Test, ThresholdDropsBitmapsButKeepsResults) {
   S2RdfOptions options;
   options.build_extvp_bitmaps = true;
-  options.sf_threshold = 0.3;  // Drops the SF 0.5/0.75 bitmaps.
+  options.extvp.sf_threshold = 0.3;  // Drops the SF 0.5/0.75 bitmaps.
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   EXPECT_LT((*db)->bitmap_store()->NumBitmaps(),
@@ -571,7 +571,7 @@ TEST(LazyExtVpTest, EmptyCorrelationShortCircuitsAfterMaterialization) {
 TEST(LazyExtVpTest, RespectsSfThreshold) {
   S2RdfOptions options;
   options.lazy_extvp = true;
-  options.sf_threshold = 0.3;
+  options.extvp.sf_threshold = 0.3;
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
   auto result = (*db)->Execute(

@@ -19,6 +19,7 @@
 #include "storage/catalog.h"
 #include "storage/fault_injection_env.h"
 #include "storage/ingest.h"
+#include "tests/counting_env.h"
 #include "tests/table_corruption.h"
 
 // Incremental-ingest suite: delta-maintained ExtVP reductions and SF
@@ -87,7 +88,7 @@ std::vector<std::vector<std::string>> SortedRows(S2Rdf* db,
 std::unique_ptr<S2Rdf> Rebuild(const std::vector<T>& stream,
                                double sf_threshold = 1.0) {
   S2RdfOptions options;
-  options.sf_threshold = sf_threshold;
+  options.extvp.sf_threshold = sf_threshold;
   auto db = S2Rdf::Create(GraphFrom(stream), options);
   EXPECT_TRUE(db.ok()) << db.status().ToString();
   return std::move(db).value();
@@ -217,7 +218,7 @@ TEST(IngestDeltaTest, ThresholdStoreMatchesRebuild) {
   ScopedTempDir dir;
   S2RdfOptions options;
   options.storage_dir = dir.path();
-  options.sf_threshold = 0.9;
+  options.extvp.sf_threshold = 0.9;
   auto db = S2Rdf::Create(GraphFrom(G1()), options);
   ASSERT_TRUE(db.ok());
 
@@ -229,7 +230,8 @@ TEST(IngestDeltaTest, ThresholdStoreMatchesRebuild) {
     auto result = (*db)->Ingest(MakeBatch(batch));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     stream.insert(stream.end(), batch.begin(), batch.end());
-    std::unique_ptr<S2Rdf> reference = Rebuild(stream, options.sf_threshold);
+    std::unique_ptr<S2Rdf> reference =
+        Rebuild(stream, options.extvp.sf_threshold);
     ExpectStoresIdentical(db->get(), reference.get());
     ExpectSameAnswers(db->get(), reference.get());
   }
@@ -287,6 +289,20 @@ TEST(IngestDeltaTest, LazyStoreMaintainsOnlyComputedPairs) {
   ExpectSameAnswers(reopened->get(), reference->get());
 }
 
+// A store directory holds nothing but what commits write: CURRENT,
+// "manifest-<g>.tsv" and "segment-<g>.s2seg" files.
+void ExpectOnlyCommitFiles(const std::string& dir) {
+  auto files = ListDir(dir);
+  ASSERT_TRUE(files.ok());
+  for (const std::string& file : *files) {
+    const bool commit_file =
+        file == "CURRENT" ||
+        (StartsWith(file, "manifest-") && EndsWith(file, ".tsv")) ||
+        (StartsWith(file, "segment-") && EndsWith(file, ".s2seg"));
+    EXPECT_TRUE(commit_file) << file;
+  }
+}
+
 // --- Crash-point matrix over the ingest path -----------------------------
 
 // One deterministic ingest workload: open the pre-built store through
@@ -323,7 +339,7 @@ TEST(IngestCrashMatrixTest, EveryCrashPointRollsBackOrCommits) {
     auto result = (*db)->Ingest(MakeBatch(CrashBatch()));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     total_mutations = env.mutation_count();
-    ASSERT_GT(total_mutations, 5u);  // Dictionary + tables + manifest.
+    ASSERT_GT(total_mutations, 5u);  // Segment + manifest + CURRENT.
   }
 
   // Pass 2: crash at every point, in both styles, and reboot.
@@ -388,7 +404,7 @@ TEST(IngestCrashMatrixTest, BitFlipAtEveryWriteSiteIsNeverSilent) {
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->Ingest(MakeBatch(CrashBatch())).ok());
     total_writes = env.write_count();
-    ASSERT_GT(total_writes, 3u);
+    ASSERT_EQ(total_writes, 3u);  // The segment, the manifest and CURRENT.
   }
 
   for (uint64_t k = 0; k < total_writes; ++k) {
@@ -556,19 +572,25 @@ TEST(IngestRecoveryTest, CorruptCurrentDictionaryFailsOpen) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->generation, 2u);
   }
-  // Flip one payload byte of the dictionary generation 2 committed. The
-  // older dictionary.bin lacks <zz_new_term>: serving from it would fail
-  // to decode the new term's id and let the next ingest reuse that id.
-  const std::string path = dir.path() + "/dictionary@2.bin";
-  std::string blob;
-  ASSERT_TRUE(ReadFile(path, &blob).ok());
-  blob[blob.size() - 2] ^= 0x01;
-  ASSERT_TRUE(WriteFile(path, blob).ok());
+  // Flip one payload byte of the dictionary blob generation 2 committed.
+  // Create's blob lacks <zz_new_term>: serving without it would fail to
+  // decode the new term's id and let the next ingest reuse that id.
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.LoadManifest().ok());
+  const std::vector<testing::TableRange> ranges =
+      testing::FindDictionaryRanges(catalog);
+  ASSERT_EQ(ranges.size(), 2u);
+  const testing::TableRange& range = ranges[1];
+  std::string segment;
+  ASSERT_TRUE(ReadFile(range.path, &segment).ok());
+  segment[range.offset + range.bytes - 2] ^= 0x01;
+  ASSERT_TRUE(WriteFile(range.path, segment).ok());
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(db.status().message().find("dictionary@2.bin"), std::string::npos)
+  EXPECT_NE(db.status().message().find("dictionary blob 2 of 2"),
+            std::string::npos)
       << db.status().ToString();
 }
 
@@ -585,10 +607,10 @@ TEST(IngestRecoveryTest, CorruptUncommittedDictionaryDebrisIsSwept) {
     ASSERT_EQ(result->generation, 2u);
   }
   stream.push_back({"c", "knows", "zz_new_term"});
-  // A batch that died before its commit left generation 3's dictionary
-  // behind, torn. It lies above the committed generation, so Open
-  // removes it unread instead of failing on its envelope.
-  const std::string debris = dir.path() + "/dictionary@3.bin";
+  // A batch that died before its commit left generation 3's segment
+  // behind, torn inside its dictionary blob. Generation 2, which CURRENT
+  // names, does not reference it, so Open removes it unread.
+  const std::string debris = dir.path() + "/segment-3.s2seg";
   ASSERT_TRUE(WriteFile(debris, "S2DICT1\n0123").ok());
 
   auto db = S2Rdf::Open(dir.path());
@@ -596,7 +618,7 @@ TEST(IngestRecoveryTest, CorruptUncommittedDictionaryDebrisIsSwept) {
   EXPECT_FALSE(PathExists(debris));
   ExpectSameAnswers(db->get(), Rebuild(stream).get());
 
-  // The next batch writes generation 3's dictionary afresh.
+  // The next batch writes generation 3's segment afresh.
   auto more = (*db)->Ingest(MakeBatch({{"e", "knows", "zz_newer_term"}}));
   ASSERT_TRUE(more.ok()) << more.status().ToString();
   EXPECT_EQ(more->generation, 3u);
@@ -628,10 +650,12 @@ TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
   }
   stream.push_back({"D", "follows", "E"});
   stream.push_back({"E", "likes", "I3"});
-  // The refresh added no terms, so generation 3 has no dictionary copy
-  // of its own: the absent copy is skipped and generation 2's is read.
-  EXPECT_FALSE(PathExists(dir.path() + "/dictionary@3.bin"));
-  ASSERT_TRUE(PathExists(dir.path() + "/dictionary@2.bin"));
+  // The refresh added no terms, so generation 3 commits no dictionary
+  // blob of its own: its manifest lists Create's and the batch's.
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.LoadManifest().ok());
+  EXPECT_EQ(catalog.generation(), 3u);
+  EXPECT_EQ(catalog.DictionaryBlobs().size(), 2u);
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -640,6 +664,61 @@ TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
   std::unique_ptr<S2Rdf> reference = Rebuild(stream);
   ExpectStoresIdentical(db->get(), reference.get());
   ExpectSameAnswers(db->get(), reference.get());
+}
+
+TEST(IngestRecoveryTest, DamagedManifestOverAHollowFallbackFailsOpen) {
+  ScopedTempDir dir;
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    auto db = S2Rdf::Create(GraphFrom(G1()), options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto result = (*db)->Ingest(MakeBatch(CrashBatch()));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->generation, 2u);
+  }
+  // The batch left generation 1's segment less than half live, so its
+  // commit copied the live blobs forward and deleted it: generation 1,
+  // the fallback, is hollow.
+  const std::string segment_1 = dir.path() + "/segment-1.s2seg";
+  const std::string segment_2 = dir.path() + "/segment-2.s2seg";
+  ASSERT_FALSE(PathExists(segment_1));
+  ASSERT_TRUE(PathExists(segment_2));
+  const std::string manifest = dir.path() + "/manifest-2.tsv";
+  std::string content;
+  ASSERT_TRUE(ReadFile(manifest, &content).ok());
+  content[content.size() / 2] ^= 0x01;
+  ASSERT_TRUE(WriteFile(manifest, content).ok());
+
+  // Recovery falls back to generation 1. It must neither serve that
+  // hollow store nor delete segment 2, the only intact copy of the data.
+  auto db = S2Rdf::Open(dir.path());
+  EXPECT_FALSE(db.ok());
+  EXPECT_TRUE(PathExists(segment_2));
+}
+
+TEST(IngestDurabilityTest, ABatchCommitsLikeCreate) {
+  ScopedTempDir dir;
+  testing::CountingEnv env;
+  S2RdfOptions options;
+  options.storage_dir = dir.path();
+  options.env = &env;
+  auto db = S2Rdf::Create(GraphFrom(G1()), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  // One commit each: the segment, then the manifest and CURRENT (file and
+  // directory sync each), with the dictionary inside the segment.
+  EXPECT_EQ(env.syncs, 5u);
+  EXPECT_EQ(env.files_written, 3u);
+  ExpectOnlyCommitFiles(dir.path());
+
+  env.syncs = 0;
+  env.files_written = 0;
+  auto result = (*db)->Ingest(MakeBatch(CrashBatch()));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->generation, 2u);
+  EXPECT_EQ(env.syncs, 5u);
+  EXPECT_EQ(env.files_written, 3u);
+  ExpectOnlyCommitFiles(dir.path());
 }
 
 // --- Space and concurrency over many batches ------------------------------
@@ -685,20 +764,30 @@ TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
     for (const auto& [path, bytes] : SegmentFiles(dir.path())) {
       on_disk += bytes;
     }
-    EXPECT_LE(on_disk, 2 * (*db)->catalog().TotalBytes());
+    // Live bytes: the tables' blobs and the dictionary's.
+    uint64_t live = (*db)->catalog().TotalBytes();
+    for (const storage::BlobLocation& at :
+         (*db)->catalog().DictionaryBlobs()) {
+      live += at.bytes;
+    }
+    EXPECT_LE(on_disk, 2 * live);
   }
   db->reset();
 
   auto reopened = S2Rdf::Open(dir.path());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->recovery_report().tables_quarantined, 0u);
-  // Every segment that survives recovery holds a live table.
+  // Every segment that survives recovery holds a live blob.
   std::set<std::string> referenced;
   for (const storage::TableStats* stats :
        (*reopened)->catalog().AllStats()) {
     if (stats->materialized) {
       referenced.insert((*reopened)->catalog().SegmentPath(stats->segment));
     }
+  }
+  for (const storage::BlobLocation& at :
+       (*reopened)->catalog().DictionaryBlobs()) {
+    referenced.insert((*reopened)->catalog().SegmentPath(at.segment));
   }
   for (const auto& [path, bytes] : SegmentFiles(dir.path())) {
     EXPECT_TRUE(referenced.contains(path)) << path;

@@ -186,7 +186,7 @@ TEST_P(ThresholdInvarianceTest, ResultsDoNotDependOnThreshold) {
   ASSERT_TRUE(reference.ok());
 
   core::S2RdfOptions with_threshold;
-  with_threshold.sf_threshold = GetParam();
+  with_threshold.extvp.sf_threshold = GetParam();
   auto db = core::S2Rdf::Create(watdiv::Generate(gen), with_threshold);
   ASSERT_TRUE(db.ok());
 

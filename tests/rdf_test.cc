@@ -86,11 +86,11 @@ TEST(DictionaryTest, SerializeRoundtrip) {
   for (int i = 0; i < 100; ++i) {
     dict.Encode("<http://x/" + std::to_string(i) + ">");
   }
-  auto restored = Dictionary::Deserialize(dict.Serialize());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->size(), 100u);
-  EXPECT_EQ(restored->Decode(42), "<http://x/42>");
-  EXPECT_EQ(restored->Find("<http://x/99>").value(), 99u);
+  Dictionary restored;
+  ASSERT_TRUE(restored.Append(dict.Serialize()).ok());
+  EXPECT_EQ(restored.size(), 100u);
+  EXPECT_EQ(restored.Decode(42), "<http://x/42>");
+  EXPECT_EQ(restored.Find("<http://x/99>").value(), 99u);
 }
 
 TEST(DictionaryTest, DeserializeRejectsTruncated) {
@@ -98,7 +98,30 @@ TEST(DictionaryTest, DeserializeRejectsTruncated) {
   dict.Encode("<a>");
   std::string blob = dict.Serialize();
   blob.resize(blob.size() - 1);
-  EXPECT_FALSE(Dictionary::Deserialize(blob).ok());
+  Dictionary restored;
+  EXPECT_FALSE(restored.Append(blob).ok());
+}
+
+TEST(DictionaryTest, SerializedRangesAppendInIdOrder) {
+  Dictionary dict;
+  for (int i = 0; i < 10; ++i) dict.Encode("<t" + std::to_string(i) + ">");
+  // Two commits' blobs: ids [0, 6), then the terms minted after.
+  const std::string first = dict.Serialize(0, 6);
+  const std::string rest = dict.Serialize(6);
+  Dictionary restored;
+  ASSERT_TRUE(restored.Append(first).ok());
+  EXPECT_EQ(restored.size(), 6u);
+  ASSERT_TRUE(restored.Append(rest).ok());
+  EXPECT_EQ(restored.size(), 10u);
+  EXPECT_EQ(restored.Find("<t7>").value(), 7u);
+  // Appending a blob twice would hand its terms a second id.
+  Status again = restored.Append(rest);
+  EXPECT_EQ(again.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(again.message().find("dictionary"), std::string::npos);
+  // Nothing minted since id 10: an empty range.
+  Dictionary empty;
+  ASSERT_TRUE(empty.Append(dict.Serialize(10)).ok());
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 TEST(GraphTest, AddAndDistinctPredicates) {

@@ -84,8 +84,8 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToConsistentState) {
     auto db = CreatePersisted(dir.path(), &env);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     total_mutations = env.mutation_count();
-    // Dictionary (4 ops), segment (2), manifest and CURRENT (4 each).
-    ASSERT_GT(total_mutations, 10u);
+    // One commit: the segment (2 ops), manifest and CURRENT (4 each).
+    ASSERT_EQ(total_mutations, 10u);
     healthy = SortedRows(db->get(), kQ1);
     ASSERT_EQ(healthy.size(), 1u);
   }
@@ -127,7 +127,7 @@ TEST(CrashMatrixTest, EveryCrashPointRecoversToConsistentState) {
           EXPECT_FALSE(s2rdf::EndsWith(file, ".tmp")) << file;
         }
         // ...and the store opens and answers as the healthy one does: a
-        // recoverable generation always has its dictionary.
+        // recoverable generation's segment holds its dictionary.
         auto reopened = S2Rdf::Open(dir.path());
         ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
         EXPECT_EQ(SortedRows(reopened->get(), kQ1), healthy);
@@ -295,21 +295,48 @@ TEST(DegradationTest, MidQueryChecksumFailureFallsBackToVp) {
   EXPECT_EQ(SortedRows(db->get(), kQ1), healthy);
 }
 
+// The one dictionary blob Create committed, which ends its segment, and
+// that segment's bytes.
+struct DictionaryBlob {
+  testing::TableRange range;
+  std::string segment;
+  std::string bytes() const {
+    return segment.substr(range.offset, range.bytes);
+  }
+};
+
+DictionaryBlob ReadCreatedDictionaryBlob(const std::string& dir) {
+  DictionaryBlob blob;
+  Catalog catalog(dir);
+  EXPECT_TRUE(catalog.LoadManifest().ok());
+  std::vector<testing::TableRange> ranges =
+      testing::FindDictionaryRanges(catalog);
+  EXPECT_EQ(ranges.size(), 1u);
+  if (ranges.empty()) return blob;
+  blob.range = ranges[0];
+  EXPECT_TRUE(s2rdf::ReadFile(blob.range.path, &blob.segment).ok());
+  EXPECT_EQ(blob.range.offset + blob.range.bytes, blob.segment.size());
+  return blob;
+}
+
 TEST(DictionaryFileTest, HeaderlessDictionaryFailsOpen) {
   s2rdf::ScopedTempDir dir;
   ASSERT_TRUE(CreatePersisted(dir.path()).ok());
   // Strip the "S2DICT1\n<16 hex digits>\n" envelope, keeping the
-  // serialized terms.
-  const std::string path = dir.path() + "/dictionary.bin";
-  std::string blob;
-  ASSERT_TRUE(s2rdf::ReadFile(path, &blob).ok());
-  ASSERT_TRUE(s2rdf::StartsWith(blob, "S2DICT1\n"));
-  ASSERT_TRUE(s2rdf::WriteFile(path, blob.substr(8 + 17)).ok());
+  // serialized terms (zero-padded to the blob's committed length).
+  DictionaryBlob blob = ReadCreatedDictionaryBlob(dir.path());
+  const std::string bytes = blob.bytes();
+  ASSERT_TRUE(s2rdf::StartsWith(bytes, "S2DICT1\n"));
+  std::string headerless = bytes.substr(8 + 17);
+  headerless.resize(bytes.size(), '\0');
+  blob.segment.replace(blob.range.offset, blob.range.bytes, headerless);
+  ASSERT_TRUE(s2rdf::WriteFile(blob.range.path, blob.segment).ok());
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(db.status().message().find("dictionary.bin"), std::string::npos)
+  EXPECT_NE(db.status().message().find("dictionary blob 1 of 1"),
+            std::string::npos)
       << db.status().ToString();
 }
 
@@ -317,8 +344,7 @@ TEST(DictionaryFileTest, EnvelopeChecksumIsFnv1a64OfThePayload) {
   s2rdf::ScopedTempDir dir;
   auto db = CreatePersisted(dir.path());
   ASSERT_TRUE(db.ok());
-  std::string blob;
-  ASSERT_TRUE(s2rdf::ReadFile(dir.path() + "/dictionary.bin", &blob).ok());
+  const std::string blob = ReadCreatedDictionaryBlob(dir.path()).bytes();
   // "S2DICT1\n", the payload's FNV-1a64 as 16 lowercase hex digits, "\n",
   // then the serialized terms.
   ASSERT_GT(blob.size(), 8u + 17u);
@@ -329,25 +355,26 @@ TEST(DictionaryFileTest, EnvelopeChecksumIsFnv1a64OfThePayload) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(Fnv1a64(payload)));
   EXPECT_EQ(blob.substr(8, 16), hex);
-  auto dict = rdf::Dictionary::Deserialize(payload);
-  ASSERT_TRUE(dict.ok()) << dict.status().ToString();
-  EXPECT_EQ(dict->size(), (*db)->graph().dictionary().size());
+  rdf::Dictionary dict;
+  ASSERT_TRUE(dict.Append(blob).ok());
+  EXPECT_EQ(dict.size(), (*db)->graph().dictionary().size());
 }
 
 TEST(DictionaryFileTest, TruncatedDictionaryFailsOpen) {
   s2rdf::ScopedTempDir dir;
   ASSERT_TRUE(CreatePersisted(dir.path()).ok());
-  const std::string path = dir.path() + "/dictionary.bin";
-  std::string blob;
-  ASSERT_TRUE(s2rdf::ReadFile(path, &blob).ok());
-  // Torn writes: the payload loses its tail, loses everything, or the
-  // envelope itself is cut short.
-  for (size_t keep : {blob.size() - 1, size_t{8 + 17}, size_t{8 + 10}}) {
-    ASSERT_TRUE(s2rdf::WriteFile(path, blob.substr(0, keep)).ok());
+  const DictionaryBlob blob = ReadCreatedDictionaryBlob(dir.path());
+  // Torn segment writes: the payload loses its tail, loses everything, or
+  // the envelope itself is cut short. The tables before the blob stay
+  // intact.
+  for (size_t keep : {blob.range.bytes - 1, size_t{8 + 17}, size_t{8 + 10}}) {
+    const std::string torn = blob.segment.substr(0, blob.range.offset + keep);
+    ASSERT_TRUE(s2rdf::WriteFile(blob.range.path, torn).ok());
     auto db = S2Rdf::Open(dir.path());
     ASSERT_FALSE(db.ok()) << keep;
     EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << keep;
-    EXPECT_NE(db.status().message().find("dictionary.bin"), std::string::npos)
+    EXPECT_NE(db.status().message().find("dictionary blob 1 of 1"),
+              std::string::npos)
         << db.status().ToString();
   }
 }

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -435,8 +436,27 @@ TEST(EndpointSaturationTest, OverloadedServerReturns503) {
       "GET /sparql?query=ASK%20%7B%20%3CA%3E%20%3Cfollows%3E%20%3CB%3E%20%7D"
       " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n";
 
+  // Releases the worker and joins the clients on every path out of the
+  // test, so a failed ASSERT fails it instead of leaving the endpoint's
+  // Stop() waiting for the parked worker forever.
+  std::thread first;
+  std::thread second;
+  auto release_worker = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    if (first.joinable()) first.join();
+    if (second.joinable()) second.join();
+  };
+  struct OnExit {
+    std::function<void()> run;
+    ~OnExit() { run(); }
+  } release_on_exit{release_worker};
+
   // Connection 1 occupies the worker (blocked in the hook).
-  std::thread first([&] {
+  first = std::thread([&] {
     EXPECT_NE(RoundTrip(*port, request).find("HTTP/1.1 200"),
               std::string::npos);
   });
@@ -447,7 +467,7 @@ TEST(EndpointSaturationTest, OverloadedServerReturns503) {
   }
 
   // Connection 2 fills the queue slot.
-  std::thread second([&] {
+  second = std::thread([&] {
     EXPECT_NE(RoundTrip(*port, request).find("HTTP/1.1 200"),
               std::string::npos);
   });
@@ -465,13 +485,7 @@ TEST(EndpointSaturationTest, OverloadedServerReturns503) {
   EXPECT_EQ(endpoint.Stats().queries_rejected_total, 1u);
 
   // Release the worker: both admitted connections complete.
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  first.join();
-  second.join();
+  release_worker();
   endpoint.Stop();
   EXPECT_EQ(endpoint.Stats().queries_total, 2u);
 }
@@ -1226,6 +1240,65 @@ TEST(EndpointSilentClientTest, StopReturnsWithIdleAndHalfSentConnections) {
   for (int fd : {silent, half_sent, kept}) close(fd);
   stopper.join();
   EXPECT_TRUE(stopped_in_time);
+}
+
+// A client that asks for a large answer and then stops reading holds the
+// one worker only until the answer's write times out after the
+// endpoint's idle timeout (5 s): another client's /health is then
+// answered, and Stop() returns, within that timeout plus 2 s.
+TEST(EndpointSilentClientTest, ClientThatStopsReadingReleasesItsWorker) {
+  constexpr auto kBound = std::chrono::seconds(5 + 2);
+  constexpr int kTriples = 100000;
+  std::unique_ptr<core::S2Rdf> db = WideStore(kTriples);
+  ASSERT_NE(db, nullptr);
+  EndpointOptions options;
+  options.num_workers = 1;
+  SparqlEndpoint endpoint(db.get(), options);
+  auto port = endpoint.Start(0);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+
+  // A 4 KiB receive buffer, never read: the answer stalls in the write.
+  const int stalled = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  const int receive_buffer = 4096;
+  setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+             sizeof(receive_buffer));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
+  ASSERT_EQ(connect(stalled, reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  ASSERT_TRUE(Send(stalled, std::string("GET /sparql?query=") + kWideQuery +
+                                " HTTP/1.1\r\nHost: localhost\r\n\r\n"));
+  // The query is counted before its answer is written.
+  for (int i = 0; i < 10000 && endpoint.Stats().queries_total == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const MonotonicTime start = MonotonicNow();
+
+  const int health = Connect(*port);
+  const timeval wait{kBound.count(), 0};
+  setsockopt(health, SOL_SOCKET, SO_RCVTIMEO, &wait, sizeof(wait));
+  const std::string answer =
+      Send(health, kHealthThenClose) ? ReadResponse(health) : "";
+  close(health);
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    endpoint.Stop();
+    stopped = true;
+  });
+  while (!stopped && MonotonicNow() - start < kBound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double stop_ms = MillisSince(start);
+  const bool stopped_in_time = stopped;
+  // A server that waits on the stalled client stops once it is gone.
+  close(stalled);
+  stopper.join();
+  EXPECT_NE(answer.find("HTTP/1.1 200 OK"), std::string::npos) << answer;
+  EXPECT_TRUE(stopped_in_time) << stop_ms << " ms";
 }
 
 // At the cap, a client that connects and sends nothing is answered 503

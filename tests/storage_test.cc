@@ -9,6 +9,7 @@
 #include "storage/encoding.h"
 #include "storage/fault_injection_env.h"
 #include "storage/table_file.h"
+#include "tests/counting_env.h"
 #include "tests/table_corruption.h"
 
 namespace s2rdf::storage {
@@ -592,37 +593,7 @@ TEST(CatalogTest, AtomicPutLeavesOldTableOnCrash) {
 
 // --- Segments -----------------------------------------------------------
 
-// Counts what reaches the POSIX Env: syncs, files written, bytes read.
-class CountingEnv : public PosixEnv {
- public:
-  Status WriteFile(const std::string& path, const std::string& data) override {
-    ++files_written;
-    return PosixEnv::WriteFile(path, data);
-  }
-  Status ReadFile(const std::string& path, std::string* data) override {
-    Status status = PosixEnv::ReadFile(path, data);
-    if (status.ok()) bytes_read += data->size();
-    return status;
-  }
-  Status ReadFileRange(const std::string& path, uint64_t offset,
-                       uint64_t length, std::string* data) override {
-    Status status = PosixEnv::ReadFileRange(path, offset, length, data);
-    if (status.ok()) bytes_read += data->size();
-    return status;
-  }
-  Status SyncFile(const std::string& path) override {
-    ++syncs;
-    return PosixEnv::SyncFile(path);
-  }
-  Status SyncDir(const std::string& dir) override {
-    ++syncs;
-    return PosixEnv::SyncDir(dir);
-  }
-
-  uint64_t syncs = 0;
-  uint64_t files_written = 0;
-  uint64_t bytes_read = 0;
-};
+using testing::CountingEnv;
 
 rdf::Table MakeRows(uint32_t rows) {
   rdf::Table t({"s", "o"});
@@ -722,6 +693,19 @@ TEST(SegmentTest, StagedTablesStayCachedUntilCommitted) {
   EXPECT_EQ((*table)->NumRows(), 500u);
 }
 
+// Commits `r1`-`r3` anew at 400 rows each, after the first commit stored
+// them at 500 rows beside the small `keep`.
+std::vector<TableUpdate> ReplaceLargeTables() {
+  std::vector<TableUpdate> updates;
+  for (const char* name : {"r1", "r2", "r3"}) {
+    TableUpdate update;
+    update.name = name;
+    update.table = MakeRows(400);
+    updates.push_back(std::move(update));
+  }
+  return updates;
+}
+
 TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
   ScopedTempDir dir;
   Catalog catalog(dir.path());
@@ -729,7 +713,9 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
   for (const char* name : {"r1", "r2", "r3"}) {
     ASSERT_TRUE(catalog.Put(name, MakeTable(), 1.0).ok());
   }
-  ASSERT_TRUE(catalog.SaveManifest().ok());
+  CommitOptions first;
+  first.dictionary_blob = "terms of the first commit";
+  ASSERT_TRUE(catalog.CommitBatch({}, first).ok());
   std::optional<testing::TableRange> before =
       testing::FindTableRange(catalog, "keep");
   ASSERT_TRUE(before.has_value());
@@ -739,15 +725,11 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
                                   &blob)
                   .ok());
   // Replacing the three large tables leaves the first segment far less
-  // than half live: its one live blob moves to the new segment.
-  std::vector<TableUpdate> updates;
-  for (const char* name : {"r1", "r2", "r3"}) {
-    TableUpdate update;
-    update.name = name;
-    update.table = MakeRows(400);
-    updates.push_back(std::move(update));
-  }
-  ASSERT_TRUE(catalog.CommitBatch(std::move(updates)).ok());
+  // than half live: its live blobs, `keep` and the dictionary blob, move
+  // to the new segment, and the dictionary blob stays first in id order.
+  CommitOptions second;
+  second.dictionary_blob = "terms of the second commit";
+  ASSERT_TRUE(catalog.CommitBatch(ReplaceLargeTables(), second).ok());
   std::optional<testing::TableRange> after =
       testing::FindTableRange(catalog, "keep");
   ASSERT_TRUE(after.has_value());
@@ -759,6 +741,15 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
                                   &moved)
                   .ok());
   EXPECT_EQ(moved, blob);
+  const std::vector<BlobLocation> dictionary = catalog.DictionaryBlobs();
+  ASSERT_EQ(dictionary.size(), 2u);
+  for (const BlobLocation& at : dictionary) {
+    EXPECT_EQ(at.segment, catalog.generation());
+  }
+  ASSERT_TRUE(catalog.ReadBlob(dictionary[0], &moved).ok());
+  EXPECT_EQ(moved, first.dictionary_blob);
+  ASSERT_TRUE(catalog.ReadBlob(dictionary[1], &moved).ok());
+  EXPECT_EQ(moved, second.dictionary_blob);
 
   Catalog restored(dir.path());
   auto report = restored.Recover();
@@ -766,6 +757,7 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
   EXPECT_EQ(report->tables_verified, 4u);
   EXPECT_EQ(report->tables_quarantined, 0u);
   EXPECT_EQ(report->orphan_segments_removed, 0u);
+  EXPECT_EQ(restored.DictionaryBlobs(), dictionary);
 }
 
 TEST(SegmentTest, UnreferencedSegmentSweptAtRecovery) {
@@ -787,6 +779,94 @@ TEST(SegmentTest, UnreferencedSegmentSweptAtRecovery) {
   EXPECT_FALSE(PathExists(debris));
   EXPECT_TRUE(PathExists(referenced));
   EXPECT_TRUE(restored.GetTable("t1").ok());
+}
+
+TEST(SegmentTest, ADictionaryBlobKeepsItsSegmentLive) {
+  ScopedTempDir dir;
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.Put("t1", MakeRows(3), 1.0).ok());
+  CommitOptions commit;
+  commit.dictionary_blob = std::string(4096, 'd');
+  ASSERT_TRUE(catalog.CommitBatch({}, commit).ok());
+  // Replacing t1 leaves segment 1 holding only the dictionary blob, which
+  // is more than half of it: the segment stays where it is.
+  TableUpdate update;
+  update.name = "t1";
+  update.table = MakeRows(4);
+  std::vector<TableUpdate> updates;
+  updates.push_back(std::move(update));
+  ASSERT_TRUE(catalog.CommitBatch(std::move(updates)).ok());
+  EXPECT_EQ(catalog.GetStats("t1")->segment, 2u);
+  ASSERT_EQ(catalog.DictionaryBlobs().size(), 1u);
+  EXPECT_EQ(catalog.DictionaryBlobs()[0].segment, 1u);
+
+  Catalog restored(dir.path());
+  auto report = restored.Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->orphan_segments_removed, 0u);
+  std::string blob;
+  ASSERT_TRUE(restored.ReadBlob(restored.DictionaryBlobs()[0], &blob).ok());
+  EXPECT_EQ(blob, commit.dictionary_blob);
+}
+
+TEST(SegmentTest, BitFlipInTheSegmentOrManifestRollsTheCommitBack) {
+  // Write 0 is the segment, write 1 the manifest: each is read back
+  // before CURRENT flips.
+  for (uint64_t write : {uint64_t{0}, uint64_t{1}}) {
+    SCOPED_TRACE("flip_write=" + std::to_string(write));
+    ScopedTempDir dir;
+    FaultInjectionEnv env;
+    Catalog catalog(dir.path(), &env);
+    ASSERT_TRUE(catalog.Put("t1", MakeRows(3), 1.0).ok());
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+    ASSERT_TRUE(catalog.Put("t1", MakeRows(9), 1.0).ok());
+    env.FlipBitInWrite(write);
+    Status status = catalog.SaveManifest();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("read-back"), std::string::npos);
+    EXPECT_EQ(catalog.generation(), 1u);
+
+    Catalog restored(dir.path());
+    auto report = restored.Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->generation, 1u);
+    EXPECT_EQ(report->tables_quarantined, 0u);
+    EXPECT_EQ(report->orphan_segments_removed, 1u);
+    auto table = restored.GetTable("t1");
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ((*table)->NumRows(), 3u);
+  }
+}
+
+TEST(SegmentTest, FallbackGenerationKeepsTheSegmentsItCannotAccountFor) {
+  ScopedTempDir dir;
+  {
+    Catalog catalog(dir.path());
+    ASSERT_TRUE(catalog.Put("keep", MakeRows(5), 1.0).ok());
+    for (const char* name : {"r1", "r2", "r3"}) {
+      ASSERT_TRUE(catalog.Put(name, MakeTable(), 1.0).ok());
+    }
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+    ASSERT_TRUE(catalog.CommitBatch(ReplaceLargeTables()).ok());
+    ASSERT_FALSE(PathExists(catalog.SegmentPath(1)));  // Compacted.
+  }
+  // Damage the current manifest: recovery falls back to generation 1,
+  // whose segment the compaction deleted.
+  const std::string manifest = dir.path() + "/manifest-2.tsv";
+  std::string content;
+  ASSERT_TRUE(ReadFile(manifest, &content).ok());
+  content[content.size() / 2] ^= 0x01;
+  ASSERT_TRUE(WriteFile(manifest, content).ok());
+
+  Catalog restored(dir.path());
+  auto report = restored.Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->generation, 1u);
+  EXPECT_EQ(report->tables_quarantined, 4u);
+  // Segment 2 holds the only intact copy of every table.
+  EXPECT_EQ(report->orphan_segments_removed, 0u);
+  EXPECT_TRUE(PathExists(restored.SegmentPath(2)));
 }
 
 TEST(FaultInjectionEnvTest, CrashPointSemantics) {

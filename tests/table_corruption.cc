@@ -15,6 +15,14 @@ std::optional<TableRange> FindTableRange(const storage::Catalog& catalog,
                     stats->bytes};
 }
 
+std::vector<TableRange> FindDictionaryRanges(const storage::Catalog& catalog) {
+  std::vector<TableRange> ranges;
+  for (const storage::BlobLocation& at : catalog.DictionaryBlobs()) {
+    ranges.push_back({catalog.SegmentPath(at.segment), at.offset, at.bytes});
+  }
+  return ranges;
+}
+
 bool CorruptTable(const storage::Catalog& catalog, const std::string& name,
                   std::optional<uint64_t> pos, uint8_t mask) {
   std::optional<TableRange> range = FindTableRange(catalog, name);

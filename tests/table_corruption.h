@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "storage/catalog.h"
 
@@ -26,6 +27,9 @@ struct TableRange {
 // on disk (stats-only, staged, or an in-memory catalog).
 std::optional<TableRange> FindTableRange(const storage::Catalog& catalog,
                                          const std::string& name);
+
+// The committed byte ranges of the dictionary blobs, in id order.
+std::vector<TableRange> FindDictionaryRanges(const storage::Catalog& catalog);
 
 // Flips the bits of `mask` in byte `pos` of table `name`'s blob (its
 // middle byte by default). False when the table is not on disk or `pos`
