@@ -91,7 +91,7 @@ int Main() {
                                    ? core::Correlation::kSO
                                    : core::Correlation::kSS;
       const std::optional<storage::TableStats> stats =
-          (*db)->catalog().GetStats(core::ExtVpTableName(dict, corr, *p1, *p2));
+          (*db)->catalog().GetStats(core::ExtVpTableName(corr, *p1, *p2));
       if (stats.has_value()) {
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.2f", stats->selectivity);

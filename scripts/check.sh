@@ -170,4 +170,10 @@ for san in asan tsan; do
   ctest --preset "${san}-ingest"
 done
 
+note "tsan queries during commits, ten passes"
+# One pass rarely lands a query inside a commit's flip, copy-forward or
+# segment removal; ten give the race detector its chances.
+ctest --preset tsan --repeat until-fail:10 \
+  -R 'IngestConcurrencyTest\.|SegmentTest\.AStateReadsOneGeneration'
+
 note "all checks passed"

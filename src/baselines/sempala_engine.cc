@@ -32,8 +32,7 @@ StatusOr<std::unique_ptr<SempalaEngine>> SempalaEngine::Create(
       engine->build_stats_,
       core::BuildPropertyTable(*graph, options.strategy, &engine->catalog_));
   for (rdf::TermId p : engine->build_stats_.single_valued) {
-    engine->inline_columns_[p] =
-        core::VpTableName(graph->dictionary(), p);
+    engine->inline_columns_[p] = core::VpTableName(p);
   }
   for (rdf::TermId p : engine->build_stats_.multi_valued) {
     engine->aux_predicates_.insert(p);
@@ -132,7 +131,7 @@ StatusOr<rdf::Table> SempalaEngine::EvaluateStarGroup(
     int o_col = 1;
     if (aux_predicates_.contains(p)) {
       S2RDF_ASSIGN_OR_RETURN(
-          base, catalog_.GetTable(core::PropertyAuxTableName(dict, p)));
+          base, catalog_.GetTable(core::PropertyAuxTableName(p)));
     } else {
       // Repeated inlined predicate: self-join the PT on this column.
       S2RDF_ASSIGN_OR_RETURN(base,

@@ -10,21 +10,19 @@ namespace s2rdf::core {
 
 using sparql::TriplePattern;
 
-double CardinalityEstimator::ScanRows(const TriplePattern& tp,
+double CardinalityEstimator::ScanRows(size_t i,
                                       const TableChoice& choice) const {
   if (choice.empty_result) return 0.0;
+  const TriplePattern& tp = bgp_[i];
   double rows = static_cast<double>(choice.rows);
 
   // A bound predicate scanned out of the triples table keeps exactly the
   // predicate's VP rows — the catalog records them even for quarantined
   // VP tables, so the degraded TT scan still estimates correctly.
-  if (choice.is_triples_table && !tp.predicate.is_variable()) {
-    std::optional<rdf::TermId> p = dict_.Find(tp.predicate.value);
-    if (p.has_value()) {
-      const std::optional<storage::TableStats> vp =
-          catalog_.GetStats(VpTableName(dict_, *p));
-      if (vp) rows = static_cast<double>(vp->rows);
-    }
+  if (choice.is_triples_table && ids_[i].predicate.has_value()) {
+    const storage::TableStats* vp =
+        state_.Find(VpTableName(*ids_[i].predicate));
+    if (vp != nullptr) rows = static_cast<double>(vp->rows);
   }
 
   // Residual equalities the scan applies on top of the stored table:
@@ -43,31 +41,28 @@ double CardinalityEstimator::ScanRows(const TriplePattern& tp,
   return std::max(rows, 0.0);
 }
 
-double CardinalityEstimator::KeepFraction(const TriplePattern& tp,
-                                          const TableChoice& choice,
-                                          const TriplePattern& other) const {
-  if (tp.predicate.is_variable() || other.predicate.is_variable()) return 1.0;
-  std::optional<rdf::TermId> p1 = dict_.Find(tp.predicate.value);
-  std::optional<rdf::TermId> p2 = dict_.Find(other.predicate.value);
+double CardinalityEstimator::KeepFraction(size_t i, const TableChoice& choice,
+                                          size_t j) const {
+  const std::optional<rdf::TermId>& p1 = ids_[i].predicate;
+  const std::optional<rdf::TermId>& p2 = ids_[j].predicate;
   if (!p1.has_value() || !p2.has_value()) return 1.0;
 
   const double denom = std::max(static_cast<double>(choice.rows), 1.0);
   double keep = 1.0;
-  for (const CorrelationCase& cand : CorrelationsTo(tp, other)) {
+  for (const CorrelationCase& cand : CorrelationsTo(bgp_[i], bgp_[j])) {
     if (!cand.applies) continue;
     if (cand.corr == Correlation::kSS && *p1 == *p2) continue;
-    if (catalog_.IsStaleSource(VpTableName(dict_, *p1)) ||
-        catalog_.IsStaleSource(VpTableName(dict_, *p2))) {
+    if (ids_[i].stale || ids_[j].stale) {
       // The reduction's count predates a deferred ingest and
       // undercounts; using it would make the optimizer confidently
       // wrong, so fall back to the conservative keep = 1 (and surface
       // the degradation on /metrics).
-      catalog_.NoteStaleSfFallback();
+      state_.catalog->NoteStaleSfFallback();
       continue;
     }
-    const std::optional<storage::TableStats> stats =
-        catalog_.GetStats(ExtVpTableName(dict_, cand.corr, *p1, *p2));
-    if (!stats) continue;  // Direction not precomputed.
+    const storage::TableStats* stats =
+        state_.Find(ExtVpTableName(cand.corr, *p1, *p2));
+    if (stats == nullptr) continue;  // Direction not precomputed.
     // |ExtVP| rows are recorded whether or not the reduction was
     // materialized; against the chosen table they bound the surviving
     // fraction (clamped: the choice may itself be a smaller reduction).

@@ -1,8 +1,9 @@
 #ifndef S2RDF_CORE_CARDINALITY_H_
 #define S2RDF_CORE_CARDINALITY_H_
 
+#include <vector>
+
 #include "core/table_selection.h"
-#include "rdf/dictionary.h"
 #include "sparql/ast.h"
 #include "storage/catalog.h"
 
@@ -22,28 +23,29 @@ namespace s2rdf::core {
 
 class CardinalityEstimator {
  public:
-  // `catalog` and `dict` must outlive the estimator.
-  CardinalityEstimator(const storage::Catalog& catalog,
-                       const rdf::Dictionary& dict)
-      : catalog_(catalog), dict_(dict) {}
+  // Estimates over the patterns of `bgp`, with `ids` =
+  // ResolveBgp(bgp, ...), from the statistics of `state` only. All three
+  // must outlive the estimator.
+  CardinalityEstimator(const storage::CatalogState& state,
+                       const std::vector<sparql::TriplePattern>& bgp,
+                       const std::vector<PatternIds>& ids)
+      : state_(state), bgp_(bgp), ids_(ids) {}
 
-  // Estimated output rows of scanning `choice` for `tp`: the chosen
-  // table's row count, discounted by sqrt(rows) per residual equality
-  // the scan applies on top of the stored table (bound subject/object
-  // terms, repeated variables). A bound predicate over the triples
-  // table uses the predicate's exact VP row count instead (the catalog
-  // knows it even when the VP table is quarantined).
-  double ScanRows(const sparql::TriplePattern& tp,
-                  const TableChoice& choice) const;
+  // Estimated output rows of scanning `choice` for pattern `i`: the
+  // chosen table's row count, discounted by sqrt(rows) per residual
+  // equality the scan applies on top of the stored table (bound
+  // subject/object terms, repeated variables). A bound predicate over
+  // the triples table uses the predicate's exact VP row count instead
+  // (the catalog knows it even when the VP table is quarantined).
+  double ScanRows(size_t i, const TableChoice& choice) const;
 
-  // Fraction of `tp`'s scan output expected to survive a join with
-  // `other`, derived from the ExtVP statistics of their correlations:
-  // |ExtVP_corr(p_tp | p_other)| / rows(choice). 1.0 when no statistic
-  // applies (unbound predicates, VP-only layouts, shared predicate
-  // variables); the minimum over correlations when several apply.
-  double KeepFraction(const sparql::TriplePattern& tp,
-                      const TableChoice& choice,
-                      const sparql::TriplePattern& other) const;
+  // Fraction of pattern `i`'s scan output (`choice`) expected to
+  // survive a join with pattern `j`, derived from the ExtVP statistics
+  // of their correlations: |ExtVP_corr(p_i | p_j)| / rows(choice). 1.0
+  // when no statistic applies (unbound predicates, VP-only layouts,
+  // shared predicate variables); the minimum over correlations when
+  // several apply.
+  double KeepFraction(size_t i, const TableChoice& choice, size_t j) const;
 
   // Estimated rows of joining two patterns' scans on their shared
   // variables, from each side's scan rows and its KeepFraction toward
@@ -54,8 +56,9 @@ class CardinalityEstimator {
                          double scan_rows_b, double keep_b);
 
  private:
-  const storage::Catalog& catalog_;
-  const rdf::Dictionary& dict_;
+  const storage::CatalogState& state_;
+  const std::vector<sparql::TriplePattern>& bgp_;
+  const std::vector<PatternIds>& ids_;
 };
 
 }  // namespace s2rdf::core

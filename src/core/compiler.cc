@@ -65,13 +65,18 @@ PlanPtr ApplyReadyFilters(PlanPtr plan,
 
 }  // namespace
 
-QueryCompiler::QueryCompiler(const storage::Catalog* catalog,
-                             const rdf::Dictionary* dict,
-                             CompilerOptions options)
-    : catalog_(*catalog),
+QueryCompiler::QueryCompiler(
+    std::shared_ptr<const storage::CatalogState> state,
+    const rdf::Dictionary* dict, CompilerOptions options)
+    : state_(std::move(state)),
       dict_(*dict),
       options_(std::move(options)),
       optimizer_(Optimizer::Create(options_.optimizer)) {}
+
+QueryCompiler::QueryCompiler(const storage::Catalog* catalog,
+                             const rdf::Dictionary* dict,
+                             CompilerOptions options)
+    : QueryCompiler(catalog->State(), dict, std::move(options)) {}
 
 StatusOr<PlanPtr> QueryCompiler::ScanForPattern(
     const TriplePattern& tp, const TableChoice& choice) const {
@@ -122,6 +127,7 @@ StatusOr<PlanPtr> QueryCompiler::ScanForPattern(
     scan->row_filter = choice.row_filter;
     scan->row_filter_label = choice.row_filter_label;
   }
+  scan->fallback_table = choice.fallback_table;
   scan->scan_layout = choice.layout_label;
   scan->scan_sf = choice.sf;
   scan->scan_degraded = choice.degraded;
@@ -137,18 +143,20 @@ StatusOr<BgpAnalysis> QueryCompiler::Analyze(
   analysis.bgp = bgp;
   analysis.patterns.reserve(bgp.size());
 
-  CardinalityEstimator estimator(catalog_, dict_);
+  const std::vector<PatternIds> ids = ResolveBgp(bgp, dict_, *state_);
+  CardinalityEstimator estimator(*state_, bgp, ids);
   CostModel cost_model;
 
   // Algorithm 1 per pattern, plus the estimator's view of the scan.
   for (size_t i = 0; i < bgp.size(); ++i) {
     S2RDF_ASSIGN_OR_RETURN(
         TableChoice choice,
-        SelectTable(i, bgp, options_.layout, options_.use_statistics_shortcut,
-                    catalog_, dict_, options_.bitmap_store));
+        SelectTable(i, bgp, ids, options_.layout,
+                    options_.use_statistics_shortcut, *state_,
+                    options_.bitmap_store));
     if (choice.degraded && !noted_degraded_) {
       noted_degraded_ = true;
-      catalog_.NoteDegradedQuery();
+      state_->catalog->NoteDegradedQuery();
     }
     if (choice.empty_result) {
       // Statistics prove emptiness (Algorithm 3, line 4); the remaining
@@ -157,7 +165,7 @@ StatusOr<BgpAnalysis> QueryCompiler::Analyze(
       return analysis;
     }
     PatternInfo info;
-    info.scan_rows = estimator.ScanRows(bgp[i], choice);
+    info.scan_rows = estimator.ScanRows(i, choice);
     info.scan_cost = cost_model.ScanCost(info.scan_rows);
     info.bound_count = BoundCount(bgp[i]);
     info.variables = PatternVariables(bgp[i]);
@@ -182,8 +190,8 @@ StatusOr<BgpAnalysis> QueryCompiler::Analyze(
       if (edge.shared_vars == 0) continue;
       const PatternInfo& pa = analysis.patterns[i];
       const PatternInfo& pb = analysis.patterns[j];
-      edge.keep_a = estimator.KeepFraction(bgp[i], pa.choice, bgp[j]);
-      edge.keep_b = estimator.KeepFraction(bgp[j], pb.choice, bgp[i]);
+      edge.keep_a = estimator.KeepFraction(i, pa.choice, j);
+      edge.keep_b = estimator.KeepFraction(j, pb.choice, i);
       const double out = CardinalityEstimator::JoinRows(
           pa.scan_rows, edge.keep_a, pb.scan_rows, edge.keep_b);
       const double denom =

@@ -47,7 +47,12 @@ struct CompilerOptions {
 
 class QueryCompiler {
  public:
-  // `catalog` and `dict` must outlive the compiler.
+  // Compiles against one catalog state: table selection and the
+  // estimator read statistics, quarantine and staleness from `state`
+  // only. `dict` must outlive the compiler.
+  QueryCompiler(std::shared_ptr<const storage::CatalogState> state,
+                const rdf::Dictionary* dict, CompilerOptions options);
+  // Compiles against `catalog->State()`, taken once here.
   QueryCompiler(const storage::Catalog* catalog, const rdf::Dictionary* dict,
                 CompilerOptions options);
 
@@ -90,7 +95,7 @@ class QueryCompiler {
       std::vector<const sparql::Expr*>* pending,
       std::unordered_set<std::string>* available) const;
 
-  const storage::Catalog& catalog_;
+  std::shared_ptr<const storage::CatalogState> state_;
   const rdf::Dictionary& dict_;
   CompilerOptions options_;
   std::unique_ptr<Optimizer> optimizer_;

@@ -12,9 +12,6 @@ using rdf::TermId;
 StatusOr<std::unique_ptr<ExtVpBitmapStore>> ExtVpBitmapStore::Build(
     const rdf::Graph& graph, const ExtVpOptions& options) {
   auto store = std::unique_ptr<ExtVpBitmapStore>(new ExtVpBitmapStore());
-  store->built_[static_cast<int>(Correlation::kSS)] = options.build_ss;
-  store->built_[static_cast<int>(Correlation::kOS)] = options.build_os;
-  store->built_[static_cast<int>(Correlation::kSO)] = options.build_so;
 
   VpRowData vp = CollectVpRows(graph);
   const size_t k = vp.predicates.size();
@@ -52,29 +49,21 @@ StatusOr<std::unique_ptr<ExtVpBitmapStore>> ExtVpBitmapStore::Build(
     const auto& rows = vp.rows[p1];
     for (size_t row = 0; row < rows.size(); ++row) {
       const auto& [s, o] = rows[row];
-      if (options.build_ss) {
-        for (uint32_t i2 : subject_preds[s]) {
-          if (i2 == i1) continue;
-          bitmap_for(Correlation::kSS, p1, vp.predicates[i2], rows.size())
+      for (uint32_t i2 : subject_preds[s]) {
+        if (i2 == i1) continue;
+        bitmap_for(Correlation::kSS, p1, vp.predicates[i2], rows.size())
+            .Set(row);
+      }
+      if (auto it = subject_preds.find(o); it != subject_preds.end()) {
+        for (uint32_t i2 : it->second) {
+          bitmap_for(Correlation::kOS, p1, vp.predicates[i2], rows.size())
               .Set(row);
         }
       }
-      if (options.build_os) {
-        auto it = subject_preds.find(o);
-        if (it != subject_preds.end()) {
-          for (uint32_t i2 : it->second) {
-            bitmap_for(Correlation::kOS, p1, vp.predicates[i2], rows.size())
-                .Set(row);
-          }
-        }
-      }
-      if (options.build_so) {
-        auto it = object_preds.find(s);
-        if (it != object_preds.end()) {
-          for (uint32_t i2 : it->second) {
-            bitmap_for(Correlation::kSO, p1, vp.predicates[i2], rows.size())
-                .Set(row);
-          }
+      if (auto it = object_preds.find(s); it != object_preds.end()) {
+        for (uint32_t i2 : it->second) {
+          bitmap_for(Correlation::kSO, p1, vp.predicates[i2], rows.size())
+              .Set(row);
         }
       }
     }
@@ -106,7 +95,6 @@ const Bitmap* ExtVpBitmapStore::Get(Correlation corr, TermId p1,
 
 bool ExtVpBitmapStore::IsEmpty(Correlation corr, TermId p1,
                                TermId p2) const {
-  if (!built_[static_cast<int>(corr)]) return false;
   if (corr == Correlation::kSS && p1 == p2) return false;
   // Both predicates must exist for the combination to be meaningful;
   // unknown predicates are handled by the dictionary check upstream.

@@ -55,11 +55,6 @@ class ExtVpBitmapStore {
   uint64_t TotalBitmapBytes() const;
   size_t NumBitmaps() const { return bitmaps_.size(); }
 
-  // Which correlation directions were built.
-  bool HasCorrelation(Correlation corr) const {
-    return built_[static_cast<int>(corr)];
-  }
-
  private:
   ExtVpBitmapStore() = default;
 
@@ -73,7 +68,6 @@ class ExtVpBitmapStore {
   // threshold-pruned pairs). Value: SF.
   std::unordered_map<uint64_t, double> known_sf_;
   std::unordered_map<rdf::TermId, uint64_t> vp_rows_;
-  bool built_[3] = {false, false, false};
 };
 
 }  // namespace s2rdf::core

@@ -56,7 +56,8 @@ uint64_t SoKey(TermId s, TermId o) {
 // Pair identity for the affected-pair set: (correlation index, p1, p2).
 using PairId = std::tuple<int, TermId, TermId>;
 
-// Lazily loaded (s, o) row lists of the *pre-batch* VP tables. A
+// Lazily loaded (s, o) row lists of the *pre-batch* VP tables, read as
+// of `state`. A
 // quarantined or checksum-failing VP is reconstructed from the old
 // triples table — TT's (s, p, o) dedup restricted to one predicate is
 // exactly CollectVpRows' per-predicate dedup, in the same
@@ -65,18 +66,19 @@ using PairId = std::tuple<int, TermId, TermId>;
 // quarantine).
 class OldVpSource {
  public:
-  OldVpSource(storage::Catalog* catalog, const rdf::Dictionary& dict,
+  OldVpSource(storage::Catalog* catalog, const storage::CatalogState& state,
               const rdf::Table* old_tt)
-      : catalog_(catalog), dict_(dict), old_tt_(old_tt) {}
+      : catalog_(catalog), state_(state), old_tt_(old_tt) {}
 
   const VpRows& Rows(TermId p) {
     auto it = cache_.find(p);
     if (it != cache_.end()) return *it->second;
     auto rows = std::make_unique<VpRows>();
-    std::string name = VpTableName(dict_, p);
+    const std::string name = VpTableName(p);
+    const bool exists = state_.Find(name) != nullptr;
     bool loaded = false;
-    if (catalog_->Has(name) && !catalog_->IsQuarantined(name)) {
-      auto table_or = catalog_->GetTable(name);
+    if (exists && !state_.quarantined.contains(name)) {
+      auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
         const rdf::Table& t = *table_or.value();
         rows->reserve(t.NumRows());
@@ -86,7 +88,7 @@ class OldVpSource {
         loaded = true;
       }
     }
-    if (!loaded && catalog_->Has(name)) {
+    if (!loaded && exists) {
       for (size_t r = 0; r < old_tt_->NumRows(); ++r) {
         if (old_tt_->At(r, 1) == p) {
           rows->emplace_back(old_tt_->At(r, 0), old_tt_->At(r, 2));
@@ -100,7 +102,7 @@ class OldVpSource {
 
  private:
   storage::Catalog* catalog_;
-  const rdf::Dictionary& dict_;
+  const storage::CatalogState& state_;
   const rdf::Table* old_tt_;
   std::unordered_map<TermId, std::unique_ptr<VpRows>> cache_;
 };
@@ -112,20 +114,21 @@ rdf::Table TableFromRows(const VpRows& rows) {
   return table;
 }
 
-// Shared state of one batch's ExtVP delta maintenance.
+// Shared state of one batch's ExtVP delta maintenance, which reads the
+// catalog as of `state`.
 class DeltaMaintainer {
  public:
   // `trust_old_stats` says the catalog's stats describe `old_vp`'s
   // tables exactly (ingest). Refresh passes false: a stale pair's entry
   // undercounts against the already-committed VP tables, so only the
   // full scan may run.
-  DeltaMaintainer(const IngestConfig& config, const rdf::Dictionary& dict,
-                  storage::Catalog* catalog, OldVpSource* old_vp,
+  DeltaMaintainer(const IngestConfig& config, storage::Catalog* catalog,
+                  const storage::CatalogState& state, OldVpSource* old_vp,
                   const std::unordered_map<TermId, VpRows>* delta,
                   bool trust_old_stats)
       : config_(config),
-        dict_(dict),
         catalog_(catalog),
+        state_(state),
         old_vp_(old_vp),
         delta_(delta),
         trust_old_stats_(trust_old_stats) {}
@@ -138,13 +141,13 @@ class DeltaMaintainer {
   // pairs outside that set the row count provably cannot change.
   Status MaintainPair(Correlation corr, TermId p1, TermId p2,
                       bool gain_possible) {
-    const std::string name = ExtVpTableName(dict_, corr, p1, p2);
-    if (config_.lazy_extvp && !catalog_->Has(name)) {
+    const std::string name = ExtVpTableName(corr, p1, p2);
+    const storage::TableStats* old = state_.Find(name);
+    if (config_.lazy_extvp && old == nullptr) {
       // "Pay as you go": uncomputed pairs stay uncomputed; their first
       // use builds them from the updated VP tables.
       return Status::Ok();
     }
-    const std::optional<storage::TableStats> old = catalog_->GetStats(name);
     const CorrCols cols = CorrColumns(corr);
     const VpRows& old_vp1 = old_vp_->Rows(p1);
     const VpRows* delta_p1 = DeltaOf(p1);
@@ -160,7 +163,7 @@ class DeltaMaintainer {
       have_rows = true;
       count = rows.size();
     } else {
-      if (!old.has_value() || old->rows == 0) return Status::Ok();
+      if (old == nullptr || old->rows == 0) return Status::Ok();
       count = old->rows;
     }
 
@@ -171,7 +174,7 @@ class DeltaMaintainer {
     }
     const double sf =
         static_cast<double>(count) / static_cast<double>(new_vp1_rows);
-    if (old.has_value() && old->rows == count) {
+    if (old != nullptr && old->rows == count) {
       if (old->selectivity == (count == new_vp1_rows ? 1.0 : sf) &&
           old->materialized == (count != new_vp1_rows &&
                                 sf < config_.sf_threshold)) {
@@ -239,8 +242,7 @@ class DeltaMaintainer {
   // order: the surviving pre-batch rows first (part 1), then the
   // surviving batch rows (part 2) — exactly the order a from-scratch
   // rebuild over the concatenated triple stream emits.
-  Status ComputeRows(const std::string& name,
-                     const std::optional<storage::TableStats>& old,
+  Status ComputeRows(const std::string& name, const storage::TableStats* old,
                      CorrCols cols, TermId p1, TermId p2, VpRows* out) {
     const VpRows& old_vp1 = old_vp_->Rows(p1);
     const VpRows* delta_p1 = DeltaOf(p1);
@@ -254,14 +256,14 @@ class DeltaMaintainer {
     // is sound even against a stale entry: rows <= |old VP_p1| <=
     // |VP_p1| forces equality throughout, i.e. every row matched and
     // monotonicity keeps it that way.)
-    if (old.has_value() && old->rows == old_vp1.size() && old->rows > 0) {
+    if (old != nullptr && old->rows == old_vp1.size() && old->rows > 0) {
       *out = old_vp1;
     } else if (trust_old_stats_ && !right_may_grow &&
-               (!old.has_value() || old->rows == 0)) {
+               (old == nullptr || old->rows == 0)) {
       // Nothing matched before and the key set is unchanged.
-    } else if (trust_old_stats_ && !right_may_grow && old.has_value() &&
-               old->materialized && !catalog_->IsQuarantined(name)) {
-      auto table_or = catalog_->GetTable(name);
+    } else if (trust_old_stats_ && !right_may_grow && old != nullptr &&
+               old->materialized && !state_.quarantined.contains(name)) {
+      auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
         const rdf::Table& t = *table_or.value();
         out->reserve(t.NumRows());
@@ -293,8 +295,8 @@ class DeltaMaintainer {
   }
 
   const IngestConfig& config_;
-  const rdf::Dictionary& dict_;
   storage::Catalog* catalog_;
+  const storage::CatalogState& state_;
   OldVpSource* old_vp_;
   const std::unordered_map<TermId, VpRows>* delta_;
   bool trust_old_stats_;
@@ -312,14 +314,16 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   auto start = MonotonicNow();
   storage::IngestResult result;
   result.triples_in_batch = batch.triples.size();
-  result.generation = catalog->generation();
+  // The batch reads every statistic, quarantine and staleness bit from
+  // one state.
+  const std::shared_ptr<const storage::CatalogState> state = catalog->State();
+  result.generation = state->generation;
 
-  if (!catalog->Has(TriplesTableName())) {
-    return FailedPreconditionError(
-        "ingest requires the triples table (build_triples_table)");
+  if (state->Find(TriplesTableName()) == nullptr) {
+    return FailedPreconditionError("ingest requires the triples table");
   }
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> old_tt,
-                         catalog->GetTable(TriplesTableName()));
+                         catalog->GetTable(*state, TriplesTableName()));
 
   // Encode the batch; new terms are interned (and stored by the commit).
   std::vector<rdf::Triple> stream;
@@ -394,8 +398,8 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     return result;  // Fully duplicate batch: no generation committed.
   }
 
-  OldVpSource old_vp(catalog, *dict, old_tt.get());
-  DeltaMaintainer maintainer(config, *dict, catalog, &old_vp, &delta,
+  OldVpSource old_vp(catalog, *state, old_tt.get());
+  DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta,
                              /*trust_old_stats=*/true);
 
   // Triples-table and VP appends.
@@ -413,32 +417,31 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     rdf::Table new_vp = TableFromRows(old_vp.Rows(p));
     for (const auto& [s, o] : delta[p]) new_vp.AppendRow({s, o});
     TableUpdate update;
-    update.name = VpTableName(*dict, p);
+    update.name = VpTableName(p);
     update.table = std::move(new_vp);
     maintainer.updates().push_back(std::move(update));
   }
   result.vp_tables_updated = delta_preds.size();
 
   storage::CommitOptions commit;
-  const bool enabled[kNumCorrelations] = {
-      catalog->Has("meta_extvp_ss"), catalog->Has("meta_extvp_os"),
-      catalog->Has("meta_extvp_so")};
-  const bool extvp_any = enabled[0] || enabled[1] || enabled[2];
-  if (batch.defer_extvp_maintenance && extvp_any) {
+  const bool has_extvp = state->Find(kExtVpMarker) != nullptr;
+  if (batch.defer_extvp_maintenance && has_extvp) {
     // Deferred mode: commit only the appends; dependents of the touched
     // VP tables are stale until RefreshStaleExtVp.
     for (TermId p : delta_preds) {
-      std::string vp_name = VpTableName(*dict, p);
-      if (!catalog->IsStaleSource(vp_name)) ++result.stale_sources_marked;
+      std::string vp_name = VpTableName(p);
+      if (!state->stale_sources.contains(vp_name)) {
+        ++result.stale_sources_marked;
+      }
       commit.mark_stale.push_back(std::move(vp_name));
     }
-  } else if (extvp_any) {
+  } else if (has_extvp) {
     // Sources already stale from an earlier deferred batch stay stale —
     // their reductions need a full refresh anyway, and refresh reads the
     // post-batch VP tables.
     std::set<TermId> stale_pids;
     for (TermId p : all_preds) {
-      if (catalog->IsStaleSource(VpTableName(*dict, p))) {
+      if (state->stale_sources.contains(VpTableName(p))) {
         stale_pids.insert(p);
       }
     }
@@ -456,20 +459,14 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     };
     for (TermId p : delta_preds) {
       for (const auto& [s, o] : delta[p]) {
-        if (enabled[0]) {
-          for (TermId q : subj_preds[s]) {
-            add(0, p, q);
-            add(0, q, p);
-          }
+        for (TermId q : subj_preds[s]) {
+          add(0, p, q);
+          add(0, q, p);
         }
-        if (enabled[1]) {
-          for (TermId q : subj_preds[o]) add(1, p, q);
-          for (TermId q : obj_preds[s]) add(1, q, p);
-        }
-        if (enabled[2]) {
-          for (TermId q : obj_preds[s]) add(2, p, q);
-          for (TermId q : subj_preds[o]) add(2, q, p);
-        }
+        for (TermId q : subj_preds[o]) add(1, p, q);
+        for (TermId q : obj_preds[s]) add(1, q, p);
+        for (TermId q : obj_preds[s]) add(2, p, q);
+        for (TermId q : subj_preds[o]) add(2, q, p);
       }
     }
     for (const auto& [c, p1, p2] : affected) {
@@ -484,7 +481,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       for (TermId p2 : all_preds) {
         if (stale_pids.contains(p2)) continue;
         for (int c = 0; c < kNumCorrelations; ++c) {
-          if (!enabled[c]) continue;
           if (kCorrelations[c] == Correlation::kSS && p1 == p2) continue;
           if (affected.contains({c, p1, p2})) continue;
           S2RDF_RETURN_IF_ERROR(maintainer.MaintainPair(
@@ -505,42 +501,37 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   S2RDF_RETURN_IF_ERROR(
       catalog->CommitBatch(std::move(maintainer.updates()), commit));
   *dict_committed = minted;
-  result.generation = catalog->generation();
+  result.generation = catalog->State()->generation;
   result.millis = MillisSince(start);
   return result;
 }
 
 StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
-                                     const rdf::Dictionary& dict,
                                      storage::Catalog* catalog) {
-  std::vector<std::string> stale = catalog->StaleSources();
-  if (stale.empty()) return 0;
-  std::set<std::string> stale_set(stale.begin(), stale.end());
+  const std::shared_ptr<const storage::CatalogState> state = catalog->State();
+  const std::set<std::string, std::less<>>& stale_set = state->stale_sources;
+  if (stale_set.empty()) return 0;
 
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> tt,
-                         catalog->GetTable(TriplesTableName()));
+                         catalog->GetTable(*state, TriplesTableName()));
   std::set<TermId> all_preds;
   for (size_t r = 0; r < tt->NumRows(); ++r) all_preds.insert(tt->At(r, 1));
   std::set<TermId> stale_pids;
   for (TermId p : all_preds) {
-    if (stale_set.contains(VpTableName(dict, p))) stale_pids.insert(p);
+    if (stale_set.contains(VpTableName(p))) stale_pids.insert(p);
   }
 
   // Every pair with a stale predicate on either side is recomputed from
   // the current (post-ingest) VP tables — the "delta" is empty, so the
   // maintainer's plain semi-join scan path runs.
-  OldVpSource current_vp(catalog, dict, tt.get());
+  OldVpSource current_vp(catalog, *state, tt.get());
   std::unordered_map<TermId, VpRows> no_delta;
-  DeltaMaintainer maintainer(config, dict, catalog, &current_vp, &no_delta,
+  DeltaMaintainer maintainer(config, catalog, *state, &current_vp, &no_delta,
                              /*trust_old_stats=*/false);
-  const bool enabled[kNumCorrelations] = {
-      catalog->Has("meta_extvp_ss"), catalog->Has("meta_extvp_os"),
-      catalog->Has("meta_extvp_so")};
   for (TermId p1 : all_preds) {
     for (TermId p2 : all_preds) {
       if (!stale_pids.contains(p1) && !stale_pids.contains(p2)) continue;
       for (int c = 0; c < kNumCorrelations; ++c) {
-        if (!enabled[c]) continue;
         if (kCorrelations[c] == Correlation::kSS && p1 == p2) continue;
         S2RDF_RETURN_IF_ERROR(maintainer.MaintainPair(
             kCorrelations[c], p1, p2, /*gain_possible=*/true));
@@ -549,7 +540,7 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
   }
   uint64_t refreshed = maintainer.updates().size();
   storage::CommitOptions commit;
-  commit.clear_stale = std::move(stale);
+  commit.clear_stale.assign(stale_set.begin(), stale_set.end());
   S2RDF_RETURN_IF_ERROR(
       catalog->CommitBatch(std::move(maintainer.updates()), commit));
   return refreshed;

@@ -60,7 +60,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
 // repairs plus the stale-set clear in one batch. Returns the number of
 // reductions recomputed. No-op when nothing is stale.
 StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
-                                     const rdf::Dictionary& dict,
                                      storage::Catalog* catalog);
 
 // Parses N-Triples text into an IngestBatch (the HTTP and CLI entry

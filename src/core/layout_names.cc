@@ -1,64 +1,27 @@
 #include "core/layout_names.h"
 
-#include <cctype>
-#include <string_view>
-
 namespace s2rdf::core {
-
-std::string PredicateFragment(const std::string& canonical_term) {
-  // Strip angle brackets, then take the fragment after the last '/', '#'
-  // or ':'.
-  std::string iri = canonical_term;
-  if (iri.size() >= 2 && iri.front() == '<' && iri.back() == '>') {
-    iri = iri.substr(1, iri.size() - 2);
-  }
-  size_t cut = iri.find_last_of("/#:");
-  std::string local = cut == std::string::npos ? iri : iri.substr(cut + 1);
-  std::string out;
-  for (char c : local) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += static_cast<char>(std::tolower(c));
-    } else {
-      out += '_';
-    }
-    if (out.size() >= 24) break;
-  }
-  if (out.empty()) out = "p";
-  return out;
-}
 
 std::string TriplesTableName() { return "triples"; }
 
-std::string VpTableName(const rdf::Dictionary& dict, rdf::TermId predicate) {
-  return "vp_" + PredicateFragment(dict.Decode(predicate)) + "_" +
-         std::to_string(predicate);
+std::string VpTableName(rdf::TermId predicate) {
+  return "vp_" + std::to_string(predicate);
 }
 
-std::string ExtVpTableName(const rdf::Dictionary& dict, Correlation corr,
-                           rdf::TermId p1, rdf::TermId p2) {
-  return "extvp_" + std::string(CorrelationName(corr)) + "_" +
-         PredicateFragment(dict.Decode(p1)) + "_" + std::to_string(p1) +
-         "__" + PredicateFragment(dict.Decode(p2)) + "_" + std::to_string(p2);
-}
-
-std::string VpTableNameForExtVp(const std::string& extvp_name) {
-  // "extvp_<corr>_<frag1>_<id1>__<frag2>_<id2>" -> "vp_<frag1>_<id1>".
-  for (const char* prefix : {"extvp_ss_", "extvp_os_", "extvp_so_"}) {
-    size_t prefix_len = std::string_view(prefix).size();
-    if (extvp_name.compare(0, prefix_len, prefix) != 0) continue;
-    size_t sep = extvp_name.find("__", prefix_len);
-    if (sep == std::string::npos) return "";
-    return "vp_" + extvp_name.substr(prefix_len, sep - prefix_len);
-  }
-  return "";
+std::string ExtVpTableName(Correlation corr, rdf::TermId p1, rdf::TermId p2) {
+  std::string name = "extvp_";
+  name += CorrelationName(corr);
+  name += '_';
+  name += std::to_string(p1);
+  name += '_';
+  name += std::to_string(p2);
+  return name;
 }
 
 std::string PropertyTableName() { return "pt"; }
 
-std::string PropertyAuxTableName(const rdf::Dictionary& dict,
-                                 rdf::TermId predicate) {
-  return "pt_aux_" + PredicateFragment(dict.Decode(predicate)) + "_" +
-         std::to_string(predicate);
+std::string PropertyAuxTableName(rdf::TermId predicate) {
+  return "pt_aux_" + std::to_string(predicate);
 }
 
 }  // namespace s2rdf::core

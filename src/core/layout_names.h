@@ -5,13 +5,16 @@
 
 #include "rdf/dictionary.h"
 
-// Catalog naming scheme for the relational layouts of Sec. 4/5:
-//   triples                       — the triples table TT(s, p, o)
-//   vp_<pred>_<id>                — VP_p(s, o)
-//   extvp_ss_<p1>_<id1>__<p2>_<id2> — ExtVP^SS_p1|p2, likewise os / so
-//   pt / pt_aux_<pred>_<id>       — property table + auxiliary tables
-// The human-readable predicate fragment makes the generated SQL of the
-// examples legible; the numeric id guarantees uniqueness.
+// Catalog naming scheme for the relational layouts of Sec. 4/5. A
+// table's name is built from term ids alone, so naming needs no
+// dictionary and a name never changes once its ids are minted:
+//   triples                 — the triples table TT(s, p, o)
+//   vp_<p>                  — VP_p(s, o), p the predicate's term id
+//   extvp_<corr>_<p1>_<p2>  — ExtVP^corr_p1|p2, corr one of ss / os / so
+//   pt / pt_aux_<p>         — property table + auxiliary tables
+//   meta_extvp              — marker: the store has ExtVP (eager or lazy)
+// Manifests, EXPLAIN and the generated SQL show these names; decode an
+// id with the store's dictionary to see the predicate behind it.
 
 namespace s2rdf::core {
 
@@ -31,23 +34,16 @@ inline const char* CorrelationName(Correlation c) {
   return "??";
 }
 
-// Short readable fragment of a predicate term ("<http://x/ns#follows>"
-// -> "follows"), sanitized to [a-z0-9_], max 24 chars.
-std::string PredicateFragment(const std::string& canonical_term);
+// Stats-only marker entry: present when the store has ExtVP, built
+// eagerly or lazily. Without it a missing ExtVP entry means "not built",
+// not "empty" (SF = 0).
+inline constexpr char kExtVpMarker[] = "meta_extvp";
 
 std::string TriplesTableName();
-std::string VpTableName(const rdf::Dictionary& dict, rdf::TermId predicate);
-
-// Inverse naming map used for graceful degradation: the base VP table
-// that is a superset of the given ExtVP table ("extvp_ss_a_1__b_2" ->
-// "vp_a_1"). Pure string transform (no dictionary), so the storage
-// layer's fallback hook can use it. Returns "" for non-ExtVP names.
-std::string VpTableNameForExtVp(const std::string& extvp_name);
-std::string ExtVpTableName(const rdf::Dictionary& dict, Correlation corr,
-                           rdf::TermId p1, rdf::TermId p2);
+std::string VpTableName(rdf::TermId predicate);
+std::string ExtVpTableName(Correlation corr, rdf::TermId p1, rdf::TermId p2);
 std::string PropertyTableName();
-std::string PropertyAuxTableName(const rdf::Dictionary& dict,
-                                 rdf::TermId predicate);
+std::string PropertyAuxTableName(rdf::TermId predicate);
 
 }  // namespace s2rdf::core
 

@@ -65,9 +65,7 @@ Status BuildVpLayout(const rdf::Graph& graph, storage::Catalog* catalog) {
     rdf::Table table({"s", "o"});
     table.Reserve(rows.size());
     for (const auto& [s, o] : rows) table.AppendRow({s, o});
-    S2RDF_RETURN_IF_ERROR(
-        catalog->Put(VpTableName(graph.dictionary(), p), std::move(table),
-                     1.0));
+    S2RDF_RETURN_IF_ERROR(catalog->Put(VpTableName(p), std::move(table), 1.0));
   }
   return Status::Ok();
 }
@@ -77,7 +75,6 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
                                            storage::Catalog* catalog) {
   auto start_time = MonotonicNow();
   ExtVpBuildStats build_stats;
-  const rdf::Dictionary& dict = graph.dictionary();
   VpRowData vp = CollectVpRows(graph);
   const size_t k = vp.predicates.size();
 
@@ -104,8 +101,6 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   constexpr int kNumCorrelations = 3;
   const Correlation kCorrelations[kNumCorrelations] = {
       Correlation::kSS, Correlation::kOS, Correlation::kSO};
-  const bool enabled[kNumCorrelations] = {options.build_ss, options.build_os,
-                                          options.build_so};
 
   auto pair_key = [](uint32_t p1, uint32_t p2) {
     return (static_cast<uint64_t>(p1) << 32) | p2;
@@ -116,22 +111,14 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   for (size_t i1 = 0; i1 < k; ++i1) {
     uint32_t p1 = static_cast<uint32_t>(i1);
     for (const auto& [s, o] : vp.rows[vp.predicates[i1]]) {
-      if (enabled[0]) {
-        for (uint32_t p2 : subject_preds.find(s)->second) {
-          if (p2 != p1) ++counts[0][pair_key(p1, p2)];
-        }
+      for (uint32_t p2 : subject_preds.find(s)->second) {
+        if (p2 != p1) ++counts[0][pair_key(p1, p2)];
       }
-      if (enabled[1]) {
-        auto it = subject_preds.find(o);
-        if (it != subject_preds.end()) {
-          for (uint32_t p2 : it->second) ++counts[1][pair_key(p1, p2)];
-        }
+      if (auto it = subject_preds.find(o); it != subject_preds.end()) {
+        for (uint32_t p2 : it->second) ++counts[1][pair_key(p1, p2)];
       }
-      if (enabled[2]) {
-        auto it = object_preds.find(s);
-        if (it != object_preds.end()) {
-          for (uint32_t p2 : it->second) ++counts[2][pair_key(p1, p2)];
-        }
+      if (auto it = object_preds.find(s); it != object_preds.end()) {
+        for (uint32_t p2 : it->second) ++counts[2][pair_key(p1, p2)];
       }
     }
   }
@@ -140,7 +127,6 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   // selected[corr] maps pair key -> output table (filled in pass 2).
   std::unordered_map<uint64_t, rdf::Table> selected[kNumCorrelations];
   for (int c = 0; c < kNumCorrelations; ++c) {
-    if (!enabled[c]) continue;
     // The number of combinations considered includes empty ones: all
     // ordered pairs (minus p1 == p2 for SS).
     build_stats.tables_considered +=
@@ -154,7 +140,7 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
       TermId p2 = vp.predicates[i2];
       uint64_t vp_rows = vp.rows[p1].size();
       double sf = static_cast<double>(count) / static_cast<double>(vp_rows);
-      std::string name = ExtVpTableName(dict, kCorrelations[c], p1, p2);
+      std::string name = ExtVpTableName(kCorrelations[c], p1, p2);
       if (count == vp_rows) {
         // SF = 1: identical to VP, never stored (red tables in Fig. 10).
         ++build_stats.tables_equal_vp;
@@ -182,29 +168,21 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   for (size_t i1 = 0; i1 < k; ++i1) {
     uint32_t p1 = static_cast<uint32_t>(i1);
     for (const auto& [s, o] : vp.rows[vp.predicates[i1]]) {
-      if (enabled[0]) {
-        for (uint32_t p2 : subject_preds.find(s)->second) {
-          if (p2 == p1) continue;
-          auto it = selected[0].find(pair_key(p1, p2));
-          if (it != selected[0].end()) it->second.AppendRow({s, o});
+      for (uint32_t p2 : subject_preds.find(s)->second) {
+        if (p2 == p1) continue;
+        auto it = selected[0].find(pair_key(p1, p2));
+        if (it != selected[0].end()) it->second.AppendRow({s, o});
+      }
+      if (auto sp = subject_preds.find(o); sp != subject_preds.end()) {
+        for (uint32_t p2 : sp->second) {
+          auto it = selected[1].find(pair_key(p1, p2));
+          if (it != selected[1].end()) it->second.AppendRow({s, o});
         }
       }
-      if (enabled[1]) {
-        auto sp = subject_preds.find(o);
-        if (sp != subject_preds.end()) {
-          for (uint32_t p2 : sp->second) {
-            auto it = selected[1].find(pair_key(p1, p2));
-            if (it != selected[1].end()) it->second.AppendRow({s, o});
-          }
-        }
-      }
-      if (enabled[2]) {
-        auto op = object_preds.find(s);
-        if (op != object_preds.end()) {
-          for (uint32_t p2 : op->second) {
-            auto it = selected[2].find(pair_key(p1, p2));
-            if (it != selected[2].end()) it->second.AppendRow({s, o});
-          }
+      if (auto op = object_preds.find(s); op != object_preds.end()) {
+        for (uint32_t p2 : op->second) {
+          auto it = selected[2].find(pair_key(p1, p2));
+          if (it != selected[2].end()) it->second.AppendRow({s, o});
         }
       }
     }
@@ -218,34 +196,29 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
       TermId p2 = vp.predicates[i2];
       double sf = static_cast<double>(table.NumRows()) /
                   static_cast<double>(vp.rows[p1].size());
-      S2RDF_RETURN_IF_ERROR(
-          catalog->Put(ExtVpTableName(dict, kCorrelations[c], p1, p2),
-                       std::move(table), sf));
+      S2RDF_RETURN_IF_ERROR(catalog->Put(
+          ExtVpTableName(kCorrelations[c], p1, p2), std::move(table), sf));
     }
   }
 
-  // Marker entries so the compiler can distinguish "combination empty"
-  // from "correlation direction never built".
-  if (options.build_ss) catalog->PutStatsOnly("meta_extvp_ss", 1, 1.0);
-  if (options.build_os) catalog->PutStatsOnly("meta_extvp_os", 1, 1.0);
-  if (options.build_so) catalog->PutStatsOnly("meta_extvp_so", 1, 1.0);
+  // So the compiler can tell "combination empty" from "ExtVP never
+  // built".
+  catalog->PutStatsOnly(kExtVpMarker, 1, 1.0);
 
   build_stats.build_seconds = SecondsSince(start_time);
   return build_stats;
 }
 
-Status MaterializeExtVpPair(const rdf::Dictionary& dict, Correlation corr,
-                            rdf::TermId p1, rdf::TermId p2,
-                            double sf_threshold,
-                            storage::Catalog* catalog) {
-  std::string name = ExtVpTableName(dict, corr, p1, p2);
-  if (catalog->Has(name)) return Status::Ok();  // Already computed.
+Status MaterializeExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2,
+                            double sf_threshold, storage::Catalog* catalog) {
+  std::string name = ExtVpTableName(corr, p1, p2);
+  if (catalog->State()->Find(name) != nullptr) return Status::Ok();  // Built.
   // Shared ownership: a concurrent query's eviction pass must not free
   // the VP tables while this reduction is being computed.
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp1,
-                         catalog->GetTable(VpTableName(dict, p1)));
+                         catalog->GetTable(VpTableName(p1)));
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp2,
-                         catalog->GetTable(VpTableName(dict, p2)));
+                         catalog->GetTable(VpTableName(p2)));
 
   // Column roles per correlation: reduce VP_p1 by the matching column
   // of VP_p2 (Sec. 5.2's semi-join definitions).
@@ -288,7 +261,6 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
     const rdf::Graph& graph, PropertyTableStrategy strategy,
     storage::Catalog* catalog) {
   PropertyTableBuildStats build_stats;
-  const rdf::Dictionary& dict = graph.dictionary();
   VpRowData vp = CollectVpRows(graph);
 
   // subject -> predicate -> values.
@@ -319,7 +291,7 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
   // Column names reuse the VP naming so the Sempala engine can address
   // columns uniformly.
   std::vector<std::string> names = {"s"};
-  for (TermId p : inline_preds) names.push_back(VpTableName(dict, p));
+  for (TermId p : inline_preds) names.push_back(VpTableName(p));
   rdf::Table pt(std::move(names));
 
   for (const auto& [s, preds] : by_subject) {
@@ -370,7 +342,7 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
     build_stats.aux_tuples += rows.size();
     ++build_stats.aux_tables;
     S2RDF_RETURN_IF_ERROR(
-        catalog->Put(PropertyAuxTableName(dict, p), std::move(aux), 1.0));
+        catalog->Put(PropertyAuxTableName(p), std::move(aux), 1.0));
   }
   return build_stats;
 }

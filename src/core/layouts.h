@@ -50,12 +50,9 @@ struct ExtVpOptions {
   // Materialize only tables with SF < sf_threshold (Sec. 5.3). The
   // default 1.0 materializes every table with 0 < SF < 1, i.e. "no
   // threshold" in the paper's terminology (tables equal to VP are never
-  // stored).
+  // stored). All three correlations SS, OS and SO are precomputed; OO
+  // never is.
   double sf_threshold = 1.0;
-  // Correlation directions to precompute. OO is never precomputed.
-  bool build_ss = true;
-  bool build_os = true;
-  bool build_so = true;
 };
 
 struct ExtVpBuildStats {
@@ -71,9 +68,10 @@ struct ExtVpBuildStats {
 
 // Builds the ExtVP semi-join reduction tables over an existing VP layout
 // (BuildVpLayout must have run on the same catalog). Registers stats for
-// every non-empty combination; materializes those within the threshold.
-// A combination with no stats entry is empty (SF = 0) — the query
-// compiler uses this for the statistics-only empty-result shortcut.
+// every non-empty combination; materializes those within the threshold;
+// registers kExtVpMarker. A combination with no stats entry is then
+// empty (SF = 0) — the query compiler uses this for the statistics-only
+// empty-result shortcut.
 StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
                                            const ExtVpOptions& options,
                                            storage::Catalog* catalog);
@@ -87,8 +85,7 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
 // in every case (including empty and SF = 1 reductions, which are not
 // materialized), mirroring the eager builder's conventions. The
 // `sf_threshold` prunes materialization exactly like the eager build.
-Status MaterializeExtVpPair(const rdf::Dictionary& dict, Correlation corr,
-                            rdf::TermId p1, rdf::TermId p2,
+Status MaterializeExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2,
                             double sf_threshold, storage::Catalog* catalog);
 
 // --- Property tables (Sec. 4.3) -----------------------------------------

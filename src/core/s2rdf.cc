@@ -23,7 +23,8 @@ namespace {
 // serving without its terms would decode wrong strings, and the next
 // ingest would hand their ids out again.
 Status LoadDictionary(const storage::Catalog& catalog, rdf::Dictionary* dict) {
-  const std::vector<storage::BlobLocation> blobs = catalog.DictionaryBlobs();
+  const std::vector<storage::BlobLocation> blobs =
+      catalog.State()->dictionary_blobs;
   if (blobs.empty()) {
     return InvalidArgumentError("no dictionary blob in the manifest of " +
                                 catalog.dir());
@@ -47,23 +48,25 @@ Status LoadDictionary(const storage::Catalog& catalog, rdf::Dictionary* dict) {
 
 }  // namespace
 
-engine::TableProvider CatalogProvider(storage::Catalog* catalog) {
+engine::TableProvider CatalogProvider(
+    storage::Catalog* catalog,
+    std::shared_ptr<const storage::CatalogState> state) {
   // The pin map keeps every resolved table alive (and memoizes the
   // lookup) for as long as the provider itself lives — one query.
   auto pins = std::make_shared<
       std::unordered_map<std::string, std::shared_ptr<const rdf::Table>>>();
   // One degradation event per query, however many scans substitute.
   auto degraded = std::make_shared<std::atomic<bool>>(false);
-  return [catalog, pins, degraded](const std::string& name)
-             -> const rdf::Table* {
+  return [catalog, state = std::move(state), pins, degraded](
+             const std::string& name,
+             const std::string& fallback) -> const rdf::Table* {
     auto pinned = pins->find(name);
     if (pinned != pins->end()) return pinned->second.get();
     StatusOr<std::shared_ptr<const rdf::Table>> table =
-        catalog->GetTable(name);
+        catalog->GetTable(*state, name);
     if (!table.ok()) {
-      const std::string substitute = VpTableNameForExtVp(name);
-      if (substitute.empty()) return nullptr;
-      table = catalog->GetTable(substitute);
+      if (fallback.empty()) return nullptr;
+      table = catalog->GetTable(*state, fallback);
       if (!table.ok()) return nullptr;
       if (!degraded->exchange(true)) catalog->NoteDegradedQuery();
     }
@@ -82,20 +85,16 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
   db->trace_env_ = options.env;
 
   auto start = MonotonicNow();
-  if (options.build_triples_table) {
-    S2RDF_RETURN_IF_ERROR(BuildTriplesTable(db->graph_, &db->catalog_));
-  }
+  S2RDF_RETURN_IF_ERROR(BuildTriplesTable(db->graph_, &db->catalog_));
   S2RDF_RETURN_IF_ERROR(BuildVpLayout(db->graph_, &db->catalog_));
   db->load_stats_.vp_seconds = SecondsSince(start);
 
   db->sf_threshold_ = options.extvp.sf_threshold;
   if (options.lazy_extvp) {
-    // "Pay as you go": no precomputation; only register the correlation
-    // markers so Algorithm 1 consults ExtVP statistics.
+    // "Pay as you go": no precomputation; only register the ExtVP
+    // marker so Algorithm 1 consults ExtVP statistics.
     db->lazy_extvp_ = true;
-    db->catalog_.PutStatsOnly("meta_extvp_ss", 1, 1.0);
-    db->catalog_.PutStatsOnly("meta_extvp_os", 1, 1.0);
-    db->catalog_.PutStatsOnly("meta_extvp_so", 1, 1.0);
+    db->catalog_.PutStatsOnly(kExtVpMarker, 1, 1.0);
   } else if (options.build_extvp) {
     S2RDF_ASSIGN_OR_RETURN(
         db->load_stats_.extvp_stats,
@@ -155,7 +154,8 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Open(const std::string& storage_dir,
           db->catalog_.GetStats("meta_sf_threshold")) {
     db->sf_threshold_ = meta->selectivity;
   }
-  db->lazy_extvp_ = db->catalog_.Has("meta_lazy_extvp");
+  db->lazy_extvp_ =
+      db->catalog_.State()->Find("meta_lazy_extvp") != nullptr;
   return db;
 }
 
@@ -189,7 +189,7 @@ StatusOr<uint64_t> S2Rdf::RefreshStaleExtVp() {
   IngestConfig config;
   config.sf_threshold = sf_threshold_;
   config.lazy_extvp = lazy_extvp_;
-  return core::RefreshStaleExtVp(config, graph_.dictionary(), &catalog_);
+  return core::RefreshStaleExtVp(config, &catalog_);
 }
 
 StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
@@ -223,6 +223,9 @@ StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
     S2RDF_RETURN_IF_ERROR(LazyMaterializeFor(query.where));
     if (ctx.CheckInterrupt()) return ctx.interrupt_status;
   }
+  // The one catalog state the query reads, from compile to the last
+  // scan: a commit landing meanwhile changes nothing it sees.
+  const std::shared_ptr<const storage::CatalogState> state = catalog_.State();
   const CompilerOptions compiler_options{
       .layout = options.layout,
       .use_statistics_shortcut = options.use_statistics_shortcut,
@@ -240,7 +243,7 @@ StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
   if (query.form != sparql::QueryForm::kDescribe || !where.triples.empty() ||
       !where.unions.empty() || !where.subqueries.empty() ||
       !where.values.empty()) {
-    QueryCompiler compiler(&catalog_, &graph_.dictionary(), compiler_options);
+    QueryCompiler compiler(state, &graph_.dictionary(), compiler_options);
     S2RDF_ASSIGN_OR_RETURN(result.plan, compiler.Compile(query));
     result.optimizer_mode = compiler.optimizer().name();
   }
@@ -258,12 +261,12 @@ StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
     if (result.plan != nullptr) {
       S2RDF_ASSIGN_OR_RETURN(
           solutions, engine::ExecutePlan(*result.plan,
-                                         CatalogProvider(&catalog_),
+                                         CatalogProvider(&catalog_, state),
                                          &graph_.dictionary(), &ctx));
     }
     if (is_graph) {
       S2RDF_ASSIGN_OR_RETURN(result.graph_ntriples,
-                             BuildGraph(query, solutions, &ctx));
+                             BuildGraph(query, solutions, *state, &ctx));
     } else {
       ctx.metrics.output_tuples = solutions.NumRows();
       result.table = std::move(solutions);
@@ -322,6 +325,7 @@ Status S2Rdf::MaybeDumpTrace(const engine::QueryProfile& profile,
 
 StatusOr<std::string> S2Rdf::BuildGraph(const sparql::Query& query,
                                         const rdf::Table& solutions,
+                                        const storage::CatalogState& state,
                                         engine::ExecContext* ctx) {
   const rdf::Dictionary& dict = graph_.dictionary();
   // Collect output statements, deduplicated (graphs are sets).
@@ -388,7 +392,7 @@ StatusOr<std::string> S2Rdf::BuildGraph(const sparql::Query& query,
     // Shared ownership keeps the triples table valid even if another
     // query's EvictToBudget drops it from the cache mid-loop.
     S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> triples,
-                           catalog_.GetTable(TriplesTableName()));
+                           catalog_.GetTable(state, TriplesTableName()));
     ctx->metrics.input_tuples += triples->NumRows();
     for (size_t r = 0; r < triples->NumRows(); ++r) {
       if ((r % engine::kInterruptCheckRows) == 0 && ctx->CheckInterrupt()) {
@@ -443,22 +447,23 @@ Status S2Rdf::LazyMaterializeFor(const sparql::GraphPattern& pattern) {
 
 Status S2Rdf::EnsureExtVpPair(Correlation corr, rdf::TermId p1,
                               rdf::TermId p2) {
-  const rdf::Dictionary& dict = graph_.dictionary();
-  const std::string name = ExtVpTableName(dict, corr, p1, p2);
+  const std::string name = ExtVpTableName(corr, p1, p2);
   {
     MutexLock lock(&lazy_mu_);
     // If another query is computing this pair right now, wait for it
     // rather than duplicating the work.
     while (lazy_in_flight_.contains(name)) lazy_cv_.Wait(&lazy_mu_);
     // MaterializeExtVpPair registers the name in the catalog (stats-only
-    // when pruned), so Has doubles as the "already built" marker.
-    if (catalog_.Has(name)) return Status::Ok();
+    // when pruned), so its entry doubles as the "already built" marker.
+    if (catalog_.State()->Find(name) != nullptr) return Status::Ok();
     lazy_in_flight_.insert(name);
   }
-  // Build outside the lock: distinct pairs materialize concurrently.
+  // Build outside lazy_mu_ but under ingest_mu_: a pair built from one
+  // generation's VP tables must not be staged while a batch commits the
+  // next generation, which would commit the pair without maintaining it.
+  MutexLock ingest(&ingest_mu_);
   lazy_pairs_computed_.fetch_add(1, std::memory_order_relaxed);
-  Status status =
-      MaterializeExtVpPair(dict, corr, p1, p2, sf_threshold_, &catalog_);
+  Status status = MaterializeExtVpPair(corr, p1, p2, sf_threshold_, &catalog_);
   {
     MutexLock lock(&lazy_mu_);
     lazy_in_flight_.erase(name);

@@ -53,9 +53,8 @@ struct S2RdfOptions {
   // (Env::Default() when null; fault-injection tests substitute their
   // own). Must outlive the S2Rdf instance.
   Env* env = nullptr;
-  // Layouts to build. The triples table is required for queries with
-  // unbound predicates; VP is always built (base layout).
-  bool build_triples_table = true;
+  // Layouts to build beyond the triples table (which queries with
+  // unbound predicates and ingest need) and VP (the base layout).
   bool build_extvp = true;
   // "Pay as you go" mode (Sec. 7's production suggestion): skip the
   // ExtVP precomputation entirely; each reduction a query needs is
@@ -176,13 +175,16 @@ struct LoadStats {
 };
 
 // The table provider engine::ExecutePlan reads `catalog` through, one
-// per query. It loads lazily, returns nullptr for unknown tables, and
-// *pins* every table it resolves for its own lifetime, so concurrent
-// eviction cannot free a table mid-scan. An ExtVP table that fails to
-// load mid-query (checksum, missing file, quarantine) degrades to its
-// base VP table (VP ⊇ ExtVP keeps the answer intact), counted once per
-// provider in Catalog::queries_degraded.
-engine::TableProvider CatalogProvider(storage::Catalog* catalog);
+// per query: it resolves every table as of `state`. It loads lazily,
+// returns nullptr for unknown tables, and *pins* every table it
+// resolves for its own lifetime, so concurrent eviction cannot free a
+// table mid-scan. A table that fails to load mid-query (checksum,
+// missing file, quarantine) degrades to the scan's fallback table (an
+// ExtVP reduction's base VP table: VP ⊇ ExtVP keeps the answer intact),
+// counted once per provider in Catalog::queries_degraded.
+engine::TableProvider CatalogProvider(
+    storage::Catalog* catalog,
+    std::shared_ptr<const storage::CatalogState> state);
 
 class S2Rdf {
  public:
@@ -204,8 +206,8 @@ class S2Rdf {
                                                Env* env = nullptr);
 
   // The one query entry point: parses, compiles and executes
-  // request.query under request.options, for every query form.
-  // Thread-safe.
+  // request.query under request.options, for every query form, against
+  // one catalog state taken after the lazy-ExtVP pre-pass. Thread-safe.
   StatusOr<QueryResult> Execute(const QueryRequest& request);
 
   // Applies one batch of new triples: appends to the triples table and
@@ -213,7 +215,7 @@ class S2Rdf {
   // statistics (or defers that, marking sources stale — see
   // storage::IngestBatch). The whole batch commits as one atomic
   // manifest flip; in-flight queries keep reading the prior generation
-  // via their pinned tables. Thread-safe; concurrent Ingest calls are
+  // through their catalog state. Thread-safe; concurrent Ingest calls are
   // serialized. Not reflected: the in-memory bitmap ExtVP store and
   // property tables (rebuild for those layouts).
   StatusOr<storage::IngestResult> Ingest(const storage::IngestBatch& batch);
@@ -258,14 +260,16 @@ class S2Rdf {
 
   // Once-per-table build of one lazy ExtVP reduction: concurrent
   // queries needing the same (corr, p1, p2) pair block until the first
-  // builder finishes instead of computing it twice.
+  // builder finishes instead of computing it twice. Builds are
+  // serialized with ingest batches (ingest_mu_).
   Status EnsureExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2);
 
   // The CONSTRUCT/DESCRIBE tail of Execute: the N-Triples graph built
   // from the WHERE clause's solutions (empty for a DESCRIBE without
-  // WHERE).
+  // WHERE); DESCRIBE reads the triples table as of `state`.
   StatusOr<std::string> BuildGraph(const sparql::Query& query,
                                    const rdf::Table& solutions,
+                                   const storage::CatalogState& state,
                                    engine::ExecContext* ctx);
 
   // Writes the query's Chrome trace to S2RdfOptions::trace_dir (no-op
@@ -292,10 +296,10 @@ class S2Rdf {
   storage::RecoveryReport recovery_report_;
   std::unique_ptr<ExtVpBitmapStore> bitmap_store_;
 
-  // Serializes Ingest/RefreshStaleExtVp calls (queries run unlocked —
-  // they pin the prior generation's tables). Ordered before lazy_mu_:
-  // ingest-side refresh may trigger lazy materialization, never the
-  // reverse (enforced globally by the s2rdf_lint lock-order pass).
+  // Serializes Ingest/RefreshStaleExtVp calls and lazy ExtVP builds
+  // (queries otherwise run unlocked — they read the prior generation's
+  // state). Ordered before lazy_mu_; never taken while lazy_mu_ is held
+  // (enforced globally by the s2rdf_lint lock-order pass).
   Mutex ingest_mu_ S2RDF_ACQUIRED_BEFORE(lazy_mu_);
   // Terms with ids below this lie in a committed dictionary blob; the
   // next commit that mints terms stores the rest.

@@ -1,7 +1,5 @@
 #include "core/table_selection.h"
 
-#include <optional>
-
 namespace s2rdf::core {
 
 using sparql::PatternTerm;
@@ -18,6 +16,26 @@ std::array<CorrelationCase, 3> CorrelationsTo(const TriplePattern& tp,
            {SameVar(tp.object, other.subject), Correlation::kOS}}};
 }
 
+std::vector<PatternIds> ResolveBgp(const std::vector<TriplePattern>& bgp,
+                                   const rdf::Dictionary& dict,
+                                   const storage::CatalogState& state) {
+  std::vector<PatternIds> ids(bgp.size());
+  for (size_t i = 0; i < bgp.size(); ++i) {
+    const TriplePattern& tp = bgp[i];
+    for (const PatternTerm* term : {&tp.subject, &tp.object}) {
+      if (!term->is_variable() && !dict.Find(term->value).has_value()) {
+        ids[i].absent_term = true;
+      }
+    }
+    if (tp.predicate.is_variable()) continue;
+    ids[i].predicate = dict.Find(tp.predicate.value);
+    ids[i].stale =
+        ids[i].predicate.has_value() && !state.stale_sources.empty() &&
+        state.stale_sources.contains(VpTableName(*ids[i].predicate));
+  }
+  return ids;
+}
+
 namespace {
 
 // Layout::kExtVpBitmap selection: intersect the bitmaps of every
@@ -25,20 +43,16 @@ namespace {
 // proposed unification strategy).
 StatusOr<TableChoice> SelectWithBitmaps(
     size_t tp_index, const std::vector<TriplePattern>& bgp,
-    bool use_statistics_shortcut, const ExtVpBitmapStore& store,
-    rdf::TermId p1, TableChoice choice,
-    const rdf::Dictionary& dict) {
+    const std::vector<PatternIds>& ids, bool use_statistics_shortcut,
+    const ExtVpBitmapStore& store, rdf::TermId p1, TableChoice choice) {
   const TriplePattern& tp = bgp[tp_index];
   for (size_t j = 0; j < bgp.size(); ++j) {
     if (j == tp_index) continue;
-    const TriplePattern& other = bgp[j];
-    if (other.predicate.is_variable()) continue;
-    std::optional<rdf::TermId> p2 = dict.Find(other.predicate.value);
+    const std::optional<rdf::TermId>& p2 = ids[j].predicate;
     if (!p2.has_value()) continue;
-    for (const CorrelationCase& cand : CorrelationsTo(tp, other)) {
+    for (const CorrelationCase& cand : CorrelationsTo(tp, bgp[j])) {
       if (!cand.applies) continue;
       if (cand.corr == Correlation::kSS && p1 == *p2) continue;
-      if (!store.HasCorrelation(cand.corr)) continue;
       if (store.IsEmpty(cand.corr, p1, *p2)) {
         if (use_statistics_shortcut) {
           choice = TableChoice();
@@ -57,8 +71,7 @@ StatusOr<TableChoice> SelectWithBitmaps(
       }
       if (!choice.row_filter_label.empty()) choice.row_filter_label += "&";
       choice.row_filter_label +=
-          std::string(CorrelationName(cand.corr)) + "|" +
-          PredicateFragment(dict.Decode(*p2));
+          std::string(CorrelationName(cand.corr)) + "|" + std::to_string(*p2);
     }
   }
   if (choice.row_filter != nullptr) {
@@ -82,10 +95,10 @@ StatusOr<TableChoice> SelectWithBitmaps(
 
 StatusOr<TableChoice> SelectTable(size_t tp_index,
                                   const std::vector<TriplePattern>& bgp,
+                                  const std::vector<PatternIds>& ids,
                                   Layout layout,
                                   bool use_statistics_shortcut,
-                                  const storage::Catalog& catalog,
-                                  const rdf::Dictionary& dict,
+                                  const storage::CatalogState& state,
                                   const ExtVpBitmapStore* bitmap_store) {
   if (tp_index >= bgp.size()) {
     return InvalidArgumentError("tp_index out of range");
@@ -95,20 +108,15 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
 
   // Bound subject/object terms that are absent from the dictionary can
   // never match: the statistics (dictionary) already prove emptiness.
-  if (use_statistics_shortcut) {
-    for (const PatternTerm* term : {&tp.subject, &tp.object}) {
-      if (!term->is_variable() && !dict.Find(term->value).has_value()) {
-        choice.empty_result = true;
-        return choice;
-      }
-    }
+  if (use_statistics_shortcut && ids[tp_index].absent_term) {
+    choice.empty_result = true;
+    return choice;
   }
 
   // Unbound predicate: only the triples table can answer it (Sec. 5.2).
   if (tp.predicate.is_variable() || layout == Layout::kTriplesTable) {
-    const std::optional<storage::TableStats> stats =
-        catalog.GetStats(TriplesTableName());
-    if (!stats) {
+    const storage::TableStats* stats = state.Find(TriplesTableName());
+    if (stats == nullptr) {
       return FailedPreconditionError(
           "triples table required but not built (unbound predicate or "
           "triples-table layout)");
@@ -120,30 +128,27 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
     return choice;
   }
 
-  std::optional<rdf::TermId> p1 = dict.Find(tp.predicate.value);
+  const std::optional<rdf::TermId>& p1 = ids[tp_index].predicate;
   if (!p1.has_value()) {
     // Predicate absent from the dataset: no VP table exists.
     choice.empty_result = true;
     return choice;
   }
 
-  std::string vp_name = VpTableName(dict, *p1);
-  const std::optional<storage::TableStats> vp_stats =
-      catalog.GetStats(vp_name);
-  if (!vp_stats) {
+  const std::string vp_name = VpTableName(*p1);
+  const storage::TableStats* vp_stats = state.Find(vp_name);
+  if (vp_stats == nullptr) {
     return FailedPreconditionError("VP table missing: " + vp_name);
   }
-  choice.table_name = vp_name;
   choice.sf = 1.0;
   choice.rows = vp_stats->rows;
 
   // A quarantined VP table cannot be scanned; degrade to the triples
   // table with an explicit predicate selection (is_triples_table makes
   // ScanForPattern emit it). TT ⊇ VP, so results are unchanged.
-  if (catalog.IsQuarantined(vp_name)) {
-    const std::optional<storage::TableStats> tt_stats =
-        catalog.GetStats(TriplesTableName());
-    if (!tt_stats || catalog.IsQuarantined(TriplesTableName())) {
+  if (state.quarantined.contains(vp_name)) {
+    const storage::TableStats* tt_stats = state.Find(TriplesTableName());
+    if (tt_stats == nullptr || state.quarantined.contains(TriplesTableName())) {
       return FailedPreconditionError(
           "VP table quarantined and no triples table to degrade to: " +
           vp_name);
@@ -156,6 +161,7 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
     choice.layout_label = "TT";
     return choice;
   }
+  choice.table_name = vp_name;
 
   if (layout == Layout::kVp) return choice;
 
@@ -164,53 +170,41 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
       return FailedPreconditionError(
           "Layout::kExtVpBitmap requires an ExtVpBitmapStore");
     }
-    return SelectWithBitmaps(tp_index, bgp, use_statistics_shortcut,
-                             *bitmap_store, *p1, std::move(choice), dict);
+    return SelectWithBitmaps(tp_index, bgp, ids, use_statistics_shortcut,
+                             *bitmap_store, *p1, std::move(choice));
   }
+
+  // A store without ExtVP has no reductions: a missing entry then means
+  // "not built", not "empty".
+  if (state.Find(kExtVpMarker) == nullptr) return choice;
 
   // Examine the correlations of tp to every other pattern (Algorithm 1).
   for (size_t j = 0; j < bgp.size(); ++j) {
     if (j == tp_index) continue;
-    const TriplePattern& other = bgp[j];
-    if (other.predicate.is_variable()) continue;
-    std::optional<rdf::TermId> p2 = dict.Find(other.predicate.value);
-    if (!p2.has_value()) continue;  // That pattern is empty on its own.
+    const std::optional<rdf::TermId>& p2 = ids[j].predicate;
+    // An unbound predicate has no reductions; an absent one makes that
+    // pattern empty on its own.
+    if (!p2.has_value()) continue;
+    if (ids[tp_index].stale || ids[j].stale) {
+      // A deferred ingest appended to one of the pair's VP tables: the
+      // reduction misses those triples (it is no longer a superset of a
+      // fresh semi-join) and its statistics undercount, so neither the
+      // empty-result shortcut nor a scan may use it until
+      // RefreshStaleExtVp catches up.
+      continue;
+    }
 
-    for (const CorrelationCase& cand : CorrelationsTo(tp, other)) {
+    for (const CorrelationCase& cand : CorrelationsTo(tp, bgp[j])) {
       if (!cand.applies) continue;
       if (cand.corr == Correlation::kSS && *p1 == *p2) {
         continue;  // SS self-correlation is the VP table itself.
       }
-      // Skip directions that were not precomputed.
-      std::string meta =
-          "meta_extvp_" + std::string(CorrelationName(cand.corr));
-      if (!catalog.Has(meta)) continue;
-      std::string name = ExtVpTableName(dict, cand.corr, *p1, *p2);
-      if (catalog.IsStaleSource(vp_name) ||
-          catalog.IsStaleSource(VpTableName(dict, *p2))) {
-        // A deferred ingest appended to one of the pair's VP tables:
-        // the reduction misses those triples (it is no longer a
-        // superset of a fresh semi-join) and its statistics
-        // undercount, so neither the empty-result shortcut nor a scan
-        // may use it until RefreshStaleExtVp catches up.
-        continue;
-      }
-      const std::optional<storage::TableStats> stats =
-          catalog.GetStats(name);
-      if (!stats) {
-        // No stats entry for a built direction means the semi-join was
-        // empty (SF = 0): the whole BGP can be answered statically.
-        if (use_statistics_shortcut) {
-          choice = TableChoice();
-          choice.empty_result = true;
-          return choice;
-        }
-        continue;
-      }
-      if (stats->rows == 0) {
-        // Lazily-computed empty reduction (BuildExtVpLayout leaves empty
-        // combinations without a stats entry; the lazy path records
-        // them explicitly).
+      std::string name = ExtVpTableName(cand.corr, *p1, *p2);
+      const storage::TableStats* stats = state.Find(name);
+      if (stats == nullptr || stats->rows == 0) {
+        // No stats entry means the semi-join was empty (SF = 0): the
+        // whole BGP can be answered statically. The lazy path records
+        // empty reductions explicitly with zero rows.
         if (use_statistics_shortcut) {
           choice = TableChoice();
           choice.empty_result = true;
@@ -220,13 +214,14 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
       }
       if (!stats->materialized) continue;  // SF = 1 or pruned by threshold.
       if (stats->selectivity < choice.sf) {
-        if (catalog.IsQuarantined(name)) {
+        if (state.quarantined.contains(name)) {
           // The better ExtVP table is corrupt: stay on the current
           // (superset) choice and record the degradation.
           choice.degraded = true;
           continue;
         }
-        choice.table_name = name;
+        choice.table_name = std::move(name);
+        choice.fallback_table = vp_name;
         choice.sf = stats->selectivity;
         choice.rows = stats->rows;
         choice.layout_label = "ExtVP";

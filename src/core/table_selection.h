@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,8 +57,11 @@ struct TableChoice {
   // scan reads `table_name` (a VP table) through this filter. Null when
   // no correlation reduces the table.
   std::shared_ptr<Bitmap> row_filter;
-  // Human-readable description of the intersected correlations.
+  // The intersected correlations, as "<corr>|<p2 id>" joined by "&".
   std::string row_filter_label;
+  // An ExtVP choice's base VP table, which the scan reads instead when
+  // the reduction cannot be loaded mid-query; empty for other choices.
+  std::string fallback_table;
   // Layout family actually chosen ("VP", "ExtVP", "TT", "ExtVP-bitmap"),
   // carried into the plan for EXPLAIN ANALYZE.
   std::string layout_label = "VP";
@@ -80,17 +84,38 @@ struct CorrelationCase {
 std::array<CorrelationCase, 3> CorrelationsTo(
     const sparql::TriplePattern& tp, const sparql::TriplePattern& other);
 
-// Runs Algorithm 1 for `tp` within `bgp`. `tp_index` is the position of
-// `tp` inside `bgp` (used to skip self-correlation). When
+// A triple pattern's terms, resolved once per BGP against the
+// dictionary and the query's catalog state: what Algorithm 1 and the
+// estimator read for every pattern pair.
+struct PatternIds {
+  // The bound predicate's id; nullopt when the predicate is a variable
+  // or absent from the dictionary.
+  std::optional<rdf::TermId> predicate;
+  // A bound subject or object is absent from the dictionary: the
+  // pattern matches nothing.
+  bool absent_term = false;
+  // The predicate's VP table is a stale source (a deferred ingest
+  // appended to it): its ExtVP reductions and their statistics are
+  // unusable until a refresh.
+  bool stale = false;
+};
+
+// One PatternIds per pattern of `bgp`.
+std::vector<PatternIds> ResolveBgp(
+    const std::vector<sparql::TriplePattern>& bgp,
+    const rdf::Dictionary& dict, const storage::CatalogState& state);
+
+// Runs Algorithm 1 for `bgp[tp_index]` (its position is used to skip
+// self-correlation), reading statistics, quarantine and staleness from
+// `state` only; `ids` is ResolveBgp(bgp, ...). When
 // `use_statistics_shortcut` is false, empty correlations do not
 // short-circuit the query (ablation switch). `bitmap_store` is required
 // for (and only consulted by) Layout::kExtVpBitmap.
 StatusOr<TableChoice> SelectTable(size_t tp_index,
                                   const std::vector<sparql::TriplePattern>& bgp,
-                                  Layout layout,
-                                  bool use_statistics_shortcut,
-                                  const storage::Catalog& catalog,
-                                  const rdf::Dictionary& dict,
+                                  const std::vector<PatternIds>& ids,
+                                  Layout layout, bool use_statistics_shortcut,
+                                  const storage::CatalogState& state,
                                   const ExtVpBitmapStore* bitmap_store =
                                       nullptr);
 

@@ -442,7 +442,7 @@ StatusOr<Table> ExecutePlanImpl(const PlanNode& plan,
     case PlanNode::Kind::kEmpty:
       return Table(plan.empty_columns);
     case PlanNode::Kind::kScan: {
-      const Table* base = tables(plan.table_name);
+      const Table* base = tables(plan.table_name, plan.fallback_table);
       if (base == nullptr) {
         return NotFoundError("table not found: " + plan.table_name);
       }

@@ -50,6 +50,10 @@ struct PlanNode {
 
   // kScan.
   std::string table_name;
+  // A superset of `table_name` the scan reads instead when that table
+  // cannot be loaded — an ExtVP reduction's base VP table (VP ⊇ ExtVP
+  // keeps the answer intact); empty when there is none.
+  std::string fallback_table;
   // (base column name, canonical constant term) equality selections.
   std::vector<std::pair<std::string, std::string>> selections;
   // (base column name, base column name) equal-value selections.
@@ -131,10 +135,12 @@ struct PlanNode {
   std::string ToSql() const;
 };
 
-// Resolves catalog table names to tables. Returns nullptr for unknown
-// names (ExecutePlan turns that into a NotFound error).
-using TableProvider =
-    std::function<const Table*(const std::string& table_name)>;
+// Resolves a scan's table: `table_name`, or `fallback_table` (see
+// PlanNode) when that cannot be loaded and the fallback is not empty.
+// Returns nullptr when neither resolves (ExecutePlan turns that into a
+// NotFound error).
+using TableProvider = std::function<const Table*(
+    const std::string& table_name, const std::string& fallback_table)>;
 
 // Interprets `plan` bottom-up. The dictionary is mutable because
 // aggregates mint new literals (counts, sums).

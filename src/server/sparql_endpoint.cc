@@ -317,6 +317,15 @@ void SparqlEndpoint::RegisterMetrics() {
   registry_.AddGauge("s2rdf_read_retries_total",
                      "Transient-read retry attempts by the catalog.",
                      [this]() { return db_.catalog().read_retries(); });
+  registry_.AddGauge("s2rdf_table_cache_hits_total",
+                     "Committed-table loads served from the table cache.",
+                     [this]() { return db_.catalog().cache_hits(); });
+  registry_.AddGauge("s2rdf_table_cache_misses_total",
+                     "Committed-table loads read from a segment file.",
+                     [this]() { return db_.catalog().cache_misses(); });
+  registry_.AddGauge("s2rdf_table_cache_evictions_total",
+                     "Tables the memory budget evicted from the cache.",
+                     [this]() { return db_.catalog().cache_evictions(); });
   registry_.AddGauge(
       "s2rdf_stale_sf_fallbacks_total",
       "Optimizer estimates that ignored a stale ExtVP statistic.",
@@ -324,7 +333,7 @@ void SparqlEndpoint::RegisterMetrics() {
   registry_.AddGauge(
       "s2rdf_stale_extvp_sources",
       "VP tables whose ExtVP dependents await a deferred refresh.",
-      [this]() { return db_.catalog().stale_source_count(); });
+      [this]() { return db_.catalog().State()->stale_sources.size(); });
   ingest_batches_ = registry_.AddCounter(
       "s2rdf_ingest_batches_total", "Batches committed via POST /ingest.");
   ingest_triples_ = registry_.AddCounter(
@@ -460,7 +469,8 @@ HttpResponse SparqlEndpoint::StatuszResponse() const {
          std::to_string(catalog.NumMaterializedTables()) +
          " tuples=" + std::to_string(catalog.TotalTuples()) +
          " cached_bytes=" + std::to_string(catalog.CachedBytes()) +
-         " stale_sources=" + std::to_string(catalog.stale_source_count()) +
+         " stale_sources=" +
+         std::to_string(catalog.State()->stale_sources.size()) +
          " quarantined=" + std::to_string(catalog.quarantined_tables()) +
          " corruptions=" + std::to_string(catalog.corruptions_detected()) +
          "\n";
@@ -647,7 +657,7 @@ HttpResponse SparqlEndpoint::RunIngest(const HttpRequest& request) {
     response.body =
         "{\"extvp_refreshed\":" + std::to_string(*refreshed) +
         ",\"stale_sources\":" +
-        std::to_string(db_.catalog().stale_source_count()) + "}\n";
+        std::to_string(db_.catalog().State()->stale_sources.size()) + "}\n";
     return response;
   }
   auto batch = core::MakeBatchFromNTriples(request.body);

@@ -117,12 +117,33 @@ void Backoff(int attempt) {
 
 }  // namespace
 
+// One segment file of the generation the catalog serves. Every state
+// built while the segment is live holds it; once a commit drops the
+// segment (`dropped`), the file is removed when the last holder releases
+// it — the catalog's own state included.
+struct SegmentFile {
+  SegmentFile(Env* env, std::string path, uint64_t bytes)
+      : env(env), path(std::move(path)), bytes(bytes) {}
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
+  ~SegmentFile() {
+    // Best effort: a crash first leaves debris Recover() removes.
+    if (dropped.load()) (void)env->RemoveFile(path);
+  }
+
+  Env* const env;
+  const std::string path;
+  const uint64_t bytes;
+  std::atomic<bool> dropped{false};
+};
+
 void Catalog::SetRetrySleepFnForTest(void (*fn)(std::chrono::milliseconds)) {
   g_retry_sleep_fn.store(fn, std::memory_order_relaxed);
 }
 
 Catalog::Catalog(std::string dir, Env* env)
     : dir_(std::move(dir)), env_(env != nullptr ? env : Env::Default()) {
+  live_.catalog = this;
   if (!dir_.empty()) {
     // Best-effort; the first commit reports real errors.
     (void)env_->MakeDirs(dir_);
@@ -182,14 +203,13 @@ void Catalog::Stage(TableStats stats,
                     std::shared_ptr<const rdf::Table> table) {
   const std::string name = stats.name;
   MutexLock lock(&mu_);
-  stats_[name] = std::move(stats);
-  if (table != nullptr) {
-    quarantined_.erase(name);  // A fresh write supersedes old corruption.
-    CacheInsertLocked(name, std::move(table), /*staged=*/!dir_.empty());
-  } else {
-    EvictFromMemoryLocked(name);
-  }
+  // A fresh write supersedes old corruption.
+  if (table != nullptr) live_.quarantined.erase(name);
+  EvictFromMemoryLocked(name);
+  SetHandleLocked(name, std::move(table));
+  live_.stats[name] = std::move(stats);
   if (!dir_.empty()) staged_[name] = ++stage_seq_;
+  state_.reset();
 }
 
 Status Catalog::Put(const std::string& name, rdf::Table table,
@@ -212,46 +232,21 @@ void Catalog::PutStatsOnly(const std::string& name, uint64_t rows,
   Stage(std::move(stats), nullptr);
 }
 
-bool Catalog::Has(const std::string& name) const {
+std::shared_ptr<const CatalogState> Catalog::State() const {
   MutexLock lock(&mu_);
-  return stats_.contains(name);
+  if (state_ == nullptr) state_ = std::make_shared<const CatalogState>(live_);
+  return state_;
 }
 
 std::optional<TableStats> Catalog::GetStats(const std::string& name) const {
   MutexLock lock(&mu_);
-  auto it = stats_.find(name);
-  if (it == stats_.end()) return std::nullopt;
-  return it->second;
-}
-
-bool Catalog::IsQuarantined(const std::string& name) const {
-  MutexLock lock(&mu_);
-  return quarantined_.contains(name);
+  const TableStats* stats = live_.Find(name);
+  if (stats == nullptr) return std::nullopt;
+  return *stats;
 }
 
 void Catalog::NoteDegradedQuery() const {
   queries_degraded_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Catalog::MarkStaleSource(const std::string& vp_name) {
-  MutexLock lock(&mu_);
-  stale_sources_.insert(vp_name);
-}
-
-bool Catalog::IsStaleSource(const std::string& vp_name) const {
-  MutexLock lock(&mu_);
-  return stale_sources_.contains(vp_name);
-}
-
-std::vector<std::string> Catalog::StaleSources() const {
-  MutexLock lock(&mu_);
-  return std::vector<std::string>(stale_sources_.begin(),
-                                  stale_sources_.end());
-}
-
-size_t Catalog::stale_source_count() const {
-  MutexLock lock(&mu_);
-  return stale_sources_.size();
 }
 
 void Catalog::NoteStaleSfFallback() const {
@@ -278,13 +273,9 @@ uint64_t Catalog::quarantined_tables() const {
   return quarantined_count_.load(std::memory_order_relaxed);
 }
 
-uint64_t Catalog::generation() const {
-  MutexLock lock(&mu_);
-  return generation_;
-}
-
 void Catalog::QuarantineLocked(const std::string& name) {
-  if (!quarantined_.insert(name).second) return;
+  if (!live_.quarantined.insert(name).second) return;
+  state_.reset();
   quarantined_count_.fetch_add(1, std::memory_order_relaxed);
   corruptions_detected_.fetch_add(1, std::memory_order_relaxed);
   EvictFromMemoryLocked(name);
@@ -294,90 +285,97 @@ void Catalog::QuarantineLocked(const std::string& name) {
 }
 
 StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
-    const std::string& name) {
-  for (;;) {
-    BlobLocation at;
-    {
-      MutexLock lock(&mu_);
-      auto cached = cache_.find(name);
-      if (cached != cache_.end()) {
-        CacheEntry& entry = cached->second;
-        if (!entry.staged) lru_.splice(lru_.end(), lru_, entry.lru);
-        return entry.table;
-      }
-      auto it = stats_.find(name);
-      if (it == stats_.end() || !it->second.materialized) {
-        return NotFoundError("table not materialized: " + name);
-      }
-      if (quarantined_.contains(name)) {
-        return FailedPreconditionError("table quarantined: " + name);
-      }
-      at = LocationOf(it->second);
-    }
-    // Read only the table's byte range, outside the lock so distinct
-    // tables page in concurrently.
-    std::string blob;
-    Status read = ReadBlob(at, &blob);
-    StatusOr<rdf::Table> table =
-        read.ok() ? DeserializeTable(blob) : StatusOr<rdf::Table>(read);
-    MutexLock lock(&mu_);
-    auto it = stats_.find(name);
-    // A commit moved or replaced the blob while it was being read (a
-    // compacted segment is deleted right after the flip).
-    const bool moved = it == stats_.end() || !(LocationOf(it->second) == at);
-    if (!table.ok()) {
-      if (IsTransient(table.status())) return table.status();
-      if (moved) continue;  // Look the table up again.
-      // Corrupt or missing on disk: quarantine so future queries degrade
-      // at selection time instead of re-reading a broken blob.
-      QuarantineLocked(name);
-      return table.status();
-    }
-    auto owned = std::make_shared<const rdf::Table>(std::move(*table));
-    // The previous generation's copy serves this caller but must not
-    // shadow the committed one in the cache.
-    if (moved) return owned;
-    auto cached = cache_.find(name);
-    if (cached != cache_.end()) return cached->second.table;  // Lost a race.
-    CacheInsertLocked(name, owned, /*staged=*/false);
-    return owned;
+    const CatalogState& state, const std::string& name) {
+  const TableStats* stats = state.Find(name);
+  if (stats == nullptr || !stats->materialized) {
+    return NotFoundError("table not materialized: " + name);
   }
+  if (state.quarantined.contains(name)) {
+    return FailedPreconditionError("table quarantined: " + name);
+  }
+  auto handle = state.handles.find(name);
+  if (handle != state.handles.end()) return handle->second;
+  const BlobLocation at = LocationOf(*stats);
+  {
+    MutexLock lock(&mu_);
+    auto cached = cache_.find(name);
+    if (cached != cache_.end() && cached->second.at == at) {
+      lru_.splice(lru_.end(), lru_, cached->second.lru);
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return cached->second.table;
+    }
+  }
+  // Read only the table's byte range, outside the lock so distinct
+  // tables page in concurrently; `state` keeps its segment on disk.
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  std::string blob;
+  Status read = ReadBlob(at, &blob);
+  StatusOr<rdf::Table> table =
+      read.ok() ? DeserializeTable(blob) : StatusOr<rdf::Table>(read);
+  MutexLock lock(&mu_);
+  // Only the blob the catalog serves now is quarantined or cached: an
+  // older state's blob is superseded either way.
+  const TableStats* current = live_.Find(name);
+  const bool is_current =
+      current != nullptr && current->materialized && LocationOf(*current) == at;
+  if (!table.ok()) {
+    // Corrupt or missing on disk: quarantine so future queries degrade
+    // at selection time instead of re-reading a broken blob.
+    if (is_current && !IsTransient(table.status())) QuarantineLocked(name);
+    return table.status();
+  }
+  auto owned = std::make_shared<const rdf::Table>(std::move(*table));
+  if (!is_current) return owned;
+  auto cached = cache_.find(name);
+  if (cached != cache_.end() && cached->second.at == at) {
+    return cached->second.table;  // Lost a race.
+  }
+  CacheInsertLocked(name, owned, at);
+  return owned;
+}
+
+StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
+    const std::string& name) {
+  const std::shared_ptr<const CatalogState> state = State();
+  return GetTable(*state, name);
 }
 
 void Catalog::CacheInsertLocked(const std::string& name,
                                 std::shared_ptr<const rdf::Table> table,
-                                bool staged) {
+                                const BlobLocation& at) {
   EvictFromMemoryLocked(name);  // Replace any stale copy.
   cached_bytes_ += table->ApproxBytes();
-  CacheEntry& entry = cache_[name];
-  entry.table = std::move(table);
-  entry.staged = staged;
-  if (!staged) entry.lru = lru_.insert(lru_.end(), name);
+  cache_[name] = {std::move(table), at, lru_.insert(lru_.end(), name)};
 }
 
 void Catalog::EvictFromMemoryLocked(const std::string& name) {
   auto it = cache_.find(name);
   if (it == cache_.end()) return;
   cached_bytes_ -= it->second.table->ApproxBytes();
-  if (!it->second.staged) lru_.erase(it->second.lru);
+  lru_.erase(it->second.lru);
   cache_.erase(it);
+}
+
+void Catalog::SetHandleLocked(const std::string& name,
+                              std::shared_ptr<const rdf::Table> table) {
+  auto it = live_.handles.find(name);
+  if (it != live_.handles.end()) {
+    cached_bytes_ -= it->second->ApproxBytes();
+    live_.handles.erase(it);
+  }
+  if (table == nullptr) return;
+  cached_bytes_ += table->ApproxBytes();
+  live_.handles.emplace(name, std::move(table));
 }
 
 void Catalog::EvictFromMemory(const std::string& name) {
   MutexLock lock(&mu_);
-  auto it = cache_.find(name);
-  if (dir_.empty() || it == cache_.end() || it->second.staged) return;
   EvictFromMemoryLocked(name);
 }
 
 void Catalog::SetMemoryBudget(uint64_t bytes) {
   MutexLock lock(&mu_);
   memory_budget_ = bytes;
-}
-
-uint64_t Catalog::memory_budget() const {
-  MutexLock lock(&mu_);
-  return memory_budget_;
 }
 
 uint64_t Catalog::CachedBytes() const {
@@ -393,13 +391,14 @@ size_t Catalog::EvictToBudget() {
     EvictFromMemoryLocked(lru_.front());
     ++evicted;
   }
+  cache_evictions_.fetch_add(evicted, std::memory_order_relaxed);
   return evicted;
 }
 
 uint64_t Catalog::TotalTuples() const {
   MutexLock lock(&mu_);
   uint64_t total = 0;
-  for (const auto& [name, stats] : stats_) {
+  for (const auto& [name, stats] : live_.stats) {
     if (stats.materialized) total += stats.rows;
   }
   return total;
@@ -408,62 +407,49 @@ uint64_t Catalog::TotalTuples() const {
 uint64_t Catalog::TotalBytes() const {
   MutexLock lock(&mu_);
   uint64_t total = 0;
-  for (const auto& [name, stats] : stats_) total += stats.bytes;
+  for (const auto& [name, stats] : live_.stats) total += stats.bytes;
   return total;
 }
 
 size_t Catalog::NumMaterializedTables() const {
   MutexLock lock(&mu_);
   size_t count = 0;
-  for (const auto& [name, stats] : stats_) {
+  for (const auto& [name, stats] : live_.stats) {
     if (stats.materialized) ++count;
   }
   return count;
 }
 
-size_t Catalog::NumStatsEntries() const {
-  MutexLock lock(&mu_);
-  return stats_.size();
-}
-
 std::vector<const TableStats*> Catalog::AllStats() const {
-  MutexLock lock(&mu_);
+  // The catalog keeps this state until its next change.
+  const std::shared_ptr<const CatalogState> state = State();
   std::vector<const TableStats*> out;
-  out.reserve(stats_.size());
-  for (const auto& [name, stats] : stats_) out.push_back(&stats);
+  out.reserve(state->stats.size());
+  for (const auto& [name, stats] : state->stats) out.push_back(&stats);
   return out;
 }
 
-std::vector<BlobLocation> Catalog::DictionaryBlobs() const {
-  MutexLock lock(&mu_);
-  return dictionary_blobs_;
-}
-
-std::string Catalog::RenderManifest(
-    uint64_t gen, const std::map<std::string, TableStats>& stats,
-    const std::set<std::string>& stale_sources,
-    const std::map<uint64_t, uint64_t>& segments,
-    const std::vector<BlobLocation>& dictionary) {
-  std::string out = kGenerationHeader + std::to_string(gen) + "\n";
+std::string Catalog::RenderManifest(const CatalogState& view) {
+  std::string out = kGenerationHeader + std::to_string(view.generation) + "\n";
   out += "# name\trows\tselectivity\tbytes\tmaterialized\tsegment\toffset\n";
   // Stale markers are part of the checksummed content: deferred-refresh
   // state must survive restarts or a reopened store would trust ExtVP
   // reductions that miss triples.
-  for (const std::string& source : stale_sources) {
+  for (const std::string& source : view.stale_sources) {
     out += kStaleHeader + source + "\n";
   }
   // The live segments' sizes: the next commit's space rule needs them.
-  for (const auto& [segment, bytes] : segments) {
+  for (const auto& [segment, file] : view.segments) {
     out += kSegmentHeader + std::to_string(segment) + "\t" +
-           std::to_string(bytes) + "\n";
+           std::to_string(file->bytes) + "\n";
   }
   // The dictionary blobs in id order: their concatenated terms are the
   // generation's dictionary.
-  for (const BlobLocation& at : dictionary) {
+  for (const BlobLocation& at : view.dictionary_blobs) {
     out += kDictionaryHeader + std::to_string(at.segment) + "\t" +
            std::to_string(at.offset) + "\t" + std::to_string(at.bytes) + "\n";
   }
-  for (const auto& [name, entry] : stats) {
+  for (const auto& [name, entry] : view.stats) {
     char line[512];
     std::snprintf(line, sizeof(line),
                   "%s\t%llu\t%.17g\t%llu\t%d\t%llu\t%llu\n", name.c_str(),
@@ -515,24 +501,21 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     uint64_t staged_seq = 0;
   };
   std::map<std::string, Pending> pending;
-  std::map<std::string, TableStats> next;  // The generation's whole view.
-  std::set<std::string> stale;
-  std::map<uint64_t, uint64_t> segments;
-  std::vector<BlobLocation> dictionary;
-  uint64_t gen;
+  CatalogState next;  // The generation's whole view.
   // Phase 1 — under one lock hold, gather everything staged and the
   // batch's updates over the current state.
   {
     MutexLock lock(&mu_);
-    gen = generation_ + 1;
+    if (on_disk) next = live_;
+    next.generation = live_.generation + 1;
     for (const auto& [name, seq] : staged_) {
-      Pending staged{stats_.at(name), nullptr, seq};
+      Pending staged{live_.stats.at(name), nullptr, seq};
       if (staged.stats.materialized) {
-        auto cached = cache_.find(name);
-        if (cached == cache_.end()) {
+        auto handle = live_.handles.find(name);
+        if (handle == live_.handles.end()) {
           return InternalError("staged table not cached: " + name);
         }
-        staged.table = cached->second.table;
+        staged.table = handle->second;
       }
       pending[name] = std::move(staged);
     }
@@ -550,28 +533,23 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         // Stats-only amendment: the table keeps its bytes — its staged
         // copy, or its committed blob where it lies.
         auto prior = pending.find(update.name);
-        auto current = stats_.find(update.name);
+        const TableStats* current = live_.Find(update.name);
         if (prior != pending.end() && prior->second.table != nullptr) {
           entry.stats.materialized = true;
           entry.table = prior->second.table;
-        } else if (current != stats_.end() && current->second.materialized) {
+        } else if (current != nullptr && current->materialized) {
           entry.stats.materialized = true;
-          entry.stats.bytes = current->second.bytes;
-          entry.stats.segment = current->second.segment;
-          entry.stats.offset = current->second.offset;
+          entry.stats.bytes = current->bytes;
+          entry.stats.segment = current->segment;
+          entry.stats.offset = current->offset;
         }
       }
       pending[update.name] = std::move(entry);
     }
-    if (on_disk) {
-      next = stats_;
-      stale = stale_sources_;
-      segments = segments_;
-      dictionary = dictionary_blobs_;
-    }
   }
-  for (const std::string& s : options.mark_stale) stale.insert(s);
-  for (const std::string& s : options.clear_stale) stale.erase(s);
+  const uint64_t gen = next.generation;
+  for (const std::string& s : options.mark_stale) next.stale_sources.insert(s);
+  for (const std::string& s : options.clear_stale) next.stale_sources.erase(s);
 
   // Phase 2 — pack every new table blob into this generation's segment,
   // in name order (deterministic contents), then the dictionary blob,
@@ -589,15 +567,16 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         entry.stats.bytes = blob.size();
         segment += blob;
       }
-      next[name] = entry.stats;
+      next.stats[name] = entry.stats;
     }
+    std::vector<BlobLocation>& dictionary = next.dictionary_blobs;
     if (!options.dictionary_blob.empty()) {
       dictionary.push_back(
           {gen, segment.size(), options.dictionary_blob.size()});
       segment += options.dictionary_blob;
     }
     std::map<uint64_t, uint64_t> live;
-    for (const auto& [name, stats] : next) {
+    for (const auto& [name, stats] : next.stats) {
       if (stats.materialized && stats.segment != gen) {
         live[stats.segment] += stats.bytes;
       }
@@ -605,17 +584,17 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     for (const BlobLocation& at : dictionary) {
       if (at.segment != gen) live[at.segment] += at.bytes;
     }
-    for (const auto& [old_segment, size] : segments) {
-      if (live[old_segment] * 2 >= size) continue;
+    for (const auto& [old_segment, file] : next.segments) {
+      if (live[old_segment] * 2 >= file->bytes) continue;
       // One read of the old segment; a segment that cannot be read whole
       // stays, and a later commit tries again.
       std::string data;
       if (live[old_segment] > 0 &&
-          !ReadFileRetrying(SegmentPath(old_segment), &data).ok()) {
+          !ReadFileRetrying(file->path, &data).ok()) {
         continue;
       }
       std::vector<std::pair<std::string, BlobLocation>> copied;
-      for (const auto& [name, stats] : next) {
+      for (const auto& [name, stats] : next.stats) {
         if (!stats.materialized || stats.segment != old_segment) continue;
         copied.emplace_back(name, LocationOf(stats));
       }
@@ -633,7 +612,7 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         continue;
       }
       for (const auto& [name, from] : copied) {
-        TableStats& stats = next[name];
+        TableStats& stats = next.stats[name];
         stats.segment = gen;
         stats.offset = segment.size();
         segment.append(data, from.offset, from.bytes);
@@ -646,8 +625,11 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       }
       dropped.push_back(old_segment);
     }
-    for (uint64_t old_segment : dropped) segments.erase(old_segment);
-    if (!segment.empty()) segments[gen] = segment.size();
+    for (uint64_t old_segment : dropped) next.segments.erase(old_segment);
+    if (!segment.empty()) {
+      next.segments[gen] =
+          std::make_shared<SegmentFile>(env_, SegmentPath(gen), segment.size());
+    }
 
     // Phase 3 — one sync for the segment, then the manifest (written
     // atomically), each read back; then the CURRENT flip: the commit
@@ -662,17 +644,20 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       S2RDF_RETURN_IF_ERROR(VerifyWritten(path, segment));
     }
     const std::string manifest = dir_ + "/" + ManifestFileName(gen);
-    const std::string content =
-        RenderManifest(gen, next, stale, segments, dictionary);
+    const std::string content = RenderManifest(next);
     S2RDF_RETURN_IF_ERROR(env_->WriteFileAtomic(manifest, content));
     S2RDF_RETURN_IF_ERROR(VerifyWritten(manifest, content));
     S2RDF_RETURN_IF_ERROR(env_->WriteFileAtomic(
         dir_ + "/" + kCurrentFile, ManifestFileName(gen) + "\n"));
   }
 
-  // Phase 4 — swap the in-memory state under one lock hold, so a
-  // concurrent query observes either the whole batch or none of it
-  // (tables it already pinned stay alive via their shared_ptrs).
+  // Phase 4 — swap the catalog's maps under one lock hold, so the next
+  // State() holds the whole batch and earlier states none of it. The
+  // segments this commit dropped are removed when the last state that
+  // holds them is released; `retired` and `released` outlive the lock
+  // so that no removal runs under it.
+  Segments retired;
+  std::shared_ptr<const CatalogState> released;
   {
     MutexLock lock(&mu_);
     for (auto& [name, entry] : pending) {
@@ -685,46 +670,60 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         }
         staged_.erase(staged);
       }
-      stats_[name] = entry.stats;
+      live_.stats[name] = entry.stats;
       if (entry.table != nullptr) {
-        quarantined_.erase(name);
-        CacheInsertLocked(name, std::move(entry.table), /*staged=*/false);
+        live_.quarantined.erase(name);
+        if (on_disk) {
+          SetHandleLocked(name, nullptr);
+          CacheInsertLocked(name, std::move(entry.table),
+                            LocationOf(entry.stats));
+        } else {
+          SetHandleLocked(name, std::move(entry.table));
+        }
       } else if (!entry.stats.materialized) {
-        quarantined_.erase(name);
+        live_.quarantined.erase(name);
         EvictFromMemoryLocked(name);
+        SetHandleLocked(name, nullptr);
       }
       // Retained blobs keep their cached copy and their quarantine.
     }
     for (const auto& [name, from] : moved) {
-      auto it = stats_.find(name);
-      if (it != stats_.end() && LocationOf(it->second) == from) {
-        it->second.segment = gen;
-        it->second.offset = next[name].offset;
+      auto it = live_.stats.find(name);
+      if (it == live_.stats.end() || !(LocationOf(it->second) == from)) {
+        continue;
+      }
+      it->second.segment = gen;
+      it->second.offset = next.stats[name].offset;
+      auto cached = cache_.find(name);
+      if (cached != cache_.end() && cached->second.at == from) {
+        cached->second.at = LocationOf(it->second);
       }
     }
-    for (const std::string& s : options.mark_stale) stale_sources_.insert(s);
-    for (const std::string& s : options.clear_stale) stale_sources_.erase(s);
+    for (const std::string& s : options.mark_stale) {
+      live_.stale_sources.insert(s);
+    }
+    for (const std::string& s : options.clear_stale) {
+      live_.stale_sources.erase(s);
+    }
     if (on_disk) {
-      segments_ = std::move(segments);
-      dictionary_blobs_ = std::move(dictionary);
+      for (uint64_t old_segment : dropped) {
+        live_.segments.at(old_segment)->dropped.store(true);
+      }
+      retired = std::move(live_.segments);
+      live_.segments = std::move(next.segments);
+      live_.dictionary_blobs = std::move(next.dictionary_blobs);
     }
-    generation_ = gen;
+    live_.generation = gen;
+    released = std::move(state_);
   }
-  // Phase 5 — best-effort removal of what the new generation no longer
-  // references; a crash here leaves debris Recover() removes.
-  if (on_disk) {
-    for (uint64_t old_segment : dropped) {
-      (void)env_->RemoveFile(SegmentPath(old_segment));
-    }
-    PruneOldManifests(gen);
-  }
+  // Phase 5 — best-effort prune of manifests the chain no longer needs.
+  if (on_disk) PruneOldManifests(gen);
   return Status::Ok();
 }
 
 Status Catalog::AdoptManifest(const std::string& content) {
   // Verify the self-checksum (everything up to the trailing checksum
   // line) before trusting any field.
-  uint64_t generation = 0;
   size_t checksum_pos = content.rfind(kChecksumPrefix);
   if (checksum_pos == std::string::npos) {
     return InvalidArgumentError("manifest missing checksum line");
@@ -738,10 +737,8 @@ Status Catalog::AdoptManifest(const std::string& content) {
   if (Fnv1a64(std::string_view(content).substr(0, checksum_pos)) != stored) {
     return InvalidArgumentError("manifest checksum mismatch");
   }
-  std::map<std::string, TableStats> parsed;
-  std::set<std::string> stale;
-  std::map<uint64_t, uint64_t> segments;
-  std::vector<BlobLocation> dictionary;
+  CatalogState parsed;
+  parsed.catalog = this;
   for (const std::string& line : StrSplit(content, '\n')) {
     std::string_view trimmed = StripWhitespace(line);
     if (trimmed.empty()) continue;
@@ -749,19 +746,21 @@ Status Catalog::AdoptManifest(const std::string& content) {
       std::string_view rest = trimmed;
       std::vector<uint64_t> numbers;
       if (ConsumePrefix(&rest, kGenerationHeader)) {
-        generation = std::strtoull(std::string(rest).c_str(), nullptr, 10);
+        parsed.generation =
+            std::strtoull(std::string(rest).c_str(), nullptr, 10);
       } else if (ConsumePrefix(&rest, kStaleHeader)) {
-        stale.insert(std::string(rest));
+        parsed.stale_sources.insert(std::string(rest));
       } else if (ConsumePrefix(&rest, kSegmentHeader)) {
         if (!ParseNumbers(rest, 2, &numbers)) {
           return InvalidArgumentError("malformed manifest segment: " + line);
         }
-        segments[numbers[0]] = numbers[1];
+        parsed.segments[numbers[0]] = std::make_shared<SegmentFile>(
+            env_, SegmentPath(numbers[0]), numbers[1]);
       } else if (ConsumePrefix(&rest, kDictionaryHeader)) {
         if (!ParseNumbers(rest, 3, &numbers)) {
           return InvalidArgumentError("malformed manifest dictionary: " + line);
         }
-        dictionary.push_back({numbers[0], numbers[1], numbers[2]});
+        parsed.dictionary_blobs.push_back({numbers[0], numbers[1], numbers[2]});
       }
       continue;
     }
@@ -787,19 +786,15 @@ Status Catalog::AdoptManifest(const std::string& content) {
     stats.materialized = fields[4] == "1";
     stats.segment = static_cast<uint64_t>(segment);
     stats.offset = static_cast<uint64_t>(offset);
-    parsed[stats.name] = stats;
+    parsed.stats[stats.name] = stats;
   }
   MutexLock lock(&mu_);
-  stats_ = std::move(parsed);
+  live_ = std::move(parsed);
   cache_.clear();
   lru_.clear();
   staged_.clear();
   cached_bytes_ = 0;
-  quarantined_.clear();
-  stale_sources_ = std::move(stale);
-  segments_ = std::move(segments);
-  dictionary_blobs_ = std::move(dictionary);
-  generation_ = generation;
+  state_.reset();
   return Status::Ok();
 }
 
@@ -865,14 +860,14 @@ StatusOr<RecoveryReport> Catalog::Recover() {
   std::set<uint64_t> referenced;
   {
     MutexLock lock(&mu_);
-    report.generation = generation_;
-    for (const auto& [name, stats] : stats_) {
+    report.generation = live_.generation;
+    for (const auto& [name, stats] : live_.stats) {
       if (stats.materialized) {
         by_segment[stats.segment].emplace_back(name, LocationOf(stats));
         referenced.insert(stats.segment);
       }
     }
-    for (const BlobLocation& at : dictionary_blobs_) {
+    for (const BlobLocation& at : live_.dictionary_blobs) {
       referenced.insert(at.segment);
     }
   }

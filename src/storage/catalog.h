@@ -45,8 +45,8 @@
 //
 // Space: a commit copies forward, byte for byte, the live blobs (tables'
 // and dictionary's alike) of any older segment whose live bytes fall
-// below half its size, and deletes that segment after the flip — so
-// segment files never hold more than twice the live bytes.
+// below half its size, and drops that segment — so the generation the
+// catalog serves never references more than twice its live bytes.
 //
 // Put/PutStatsOnly only stage: a staged table is cached, cannot be
 // evicted, and becomes durable with the next commit (CommitBatch or
@@ -57,6 +57,12 @@
 // files, superseded manifests and — when it adopted the generation
 // CURRENT names — unreferenced segments.
 //
+// Readers take one immutable CatalogState (State()) and read every
+// statistic, quarantine and staleness bit and table of one generation
+// from it; a commit that lands meanwhile changes nothing they see. A
+// segment file is removed once no generation the catalog serves and no
+// state a reader holds references it.
+//
 // Thread safety: all public methods are safe to call concurrently,
 // except that commits (CommitBatch, SaveManifest) must be serialized by
 // the caller. The in-memory cache hands out shared_ptr ownership, so
@@ -64,6 +70,10 @@
 // in-flight query is still scanning.
 
 namespace s2rdf::storage {
+
+class Catalog;
+// A segment file, shared by every state that references it (catalog.cc).
+struct SegmentFile;
 
 struct TableStats {
   std::string name;
@@ -126,7 +136,7 @@ struct TableUpdate {
   bool retain_table = false;
 };
 
-// Staleness bookkeeping attached to a CommitBatch (see MarkStaleSource).
+// Staleness bookkeeping attached to a CommitBatch (see Staleness below).
 struct CommitOptions {
   // Base VP tables whose dependent ExtVP reductions/SF stats were NOT
   // delta-maintained by this batch (deferred mode).
@@ -135,9 +145,41 @@ struct CommitOptions {
   std::vector<std::string> clear_stale;
   // The dictionary terms minted since the previous commit, as one blob
   // (rdf::Dictionary::Serialize), which the catalog stores as opaque
-  // bytes and appends to the list DictionaryBlobs() returns. Empty adds
+  // bytes and appends to CatalogState::dictionary_blobs. Empty adds
   // none; an in-memory catalog ignores it.
   std::string dictionary_blob;
+};
+
+// One generation of a catalog, immutable once published: what a query
+// reads from first to last (Catalog::State). Its tables are read through
+// Catalog::GetTable(state, name) as of this state — a committed table at
+// the blob location recorded here, any other (staged, or every table of
+// an in-memory catalog) from `handles`. The state keeps the segment files
+// it references on disk until it is released. `catalog` must outlive it.
+struct CatalogState {
+  const Catalog* catalog = nullptr;
+  // The manifest generation last loaded or committed.
+  uint64_t generation = 0;
+  // All entries, name-ordered.
+  std::map<std::string, TableStats, std::less<>> stats;
+  // The materialized tables that have no committed blob.
+  std::unordered_map<std::string, std::shared_ptr<const rdf::Table>> handles;
+  // Tables that failed verification; never loaded again this run.
+  std::set<std::string, std::less<>> quarantined;
+  // Base VP tables whose ExtVP dependents are pending a deferred refresh
+  // (see Catalog's Staleness section).
+  std::set<std::string, std::less<>> stale_sources;
+  // Live segment files by generation.
+  std::map<uint64_t, std::shared_ptr<SegmentFile>> segments;
+  // Where each committed dictionary blob lies, in id order (see
+  // CommitOptions::dictionary_blob); empty for an in-memory catalog.
+  std::vector<BlobLocation> dictionary_blobs;
+
+  // The entry named `name`; null when there is none.
+  const TableStats* Find(std::string_view name) const {
+    auto it = stats.find(name);
+    return it == stats.end() ? nullptr : &it->second;
+  }
 };
 
 class Catalog {
@@ -168,33 +210,44 @@ class Catalog {
   // live blobs copied forward from sparse segments land in
   // "segment-<g>.s2seg", which is fsynced once and read back; then
   // manifest generation g is written and read back, and CURRENT flips
-  // to it; then the in-memory state swaps under a single lock hold. A
-  // crash, or a read-back that differs from what was written, before the
-  // flip leaves the previous generation fully intact — Recover() deletes
-  // the unreferenced segment — and readers that pinned tables via
-  // GetTable keep their generation until they release the pins. Segments
-  // the commit emptied or compacted are removed best effort after the
-  // flip. An in-memory catalog applies the batch with no I/O.
+  // to it; then the catalog's maps swap under a single lock hold, and
+  // the next State() is generation g. A crash, or a read-back that
+  // differs from what was written, before the flip leaves the previous
+  // generation fully intact — Recover() deletes the unreferenced
+  // segment. A segment the commit emptied or compacted is removed once
+  // the last state that references it is released. An in-memory catalog
+  // applies the batch with no I/O.
   Status CommitBatch(std::vector<TableUpdate> updates,
                      const CommitOptions& options = {});
 
-  bool Has(const std::string& name) const;
+  // The catalog as it is now, as one immutable state: built on the
+  // first call after a change and shared by every caller until the next
+  // change, so a change costs one copy, however many readers follow.
+  std::shared_ptr<const CatalogState> State() const;
+
   // A copy of the entry, taken under the lock: a commit may replace the
   // entry right after this returns.
   std::optional<TableStats> GetStats(const std::string& name) const;
 
-  // Returns shared ownership of the table, reading its byte range from
-  // its segment on a cache miss. The returned pointer stays valid across
-  // evictions.
-  // NotFound for unknown or unmaterialized names; FailedPrecondition for
-  // quarantined ones. Transient (kIoError) read failures are retried
-  // with backoff; corruption quarantines the table.
+  // Returns shared ownership of table `name` as of `state`, which must
+  // be a state of this catalog: a table with no committed blob from the
+  // state's handle; a committed one from the cache when the cache holds
+  // the blob at the state's location (a hit), else read from that byte
+  // range of its segment (a miss). The returned pointer stays valid
+  // across evictions. NotFound for unknown or unmaterialized names;
+  // FailedPrecondition for names the state lists as quarantined.
+  // Transient (kIoError) read failures are retried with backoff; a
+  // corrupt blob that is still the table's current one quarantines the
+  // table.
+  StatusOr<std::shared_ptr<const rdf::Table>> GetTable(
+      const CatalogState& state, const std::string& name);
+  // GetTable as of State().
   StatusOr<std::shared_ptr<const rdf::Table>> GetTable(
       const std::string& name);
 
-  // Drops a materialized table's in-memory copy (it stays on disk).
-  // Tables that are not on disk — staged, or in an in-memory catalog —
-  // stay cached.
+  // Drops a committed table's in-memory copy (it stays on disk). Tables
+  // that are not on disk — staged, or in an in-memory catalog — stay in
+  // memory.
   void EvictFromMemory(const std::string& name);
 
   // --- Memory budget -----------------------------------------------------
@@ -209,7 +262,6 @@ class Catalog {
 
   // 0 (default) = unlimited.
   void SetMemoryBudget(uint64_t bytes);
-  uint64_t memory_budget() const;
 
   // Approximate bytes of cached (in-memory) tables.
   uint64_t CachedBytes() const;
@@ -218,18 +270,21 @@ class Catalog {
   // number of tables dropped.
   size_t EvictToBudget();
 
+  // Table-cache counters (s2rdf_table_cache_*_total): GetTable lookups
+  // of committed tables served from memory and read from a segment, and
+  // tables EvictToBudget dropped.
+  uint64_t cache_hits() const { return cache_hits_.load(); }
+  uint64_t cache_misses() const { return cache_misses_.load(); }
+  uint64_t cache_evictions() const { return cache_evictions_.load(); }
+
   // Aggregate statistics over materialized tables.
   uint64_t TotalTuples() const;
   uint64_t TotalBytes() const;
   size_t NumMaterializedTables() const;
-  size_t NumStatsEntries() const;
 
-  // All stats entries, name-ordered.
+  // All stats entries of State(), name-ordered. The pointers stay valid
+  // until the catalog next changes.
   std::vector<const TableStats*> AllStats() const;
-
-  // Where each committed dictionary blob lies, in id order (see
-  // CommitOptions::dictionary_blob); empty for an in-memory catalog.
-  std::vector<BlobLocation> DictionaryBlobs() const;
 
   // Reads the committed blob at `at`, retrying transient (kIoError)
   // failures with backoff like GetTable does.
@@ -253,11 +308,11 @@ class Catalog {
   StatusOr<RecoveryReport> Recover();
 
   // --- Corruption handling ----------------------------------------------
-
-  // True when `name` was quarantined (failed verification at recovery or
-  // a load-time checksum). Quarantined tables refuse to load; table
-  // selection degrades to the base VP table / triples table instead.
-  bool IsQuarantined(const std::string& name) const;
+  //
+  // A table that failed verification at recovery or a load-time checksum
+  // is quarantined (CatalogState::quarantined): it refuses to load, and
+  // table selection degrades to the base VP table / triples table
+  // instead.
 
   // Incremented once per query that had to substitute a superset table
   // for a quarantined or corrupt one (at table selection or mid-query).
@@ -271,15 +326,10 @@ class Catalog {
   // up, those reductions MISS the new triples (they are no longer
   // supersets of a fresh semi-join), so table selection must not scan
   // them and the optimizer falls back to conservative estimates. The
-  // stale set is keyed by the *source* VP table name and persisted in
-  // the manifest, so staleness survives restarts.
-
-  // Marks dependents of `vp_name` stale (persisted at the next manifest
-  // write; CommitBatch does both in one atomic flip).
-  void MarkStaleSource(const std::string& vp_name);
-  bool IsStaleSource(const std::string& vp_name) const;
-  std::vector<std::string> StaleSources() const;
-  size_t stale_source_count() const;
+  // stale set (CatalogState::stale_sources) is keyed by the *source* VP
+  // table name, changed only by the commit that marks or clears it
+  // (CommitOptions), and persisted in the manifest, so staleness
+  // survives restarts.
 
   // Incremented by the cardinality estimator when a statistic was
   // ignored because its source is stale (conservative fallback).
@@ -299,9 +349,6 @@ class Catalog {
   static void SetRetrySleepFnForTest(
       void (*fn)(std::chrono::milliseconds delay));
 
-  // Generation of the manifest currently loaded / last saved.
-  uint64_t generation() const;
-
   const std::string& dir() const { return dir_; }
 
   // Path of the segment file written by the commit of generation
@@ -309,11 +356,12 @@ class Catalog {
   std::string SegmentPath(uint64_t segment) const;
 
  private:
-  // A cached table. Committed tables sit on the LRU list at `lru`;
-  // staged ones (not yet on disk) are off it and cannot be evicted.
+  using Segments = std::map<uint64_t, std::shared_ptr<SegmentFile>>;
+  // A committed table's cached copy, read from `at`; on the LRU list at
+  // `lru`.
   struct CacheEntry {
     std::shared_ptr<const rdf::Table> table;
-    bool staged = false;
+    BlobLocation at;
     std::list<std::string>::iterator lru;
   };
   static BlobLocation LocationOf(const TableStats& stats) {
@@ -331,12 +379,8 @@ class Catalog {
   // Registers a staged entry (and its table, if materialized).
   void Stage(TableStats stats, std::shared_ptr<const rdf::Table> table)
       S2RDF_EXCLUDES(mu_);
-  // Renders the checksummed manifest content for generation `gen`.
-  static std::string RenderManifest(
-      uint64_t gen, const std::map<std::string, TableStats>& stats,
-      const std::set<std::string>& stale_sources,
-      const std::map<uint64_t, uint64_t>& segments,
-      const std::vector<BlobLocation>& dictionary);
+  // Renders the checksummed manifest content of `view`.
+  static std::string RenderManifest(const CatalogState& view);
   // LoadManifest; `*named_by_current` tells whether the adopted
   // generation is the one CURRENT names (false after a fallback).
   Status AdoptNewestManifest(bool* named_by_current);
@@ -348,39 +392,41 @@ class Catalog {
   // the analyze preset).
   void QuarantineLocked(const std::string& name) S2RDF_REQUIRES(mu_);
   void CacheInsertLocked(const std::string& name,
-                         std::shared_ptr<const rdf::Table> table, bool staged)
-      S2RDF_REQUIRES(mu_);
+                         std::shared_ptr<const rdf::Table> table,
+                         const BlobLocation& at) S2RDF_REQUIRES(mu_);
   void EvictFromMemoryLocked(const std::string& name) S2RDF_REQUIRES(mu_);
+  // Sets the handle of a table with no committed blob; null drops it.
+  void SetHandleLocked(const std::string& name,
+                       std::shared_ptr<const rdf::Table> table)
+      S2RDF_REQUIRES(mu_);
 
   std::string dir_;
   Env* env_;
   mutable Mutex mu_;
-  std::map<std::string, TableStats> stats_ S2RDF_GUARDED_BY(mu_);
+  // The catalog's own maps, which every change edits in place.
+  CatalogState live_ S2RDF_GUARDED_BY(mu_);
+  // The state State() last built from live_; every change resets it.
+  mutable std::shared_ptr<const CatalogState> state_ S2RDF_GUARDED_BY(mu_);
+  // Cached copies of committed tables, by name.
   std::unordered_map<std::string, CacheEntry> cache_ S2RDF_GUARDED_BY(mu_);
   uint64_t memory_budget_ S2RDF_GUARDED_BY(mu_) = 0;
+  // Bytes of the cached copies and of live_.handles.
   uint64_t cached_bytes_ S2RDF_GUARDED_BY(mu_) = 0;
-  // Committed cached tables, least recently used at the front.
+  // Cached committed tables, least recently used at the front.
   std::list<std::string> lru_ S2RDF_GUARDED_BY(mu_);
   // Entries staged since the last commit, by name, each with the stage
   // sequence number of its latest Put/PutStatsOnly: a commit consumes
   // only the versions it wrote.
   std::map<std::string, uint64_t> staged_ S2RDF_GUARDED_BY(mu_);
   uint64_t stage_seq_ S2RDF_GUARDED_BY(mu_) = 0;
-  // Live segment files: generation -> size in bytes.
-  std::map<uint64_t, uint64_t> segments_ S2RDF_GUARDED_BY(mu_);
-  // The committed dictionary blobs, in id order.
-  std::vector<BlobLocation> dictionary_blobs_ S2RDF_GUARDED_BY(mu_);
-  // Tables that failed verification; never loaded again this run.
-  std::set<std::string> quarantined_ S2RDF_GUARDED_BY(mu_);
-  // Base VP tables whose ExtVP dependents are pending a deferred
-  // refresh (see MarkStaleSource).
-  std::set<std::string> stale_sources_ S2RDF_GUARDED_BY(mu_);
-  uint64_t generation_ S2RDF_GUARDED_BY(mu_) = 0;
   mutable std::atomic<uint64_t> corruptions_detected_{0};
   mutable std::atomic<uint64_t> queries_degraded_{0};
   mutable std::atomic<uint64_t> quarantined_count_{0};
   mutable std::atomic<uint64_t> read_retries_{0};
   mutable std::atomic<uint64_t> stale_sf_fallbacks_{0};
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> cache_misses_{0};
+  std::atomic<uint64_t> cache_evictions_{0};
 };
 
 }  // namespace s2rdf::storage

@@ -59,8 +59,8 @@ class ExtVpG1Test : public ::testing::Test {
   }
 
   double Sf(Correlation corr, rdf::TermId p1, rdf::TermId p2) {
-    const std::optional<storage::TableStats> stats = catalog_->GetStats(
-        ExtVpTableName(graph_.dictionary(), corr, p1, p2));
+    const std::optional<storage::TableStats> stats =
+        catalog_->GetStats(ExtVpTableName(corr, p1, p2));
     return stats.has_value() ? stats->selectivity : 0.0;
   }
 
@@ -73,9 +73,9 @@ class ExtVpG1Test : public ::testing::Test {
 
 TEST_F(ExtVpG1Test, VpTablesMatchFig5) {
   const std::optional<storage::TableStats> vf =
-      catalog_->GetStats(VpTableName(graph_.dictionary(), follows_));
+      catalog_->GetStats(VpTableName(follows_));
   const std::optional<storage::TableStats> vl =
-      catalog_->GetStats(VpTableName(graph_.dictionary(), likes_));
+      catalog_->GetStats(VpTableName(likes_));
   ASSERT_TRUE(vf.has_value());
   ASSERT_TRUE(vl.has_value());
   EXPECT_EQ(vf->rows, 4u);
@@ -98,9 +98,8 @@ TEST_F(ExtVpG1Test, SelectivitiesMatchFig10) {
 }
 
 TEST_F(ExtVpG1Test, Sf1TablesAreNotMaterialized) {
-  const std::optional<storage::TableStats> stats = catalog_->GetStats(
-      ExtVpTableName(graph_.dictionary(), Correlation::kSS, likes_,
-                     follows_));
+  const std::optional<storage::TableStats> stats =
+      catalog_->GetStats(ExtVpTableName(Correlation::kSS, likes_, follows_));
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->materialized);
   EXPECT_EQ(build_stats_.tables_equal_vp, 1u);
@@ -108,16 +107,16 @@ TEST_F(ExtVpG1Test, Sf1TablesAreNotMaterialized) {
 
 TEST_F(ExtVpG1Test, MaterializedContentsMatchFig10) {
   // ExtVP_OS follows|likes = {(B, C)}.
-  auto table = catalog_->GetTable(ExtVpTableName(
-      graph_.dictionary(), Correlation::kOS, follows_, likes_));
+  auto table =
+      catalog_->GetTable(ExtVpTableName(Correlation::kOS, follows_, likes_));
   ASSERT_TRUE(table.ok());
   ASSERT_EQ((*table)->NumRows(), 1u);
   EXPECT_EQ((*table)->At(0, 0), *graph_.dictionary().Find("<B>"));
   EXPECT_EQ((*table)->At(0, 1), *graph_.dictionary().Find("<C>"));
 
   // ExtVP_SO likes|follows = {(C, I2)}.
-  auto so = catalog_->GetTable(ExtVpTableName(
-      graph_.dictionary(), Correlation::kSO, likes_, follows_));
+  auto so =
+      catalog_->GetTable(ExtVpTableName(Correlation::kSO, likes_, follows_));
   ASSERT_TRUE(so.ok());
   ASSERT_EQ((*so)->NumRows(), 1u);
   EXPECT_EQ((*so)->At(0, 0), *graph_.dictionary().Find("<C>"));
@@ -140,32 +139,35 @@ TEST_F(ExtVpG1Test, TableSelectionMatchesFig11) {
   ASSERT_TRUE(parsed.ok());
   const auto& bgp = parsed->where.triples;
   ASSERT_EQ(bgp.size(), 4u);
-  const rdf::Dictionary& dict = graph_.dictionary();
+  const std::shared_ptr<const storage::CatalogState> state =
+      catalog_->State();
+  const std::vector<PatternIds> ids =
+      ResolveBgp(bgp, graph_.dictionary(), *state);
 
   // TP1 (?x likes ?w): all candidates have SF 1 -> VP_likes.
-  auto c1 = SelectTable(0, bgp, Layout::kExtVp, true, *catalog_, dict);
+  auto c1 = SelectTable(0, bgp, ids, Layout::kExtVp, true, *state);
   ASSERT_TRUE(c1.ok());
-  EXPECT_EQ(c1->table_name, VpTableName(dict, likes_));
+  EXPECT_EQ(c1->table_name, VpTableName(likes_));
   EXPECT_DOUBLE_EQ(c1->sf, 1.0);
 
   // TP3 (?y follows ?z): best candidate ExtVP_OS follows|likes, SF 0.25.
-  auto c3 = SelectTable(2, bgp, Layout::kExtVp, true, *catalog_, dict);
+  auto c3 = SelectTable(2, bgp, ids, Layout::kExtVp, true, *state);
   ASSERT_TRUE(c3.ok());
   EXPECT_EQ(c3->table_name,
-            ExtVpTableName(dict, Correlation::kOS, follows_, likes_));
+            ExtVpTableName(Correlation::kOS, follows_, likes_));
   EXPECT_DOUBLE_EQ(c3->sf, 0.25);
   EXPECT_EQ(c3->rows, 1u);
 
   // TP4 (?z likes ?w): ExtVP_SO likes|follows, SF 1/3.
-  auto c4 = SelectTable(3, bgp, Layout::kExtVp, true, *catalog_, dict);
+  auto c4 = SelectTable(3, bgp, ids, Layout::kExtVp, true, *state);
   ASSERT_TRUE(c4.ok());
   EXPECT_EQ(c4->table_name,
-            ExtVpTableName(dict, Correlation::kSO, likes_, follows_));
+            ExtVpTableName(Correlation::kSO, likes_, follows_));
 
   // Under the VP layout every pattern scans its VP table.
-  auto v3 = SelectTable(2, bgp, Layout::kVp, true, *catalog_, dict);
+  auto v3 = SelectTable(2, bgp, ids, Layout::kVp, true, *state);
   ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(v3->table_name, VpTableName(dict, follows_));
+  EXPECT_EQ(v3->table_name, VpTableName(follows_));
 }
 
 TEST_F(ExtVpG1Test, Q1HasTheSingleExpectedResult) {
@@ -546,9 +548,8 @@ TEST(LazyExtVpTest, MatchesEagerResultsAndSelectivities) {
   const rdf::Dictionary& dict = (*lazy)->graph().dictionary();
   rdf::TermId follows = *dict.Find("<follows>");
   rdf::TermId likes = *dict.Find("<likes>");
-  const std::optional<storage::TableStats> stats =
-      (*lazy)->catalog().GetStats(
-          ExtVpTableName(dict, Correlation::kOS, follows, likes));
+  const std::optional<storage::TableStats> stats = (*lazy)->catalog().GetStats(
+      ExtVpTableName(Correlation::kOS, follows, likes));
   ASSERT_TRUE(stats.has_value());
   EXPECT_DOUBLE_EQ(stats->selectivity, 0.25);
 }
@@ -583,7 +584,7 @@ TEST(LazyExtVpTest, RespectsSfThreshold) {
   rdf::TermId follows = *dict.Find("<follows>");
   rdf::TermId likes = *dict.Find("<likes>");
   const std::optional<storage::TableStats> stats = (*db)->catalog().GetStats(
-      ExtVpTableName(dict, Correlation::kSS, follows, likes));
+      ExtVpTableName(Correlation::kSS, follows, likes));
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->materialized);
 }
@@ -737,23 +738,22 @@ TEST(CatalogProviderTest, ResolvesAndPinsTables) {
   storage::Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(500), 1.0).ok());
   ASSERT_TRUE(catalog.SaveManifest().ok());
-  engine::TableProvider provider = CatalogProvider(&catalog);
-  const rdf::Table* table = provider("t1");
+  engine::TableProvider provider = CatalogProvider(&catalog, catalog.State());
+  const rdf::Table* table = provider("t1", "");
   ASSERT_NE(table, nullptr);
-  EXPECT_EQ(provider("missing"), nullptr);
+  EXPECT_EQ(provider("missing", ""), nullptr);
   // The pin outlives the catalog's own cache entry.
   catalog.EvictFromMemory("t1");
   EXPECT_EQ(catalog.CachedBytes(), 0u);
   EXPECT_EQ(table->NumRows(), 500u);
-  EXPECT_EQ(provider("t1"), table);
+  EXPECT_EQ(provider("t1", ""), table);
 }
 
 TEST(CatalogProviderTest, CorruptExtVpDegradesToVpOncePerQuery) {
   ScopedTempDir dir;
   storage::Catalog catalog(dir.path());
-  const std::string extvp = "extvp_ss_follows_1__likes_2";
-  const std::string vp = VpTableNameForExtVp(extvp);
-  ASSERT_EQ(vp, "vp_follows_1");
+  const std::string extvp = ExtVpTableName(Correlation::kSS, 1, 2);
+  const std::string vp = VpTableName(1);
   rdf::Table reduced({"s", "o"});
   reduced.AppendRow({1, 2});
   ASSERT_TRUE(catalog.Put(extvp, std::move(reduced), 0.5).ok());
@@ -762,27 +762,30 @@ TEST(CatalogProviderTest, CorruptExtVpDegradesToVpOncePerQuery) {
   catalog.EvictFromMemory(extvp);
   ASSERT_TRUE(testing::CorruptTable(catalog, extvp));
 
-  engine::TableProvider provider = CatalogProvider(&catalog);
-  const rdf::Table* table = provider(extvp);
+  engine::TableProvider provider = CatalogProvider(&catalog, catalog.State());
+  const rdf::Table* table = provider(extvp, vp);
   ASSERT_NE(table, nullptr);
   EXPECT_EQ(table->NumRows(), 500u);  // The base VP table's (superset) data.
   EXPECT_EQ(catalog.queries_degraded(), 1u);
-  EXPECT_TRUE(catalog.IsQuarantined(extvp));
+  EXPECT_TRUE(catalog.State()->quarantined.contains(extvp));
   // Re-resolving within the same query is pinned and counts once.
-  EXPECT_EQ(provider(extvp), table);
+  EXPECT_EQ(provider(extvp, vp), table);
   EXPECT_EQ(catalog.queries_degraded(), 1u);
-  // A non-ExtVP table has nothing to degrade to.
-  EXPECT_EQ(provider("vp_missing_3"), nullptr);
+  // A scan with no fallback table has nothing to degrade to.
+  EXPECT_EQ(provider(VpTableName(3), ""), nullptr);
   EXPECT_EQ(catalog.queries_degraded(), 1u);
   // The next query counts its own degradation.
-  EXPECT_EQ(CatalogProvider(&catalog)(extvp)->NumRows(), 500u);
+  EXPECT_EQ(CatalogProvider(&catalog, catalog.State())(extvp, vp)->NumRows(),
+            500u);
   EXPECT_EQ(catalog.queries_degraded(), 2u);
 }
 
-TEST(LayoutNamesTest, FragmentsAreSanitized) {
-  EXPECT_EQ(PredicateFragment("<http://ex/ns#hasGenre>"), "hasgenre");
-  EXPECT_EQ(PredicateFragment("<http://ex/a/b/c>"), "c");
-  EXPECT_EQ(PredicateFragment("<>"), "p");
+TEST(LayoutNamesTest, NamesAreMadeOfIds) {
+  EXPECT_EQ(TriplesTableName(), "triples");
+  EXPECT_EQ(VpTableName(7), "vp_7");
+  EXPECT_EQ(ExtVpTableName(Correlation::kOS, 3, 12), "extvp_os_3_12");
+  EXPECT_EQ(PropertyTableName(), "pt");
+  EXPECT_EQ(PropertyAuxTableName(5), "pt_aux_5");
 }
 
 TEST(S2RdfTest, PersistentStorageRoundtrip) {
@@ -1091,8 +1094,12 @@ TEST(S2RdfTest, SqlRenderingMentionsSelectedTables) {
       {.query = kQ1, .options = {.layout = Layout::kExtVp}});
   ASSERT_TRUE(result.ok());
   const std::string sql = result->plan->ToSql();
-  EXPECT_NE(sql.find("extvp_os_follows"), std::string::npos);
-  EXPECT_NE(sql.find("vp_likes"), std::string::npos);
+  const rdf::Dictionary& dict = (*db)->graph().dictionary();
+  const rdf::TermId follows = *dict.Find("<follows>");
+  const rdf::TermId likes = *dict.Find("<likes>");
+  EXPECT_NE(sql.find(ExtVpTableName(Correlation::kOS, follows, likes)),
+            std::string::npos);
+  EXPECT_NE(sql.find(VpTableName(likes)), std::string::npos);
 }
 
 }  // namespace

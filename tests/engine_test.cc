@@ -412,7 +412,8 @@ TEST(PlanTest, ScanJoinProjectExecution) {
   Table likes({"s", "o"});
   likes.AppendRow({b, a});
 
-  auto provider = [&](const std::string& name) -> const Table* {
+  auto provider = [&](const std::string& name,
+                      const std::string&) -> const Table* {
     if (name == "follows") return &follows;
     if (name == "likes") return &likes;
     return nullptr;
@@ -436,7 +437,9 @@ TEST(PlanTest, ScanJoinProjectExecution) {
 
 TEST(PlanTest, UnknownTableIsNotFound) {
   rdf::Dictionary dict;
-  auto provider = [](const std::string&) -> const Table* { return nullptr; };
+  auto provider = [](const std::string&, const std::string&) -> const Table* {
+    return nullptr;
+  };
   engine::PlanPtr plan = PlanNode::Scan("nope", {}, {{"s", "x"}});
   ExecContext ctx;
   auto result = ExecutePlan(*plan, provider, &dict, &ctx);
@@ -446,7 +449,9 @@ TEST(PlanTest, UnknownTableIsNotFound) {
 
 TEST(PlanTest, EmptyNodeYieldsEmptySchema) {
   rdf::Dictionary dict;
-  auto provider = [](const std::string&) -> const Table* { return nullptr; };
+  auto provider = [](const std::string&, const std::string&) -> const Table* {
+    return nullptr;
+  };
   engine::PlanPtr plan = PlanNode::Empty({"x", "y"});
   ExecContext ctx;
   auto result = ExecutePlan(*plan, provider, &dict, &ctx);
@@ -469,7 +474,9 @@ TEST(PlanTest, ScanConstantMissingFromDictionaryMatchesNothing) {
   rdf::TermId a = dict.Encode("<A>");
   Table base({"s", "o"});
   base.AppendRow({a, a});
-  auto provider = [&](const std::string&) -> const Table* { return &base; };
+  auto provider = [&](const std::string&, const std::string&) -> const Table* {
+    return &base;
+  };
   engine::PlanPtr plan =
       PlanNode::Scan("t", {{"s", "<NotInData>"}}, {{"o", "x"}});
   ExecContext ctx;

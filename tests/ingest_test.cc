@@ -202,7 +202,7 @@ TEST(IngestDeltaTest, DuplicatesDropAndFullyDuplicateBatchCommitsNothing) {
   auto noop = (*db)->Ingest(MakeBatch({{"D", "follows", "A"}}));
   ASSERT_TRUE(noop.ok());
   EXPECT_EQ(noop->triples_added, 0u);
-  EXPECT_EQ((*db)->catalog().generation(), 2u);
+  EXPECT_EQ((*db)->catalog().State()->generation, 2u);
 
   std::vector<T> stream = G1();
   stream.push_back({"D", "follows", "A"});
@@ -284,7 +284,7 @@ TEST(IngestDeltaTest, LazyStoreMaintainsOnlyComputedPairs) {
   auto reopened = S2Rdf::Open(dir.path());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (const std::string& name : staged) {
-    EXPECT_TRUE((*reopened)->catalog().Has(name)) << name;
+    EXPECT_NE((*reopened)->catalog().State()->Find(name), nullptr) << name;
   }
   ExpectSameAnswers(reopened->get(), reference->get());
 }
@@ -470,7 +470,7 @@ TEST(IngestDeferredTest, StaleDegradationThenRefreshConverges) {
   EXPECT_EQ(result->triples_added, 2u);
   EXPECT_EQ(result->extvp_tables_updated, 0u);
   EXPECT_EQ(result->stale_sources_marked, 2u);
-  EXPECT_EQ((*db)->catalog().stale_source_count(), 2u);
+  EXPECT_EQ((*db)->catalog().State()->stale_sources.size(), 2u);
 
   // Queries stay correct: stale reductions are never scanned.
   std::vector<T> stream = G1();
@@ -491,7 +491,7 @@ TEST(IngestDeferredTest, StaleDegradationThenRefreshConverges) {
   db->reset();
   auto reopened = S2Rdf::Open(dir.path());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->catalog().stale_source_count(), 2u);
+  EXPECT_EQ((*reopened)->catalog().State()->stale_sources.size(), 2u);
   ExpectSameAnswers(reopened->get(), reference.get());
 
   // A further non-deferred batch must not delta-maintain pairs whose
@@ -501,13 +501,13 @@ TEST(IngestDeferredTest, StaleDegradationThenRefreshConverges) {
   stream.push_back({"E", "follows", "D"});
   reference = Rebuild(stream);
   ExpectSameAnswers(reopened->get(), reference.get());
-  EXPECT_EQ((*reopened)->catalog().stale_source_count(), 2u);
+  EXPECT_EQ((*reopened)->catalog().State()->stale_sources.size(), 2u);
 
   // Refresh recomputes everything stale and converges to the rebuild.
   auto refreshed = (*reopened)->RefreshStaleExtVp();
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_GT(*refreshed, 0u);
-  EXPECT_EQ((*reopened)->catalog().stale_source_count(), 0u);
+  EXPECT_EQ((*reopened)->catalog().State()->stale_sources.size(), 0u);
   ExpectStoresIdentical(reopened->get(), reference.get());
   ExpectSameAnswers(reopened->get(), reference.get());
 
@@ -521,28 +521,28 @@ TEST(IngestDeferredTest, StaleDegradationThenRefreshConverges) {
 
 TEST(IngestRecoveryTest, QuarantinedVpReingestedUnderSameName) {
   ScopedTempDir dir;
+  std::string vp_likes;
   {
     S2RdfOptions options;
     options.storage_dir = dir.path();
     auto created = S2Rdf::Create(GraphFrom(G1()), options);
     ASSERT_TRUE(created.ok());
+    vp_likes =
+        VpTableName(*(*created)->graph().dictionary().Find("<likes>"));
   }
-  ASSERT_GT(testing::CorruptTables(dir.path(), "vp_likes"), 0);
+  ASSERT_GT(testing::CorruptTables(dir.path(), vp_likes), 0);
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_GE((*db)->recovery_report().tables_quarantined, 1u);
-  const std::string vp_likes = VpTableName(
-      (*db)->graph().dictionary(),
-      *(*db)->graph().dictionary().Find("<likes>"));
-  ASSERT_TRUE((*db)->catalog().IsQuarantined(vp_likes));
+  ASSERT_TRUE((*db)->catalog().State()->quarantined.contains(vp_likes));
 
   // Ingest a batch under the quarantined predicate: the pre-batch VP
   // rows are reconstructed from the triples table (byte-identical), so
   // the commit rewrites the table whole — self-healing the quarantine.
   auto result = (*db)->Ingest(MakeBatch({{"D", "likes", "I1"}}));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE((*db)->catalog().IsQuarantined(vp_likes));
+  EXPECT_FALSE((*db)->catalog().State()->quarantined.contains(vp_likes));
 
   std::vector<T> stream = G1();
   stream.push_back({"D", "likes", "I1"});
@@ -555,7 +555,7 @@ TEST(IngestRecoveryTest, QuarantinedVpReingestedUnderSameName) {
   auto reopened = S2Rdf::Open(dir.path());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->recovery_report().tables_quarantined, 0u);
-  EXPECT_FALSE((*reopened)->catalog().IsQuarantined(vp_likes));
+  EXPECT_FALSE((*reopened)->catalog().State()->quarantined.contains(vp_likes));
   ExpectStoresIdentical(reopened->get(), reference.get());
   ExpectSameAnswers(reopened->get(), reference.get());
 }
@@ -646,7 +646,7 @@ TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
     auto refreshed = (*db)->RefreshStaleExtVp();
     ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
     ASSERT_GT(*refreshed, 0u);
-    ASSERT_EQ((*db)->catalog().generation(), 3u);
+    ASSERT_EQ((*db)->catalog().State()->generation, 3u);
   }
   stream.push_back({"D", "follows", "E"});
   stream.push_back({"E", "likes", "I3"});
@@ -654,12 +654,12 @@ TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
   // blob of its own: its manifest lists Create's and the batch's.
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.LoadManifest().ok());
-  EXPECT_EQ(catalog.generation(), 3u);
-  EXPECT_EQ(catalog.DictionaryBlobs().size(), 2u);
+  EXPECT_EQ(catalog.State()->generation, 3u);
+  EXPECT_EQ(catalog.State()->dictionary_blobs.size(), 2u);
 
   auto db = S2Rdf::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  EXPECT_EQ((*db)->catalog().generation(), 3u);
+  EXPECT_EQ((*db)->catalog().State()->generation, 3u);
   EXPECT_TRUE((*db)->graph().dictionary().Find("<I3>").has_value());
   std::unique_ptr<S2Rdf> reference = Rebuild(stream);
   ExpectStoresIdentical(db->get(), reference.get());
@@ -767,7 +767,7 @@ TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
     // Live bytes: the tables' blobs and the dictionary's.
     uint64_t live = (*db)->catalog().TotalBytes();
     for (const storage::BlobLocation& at :
-         (*db)->catalog().DictionaryBlobs()) {
+         (*db)->catalog().State()->dictionary_blobs) {
       live += at.bytes;
     }
     EXPECT_LE(on_disk, 2 * live);
@@ -786,7 +786,7 @@ TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
     }
   }
   for (const storage::BlobLocation& at :
-       (*reopened)->catalog().DictionaryBlobs()) {
+       (*reopened)->catalog().State()->dictionary_blobs) {
     referenced.insert((*reopened)->catalog().SegmentPath(at.segment));
   }
   for (const auto& [path, bytes] : SegmentFiles(dir.path())) {
@@ -797,65 +797,102 @@ TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
   ExpectSameAnswers(reopened->get(), reference.get());
 }
 
-// Readers query the store while batches commit. With the table cache
-// capped at one byte every scan reads its table back from the segments,
-// so the readers race each commit's manifest flip, copy-forward and
-// segment deletion; on a lazy store they also stage ExtVP pairs while
-// the commits run. Every query must succeed, and once the last batch has
-// committed the store must answer as a rebuild does.
-void QueriesDuringIngest(bool lazy_extvp) {
+// Readers query the store while batches commit, eagerly or deferred.
+// With the table cache capped at one byte every scan reads its table back
+// from the segments, so the readers race each commit's manifest flip,
+// copy-forward and segment removal; on a lazy store they also stage
+// ExtVP pairs while the commits run. Every query must succeed with the
+// answer of one committed generation — an in-memory rebuild of the batch
+// prefix — and once the last batch has committed the store must answer
+// as a rebuild does.
+enum class IngestMode { kEager, kDeferred, kLazyStore };
+
+void QueriesDuringIngest(IngestMode mode) {
+  using Rows = std::vector<std::vector<std::string>>;
+  constexpr int kBatches = 8;
+  const std::vector<const char*> queries = {kQ1, kLikes, kSpo};
+  // Every generation's answer to each query.
+  std::map<std::string, std::set<Rows>> answers;
+  std::vector<T> stream = G1();
+  for (int b = 0;; ++b) {
+    std::unique_ptr<S2Rdf> reference = Rebuild(stream);
+    for (const char* q : queries) {
+      answers[q].insert(SortedRows(reference.get(), q));
+    }
+    if (b == kBatches) break;
+    const std::vector<T> batch = GrowthBatch(b);
+    stream.insert(stream.end(), batch.begin(), batch.end());
+  }
+  for (const char* q : queries) {
+    ASSERT_EQ(answers[q].size(), kBatches + 1u) << q;  // All distinct.
+  }
+
   ScopedTempDir dir;
   S2RdfOptions options;
   options.storage_dir = dir.path();
   options.memory_budget_bytes = 1;
-  options.lazy_extvp = lazy_extvp;
+  options.lazy_extvp = mode == IngestMode::kLazyStore;
   auto db = S2Rdf::Create(GraphFrom(G1()), options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   S2Rdf* store = db->get();
 
   std::atomic<bool> done{false};
-  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> executed{0};
   std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> foreign_answers{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
       while (!done.load()) {
-        for (const char* q : {kQ1, kLikes, kSpo}) {
-          if (!store->Execute({.query = q}).ok()) failures.fetch_add(1);
-          queries.fetch_add(1);
+        for (const char* q : queries) {
+          auto result = store->Execute({.query = q});
+          if (!result.ok()) {
+            failures.fetch_add(1);
+          } else {
+            Rows rows = store->DecodeRows(result->table);
+            std::sort(rows.begin(), rows.end());
+            if (!answers.at(q).contains(rows)) foreign_answers.fetch_add(1);
+          }
+          executed.fetch_add(1);
         }
       }
     });
   }
-  std::vector<T> stream = G1();
-  for (int b = 0; b < 8; ++b) {
-    const std::vector<T> batch = GrowthBatch(b);
-    auto result = store->Ingest(MakeBatch(batch));
+  for (int b = 0; b < kBatches; ++b) {
+    IngestBatch batch = MakeBatch(GrowthBatch(b));
+    batch.defer_extvp_maintenance = mode == IngestMode::kDeferred;
+    auto result = store->Ingest(batch);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    stream.insert(stream.end(), batch.begin(), batch.end());
   }
   // Let the readers see the final generation too.
-  const uint64_t seen = queries.load();
-  while (queries.load() < seen + 6) std::this_thread::yield();
+  const uint64_t seen = executed.load();
+  while (executed.load() < seen + 6) std::this_thread::yield();
   done.store(true);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(foreign_answers.load(), 0u);
   EXPECT_EQ(store->catalog().quarantined_tables(), 0u);
 
-  S2RdfOptions ref_options = options;
-  ref_options.storage_dir.clear();
-  auto reference = S2Rdf::Create(GraphFrom(stream), ref_options);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  if (!lazy_extvp) ExpectStoresIdentical(store, reference->get());
-  ExpectSameAnswers(store, reference->get());
+  std::unique_ptr<S2Rdf> reference = Rebuild(stream);
+  ExpectSameAnswers(store, reference.get());
+  if (mode == IngestMode::kDeferred) {
+    ASSERT_TRUE(store->RefreshStaleExtVp().ok());
+  }
+  if (mode != IngestMode::kLazyStore) {
+    ExpectStoresIdentical(store, reference.get());
+  }
 }
 
 TEST(IngestConcurrencyTest, QueriesDuringIngestSucceedAndConverge) {
-  QueriesDuringIngest(/*lazy_extvp=*/false);
+  QueriesDuringIngest(IngestMode::kEager);
+}
+
+TEST(IngestConcurrencyTest, QueriesDuringDeferredIngestSucceedAndConverge) {
+  QueriesDuringIngest(IngestMode::kDeferred);
 }
 
 TEST(IngestConcurrencyTest, LazyStoreQueriesDuringIngestSucceed) {
-  QueriesDuringIngest(/*lazy_extvp=*/true);
+  QueriesDuringIngest(IngestMode::kLazyStore);
 }
 
 // --- Transient reads during ingest ---------------------------------------
@@ -912,14 +949,14 @@ TEST(IngestHttpTest, PostIngestDeferAndRefreshEndToEnd) {
   EXPECT_NE(response.body.find("\"stale_sources_marked\":1"),
             std::string::npos)
       << response.body;
-  EXPECT_EQ((*db)->catalog().stale_source_count(), 1u);
+  EXPECT_EQ((*db)->catalog().State()->stale_sources.size(), 1u);
 
   request.query_string = "refresh=1";
   request.body.clear();
   response = endpoint.Handle(request);
   EXPECT_EQ(response.status_code, 200) << response.body;
   EXPECT_NE(response.body.find("\"extvp_refreshed\""), std::string::npos);
-  EXPECT_EQ((*db)->catalog().stale_source_count(), 0u);
+  EXPECT_EQ((*db)->catalog().State()->stale_sources.size(), 0u);
 
   // A malformed body fails loudly and is counted.
   request.query_string.clear();

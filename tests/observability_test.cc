@@ -557,6 +557,74 @@ TEST_F(ObservabilityEndpointTest, MetricsHammerConcurrentWithQueries) {
             std::string::npos);
 }
 
+// --- Table cache metrics ---------------------------------------------------
+
+// The value of an unlabeled metric line "<name> <value>" in `body`.
+uint64_t MetricValue(const std::string& body, const std::string& name) {
+  const size_t at = body.find("\n" + name + " ");
+  EXPECT_NE(at, std::string::npos) << name;
+  if (at == std::string::npos) return 0;
+  return std::stoull(body.substr(at + name.size() + 2));
+}
+
+// On a disk store, a second run of Q1 is served from the table cache, or,
+// with a one-byte budget, reads every scanned table from its segment and
+// evicts it again; /metrics counts both.
+TEST(TableCacheMetricsTest, CountsHitsMissesAndEvictions) {
+  const std::string q1 =
+      "SELECT * WHERE { ?x <likes> ?w . ?x <follows> ?y . "
+      "?y <follows> ?z . ?z <likes> ?w }";
+  for (const uint64_t budget : {uint64_t{1}, uint64_t{0}}) {
+    SCOPED_TRACE("memory_budget_bytes=" + std::to_string(budget));
+    ScopedTempDir dir;
+    rdf::Graph g;
+    g.AddIris("A", "follows", "B");
+    g.AddIris("B", "follows", "C");
+    g.AddIris("B", "follows", "D");
+    g.AddIris("C", "follows", "D");
+    g.AddIris("A", "likes", "I1");
+    g.AddIris("A", "likes", "I2");
+    g.AddIris("C", "likes", "I2");
+    core::S2RdfOptions options;
+    options.storage_dir = dir.path();
+    options.memory_budget_bytes = budget;
+    auto db = core::S2Rdf::Create(std::move(g), options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    server::SparqlEndpoint endpoint(db->get());
+    server::HttpRequest metrics;
+    metrics.method = "GET";
+    metrics.path = "/metrics";
+
+    ASSERT_TRUE((*db)->Execute({.query = q1}).ok());
+    const std::string before = endpoint.Handle(metrics).body;
+    auto second =
+        (*db)->Execute({.query = q1, .options = {.collect_profile = true}});
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    const std::string after = endpoint.Handle(metrics).body;
+    std::set<std::string> scanned;
+    for (const engine::OperatorProfile& op : second->profile_data.operators) {
+      if (!op.table.empty()) scanned.insert(op.table);
+    }
+    ASSERT_EQ(scanned.size(), 4u);
+
+    auto delta = [&](const std::string& name) {
+      return MetricValue(after, name) - MetricValue(before, name);
+    };
+    const uint64_t hits = delta("s2rdf_table_cache_hits_total");
+    const uint64_t misses = delta("s2rdf_table_cache_misses_total");
+    const uint64_t evictions = delta("s2rdf_table_cache_evictions_total");
+    if (budget == 1) {
+      EXPECT_EQ(misses, scanned.size());
+      EXPECT_EQ(hits, 0u);
+      EXPECT_GT(evictions, 0u);
+    } else {
+      EXPECT_EQ(hits, scanned.size());
+      EXPECT_EQ(misses, 0u);
+      EXPECT_EQ(MetricValue(after, "s2rdf_table_cache_evictions_total"), 0u);
+    }
+  }
+}
+
 // --- Fault-injection env metrics -------------------------------------------
 
 TEST(FaultEnvMetricsTest, CountsOpsAndInjectedFaults) {

@@ -765,7 +765,8 @@ struct ParallelPlanFixture {
   }
 
   TableProvider Provider() {
-    return [this](const std::string& name) -> const Table* {
+    return [this](const std::string& name,
+                  const std::string&) -> const Table* {
       if (name == "follows") return &follows;
       if (name == "likes") return &likes;
       return nullptr;

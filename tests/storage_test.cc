@@ -138,7 +138,7 @@ TEST(CatalogTest, PutAndGet) {
   ScopedTempDir dir;
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 0.5).ok());
-  EXPECT_TRUE(catalog.Has("t1"));
+  EXPECT_NE(catalog.State()->Find("t1"), nullptr);
   ASSERT_TRUE(catalog.SaveManifest().ok());
   std::optional<TableStats> stats = catalog.GetStats("t1");
   ASSERT_TRUE(stats.has_value());
@@ -154,7 +154,7 @@ TEST(CatalogTest, PutAndGet) {
 TEST(CatalogTest, StatsOnlyEntryIsNotLoadable) {
   Catalog catalog("");
   catalog.PutStatsOnly("ghost", 17, 1.0);
-  EXPECT_TRUE(catalog.Has("ghost"));
+  EXPECT_NE(catalog.State()->Find("ghost"), nullptr);
   EXPECT_FALSE(catalog.GetStats("ghost")->materialized);
   EXPECT_FALSE(catalog.GetTable("ghost").ok());
 }
@@ -180,7 +180,7 @@ TEST(CatalogTest, ManifestRoundtrip) {
   }
   Catalog restored(dir.path());
   ASSERT_TRUE(restored.LoadManifest().ok());
-  EXPECT_EQ(restored.NumStatsEntries(), 2u);
+  EXPECT_EQ(restored.State()->stats.size(), 2u);
   EXPECT_DOUBLE_EQ(restored.GetStats("t1")->selectivity, 0.25);
   EXPECT_FALSE(restored.GetStats("t2")->materialized);
   // Materialized table is loadable after restart.
@@ -379,10 +379,10 @@ TEST(CatalogTest, ManifestGenerationsAdvanceAndPrune) {
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
   ASSERT_TRUE(catalog.SaveManifest().ok());
-  EXPECT_EQ(catalog.generation(), 1u);
+  EXPECT_EQ(catalog.State()->generation, 1u);
   ASSERT_TRUE(catalog.SaveManifest().ok());
   ASSERT_TRUE(catalog.SaveManifest().ok());
-  EXPECT_EQ(catalog.generation(), 3u);
+  EXPECT_EQ(catalog.State()->generation, 3u);
   EXPECT_TRUE(PathExists(dir.path() + "/CURRENT"));
   EXPECT_TRUE(PathExists(dir.path() + "/manifest-3.tsv"));
   // The previous generation is kept as the chain's fallback link; older
@@ -408,9 +408,9 @@ TEST(CatalogTest, CorruptCurrentGenerationFallsBackToPrevious) {
   ASSERT_TRUE(WriteFile(dir.path() + "/manifest-2.tsv", manifest).ok());
   Catalog restored(dir.path());
   ASSERT_TRUE(restored.LoadManifest().ok());
-  EXPECT_EQ(restored.generation(), 1u);
-  EXPECT_TRUE(restored.Has("t1"));
-  EXPECT_FALSE(restored.Has("t2"));
+  EXPECT_EQ(restored.State()->generation, 1u);
+  EXPECT_NE(restored.State()->Find("t1"), nullptr);
+  EXPECT_EQ(restored.State()->Find("t2"), nullptr);
 }
 
 TEST(CatalogTest, UncheckedManifestWithoutChainIsNotFound) {
@@ -445,7 +445,7 @@ TEST(CatalogTest, UncheckedManifestBesideChainIsIgnored) {
   ASSERT_TRUE(WriteFile(dir.path() + "/manifest.tsv", unchecked).ok());
   Catalog restored(dir.path());
   ASSERT_TRUE(restored.LoadManifest().ok());
-  EXPECT_EQ(restored.NumStatsEntries(), 1u);
+  EXPECT_EQ(restored.State()->stats.size(), 1u);
   EXPECT_FALSE(restored.GetStats("ghost").has_value());
   ASSERT_TRUE(restored.GetStats("t1").has_value());
   EXPECT_EQ(restored.GetStats("t1")->rows, 500u);
@@ -487,8 +487,8 @@ TEST(CatalogTest, CorruptTableQuarantinedAtRecovery) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->tables_quarantined, 1u);
   EXPECT_EQ(report->tables_verified, 1u);
-  EXPECT_TRUE(restored.IsQuarantined("t1"));
-  EXPECT_FALSE(restored.IsQuarantined("t2"));
+  EXPECT_TRUE(restored.State()->quarantined.contains("t1"));
+  EXPECT_FALSE(restored.State()->quarantined.contains("t2"));
   EXPECT_GE(restored.corruptions_detected(), 1u);
   EXPECT_EQ(restored.quarantined_tables(), 1u);
   // A quarantined table refuses to load, with a distinct code.
@@ -514,7 +514,7 @@ TEST(CatalogTest, ZeroLengthTableQuarantinedAtRecovery) {
   auto report = restored.Recover();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->tables_quarantined, 1u);
-  EXPECT_TRUE(restored.IsQuarantined("t1"));
+  EXPECT_TRUE(restored.State()->quarantined.contains("t1"));
 }
 
 TEST(CatalogTest, CorruptLoadQuarantinesOnFirstAccess) {
@@ -528,11 +528,11 @@ TEST(CatalogTest, CorruptLoadQuarantinesOnFirstAccess) {
       0x02));
 
   EXPECT_FALSE(catalog.GetTable("t1").ok());
-  EXPECT_TRUE(catalog.IsQuarantined("t1"));
+  EXPECT_TRUE(catalog.State()->quarantined.contains("t1"));
   EXPECT_EQ(catalog.corruptions_detected(), 1u);
   // A fresh Put heals the quarantine.
   ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
-  EXPECT_FALSE(catalog.IsQuarantined("t1"));
+  EXPECT_FALSE(catalog.State()->quarantined.contains("t1"));
   EXPECT_TRUE(catalog.GetTable("t1").ok());
 }
 
@@ -546,7 +546,7 @@ TEST(CatalogTest, TransientReadErrorsAreRetriedNotQuarantined) {
   fenv.FailNextReads(2);  // Fewer than the retry budget.
   auto table = catalog.GetTable("t1");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_FALSE(catalog.IsQuarantined("t1"));
+  EXPECT_FALSE(catalog.State()->quarantined.contains("t1"));
   EXPECT_EQ(catalog.corruptions_detected(), 0u);
 }
 
@@ -562,7 +562,7 @@ TEST(CatalogTest, PersistentTransientErrorsSurfaceWithoutQuarantine) {
   ASSERT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), StatusCode::kIoError);
   // Transient failures are not corruption: no quarantine.
-  EXPECT_FALSE(catalog.IsQuarantined("t1"));
+  EXPECT_FALSE(catalog.State()->quarantined.contains("t1"));
   fenv.ClearFaults();
   EXPECT_TRUE(catalog.GetTable("t1").ok());
 }
@@ -667,7 +667,9 @@ TEST(SegmentTest, BitFlipQuarantinesOnlyTheTableItLandsIn) {
       EXPECT_EQ(report->tables_quarantined, 1u);
       EXPECT_EQ(report->tables_verified, names.size() - 1);
       for (const std::string& name : names) {
-        EXPECT_EQ(restored.IsQuarantined(name), name == victim) << name;
+        EXPECT_EQ(restored.State()->quarantined.contains(name),
+                  name == victim)
+            << name;
       }
       ASSERT_TRUE(testing::CorruptTable(committed, victim, pos));  // Undo.
     }
@@ -733,7 +735,7 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
   std::optional<testing::TableRange> after =
       testing::FindTableRange(catalog, "keep");
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(catalog.GetStats("keep")->segment, catalog.generation());
+  EXPECT_EQ(catalog.GetStats("keep")->segment, catalog.State()->generation);
   EXPECT_FALSE(PathExists(before->path));
   std::string moved;
   ASSERT_TRUE(Env::Default()
@@ -741,10 +743,11 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
                                   &moved)
                   .ok());
   EXPECT_EQ(moved, blob);
-  const std::vector<BlobLocation> dictionary = catalog.DictionaryBlobs();
+  const std::vector<BlobLocation> dictionary =
+      catalog.State()->dictionary_blobs;
   ASSERT_EQ(dictionary.size(), 2u);
   for (const BlobLocation& at : dictionary) {
-    EXPECT_EQ(at.segment, catalog.generation());
+    EXPECT_EQ(at.segment, catalog.State()->generation);
   }
   ASSERT_TRUE(catalog.ReadBlob(dictionary[0], &moved).ok());
   EXPECT_EQ(moved, first.dictionary_blob);
@@ -757,7 +760,7 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
   EXPECT_EQ(report->tables_verified, 4u);
   EXPECT_EQ(report->tables_quarantined, 0u);
   EXPECT_EQ(report->orphan_segments_removed, 0u);
-  EXPECT_EQ(restored.DictionaryBlobs(), dictionary);
+  EXPECT_EQ(restored.State()->dictionary_blobs, dictionary);
 }
 
 TEST(SegmentTest, UnreferencedSegmentSweptAtRecovery) {
@@ -797,15 +800,16 @@ TEST(SegmentTest, ADictionaryBlobKeepsItsSegmentLive) {
   updates.push_back(std::move(update));
   ASSERT_TRUE(catalog.CommitBatch(std::move(updates)).ok());
   EXPECT_EQ(catalog.GetStats("t1")->segment, 2u);
-  ASSERT_EQ(catalog.DictionaryBlobs().size(), 1u);
-  EXPECT_EQ(catalog.DictionaryBlobs()[0].segment, 1u);
+  ASSERT_EQ(catalog.State()->dictionary_blobs.size(), 1u);
+  EXPECT_EQ(catalog.State()->dictionary_blobs[0].segment, 1u);
 
   Catalog restored(dir.path());
   auto report = restored.Recover();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->orphan_segments_removed, 0u);
   std::string blob;
-  ASSERT_TRUE(restored.ReadBlob(restored.DictionaryBlobs()[0], &blob).ok());
+  ASSERT_TRUE(
+      restored.ReadBlob(restored.State()->dictionary_blobs[0], &blob).ok());
   EXPECT_EQ(blob, commit.dictionary_blob);
 }
 
@@ -825,7 +829,7 @@ TEST(SegmentTest, BitFlipInTheSegmentOrManifestRollsTheCommitBack) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();
     EXPECT_NE(status.message().find("read-back"), std::string::npos);
-    EXPECT_EQ(catalog.generation(), 1u);
+    EXPECT_EQ(catalog.State()->generation, 1u);
 
     Catalog restored(dir.path());
     auto report = restored.Recover();
@@ -867,6 +871,47 @@ TEST(SegmentTest, FallbackGenerationKeepsTheSegmentsItCannotAccountFor) {
   // Segment 2 holds the only intact copy of every table.
   EXPECT_EQ(report->orphan_segments_removed, 0u);
   EXPECT_TRUE(PathExists(restored.SegmentPath(2)));
+}
+
+// A state is one generation: a commit that replaces tables and compacts
+// the segment holding their old blobs changes nothing an older state
+// reads, and the compacted segment stays on disk until the last state
+// that references it is released.
+TEST(SegmentTest, AStateReadsOneGeneration) {
+  ScopedTempDir dir;
+  Catalog catalog(dir.path());
+  ASSERT_TRUE(catalog.Put("keep", MakeRows(5), 1.0).ok());
+  for (const char* name : {"r1", "r2", "r3"}) {
+    ASSERT_TRUE(catalog.Put(name, MakeTable(), 1.0).ok());
+  }
+  ASSERT_TRUE(catalog.SaveManifest().ok());
+  const std::string compacted = catalog.SegmentPath(1);
+  std::shared_ptr<const CatalogState> old_state = catalog.State();
+  ASSERT_TRUE(catalog.CommitBatch(ReplaceLargeTables()).ok());
+  std::shared_ptr<const CatalogState> new_state = catalog.State();
+  EXPECT_EQ(old_state->generation, 1u);
+  EXPECT_EQ(new_state->generation, 2u);
+  EXPECT_EQ(new_state->Find("keep")->segment, 2u);  // Copied forward.
+  EXPECT_TRUE(PathExists(compacted));
+  // Every read below comes from a segment file.
+  catalog.SetMemoryBudget(1);
+  catalog.EvictToBudget();
+  for (const char* name : {"r1", "r2", "r3", "keep"}) {
+    SCOPED_TRACE(name);
+    auto before = catalog.GetTable(*old_state, name);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    auto after = catalog.GetTable(*new_state, name);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    const bool replaced = std::string(name) != "keep";
+    EXPECT_EQ((*before)->NumRows(), replaced ? 500u : 5u);
+    EXPECT_EQ((*after)->NumRows(), replaced ? 400u : 5u);
+  }
+  EXPECT_EQ(catalog.quarantined_tables(), 0u);
+  old_state.reset();
+  EXPECT_FALSE(PathExists(compacted));
+  auto table = catalog.GetTable(*new_state, "r1");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ((*table)->NumRows(), 400u);
 }
 
 TEST(FaultInjectionEnvTest, CrashPointSemantics) {

@@ -17,7 +17,7 @@ std::optional<TableRange> FindTableRange(const storage::Catalog& catalog,
 
 std::vector<TableRange> FindDictionaryRanges(const storage::Catalog& catalog) {
   std::vector<TableRange> ranges;
-  for (const storage::BlobLocation& at : catalog.DictionaryBlobs()) {
+  for (const storage::BlobLocation& at : catalog.State()->dictionary_blobs) {
     ranges.push_back({catalog.SegmentPath(at.segment), at.offset, at.bytes});
   }
   return ranges;
