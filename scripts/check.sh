@@ -170,10 +170,12 @@ for san in asan tsan; do
   ctest --preset "${san}-ingest"
 done
 
-note "tsan queries during commits, ten passes"
+note "tsan queries during commits and racing lazy builds, ten passes"
 # One pass rarely lands a query inside a commit's flip, copy-forward or
-# segment removal; ten give the race detector its chances.
+# segment removal, or two queries on the same lazy ExtVP pair; ten give
+# the race detector its chances. The stress test's lazy_pairs_computed
+# equality checks that each lazy pair is computed once.
 ctest --preset tsan --repeat until-fail:10 \
-  -R 'IngestConcurrencyTest\.|SegmentTest\.AStateReadsOneGeneration'
+  -R 'IngestConcurrencyTest\.|SegmentTest\.AStateReadsOneGeneration|ConcurrencyStressTest\.ParallelMixedQueriesMatchSerial'
 
 note "all checks passed"

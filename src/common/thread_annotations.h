@@ -82,7 +82,7 @@
 // s2rdf_lint lock-order pass merges the declared edges into its global
 // acquired-before graph, so a cross-TU nesting that contradicts a
 // declaration is caught as a cycle. Arguments may be a sibling member
-// (`lazy_mu_`) or qualified (`Catalog::mu_`).
+// (`ingest_mu_`) or qualified (`Catalog::mu_`).
 #define S2RDF_ACQUIRED_BEFORE(...) \
   S2RDF_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
 #define S2RDF_ACQUIRED_AFTER(...) \

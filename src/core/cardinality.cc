@@ -19,10 +19,8 @@ double CardinalityEstimator::ScanRows(size_t i,
   // A bound predicate scanned out of the triples table keeps exactly the
   // predicate's VP rows — the catalog records them even for quarantined
   // VP tables, so the degraded TT scan still estimates correctly.
-  if (choice.is_triples_table && ids_[i].predicate.has_value()) {
-    const storage::TableStats* vp =
-        state_.Find(VpTableName(*ids_[i].predicate));
-    if (vp != nullptr) rows = static_cast<double>(vp->rows);
+  if (choice.is_triples_table && ids_[i].vp != nullptr) {
+    rows = static_cast<double>(ids_[i].vp->rows);
   }
 
   // Residual equalities the scan applies on top of the stored table:

@@ -23,7 +23,9 @@
 //
 // Bitmaps are indexed by the row order of the VP layout built from the
 // same graph (layouts.cc builds both from the same deduplicated row
-// stream), so a bitmap can filter the catalog's VP table directly.
+// stream), so a bitmap can filter the catalog's VP table directly. The
+// store is built by the same all-pairs sweep (ExtVpSweep) and keeps the
+// same reductions (ClassifyExtVp) as the table builder.
 
 namespace s2rdf::core {
 
@@ -48,9 +50,6 @@ class ExtVpBitmapStore {
   // not stored but non-empty, 0.0 when empty.
   double Sf(Correlation corr, rdf::TermId p1, rdf::TermId p2) const;
 
-  // Number of rows of VP_p (bitmap domain size); 0 for unknown p.
-  uint64_t VpRows(rdf::TermId p) const;
-
   // Storage accounting.
   uint64_t TotalBitmapBytes() const;
   size_t NumBitmaps() const { return bitmaps_.size(); }
@@ -67,7 +66,6 @@ class ExtVpBitmapStore {
   // Non-empty combinations (superset of bitmaps_; includes SF = 1 and
   // threshold-pruned pairs). Value: SF.
   std::unordered_map<uint64_t, double> known_sf_;
-  std::unordered_map<rdf::TermId, uint64_t> vp_rows_;
 };
 
 }  // namespace s2rdf::core

@@ -4,7 +4,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -12,6 +11,7 @@
 
 #include "common/clock.h"
 #include "core/layout_names.h"
+#include "core/layouts.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "rdf/table.h"
@@ -24,88 +24,19 @@ namespace {
 using rdf::TermId;
 using storage::TableUpdate;
 
-using VpRows = std::vector<std::pair<TermId, TermId>>;
-
-constexpr int kNumCorrelations = 3;
-constexpr Correlation kCorrelations[kNumCorrelations] = {
-    Correlation::kSS, Correlation::kOS, Correlation::kSO};
-
-// Column roles per correlation, identical to MaterializeExtVpPair:
-// reduce VP_p1's `left` column by VP_p2's `right` column.
-struct CorrCols {
-  int left;
-  int right;
-};
-
-CorrCols CorrColumns(Correlation corr) {
-  switch (corr) {
-    case Correlation::kSS:
-      return {0, 0};
-    case Correlation::kOS:
-      return {1, 0};
-    case Correlation::kSO:
-      return {0, 1};
-  }
-  return {0, 0};
-}
-
 uint64_t SoKey(TermId s, TermId o) {
   return (static_cast<uint64_t>(s) << 32) | o;
 }
 
-// Pair identity for the affected-pair set: (correlation index, p1, p2).
-using PairId = std::tuple<int, TermId, TermId>;
-
-// Lazily loaded (s, o) row lists of the *pre-batch* VP tables, read as
-// of `state`. A
-// quarantined or checksum-failing VP is reconstructed from the old
-// triples table — TT's (s, p, o) dedup restricted to one predicate is
-// exactly CollectVpRows' per-predicate dedup, in the same
-// first-appearance order, so the reconstruction is byte-identical to
-// the lost table (and the batch commit rewrites it, self-healing the
-// quarantine).
-class OldVpSource {
- public:
-  OldVpSource(storage::Catalog* catalog, const storage::CatalogState& state,
-              const rdf::Table* old_tt)
-      : catalog_(catalog), state_(state), old_tt_(old_tt) {}
-
-  const VpRows& Rows(TermId p) {
-    auto it = cache_.find(p);
-    if (it != cache_.end()) return *it->second;
-    auto rows = std::make_unique<VpRows>();
-    const std::string name = VpTableName(p);
-    const bool exists = state_.Find(name) != nullptr;
-    bool loaded = false;
-    if (exists && !state_.quarantined.contains(name)) {
-      auto table_or = catalog_->GetTable(state_, name);
-      if (table_or.ok()) {
-        const rdf::Table& t = *table_or.value();
-        rows->reserve(t.NumRows());
-        for (size_t r = 0; r < t.NumRows(); ++r) {
-          rows->emplace_back(t.At(r, 0), t.At(r, 1));
-        }
-        loaded = true;
-      }
-    }
-    if (!loaded && exists) {
-      for (size_t r = 0; r < old_tt_->NumRows(); ++r) {
-        if (old_tt_->At(r, 1) == p) {
-          rows->emplace_back(old_tt_->At(r, 0), old_tt_->At(r, 2));
-        }
-      }
-    }
-    const VpRows& out = *rows;
-    cache_.emplace(p, std::move(rows));
-    return out;
+// An (s, o) table's rows, and back.
+VpRows RowsOf(const rdf::Table& table) {
+  VpRows rows;
+  rows.reserve(table.NumRows());
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    rows.emplace_back(table.At(r, 0), table.At(r, 1));
   }
-
- private:
-  storage::Catalog* catalog_;
-  const storage::CatalogState& state_;
-  const rdf::Table* old_tt_;
-  std::unordered_map<TermId, std::unique_ptr<VpRows>> cache_;
-};
+  return rows;
+}
 
 rdf::Table TableFromRows(const VpRows& rows) {
   rdf::Table table({"s", "o"});
@@ -114,22 +45,72 @@ rdf::Table TableFromRows(const VpRows& rows) {
   return table;
 }
 
-// Shared state of one batch's ExtVP delta maintenance, which reads the
-// catalog as of `state`.
+// The (s, o) row lists of the VP tables of `state`, each loaded on first
+// use. A quarantined or checksum-failing VP is reconstructed from the
+// state's triples table — TT's (s, p, o) dedup restricted to one
+// predicate is exactly CollectVpRows' per-predicate dedup, in the same
+// first-appearance order, so the reconstruction is byte-identical to
+// the lost table (and an ingest commit rewrites it, self-healing the
+// quarantine).
+class VpSource {
+ public:
+  // `tt` is the state's triples table when the caller holds it already;
+  // null loads it when a VP table first fails to.
+  VpSource(storage::Catalog* catalog, const storage::CatalogState& state,
+           std::shared_ptr<const rdf::Table> tt)
+      : catalog_(catalog), state_(state), tt_(std::move(tt)) {}
+
+  StatusOr<const VpRows*> Rows(TermId p) {
+    auto it = cache_.find(p);
+    if (it != cache_.end()) return it->second.get();
+    auto rows = std::make_unique<VpRows>();
+    const std::string name = VpTableName(p);
+    if (state_.Find(name) != nullptr) {
+      auto table_or = catalog_->GetTable(state_, name);
+      if (table_or.ok()) {
+        *rows = RowsOf(**table_or);
+      } else {
+        if (tt_ == nullptr) {
+          S2RDF_ASSIGN_OR_RETURN(
+              tt_, catalog_->GetTable(state_, TriplesTableName()));
+        }
+        for (size_t r = 0; r < tt_->NumRows(); ++r) {
+          if (tt_->At(r, 1) != p) continue;
+          rows->emplace_back(tt_->At(r, 0), tt_->At(r, 2));
+        }
+      }
+    }
+    const VpRows* out = rows.get();
+    cache_.emplace(p, std::move(rows));
+    return out;
+  }
+
+ private:
+  storage::Catalog* catalog_;
+  const storage::CatalogState& state_;
+  std::shared_ptr<const rdf::Table> tt_;
+  std::unordered_map<TermId, std::unique_ptr<VpRows>> cache_;
+};
+
+
+// The per-pair ExtVP kernel: reduces single pairs against the catalog as
+// of `state`, the VP tables read through `vp` plus a per-predicate
+// delta of rows appended after them. Ingest passes the batch as the
+// delta; refresh and lazy first use pass none.
 class DeltaMaintainer {
  public:
-  // `trust_old_stats` says the catalog's stats describe `old_vp`'s
-  // tables exactly (ingest). Refresh passes false: a stale pair's entry
-  // undercounts against the already-committed VP tables, so only the
-  // full scan may run.
+  // `trust_old_stats` says the catalog's stats describe `vp`'s tables
+  // exactly (ingest). Refresh and first use pass false: a stale pair's
+  // entry undercounts against the already-committed VP tables, and a
+  // pair never computed has none, so only the full scan may run.
   DeltaMaintainer(const IngestConfig& config, storage::Catalog* catalog,
-                  const storage::CatalogState& state, OldVpSource* old_vp,
+                  const storage::CatalogState& state, VpSource* vp,
                   const std::unordered_map<TermId, VpRows>* delta,
                   bool trust_old_stats)
       : config_(config),
         catalog_(catalog),
         state_(state),
-        old_vp_(old_vp),
+        vp_(vp),
         delta_(delta),
         trust_old_stats_(trust_old_stats) {}
 
@@ -137,29 +118,28 @@ class DeltaMaintainer {
 
   // Delta-maintains the pair: recomputes its rows (when it can gain) or
   // amends its SF denominator (when only VP_p1 grew), emitting at most
-  // one TableUpdate. `gain_possible` is the affected-pair verdict; for
-  // pairs outside that set the row count provably cannot change.
-  Status MaintainPair(Correlation corr, TermId p1, TermId p2,
-                      bool gain_possible) {
-    const std::string name = ExtVpTableName(corr, p1, p2);
+  // one TableUpdate, and none while the pair stays empty. `gain_possible`
+  // is the affected-pair verdict; for pairs outside that set the row
+  // count provably cannot change.
+  Status MaintainPair(const ExtVpPair& pair, bool gain_possible) {
+    const std::string name = ExtVpTableName(pair.corr, pair.p1, pair.p2);
     const storage::TableStats* old = state_.Find(name);
     if (config_.lazy_extvp && old == nullptr) {
       // "Pay as you go": uncomputed pairs stay uncomputed; their first
       // use builds them from the updated VP tables.
       return Status::Ok();
     }
-    const CorrCols cols = CorrColumns(corr);
-    const VpRows& old_vp1 = old_vp_->Rows(p1);
-    const VpRows* delta_p1 = DeltaOf(p1);
+    S2RDF_ASSIGN_OR_RETURN(const VpRows* old_vp1, vp_->Rows(pair.p1));
+    const VpRows* delta_p1 = DeltaOf(pair.p1);
     const uint64_t new_vp1_rows =
-        old_vp1.size() + (delta_p1 != nullptr ? delta_p1->size() : 0);
+        old_vp1->size() + (delta_p1 != nullptr ? delta_p1->size() : 0);
     if (new_vp1_rows == 0) return Status::Ok();
 
     uint64_t count;
     VpRows rows;        // Valid only when `have_rows`.
     bool have_rows = false;
     if (gain_possible) {
-      S2RDF_RETURN_IF_ERROR(ComputeRows(name, old, cols, p1, p2, &rows));
+      S2RDF_RETURN_IF_ERROR(ComputeRows(name, old, pair, &rows));
       have_rows = true;
       count = rows.size();
     } else {
@@ -167,47 +147,35 @@ class DeltaMaintainer {
       count = old->rows;
     }
 
-    if (count == 0) {
-      // Still empty: a from-scratch rebuild registers nothing, so emit
-      // nothing (a pre-existing zero entry stays as-is).
-      return Status::Ok();
-    }
-    const double sf =
-        static_cast<double>(count) / static_cast<double>(new_vp1_rows);
+    const ExtVpVerdict verdict =
+        ClassifyExtVp(count, new_vp1_rows, config_.sf_threshold);
+    // Still empty: a full rebuild registers nothing, so emit
+    // nothing (a pre-existing zero entry stays as-is).
+    if (verdict.kind == ExtVpVerdict::kEmpty) return Status::Ok();
+    const bool stored = verdict.kind == ExtVpVerdict::kStored;
+    TableUpdate update;
+    update.name = name;
+    update.selectivity = verdict.sf;
     if (old != nullptr && old->rows == count) {
-      if (old->selectivity == (count == new_vp1_rows ? 1.0 : sf) &&
-          old->materialized == (count != new_vp1_rows &&
-                                sf < config_.sf_threshold)) {
+      if (old->selectivity == verdict.sf && old->materialized == stored) {
         return Status::Ok();  // Bit-for-bit unchanged.
       }
-      if (old->materialized && count != new_vp1_rows &&
-          sf < config_.sf_threshold) {
+      if (old->materialized && stored) {
         // Row set untouched, only the SF denominator moved: amend the
         // stats and keep the existing file.
-        TableUpdate update;
-        update.name = name;
         update.rows = count;
-        update.selectivity = sf;
         update.retain_table = true;
         updates_.push_back(std::move(update));
         return Status::Ok();
       }
     }
-    TableUpdate update;
-    update.name = name;
-    if (count == new_vp1_rows) {
-      // SF = 1: identical to the (updated) VP table, never stored.
-      update.rows = count;
-      update.selectivity = 1.0;
-    } else if (sf >= config_.sf_threshold) {
-      update.rows = count;
-      update.selectivity = sf;
-    } else {
+    if (stored) {
       if (!have_rows) {
-        S2RDF_RETURN_IF_ERROR(ComputeRows(name, old, cols, p1, p2, &rows));
+        S2RDF_RETURN_IF_ERROR(ComputeRows(name, old, pair, &rows));
       }
       update.table = TableFromRows(rows);
-      update.selectivity = sf;
+    } else {
+      update.rows = count;  // SF = 1 or pruned: statistics only.
     }
     updates_.push_back(std::move(update));
     return Status::Ok();
@@ -221,21 +189,33 @@ class DeltaMaintainer {
 
   // Join-key set of the updated VP_p2's `right_col`, cached per
   // (predicate, column).
-  const std::unordered_set<TermId>& RightKeys(TermId p2, int right_col) {
+  StatusOr<const std::unordered_set<TermId>*> RightKeys(TermId p2,
+                                                       int right_col) {
     uint64_t cache_key = (static_cast<uint64_t>(p2) << 1) |
                          static_cast<uint64_t>(right_col);
     auto it = right_keys_.find(cache_key);
-    if (it != right_keys_.end()) return *it->second;
+    if (it != right_keys_.end()) return it->second.get();
+    S2RDF_ASSIGN_OR_RETURN(const VpRows* vp2, vp_->Rows(p2));
     auto keys = std::make_unique<std::unordered_set<TermId>>();
-    for (const auto& [s, o] : old_vp_->Rows(p2)) {
-      keys->insert(right_col == 0 ? s : o);
-    }
+    for (const auto& [s, o] : *vp2) keys->insert(right_col == 0 ? s : o);
     if (const VpRows* d = DeltaOf(p2)) {
       for (const auto& [s, o] : *d) keys->insert(right_col == 0 ? s : o);
     }
-    const std::unordered_set<TermId>& out = *keys;
+    const std::unordered_set<TermId>* out = keys.get();
     right_keys_.emplace(cache_key, std::move(keys));
     return out;
+  }
+
+  // Appends the rows of `from` that find a partner in VP_p2 (the
+  // pair's semi-join) to `out`.
+  Status Reduce(const VpRows& from, const ExtVpPair& pair, VpRows* out) {
+    const CorrelationRoles& roles = RolesOf(pair.corr);
+    S2RDF_ASSIGN_OR_RETURN(const std::unordered_set<TermId>* keys,
+                           RightKeys(pair.p2, roles.right));
+    for (const auto& [s, o] : from) {
+      if (keys->contains(roles.left == 0 ? s : o)) out->emplace_back(s, o);
+    }
+    return Status::Ok();
   }
 
   // Recomputes the pair's full row list in the updated VP_p1's row
@@ -243,10 +223,10 @@ class DeltaMaintainer {
   // surviving batch rows (part 2) — exactly the order a from-scratch
   // rebuild over the concatenated triple stream emits.
   Status ComputeRows(const std::string& name, const storage::TableStats* old,
-                     CorrCols cols, TermId p1, TermId p2, VpRows* out) {
-    const VpRows& old_vp1 = old_vp_->Rows(p1);
-    const VpRows* delta_p1 = DeltaOf(p1);
-    const VpRows* delta_p2 = DeltaOf(p2);
+                     const ExtVpPair& pair, VpRows* out) {
+    S2RDF_ASSIGN_OR_RETURN(const VpRows* old_vp1, vp_->Rows(pair.p1));
+    const VpRows* delta_p1 = DeltaOf(pair.p1);
+    const VpRows* delta_p2 = DeltaOf(pair.p2);
     const bool right_may_grow = delta_p2 != nullptr && !delta_p2->empty();
 
     // Part 1 — pre-batch VP_p1 rows that (still or newly) match. The
@@ -256,48 +236,33 @@ class DeltaMaintainer {
     // is sound even against a stale entry: rows <= |old VP_p1| <=
     // |VP_p1| forces equality throughout, i.e. every row matched and
     // monotonicity keeps it that way.)
-    if (old != nullptr && old->rows == old_vp1.size() && old->rows > 0) {
-      *out = old_vp1;
+    if (old != nullptr && old->rows == old_vp1->size() && old->rows > 0) {
+      *out = *old_vp1;
     } else if (trust_old_stats_ && !right_may_grow &&
                (old == nullptr || old->rows == 0)) {
       // Nothing matched before and the key set is unchanged.
     } else if (trust_old_stats_ && !right_may_grow && old != nullptr &&
-               old->materialized && !state_.quarantined.contains(name)) {
+               old->materialized) {
       auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
-        const rdf::Table& t = *table_or.value();
-        out->reserve(t.NumRows());
-        for (size_t r = 0; r < t.NumRows(); ++r) {
-          out->emplace_back(t.At(r, 0), t.At(r, 1));
-        }
+        *out = RowsOf(**table_or);
       } else {
-        ScanPart1(cols, old_vp1, p2, out);
+        S2RDF_RETURN_IF_ERROR(Reduce(*old_vp1, pair, out));
       }
     } else {
-      ScanPart1(cols, old_vp1, p2, out);
+      S2RDF_RETURN_IF_ERROR(Reduce(*old_vp1, pair, out));
     }
     // Part 2 — the batch's VP_p1 rows that match.
     if (delta_p1 != nullptr && !delta_p1->empty()) {
-      const std::unordered_set<TermId>& keys = RightKeys(p2, cols.right);
-      for (const auto& [s, o] : *delta_p1) {
-        if (keys.contains(cols.left == 0 ? s : o)) out->emplace_back(s, o);
-      }
+      S2RDF_RETURN_IF_ERROR(Reduce(*delta_p1, pair, out));
     }
     return Status::Ok();
-  }
-
-  void ScanPart1(CorrCols cols, const VpRows& old_vp1, TermId p2,
-                 VpRows* out) {
-    const std::unordered_set<TermId>& keys = RightKeys(p2, cols.right);
-    for (const auto& [s, o] : old_vp1) {
-      if (keys.contains(cols.left == 0 ? s : o)) out->emplace_back(s, o);
-    }
   }
 
   const IngestConfig& config_;
   storage::Catalog* catalog_;
   const storage::CatalogState& state_;
-  OldVpSource* old_vp_;
+  VpSource* vp_;
   const std::unordered_map<TermId, VpRows>* delta_;
   bool trust_old_stats_;
   std::unordered_map<uint64_t, std::unique_ptr<std::unordered_set<TermId>>>
@@ -354,9 +319,10 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   // One scan of the old triples table: drop candidates the store
   // already holds, and build the term -> predicates maps (over old data)
   // that enumerate which ExtVP pairs the batch can affect.
+  // preds_by_column[c]: term -> the predicates whose rows hold it in
+  // column c (0 = s, 1 = o).
   std::unordered_map<TermId, std::unordered_set<uint64_t>> existing_keys;
-  std::unordered_map<TermId, std::set<TermId>> subj_preds;
-  std::unordered_map<TermId, std::set<TermId>> obj_preds;
+  std::unordered_map<TermId, std::set<TermId>> preds_by_column[2];
   std::set<TermId> all_preds;
   for (size_t r = 0; r < old_tt->NumRows(); ++r) {
     const TermId s = old_tt->At(r, 0);
@@ -367,8 +333,8 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     if (ck != candidate_keys.end() && ck->second.contains(SoKey(s, o))) {
       existing_keys[p].insert(SoKey(s, o));
     }
-    if (delta_terms.contains(s)) subj_preds[s].insert(p);
-    if (delta_terms.contains(o)) obj_preds[o].insert(p);
+    if (delta_terms.contains(s)) preds_by_column[0][s].insert(p);
+    if (delta_terms.contains(o)) preds_by_column[1][o].insert(p);
   }
 
   // The surviving delta: per-predicate rows and the interleaved stream
@@ -388,8 +354,8 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     if (inserted) delta_preds.push_back(t.predicate);
     it->second.emplace_back(t.subject, t.object);
     surviving.push_back(t);
-    subj_preds[t.subject].insert(t.predicate);
-    obj_preds[t.object].insert(t.predicate);
+    preds_by_column[0][t.subject].insert(t.predicate);
+    preds_by_column[1][t.object].insert(t.predicate);
     all_preds.insert(t.predicate);
   }
   result.triples_added = surviving.size();
@@ -398,7 +364,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     return result;  // Fully duplicate batch: no generation committed.
   }
 
-  OldVpSource old_vp(catalog, *state, old_tt.get());
+  VpSource old_vp(catalog, *state, old_tt);
   DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta,
                              /*trust_old_stats=*/true);
 
@@ -414,7 +380,8 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     maintainer.updates().push_back(std::move(update));
   }
   for (TermId p : delta_preds) {
-    rdf::Table new_vp = TableFromRows(old_vp.Rows(p));
+    S2RDF_ASSIGN_OR_RETURN(const VpRows* old_rows, old_vp.Rows(p));
+    rdf::Table new_vp = TableFromRows(*old_rows);
     for (const auto& [s, o] : delta[p]) new_vp.AppendRow({s, o});
     TableUpdate update;
     update.name = VpTableName(p);
@@ -446,32 +413,32 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       }
     }
 
-    // Pairs that can gain rows: for every surviving row, the partner
-    // predicates its terms join with — the same per-correlation
-    // term-index lookups BuildExtVpLayout's counting sweep does, from
-    // both the left (p1 gains rows) and right (p1's old rows newly
-    // match) side of each pair.
-    std::set<PairId> affected;
-    auto add = [&](int c, TermId p1, TermId p2) {
-      if (kCorrelations[c] == Correlation::kSS && p1 == p2) return;
+    // Pairs that can gain rows: for every surviving row and
+    // correlation, the partner predicates its terms join with, from both
+    // the left (p1 gains the row) and the right (p1's old rows newly
+    // match it) side of the pair.
+    std::set<ExtVpPair> affected;
+    auto add = [&](Correlation corr, TermId p1, TermId p2) {
+      if (corr == Correlation::kSS && p1 == p2) return;
       if (stale_pids.contains(p1) || stale_pids.contains(p2)) return;
-      affected.insert({c, p1, p2});
+      affected.insert({corr, p1, p2});
     };
     for (TermId p : delta_preds) {
       for (const auto& [s, o] : delta[p]) {
-        for (TermId q : subj_preds[s]) {
-          add(0, p, q);
-          add(0, q, p);
+        const TermId cells[2] = {s, o};
+        for (const CorrelationRoles& roles : kCorrelationRoles) {
+          for (TermId q : preds_by_column[roles.right][cells[roles.left]]) {
+            add(roles.corr, p, q);
+          }
+          for (TermId q : preds_by_column[roles.left][cells[roles.right]]) {
+            add(roles.corr, q, p);
+          }
         }
-        for (TermId q : subj_preds[o]) add(1, p, q);
-        for (TermId q : obj_preds[s]) add(1, q, p);
-        for (TermId q : obj_preds[s]) add(2, p, q);
-        for (TermId q : subj_preds[o]) add(2, q, p);
       }
     }
-    for (const auto& [c, p1, p2] : affected) {
-      S2RDF_RETURN_IF_ERROR(maintainer.MaintainPair(
-          kCorrelations[c], p1, p2, /*gain_possible=*/true));
+    for (const ExtVpPair& pair : affected) {
+      S2RDF_RETURN_IF_ERROR(
+          maintainer.MaintainPair(pair, /*gain_possible=*/true));
     }
     // Every other pair whose left VP grew keeps its rows but sees a new
     // SF denominator (which can cross the materialization threshold in
@@ -480,11 +447,12 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       if (stale_pids.contains(p1)) continue;
       for (TermId p2 : all_preds) {
         if (stale_pids.contains(p2)) continue;
-        for (int c = 0; c < kNumCorrelations; ++c) {
-          if (kCorrelations[c] == Correlation::kSS && p1 == p2) continue;
-          if (affected.contains({c, p1, p2})) continue;
-          S2RDF_RETURN_IF_ERROR(maintainer.MaintainPair(
-              kCorrelations[c], p1, p2, /*gain_possible=*/false));
+        for (const CorrelationRoles& roles : kCorrelationRoles) {
+          const ExtVpPair pair{roles.corr, p1, p2};
+          if (pair.corr == Correlation::kSS && p1 == p2) continue;
+          if (affected.contains(pair)) continue;
+          S2RDF_RETURN_IF_ERROR(
+              maintainer.MaintainPair(pair, /*gain_possible=*/false));
         }
       }
     }
@@ -524,17 +492,17 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
   // Every pair with a stale predicate on either side is recomputed from
   // the current (post-ingest) VP tables — the "delta" is empty, so the
   // maintainer's plain semi-join scan path runs.
-  OldVpSource current_vp(catalog, *state, tt.get());
-  std::unordered_map<TermId, VpRows> no_delta;
+  VpSource current_vp(catalog, *state, tt);
+  const std::unordered_map<TermId, VpRows> no_delta;
   DeltaMaintainer maintainer(config, catalog, *state, &current_vp, &no_delta,
                              /*trust_old_stats=*/false);
   for (TermId p1 : all_preds) {
     for (TermId p2 : all_preds) {
       if (!stale_pids.contains(p1) && !stale_pids.contains(p2)) continue;
-      for (int c = 0; c < kNumCorrelations; ++c) {
-        if (kCorrelations[c] == Correlation::kSS && p1 == p2) continue;
+      for (const CorrelationRoles& roles : kCorrelationRoles) {
+        if (roles.corr == Correlation::kSS && p1 == p2) continue;
         S2RDF_RETURN_IF_ERROR(maintainer.MaintainPair(
-            kCorrelations[c], p1, p2, /*gain_possible=*/true));
+            {roles.corr, p1, p2}, /*gain_possible=*/true));
       }
     }
   }
@@ -544,6 +512,39 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
   S2RDF_RETURN_IF_ERROR(
       catalog->CommitBatch(std::move(maintainer.updates()), commit));
   return refreshed;
+}
+
+Status StageExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
+                       const storage::CatalogState& state,
+                       storage::Catalog* catalog) {
+  // Every pair asked for is computed: skipping uncomputed pairs is what
+  // ingest and refresh do on a lazy store.
+  const IngestConfig config{.sf_threshold = sf_threshold};
+  VpSource current_vp(catalog, state, nullptr);
+  const std::unordered_map<TermId, VpRows> no_delta;
+  DeltaMaintainer maintainer(config, catalog, state, &current_vp, &no_delta,
+                             /*trust_old_stats=*/false);
+  for (const ExtVpPair& pair : pairs) {
+    const std::string name = ExtVpTableName(pair.corr, pair.p1, pair.p2);
+    if (state.Find(name) != nullptr) continue;  // Computed already.
+    const size_t emitted = maintainer.updates().size();
+    S2RDF_RETURN_IF_ERROR(
+        maintainer.MaintainPair(pair, /*gain_possible=*/true));
+    if (maintainer.updates().size() == emitted) {
+      // Empty. Unlike the eager build, a lazy store records it, with 0
+      // rows: its entry is what marks the pair computed.
+      catalog->PutStatsOnly(name, 0, 0.0);
+    }
+  }
+  for (TableUpdate& update : maintainer.updates()) {
+    if (update.table.has_value()) {
+      S2RDF_RETURN_IF_ERROR(catalog->Put(
+          update.name, std::move(*update.table), update.selectivity));
+    } else {
+      catalog->PutStatsOnly(update.name, update.rows, update.selectivity);
+    }
+  }
+  return Status::Ok();
 }
 
 StatusOr<storage::IngestBatch> MakeBatchFromNTriples(std::string_view text) {

@@ -2,18 +2,21 @@
 #define S2RDF_CORE_INGEST_H_
 
 #include <cstdint>
+#include <set>
 #include <string_view>
 
 #include "common/status.h"
+#include "core/layout_names.h"
 #include "rdf/dictionary.h"
 #include "storage/catalog.h"
 #include "storage/ingest.h"
 
 // Incremental ingest with ExtVP delta maintenance (ROADMAP: "incremental
-// ExtVP maintenance under updates"). S2RDF's batch build computes every
-// reduction from scratch; this module appends a batch of triples and
-// repairs only the reductions the batch can actually change, via delta
-// semi-joins:
+// ExtVP maintenance under updates"), and the per-pair ExtVP kernel it
+// shares with refresh and lazy first use. S2RDF's batch build computes
+// every reduction anew in one all-pairs sweep (core/layouts.h); this
+// module appends a batch of triples and repairs only the
+// reductions the batch can actually change, via delta semi-joins:
 //
 //   - the new triples of predicate p1 are probed against the (updated)
 //     VP_p2 key sets — rows the batch adds to ExtVP_corr_p1|p2;
@@ -24,12 +27,15 @@
 //     materialize a previously pruned one (SF dropped below the
 //     threshold).
 //
-// Rows are emitted in the updated VP_p1's row order — existing rows
-// first, batch rows in arrival order — which is exactly the order a
-// from-scratch rebuild over the concatenated triple stream produces, so
-// every generation's tables are byte-identical to a full rebuild (the
-// crash-matrix test's oracle). All changed tables commit through one
-// Catalog::CommitBatch, i.e. one atomic manifest flip.
+// Refresh and lazy first use run the same kernel with an empty delta:
+// a plain semi-join of the current VP_p1 against VP_p2's key set. Every
+// path classifies the result with ClassifyExtVp, the eager builder's
+// rule. Rows are emitted in the updated VP_p1's row order — existing
+// rows first, batch rows in arrival order — which is exactly the order
+// a full rebuild over the concatenated triple stream produces, so
+// every generation's tables are byte-identical to a full rebuild
+// (the crash-matrix test's oracle). All changed tables commit through
+// one Catalog::CommitBatch, i.e. one atomic manifest flip.
 
 namespace s2rdf::core {
 
@@ -61,6 +67,18 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
 // reductions recomputed. No-op when nothing is stale.
 StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
                                      storage::Catalog* catalog);
+
+// "Pay as you go" first use (Sec. 7): computes each reduction of `pairs`
+// that `state` has no entry for from the VP tables of `state` (a
+// quarantined one rebuilt from the triples table), and stages it in
+// `catalog` — stored or statistics-only by ClassifyExtVp at
+// `sf_threshold`, an empty one as a 0-row entry, so that every computed
+// pair has an entry. Pairs that share a VP_p2 share its key set. The
+// caller serializes this with commits: a pair computed from one
+// generation must not be staged while a batch commits the next.
+Status StageExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
+                       const storage::CatalogState& state,
+                       storage::Catalog* catalog);
 
 // Parses N-Triples text into an IngestBatch (the HTTP and CLI entry
 // points accept raw N-Triples bodies).

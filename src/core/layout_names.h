@@ -1,6 +1,7 @@
 #ifndef S2RDF_CORE_LAYOUT_NAMES_H_
 #define S2RDF_CORE_LAYOUT_NAMES_H_
 
+#include <compare>
 #include <string>
 
 #include "rdf/dictionary.h"
@@ -22,17 +23,38 @@ namespace s2rdf::core {
 // precomputed — Sec. 5.2 discusses why).
 enum class Correlation { kSS, kOS, kSO };
 
-inline const char* CorrelationName(Correlation c) {
-  switch (c) {
-    case Correlation::kSS:
-      return "ss";
-    case Correlation::kOS:
-      return "os";
-    case Correlation::kSO:
-      return "so";
-  }
-  return "??";
+// Column roles of ExtVP^corr_p1|p2 = VP_p1 ⋉ VP_p2 (Sec. 5.2): the rows
+// of VP_p1 whose column `left` (0 = s, 1 = o) occurs in column `right`
+// of VP_p2.
+struct CorrelationRoles {
+  Correlation corr;
+  const char* name;  // As table names spell it.
+  int left;
+  int right;
+};
+
+// The roles of every correlation, in enum order: the one table each
+// ExtVP builder, the bitmap store and ingest read.
+inline constexpr CorrelationRoles kCorrelationRoles[] = {
+    {Correlation::kSS, "ss", 0, 0},
+    {Correlation::kOS, "os", 1, 0},
+    {Correlation::kSO, "so", 0, 1},
+};
+
+inline constexpr const CorrelationRoles& RolesOf(Correlation corr) {
+  return kCorrelationRoles[static_cast<int>(corr)];
 }
+
+inline const char* CorrelationName(Correlation c) { return RolesOf(c).name; }
+
+// One reduction ExtVP^corr_p1|p2; ordered, so a set of them is the set of
+// distinct reductions.
+struct ExtVpPair {
+  Correlation corr;
+  rdf::TermId p1;
+  rdf::TermId p2;
+  auto operator<=>(const ExtVpPair&) const = default;
+};
 
 // Stats-only marker entry: present when the store has ExtVP, built
 // eagerly or lazily. Without it a missing ExtVP entry means "not built",

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "engine/operators.h"
 
 namespace s2rdf::core {
 
@@ -20,19 +20,19 @@ using rdf::TermId;
 // set to stay mutually consistent (and row-aligned with the bitmaps).
 VpRowData CollectVpRows(const rdf::Graph& graph) {
   VpRowData out;
-  std::unordered_map<TermId, std::unordered_set<uint64_t>> seen;
+  std::unordered_map<TermId, uint32_t> index;
+  std::vector<std::unordered_set<uint64_t>> seen;
   for (const rdf::Triple& t : graph.triples()) {
-    uint64_t key = (static_cast<uint64_t>(t.subject) << 32) | t.object;
-    auto [it, inserted] = seen[t.predicate].insert(key);
-    if (!inserted) continue;
-    auto rows = out.rows.find(t.predicate);
-    if (rows == out.rows.end()) {
+    auto [it, added] = index.try_emplace(
+        t.predicate, static_cast<uint32_t>(out.predicates.size()));
+    if (added) {
       out.predicates.push_back(t.predicate);
-      rows = out.rows.emplace(t.predicate,
-                              std::vector<std::pair<TermId, TermId>>())
-                 .first;
+      out.rows.emplace_back();
+      seen.emplace_back();
     }
-    rows->second.emplace_back(t.subject, t.object);
+    uint64_t key = (static_cast<uint64_t>(t.subject) << 32) | t.object;
+    if (!seen[it->second].insert(key).second) continue;
+    out.rows[it->second].emplace_back(t.subject, t.object);
   }
   return out;
 }
@@ -60,14 +60,36 @@ Status BuildTriplesTable(const rdf::Graph& graph, storage::Catalog* catalog) {
 
 Status BuildVpLayout(const rdf::Graph& graph, storage::Catalog* catalog) {
   VpRowData vp = CollectVpRows(graph);
-  for (TermId p : vp.predicates) {
-    const auto& rows = vp.rows[p];
+  for (size_t i = 0; i < vp.predicates.size(); ++i) {
     rdf::Table table({"s", "o"});
-    table.Reserve(rows.size());
-    for (const auto& [s, o] : rows) table.AppendRow({s, o});
-    S2RDF_RETURN_IF_ERROR(catalog->Put(VpTableName(p), std::move(table), 1.0));
+    table.Reserve(vp.rows[i].size());
+    for (const auto& [s, o] : vp.rows[i]) table.AppendRow({s, o});
+    S2RDF_RETURN_IF_ERROR(
+        catalog->Put(VpTableName(vp.predicates[i]), std::move(table), 1.0));
   }
   return Status::Ok();
+}
+
+ExtVpVerdict ClassifyExtVp(uint64_t rows, uint64_t vp_rows,
+                           double sf_threshold) {
+  if (rows == 0) return {ExtVpVerdict::kEmpty, 0.0};
+  // Red tables in Fig. 10: identical to VP_p1.
+  if (rows == vp_rows) return {ExtVpVerdict::kEqualVp, 1.0};
+  const double sf = static_cast<double>(rows) / static_cast<double>(vp_rows);
+  return {sf < sf_threshold ? ExtVpVerdict::kStored
+                            : ExtVpVerdict::kPruned,
+          sf};
+}
+
+ExtVpSweep::ExtVpSweep(const VpRowData& vp) : vp_(vp) {
+  for (uint32_t i = 0; i < vp.rows.size(); ++i) {
+    for (const auto& [s, o] : vp.rows[i]) {
+      for (int column = 0; column < 2; ++column) {
+        std::vector<uint32_t>& preds = by_column_[column][column == 0 ? s : o];
+        if (preds.empty() || preds.back() != i) preds.push_back(i);
+      }
+    }
+  }
 }
 
 StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
@@ -75,88 +97,56 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
                                            storage::Catalog* catalog) {
   auto start_time = MonotonicNow();
   ExtVpBuildStats build_stats;
-  VpRowData vp = CollectVpRows(graph);
-  const size_t k = vp.predicates.size();
+  const VpRowData vp = CollectVpRows(graph);
+  const ExtVpSweep sweep(vp);
+  const uint64_t k = vp.predicates.size();
+  constexpr int kNumCorrelations = std::size(kCorrelationRoles);
 
-  // Dense predicate indices for compact pair keys.
-  std::unordered_map<TermId, uint32_t> pred_index;
-  for (size_t i = 0; i < k; ++i) {
-    pred_index[vp.predicates[i]] = static_cast<uint32_t>(i);
-  }
-
-  // term -> sorted distinct predicate indices where the term occurs as
-  // subject / object. These power all three correlation directions in a
-  // single linear pass instead of k^2 semi-joins.
-  std::unordered_map<TermId, std::vector<uint32_t>> subject_preds;
-  std::unordered_map<TermId, std::vector<uint32_t>> object_preds;
-  for (size_t i = 0; i < k; ++i) {
-    for (const auto& [s, o] : vp.rows[vp.predicates[i]]) {
-      auto& sp = subject_preds[s];
-      if (sp.empty() || sp.back() != i) sp.push_back(static_cast<uint32_t>(i));
-      auto& op = object_preds[o];
-      if (op.empty() || op.back() != i) op.push_back(static_cast<uint32_t>(i));
-    }
-  }
-
-  constexpr int kNumCorrelations = 3;
-  const Correlation kCorrelations[kNumCorrelations] = {
-      Correlation::kSS, Correlation::kOS, Correlation::kSO};
-
-  auto pair_key = [](uint32_t p1, uint32_t p2) {
-    return (static_cast<uint64_t>(p1) << 32) | p2;
+  auto pair_key = [](uint32_t i1, uint32_t i2) {
+    return (static_cast<uint64_t>(i1) << 32) | i2;
   };
 
   // Pass 1: count |ExtVP_corr_p1|p2| for all non-empty combinations.
   std::unordered_map<uint64_t, uint64_t> counts[kNumCorrelations];
-  for (size_t i1 = 0; i1 < k; ++i1) {
-    uint32_t p1 = static_cast<uint32_t>(i1);
-    for (const auto& [s, o] : vp.rows[vp.predicates[i1]]) {
-      for (uint32_t p2 : subject_preds.find(s)->second) {
-        if (p2 != p1) ++counts[0][pair_key(p1, p2)];
-      }
-      if (auto it = subject_preds.find(o); it != subject_preds.end()) {
-        for (uint32_t p2 : it->second) ++counts[1][pair_key(p1, p2)];
-      }
-      if (auto it = object_preds.find(s); it != object_preds.end()) {
-        for (uint32_t p2 : it->second) ++counts[2][pair_key(p1, p2)];
-      }
-    }
-  }
+  sweep.ForEach([&](Correlation corr, uint32_t i1, uint32_t i2, size_t) {
+    ++counts[static_cast<int>(corr)][pair_key(i1, i2)];
+  });
 
-  // Decide materialization per combination and register statistics.
-  // selected[corr] maps pair key -> output table (filled in pass 2).
-  std::unordered_map<uint64_t, rdf::Table> selected[kNumCorrelations];
-  for (int c = 0; c < kNumCorrelations; ++c) {
+  // Classify every combination and register statistics. selected[corr]
+  // maps pair key -> output table and its SF (filled in pass 2).
+  struct Selected {
+    rdf::Table table;
+    double sf;
+  };
+  std::unordered_map<uint64_t, Selected> selected[kNumCorrelations];
+  for (const CorrelationRoles& roles : kCorrelationRoles) {
+    const int c = static_cast<int>(roles.corr);
     // The number of combinations considered includes empty ones: all
     // ordered pairs (minus p1 == p2 for SS).
     build_stats.tables_considered +=
-        static_cast<uint64_t>(k) * k - (kCorrelations[c] == Correlation::kSS
-                                            ? static_cast<uint64_t>(k)
-                                            : 0);
+        k * k - (roles.corr == Correlation::kSS ? k : 0);
     for (const auto& [key, count] : counts[c]) {
-      uint32_t i1 = static_cast<uint32_t>(key >> 32);
-      uint32_t i2 = static_cast<uint32_t>(key & 0xffffffffu);
-      TermId p1 = vp.predicates[i1];
-      TermId p2 = vp.predicates[i2];
-      uint64_t vp_rows = vp.rows[p1].size();
-      double sf = static_cast<double>(count) / static_cast<double>(vp_rows);
-      std::string name = ExtVpTableName(kCorrelations[c], p1, p2);
-      if (count == vp_rows) {
-        // SF = 1: identical to VP, never stored (red tables in Fig. 10).
-        ++build_stats.tables_equal_vp;
-        catalog->PutStatsOnly(name, count, 1.0);
-        continue;
-      }
-      if (sf >= options.sf_threshold) {
-        ++build_stats.tables_pruned;
-        catalog->PutStatsOnly(name, count, sf);
+      const uint32_t i1 = static_cast<uint32_t>(key >> 32);
+      const uint32_t i2 = static_cast<uint32_t>(key & 0xffffffffu);
+      const ExtVpVerdict verdict =
+          ClassifyExtVp(count, vp.rows[i1].size(), options.sf_threshold);
+      if (verdict.kind != ExtVpVerdict::kStored) {
+        // A counted pair kept a row, so it is never kEmpty.
+        if (verdict.kind == ExtVpVerdict::kEqualVp) {
+          ++build_stats.tables_equal_vp;
+        } else {
+          ++build_stats.tables_pruned;
+        }
+        catalog->PutStatsOnly(
+            ExtVpTableName(roles.corr, vp.predicates[i1], vp.predicates[i2]),
+            count, verdict.sf);
         continue;
       }
       ++build_stats.tables_materialized;
       build_stats.tuples_materialized += count;
       rdf::Table table({"s", "o"});
       table.Reserve(count);
-      selected[c].emplace(key, std::move(table));
+      selected[c].emplace(key, Selected{std::move(table), verdict.sf});
     }
   }
   build_stats.tables_empty =
@@ -165,39 +155,20 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
 
   // Pass 2: fill the selected tables in one more sweep, each in VP_p1's
   // row order.
-  for (size_t i1 = 0; i1 < k; ++i1) {
-    uint32_t p1 = static_cast<uint32_t>(i1);
-    for (const auto& [s, o] : vp.rows[vp.predicates[i1]]) {
-      for (uint32_t p2 : subject_preds.find(s)->second) {
-        if (p2 == p1) continue;
-        auto it = selected[0].find(pair_key(p1, p2));
-        if (it != selected[0].end()) it->second.AppendRow({s, o});
-      }
-      if (auto sp = subject_preds.find(o); sp != subject_preds.end()) {
-        for (uint32_t p2 : sp->second) {
-          auto it = selected[1].find(pair_key(p1, p2));
-          if (it != selected[1].end()) it->second.AppendRow({s, o});
-        }
-      }
-      if (auto op = object_preds.find(s); op != object_preds.end()) {
-        for (uint32_t p2 : op->second) {
-          auto it = selected[2].find(pair_key(p1, p2));
-          if (it != selected[2].end()) it->second.AppendRow({s, o});
-        }
-      }
-    }
-  }
+  sweep.ForEach([&](Correlation corr, uint32_t i1, uint32_t i2, size_t r) {
+    auto& tables = selected[static_cast<int>(corr)];
+    auto it = tables.find(pair_key(i1, i2));
+    if (it == tables.end()) return;
+    const auto& [s, o] = vp.rows[i1][r];
+    it->second.table.AppendRow({s, o});
+  });
 
-  for (int c = 0; c < kNumCorrelations; ++c) {
-    for (auto& [key, table] : selected[c]) {
-      uint32_t i1 = static_cast<uint32_t>(key >> 32);
-      uint32_t i2 = static_cast<uint32_t>(key & 0xffffffffu);
-      TermId p1 = vp.predicates[i1];
-      TermId p2 = vp.predicates[i2];
-      double sf = static_cast<double>(table.NumRows()) /
-                  static_cast<double>(vp.rows[p1].size());
-      S2RDF_RETURN_IF_ERROR(catalog->Put(
-          ExtVpTableName(kCorrelations[c], p1, p2), std::move(table), sf));
+  for (const CorrelationRoles& roles : kCorrelationRoles) {
+    for (auto& [key, out] : selected[static_cast<int>(roles.corr)]) {
+      const TermId p1 = vp.predicates[key >> 32];
+      const TermId p2 = vp.predicates[key & 0xffffffffu];
+      S2RDF_RETURN_IF_ERROR(catalog->Put(ExtVpTableName(roles.corr, p1, p2),
+                                         std::move(out.table), out.sf));
     }
   }
 
@@ -209,54 +180,6 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   return build_stats;
 }
 
-Status MaterializeExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2,
-                            double sf_threshold, storage::Catalog* catalog) {
-  std::string name = ExtVpTableName(corr, p1, p2);
-  if (catalog->State()->Find(name) != nullptr) return Status::Ok();  // Built.
-  // Shared ownership: a concurrent query's eviction pass must not free
-  // the VP tables while this reduction is being computed.
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp1,
-                         catalog->GetTable(VpTableName(p1)));
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> vp2,
-                         catalog->GetTable(VpTableName(p2)));
-
-  // Column roles per correlation: reduce VP_p1 by the matching column
-  // of VP_p2 (Sec. 5.2's semi-join definitions).
-  int left_col;   // Column of VP_p1 that must find a partner.
-  int right_col;  // Column of VP_p2 providing the partners.
-  switch (corr) {
-    case Correlation::kSS:
-      left_col = 0;
-      right_col = 0;
-      break;
-    case Correlation::kOS:
-      left_col = 1;
-      right_col = 0;
-      break;
-    case Correlation::kSO:
-      left_col = 0;
-      right_col = 1;
-      break;
-    default:
-      return InvalidArgumentError("unknown correlation");
-  }
-
-  rdf::Table reduced =
-      engine::SemiJoin(*vp1, left_col, *vp2, right_col, nullptr);
-  double sf = vp1->NumRows() == 0
-                  ? 0.0
-                  : static_cast<double>(reduced.NumRows()) /
-                        static_cast<double>(vp1->NumRows());
-  if (reduced.NumRows() == 0 || reduced.NumRows() == vp1->NumRows() ||
-      sf >= sf_threshold) {
-    // Empty, equal to VP, or pruned: statistics only.
-    catalog->PutStatsOnly(name, reduced.NumRows(),
-                          reduced.NumRows() == vp1->NumRows() ? 1.0 : sf);
-    return Status::Ok();
-  }
-  return catalog->Put(name, std::move(reduced), sf);
-}
-
 StatusOr<PropertyTableBuildStats> BuildPropertyTable(
     const rdf::Graph& graph, PropertyTableStrategy strategy,
     storage::Catalog* catalog) {
@@ -265,8 +188,10 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
 
   // subject -> predicate -> values.
   std::map<TermId, std::map<TermId, std::vector<TermId>>> by_subject;
-  for (TermId p : vp.predicates) {
-    for (const auto& [s, o] : vp.rows[p]) by_subject[s][p].push_back(o);
+  for (size_t i = 0; i < vp.predicates.size(); ++i) {
+    for (const auto& [s, o] : vp.rows[i]) {
+      by_subject[s][vp.predicates[i]].push_back(o);
+    }
   }
 
   // A predicate is multi-valued if any subject carries >= 2 values.
@@ -278,10 +203,13 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
   }
 
   std::vector<TermId> inline_preds;
-  for (TermId p : vp.predicates) {
+  std::vector<size_t> aux;  // Indices into vp of the auxiliary tables.
+  for (size_t i = 0; i < vp.predicates.size(); ++i) {
+    const TermId p = vp.predicates[i];
     bool is_multi = multi_valued.contains(p);
     if (strategy == PropertyTableStrategy::kAuxiliaryTables && is_multi) {
       build_stats.multi_valued.push_back(p);
+      aux.push_back(i);
     } else {
       inline_preds.push_back(p);
       build_stats.single_valued.push_back(p);
@@ -334,15 +262,15 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
   S2RDF_RETURN_IF_ERROR(
       catalog->Put(PropertyTableName(), std::move(pt), 1.0));
 
-  for (TermId p : build_stats.multi_valued) {
-    const auto& rows = vp.rows[p];
-    rdf::Table aux({"s", "o"});
-    aux.Reserve(rows.size());
-    for (const auto& [s, o] : rows) aux.AppendRow({s, o});
+  for (size_t i : aux) {
+    const VpRows& rows = vp.rows[i];
+    rdf::Table table({"s", "o"});
+    table.Reserve(rows.size());
+    for (const auto& [s, o] : rows) table.AppendRow({s, o});
     build_stats.aux_tuples += rows.size();
     ++build_stats.aux_tables;
-    S2RDF_RETURN_IF_ERROR(
-        catalog->Put(PropertyAuxTableName(p), std::move(aux), 1.0));
+    S2RDF_RETURN_IF_ERROR(catalog->Put(PropertyAuxTableName(vp.predicates[i]),
+                                       std::move(table), 1.0));
   }
   return build_stats;
 }

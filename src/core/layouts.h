@@ -20,16 +20,17 @@
 
 namespace s2rdf::core {
 
-// Deduplicated (s, o) rows per predicate, in first-appearance order.
-// All layout builders consume this shared row stream, which guarantees
-// that row indices agree across them — the bit-vector ExtVP store
-// (extvp_bitmap.h) relies on its bitmaps matching the VP tables row for
-// row.
+// One predicate's (s, o) rows.
+using VpRows = std::vector<std::pair<rdf::TermId, rdf::TermId>>;
+
+// Deduplicated (s, o) rows per predicate, in first-appearance order:
+// rows[i] holds predicates[i]'s. All layout builders consume this
+// shared row stream, which guarantees that row indices agree across
+// them — the bit-vector ExtVP store (extvp_bitmap.h) relies on its
+// bitmaps matching the VP tables row for row.
 struct VpRowData {
   std::vector<rdf::TermId> predicates;
-  std::unordered_map<rdf::TermId,
-                     std::vector<std::pair<rdf::TermId, rdf::TermId>>>
-      rows;
+  std::vector<VpRows> rows;
 };
 
 VpRowData CollectVpRows(const rdf::Graph& graph);
@@ -55,6 +56,69 @@ struct ExtVpOptions {
   double sf_threshold = 1.0;
 };
 
+// What the store keeps of one reduction ExtVP^corr_p1|p2.
+struct ExtVpVerdict {
+  enum Kind {
+    kEmpty,    // SF = 0: statistics only (the eager build records none).
+    kEqualVp,  // SF = 1: statistics only; VP_p1 is scanned instead.
+    kPruned,   // 0 < SF < 1 but SF >= the threshold: statistics only.
+    kStored,   // 0 < SF < threshold: materialized.
+  };
+  Kind kind;
+  // The SF its statistics record: 0, 1, or rows / |VP_p1|.
+  double sf;
+};
+
+// The one materialization rule (Sec. 5.2–5.3), which the eager, bitmap,
+// lazy and incremental builds all apply: a reduction keeping `rows` of
+// VP_p1's `vp_rows` rows is stored iff 0 < SF < `sf_threshold`.
+ExtVpVerdict ClassifyExtVp(uint64_t rows, uint64_t vp_rows,
+                           double sf_threshold);
+
+// The all-pairs ExtVP sweep over a VpRowData: a term -> predicate index
+// per column, and one pass over every VP row that reports each
+// reduction the row survives — every reduction's rows in one linear
+// pass instead of k^2 semi-joins. The eager builder's count and fill
+// passes and the bitmap builder run it; ingest, refresh and lazy first
+// use reduce single pairs instead (core/ingest.h).
+class ExtVpSweep {
+ public:
+  // `vp` must outlive the sweep.
+  explicit ExtVpSweep(const VpRowData& vp);
+
+  // Calls visit(corr, i1, i2, r) for every row r of VP_p1 (p1 =
+  // predicates[i1]) and every p2 = predicates[i2] whose reduction
+  // ExtVP^corr_p1|p2 keeps that row; the rows of each VP_p1 in order.
+  template <typename Visit>
+  void ForEach(Visit&& visit) const;
+
+ private:
+  const VpRowData& vp_;
+  // by_column_[c]: term -> the distinct predicate indices, ascending,
+  // whose rows hold the term in column c (0 = s, 1 = o).
+  std::unordered_map<rdf::TermId, std::vector<uint32_t>> by_column_[2];
+};
+
+template <typename Visit>
+void ExtVpSweep::ForEach(Visit&& visit) const {
+  for (uint32_t i1 = 0; i1 < vp_.rows.size(); ++i1) {
+    const VpRows& rows = vp_.rows[i1];
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const rdf::TermId cells[2] = {rows[r].first, rows[r].second};
+      for (const CorrelationRoles& roles : kCorrelationRoles) {
+        const auto& index = by_column_[roles.right];
+        auto partners = index.find(cells[roles.left]);
+        if (partners == index.end()) continue;
+        for (uint32_t i2 : partners->second) {
+          // SS with itself is VP_p1.
+          if (roles.corr == Correlation::kSS && i2 == i1) continue;
+          visit(roles.corr, i1, i2, r);
+        }
+      }
+    }
+  }
+}
+
 struct ExtVpBuildStats {
   // Number of (correlation, p1, p2) combinations examined.
   uint64_t tables_considered = 0;
@@ -71,22 +135,12 @@ struct ExtVpBuildStats {
 // every non-empty combination; materializes those within the threshold;
 // registers kExtVpMarker. A combination with no stats entry is then
 // empty (SF = 0) — the query compiler uses this for the statistics-only
-// empty-result shortcut.
+// empty-result shortcut. The "pay as you go" alternative Sec. 7 sketches
+// (S2RdfOptions::lazy_extvp) computes each reduction on first use
+// instead, through core::StageExtVpPairs.
 StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
                                            const ExtVpOptions& options,
                                            storage::Catalog* catalog);
-
-// --- Lazy ("pay as you go") ExtVP ---------------------------------------
-
-// Computes and registers the single reduction ExtVP_corr_p1|p2 from the
-// catalog's VP tables — the "pay as you go" alternative Sec. 7 sketches:
-// no load-time precomputation; each reduction is materialized the first
-// time a query needs it and reused afterwards. Registers a stats entry
-// in every case (including empty and SF = 1 reductions, which are not
-// materialized), mirroring the eager builder's conventions. The
-// `sf_threshold` prunes materialization exactly like the eager build.
-Status MaterializeExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2,
-                            double sf_threshold, storage::Catalog* catalog);
 
 // --- Property tables (Sec. 4.3) -----------------------------------------
 

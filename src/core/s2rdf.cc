@@ -46,6 +46,43 @@ Status LoadDictionary(const storage::Catalog& catalog, rdf::Dictionary* dict) {
   return Status::Ok();
 }
 
+// Adds to `missing` every ExtVP reduction the correlations of `pattern`
+// (OPTIONAL, UNION and subqueries included) could use that `state` has
+// no entry for.
+void CollectMissingPairs(const sparql::GraphPattern& pattern,
+                         const rdf::Dictionary& dict,
+                         const storage::CatalogState& state,
+                         std::set<ExtVpPair>* missing) {
+  const std::vector<sparql::TriplePattern>& bgp = pattern.triples;
+  const std::vector<PatternIds> ids = ResolveBgp(bgp, dict, state);
+  for (size_t i = 0; i < bgp.size(); ++i) {
+    if (!ids[i].predicate.has_value()) continue;
+    const rdf::TermId p1 = *ids[i].predicate;
+    for (size_t j = 0; j < bgp.size(); ++j) {
+      if (i == j || !ids[j].predicate.has_value()) continue;
+      const rdf::TermId p2 = *ids[j].predicate;
+      for (const CorrelationCase& c : CorrelationsTo(bgp[i], bgp[j])) {
+        if (!c.applies) continue;
+        if (c.corr == Correlation::kSS && p1 == p2) continue;
+        if (state.Find(ExtVpTableName(c.corr, p1, p2)) == nullptr) {
+          missing->insert({c.corr, p1, p2});
+        }
+      }
+    }
+  }
+  for (const sparql::GraphPattern& opt : pattern.optionals) {
+    CollectMissingPairs(opt, dict, state, missing);
+  }
+  for (const auto& chain : pattern.unions) {
+    for (const sparql::GraphPattern& alt : chain) {
+      CollectMissingPairs(alt, dict, state, missing);
+    }
+  }
+  for (const auto& sub : pattern.subqueries) {
+    CollectMissingPairs(sub->where, dict, state, missing);
+  }
+}
+
 }  // namespace
 
 engine::TableProvider CatalogProvider(
@@ -219,13 +256,14 @@ StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
     return InvalidArgumentError(
         "explain=plan is not supported for CONSTRUCT/DESCRIBE queries");
   }
-  if (lazy_extvp_ && options.layout == Layout::kExtVp) {
-    S2RDF_RETURN_IF_ERROR(LazyMaterializeFor(query.where));
-    if (ctx.CheckInterrupt()) return ctx.interrupt_status;
-  }
   // The one catalog state the query reads, from compile to the last
   // scan: a commit landing meanwhile changes nothing it sees.
-  const std::shared_ptr<const storage::CatalogState> state = catalog_.State();
+  std::shared_ptr<const storage::CatalogState> state = catalog_.State();
+  if (lazy_extvp_ && options.layout == Layout::kExtVp) {
+    S2RDF_ASSIGN_OR_RETURN(state,
+                           LazyExtVpState(query.where, std::move(state)));
+    if (ctx.CheckInterrupt()) return ctx.interrupt_status;
+  }
   const CompilerOptions compiler_options{
       .layout = options.layout,
       .use_statistics_shortcut = options.use_statistics_shortcut,
@@ -413,63 +451,27 @@ StatusOr<std::string> S2Rdf::BuildGraph(const sparql::Query& query,
   return ntriples;
 }
 
-Status S2Rdf::LazyMaterializeFor(const sparql::GraphPattern& pattern) {
+StatusOr<std::shared_ptr<const storage::CatalogState>> S2Rdf::LazyExtVpState(
+    const sparql::GraphPattern& where,
+    std::shared_ptr<const storage::CatalogState> state) {
   const rdf::Dictionary& dict = graph_.dictionary();
-  const auto& bgp = pattern.triples;
-  for (size_t i = 0; i < bgp.size(); ++i) {
-    if (bgp[i].predicate.is_variable()) continue;
-    std::optional<rdf::TermId> p1 = dict.Find(bgp[i].predicate.value);
-    if (!p1.has_value()) continue;
-    for (size_t j = 0; j < bgp.size(); ++j) {
-      if (i == j || bgp[j].predicate.is_variable()) continue;
-      std::optional<rdf::TermId> p2 = dict.Find(bgp[j].predicate.value);
-      if (!p2.has_value()) continue;
-      for (const CorrelationCase& c : CorrelationsTo(bgp[i], bgp[j])) {
-        if (!c.applies) continue;
-        if (c.corr == Correlation::kSS && *p1 == *p2) continue;
-        S2RDF_RETURN_IF_ERROR(EnsureExtVpPair(c.corr, *p1, *p2));
-      }
-    }
-  }
-  for (const sparql::GraphPattern& opt : pattern.optionals) {
-    S2RDF_RETURN_IF_ERROR(LazyMaterializeFor(opt));
-  }
-  for (const auto& chain : pattern.unions) {
-    for (const sparql::GraphPattern& alt : chain) {
-      S2RDF_RETURN_IF_ERROR(LazyMaterializeFor(alt));
-    }
-  }
-  for (const auto& sub : pattern.subqueries) {
-    S2RDF_RETURN_IF_ERROR(LazyMaterializeFor(sub->where));
-  }
-  return Status::Ok();
-}
-
-Status S2Rdf::EnsureExtVpPair(Correlation corr, rdf::TermId p1,
-                              rdf::TermId p2) {
-  const std::string name = ExtVpTableName(corr, p1, p2);
-  {
-    MutexLock lock(&lazy_mu_);
-    // If another query is computing this pair right now, wait for it
-    // rather than duplicating the work.
-    while (lazy_in_flight_.contains(name)) lazy_cv_.Wait(&lazy_mu_);
-    // MaterializeExtVpPair registers the name in the catalog (stats-only
-    // when pruned), so its entry doubles as the "already built" marker.
-    if (catalog_.State()->Find(name) != nullptr) return Status::Ok();
-    lazy_in_flight_.insert(name);
-  }
-  // Build outside lazy_mu_ but under ingest_mu_: a pair built from one
-  // generation's VP tables must not be staged while a batch commits the
-  // next generation, which would commit the pair without maintaining it.
-  MutexLock ingest(&ingest_mu_);
-  lazy_pairs_computed_.fetch_add(1, std::memory_order_relaxed);
-  Status status = MaterializeExtVpPair(corr, p1, p2, sf_threshold_, &catalog_);
-  {
-    MutexLock lock(&lazy_mu_);
-    lazy_in_flight_.erase(name);
-  }
-  lazy_cv_.NotifyAll();
-  return status;
+  std::set<ExtVpPair> missing;
+  CollectMissingPairs(where, dict, *state, &missing);
+  if (missing.empty()) return state;
+  // Build under ingest_mu_: a pair built from one generation's VP tables
+  // must not be staged while a batch commits the next, which would
+  // commit the pair without maintaining it. The pairs are collected
+  // again from the state under the lock, which holds whatever a racing
+  // query staged meanwhile.
+  MutexLock lock(&ingest_mu_);
+  state = catalog_.State();
+  missing.clear();
+  CollectMissingPairs(where, dict, *state, &missing);
+  if (missing.empty()) return state;
+  S2RDF_RETURN_IF_ERROR(
+      StageExtVpPairs(missing, sf_threshold_, *state, &catalog_));
+  lazy_pairs_computed_.fetch_add(missing.size(), std::memory_order_relaxed);
+  return catalog_.State();
 }
 
 std::vector<std::vector<std::string>> S2Rdf::DecodeRows(

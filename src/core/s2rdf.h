@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -254,15 +253,15 @@ class S2Rdf {
         catalog_(std::move(storage_dir), env),
         num_partitions_(num_partitions) {}
 
-  // Materializes every ExtVP reduction the pattern's correlations could
-  // use (lazy mode pre-pass; recurses into OPTIONAL/UNION/subqueries).
-  Status LazyMaterializeFor(const sparql::GraphPattern& pattern);
-
-  // Once-per-table build of one lazy ExtVP reduction: concurrent
-  // queries needing the same (corr, p1, p2) pair block until the first
-  // builder finishes instead of computing it twice. Builds are
-  // serialized with ingest batches (ingest_mu_).
-  Status EnsureExtVpPair(Correlation corr, rdf::TermId p1, rdf::TermId p2);
+  // The lazy mode pre-pass: the catalog state the query then reads, in
+  // which every ExtVP reduction the correlations of `where` could use
+  // (OPTIONAL, UNION and subqueries included) has an entry. `state` is
+  // returned as it is when it has them all (no lock taken); otherwise
+  // the missing pairs are computed once, under ingest_mu_, from one
+  // state, and staged.
+  StatusOr<std::shared_ptr<const storage::CatalogState>> LazyExtVpState(
+      const sparql::GraphPattern& where,
+      std::shared_ptr<const storage::CatalogState> state);
 
   // The CONSTRUCT/DESCRIBE tail of Execute: the N-Triples graph built
   // from the WHERE clause's solutions (empty for a DESCRIBE without
@@ -279,7 +278,7 @@ class S2Rdf {
 
   // All fields below are either set once during Create/Open and then
   // read-only (graph topology, thresholds, flags), internally
-  // synchronized (catalog, dictionary), or guarded here (lazy build
+  // synchronized (catalog, dictionary), or guarded here (commit
   // bookkeeping). Per-query state lives in local ExecContexts.
   rdf::Graph graph_;
   storage::Catalog catalog_;
@@ -298,18 +297,12 @@ class S2Rdf {
 
   // Serializes Ingest/RefreshStaleExtVp calls and lazy ExtVP builds
   // (queries otherwise run unlocked — they read the prior generation's
-  // state). Ordered before lazy_mu_; never taken while lazy_mu_ is held
-  // (enforced globally by the s2rdf_lint lock-order pass).
-  Mutex ingest_mu_ S2RDF_ACQUIRED_BEFORE(lazy_mu_);
+  // state). A lazy build checks again under it, so each pair is computed
+  // once however many queries race for it.
+  Mutex ingest_mu_;
   // Terms with ids below this lie in a committed dictionary blob; the
   // next commit that mints terms stores the rest.
   rdf::TermId dictionary_committed_ S2RDF_GUARDED_BY(ingest_mu_) = 0;
-
-  // Guards the lazy-ExtVP in-flight set; lazy_cv_ wakes waiters when a
-  // build completes.
-  Mutex lazy_mu_;
-  CondVar lazy_cv_;
-  std::set<std::string> lazy_in_flight_ S2RDF_GUARDED_BY(lazy_mu_);
 };
 
 }  // namespace s2rdf::core

@@ -28,10 +28,12 @@ std::vector<PatternIds> ResolveBgp(const std::vector<TriplePattern>& bgp,
       }
     }
     if (tp.predicate.is_variable()) continue;
-    ids[i].predicate = dict.Find(tp.predicate.value);
-    ids[i].stale =
-        ids[i].predicate.has_value() && !state.stale_sources.empty() &&
-        state.stale_sources.contains(VpTableName(*ids[i].predicate));
+    const std::optional<rdf::TermId> p = dict.Find(tp.predicate.value);
+    if (!p.has_value()) continue;
+    ids[i].vp = state.Find(VpTableName(*p));
+    if (ids[i].vp == nullptr) continue;
+    ids[i].predicate = p;
+    ids[i].stale = state.stale_sources.contains(ids[i].vp->name);
   }
   return ids;
 }
@@ -130,18 +132,14 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
 
   const std::optional<rdf::TermId>& p1 = ids[tp_index].predicate;
   if (!p1.has_value()) {
-    // Predicate absent from the dataset: no VP table exists.
+    // No VP table: no triple has this predicate.
     choice.empty_result = true;
     return choice;
   }
 
-  const std::string vp_name = VpTableName(*p1);
-  const storage::TableStats* vp_stats = state.Find(vp_name);
-  if (vp_stats == nullptr) {
-    return FailedPreconditionError("VP table missing: " + vp_name);
-  }
+  const std::string& vp_name = ids[tp_index].vp->name;
   choice.sf = 1.0;
-  choice.rows = vp_stats->rows;
+  choice.rows = ids[tp_index].vp->rows;
 
   // A quarantined VP table cannot be scanned; degrade to the triples
   // table with an explicit predicate selection (is_triples_table makes

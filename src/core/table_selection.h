@@ -88,9 +88,14 @@ std::array<CorrelationCase, 3> CorrelationsTo(
 // dictionary and the query's catalog state: what Algorithm 1 and the
 // estimator read for every pattern pair.
 struct PatternIds {
-  // The bound predicate's id; nullopt when the predicate is a variable
-  // or absent from the dictionary.
+  // The bound predicate's id; nullopt when the predicate is a variable,
+  // absent from the dictionary, or a term with no VP table (one the data
+  // uses only as a subject or object, or that a query minted): such a
+  // pattern matches nothing.
   std::optional<rdf::TermId> predicate;
+  // The bound predicate's VP entry in the state; null exactly when
+  // `predicate` is nullopt.
+  const storage::TableStats* vp = nullptr;
   // A bound subject or object is absent from the dictionary: the
   // pattern matches nothing.
   bool absent_term = false;

@@ -3,6 +3,7 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "common/file_util.h"
 #include "core/compiler.h"
@@ -587,6 +588,50 @@ TEST(LazyExtVpTest, RespectsSfThreshold) {
       ExtVpTableName(Correlation::kSS, follows, likes));
   ASSERT_TRUE(stats.has_value());
   EXPECT_FALSE(stats->materialized);
+}
+
+// A bound predicate that names a term of the data but no predicate:
+// <http://e/B> occurs only as a subject and an object, so the store has
+// no VP table for it and every pattern over it matches nothing.
+TEST(NonPredicateTermTest, MatchesNothingOnEveryLayoutAndLazyStore) {
+  auto make_graph = [] {
+    rdf::Graph g;
+    g.AddIris("http://e/A", "http://e/follows", "http://e/B");
+    g.AddIris("http://e/B", "http://e/follows", "http://e/C");
+    g.AddIris("http://e/B", "http://e/likes", "http://e/C");
+    return g;
+  };
+  const char* const queries[] = {
+      "SELECT * WHERE { ?x <http://e/B> ?y }",
+      "SELECT * WHERE { ?x <http://e/follows> ?y . ?y <http://e/B> ?z }",
+  };
+  S2RdfOptions eager_options;
+  eager_options.build_extvp_bitmaps = true;
+  auto eager = S2Rdf::Create(make_graph(), eager_options);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  S2RdfOptions lazy_options;
+  lazy_options.lazy_extvp = true;
+  auto lazy = S2Rdf::Create(make_graph(), lazy_options);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+
+  const std::pair<S2Rdf*, Layout> runs[] = {
+      {eager->get(), Layout::kExtVp},
+      {eager->get(), Layout::kVp},
+      {eager->get(), Layout::kTriplesTable},
+      {eager->get(), Layout::kExtVpBitmap},
+      {lazy->get(), Layout::kExtVp},
+  };
+  for (const char* query : queries) {
+    for (const auto& [db, layout] : runs) {
+      SCOPED_TRACE(std::string(query) + " on layout " +
+                   std::to_string(static_cast<int>(layout)) +
+                   (db == lazy->get() ? " (lazy store)" : ""));
+      auto result =
+          db->Execute({.query = query, .options = {.layout = layout}});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->table.NumRows(), 0u);
+    }
+  }
 }
 
 TEST(CompilerEdgeTest, CrossJoinBetweenDisconnectedPatterns) {

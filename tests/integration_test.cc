@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/centralized_engine.h"
 #include "baselines/h2rdf_engine.h"
@@ -248,6 +250,91 @@ TEST(LazyEagerTest, LazyStoreMatchesEagerOnAllWorkloads) {
   }
   EXPECT_GT((*lazy)->lazy_pairs_computed(), 0u);
 }
+
+// --- One materialization rule across the eager, lazy and bitmap paths ---
+
+class OneRuleTest : public ::testing::TestWithParam<double> {};
+
+// Every reduction a warm lazy store records equals the eager store's
+// entry in rows, SF and materialization (a 0-row entry where the eager
+// store records none, i.e. the pair is empty), and the bitmap store's
+// SF of every pair equals the eager one.
+TEST_P(OneRuleTest, LazyAndBitmapStoresClassifyLikeTheEagerStore) {
+  watdiv::GeneratorOptions gen;
+  gen.scale_factor = 0.04;
+  core::S2RdfOptions eager_options;
+  eager_options.extvp.sf_threshold = GetParam();
+  eager_options.build_extvp_bitmaps = true;
+  auto eager = core::S2Rdf::Create(watdiv::Generate(gen), eager_options);
+  core::S2RdfOptions lazy_options;
+  lazy_options.extvp.sf_threshold = GetParam();
+  lazy_options.lazy_extvp = true;
+  auto lazy = core::S2Rdf::Create(watdiv::Generate(gen), lazy_options);
+  ASSERT_TRUE(eager.ok());
+  ASSERT_TRUE(lazy.ok());
+  SplitMix64 rng(43);
+  for (const auto* workload : {&watdiv::BasicTestingQueries(),
+                               &watdiv::SelectivityTestingQueries()}) {
+    for (const watdiv::QueryTemplate& tmpl : *workload) {
+      SplitMix64 query_rng(rng.Next());
+      auto result = (*lazy)->Execute(
+          {.query = watdiv::InstantiateQuery(tmpl, gen.scale_factor,
+                                             &query_rng)});
+      ASSERT_TRUE(result.ok()) << tmpl.name;
+    }
+  }
+
+  const std::shared_ptr<const storage::CatalogState> lazy_state =
+      (*lazy)->catalog().State();
+  const std::shared_ptr<const storage::CatalogState> eager_state =
+      (*eager)->catalog().State();
+  size_t compared = 0;
+  for (const auto& [name, got] : lazy_state->stats) {
+    if (!name.starts_with("extvp_")) continue;
+    ++compared;
+    const storage::TableStats* want = eager_state->Find(name);
+    if (want == nullptr) {
+      EXPECT_EQ(got.rows, 0u) << name;
+      EXPECT_FALSE(got.materialized) << name;
+      continue;
+    }
+    EXPECT_EQ(got.rows, want->rows) << name;
+    EXPECT_EQ(got.selectivity, want->selectivity) << name;
+    EXPECT_EQ(got.materialized, want->materialized) << name;
+  }
+  EXPECT_EQ(compared, (*lazy)->lazy_pairs_computed());
+  EXPECT_GT(compared, 0u);
+
+  // The bitmap store against the eager statistics, over every pair of
+  // predicates.
+  const core::ExtVpBitmapStore& bitmaps = *(*eager)->bitmap_store();
+  std::vector<rdf::TermId> predicates;
+  for (const auto& [name, stats] : eager_state->stats) {
+    if (name.starts_with("vp_")) {
+      predicates.push_back(
+          static_cast<rdf::TermId>(std::stoul(name.substr(3))));
+    }
+  }
+  ASSERT_FALSE(predicates.empty());
+  for (const core::CorrelationRoles& roles : core::kCorrelationRoles) {
+    for (rdf::TermId p1 : predicates) {
+      for (rdf::TermId p2 : predicates) {
+        if (roles.corr == core::Correlation::kSS && p1 == p2) continue;
+        const std::string name = core::ExtVpTableName(roles.corr, p1, p2);
+        const storage::TableStats* want = eager_state->Find(name);
+        EXPECT_EQ(bitmaps.Sf(roles.corr, p1, p2),
+                  want == nullptr ? 0.0 : want->selectivity)
+            << name;
+        EXPECT_EQ(bitmaps.Get(roles.corr, p1, p2) != nullptr,
+                  want != nullptr && want->materialized)
+            << name;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, OneRuleTest,
+                         ::testing::Values(1.0, 0.25));
 
 // --- ExtVP input reduction on real workload ------------------------------
 

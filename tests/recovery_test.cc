@@ -9,6 +9,7 @@
 #include "common/file_util.h"
 #include "common/hash.h"
 #include "common/strings.h"
+#include "core/layout_names.h"
 #include "core/s2rdf.h"
 #include "server/sparql_endpoint.h"
 #include "storage/catalog.h"
@@ -280,6 +281,41 @@ TEST(DegradationTest, CorruptVpDegradesToTriplesTable) {
   // solutions out of the triples table.
   EXPECT_EQ(SortedRows(db->get(), query), healthy);
   EXPECT_GT((*db)->catalog().queries_degraded(), degraded_before);
+}
+
+// A quarantined VP table degrades a lazy store as it degrades an eager
+// one: the lazy pass rebuilds the lost VP rows from the triples table to
+// compute the reductions the query needs, instead of failing it.
+TEST(DegradationTest, LazyStoreWithQuarantinedVpAnswersLikeEager) {
+  const std::string query =
+      "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?z }";
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy store" : "eager store");
+    s2rdf::ScopedTempDir dir;
+    {
+      rdf::Graph g;
+      g.AddIris("A", "follows", "B");
+      g.AddIris("B", "follows", "C");
+      g.AddIris("C", "follows", "D");
+      g.AddIris("B", "likes", "I1");
+      g.AddIris("E", "likes", "I2");
+      S2RdfOptions options;
+      options.storage_dir = dir.path();
+      options.lazy_extvp = lazy;
+      auto db = S2Rdf::Create(std::move(g), options);
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      const rdf::TermId follows =
+          *(*db)->graph().dictionary().Find("<follows>");
+      ASSERT_TRUE(
+          testing::CorruptTable((*db)->catalog(), VpTableName(follows)));
+    }
+    auto db = S2Rdf::Open(dir.path());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ((*db)->recovery_report().tables_quarantined, 1u);
+    const std::vector<std::vector<std::string>> expected = {
+        {"<A>", "<B>", "<I1>"}};
+    EXPECT_EQ(SortedRows(db->get(), query), expected);
+  }
 }
 
 // Also over predicates whose local names end in "_": the fallback table
