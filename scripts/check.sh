@@ -115,6 +115,19 @@ if ! grep -q '"correct": true' <<<"${durable}"; then
   exit 1
 fi
 
+note "durable benchmark answers at pool width 1 (perfbench durable, seed 1, 4 s)"
+# A commit writes its blobs across the shared TaskPool; at width 1 every
+# blob is planned and written on the committing thread. Both must store
+# the bytes the answer oracle reads back.
+durable_width1="$(env -u CARGO_TARGET_DIR S2RDF_TASK_POOL_THREADS=1 \
+  python3 perfbench/run.py --workload durable --seed 1 --seconds 4 \
+  --trace 0 | tail -n1)"
+if ! grep -q '"correct": true' <<<"${durable_width1}"; then
+  echo "error: perfbench durable run at pool width 1 did not answer correctly:" >&2
+  echo "  ${durable_width1}" >&2
+  exit 1
+fi
+
 note "http-short benchmark answers (perfbench http-short, seed 1, 4 s)"
 # The one leg where several clients drive the endpoint over connections
 # it keeps open (durable's passes use one client): every request must be

@@ -1,5 +1,7 @@
 #include "core/ingest.h"
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <set>
@@ -28,30 +30,46 @@ uint64_t SoKey(TermId s, TermId o) {
   return (static_cast<uint64_t>(s) << 32) | o;
 }
 
-// An (s, o) table's rows, and back.
-VpRows RowsOf(const rdf::Table& table) {
-  VpRows rows;
-  rows.reserve(table.NumRows());
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    rows.emplace_back(table.At(r, 0), table.At(r, 1));
+// The column names of VP and ExtVP tables.
+std::vector<std::string> SoColumns() { return {"s", "o"}; }
+
+// A set of term ids as a bitset over [0, largest id]: term ids are dense,
+// so any set of them — a VP column's join keys, a batch's subjects, the
+// store's predicates — fits in one bit per dictionary term. The last
+// word is always zero, and an id past the set's range reads it: a probe
+// takes no branch.
+class TermSet {
+ public:
+  void Insert(TermId id) {
+    const size_t word = id >> 6;
+    if (word + 1 >= words_.size()) words_.resize(word + 2);
+    words_[word] |= uint64_t{1} << (id & 63);
   }
-  return rows;
-}
+  bool Contains(TermId id) const {
+    const size_t word = std::min<size_t>(id >> 6, words_.size() - 1);
+    return ((words_[word] >> (id & 63)) & 1) != 0;
+  }
+  // The members, ascending.
+  std::vector<TermId> Ids() const {
+    std::vector<TermId> ids;
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        ids.push_back(static_cast<TermId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+    return ids;
+  }
 
-rdf::Table TableFromRows(const VpRows& rows) {
-  rdf::Table table({"s", "o"});
-  table.Reserve(rows.size());
-  for (const auto& [s, o] : rows) table.AppendRow({s, o});
-  return table;
-}
+ private:
+  std::vector<uint64_t> words_ = std::vector<uint64_t>(1);
+};
 
-// The (s, o) row lists of the VP tables of `state`, each loaded on first
-// use. A quarantined or checksum-failing VP is reconstructed from the
-// state's triples table — TT's (s, p, o) dedup restricted to one
-// predicate is exactly CollectVpRows' per-predicate dedup, in the same
-// first-appearance order, so the reconstruction is byte-identical to
-// the lost table (and an ingest commit rewrites it, self-healing the
-// quarantine).
+// The VP tables of `state`, each loaded on first use. A quarantined or
+// checksum-failing VP is reconstructed from the state's triples table —
+// TT's (s, p, o) dedup restricted to one predicate is exactly
+// CollectVpRows' per-predicate dedup, in the same first-appearance
+// order, so the reconstruction is byte-identical to the lost table (and
+// an ingest commit rewrites it, self-healing the quarantine).
 class VpSource {
  public:
   // `tt` is the state's triples table when the caller holds it already;
@@ -60,28 +78,33 @@ class VpSource {
            std::shared_ptr<const rdf::Table> tt)
       : catalog_(catalog), state_(state), tt_(std::move(tt)) {}
 
-  StatusOr<const VpRows*> Rows(TermId p) {
+  // VP_p as an (s, o) table; empty when p has none.
+  StatusOr<const rdf::Table*> Table(TermId p) {
     auto it = cache_.find(p);
     if (it != cache_.end()) return it->second.get();
-    auto rows = std::make_unique<VpRows>();
+    std::shared_ptr<const rdf::Table> table;
     const std::string name = VpTableName(p);
     if (state_.Find(name) != nullptr) {
       auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
-        *rows = RowsOf(**table_or);
+        table = std::move(*table_or);
       } else {
         if (tt_ == nullptr) {
           S2RDF_ASSIGN_OR_RETURN(
               tt_, catalog_->GetTable(state_, TriplesTableName()));
         }
+        auto rebuilt = std::make_shared<rdf::Table>(SoColumns());
         for (size_t r = 0; r < tt_->NumRows(); ++r) {
           if (tt_->At(r, 1) != p) continue;
-          rows->emplace_back(tt_->At(r, 0), tt_->At(r, 2));
+          rebuilt->AppendRow({tt_->At(r, 0), tt_->At(r, 2)});
         }
+        table = std::move(rebuilt);
       }
+    } else {
+      table = std::make_shared<rdf::Table>(SoColumns());
     }
-    const VpRows* out = rows.get();
-    cache_.emplace(p, std::move(rows));
+    const rdf::Table* out = table.get();
+    cache_.emplace(p, std::move(table));
     return out;
   }
 
@@ -89,14 +112,14 @@ class VpSource {
   storage::Catalog* catalog_;
   const storage::CatalogState& state_;
   std::shared_ptr<const rdf::Table> tt_;
-  std::unordered_map<TermId, std::unique_ptr<VpRows>> cache_;
+  std::unordered_map<TermId, std::shared_ptr<const rdf::Table>> cache_;
 };
 
 
 // The per-pair ExtVP kernel: reduces single pairs against the catalog as
 // of `state`, the VP tables read through `vp` plus a per-predicate
-// delta of rows appended after them. Ingest passes the batch as the
-// delta; refresh and lazy first use pass none.
+// delta of (s, o) rows appended after them. Ingest passes the batch as
+// the delta; refresh and lazy first use pass none.
 class DeltaMaintainer {
  public:
   // `trust_old_stats` says the catalog's stats describe `vp`'s tables
@@ -105,7 +128,7 @@ class DeltaMaintainer {
   // pair never computed has none, so only the full scan may run.
   DeltaMaintainer(const IngestConfig& config, storage::Catalog* catalog,
                   const storage::CatalogState& state, VpSource* vp,
-                  const std::unordered_map<TermId, VpRows>* delta,
+                  const std::unordered_map<TermId, rdf::Table>* delta,
                   bool trust_old_stats)
       : config_(config),
         catalog_(catalog),
@@ -129,19 +152,17 @@ class DeltaMaintainer {
       // use builds them from the updated VP tables.
       return Status::Ok();
     }
-    S2RDF_ASSIGN_OR_RETURN(const VpRows* old_vp1, vp_->Rows(pair.p1));
-    const VpRows* delta_p1 = DeltaOf(pair.p1);
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
+    const rdf::Table* delta_p1 = DeltaOf(pair.p1);
     const uint64_t new_vp1_rows =
-        old_vp1->size() + (delta_p1 != nullptr ? delta_p1->size() : 0);
+        old_vp1->NumRows() + (delta_p1 != nullptr ? delta_p1->NumRows() : 0);
     if (new_vp1_rows == 0) return Status::Ok();
 
     uint64_t count;
-    VpRows rows;        // Valid only when `have_rows`.
-    bool have_rows = false;
+    std::optional<rdf::Table> rows;  // Computed only when it can gain.
     if (gain_possible) {
-      S2RDF_RETURN_IF_ERROR(ComputeRows(name, old, pair, &rows));
-      have_rows = true;
-      count = rows.size();
+      S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
+      count = rows->NumRows();
     } else {
       if (old == nullptr || old->rows == 0) return Status::Ok();
       count = old->rows;
@@ -170,10 +191,10 @@ class DeltaMaintainer {
       }
     }
     if (stored) {
-      if (!have_rows) {
-        S2RDF_RETURN_IF_ERROR(ComputeRows(name, old, pair, &rows));
+      if (!rows.has_value()) {
+        S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
       }
-      update.table = TableFromRows(rows);
+      update.table = std::move(rows);
     } else {
       update.rows = count;  // SF = 1 or pruned: statistics only.
     }
@@ -182,62 +203,73 @@ class DeltaMaintainer {
   }
 
  private:
-  const VpRows* DeltaOf(TermId p) const {
+  const rdf::Table* DeltaOf(TermId p) const {
     auto it = delta_->find(p);
     return it == delta_->end() ? nullptr : &it->second;
   }
 
   // Join-key set of the updated VP_p2's `right_col`, cached per
   // (predicate, column).
-  StatusOr<const std::unordered_set<TermId>*> RightKeys(TermId p2,
-                                                       int right_col) {
+  StatusOr<const TermSet*> RightKeys(TermId p2, int right_col) {
     uint64_t cache_key = (static_cast<uint64_t>(p2) << 1) |
                          static_cast<uint64_t>(right_col);
     auto it = right_keys_.find(cache_key);
     if (it != right_keys_.end()) return it->second.get();
-    S2RDF_ASSIGN_OR_RETURN(const VpRows* vp2, vp_->Rows(p2));
-    auto keys = std::make_unique<std::unordered_set<TermId>>();
-    for (const auto& [s, o] : *vp2) keys->insert(right_col == 0 ? s : o);
-    if (const VpRows* d = DeltaOf(p2)) {
-      for (const auto& [s, o] : *d) keys->insert(right_col == 0 ? s : o);
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* vp2, vp_->Table(p2));
+    auto keys = std::make_unique<TermSet>();
+    for (const rdf::Table* rows : {vp2, DeltaOf(p2)}) {
+      if (rows == nullptr) continue;
+      const TermId* column = rows->ColumnData(right_col);
+      for (size_t r = 0; r < rows->NumRows(); ++r) keys->Insert(column[r]);
     }
-    const std::unordered_set<TermId>* out = keys.get();
+    const TermSet* out = keys.get();
     right_keys_.emplace(cache_key, std::move(keys));
     return out;
   }
 
-  // Appends the rows of `from` that find a partner in VP_p2 (the
-  // pair's semi-join) to `out`.
-  Status Reduce(const VpRows& from, const ExtVpPair& pair, VpRows* out) {
+  // The rows of `from` that find a partner in VP_p2 (the pair's
+  // semi-join), as ascending row indices in `(*rows)[0, count)`.
+  StatusOr<size_t> Reduce(const rdf::Table& from, const ExtVpPair& pair,
+                          std::vector<uint32_t>* rows) {
     const CorrelationRoles& roles = RolesOf(pair.corr);
-    S2RDF_ASSIGN_OR_RETURN(const std::unordered_set<TermId>* keys,
+    S2RDF_ASSIGN_OR_RETURN(const TermSet* keys,
                            RightKeys(pair.p2, roles.right));
-    for (const auto& [s, o] : from) {
-      if (keys->contains(roles.left == 0 ? s : o)) out->emplace_back(s, o);
+    const TermId* column = from.ColumnData(roles.left);
+    // Every row is written and only a match advances: no branch on it.
+    if (rows->size() < from.NumRows()) rows->resize(from.NumRows());
+    size_t count = 0;
+    for (size_t r = 0; r < from.NumRows(); ++r) {
+      (*rows)[count] = static_cast<uint32_t>(r);
+      count += keys->Contains(column[r]) ? 1 : 0;
     }
-    return Status::Ok();
+    return count;
   }
 
-  // Recomputes the pair's full row list in the updated VP_p1's row
+  // Recomputes the pair's full (s, o) table in the updated VP_p1's row
   // order: the surviving pre-batch rows first (part 1), then the
   // surviving batch rows (part 2) — exactly the order a from-scratch
-  // rebuild over the concatenated triple stream emits.
-  Status ComputeRows(const std::string& name, const storage::TableStats* old,
-                     const ExtVpPair& pair, VpRows* out) {
-    S2RDF_ASSIGN_OR_RETURN(const VpRows* old_vp1, vp_->Rows(pair.p1));
-    const VpRows* delta_p1 = DeltaOf(pair.p1);
-    const VpRows* delta_p2 = DeltaOf(pair.p2);
-    const bool right_may_grow = delta_p2 != nullptr && !delta_p2->empty();
+  // rebuild over the concatenated triple stream emits. The table is
+  // sized once, to its rows.
+  StatusOr<rdf::Table> ComputeRows(const std::string& name,
+                                   const storage::TableStats* old,
+                                   const ExtVpPair& pair) {
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
+    const rdf::Table* delta_p1 = DeltaOf(pair.p1);
+    const rdf::Table* delta_p2 = DeltaOf(pair.p2);
+    const bool right_may_grow = delta_p2 != nullptr && delta_p2->NumRows() > 0;
 
-    // Part 1 — pre-batch VP_p1 rows that (still or newly) match. The
-    // join-key set only ever grows, so matches are monotone: an SF = 1
-    // pair keeps all rows, and when VP_p2 gained nothing the old
-    // materialized reduction *is* part 1 verbatim. (The SF = 1 shortcut
-    // is sound even against a stale entry: rows <= |old VP_p1| <=
-    // |VP_p1| forces equality throughout, i.e. every row matched and
-    // monotonicity keeps it that way.)
-    if (old != nullptr && old->rows == old_vp1->size() && old->rows > 0) {
-      *out = *old_vp1;
+    // Part 1 — pre-batch VP_p1 rows that (still or newly) match: a whole
+    // table, or the matching rows of VP_p1. The join-key set only ever
+    // grows, so matches are monotone: an SF = 1 pair keeps all rows, and
+    // when VP_p2 gained nothing the old materialized reduction *is* part
+    // 1 verbatim. (The SF = 1 shortcut is sound even against a stale
+    // entry: rows <= |old VP_p1| <= |VP_p1| forces equality throughout,
+    // i.e. every row matched and monotonicity keeps it that way.)
+    const rdf::Table* whole = nullptr;
+    std::shared_ptr<const rdf::Table> old_reduction;
+    bool reduce_old = false;
+    if (old != nullptr && old->rows == old_vp1->NumRows() && old->rows > 0) {
+      whole = old_vp1;
     } else if (trust_old_stats_ && !right_may_grow &&
                (old == nullptr || old->rows == 0)) {
       // Nothing matched before and the key set is unchanged.
@@ -245,28 +277,47 @@ class DeltaMaintainer {
                old->materialized) {
       auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
-        *out = RowsOf(**table_or);
+        old_reduction = std::move(*table_or);
+        whole = old_reduction.get();
       } else {
-        S2RDF_RETURN_IF_ERROR(Reduce(*old_vp1, pair, out));
+        reduce_old = true;
       }
     } else {
-      S2RDF_RETURN_IF_ERROR(Reduce(*old_vp1, pair, out));
+      reduce_old = true;
+    }
+    size_t part1 = whole != nullptr ? whole->NumRows() : 0;
+    if (reduce_old) {
+      S2RDF_ASSIGN_OR_RETURN(part1, Reduce(*old_vp1, pair, &part1_rows_));
     }
     // Part 2 — the batch's VP_p1 rows that match.
-    if (delta_p1 != nullptr && !delta_p1->empty()) {
-      S2RDF_RETURN_IF_ERROR(Reduce(*delta_p1, pair, out));
+    size_t part2 = 0;
+    if (delta_p1 != nullptr && delta_p1->NumRows() > 0) {
+      S2RDF_ASSIGN_OR_RETURN(part2, Reduce(*delta_p1, pair, &part2_rows_));
     }
-    return Status::Ok();
+
+    rdf::Table out(SoColumns());
+    out.Reserve(part1 + part2);
+    if (whole != nullptr) {
+      out.Append(*whole);
+    } else if (reduce_old) {
+      out.AppendGather(*old_vp1, {0, 1}, part1_rows_.data(), part1);
+    }
+    if (part2 > 0) {
+      out.AppendGather(*delta_p1, {0, 1}, part2_rows_.data(), part2);
+    }
+    return out;
   }
 
   const IngestConfig& config_;
   storage::Catalog* catalog_;
   const storage::CatalogState& state_;
   VpSource* vp_;
-  const std::unordered_map<TermId, VpRows>* delta_;
+  const std::unordered_map<TermId, rdf::Table>* delta_;
   bool trust_old_stats_;
-  std::unordered_map<uint64_t, std::unique_ptr<std::unordered_set<TermId>>>
-      right_keys_;
+  std::unordered_map<uint64_t, std::unique_ptr<TermSet>> right_keys_;
+  // Reduce's row indices of parts 1 and 2, reused across pairs.
+  std::vector<uint32_t> part1_rows_;
+  std::vector<uint32_t> part2_rows_;
   std::vector<TableUpdate> updates_;
 };
 
@@ -302,46 +353,71 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   }
 
   // Batch-internal dedup, keeping arrival order: candidate rows per
-  // predicate under the same (s << 32 | o) key CollectVpRows uses.
+  // predicate under the same (s << 32 | o) key CollectVpRows uses. Each
+  // term of a candidate gets a slot, found by id: term ids are dense,
+  // and the dictionary bounds them.
+  constexpr uint32_t kNoSlot = ~uint32_t{0};
+  std::vector<uint32_t> slots(dict->size(), kNoSlot);
+  uint32_t num_slots = 0;
+  auto slot_of = [&](TermId id) {
+    return id < slots.size() ? slots[id] : kNoSlot;
+  };
   std::unordered_map<TermId, std::unordered_set<uint64_t>> candidate_keys;
   std::vector<rdf::Triple> candidates;
-  std::unordered_set<TermId> delta_terms;
+  TermSet subjects;
   for (const rdf::Triple& t : stream) {
     if (!candidate_keys[t.predicate].insert(SoKey(t.subject, t.object))
              .second) {
       continue;
     }
     candidates.push_back(t);
-    delta_terms.insert(t.subject);
-    delta_terms.insert(t.object);
+    subjects.Insert(t.subject);
+    for (TermId id : {t.subject, t.object}) {
+      if (slots[id] == kNoSlot) slots[id] = num_slots++;
+    }
   }
 
   // One scan of the old triples table: drop candidates the store
-  // already holds, and build the term -> predicates maps (over old data)
-  // that enumerate which ExtVP pairs the batch can affect.
-  // preds_by_column[c]: term -> the predicates whose rows hold it in
-  // column c (0 = s, 1 = o).
+  // already holds, and collect, per candidate term, the predicates whose
+  // rows hold it — which enumerate the ExtVP pairs the batch can affect.
+  // Only a row whose subject is a candidate's can repeat one.
+  // preds_by_column[c][slot]: the predicates whose rows hold the slot's
+  // term in column c (0 = s, 1 = o), sorted and distinct once the
+  // delta is in.
   std::unordered_map<TermId, std::unordered_set<uint64_t>> existing_keys;
-  std::unordered_map<TermId, std::set<TermId>> preds_by_column[2];
-  std::set<TermId> all_preds;
-  for (size_t r = 0; r < old_tt->NumRows(); ++r) {
-    const TermId s = old_tt->At(r, 0);
-    const TermId p = old_tt->At(r, 1);
-    const TermId o = old_tt->At(r, 2);
-    all_preds.insert(p);
-    auto ck = candidate_keys.find(p);
-    if (ck != candidate_keys.end() && ck->second.contains(SoKey(s, o))) {
-      existing_keys[p].insert(SoKey(s, o));
+  std::vector<std::vector<TermId>> preds_by_column[2] = {
+      std::vector<std::vector<TermId>>(num_slots),
+      std::vector<std::vector<TermId>>(num_slots)};
+  auto note = [&](int column, uint32_t slot, TermId p) {
+    std::vector<TermId>& list = preds_by_column[column][slot];
+    if (list.empty() || list.back() != p) list.push_back(p);
+  };
+  TermSet predicates;
+  {
+    const TermId* tt_s = old_tt->ColumnData(0);
+    const TermId* tt_p = old_tt->ColumnData(1);
+    const TermId* tt_o = old_tt->ColumnData(2);
+    for (size_t r = 0; r < old_tt->NumRows(); ++r) {
+      const TermId s = tt_s[r];
+      const TermId p = tt_p[r];
+      const TermId o = tt_o[r];
+      predicates.Insert(p);
+      if (const uint32_t slot = slot_of(s); slot != kNoSlot) note(0, slot, p);
+      if (const uint32_t slot = slot_of(o); slot != kNoSlot) note(1, slot, p);
+      if (subjects.Contains(s)) {
+        auto ck = candidate_keys.find(p);
+        if (ck != candidate_keys.end() && ck->second.contains(SoKey(s, o))) {
+          existing_keys[p].insert(SoKey(s, o));
+        }
+      }
     }
-    if (delta_terms.contains(s)) preds_by_column[0][s].insert(p);
-    if (delta_terms.contains(o)) preds_by_column[1][o].insert(p);
   }
 
   // The surviving delta: per-predicate rows and the interleaved stream
   // (the triples table appends in arrival order, VP tables per
   // predicate — matching what CollectVpRows/BuildTriplesTable produce
   // over the concatenated stream).
-  std::unordered_map<TermId, VpRows> delta;
+  std::unordered_map<TermId, rdf::Table> delta;
   std::vector<TermId> delta_preds;
   std::vector<rdf::Triple> surviving;
   for (const rdf::Triple& t : candidates) {
@@ -350,19 +426,26 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
         ex->second.contains(SoKey(t.subject, t.object))) {
       continue;
     }
-    auto [it, inserted] = delta.try_emplace(t.predicate);
+    auto [it, inserted] = delta.try_emplace(t.predicate, SoColumns());
     if (inserted) delta_preds.push_back(t.predicate);
-    it->second.emplace_back(t.subject, t.object);
+    it->second.AppendRow({t.subject, t.object});
     surviving.push_back(t);
-    preds_by_column[0][t.subject].insert(t.predicate);
-    preds_by_column[1][t.object].insert(t.predicate);
-    all_preds.insert(t.predicate);
+    note(0, slots[t.subject], t.predicate);
+    note(1, slots[t.object], t.predicate);
+    predicates.Insert(t.predicate);
   }
   result.triples_added = surviving.size();
   if (surviving.empty()) {
     result.millis = MillisSince(start);
     return result;  // Fully duplicate batch: no generation committed.
   }
+  for (std::vector<std::vector<TermId>>& column : preds_by_column) {
+    for (std::vector<TermId>& list : column) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+  }
+  const std::vector<TermId> all_preds = predicates.Ids();
 
   VpSource old_vp(catalog, *state, old_tt);
   DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta,
@@ -370,7 +453,9 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
 
   // Triples-table and VP appends.
   {
-    rdf::Table new_tt = *old_tt;
+    rdf::Table new_tt(old_tt->column_names());
+    new_tt.Reserve(old_tt->NumRows() + surviving.size());
+    new_tt.Append(*old_tt);
     for (const rdf::Triple& t : surviving) {
       new_tt.AppendRow({t.subject, t.predicate, t.object});
     }
@@ -380,9 +465,12 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     maintainer.updates().push_back(std::move(update));
   }
   for (TermId p : delta_preds) {
-    S2RDF_ASSIGN_OR_RETURN(const VpRows* old_rows, old_vp.Rows(p));
-    rdf::Table new_vp = TableFromRows(*old_rows);
-    for (const auto& [s, o] : delta[p]) new_vp.AppendRow({s, o});
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_rows, old_vp.Table(p));
+    const rdf::Table& added = delta.at(p);
+    rdf::Table new_vp(SoColumns());
+    new_vp.Reserve(old_rows->NumRows() + added.NumRows());
+    new_vp.Append(*old_rows);
+    new_vp.Append(added);
     TableUpdate update;
     update.name = VpTableName(p);
     update.table = std::move(new_vp);
@@ -424,13 +512,16 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       affected.insert({corr, p1, p2});
     };
     for (TermId p : delta_preds) {
-      for (const auto& [s, o] : delta[p]) {
-        const TermId cells[2] = {s, o};
+      const rdf::Table& rows = delta.at(p);
+      for (size_t r = 0; r < rows.NumRows(); ++r) {
+        const TermId cells[2] = {rows.At(r, 0), rows.At(r, 1)};
         for (const CorrelationRoles& roles : kCorrelationRoles) {
-          for (TermId q : preds_by_column[roles.right][cells[roles.left]]) {
+          for (TermId q :
+               preds_by_column[roles.right][slots[cells[roles.left]]]) {
             add(roles.corr, p, q);
           }
-          for (TermId q : preds_by_column[roles.left][cells[roles.right]]) {
+          for (TermId q :
+               preds_by_column[roles.left][slots[cells[roles.right]]]) {
             add(roles.corr, q, p);
           }
         }
@@ -466,8 +557,10 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   if (!catalog->dir().empty() && minted > *dict_committed) {
     commit.dictionary_blob = dict->Serialize(*dict_committed, minted);
   }
+  const auto commit_start = MonotonicNow();
   S2RDF_RETURN_IF_ERROR(
       catalog->CommitBatch(std::move(maintainer.updates()), commit));
+  result.commit_millis = MillisSince(commit_start);
   *dict_committed = minted;
   result.generation = catalog->State()->generation;
   result.millis = MillisSince(start);
@@ -482,8 +575,10 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
 
   S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> tt,
                          catalog->GetTable(*state, TriplesTableName()));
-  std::set<TermId> all_preds;
-  for (size_t r = 0; r < tt->NumRows(); ++r) all_preds.insert(tt->At(r, 1));
+  TermSet predicates;
+  const TermId* tt_p = tt->ColumnData(1);
+  for (size_t r = 0; r < tt->NumRows(); ++r) predicates.Insert(tt_p[r]);
+  const std::vector<TermId> all_preds = predicates.Ids();
   std::set<TermId> stale_pids;
   for (TermId p : all_preds) {
     if (stale_set.contains(VpTableName(p))) stale_pids.insert(p);
@@ -493,7 +588,7 @@ StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
   // the current (post-ingest) VP tables — the "delta" is empty, so the
   // maintainer's plain semi-join scan path runs.
   VpSource current_vp(catalog, *state, tt);
-  const std::unordered_map<TermId, VpRows> no_delta;
+  const std::unordered_map<TermId, rdf::Table> no_delta;
   DeltaMaintainer maintainer(config, catalog, *state, &current_vp, &no_delta,
                              /*trust_old_stats=*/false);
   for (TermId p1 : all_preds) {
@@ -521,7 +616,7 @@ Status StageExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
   // ingest and refresh do on a lazy store.
   const IngestConfig config{.sf_threshold = sf_threshold};
   VpSource current_vp(catalog, state, nullptr);
-  const std::unordered_map<TermId, VpRows> no_delta;
+  const std::unordered_map<TermId, rdf::Table> no_delta;
   DeltaMaintainer maintainer(config, catalog, state, &current_vp, &no_delta,
                              /*trust_old_stats=*/false);
   for (const ExtVpPair& pair : pairs) {

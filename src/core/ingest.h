@@ -34,8 +34,15 @@
 // rows first, batch rows in arrival order — which is exactly the order
 // a full rebuild over the concatenated triple stream produces, so
 // every generation's tables are byte-identical to a full rebuild
-// (the crash-matrix test's oracle). All changed tables commit through
-// one Catalog::CommitBatch, i.e. one atomic manifest flip.
+// (the crash-matrix test's oracle). Every key set the kernel probes is
+// a bitset over the dense term ids, and it reads and emits rdf::Tables,
+// appending surviving rows column by column.
+//
+// All changed tables commit through one Catalog::CommitBatch, i.e. one
+// atomic manifest flip. The commit sizes every blob, lays the blobs out
+// in its segment and writes each in place across the shared TaskPool;
+// IngestResult::commit_millis is that call's share of the batch's
+// millis.
 
 namespace s2rdf::core {
 

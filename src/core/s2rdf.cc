@@ -164,6 +164,9 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
   }
   db->catalog_.SetMemoryBudget(options.memory_budget_bytes);
   db->catalog_.EvictToBudget();
+  // Publish the built catalog's state now, so the first query does not
+  // pay its copy (Open's meta_lazy_extvp read does the same).
+  db->catalog_.State();
   return db;
 }
 
@@ -213,7 +216,8 @@ StatusOr<storage::IngestResult> S2Rdf::Ingest(
               {"vp_tables_updated", result->vp_tables_updated},
               {"extvp_tables_updated", result->extvp_tables_updated},
               {"stale_sources_marked", result->stale_sources_marked},
-              {"millis", result->millis}});
+              {"millis", result->millis},
+              {"commit_millis", result->commit_millis}});
   } else {
     LogEvent(LogLevel::kError, "ingest_failed",
              {{"status", result.status().ToString()}});

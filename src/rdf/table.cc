@@ -66,6 +66,15 @@ void Table::AppendGather(const Table& source,
   num_rows_ += count;
 }
 
+void Table::Append(const Table& source) {
+  S2RDF_DCHECK(source.NumColumns() == columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].insert(columns_[c].end(), source.columns_[c].begin(),
+                       source.columns_[c].end());
+  }
+  num_rows_ += source.num_rows_;
+}
+
 void Table::Reserve(size_t rows) {
   for (auto& col : columns_) col.reserve(rows);
 }

@@ -72,6 +72,10 @@ class Table {
   void AppendGather(const Table& source, const std::vector<int>& source_cols,
                     const uint32_t* rows, size_t count);
 
+  // Appends every row of `source`, which has this table's width, column
+  // by column.
+  void Append(const Table& source);
+
   void Reserve(size_t rows);
 
   // Renames column `i`.

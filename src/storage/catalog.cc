@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/strings.h"
+#include "common/task_pool.h"
 #include "storage/table_file.h"
 
 namespace s2rdf::storage {
@@ -551,29 +553,39 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
   for (const std::string& s : options.mark_stale) next.stale_sources.insert(s);
   for (const std::string& s : options.clear_stale) next.stale_sources.erase(s);
 
-  // Phase 2 — pack every new table blob into this generation's segment,
-  // in name order (deterministic contents), then the dictionary blob,
-  // then copy forward the live blobs of segments left less than half
-  // live.
+  // Phase 2 — lay out this generation's segment: every new table blob in
+  // name order (deterministic contents), then the dictionary blob, then
+  // the live blobs copied forward from segments left less than half
+  // live. The segment is sized once and each table blob written in
+  // place: planned (one counting pass per column) and written across the
+  // shared TaskPool, the calling thread included.
   std::string segment;
   std::vector<std::pair<std::string, BlobLocation>> moved;  // Old places.
   std::vector<uint64_t> dropped;                            // Segments.
   if (on_disk) {
+    std::vector<Pending*> blobs;
     for (auto& [name, entry] : pending) {
-      if (entry.table != nullptr) {
-        const std::string blob = SerializeTable(*entry.table);
-        entry.stats.segment = gen;
-        entry.stats.offset = segment.size();
-        entry.stats.bytes = blob.size();
-        segment += blob;
-      }
-      next.stats[name] = entry.stats;
+      if (entry.table != nullptr) blobs.push_back(&entry);
     }
+    std::vector<TableBlobPlan> plans(blobs.size());
+    TaskPool* pool = TaskPool::Shared();
+    pool->ParallelFor(blobs.size(), [&](size_t i) {
+      plans[i] = PlanTableBlob(*blobs[i]->table);
+    });
+    uint64_t size = 0;
+    for (size_t i = 0; i < blobs.size(); ++i) {
+      TableStats& stats = blobs[i]->stats;
+      stats.segment = gen;
+      stats.offset = size;
+      stats.bytes = plans[i].bytes;
+      size += plans[i].bytes;
+    }
+    for (const auto& [name, entry] : pending) next.stats[name] = entry.stats;
     std::vector<BlobLocation>& dictionary = next.dictionary_blobs;
+    const uint64_t dictionary_offset = size;
     if (!options.dictionary_blob.empty()) {
-      dictionary.push_back(
-          {gen, segment.size(), options.dictionary_blob.size()});
-      segment += options.dictionary_blob;
+      dictionary.push_back({gen, size, options.dictionary_blob.size()});
+      size += options.dictionary_blob.size();
     }
     std::map<uint64_t, uint64_t> live;
     for (const auto& [name, stats] : next.stats) {
@@ -584,8 +596,23 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     for (const BlobLocation& at : dictionary) {
       if (at.segment != gen) live[at.segment] += at.bytes;
     }
+    std::vector<std::pair<uint64_t, const SegmentFile*>> sparse;
+    uint64_t copy_bytes = 0;
     for (const auto& [old_segment, file] : next.segments) {
       if (live[old_segment] * 2 >= file->bytes) continue;
+      sparse.emplace_back(old_segment, file.get());
+      copy_bytes += live[old_segment];
+    }
+    // Room for every copy; a sparse segment that cannot be copied gives
+    // its room back below.
+    segment.resize(size + copy_bytes);
+    pool->ParallelFor(blobs.size(), [&](size_t i) {
+      WriteTableBlob(*blobs[i]->table, plans[i],
+                     segment.data() + blobs[i]->stats.offset);
+    });
+    options.dictionary_blob.copy(segment.data() + dictionary_offset,
+                                 options.dictionary_blob.size());
+    for (const auto& [old_segment, file] : sparse) {
       // One read of the old segment; a segment that cannot be read whole
       // stays, and a later commit tries again.
       std::string data;
@@ -611,20 +638,26 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
                        [&](const BlobLocation* at) { return fits(*at); })) {
         continue;
       }
+      auto copy = [&](const BlobLocation& from) {
+        std::memcpy(segment.data() + size, data.data() + from.offset,
+                    from.bytes);
+        size += from.bytes;
+      };
       for (const auto& [name, from] : copied) {
         TableStats& stats = next.stats[name];
         stats.segment = gen;
-        stats.offset = segment.size();
-        segment.append(data, from.offset, from.bytes);
+        stats.offset = size;
+        copy(from);
         moved.emplace_back(name, from);
       }
       for (BlobLocation* at : copied_dictionary) {
         const BlobLocation from = *at;
-        *at = {gen, segment.size(), from.bytes};
-        segment.append(data, from.offset, from.bytes);
+        *at = {gen, size, from.bytes};
+        copy(from);
       }
       dropped.push_back(old_segment);
     }
+    segment.resize(size);
     for (uint64_t old_segment : dropped) next.segments.erase(old_segment);
     if (!segment.empty()) {
       next.segments[gen] =

@@ -32,15 +32,19 @@
 // code path that writes durable bytes. A commit at generation g packs the
 // S2TB blob of every table it materializes, then the dictionary blob it
 // carries (the terms minted since the previous commit), into one segment
-// file ("segment-<g>.s2seg", blobs back to back, no framing of its own),
-// fsyncs it once and reads it back; then it writes manifest generation g,
-// reads that back, and flips CURRENT. Each manifest line records where
-// its table lies (segment, offset, bytes), and the manifest lists the
-// dictionary blobs in id order. The manifest is a generation chain —
-// immutable "manifest-<g>.tsv" files (self-checksummed, carrying their
-// generation and the live segments' sizes) plus a CURRENT pointer updated
-// atomically; if the current generation is damaged, loading falls back
-// to the newest generation that still verifies. A crash before the flip
+// file ("segment-<g>.s2seg", blobs back to back, no framing of its own):
+// it sizes every blob (storage/table_file.h), lays them out in name
+// order, sizes the segment once and writes each blob in place across the
+// shared TaskPool, so the bytes do not depend on the pool's width. It
+// fsyncs the segment once and reads it back; then it writes manifest
+// generation g, reads that back, and flips CURRENT. Each manifest line
+// records where its table lies (segment, offset, bytes), and the
+// manifest lists the dictionary blobs in id order. The manifest is a
+// generation chain — immutable "manifest-<g>.tsv" files (self-
+// checksummed, carrying their generation and the live segments' sizes)
+// plus a CURRENT pointer updated atomically; if the current generation
+// is damaged, loading falls back to the newest generation that still
+// verifies. A crash before the flip
 // leaves only an unreferenced segment, which Recover() deletes.
 //
 // Space: a commit copies forward, byte for byte, the live blobs (tables'

@@ -30,61 +30,74 @@ bool GetVarint64(std::string_view data, size_t* pos, uint64_t* value) {
   return false;
 }
 
-namespace {
-
-std::string EncodePlain(const std::vector<uint32_t>& column) {
-  std::string out;
-  out.reserve(column.size() * 2);
-  for (uint32_t v : column) PutVarint64(&out, v);
-  return out;
+ColumnPlan PlanColumn(const std::vector<uint32_t>& column) {
+  size_t plain = 0;
+  size_t rle = 0;
+  size_t delta = 0;
+  if (!column.empty()) {
+    int64_t prev = 0;
+    uint32_t run_value = column[0];
+    uint64_t run = 0;
+    for (uint32_t v : column) {
+      plain += VarintLength(v);
+      delta += VarintLength(ZigZagEncode(static_cast<int64_t>(v) - prev));
+      prev = static_cast<int64_t>(v);
+      if (v != run_value) {
+        rle += VarintLength(run_value) + VarintLength(run);
+        run_value = v;
+        run = 0;
+      }
+      ++run;
+    }
+    rle += VarintLength(run_value) + VarintLength(run);
+  }
+  ColumnPlan plan;
+  size_t payload = plain;
+  if (rle < payload) {
+    plan.codec = ColumnCodec::kRle;
+    payload = rle;
+  }
+  if (delta < payload) {
+    plan.codec = ColumnCodec::kDeltaVarint;
+    payload = delta;
+  }
+  plan.block_bytes = 1 + VarintLength(column.size()) + payload;
+  return plan;
 }
 
-std::string EncodeRle(const std::vector<uint32_t>& column) {
-  std::string out;
-  size_t i = 0;
-  while (i < column.size()) {
-    size_t run = 1;
-    while (i + run < column.size() && column[i + run] == column[i]) ++run;
-    PutVarint64(&out, column[i]);
-    PutVarint64(&out, run);
-    i += run;
+char* WriteColumn(const std::vector<uint32_t>& column, const ColumnPlan& plan,
+                  char* out) {
+  *out++ = static_cast<char>(plan.codec);
+  out = PutVarint64(out, column.size());
+  switch (plan.codec) {
+    case ColumnCodec::kPlainVarint:
+      for (uint32_t v : column) out = PutVarint64(out, v);
+      break;
+    case ColumnCodec::kRle:
+      for (size_t i = 0; i < column.size();) {
+        size_t run = 1;
+        while (i + run < column.size() && column[i + run] == column[i]) ++run;
+        out = PutVarint64(out, column[i]);
+        out = PutVarint64(out, run);
+        i += run;
+      }
+      break;
+    case ColumnCodec::kDeltaVarint: {
+      int64_t prev = 0;
+      for (uint32_t v : column) {
+        out = PutVarint64(out, ZigZagEncode(static_cast<int64_t>(v) - prev));
+        prev = static_cast<int64_t>(v);
+      }
+      break;
+    }
   }
   return out;
 }
-
-std::string EncodeDelta(const std::vector<uint32_t>& column) {
-  std::string out;
-  out.reserve(column.size());
-  int64_t prev = 0;
-  for (uint32_t v : column) {
-    PutVarint64(&out, ZigZagEncode(static_cast<int64_t>(v) - prev));
-    prev = static_cast<int64_t>(v);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string EncodeColumn(const std::vector<uint32_t>& column) {
-  std::string plain = EncodePlain(column);
-  std::string rle = EncodeRle(column);
-  std::string delta = EncodeDelta(column);
-
-  ColumnCodec codec = ColumnCodec::kPlainVarint;
-  const std::string* payload = &plain;
-  if (rle.size() < payload->size()) {
-    codec = ColumnCodec::kRle;
-    payload = &rle;
-  }
-  if (delta.size() < payload->size()) {
-    codec = ColumnCodec::kDeltaVarint;
-    payload = &delta;
-  }
-
-  std::string block;
-  block.push_back(static_cast<char>(codec));
-  PutVarint64(&block, column.size());
-  block += *payload;
+  const ColumnPlan plan = PlanColumn(column);
+  std::string block(plan.block_bytes, '\0');
+  WriteColumn(column, plan, block.data());
   return block;
 }
 
@@ -142,17 +155,13 @@ Status DecodeColumn(std::string_view block, std::vector<uint32_t>* column) {
   return InvalidArgumentError("unknown column codec");
 }
 
-namespace {
-constexpr size_t kChunkChecksumBytes = 8;
-}  // namespace
-
-std::string EncodeColumnChecksummed(const std::vector<uint32_t>& column) {
-  std::string chunk = EncodeColumn(column);
-  uint64_t checksum = Fnv1a64(chunk);
-  char trailer[kChunkChecksumBytes];
-  std::memcpy(trailer, &checksum, kChunkChecksumBytes);
-  chunk.append(trailer, kChunkChecksumBytes);
-  return chunk;
+char* WriteColumnChecksummed(const std::vector<uint32_t>& column,
+                             const ColumnPlan& plan, char* out) {
+  char* end = WriteColumn(column, plan, out);
+  const uint64_t checksum =
+      Fnv1a64(std::string_view(out, static_cast<size_t>(end - out)));
+  std::memcpy(end, &checksum, kChunkChecksumBytes);
+  return end + kChunkChecksumBytes;
 }
 
 Status VerifyColumnChecksum(std::string_view chunk) {

@@ -1,6 +1,7 @@
 #ifndef S2RDF_STORAGE_ENCODING_H_
 #define S2RDF_STORAGE_ENCODING_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -15,12 +16,34 @@
 //   kPlainVarint — LEB128 varints,
 //   kRle         — (value, run-length) varint pairs,
 //   kDeltaVarint — zigzag deltas (wins on sorted id columns).
-// The codec tag is the first byte of the block.
+// The codec tag is the first byte of the block; ties go to plain, then
+// RLE.
+//
+// Size, then write: PlanColumn counts all three codecs' sizes in one pass
+// and picks the winner, and WriteColumn encodes only the winner into a
+// caller's buffer of exactly that size. A commit plans every blob first,
+// lays the blobs out in its segment and writes each in place
+// (storage/table_file.h), so no blob is built twice or copied.
 
 namespace s2rdf::storage {
 
 // Appends `value` to `out` as a LEB128 varint.
 void PutVarint64(std::string* out, uint64_t value);
+
+// Writes `value` as a LEB128 varint at `out`; returns the byte after it.
+inline char* PutVarint64(char* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<char>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<char>(value);
+  return out;
+}
+
+// Bytes of `value` as a LEB128 varint: 1 to 10.
+inline size_t VarintLength(uint64_t value) {
+  return (static_cast<size_t>(std::bit_width(value | 1)) + 6) / 7;
+}
 
 // Reads a varint at `*pos`; advances `*pos`. Returns false on truncation.
 bool GetVarint64(std::string_view data, size_t* pos, uint64_t* value);
@@ -38,6 +61,21 @@ enum class ColumnCodec : uint8_t {
   kDeltaVarint = 2,
 };
 
+// How a column is encoded: the smallest codec and the exact size of its
+// block (codec tag + row count + payload).
+struct ColumnPlan {
+  ColumnCodec codec = ColumnCodec::kPlainVarint;
+  size_t block_bytes = 0;
+};
+
+// One pass over `column` that counts every codec's size.
+ColumnPlan PlanColumn(const std::vector<uint32_t>& column);
+
+// Writes the block `plan` (PlanColumn(column)) describes into `out`,
+// which has room for plan.block_bytes bytes; returns the byte after it.
+char* WriteColumn(const std::vector<uint32_t>& column, const ColumnPlan& plan,
+                  char* out);
+
 // Encodes `column`, choosing the smallest codec. The block is
 // self-describing (codec tag + row count + payload).
 std::string EncodeColumn(const std::vector<uint32_t>& column);
@@ -52,8 +90,13 @@ Status DecodeColumn(std::string_view block, std::vector<uint32_t>* column);
 // reader localize corruption to one column of one table instead of only
 // knowing "the file is bad".
 
-// Encodes `column` and appends the chunk checksum.
-std::string EncodeColumnChecksummed(const std::vector<uint32_t>& column);
+// Bytes of the checksum that ends a chunk.
+inline constexpr size_t kChunkChecksumBytes = 8;
+
+// WriteColumn, then the block's checksum: plan.block_bytes +
+// kChunkChecksumBytes bytes. Returns the byte after the chunk.
+char* WriteColumnChecksummed(const std::vector<uint32_t>& column,
+                             const ColumnPlan& plan, char* out);
 
 // Verifies and decodes a checksummed chunk. A checksum mismatch returns
 // kInvalidArgument mentioning "chunk checksum".

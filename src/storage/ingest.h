@@ -53,6 +53,10 @@ struct IngestResult {
   uint64_t stale_sources_marked = 0;
   // Wall-clock time of the whole apply+commit, milliseconds.
   double millis = 0.0;
+  // Of `millis`, the Catalog::CommitBatch call: encode, segment write,
+  // fsync and manifest flip (0 on a no-op). Maintenance — dedup, VP
+  // appends and ExtVP delta semi-joins — is millis - commit_millis.
+  double commit_millis = 0.0;
 };
 
 }  // namespace s2rdf::storage

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/check.h"
 #include "common/hash.h"
 #include "storage/encoding.h"
 
@@ -57,26 +58,47 @@ Status LocalizeCorruption(std::string_view payload) {
 
 }  // namespace
 
-std::string SerializeTable(const rdf::Table& table) {
-  std::string out;
-  out.append(kMagic, 4);
-  char version[4];
-  std::memcpy(version, &kVersion, 4);
-  out.append(version, 4);
-  PutVarint64(&out, table.NumColumns());
-  PutVarint64(&out, table.NumRows());
+TableBlobPlan PlanTableBlob(const rdf::Table& table) {
+  TableBlobPlan plan;
+  plan.columns.reserve(table.NumColumns());
+  plan.bytes = kHeaderBytes + VarintLength(table.NumColumns()) +
+               VarintLength(table.NumRows()) + kTrailerBytes;
+  for (size_t c = 0; c < table.NumColumns(); ++c) {
+    const size_t name = table.column_names()[c].size();
+    const ColumnPlan& column = plan.columns.emplace_back(
+        PlanColumn(table.Column(c)));
+    const size_t chunk = column.block_bytes + kChunkChecksumBytes;
+    plan.bytes += VarintLength(name) + name + VarintLength(chunk) + chunk;
+  }
+  return plan;
+}
+
+void WriteTableBlob(const rdf::Table& table, const TableBlobPlan& plan,
+                    char* out) {
+  char* pos = out;
+  std::memcpy(pos, kMagic, 4);
+  std::memcpy(pos + 4, &kVersion, 4);
+  pos = PutVarint64(pos + kHeaderBytes, table.NumColumns());
+  pos = PutVarint64(pos, table.NumRows());
   for (size_t c = 0; c < table.NumColumns(); ++c) {
     const std::string& name = table.column_names()[c];
-    PutVarint64(&out, name.size());
-    out += name;
-    std::string chunk = EncodeColumnChecksummed(table.Column(c));
-    PutVarint64(&out, chunk.size());
-    out += chunk;
+    pos = PutVarint64(pos, name.size());
+    std::memcpy(pos, name.data(), name.size());
+    pos += name.size();
+    pos = PutVarint64(pos,
+                      plan.columns[c].block_bytes + kChunkChecksumBytes);
+    pos = WriteColumnChecksummed(table.Column(c), plan.columns[c], pos);
   }
-  uint64_t checksum = Fnv1a64(out);
-  char trailer[kTrailerBytes];
-  std::memcpy(trailer, &checksum, kTrailerBytes);
-  out.append(trailer, kTrailerBytes);
+  const size_t payload = plan.bytes - kTrailerBytes;
+  S2RDF_CHECK(static_cast<size_t>(pos - out) == payload);
+  const uint64_t checksum = Fnv1a64(std::string_view(out, payload));
+  std::memcpy(pos, &checksum, kTrailerBytes);
+}
+
+std::string SerializeTable(const rdf::Table& table) {
+  const TableBlobPlan plan = PlanTableBlob(table);
+  std::string out(plan.bytes, '\0');
+  WriteTableBlob(table, plan, out.data());
   return out;
 }
 

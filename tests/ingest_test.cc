@@ -167,6 +167,9 @@ TEST(IngestDeltaTest, MatchesFullRebuildAtEveryGeneration) {
     EXPECT_EQ(result->triples_added, batch.size());
     EXPECT_EQ(result->generation, ++expect_gen);
     EXPECT_GT(result->vp_tables_updated, 0u);
+    // The commit's share of the batch's time: maintenance is the rest.
+    EXPECT_GT(result->commit_millis, 0.0);
+    EXPECT_LE(result->commit_millis, result->millis);
     stream.insert(stream.end(), batch.begin(), batch.end());
     std::unique_ptr<S2Rdf> reference = Rebuild(stream);
     ExpectStoresIdentical(db->get(), reference.get());
@@ -202,6 +205,7 @@ TEST(IngestDeltaTest, DuplicatesDropAndFullyDuplicateBatchCommitsNothing) {
   auto noop = (*db)->Ingest(MakeBatch({{"D", "follows", "A"}}));
   ASSERT_TRUE(noop.ok());
   EXPECT_EQ(noop->triples_added, 0u);
+  EXPECT_EQ(noop->commit_millis, 0.0);
   EXPECT_EQ((*db)->catalog().State()->generation, 2u);
 
   std::vector<T> stream = G1();

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/file_util.h"
 #include "common/hash.h"
+#include "common/random.h"
 #include "common/strings.h"
 #include "storage/catalog.h"
 #include "storage/encoding.h"
 #include "storage/fault_injection_env.h"
 #include "storage/table_file.h"
 #include "tests/counting_env.h"
+#include "tests/reference_encoder.h"
 #include "tests/table_corruption.h"
 
 namespace s2rdf::storage {
@@ -363,13 +366,131 @@ TEST(TableFileTest, OnlyVersion2IsAccepted) {
 
 TEST(EncodingTest, ChecksummedColumnRoundtripAndDetection) {
   std::vector<uint32_t> column = {5, 1, 9, 2, 8, 1000000, 3};
-  std::string chunk = EncodeColumnChecksummed(column);
+  const ColumnPlan plan = PlanColumn(column);
+  std::string chunk(plan.block_bytes + kChunkChecksumBytes, '\0');
+  EXPECT_EQ(WriteColumnChecksummed(column, plan, chunk.data()),
+            chunk.data() + chunk.size());
   std::vector<uint32_t> back;
   ASSERT_TRUE(DecodeColumnChecksummed(chunk, &back).ok());
   EXPECT_EQ(back, column);
   chunk[chunk.size() / 2] ^= 0x20;
   EXPECT_FALSE(DecodeColumnChecksummed(chunk, &back).ok());
   EXPECT_FALSE(VerifyColumnChecksum("").ok());
+}
+
+// --- The writer against the three-trial reference encoder ----------------
+//
+// EncodeColumn and SerializeTable size a blob in one counting pass and
+// write it in place; tests/reference_encoder encodes every column three
+// times and appends. Their bytes must agree everywhere, codec ties
+// included.
+
+// A random column of `rows` ids shaped to favour one codec: wide random
+// ids (plain), runs (RLE), ascending ids (delta), or a two-letter
+// alphabet, whose short columns tie often.
+std::vector<uint32_t> RandomColumn(SplitMix64* rng, size_t rows) {
+  std::vector<uint32_t> column;
+  column.reserve(rows);
+  const uint64_t shape = rng->Uniform(4);
+  const auto base = static_cast<uint32_t>(rng->Uniform(1u << 21));
+  while (column.size() < rows) {
+    switch (shape) {
+      case 0:
+        column.push_back(static_cast<uint32_t>(rng->Next()));
+        break;
+      case 1:
+        column.resize(std::min(rows, column.size() + 1 + rng->Uniform(20)),
+                      base + static_cast<uint32_t>(rng->Uniform(300)));
+        break;
+      case 2:
+        column.push_back((column.empty() ? base : column.back()) +
+                         static_cast<uint32_t>(rng->Uniform(200)));
+        break;
+      default:
+        column.push_back(base + static_cast<uint32_t>(rng->Uniform(2)) * 1000);
+        break;
+    }
+  }
+  return column;
+}
+
+TEST(EncoderIdentityTest, ColumnsMatchTheReferenceByteForByte) {
+  SplitMix64 rng(20261020);
+  uint64_t wins[3] = {0, 0, 0};
+  // Columns whose smallest size two codecs share: plain = RLE, plain =
+  // delta, RLE = delta.
+  uint64_t ties[3] = {0, 0, 0};
+  for (int i = 0; i < 100000; ++i) {
+    const size_t rows = i % 50 == 0 ? rng.Uniform(3000) : rng.Uniform(12);
+    const std::vector<uint32_t> column = RandomColumn(&rng, rows);
+    const std::string expected = reference::EncodeColumn(column);
+    ASSERT_EQ(EncodeColumn(column), expected) << "column " << i;
+    ASSERT_EQ(PlanColumn(column).block_bytes, expected.size());
+    ++wins[static_cast<uint8_t>(expected[0])];
+    const size_t plain = reference::EncodePlain(column).size();
+    const size_t rle = reference::EncodeRle(column).size();
+    const size_t delta = reference::EncodeDelta(column).size();
+    const size_t best = std::min({plain, rle, delta});
+    ties[0] += plain == best && rle == best;
+    ties[1] += plain == best && delta == best;
+    ties[2] += rle == best && delta == best && plain > best;
+  }
+  for (int codec = 0; codec < 3; ++codec) {
+    EXPECT_GT(wins[codec], 1000u) << "codec " << codec;
+    EXPECT_GT(ties[codec], 100u) << "tie " << codec;
+  }
+}
+
+TEST(EncoderIdentityTest, TiesGoToPlainThenRle) {
+  // Empty: every payload is empty.
+  EXPECT_EQ(EncodeColumn({}), reference::EncodeColumn({}));
+  EXPECT_EQ(static_cast<ColumnCodec>(EncodeColumn({})[0]),
+            ColumnCodec::kPlainVarint);
+  // {0, 0}: two bytes under every codec.
+  EXPECT_EQ(static_cast<ColumnCodec>(EncodeColumn({0, 0})[0]),
+            ColumnCodec::kPlainVarint);
+  // {5}: plain and delta one byte, RLE two.
+  EXPECT_EQ(static_cast<ColumnCodec>(EncodeColumn({5})[0]),
+            ColumnCodec::kPlainVarint);
+  // {1000, 1000}: RLE and delta three bytes, plain four.
+  EXPECT_EQ(static_cast<ColumnCodec>(EncodeColumn({1000, 1000})[0]),
+            ColumnCodec::kRle);
+  for (const std::vector<uint32_t>& column :
+       std::vector<std::vector<uint32_t>>{{0, 0}, {5}, {1000, 1000}}) {
+    EXPECT_EQ(EncodeColumn(column), reference::EncodeColumn(column));
+  }
+}
+
+TEST(EncoderIdentityTest, TablesMatchTheReferenceByteForByte) {
+  SplitMix64 rng(7);
+  for (int i = 0; i < 10000; ++i) {
+    const size_t columns = rng.Uniform(5);
+    const size_t rows = i % 25 == 0 ? rng.Uniform(2000) : rng.Uniform(40);
+    std::vector<std::string> names;
+    std::vector<std::vector<uint32_t>> data;
+    for (size_t c = 0; c < columns; ++c) {
+      // Names past 127 and 16 383 bytes take two- and three-byte lengths.
+      const uint64_t length = i % 100 == 0   ? 16384 + rng.Uniform(100)
+                              : i % 10 == 0 ? 128 + rng.Uniform(200)
+                                            : rng.Uniform(8);
+      names.emplace_back(length, static_cast<char>('a' + c));
+      data.push_back(RandomColumn(&rng, rows));
+    }
+    rdf::Table table(std::move(names));
+    // A 0-column table still has rows (one solution binding nothing).
+    table.AdoptColumns(std::move(data), rows);
+    const std::string expected = reference::SerializeTable(table);
+    ASSERT_EQ(SerializeTable(table), expected) << "table " << i;
+    ASSERT_EQ(PlanTableBlob(table).bytes, expected.size());
+  }
+  for (const size_t rows : {size_t{0}, size_t{3}}) {
+    rdf::Table no_columns;
+    no_columns.AdoptColumns({}, rows);
+    EXPECT_EQ(SerializeTable(no_columns),
+              reference::SerializeTable(no_columns));
+  }
+  EXPECT_EQ(SerializeTable(rdf::Table({"s", "o"})),
+            reference::SerializeTable(rdf::Table({"s", "o"})));
 }
 
 // --- Crash safety and recovery ------------------------------------------
