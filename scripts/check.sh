@@ -187,8 +187,9 @@ note "tsan queries during commits and racing lazy builds, ten passes"
 # One pass rarely lands a query inside a commit's flip, copy-forward or
 # segment removal, or two queries on the same lazy ExtVP pair; ten give
 # the race detector its chances. The stress test's lazy_pairs_computed
-# equality checks that each lazy pair is computed once.
-ctest --preset tsan --repeat until-fail:10 \
+# equality checks that each lazy pair is computed once. A filter that
+# selects nothing fails the leg instead of passing it.
+ctest --preset tsan --repeat until-fail:10 --no-tests=error \
   -R 'IngestConcurrencyTest\.|SegmentTest\.AStateReadsOneGeneration|ConcurrencyStressTest\.ParallelMixedQueriesMatchSerial'
 
 note "all checks passed"

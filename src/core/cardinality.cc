@@ -50,14 +50,6 @@ double CardinalityEstimator::KeepFraction(size_t i, const TableChoice& choice,
   for (const CorrelationCase& cand : CorrelationsTo(bgp_[i], bgp_[j])) {
     if (!cand.applies) continue;
     if (cand.corr == Correlation::kSS && *p1 == *p2) continue;
-    if (ids_[i].stale || ids_[j].stale) {
-      // The reduction's count predates a deferred ingest and
-      // undercounts; using it would make the optimizer confidently
-      // wrong, so fall back to the conservative keep = 1 (and surface
-      // the degradation on /metrics).
-      state_.catalog->NoteStaleSfFallback();
-      continue;
-    }
     const storage::TableStats* stats =
         state_.Find(ExtVpTableName(cand.corr, *p1, *p2));
     if (stats == nullptr) continue;  // Direction not precomputed.

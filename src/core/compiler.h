@@ -48,8 +48,8 @@ struct CompilerOptions {
 class QueryCompiler {
  public:
   // Compiles against one catalog state: table selection and the
-  // estimator read statistics, quarantine and staleness from `state`
-  // only. `dict` must outlive the compiler.
+  // estimator read statistics and quarantine from `state` only. `dict`
+  // must outlive the compiler.
   QueryCompiler(std::shared_ptr<const storage::CatalogState> state,
                 const rdf::Dictionary* dict, CompilerOptions options);
   // Compiles against `catalog->State()`, taken once here.

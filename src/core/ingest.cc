@@ -119,23 +119,17 @@ class VpSource {
 // The per-pair ExtVP kernel: reduces single pairs against the catalog as
 // of `state`, the VP tables read through `vp` plus a per-predicate
 // delta of (s, o) rows appended after them. Ingest passes the batch as
-// the delta; refresh and lazy first use pass none.
+// the delta; lazy first use passes none.
 class DeltaMaintainer {
  public:
-  // `trust_old_stats` says the catalog's stats describe `vp`'s tables
-  // exactly (ingest). Refresh and first use pass false: a stale pair's
-  // entry undercounts against the already-committed VP tables, and a
-  // pair never computed has none, so only the full scan may run.
   DeltaMaintainer(const IngestConfig& config, storage::Catalog* catalog,
                   const storage::CatalogState& state, VpSource* vp,
-                  const std::unordered_map<TermId, rdf::Table>* delta,
-                  bool trust_old_stats)
+                  const std::unordered_map<TermId, rdf::Table>* delta)
       : config_(config),
         catalog_(catalog),
         state_(state),
         vp_(vp),
-        delta_(delta),
-        trust_old_stats_(trust_old_stats) {}
+        delta_(delta) {}
 
   std::vector<TableUpdate>& updates() { return updates_; }
 
@@ -257,23 +251,25 @@ class DeltaMaintainer {
     const rdf::Table* delta_p1 = DeltaOf(pair.p1);
     const rdf::Table* delta_p2 = DeltaOf(pair.p2);
     const bool right_may_grow = delta_p2 != nullptr && delta_p2->NumRows() > 0;
+    // With a delta (ingest) the catalog's stats describe the old VP
+    // tables exactly, so the pair's entry can stand in for its old rows;
+    // without one (lazy first use) the pair has no entry to trust.
+    const bool trust_old_stats = !delta_->empty();
 
     // Part 1 — pre-batch VP_p1 rows that (still or newly) match: a whole
     // table, or the matching rows of VP_p1. The join-key set only ever
     // grows, so matches are monotone: an SF = 1 pair keeps all rows, and
     // when VP_p2 gained nothing the old materialized reduction *is* part
-    // 1 verbatim. (The SF = 1 shortcut is sound even against a stale
-    // entry: rows <= |old VP_p1| <= |VP_p1| forces equality throughout,
-    // i.e. every row matched and monotonicity keeps it that way.)
+    // 1 verbatim.
     const rdf::Table* whole = nullptr;
     std::shared_ptr<const rdf::Table> old_reduction;
     bool reduce_old = false;
     if (old != nullptr && old->rows == old_vp1->NumRows() && old->rows > 0) {
       whole = old_vp1;
-    } else if (trust_old_stats_ && !right_may_grow &&
+    } else if (trust_old_stats && !right_may_grow &&
                (old == nullptr || old->rows == 0)) {
       // Nothing matched before and the key set is unchanged.
-    } else if (trust_old_stats_ && !right_may_grow && old != nullptr &&
+    } else if (trust_old_stats && !right_may_grow && old != nullptr &&
                old->materialized) {
       auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
@@ -313,7 +309,6 @@ class DeltaMaintainer {
   const storage::CatalogState& state_;
   VpSource* vp_;
   const std::unordered_map<TermId, rdf::Table>* delta_;
-  bool trust_old_stats_;
   std::unordered_map<uint64_t, std::unique_ptr<TermSet>> right_keys_;
   // Reduce's row indices of parts 1 and 2, reused across pairs.
   std::vector<uint32_t> part1_rows_;
@@ -330,8 +325,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   auto start = MonotonicNow();
   storage::IngestResult result;
   result.triples_in_batch = batch.triples.size();
-  // The batch reads every statistic, quarantine and staleness bit from
-  // one state.
+  // The batch reads every statistic and quarantine bit from one state.
   const std::shared_ptr<const storage::CatalogState> state = catalog->State();
   result.generation = state->generation;
 
@@ -448,8 +442,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   const std::vector<TermId> all_preds = predicates.Ids();
 
   VpSource old_vp(catalog, *state, old_tt);
-  DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta,
-                             /*trust_old_stats=*/true);
+  DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta);
 
   // Triples-table and VP appends.
   {
@@ -478,29 +471,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   }
   result.vp_tables_updated = delta_preds.size();
 
-  storage::CommitOptions commit;
-  const bool has_extvp = state->Find(kExtVpMarker) != nullptr;
-  if (batch.defer_extvp_maintenance && has_extvp) {
-    // Deferred mode: commit only the appends; dependents of the touched
-    // VP tables are stale until RefreshStaleExtVp.
-    for (TermId p : delta_preds) {
-      std::string vp_name = VpTableName(p);
-      if (!state->stale_sources.contains(vp_name)) {
-        ++result.stale_sources_marked;
-      }
-      commit.mark_stale.push_back(std::move(vp_name));
-    }
-  } else if (has_extvp) {
-    // Sources already stale from an earlier deferred batch stay stale —
-    // their reductions need a full refresh anyway, and refresh reads the
-    // post-batch VP tables.
-    std::set<TermId> stale_pids;
-    for (TermId p : all_preds) {
-      if (state->stale_sources.contains(VpTableName(p))) {
-        stale_pids.insert(p);
-      }
-    }
-
+  if (state->Find(kExtVpMarker) != nullptr) {
     // Pairs that can gain rows: for every surviving row and
     // correlation, the partner predicates its terms join with, from both
     // the left (p1 gains the row) and the right (p1's old rows newly
@@ -508,7 +479,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     std::set<ExtVpPair> affected;
     auto add = [&](Correlation corr, TermId p1, TermId p2) {
       if (corr == Correlation::kSS && p1 == p2) return;
-      if (stale_pids.contains(p1) || stale_pids.contains(p2)) return;
       affected.insert({corr, p1, p2});
     };
     for (TermId p : delta_preds) {
@@ -535,9 +505,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     // SF denominator (which can cross the materialization threshold in
     // either direction).
     for (TermId p1 : delta_preds) {
-      if (stale_pids.contains(p1)) continue;
       for (TermId p2 : all_preds) {
-        if (stale_pids.contains(p2)) continue;
         for (const CorrelationRoles& roles : kCorrelationRoles) {
           const ExtVpPair pair{roles.corr, p1, p2};
           if (pair.corr == Correlation::kSS && p1 == p2) continue;
@@ -554,6 +522,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   // The commit stores every term minted since the previous one: this
   // batch's, and any a query minted meanwhile that the batch reuses.
   const auto minted = static_cast<TermId>(dict->size());
+  storage::CommitOptions commit;
   if (!catalog->dir().empty() && minted > *dict_committed) {
     commit.dictionary_blob = dict->Serialize(*dict_committed, minted);
   }
@@ -567,58 +536,15 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   return result;
 }
 
-StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
-                                     storage::Catalog* catalog) {
-  const std::shared_ptr<const storage::CatalogState> state = catalog->State();
-  const std::set<std::string, std::less<>>& stale_set = state->stale_sources;
-  if (stale_set.empty()) return 0;
-
-  S2RDF_ASSIGN_OR_RETURN(std::shared_ptr<const rdf::Table> tt,
-                         catalog->GetTable(*state, TriplesTableName()));
-  TermSet predicates;
-  const TermId* tt_p = tt->ColumnData(1);
-  for (size_t r = 0; r < tt->NumRows(); ++r) predicates.Insert(tt_p[r]);
-  const std::vector<TermId> all_preds = predicates.Ids();
-  std::set<TermId> stale_pids;
-  for (TermId p : all_preds) {
-    if (stale_set.contains(VpTableName(p))) stale_pids.insert(p);
-  }
-
-  // Every pair with a stale predicate on either side is recomputed from
-  // the current (post-ingest) VP tables — the "delta" is empty, so the
-  // maintainer's plain semi-join scan path runs.
-  VpSource current_vp(catalog, *state, tt);
-  const std::unordered_map<TermId, rdf::Table> no_delta;
-  DeltaMaintainer maintainer(config, catalog, *state, &current_vp, &no_delta,
-                             /*trust_old_stats=*/false);
-  for (TermId p1 : all_preds) {
-    for (TermId p2 : all_preds) {
-      if (!stale_pids.contains(p1) && !stale_pids.contains(p2)) continue;
-      for (const CorrelationRoles& roles : kCorrelationRoles) {
-        if (roles.corr == Correlation::kSS && p1 == p2) continue;
-        S2RDF_RETURN_IF_ERROR(maintainer.MaintainPair(
-            {roles.corr, p1, p2}, /*gain_possible=*/true));
-      }
-    }
-  }
-  uint64_t refreshed = maintainer.updates().size();
-  storage::CommitOptions commit;
-  commit.clear_stale.assign(stale_set.begin(), stale_set.end());
-  S2RDF_RETURN_IF_ERROR(
-      catalog->CommitBatch(std::move(maintainer.updates()), commit));
-  return refreshed;
-}
-
 Status StageExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
                        const storage::CatalogState& state,
                        storage::Catalog* catalog) {
   // Every pair asked for is computed: skipping uncomputed pairs is what
-  // ingest and refresh do on a lazy store.
+  // ingest does on a lazy store.
   const IngestConfig config{.sf_threshold = sf_threshold};
   VpSource current_vp(catalog, state, nullptr);
   const std::unordered_map<TermId, rdf::Table> no_delta;
-  DeltaMaintainer maintainer(config, catalog, state, &current_vp, &no_delta,
-                             /*trust_old_stats=*/false);
+  DeltaMaintainer maintainer(config, catalog, state, &current_vp, &no_delta);
   for (const ExtVpPair& pair : pairs) {
     const std::string name = ExtVpTableName(pair.corr, pair.p1, pair.p2);
     if (state.Find(name) != nullptr) continue;  // Computed already.

@@ -13,7 +13,7 @@
 
 // Incremental ingest with ExtVP delta maintenance (ROADMAP: "incremental
 // ExtVP maintenance under updates"), and the per-pair ExtVP kernel it
-// shares with refresh and lazy first use. S2RDF's batch build computes
+// shares with lazy first use. S2RDF's batch build computes
 // every reduction anew in one all-pairs sweep (core/layouts.h); this
 // module appends a batch of triples and repairs only the
 // reductions the batch can actually change, via delta semi-joins:
@@ -27,9 +27,10 @@
 //     materialize a previously pruned one (SF dropped below the
 //     threshold).
 //
-// Refresh and lazy first use run the same kernel with an empty delta:
-// a plain semi-join of the current VP_p1 against VP_p2's key set. Every
-// path classifies the result with ClassifyExtVp, the eager builder's
+// Every batch is maintained this way before it commits, so no reduction
+// ever lags its VP tables. Lazy first use runs the same kernel with an
+// empty delta: a plain semi-join of the current VP_p1 against VP_p2's
+// key set. Both classify the result with ClassifyExtVp, the eager builder's
 // rule. Rows are emitted in the updated VP_p1's row order — existing
 // rows first, batch rows in arrival order — which is exactly the order
 // a full rebuild over the concatenated triple stream produces, so
@@ -57,8 +58,8 @@ struct IngestConfig {
 };
 
 // Encodes, deduplicates and applies `batch` to the catalog's triples
-// table, VP tables and (unless deferred) dependent ExtVP reductions,
-// committing atomically. New terms are interned into `dict`; the commit
+// table, VP tables and dependent ExtVP reductions, committing
+// atomically. New terms are interned into `dict`; the commit
 // carries the terms with ids from `*dict_committed` on as its dictionary
 // blob, so the tables never reference a term the stored dictionary
 // lacks, and advances `*dict_committed` past them once it lands.
@@ -67,13 +68,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     const storage::IngestBatch& batch, const IngestConfig& config,
     rdf::Dictionary* dict, rdf::TermId* dict_committed,
     storage::Catalog* catalog);
-
-// Recomputes every ExtVP reduction that depends on a stale source VP
-// table (deferred batches) from the current VP tables and commits the
-// repairs plus the stale-set clear in one batch. Returns the number of
-// reductions recomputed. No-op when nothing is stale.
-StatusOr<uint64_t> RefreshStaleExtVp(const IngestConfig& config,
-                                     storage::Catalog* catalog);
 
 // "Pay as you go" first use (Sec. 7): computes each reduction of `pairs`
 // that `state` has no entry for from the VP tables of `state` (a

@@ -79,8 +79,8 @@ ExtVpVerdict ClassifyExtVp(uint64_t rows, uint64_t vp_rows,
 // per column, and one pass over every VP row that reports each
 // reduction the row survives — every reduction's rows in one linear
 // pass instead of k^2 semi-joins. The eager builder's count and fill
-// passes and the bitmap builder run it; ingest, refresh and lazy first
-// use reduce single pairs instead (core/ingest.h).
+// passes and the bitmap builder run it; ingest and lazy first use
+// reduce single pairs instead (core/ingest.h).
 class ExtVpSweep {
  public:
   // `vp` must outlive the sweep.

@@ -215,7 +215,6 @@ StatusOr<storage::IngestResult> S2Rdf::Ingest(
               {"generation", result->generation},
               {"vp_tables_updated", result->vp_tables_updated},
               {"extvp_tables_updated", result->extvp_tables_updated},
-              {"stale_sources_marked", result->stale_sources_marked},
               {"millis", result->millis},
               {"commit_millis", result->commit_millis}});
   } else {
@@ -223,14 +222,6 @@ StatusOr<storage::IngestResult> S2Rdf::Ingest(
              {{"status", result.status().ToString()}});
   }
   return result;
-}
-
-StatusOr<uint64_t> S2Rdf::RefreshStaleExtVp() {
-  MutexLock lock(&ingest_mu_);
-  IngestConfig config;
-  config.sf_threshold = sf_threshold_;
-  config.lazy_extvp = lazy_extvp_;
-  return core::RefreshStaleExtVp(config, &catalog_);
 }
 
 StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {

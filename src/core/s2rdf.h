@@ -194,7 +194,9 @@ class S2Rdf {
   // Reopens a store previously persisted by Create with a non-empty
   // `storage_dir`: runs the startup recovery pass (manifest chain,
   // table verification, quarantine, temp-file cleanup — see
-  // recovery_report()), rebuilds the dictionary from the recovered
+  // recovery_report(); kFailedPrecondition, touching no file, for a
+  // manifest this build cannot read — Catalog::LoadManifest), rebuilds
+  // the dictionary from the recovered
   // generation's dictionary blobs (kInvalidArgument naming a blob that
   // cannot be read back intact), then serves queries with tables paged
   // in lazily from disk. The bit-vector ExtVP store is not
@@ -211,17 +213,12 @@ class S2Rdf {
 
   // Applies one batch of new triples: appends to the triples table and
   // VP tables and delta-maintains dependent ExtVP reductions and SF
-  // statistics (or defers that, marking sources stale — see
-  // storage::IngestBatch). The whole batch commits as one atomic
+  // statistics (core/ingest.h). The whole batch commits as one atomic
   // manifest flip; in-flight queries keep reading the prior generation
   // through their catalog state. Thread-safe; concurrent Ingest calls are
   // serialized. Not reflected: the in-memory bitmap ExtVP store and
   // property tables (rebuild for those layouts).
   StatusOr<storage::IngestResult> Ingest(const storage::IngestBatch& batch);
-
-  // Recomputes every reduction deferred batches left stale and clears
-  // the stale set; returns the number of reductions recomputed.
-  StatusOr<uint64_t> RefreshStaleExtVp();
 
   // Decodes a result table's ids back to canonical term strings.
   std::vector<std::vector<std::string>> DecodeRows(
@@ -295,7 +292,7 @@ class S2Rdf {
   storage::RecoveryReport recovery_report_;
   std::unique_ptr<ExtVpBitmapStore> bitmap_store_;
 
-  // Serializes Ingest/RefreshStaleExtVp calls and lazy ExtVP builds
+  // Serializes Ingest calls and lazy ExtVP builds
   // (queries otherwise run unlocked — they read the prior generation's
   // state). A lazy build checks again under it, so each pair is computed
   // once however many queries race for it.

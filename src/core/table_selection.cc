@@ -33,7 +33,6 @@ std::vector<PatternIds> ResolveBgp(const std::vector<TriplePattern>& bgp,
     ids[i].vp = state.Find(VpTableName(*p));
     if (ids[i].vp == nullptr) continue;
     ids[i].predicate = p;
-    ids[i].stale = state.stale_sources.contains(ids[i].vp->name);
   }
   return ids;
 }
@@ -183,14 +182,6 @@ StatusOr<TableChoice> SelectTable(size_t tp_index,
     // An unbound predicate has no reductions; an absent one makes that
     // pattern empty on its own.
     if (!p2.has_value()) continue;
-    if (ids[tp_index].stale || ids[j].stale) {
-      // A deferred ingest appended to one of the pair's VP tables: the
-      // reduction misses those triples (it is no longer a superset of a
-      // fresh semi-join) and its statistics undercount, so neither the
-      // empty-result shortcut nor a scan may use it until
-      // RefreshStaleExtVp catches up.
-      continue;
-    }
 
     for (const CorrelationCase& cand : CorrelationsTo(tp, bgp[j])) {
       if (!cand.applies) continue;

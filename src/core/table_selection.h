@@ -99,10 +99,6 @@ struct PatternIds {
   // A bound subject or object is absent from the dictionary: the
   // pattern matches nothing.
   bool absent_term = false;
-  // The predicate's VP table is a stale source (a deferred ingest
-  // appended to it): its ExtVP reductions and their statistics are
-  // unusable until a refresh.
-  bool stale = false;
 };
 
 // One PatternIds per pattern of `bgp`.
@@ -111,8 +107,8 @@ std::vector<PatternIds> ResolveBgp(
     const rdf::Dictionary& dict, const storage::CatalogState& state);
 
 // Runs Algorithm 1 for `bgp[tp_index]` (its position is used to skip
-// self-correlation), reading statistics, quarantine and staleness from
-// `state` only; `ids` is ResolveBgp(bgp, ...). When
+// self-correlation), reading statistics and quarantine from `state`
+// only; `ids` is ResolveBgp(bgp, ...). When
 // `use_statistics_shortcut` is false, empty correlations do not
 // short-circuit the query (ablation switch). `bitmap_store` is required
 // for (and only consulted by) Layout::kExtVpBitmap.

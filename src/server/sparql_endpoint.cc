@@ -326,14 +326,6 @@ void SparqlEndpoint::RegisterMetrics() {
   registry_.AddGauge("s2rdf_table_cache_evictions_total",
                      "Tables the memory budget evicted from the cache.",
                      [this]() { return db_.catalog().cache_evictions(); });
-  registry_.AddGauge(
-      "s2rdf_stale_sf_fallbacks_total",
-      "Optimizer estimates that ignored a stale ExtVP statistic.",
-      [this]() { return db_.catalog().stale_sf_fallbacks(); });
-  registry_.AddGauge(
-      "s2rdf_stale_extvp_sources",
-      "VP tables whose ExtVP dependents await a deferred refresh.",
-      [this]() { return db_.catalog().State()->stale_sources.size(); });
   ingest_batches_ = registry_.AddCounter(
       "s2rdf_ingest_batches_total", "Batches committed via POST /ingest.");
   ingest_triples_ = registry_.AddCounter(
@@ -469,8 +461,6 @@ HttpResponse SparqlEndpoint::StatuszResponse() const {
          std::to_string(catalog.NumMaterializedTables()) +
          " tuples=" + std::to_string(catalog.TotalTuples()) +
          " cached_bytes=" + std::to_string(catalog.CachedBytes()) +
-         " stale_sources=" +
-         std::to_string(catalog.State()->stale_sources.size()) +
          " quarantined=" + std::to_string(catalog.quarantined_tables()) +
          " corruptions=" + std::to_string(catalog.corruptions_detected()) +
          "\n";
@@ -644,28 +634,11 @@ HttpResponse SparqlEndpoint::Handle(const HttpRequest& request) {
 }
 
 HttpResponse SparqlEndpoint::RunIngest(const HttpRequest& request) {
-  std::map<std::string, std::string> params =
-      ParseQueryString(request.query_string);
-  HttpResponse response;
-  response.content_type = "application/json; charset=utf-8";
-  if (params["refresh"] == "1") {
-    auto refreshed = db_.RefreshStaleExtVp();
-    if (!refreshed.ok()) {
-      ingest_failures_->Increment();
-      return ErrorResponse(refreshed.status());
-    }
-    response.body =
-        "{\"extvp_refreshed\":" + std::to_string(*refreshed) +
-        ",\"stale_sources\":" +
-        std::to_string(db_.catalog().State()->stale_sources.size()) + "}\n";
-    return response;
-  }
   auto batch = core::MakeBatchFromNTriples(request.body);
   if (!batch.ok()) {
     ingest_failures_->Increment();
     return ErrorResponse(batch.status());
   }
-  batch->defer_extvp_maintenance = params["defer"] == "1";
   auto result = db_.Ingest(*batch);
   if (!result.ok()) {
     ingest_failures_->Increment();
@@ -678,15 +651,15 @@ HttpResponse SparqlEndpoint::RunIngest(const HttpRequest& request) {
       body, sizeof(body),
       "{\"triples_in_batch\":%llu,\"triples_added\":%llu,"
       "\"generation\":%llu,\"vp_tables_updated\":%llu,"
-      "\"extvp_tables_updated\":%llu,\"stale_sources_marked\":%llu,"
-      "\"millis\":%.3f}\n",
+      "\"extvp_tables_updated\":%llu,\"millis\":%.3f}\n",
       static_cast<unsigned long long>(result->triples_in_batch),
       static_cast<unsigned long long>(result->triples_added),
       static_cast<unsigned long long>(result->generation),
       static_cast<unsigned long long>(result->vp_tables_updated),
       static_cast<unsigned long long>(result->extvp_tables_updated),
-      static_cast<unsigned long long>(result->stale_sources_marked),
       result->millis);
+  HttpResponse response;
+  response.content_type = "application/json; charset=utf-8";
   response.body = body;
   return response;
 }

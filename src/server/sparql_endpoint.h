@@ -264,9 +264,9 @@ class SparqlEndpoint {
                         core::QueryRequest query_request,
                         QueryRendering rendering);
 
-  // POST /ingest: N-Triples body appended as one atomic batch
-  // (?defer=1 skips ExtVP maintenance, marking sources stale;
-  // ?refresh=1 instead recomputes everything stale).
+  // POST /ingest: N-Triples body appended as one atomic batch, its
+  // ExtVP reductions maintained before it commits. Query parameters are
+  // ignored.
   HttpResponse RunIngest(const HttpRequest& request);
 
   // Registers every built-in metric on registry_.

@@ -36,9 +36,10 @@ constexpr char kManifestPrefix[] = "manifest-";
 constexpr char kManifestSuffix[] = ".tsv";
 constexpr char kChecksumPrefix[] = "# checksum=";
 constexpr char kGenerationHeader[] = "# s2rdf-manifest generation=";
-constexpr char kStaleHeader[] = "# s2rdf-stale ";
 constexpr char kSegmentHeader[] = "# s2rdf-segment ";
 constexpr char kDictionaryHeader[] = "# s2rdf-dictionary ";
+// Every directive starts so; one this build does not know fails the load.
+constexpr char kDirectivePrefix[] = "# s2rdf-";
 constexpr char kSegmentPrefix[] = "segment-";
 constexpr char kSegmentSuffix[] = ".s2seg";
 
@@ -93,6 +94,13 @@ bool ParseNumbers(std::string_view text, size_t n,
 
 bool IsTransient(const Status& status) {
   return status.code() == StatusCode::kIoError;
+}
+
+// A manifest that verifies but carries a directive this build does not
+// know (AdoptManifest): it is intact, not corrupt, so no older
+// generation may stand in for it.
+bool IsUnknownDirective(const Status& status) {
+  return status.code() == StatusCode::kFailedPrecondition;
 }
 
 // Test-installable replacement for the backoff sleep (satisfies the
@@ -249,14 +257,6 @@ std::optional<TableStats> Catalog::GetStats(const std::string& name) const {
 
 void Catalog::NoteDegradedQuery() const {
   queries_degraded_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Catalog::NoteStaleSfFallback() const {
-  stale_sf_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t Catalog::stale_sf_fallbacks() const {
-  return stale_sf_fallbacks_.load(std::memory_order_relaxed);
 }
 
 uint64_t Catalog::read_retries() const {
@@ -434,12 +434,6 @@ std::vector<const TableStats*> Catalog::AllStats() const {
 std::string Catalog::RenderManifest(const CatalogState& view) {
   std::string out = kGenerationHeader + std::to_string(view.generation) + "\n";
   out += "# name\trows\tselectivity\tbytes\tmaterialized\tsegment\toffset\n";
-  // Stale markers are part of the checksummed content: deferred-refresh
-  // state must survive restarts or a reopened store would trust ExtVP
-  // reductions that miss triples.
-  for (const std::string& source : view.stale_sources) {
-    out += kStaleHeader + source + "\n";
-  }
   // The live segments' sizes: the next commit's space rule needs them.
   for (const auto& [segment, file] : view.segments) {
     out += kSegmentHeader + std::to_string(segment) + "\t" +
@@ -550,8 +544,6 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     }
   }
   const uint64_t gen = next.generation;
-  for (const std::string& s : options.mark_stale) next.stale_sources.insert(s);
-  for (const std::string& s : options.clear_stale) next.stale_sources.erase(s);
 
   // Phase 2 — lay out this generation's segment: every new table blob in
   // name order (deterministic contents), then the dictionary blob, then
@@ -732,12 +724,6 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         cached->second.at = LocationOf(it->second);
       }
     }
-    for (const std::string& s : options.mark_stale) {
-      live_.stale_sources.insert(s);
-    }
-    for (const std::string& s : options.clear_stale) {
-      live_.stale_sources.erase(s);
-    }
     if (on_disk) {
       for (uint64_t old_segment : dropped) {
         live_.segments.at(old_segment)->dropped.store(true);
@@ -781,8 +767,6 @@ Status Catalog::AdoptManifest(const std::string& content) {
       if (ConsumePrefix(&rest, kGenerationHeader)) {
         parsed.generation =
             std::strtoull(std::string(rest).c_str(), nullptr, 10);
-      } else if (ConsumePrefix(&rest, kStaleHeader)) {
-        parsed.stale_sources.insert(std::string(rest));
       } else if (ConsumePrefix(&rest, kSegmentHeader)) {
         if (!ParseNumbers(rest, 2, &numbers)) {
           return InvalidArgumentError("malformed manifest segment: " + line);
@@ -794,6 +778,14 @@ Status Catalog::AdoptManifest(const std::string& content) {
           return InvalidArgumentError("malformed manifest dictionary: " + line);
         }
         parsed.dictionary_blobs.push_back({numbers[0], numbers[1], numbers[2]});
+      } else if (StartsWith(trimmed, kDirectivePrefix)) {
+        // Something the writing build recorded and this one would
+        // ignore — an older build's list of ExtVP reductions that miss
+        // triples, say: serving the store regardless could answer
+        // wrongly.
+        return FailedPreconditionError(
+            "manifest generation " + std::to_string(parsed.generation) +
+            " carries a directive this build does not know: " + line);
       }
       continue;
     }
@@ -852,7 +844,8 @@ Status Catalog::AdoptNewestManifest(bool* named_by_current) {
     if (status.ok()) status = AdoptManifest(content);
     *named_by_current = status.ok();
     if (status.ok()) return status;
-    if (IsTransient(status)) return status;  // Retryable, not corruption.
+    // Retryable, or intact but unreadable here: neither is corruption.
+    if (IsTransient(status) || IsUnknownDirective(status)) return status;
     corruptions_detected_.fetch_add(1, std::memory_order_relaxed);
     // Fall through to the chain scan.
   } else if (IsTransient(current_status)) {
@@ -874,9 +867,8 @@ Status Catalog::AdoptNewestManifest(bool* named_by_current) {
     for (const auto& [gen, file] : candidates) {
       std::string content;
       if (!ReadFileRetrying(dir_ + "/" + file, &content).ok()) continue;
-      if (AdoptManifest(content).ok()) {
-        return Status::Ok();
-      }
+      Status adopted = AdoptManifest(content);
+      if (adopted.ok() || IsUnknownDirective(adopted)) return adopted;
     }
   }
   return NotFoundError("no readable manifest in " + dir_);

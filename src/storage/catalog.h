@@ -44,8 +44,9 @@
 // checksummed, carrying their generation and the live segments' sizes)
 // plus a CURRENT pointer updated atomically; if the current generation
 // is damaged, loading falls back to the newest generation that still
-// verifies. A crash before the flip
-// leaves only an unreferenced segment, which Recover() deletes.
+// verifies (one that verifies but carries a directive this build does
+// not know fails the load instead). A crash before the flip leaves only
+// an unreferenced segment, which Recover() deletes.
 //
 // Space: a commit copies forward, byte for byte, the live blobs (tables'
 // and dictionary's alike) of any older segment whose live bytes fall
@@ -62,10 +63,10 @@
 // CURRENT names — unreferenced segments.
 //
 // Readers take one immutable CatalogState (State()) and read every
-// statistic, quarantine and staleness bit and table of one generation
-// from it; a commit that lands meanwhile changes nothing they see. A
-// segment file is removed once no generation the catalog serves and no
-// state a reader holds references it.
+// statistic, quarantine bit and table of one generation from it; a
+// commit that lands meanwhile changes nothing they see. A segment file
+// is removed once no generation the catalog serves and no state a
+// reader holds references it.
 //
 // Thread safety: all public methods are safe to call concurrently,
 // except that commits (CommitBatch, SaveManifest) must be serialized by
@@ -140,13 +141,8 @@ struct TableUpdate {
   bool retain_table = false;
 };
 
-// Staleness bookkeeping attached to a CommitBatch (see Staleness below).
+// What a CommitBatch carries besides its table updates.
 struct CommitOptions {
-  // Base VP tables whose dependent ExtVP reductions/SF stats were NOT
-  // delta-maintained by this batch (deferred mode).
-  std::vector<std::string> mark_stale;
-  // Sources whose dependents this batch brought back up to date.
-  std::vector<std::string> clear_stale;
   // The dictionary terms minted since the previous commit, as one blob
   // (rdf::Dictionary::Serialize), which the catalog stores as opaque
   // bytes and appends to CatalogState::dictionary_blobs. Empty adds
@@ -170,9 +166,6 @@ struct CatalogState {
   std::unordered_map<std::string, std::shared_ptr<const rdf::Table>> handles;
   // Tables that failed verification; never loaded again this run.
   std::set<std::string, std::less<>> quarantined;
-  // Base VP tables whose ExtVP dependents are pending a deferred refresh
-  // (see Catalog's Staleness section).
-  std::set<std::string, std::less<>> stale_sources;
   // Live segment files by generation.
   std::map<uint64_t, std::shared_ptr<SegmentFile>> segments;
   // Where each committed dictionary blob lies, in id order (see
@@ -209,8 +202,8 @@ class Catalog {
                     double selectivity);
 
   // Atomically applies `updates` together with everything staged — the
-  // one commit path of Create, ingest and refresh. Protocol: the blobs
-  // of every table the commit materializes, its dictionary blob and the
+  // one commit path of Create and ingest. Protocol: the blobs of every
+  // table the commit materializes, its dictionary blob and the
   // live blobs copied forward from sparse segments land in
   // "segment-<g>.s2seg", which is fsynced once and read back; then
   // manifest generation g is written and read back, and CURRENT flips
@@ -301,7 +294,10 @@ class Catalog {
 
   // Restores the stats from the manifest chain: CURRENT's generation if
   // it verifies, else the newest generation that does. NotFound when no
-  // generation verifies.
+  // generation verifies. FailedPrecondition, naming the line, when the
+  // manifest it reaches verifies but carries a "# s2rdf-" directive this
+  // build does not know: that manifest is intact, so no older generation
+  // stands in for it, and Recover() then removes nothing.
   Status LoadManifest();
 
   // Startup recovery: LoadManifest, then read each referenced segment
@@ -322,23 +318,6 @@ class Catalog {
   // for a quarantined or corrupt one (at table selection or mid-query).
   // const because the compiler only holds a const catalog reference.
   void NoteDegradedQuery() const;
-
-  // --- Staleness (deferred ExtVP/SF maintenance) --------------------------
-  //
-  // A deferred ingest batch appends to a VP table without delta-
-  // maintaining its dependent ExtVP reductions; until a refresh catches
-  // up, those reductions MISS the new triples (they are no longer
-  // supersets of a fresh semi-join), so table selection must not scan
-  // them and the optimizer falls back to conservative estimates. The
-  // stale set (CatalogState::stale_sources) is keyed by the *source* VP
-  // table name, changed only by the commit that marks or clears it
-  // (CommitOptions), and persisted in the manifest, so staleness
-  // survives restarts.
-
-  // Incremented by the cardinality estimator when a statistic was
-  // ignored because its source is stale (conservative fallback).
-  void NoteStaleSfFallback() const;
-  uint64_t stale_sf_fallbacks() const;
 
   // Monitoring counters (exposed via the endpoint's /metrics).
   uint64_t corruptions_detected() const;
@@ -427,7 +406,6 @@ class Catalog {
   mutable std::atomic<uint64_t> queries_degraded_{0};
   mutable std::atomic<uint64_t> quarantined_count_{0};
   mutable std::atomic<uint64_t> read_retries_{0};
-  mutable std::atomic<uint64_t> stale_sf_fallbacks_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> cache_evictions_{0};

@@ -8,11 +8,14 @@
 // Batched incremental ingest — the unit of the crash-safe append path.
 // A batch carries canonical-term triples; core::ApplyIngestBatch encodes
 // them, appends to the triples table and the per-predicate VP tables,
-// delta-maintains the dependent ExtVP reductions and their SF statistics
-// (or defers that work, marking the sources stale), and commits
-// everything through one atomic Catalog::CommitBatch. The batch either
-// becomes fully visible at the manifest flip or — after a crash at any
-// point — is rolled back by Catalog::Recover's orphan sweep.
+// delta-maintains every dependent ExtVP reduction and its SF statistic,
+// and commits everything through one atomic Catalog::CommitBatch. Every
+// batch is maintained this one way, so each generation holds what a full
+// rebuild over its triples would. The batch either becomes fully visible
+// at the manifest flip or — after a crash at any point — is rolled back
+// by Catalog::Recover's orphan sweep. A batch's maintenance grows with
+// the ExtVP pairs it touches more than with its triples, so a bulk
+// writer amortises it with bigger batches (tools/bulkload).
 
 namespace s2rdf::storage {
 
@@ -26,13 +29,6 @@ struct IngestTriple {
 
 struct IngestBatch {
   std::vector<IngestTriple> triples;
-  // When set, ExtVP/SF delta maintenance is skipped: the batch commits
-  // only the triples-table and VP appends and marks the touched VP
-  // tables as stale sources. Queries stay correct (stale reductions are
-  // never scanned; the optimizer ignores their statistics) but slower
-  // until RefreshStaleExtVp catches up. The fast path for latency-
-  // sensitive writers.
-  bool defer_extvp_maintenance = false;
 };
 
 struct IngestResult {
@@ -49,8 +45,6 @@ struct IngestResult {
   // ExtVP stats entries delta-maintained (materialized, amended or
   // demoted) by this batch.
   uint64_t extvp_tables_updated = 0;
-  // Source VP tables marked stale by a deferred batch.
-  uint64_t stale_sources_marked = 0;
   // Wall-clock time of the whole apply+commit, milliseconds.
   double millis = 0.0;
   // Of `millis`, the Catalog::CommitBatch call: encode, segment write,

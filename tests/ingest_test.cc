@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "core/ingest.h"
 #include "core/layout_names.h"
@@ -25,10 +29,10 @@
 // Incremental-ingest suite: delta-maintained ExtVP reductions and SF
 // statistics must be indistinguishable from a from-scratch rebuild over
 // the concatenated triple stream — same stats entries, same row
-// contents, same row ORDER — at every generation; every crash point and
-// bit-flip in the ingest path must roll back or commit atomically; and
-// deferred (stale) maintenance must degrade queries safely until a
-// refresh converges back to the rebuild state.
+// contents, same row ORDER — at every generation, whether a batch comes
+// through the API, the HTTP endpoint or the bulk loader; and every crash
+// point and bit-flip in the ingest path must roll back or commit
+// atomically.
 
 namespace s2rdf::core {
 namespace {
@@ -458,69 +462,6 @@ TEST(IngestCrashMatrixTest, BitFlipAtEveryWriteSiteIsNeverSilent) {
   }
 }
 
-// --- Deferred maintenance (staleness) ------------------------------------
-
-TEST(IngestDeferredTest, StaleDegradationThenRefreshConverges) {
-  ScopedTempDir dir;
-  S2RdfOptions options;
-  options.storage_dir = dir.path();
-  auto db = S2Rdf::Create(GraphFrom(G1()), options);
-  ASSERT_TRUE(db.ok());
-
-  IngestBatch batch = MakeBatch({{"D", "follows", "A"}, {"D", "likes", "I1"}});
-  batch.defer_extvp_maintenance = true;
-  auto result = (*db)->Ingest(batch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->triples_added, 2u);
-  EXPECT_EQ(result->extvp_tables_updated, 0u);
-  EXPECT_EQ(result->stale_sources_marked, 2u);
-  EXPECT_EQ((*db)->catalog().State()->stale_sources.size(), 2u);
-
-  // Queries stay correct: stale reductions are never scanned.
-  std::vector<T> stream = G1();
-  stream.push_back({"D", "follows", "A"});
-  stream.push_back({"D", "likes", "I1"});
-  std::unique_ptr<S2Rdf> reference = Rebuild(stream);
-  ExpectSameAnswers(db->get(), reference.get());
-
-  // The cost optimizer ignores stale statistics and counts the
-  // conservative fallback.
-  QueryRequest request;
-  request.query = kQ1;
-  request.options.optimizer.mode = OptimizerMode::kCost;
-  ASSERT_TRUE((*db)->Execute(request).ok());
-  EXPECT_GT((*db)->catalog().stale_sf_fallbacks(), 0u);
-
-  // Staleness is durable: it survives a reopen via the manifest.
-  db->reset();
-  auto reopened = S2Rdf::Open(dir.path());
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->catalog().State()->stale_sources.size(), 2u);
-  ExpectSameAnswers(reopened->get(), reference.get());
-
-  // A further non-deferred batch must not delta-maintain pairs whose
-  // sources are stale (their reductions already miss rows).
-  auto more = (*reopened)->Ingest(MakeBatch({{"E", "follows", "D"}}));
-  ASSERT_TRUE(more.ok()) << more.status().ToString();
-  stream.push_back({"E", "follows", "D"});
-  reference = Rebuild(stream);
-  ExpectSameAnswers(reopened->get(), reference.get());
-  EXPECT_EQ((*reopened)->catalog().State()->stale_sources.size(), 2u);
-
-  // Refresh recomputes everything stale and converges to the rebuild.
-  auto refreshed = (*reopened)->RefreshStaleExtVp();
-  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
-  EXPECT_GT(*refreshed, 0u);
-  EXPECT_EQ((*reopened)->catalog().State()->stale_sources.size(), 0u);
-  ExpectStoresIdentical(reopened->get(), reference.get());
-  ExpectSameAnswers(reopened->get(), reference.get());
-
-  // Idempotent when nothing is stale.
-  auto again = (*reopened)->RefreshStaleExtVp();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, 0u);
-}
-
 // --- Quarantine interaction (recovery races) -----------------------------
 
 TEST(IngestRecoveryTest, QuarantinedVpReingestedUnderSameName) {
@@ -633,29 +574,28 @@ TEST(IngestRecoveryTest, CorruptUncommittedDictionaryDebrisIsSwept) {
   ExpectSameAnswers(reopened->get(), Rebuild(stream).get());
 }
 
-TEST(IngestRecoveryTest, RefreshOnlyGenerationReadsThePreviousDictionary) {
+TEST(IngestRecoveryTest, GenerationMintingNoTermsReadsThePreviousDictionary) {
   ScopedTempDir dir;
   std::vector<T> stream = G1();
+  const std::vector<T> minting = {{"D", "follows", "E"}, {"E", "likes", "I3"}};
+  // Every term of this batch is in the dictionary already.
+  const std::vector<T> known = {{"E", "follows", "A"}, {"D", "likes", "I3"}};
   {
     S2RdfOptions options;
     options.storage_dir = dir.path();
     auto db = S2Rdf::Create(GraphFrom(stream), options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    IngestBatch batch =
-        MakeBatch({{"D", "follows", "E"}, {"E", "likes", "I3"}});
-    batch.defer_extvp_maintenance = true;
-    auto result = (*db)->Ingest(batch);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_EQ(result->generation, 2u);
-    auto refreshed = (*db)->RefreshStaleExtVp();
-    ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
-    ASSERT_GT(*refreshed, 0u);
+    for (const std::vector<T>& batch : {minting, known}) {
+      auto result = (*db)->Ingest(MakeBatch(batch));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->triples_added, batch.size());
+    }
     ASSERT_EQ((*db)->catalog().State()->generation, 3u);
   }
-  stream.push_back({"D", "follows", "E"});
-  stream.push_back({"E", "likes", "I3"});
-  // The refresh added no terms, so generation 3 commits no dictionary
-  // blob of its own: its manifest lists Create's and the batch's.
+  stream.insert(stream.end(), minting.begin(), minting.end());
+  stream.insert(stream.end(), known.begin(), known.end());
+  // Generation 3 minted no terms, so it commits no dictionary blob of its
+  // own: its manifest lists Create's and generation 2's.
   Catalog catalog(dir.path());
   ASSERT_TRUE(catalog.LoadManifest().ok());
   EXPECT_EQ(catalog.State()->generation, 3u);
@@ -699,6 +639,86 @@ TEST(IngestRecoveryTest, DamagedManifestOverAHollowFallbackFailsOpen) {
   auto db = S2Rdf::Open(dir.path());
   EXPECT_FALSE(db.ok());
   EXPECT_TRUE(PathExists(segment_2));
+}
+
+// The directory listing, sorted.
+std::vector<std::string> DirListing(const std::string& dir) {
+  auto files = ListDir(dir);
+  EXPECT_TRUE(files.ok());
+  if (!files.ok()) return {};
+  std::sort(files->begin(), files->end());
+  return *files;
+}
+
+// `manifest` with `line` inserted after its generation line, sealed with
+// a checksum that verifies when `reseal`, else with the old one.
+std::string WithManifestLine(const std::string& manifest,
+                             const std::string& line, bool reseal) {
+  const size_t checksum_at = manifest.rfind("# checksum=");
+  EXPECT_NE(checksum_at, std::string::npos);
+  std::string body = manifest.substr(0, checksum_at);
+  body.insert(body.find('\n') + 1, line + "\n");
+  if (!reseal) return body + manifest.substr(checksum_at);
+  char checksum[32];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(body)));
+  return body + "# checksum=" + checksum + "\n";
+}
+
+TEST(IngestRecoveryTest, UnknownManifestDirectiveFailsOpenAndRemovesNothing) {
+  ScopedTempDir dir;
+  std::string vp_likes;
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    auto db = S2Rdf::Create(GraphFrom(G1()), options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    vp_likes = VpTableName(*(*db)->graph().dictionary().Find("<likes>"));
+    auto result = (*db)->Ingest(MakeBatch(CrashBatch()));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->generation, 2u);
+  }
+  // A directive this build does not parse: the line a build with
+  // deferred ExtVP maintenance wrote for a VP table whose reductions
+  // missed triples.
+  const std::string directive = "# s2rdf-stale " + vp_likes;
+  const std::string manifest = dir.path() + "/manifest-2.tsv";
+  std::string content;
+  ASSERT_TRUE(ReadFile(manifest, &content).ok());
+
+  // Bytes that fail the checksum are damage: loading falls back to
+  // generation 1, whose manifest verifies.
+  ASSERT_TRUE(WriteFile(manifest, WithManifestLine(content, directive,
+                                                   /*reseal=*/false))
+                  .ok());
+  {
+    Catalog catalog(dir.path());
+    ASSERT_TRUE(catalog.LoadManifest().ok());
+    EXPECT_EQ(catalog.State()->generation, 1u);
+  }
+
+  // Sealed, the manifest is intact but unreadable here: no older
+  // generation stands in, and recovery sweeps nothing — not even the
+  // staging debris and the orphan segment it would otherwise remove.
+  ASSERT_TRUE(WriteFile(manifest, WithManifestLine(content, directive,
+                                                   /*reseal=*/true))
+                  .ok());
+  ASSERT_TRUE(WriteFile(dir.path() + "/segment-3.s2seg", "debris").ok());
+  ASSERT_TRUE(WriteFile(dir.path() + "/manifest-3.tsv.tmp", "debris").ok());
+  const std::vector<std::string> before = DirListing(dir.path());
+  {
+    Catalog catalog(dir.path());
+    Status loaded = catalog.LoadManifest();
+    EXPECT_EQ(loaded.code(), StatusCode::kFailedPrecondition)
+        << loaded.ToString();
+    EXPECT_EQ(catalog.corruptions_detected(), 0u);
+  }
+  auto db = S2Rdf::Open(dir.path());
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(db.status().message().find(directive), std::string::npos)
+      << db.status().ToString();
+  EXPECT_EQ(DirListing(dir.path()), before);
 }
 
 TEST(IngestDurabilityTest, ABatchCommitsLikeCreate) {
@@ -801,15 +821,15 @@ TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
   ExpectSameAnswers(reopened->get(), reference.get());
 }
 
-// Readers query the store while batches commit, eagerly or deferred.
-// With the table cache capped at one byte every scan reads its table back
-// from the segments, so the readers race each commit's manifest flip,
-// copy-forward and segment removal; on a lazy store they also stage
-// ExtVP pairs while the commits run. Every query must succeed with the
+// Readers query the store while batches commit. With the table cache
+// capped at one byte every scan reads its table back from the segments,
+// so the readers race each commit's manifest flip, copy-forward and
+// segment removal; on a lazy store they also stage ExtVP pairs while the
+// commits run. Every query must succeed with the
 // answer of one committed generation — an in-memory rebuild of the batch
 // prefix — and once the last batch has committed the store must answer
 // as a rebuild does.
-enum class IngestMode { kEager, kDeferred, kLazyStore };
+enum class IngestMode { kEager, kLazyStore };
 
 void QueriesDuringIngest(IngestMode mode) {
   using Rows = std::vector<std::vector<std::string>>;
@@ -863,9 +883,7 @@ void QueriesDuringIngest(IngestMode mode) {
     });
   }
   for (int b = 0; b < kBatches; ++b) {
-    IngestBatch batch = MakeBatch(GrowthBatch(b));
-    batch.defer_extvp_maintenance = mode == IngestMode::kDeferred;
-    auto result = store->Ingest(batch);
+    auto result = store->Ingest(MakeBatch(GrowthBatch(b)));
     EXPECT_TRUE(result.ok()) << result.status().ToString();
   }
   // Let the readers see the final generation too.
@@ -879,20 +897,13 @@ void QueriesDuringIngest(IngestMode mode) {
 
   std::unique_ptr<S2Rdf> reference = Rebuild(stream);
   ExpectSameAnswers(store, reference.get());
-  if (mode == IngestMode::kDeferred) {
-    ASSERT_TRUE(store->RefreshStaleExtVp().ok());
-  }
-  if (mode != IngestMode::kLazyStore) {
+  if (mode == IngestMode::kEager) {
     ExpectStoresIdentical(store, reference.get());
   }
 }
 
 TEST(IngestConcurrencyTest, QueriesDuringIngestSucceedAndConverge) {
   QueriesDuringIngest(IngestMode::kEager);
-}
-
-TEST(IngestConcurrencyTest, QueriesDuringDeferredIngestSucceedAndConverge) {
-  QueriesDuringIngest(IngestMode::kDeferred);
 }
 
 TEST(IngestConcurrencyTest, LazyStoreQueriesDuringIngestSucceed) {
@@ -921,9 +932,91 @@ TEST(IngestRetryTest, TransientReadFailuresAreRetriedAndCounted) {
   ExpectStoresIdentical(db->get(), reference.get());
 }
 
+// --- The bulk loader ------------------------------------------------------
+
+// `triples` as N-Triples text.
+std::string NTriples(const std::vector<T>& triples) {
+  std::string text;
+  for (const T& t : triples) {
+    text += "<" + t.s + "> <" + t.p + "> <" + t.o + "> .\n";
+  }
+  return text;
+}
+
+// Runs the s2rdf_bulkload binary with `args`; returns its exit code and
+// puts what it printed in `*output`.
+int RunBulkload(const std::string& args, std::string* output) {
+  ScopedTempDir temp;
+  const std::string out = temp.path() + "/out.txt";
+  const std::string command =
+      std::string(S2RDF_BULKLOAD) + " " + args + " > '" + out + "' 2>&1";
+  const int status = std::system(command.c_str());
+  EXPECT_TRUE(ReadFile(out, output).ok());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(IngestBulkloadTest, SmallBatchesMatchARebuild) {
+  ScopedTempDir dir;
+  ScopedTempDir input;
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    ASSERT_TRUE(S2Rdf::Create(GraphFrom(G1()), options).ok());
+  }
+  std::vector<T> stream = G1();
+  std::vector<T> load;
+  for (int b = 0; b < 3; ++b) {
+    const std::vector<T> batch = GrowthBatch(b);
+    load.insert(load.end(), batch.begin(), batch.end());
+  }
+  const std::string file = input.path() + "/load.nt";
+  ASSERT_TRUE(WriteFile(file, NTriples(load)).ok());
+
+  std::string output;
+  ASSERT_EQ(RunBulkload("'" + dir.path() + "' --batch-size=5 '" + file + "'",
+                        &output),
+            0)
+      << output;
+  // 12 triples in batches of 5: three commits.
+  int batches = 0;
+  for (const std::string& line : StrSplit(output, '\n')) {
+    if (StartsWith(line, "batch ")) ++batches;
+  }
+  EXPECT_EQ(batches, 3) << output;
+
+  stream.insert(stream.end(), load.begin(), load.end());
+  auto reopened = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->catalog().State()->generation, 4u);
+  std::unique_ptr<S2Rdf> reference = Rebuild(stream);
+  ExpectStoresIdentical(reopened->get(), reference.get());
+  ExpectSameAnswers(reopened->get(), reference.get());
+}
+
+TEST(IngestBulkloadTest, UnknownFlagExitsTwoAndCommitsNothing) {
+  ScopedTempDir dir;
+  ScopedTempDir input;
+  {
+    S2RdfOptions options;
+    options.storage_dir = dir.path();
+    ASSERT_TRUE(S2Rdf::Create(GraphFrom(G1()), options).ok());
+  }
+  const std::string file = input.path() + "/load.nt";
+  ASSERT_TRUE(WriteFile(file, NTriples(GrowthBatch(0))).ok());
+
+  std::string output;
+  EXPECT_EQ(
+      RunBulkload("'" + dir.path() + "' --defer '" + file + "'", &output), 2)
+      << output;
+  auto reopened = S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->catalog().State()->generation, 1u);
+  ExpectSameAnswers(reopened->get(), Rebuild(G1()).get());
+}
+
 // --- HTTP surface ---------------------------------------------------------
 
-TEST(IngestHttpTest, PostIngestDeferAndRefreshEndToEnd) {
+TEST(IngestHttpTest, PostIngestEndToEndIgnoresRetiredParameters) {
   auto db = S2Rdf::Create(GraphFrom(G1()), S2RdfOptions());
   ASSERT_TRUE(db.ok());
   server::SparqlEndpoint endpoint(db->get());
@@ -944,23 +1037,27 @@ TEST(IngestHttpTest, PostIngestDeferAndRefreshEndToEnd) {
   EXPECT_EQ(SortedRows(db->get(), "SELECT * WHERE { <D> <follows> ?o }")
                 .size(),
             1u);
+  std::vector<T> stream = G1();
+  stream.push_back({"D", "follows", "A"});
 
-  // Deferred batch, then refresh.
+  // Query parameters are ignored: a ?defer=1 batch is maintained like
+  // any other, and ?refresh=1 with no body posts an empty batch.
   request.query_string = "defer=1";
   request.body = "<E> <likes> <I2> .\n";
   response = endpoint.Handle(request);
   EXPECT_EQ(response.status_code, 200) << response.body;
-  EXPECT_NE(response.body.find("\"stale_sources_marked\":1"),
-            std::string::npos)
+  EXPECT_NE(response.body.find("\"triples_added\":1"), std::string::npos)
       << response.body;
-  EXPECT_EQ((*db)->catalog().State()->stale_sources.size(), 1u);
+  stream.push_back({"E", "likes", "I2"});
+  ExpectStoresIdentical(db->get(), Rebuild(stream).get());
 
   request.query_string = "refresh=1";
   request.body.clear();
   response = endpoint.Handle(request);
   EXPECT_EQ(response.status_code, 200) << response.body;
-  EXPECT_NE(response.body.find("\"extvp_refreshed\""), std::string::npos);
-  EXPECT_EQ((*db)->catalog().State()->stale_sources.size(), 0u);
+  EXPECT_NE(response.body.find("\"triples_added\":0"), std::string::npos)
+      << response.body;
+  ExpectStoresIdentical(db->get(), Rebuild(stream).get());
 
   // A malformed body fails loudly and is counted.
   request.query_string.clear();
@@ -972,7 +1069,7 @@ TEST(IngestHttpTest, PostIngestDeferAndRefreshEndToEnd) {
   request.body.clear();
   response = endpoint.Handle(request);
   EXPECT_EQ(response.status_code, 200);
-  EXPECT_NE(response.body.find("s2rdf_ingest_batches_total 2"),
+  EXPECT_NE(response.body.find("s2rdf_ingest_batches_total 3"),
             std::string::npos)
       << response.body;
   EXPECT_NE(response.body.find("s2rdf_ingest_failures_total 1"),
@@ -980,8 +1077,7 @@ TEST(IngestHttpTest, PostIngestDeferAndRefreshEndToEnd) {
       << response.body;
   EXPECT_NE(response.body.find("s2rdf_read_retries_total"),
             std::string::npos);
-  EXPECT_NE(response.body.find("s2rdf_stale_extvp_sources 0"),
-            std::string::npos)
+  EXPECT_EQ(response.body.find("s2rdf_stale"), std::string::npos)
       << response.body;
 }
 
