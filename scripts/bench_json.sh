@@ -10,8 +10,10 @@
 #   BENCH_optimizer.json — paper vs cost-based optimizer on the WatDiv
 #                          suite + the IL unbound-query set
 #   BENCH_ingest.json    — incremental ingest (ExtVP delta maintenance)
-#                          vs full rebuild; gates on store identity and
-#                          a >= 3x speedup
+#                          vs full rebuild; gates on store identity, a
+#                          >= 3x speedup, and durable batches whose
+#                          bytes written at SF 4 stay within 1.5x of
+#                          SF 1
 #   BENCH_serving.json   — open-loop HTTP serving tail latency
 #                          (p50/p99/p999 + error rate per arrival rate);
 #                          gates on error rate, trace-header presence

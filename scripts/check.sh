@@ -84,6 +84,17 @@ if grep -q '"gated": true' BENCH_parallel.json; then
   fi
 fi
 
+# The committed ingest baseline must have passed its gates when recorded,
+# the durable leg's among them: SF-4 bytes written per batch within 1.5x
+# of SF 1, i.e. a batch writes what it adds, not a copy of the store.
+if ! grep -q '"durable_bytes_gate_passed": true' BENCH_ingest.json ||
+   ! grep -q '"gate_passed": true' BENCH_ingest.json; then
+  echo "error: BENCH_ingest.json was recorded without passing its identity," >&2
+  echo "  speedup and durable-bytes gates; re-record it with" >&2
+  echo "  scripts/bench_json.sh and commit it" >&2
+  exit 1
+fi
+
 # The committed serving baseline must itself have passed its gates when
 # recorded — a floor-violating or error-ridden JSON would gate future
 # runs against a known-bad tail.

@@ -1,11 +1,13 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <bit>
+#include <charconv>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -33,11 +35,17 @@ uint64_t SoKey(TermId s, TermId o) {
 // The column names of VP and ExtVP tables.
 std::vector<std::string> SoColumns() { return {"s", "o"}; }
 
+// Row indices [begin, end): the rows an append adds.
+std::vector<uint32_t> RowRange(size_t begin, size_t end) {
+  std::vector<uint32_t> rows(end - begin);
+  std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(begin));
+  return rows;
+}
+
 // A set of term ids as a bitset over [0, largest id]: term ids are dense,
-// so any set of them — a VP column's join keys, a batch's subjects, the
-// store's predicates — fits in one bit per dictionary term. The last
-// word is always zero, and an id past the set's range reads it: a probe
-// takes no branch.
+// so any set of them — a VP column's join keys, a batch's subjects —
+// fits in one bit per dictionary term. The last word is always zero, and
+// an id past the set's range reads it: a probe takes no branch.
 class TermSet {
  public:
   void Insert(TermId id) {
@@ -48,16 +56,6 @@ class TermSet {
   bool Contains(TermId id) const {
     const size_t word = std::min<size_t>(id >> 6, words_.size() - 1);
     return ((words_[word] >> (id & 63)) & 1) != 0;
-  }
-  // The members, ascending.
-  std::vector<TermId> Ids() const {
-    std::vector<TermId> ids;
-    for (size_t w = 0; w < words_.size(); ++w) {
-      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-        ids.push_back(static_cast<TermId>(w * 64 + std::countr_zero(bits)));
-      }
-    }
-    return ids;
   }
 
  private:
@@ -153,10 +151,10 @@ class DeltaMaintainer {
     if (new_vp1_rows == 0) return Status::Ok();
 
     uint64_t count;
-    std::optional<rdf::Table> rows;  // Computed only when it can gain.
+    std::optional<Rows> rows;  // Computed only when it can gain.
     if (gain_possible) {
       S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
-      count = rows->NumRows();
+      count = rows->table.NumRows();
     } else {
       if (old == nullptr || old->rows == 0) return Status::Ok();
       count = old->rows;
@@ -188,7 +186,8 @@ class DeltaMaintainer {
       if (!rows.has_value()) {
         S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
       }
-      update.table = std::move(rows);
+      update.table = std::move(rows->table);
+      update.new_rows = std::move(rows->added);
     } else {
       update.rows = count;  // SF = 1 or pruned: statistics only.
     }
@@ -202,21 +201,32 @@ class DeltaMaintainer {
     return it == delta_->end() ? nullptr : &it->second;
   }
 
-  // Join-key set of the updated VP_p2's `right_col`, cached per
-  // (predicate, column).
-  StatusOr<const TermSet*> RightKeys(TermId p2, int right_col) {
+  // The join keys of the updated VP_p2's `right_col` (`all`), and those
+  // of them the old VP_p2 lacks, which the delta added (`added`).
+  struct JoinKeys {
+    TermSet all;
+    TermSet added;
+  };
+
+  // The join keys of VP_p2's `right_col`, cached per (predicate, column).
+  StatusOr<const JoinKeys*> RightKeys(TermId p2, int right_col) {
     uint64_t cache_key = (static_cast<uint64_t>(p2) << 1) |
                          static_cast<uint64_t>(right_col);
     auto it = right_keys_.find(cache_key);
     if (it != right_keys_.end()) return it->second.get();
     S2RDF_ASSIGN_OR_RETURN(const rdf::Table* vp2, vp_->Table(p2));
-    auto keys = std::make_unique<TermSet>();
-    for (const rdf::Table* rows : {vp2, DeltaOf(p2)}) {
-      if (rows == nullptr) continue;
-      const TermId* column = rows->ColumnData(right_col);
-      for (size_t r = 0; r < rows->NumRows(); ++r) keys->Insert(column[r]);
+    auto keys = std::make_unique<JoinKeys>();
+    const TermId* column = vp2->ColumnData(right_col);
+    for (size_t r = 0; r < vp2->NumRows(); ++r) keys->all.Insert(column[r]);
+    if (const rdf::Table* delta = DeltaOf(p2); delta != nullptr) {
+      column = delta->ColumnData(right_col);
+      for (size_t r = 0; r < delta->NumRows(); ++r) {
+        if (keys->all.Contains(column[r])) continue;
+        keys->added.Insert(column[r]);
+        keys->all.Insert(column[r]);
+      }
     }
-    const TermSet* out = keys.get();
+    const JoinKeys* out = keys.get();
     right_keys_.emplace(cache_key, std::move(keys));
     return out;
   }
@@ -226,7 +236,7 @@ class DeltaMaintainer {
   StatusOr<size_t> Reduce(const rdf::Table& from, const ExtVpPair& pair,
                           std::vector<uint32_t>* rows) {
     const CorrelationRoles& roles = RolesOf(pair.corr);
-    S2RDF_ASSIGN_OR_RETURN(const TermSet* keys,
+    S2RDF_ASSIGN_OR_RETURN(const JoinKeys* keys,
                            RightKeys(pair.p2, roles.right));
     const TermId* column = from.ColumnData(roles.left);
     // Every row is written and only a match advances: no branch on it.
@@ -234,19 +244,28 @@ class DeltaMaintainer {
     size_t count = 0;
     for (size_t r = 0; r < from.NumRows(); ++r) {
       (*rows)[count] = static_cast<uint32_t>(r);
-      count += keys->Contains(column[r]) ? 1 : 0;
+      count += keys->all.Contains(column[r]) ? 1 : 0;
     }
     return count;
   }
+
+  // The pair's full (s, o) table, and the ascending indices of its rows
+  // that the pair's current reduction lacks.
+  struct Rows {
+    rdf::Table table;
+    std::vector<uint32_t> added;
+  };
 
   // Recomputes the pair's full (s, o) table in the updated VP_p1's row
   // order: the surviving pre-batch rows first (part 1), then the
   // surviving batch rows (part 2) — exactly the order a from-scratch
   // rebuild over the concatenated triple stream emits. The table is
-  // sized once, to its rows.
-  StatusOr<rdf::Table> ComputeRows(const std::string& name,
-                                   const storage::TableStats* old,
-                                   const ExtVpPair& pair) {
+  // sized once, to its rows. Its rows the current reduction lacks are
+  // part 1's retro-gains — old VP_p1 rows whose join key the batch added
+  // to VP_p2, anywhere among the old rows — and every row of part 2.
+  StatusOr<Rows> ComputeRows(const std::string& name,
+                             const storage::TableStats* old,
+                             const ExtVpPair& pair) {
     S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
     const rdf::Table* delta_p1 = DeltaOf(pair.p1);
     const rdf::Table* delta_p2 = DeltaOf(pair.p2);
@@ -291,15 +310,29 @@ class DeltaMaintainer {
       S2RDF_ASSIGN_OR_RETURN(part2, Reduce(*delta_p1, pair, &part2_rows_));
     }
 
-    rdf::Table out(SoColumns());
-    out.Reserve(part1 + part2);
+    Rows out{rdf::Table(SoColumns()), {}};
+    out.table.Reserve(part1 + part2);
     if (whole != nullptr) {
-      out.Append(*whole);
+      out.table.Append(*whole);
     } else if (reduce_old) {
-      out.AppendGather(*old_vp1, {0, 1}, part1_rows_.data(), part1);
+      out.table.AppendGather(*old_vp1, {0, 1}, part1_rows_.data(), part1);
+    }
+    if (reduce_old && right_may_grow) {
+      const CorrelationRoles& roles = RolesOf(pair.corr);
+      S2RDF_ASSIGN_OR_RETURN(const JoinKeys* keys,
+                             RightKeys(pair.p2, roles.right));
+      const TermId* column = old_vp1->ColumnData(roles.left);
+      for (size_t i = 0; i < part1; ++i) {
+        if (keys->added.Contains(column[part1_rows_[i]])) {
+          out.added.push_back(static_cast<uint32_t>(i));
+        }
+      }
     }
     if (part2 > 0) {
-      out.AppendGather(*delta_p1, {0, 1}, part2_rows_.data(), part2);
+      out.table.AppendGather(*delta_p1, {0, 1}, part2_rows_.data(), part2);
+      for (size_t i = part1; i < part1 + part2; ++i) {
+        out.added.push_back(static_cast<uint32_t>(i));
+      }
     }
     return out;
   }
@@ -309,7 +342,7 @@ class DeltaMaintainer {
   const storage::CatalogState& state_;
   VpSource* vp_;
   const std::unordered_map<TermId, rdf::Table>* delta_;
-  std::unordered_map<uint64_t, std::unique_ptr<TermSet>> right_keys_;
+  std::unordered_map<uint64_t, std::unique_ptr<JoinKeys>> right_keys_;
   // Reduce's row indices of parts 1 and 2, reused across pairs.
   std::vector<uint32_t> part1_rows_;
   std::vector<uint32_t> part2_rows_;
@@ -386,7 +419,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     std::vector<TermId>& list = preds_by_column[column][slot];
     if (list.empty() || list.back() != p) list.push_back(p);
   };
-  TermSet predicates;
   {
     const TermId* tt_s = old_tt->ColumnData(0);
     const TermId* tt_p = old_tt->ColumnData(1);
@@ -395,7 +427,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       const TermId s = tt_s[r];
       const TermId p = tt_p[r];
       const TermId o = tt_o[r];
-      predicates.Insert(p);
       if (const uint32_t slot = slot_of(s); slot != kNoSlot) note(0, slot, p);
       if (const uint32_t slot = slot_of(o); slot != kNoSlot) note(1, slot, p);
       if (subjects.Contains(s)) {
@@ -426,7 +457,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     surviving.push_back(t);
     note(0, slots[t.subject], t.predicate);
     note(1, slots[t.object], t.predicate);
-    predicates.Insert(t.predicate);
   }
   result.triples_added = surviving.size();
   if (surviving.empty()) {
@@ -439,8 +469,6 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       list.erase(std::unique(list.begin(), list.end()), list.end());
     }
   }
-  const std::vector<TermId> all_preds = predicates.Ids();
-
   VpSource old_vp(catalog, *state, old_tt);
   DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta);
 
@@ -454,6 +482,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     }
     TableUpdate update;
     update.name = TriplesTableName();
+    update.new_rows = RowRange(old_tt->NumRows(), new_tt.NumRows());
     update.table = std::move(new_tt);
     maintainer.updates().push_back(std::move(update));
   }
@@ -466,6 +495,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     new_vp.Append(added);
     TableUpdate update;
     update.name = VpTableName(p);
+    update.new_rows = RowRange(old_rows->NumRows(), new_vp.NumRows());
     update.table = std::move(new_vp);
     maintainer.updates().push_back(std::move(update));
   }
@@ -503,12 +533,24 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     }
     // Every other pair whose left VP grew keeps its rows but sees a new
     // SF denominator (which can cross the materialization threshold in
-    // either direction).
+    // either direction). Only a pair with an entry can change: walk the
+    // state's entries named for each such p1.
     for (TermId p1 : delta_preds) {
-      for (TermId p2 : all_preds) {
-        for (const CorrelationRoles& roles : kCorrelationRoles) {
+      for (const CorrelationRoles& roles : kCorrelationRoles) {
+        const std::string prefix = ExtVpTablePrefix(roles.corr, p1);
+        for (auto it = state->stats.lower_bound(prefix);
+             it != state->stats.end() && it->first.starts_with(prefix);
+             ++it) {
+          const std::string_view p2_digits =
+              std::string_view(it->first).substr(prefix.size());
+          TermId p2 = 0;
+          const auto [end, error] = std::from_chars(
+              p2_digits.data(), p2_digits.data() + p2_digits.size(), p2);
+          if (error != std::errc() ||
+              end != p2_digits.data() + p2_digits.size()) {
+            continue;
+          }
           const ExtVpPair pair{roles.corr, p1, p2};
-          if (pair.corr == Correlation::kSS && p1 == p2) continue;
           if (affected.contains(pair)) continue;
           S2RDF_RETURN_IF_ERROR(
               maintainer.MaintainPair(pair, /*gain_possible=*/false));
@@ -527,9 +569,13 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     commit.dictionary_blob = dict->Serialize(*dict_committed, minted);
   }
   const auto commit_start = MonotonicNow();
+  storage::CommitReport report;
   S2RDF_RETURN_IF_ERROR(
-      catalog->CommitBatch(std::move(maintainer.updates()), commit));
+      catalog->CommitBatch(std::move(maintainer.updates()), commit, &report));
   result.commit_millis = MillisSince(commit_start);
+  result.bytes_written = report.bytes_written;
+  result.tables_patched = report.tables_patched;
+  result.tables_written_whole = report.tables_written_whole;
   *dict_committed = minted;
   result.generation = catalog->State()->generation;
   result.millis = MillisSince(start);

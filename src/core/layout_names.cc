@@ -9,13 +9,16 @@ std::string VpTableName(rdf::TermId predicate) {
 }
 
 std::string ExtVpTableName(Correlation corr, rdf::TermId p1, rdf::TermId p2) {
-  std::string name = "extvp_";
-  name += CorrelationName(corr);
-  name += '_';
-  name += std::to_string(p1);
-  name += '_';
-  name += std::to_string(p2);
-  return name;
+  return ExtVpTablePrefix(corr, p1) + std::to_string(p2);
+}
+
+std::string ExtVpTablePrefix(Correlation corr, rdf::TermId p1) {
+  std::string prefix = "extvp_";
+  prefix += CorrelationName(corr);
+  prefix += '_';
+  prefix += std::to_string(p1);
+  prefix += '_';
+  return prefix;
 }
 
 std::string PropertyTableName() { return "pt"; }

@@ -64,6 +64,9 @@ inline constexpr char kExtVpMarker[] = "meta_extvp";
 std::string TriplesTableName();
 std::string VpTableName(rdf::TermId predicate);
 std::string ExtVpTableName(Correlation corr, rdf::TermId p1, rdf::TermId p2);
+// "extvp_<corr>_<p1>_": what the names of every reduction of p1 under
+// `corr` start with, and only theirs.
+std::string ExtVpTablePrefix(Correlation corr, rdf::TermId p1);
 std::string PropertyTableName();
 std::string PropertyAuxTableName(rdf::TermId predicate);
 

@@ -216,7 +216,10 @@ StatusOr<storage::IngestResult> S2Rdf::Ingest(
               {"vp_tables_updated", result->vp_tables_updated},
               {"extvp_tables_updated", result->extvp_tables_updated},
               {"millis", result->millis},
-              {"commit_millis", result->commit_millis}});
+              {"commit_millis", result->commit_millis},
+              {"bytes_written", result->bytes_written},
+              {"tables_patched", result->tables_patched},
+              {"tables_written_whole", result->tables_written_whole}});
   } else {
     LogEvent(LogLevel::kError, "ingest_failed",
              {{"status", result.status().ToString()}});

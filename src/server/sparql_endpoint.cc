@@ -644,19 +644,25 @@ HttpResponse SparqlEndpoint::RunIngest(const HttpRequest& request) {
     ingest_failures_->Increment();
     return ErrorResponse(result.status());
   }
-  ingest_batches_->Increment();
+  // A batch that adds nothing commits no generation.
+  if (result->triples_added > 0) ingest_batches_->Increment();
   ingest_triples_->Increment(result->triples_added);
-  char body[320];
+  char body[512];
   std::snprintf(
       body, sizeof(body),
       "{\"triples_in_batch\":%llu,\"triples_added\":%llu,"
       "\"generation\":%llu,\"vp_tables_updated\":%llu,"
-      "\"extvp_tables_updated\":%llu,\"millis\":%.3f}\n",
+      "\"extvp_tables_updated\":%llu,\"bytes_written\":%llu,"
+      "\"tables_patched\":%llu,\"tables_written_whole\":%llu,"
+      "\"millis\":%.3f}\n",
       static_cast<unsigned long long>(result->triples_in_batch),
       static_cast<unsigned long long>(result->triples_added),
       static_cast<unsigned long long>(result->generation),
       static_cast<unsigned long long>(result->vp_tables_updated),
       static_cast<unsigned long long>(result->extvp_tables_updated),
+      static_cast<unsigned long long>(result->bytes_written),
+      static_cast<unsigned long long>(result->tables_patched),
+      static_cast<unsigned long long>(result->tables_written_whole),
       result->millis);
   HttpResponse response;
   response.content_type = "application/json; charset=utf-8";

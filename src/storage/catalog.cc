@@ -92,6 +92,15 @@ bool ParseNumbers(std::string_view text, size_t n,
   return numbers->size() == n;
 }
 
+// True when `rows` can name the rows a commit inserted into `table`: at
+// least one, ascending, every index a row of `table`.
+bool ValidInsertedRows(const std::vector<uint32_t>& rows,
+                       const rdf::Table& table) {
+  if (rows.empty() || rows.back() >= table.NumRows()) return false;
+  return std::adjacent_find(rows.begin(), rows.end(),
+                            std::greater_equal<uint32_t>()) == rows.end();
+}
+
 bool IsTransient(const Status& status) {
   return status.code() == StatusCode::kIoError;
 }
@@ -297,7 +306,7 @@ StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
   }
   auto handle = state.handles.find(name);
   if (handle != state.handles.end()) return handle->second;
-  const BlobLocation at = LocationOf(*stats);
+  const Extents& at = stats->extents;
   {
     MutexLock lock(&mu_);
     auto cached = cache_.find(name);
@@ -307,19 +316,16 @@ StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
       return cached->second.table;
     }
   }
-  // Read only the table's byte range, outside the lock so distinct
-  // tables page in concurrently; `state` keeps its segment on disk.
+  // Read only the table's byte ranges, outside the lock so distinct
+  // tables page in concurrently; `state` keeps their segments on disk.
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  std::string blob;
-  Status read = ReadBlob(at, &blob);
-  StatusOr<rdf::Table> table =
-      read.ok() ? DeserializeTable(blob) : StatusOr<rdf::Table>(read);
+  StatusOr<rdf::Table> table = ReadTable(at);
   MutexLock lock(&mu_);
-  // Only the blob the catalog serves now is quarantined or cached: an
-  // older state's blob is superseded either way.
+  // Only the extents the catalog serves now are quarantined or cached: an
+  // older state's are superseded either way.
   const TableStats* current = live_.Find(name);
   const bool is_current =
-      current != nullptr && current->materialized && LocationOf(*current) == at;
+      current != nullptr && current->materialized && current->extents == at;
   if (!table.ok()) {
     // Corrupt or missing on disk: quarantine so future queries degrade
     // at selection time instead of re-reading a broken blob.
@@ -342,12 +348,26 @@ StatusOr<std::shared_ptr<const rdf::Table>> Catalog::GetTable(
   return GetTable(*state, name);
 }
 
+StatusOr<rdf::Table> Catalog::ReadTable(const Extents& extents) const {
+  if (extents.empty()) return NotFoundError("table has no extent on disk");
+  std::string blob;
+  S2RDF_RETURN_IF_ERROR(ReadBlob(extents[0], &blob));
+  S2RDF_ASSIGN_OR_RETURN(rdf::Table table, DeserializeTable(blob));
+  for (size_t e = 1; e < extents.size(); ++e) {
+    S2RDF_RETURN_IF_ERROR(ReadBlob(extents[e], &blob));
+    S2RDF_ASSIGN_OR_RETURN(rdf::Table patch, DeserializeTable(blob));
+    S2RDF_RETURN_IF_ERROR(ApplyPatch(patch, &table));
+  }
+  return table;
+}
+
 void Catalog::CacheInsertLocked(const std::string& name,
                                 std::shared_ptr<const rdf::Table> table,
-                                const BlobLocation& at) {
+                                Extents at) {
   EvictFromMemoryLocked(name);  // Replace any stale copy.
   cached_bytes_ += table->ApproxBytes();
-  cache_[name] = {std::move(table), at, lru_.insert(lru_.end(), name)};
+  cache_[name] = {std::move(table), std::move(at),
+                  lru_.insert(lru_.end(), name)};
 }
 
 void Catalog::EvictFromMemoryLocked(const std::string& name) {
@@ -433,7 +453,8 @@ std::vector<const TableStats*> Catalog::AllStats() const {
 
 std::string Catalog::RenderManifest(const CatalogState& view) {
   std::string out = kGenerationHeader + std::to_string(view.generation) + "\n";
-  out += "# name\trows\tselectivity\tbytes\tmaterialized\tsegment\toffset\n";
+  out += "# name\trows\tselectivity\tbytes\tmaterialized\tsegment\toffset "
+         "(the base blob), then segment\toffset\tbytes per patch\n";
   // The live segments' sizes: the next commit's space rule needs them.
   for (const auto& [segment, file] : view.segments) {
     out += kSegmentHeader + std::to_string(segment) + "\t" +
@@ -446,16 +467,23 @@ std::string Catalog::RenderManifest(const CatalogState& view) {
            std::to_string(at.offset) + "\t" + std::to_string(at.bytes) + "\n";
   }
   for (const auto& [name, entry] : view.stats) {
+    const BlobLocation base =
+        entry.extents.empty() ? BlobLocation{} : entry.extents[0];
     char line[512];
-    std::snprintf(line, sizeof(line),
-                  "%s\t%llu\t%.17g\t%llu\t%d\t%llu\t%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(entry.rows),
+    std::snprintf(line, sizeof(line), "%s\t%llu\t%.17g\t%llu\t%d\t%llu\t%llu",
+                  name.c_str(), static_cast<unsigned long long>(entry.rows),
                   entry.selectivity,
-                  static_cast<unsigned long long>(entry.bytes),
+                  static_cast<unsigned long long>(base.bytes),
                   entry.materialized ? 1 : 0,
-                  static_cast<unsigned long long>(entry.segment),
-                  static_cast<unsigned long long>(entry.offset));
+                  static_cast<unsigned long long>(base.segment),
+                  static_cast<unsigned long long>(base.offset));
     out += line;
+    for (size_t e = 1; e < entry.extents.size(); ++e) {
+      const BlobLocation& at = entry.extents[e];
+      out += "\t" + std::to_string(at.segment) + "\t" +
+             std::to_string(at.offset) + "\t" + std::to_string(at.bytes);
+    }
+    out += "\n";
   }
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%016llx",
@@ -485,27 +513,32 @@ Status Catalog::SaveManifest() {
 }
 
 Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
-                            const CommitOptions& options) {
+                            const CommitOptions& options,
+                            CommitReport* report) {
   const bool on_disk = !dir_.empty();
-  // One table this commit writes: its next stats entry, the table whose
-  // blob it encodes (null when the entry keeps its blob or has none),
-  // and the stage sequence number of the staged version it writes (0 for
-  // a batch update).
+  // One table this commit writes: its next stats entry; the table it
+  // stores (null when the entry keeps its extents or has none) and, from
+  // a batch update, the rows of that table its committed version lacks;
+  // whether it is written as a patch; and the stage sequence number of
+  // the staged version it writes (0 for a batch update).
   struct Pending {
     TableStats stats;
     std::shared_ptr<const rdf::Table> table;
+    std::vector<uint32_t> new_rows;
+    bool patched = false;
     uint64_t staged_seq = 0;
   };
   std::map<std::string, Pending> pending;
-  CatalogState next;  // The generation's whole view.
-  // Phase 1 — under one lock hold, gather everything staged and the
-  // batch's updates over the current state.
+  // Phase 1 — under one lock hold, take the published state and gather
+  // everything staged. The batch's updates apply over that state outside
+  // the lock, where the generation's whole view is copied from it.
+  std::shared_ptr<const CatalogState> current;
   {
     MutexLock lock(&mu_);
-    if (on_disk) next = live_;
-    next.generation = live_.generation + 1;
+    if (state_ == nullptr) state_ = std::make_shared<const CatalogState>(live_);
+    current = state_;
     for (const auto& [name, seq] : staged_) {
-      Pending staged{live_.stats.at(name), nullptr, seq};
+      Pending staged{live_.stats.at(name), nullptr, {}, false, seq};
       if (staged.stats.materialized) {
         auto handle = live_.handles.find(name);
         if (handle == live_.handles.end()) {
@@ -515,62 +548,168 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       }
       pending[name] = std::move(staged);
     }
-    for (TableUpdate& update : updates) {
-      Pending entry;
-      entry.stats.name = update.name;
-      entry.stats.selectivity = update.selectivity;
-      entry.stats.rows = update.rows;
-      if (update.table.has_value()) {
-        entry.stats.rows = update.table->NumRows();
+  }
+  CatalogState next;  // The generation's whole view.
+  if (on_disk) next = *current;
+  next.generation = current->generation + 1;
+  const uint64_t gen = next.generation;
+  for (TableUpdate& update : updates) {
+    Pending entry;
+    entry.stats.name = update.name;
+    entry.stats.selectivity = update.selectivity;
+    entry.stats.rows = update.rows;
+    if (update.table.has_value()) {
+      entry.stats.rows = update.table->NumRows();
+      entry.stats.materialized = true;
+      entry.table =
+          std::make_shared<const rdf::Table>(std::move(*update.table));
+      entry.new_rows = std::move(update.new_rows);
+    } else if (update.retain_table) {
+      // Stats-only amendment: the table keeps its bytes — its staged
+      // copy, or its committed extents where they lie.
+      auto prior = pending.find(update.name);
+      const TableStats* committed = current->Find(update.name);
+      if (prior != pending.end() && prior->second.table != nullptr) {
         entry.stats.materialized = true;
-        entry.table =
-            std::make_shared<const rdf::Table>(std::move(*update.table));
-      } else if (update.retain_table) {
-        // Stats-only amendment: the table keeps its bytes — its staged
-        // copy, or its committed blob where it lies.
-        auto prior = pending.find(update.name);
-        const TableStats* current = live_.Find(update.name);
-        if (prior != pending.end() && prior->second.table != nullptr) {
-          entry.stats.materialized = true;
-          entry.table = prior->second.table;
-        } else if (current != nullptr && current->materialized) {
-          entry.stats.materialized = true;
-          entry.stats.bytes = current->bytes;
-          entry.stats.segment = current->segment;
-          entry.stats.offset = current->offset;
+        entry.table = prior->second.table;
+      } else if (committed != nullptr && committed->materialized) {
+        entry.stats.materialized = true;
+        entry.stats.bytes = committed->bytes;
+        entry.stats.extents = committed->extents;
+      }
+    }
+    pending[update.name] = std::move(entry);
+  }
+
+  // Phase 2 — lay out this generation's segment: every table blob (whole
+  // or patch) in name order (deterministic contents), then the
+  // dictionary blob, then the live extents copied forward from the
+  // segments the space rule compacts. The segment is sized once and each
+  // table blob written in place: planned (one counting pass per column)
+  // and written across the shared TaskPool, the calling thread included.
+  std::string segment;
+  // Extents copied forward: the table, its place in the chain, the old
+  // and the new location.
+  struct Move {
+    std::string name;
+    size_t extent;
+    BlobLocation from;
+    BlobLocation to;
+  };
+  std::vector<Move> moved;
+  std::vector<uint64_t> dropped;  // Segments.
+  if (on_disk) {
+    // One table blob: the committed version it patches (null when it is
+    // written whole) and how many of that version's extents it keeps.
+    struct Blob {
+      Pending* entry;
+      const TableStats* base = nullptr;
+      size_t keep = 0;
+      rdf::Table patch;
+      TableBlobPlan plan;
+    };
+    std::vector<Blob> blobs;
+    // Per older segment, the byte range covering every patch a plan may
+    // absorb there, read once, before the plans.
+    struct Covered {
+      uint64_t begin = UINT64_MAX;
+      uint64_t end = 0;
+      Status status;
+      std::string data;
+    };
+    std::map<uint64_t, Covered> covered;
+    for (auto& [name, entry] : pending) {
+      if (entry.table == nullptr) continue;
+      Blob& blob = blobs.emplace_back();
+      blob.entry = &entry;
+      if (!ValidInsertedRows(entry.new_rows, *entry.table)) continue;
+      const TableStats* committed = current->Find(name);
+      if (committed == nullptr || !committed->materialized ||
+          committed->extents.empty() || current->handles.contains(name) ||
+          current->quarantined.contains(name) ||
+          committed->rows + entry.new_rows.size() != entry.table->NumRows()) {
+        continue;
+      }
+      blob.base = committed;
+      for (size_t e = 1; e < committed->extents.size(); ++e) {
+        const BlobLocation& at = committed->extents[e];
+        Covered& range = covered[at.segment];
+        range.begin = std::min(range.begin, at.offset);
+        range.end = std::max(range.end, at.offset + at.bytes);
+      }
+    }
+    std::vector<std::pair<const uint64_t, Covered>*> ranges;
+    for (auto& range : covered) ranges.push_back(&range);
+    TaskPool* pool = TaskPool::Shared();
+    pool->ParallelFor(ranges.size(), [&](size_t i) {
+      const std::string path = SegmentPath(ranges[i]->first);
+      Covered& range = ranges[i]->second;
+      range.status = Retrying([&] {
+        return env_->ReadFileRange(path, range.begin, range.end - range.begin,
+                                   &range.data);
+      });
+    });
+    // The row indices of the older patch at `at`.
+    auto patch_rows =
+        [&](const BlobLocation& at) -> StatusOr<std::vector<uint32_t>> {
+      const Covered& range = covered.at(at.segment);
+      S2RDF_RETURN_IF_ERROR(range.status);
+      if (at.offset - range.begin + at.bytes > range.data.size()) {
+        return OutOfRangeError("patch past the end of " +
+                               SegmentPath(at.segment));
+      }
+      return PatchRows(std::string_view(range.data)
+                           .substr(at.offset - range.begin, at.bytes));
+    };
+    pool->ParallelFor(blobs.size(), [&](size_t i) {
+      Blob& blob = blobs[i];
+      const rdf::Table& table = *blob.entry->table;
+      if (blob.base != nullptr) {
+        const std::vector<BlobLocation>& extents = blob.base->extents;
+        std::vector<uint32_t> rows = blob.entry->new_rows;
+        blob.keep = extents.size();
+        blob.patch = MakePatch(table, rows);
+        blob.plan = PlanTableBlob(blob.patch);
+        // Size tiers: the patch absorbs each older one under twice its
+        // bytes.
+        while (blob.base != nullptr && blob.keep > 1 &&
+               extents[blob.keep - 1].bytes < 2 * blob.plan.bytes) {
+          StatusOr<std::vector<uint32_t>> older =
+              patch_rows(extents[blob.keep - 1]);
+          if (older.ok()) rows = MergeInsertedRows(*older, rows);
+          if (!older.ok() || !ValidInsertedRows(rows, table)) {
+            blob.base = nullptr;  // Unreadable: rewrite the table whole.
+            break;
+          }
+          --blob.keep;
+          blob.patch = MakePatch(table, rows);
+          blob.plan = PlanTableBlob(blob.patch);
+        }
+        // The chain rule: patches stay below their base's bytes.
+        uint64_t patches = blob.plan.bytes;
+        for (size_t e = 1; e < blob.keep; ++e) patches += extents[e].bytes;
+        if (blob.base != nullptr && patches >= extents[0].bytes) {
+          blob.base = nullptr;
         }
       }
-      pending[update.name] = std::move(entry);
-    }
-  }
-  const uint64_t gen = next.generation;
-
-  // Phase 2 — lay out this generation's segment: every new table blob in
-  // name order (deterministic contents), then the dictionary blob, then
-  // the live blobs copied forward from segments left less than half
-  // live. The segment is sized once and each table blob written in
-  // place: planned (one counting pass per column) and written across the
-  // shared TaskPool, the calling thread included.
-  std::string segment;
-  std::vector<std::pair<std::string, BlobLocation>> moved;  // Old places.
-  std::vector<uint64_t> dropped;                            // Segments.
-  if (on_disk) {
-    std::vector<Pending*> blobs;
-    for (auto& [name, entry] : pending) {
-      if (entry.table != nullptr) blobs.push_back(&entry);
-    }
-    std::vector<TableBlobPlan> plans(blobs.size());
-    TaskPool* pool = TaskPool::Shared();
-    pool->ParallelFor(blobs.size(), [&](size_t i) {
-      plans[i] = PlanTableBlob(*blobs[i]->table);
+      if (blob.base == nullptr) {
+        blob.patch = rdf::Table();
+        blob.plan = PlanTableBlob(table);
+      }
     });
     uint64_t size = 0;
-    for (size_t i = 0; i < blobs.size(); ++i) {
-      TableStats& stats = blobs[i]->stats;
-      stats.segment = gen;
-      stats.offset = size;
-      stats.bytes = plans[i].bytes;
-      size += plans[i].bytes;
+    for (Blob& blob : blobs) {
+      TableStats& stats = blob.entry->stats;
+      stats.extents.clear();
+      if (blob.base != nullptr) {
+        stats.extents.assign(blob.base->extents.begin(),
+                             blob.base->extents.begin() + blob.keep);
+        blob.entry->patched = true;
+      }
+      stats.extents.push_back({gen, size, blob.plan.bytes});
+      stats.bytes = 0;
+      for (const BlobLocation& at : stats.extents) stats.bytes += at.bytes;
+      size += blob.plan.bytes;
     }
     for (const auto& [name, entry] : pending) next.stats[name] = entry.stats;
     std::vector<BlobLocation>& dictionary = next.dictionary_blobs;
@@ -581,26 +720,47 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     }
     std::map<uint64_t, uint64_t> live;
     for (const auto& [name, stats] : next.stats) {
-      if (stats.materialized && stats.segment != gen) {
-        live[stats.segment] += stats.bytes;
+      for (const BlobLocation& at : stats.extents) {
+        if (at.segment != gen) live[at.segment] += at.bytes;
       }
     }
     for (const BlobLocation& at : dictionary) {
       if (at.segment != gen) live[at.segment] += at.bytes;
     }
+    // The space rule: drop every older segment that holds no live extent,
+    // and compact the others, least live share first, only while the
+    // generation's segments would exceed twice its live bytes.
     std::vector<std::pair<uint64_t, const SegmentFile*>> sparse;
-    uint64_t copy_bytes = 0;
+    uint64_t on_disk = size;
+    uint64_t live_bytes = size;
     for (const auto& [old_segment, file] : next.segments) {
-      if (live[old_segment] * 2 >= file->bytes) continue;
       sparse.emplace_back(old_segment, file.get());
+      on_disk += file->bytes;
+      live_bytes += live[old_segment];
+    }
+    auto live_share_below = [&](const auto& a, const auto& b) {
+      using Wide = unsigned __int128;
+      return Wide{live[a.first]} * b.second->bytes <
+             Wide{live[b.first]} * a.second->bytes;
+    };
+    std::stable_sort(sparse.begin(), sparse.end(), live_share_below);
+    uint64_t copy_bytes = 0;
+    size_t compacted = 0;
+    for (; compacted < sparse.size(); ++compacted) {
+      const auto& [old_segment, file] = sparse[compacted];
+      if (live[old_segment] > 0 && on_disk <= 2 * live_bytes) break;
+      on_disk -= file->bytes - live[old_segment];
       copy_bytes += live[old_segment];
     }
+    sparse.resize(compacted);
     // Room for every copy; a sparse segment that cannot be copied gives
     // its room back below.
     segment.resize(size + copy_bytes);
     pool->ParallelFor(blobs.size(), [&](size_t i) {
-      WriteTableBlob(*blobs[i]->table, plans[i],
-                     segment.data() + blobs[i]->stats.offset);
+      const Blob& blob = blobs[i];
+      WriteTableBlob(blob.base != nullptr ? blob.patch : *blob.entry->table,
+                     blob.plan,
+                     segment.data() + blob.entry->stats.extents.back().offset);
     });
     options.dictionary_blob.copy(segment.data() + dictionary_offset,
                                  options.dictionary_blob.size());
@@ -612,10 +772,14 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
           !ReadFileRetrying(file->path, &data).ok()) {
         continue;
       }
-      std::vector<std::pair<std::string, BlobLocation>> copied;
-      for (const auto& [name, stats] : next.stats) {
-        if (!stats.materialized || stats.segment != old_segment) continue;
-        copied.emplace_back(name, LocationOf(stats));
+      // Every extent that lies there, as (table, place in its chain).
+      std::vector<std::pair<TableStats*, size_t>> copied;
+      for (auto& [name, stats] : next.stats) {
+        for (size_t e = 0; e < stats.extents.size(); ++e) {
+          if (stats.extents[e].segment == old_segment) {
+            copied.emplace_back(&stats, e);
+          }
+        }
       }
       std::vector<BlobLocation*> copied_dictionary;
       for (BlobLocation& at : dictionary) {
@@ -625,28 +789,27 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
         return at.offset <= data.size() && at.bytes <= data.size() - at.offset;
       };
       if (!std::all_of(copied.begin(), copied.end(),
-                       [&](const auto& entry) { return fits(entry.second); }) ||
+                       [&](const auto& entry) {
+                         return fits(entry.first->extents[entry.second]);
+                       }) ||
           !std::all_of(copied_dictionary.begin(), copied_dictionary.end(),
                        [&](const BlobLocation* at) { return fits(*at); })) {
         continue;
       }
-      auto copy = [&](const BlobLocation& from) {
+      // Moves the extent at `*at` to the end of the new segment.
+      auto copy = [&](BlobLocation* at) {
+        const BlobLocation from = *at;
         std::memcpy(segment.data() + size, data.data() + from.offset,
                     from.bytes);
-        size += from.bytes;
-      };
-      for (const auto& [name, from] : copied) {
-        TableStats& stats = next.stats[name];
-        stats.segment = gen;
-        stats.offset = size;
-        copy(from);
-        moved.emplace_back(name, from);
-      }
-      for (BlobLocation* at : copied_dictionary) {
-        const BlobLocation from = *at;
         *at = {gen, size, from.bytes};
-        copy(from);
+        size += from.bytes;
+        return from;
+      };
+      for (const auto& [stats, e] : copied) {
+        const BlobLocation from = copy(&stats->extents[e]);
+        moved.push_back({stats->name, e, from, stats->extents[e]});
       }
+      for (BlobLocation* at : copied_dictionary) copy(at);
       dropped.push_back(old_segment);
     }
     segment.resize(size);
@@ -654,6 +817,13 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     if (!segment.empty()) {
       next.segments[gen] =
           std::make_shared<SegmentFile>(env_, SegmentPath(gen), segment.size());
+    }
+    if (report != nullptr) {
+      *report = {};
+      for (const Blob& blob : blobs) {
+        ++(blob.base != nullptr ? report->tables_patched
+                                : report->tables_written_whole);
+      }
     }
 
     // Phase 3 — one sync for the segment, then the manifest (written
@@ -674,6 +844,11 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
     S2RDF_RETURN_IF_ERROR(VerifyWritten(manifest, content));
     S2RDF_RETURN_IF_ERROR(env_->WriteFileAtomic(
         dir_ + "/" + kCurrentFile, ManifestFileName(gen) + "\n"));
+    if (report != nullptr) {
+      report->bytes_written = segment.size() + content.size();
+    }
+  } else if (report != nullptr) {
+    *report = {};
   }
 
   // Phase 4 — swap the catalog's maps under one lock hold, so the next
@@ -697,31 +872,39 @@ Status Catalog::CommitBatch(std::vector<TableUpdate> updates,
       }
       live_.stats[name] = entry.stats;
       if (entry.table != nullptr) {
-        live_.quarantined.erase(name);
-        if (on_disk) {
-          SetHandleLocked(name, nullptr);
-          CacheInsertLocked(name, std::move(entry.table),
-                            LocationOf(entry.stats));
-        } else {
+        // A whole write supersedes old corruption; a patch extends the
+        // extents, and any quarantine, of the version it patches.
+        if (!entry.patched) live_.quarantined.erase(name);
+        if (!on_disk) {
           SetHandleLocked(name, std::move(entry.table));
+        } else {
+          SetHandleLocked(name, nullptr);
+          if (live_.quarantined.contains(name)) {
+            EvictFromMemoryLocked(name);
+          } else {
+            CacheInsertLocked(name, std::move(entry.table),
+                              entry.stats.extents);
+          }
         }
       } else if (!entry.stats.materialized) {
         live_.quarantined.erase(name);
         EvictFromMemoryLocked(name);
         SetHandleLocked(name, nullptr);
       }
-      // Retained blobs keep their cached copy and their quarantine.
+      // Retained extents keep their cached copy and their quarantine.
     }
-    for (const auto& [name, from] : moved) {
-      auto it = live_.stats.find(name);
-      if (it == live_.stats.end() || !(LocationOf(it->second) == from)) {
+    for (const Move& move : moved) {
+      auto it = live_.stats.find(move.name);
+      if (it == live_.stats.end() ||
+          move.extent >= it->second.extents.size() ||
+          !(it->second.extents[move.extent] == move.from)) {
         continue;
       }
-      it->second.segment = gen;
-      it->second.offset = next.stats[name].offset;
-      auto cached = cache_.find(name);
-      if (cached != cache_.end() && cached->second.at == from) {
-        cached->second.at = LocationOf(it->second);
+      it->second.extents[move.extent] = move.to;
+      auto cached = cache_.find(move.name);
+      if (cached != cache_.end() && move.extent < cached->second.at.size() &&
+          cached->second.at[move.extent] == move.from) {
+        cached->second.at[move.extent] = move.to;
       }
     }
     if (on_disk) {
@@ -789,29 +972,36 @@ Status Catalog::AdoptManifest(const std::string& content) {
       }
       continue;
     }
+    // Seven fields — name, rows, selectivity, then the base blob's bytes,
+    // materialized, segment (0 when the table is not on disk) and offset
+    // — then segment, offset and bytes per patch.
     std::vector<std::string> fields = StrSplit(trimmed, '\t');
-    if (fields.size() != 7) {
+    if (fields.size() < 7 || (fields.size() - 7) % 3 != 0) {
       return InvalidArgumentError("malformed manifest line: " + line);
     }
+    bool numeric = true;
+    auto number = [&](size_t f) {
+      long long value = 0;
+      numeric = numeric && ParseInt64(fields[f], &value) && value >= 0;
+      return static_cast<uint64_t>(value);
+    };
     TableStats stats;
     stats.name = fields[0];
-    long long rows = 0;
-    long long bytes = 0;
-    long long segment = 0;
-    long long offset = 0;
-    double sel = 0.0;
-    if (!ParseInt64(fields[1], &rows) || !ParseDouble(fields[2], &sel) ||
-        !ParseInt64(fields[3], &bytes) || !ParseInt64(fields[5], &segment) ||
-        !ParseInt64(fields[6], &offset)) {
+    stats.rows = number(1);
+    stats.materialized = fields[4] == "1";
+    const BlobLocation base{number(5), number(6), number(3)};
+    if (base.segment != 0) stats.extents.push_back(base);
+    for (size_t f = 7; f < fields.size(); f += 3) {
+      stats.extents.push_back({number(f), number(f + 1), number(f + 2)});
+    }
+    if (!numeric || !ParseDouble(fields[2], &stats.selectivity)) {
       return InvalidArgumentError("malformed manifest numbers: " + line);
     }
-    stats.rows = static_cast<uint64_t>(rows);
-    stats.selectivity = sel;
-    stats.bytes = static_cast<uint64_t>(bytes);
-    stats.materialized = fields[4] == "1";
-    stats.segment = static_cast<uint64_t>(segment);
-    stats.offset = static_cast<uint64_t>(offset);
-    parsed.stats[stats.name] = stats;
+    if (base.segment == 0 && fields.size() > 7) {
+      return InvalidArgumentError("manifest patch without a base: " + line);
+    }
+    for (const BlobLocation& at : stats.extents) stats.bytes += at.bytes;
+    parsed.stats[stats.name] = std::move(stats);
   }
   MutexLock lock(&mu_);
   live_ = std::move(parsed);
@@ -878,44 +1068,49 @@ StatusOr<RecoveryReport> Catalog::Recover() {
   bool named_by_current = false;
   S2RDF_RETURN_IF_ERROR(AdoptNewestManifest(&named_by_current));
   RecoveryReport report;
-  // Materialized tables by the segment that holds them, and every
-  // segment holding a live blob of either kind.
+  // Every extent of a materialized table by the segment that holds it,
+  // and every segment holding a live blob of either kind.
   std::map<uint64_t, std::vector<std::pair<std::string, BlobLocation>>>
       by_segment;
   std::set<uint64_t> referenced;
+  size_t tables = 0;
+  std::set<std::string> failed;  // Tables with an extent that fails.
   {
     MutexLock lock(&mu_);
     report.generation = live_.generation;
     for (const auto& [name, stats] : live_.stats) {
-      if (stats.materialized) {
-        by_segment[stats.segment].emplace_back(name, LocationOf(stats));
-        referenced.insert(stats.segment);
+      if (!stats.materialized) continue;
+      ++tables;
+      if (stats.extents.empty()) failed.insert(name);
+      for (const BlobLocation& at : stats.extents) {
+        by_segment[at.segment].emplace_back(name, at);
+        referenced.insert(at.segment);
       }
     }
     for (const BlobLocation& at : live_.dictionary_blobs) {
       referenced.insert(at.segment);
     }
   }
-  // Read each segment once and verify every table's byte range;
-  // quarantine failures table by table so queries degrade (ExtVP -> VP
-  // -> TT) instead of erroring.
-  for (const auto& [segment, tables] : by_segment) {
+  // Read each segment once and verify every extent's byte range; a table
+  // with an extent that fails is quarantined, so queries degrade (ExtVP
+  // -> VP -> TT) instead of erroring.
+  for (const auto& [segment, extents] : by_segment) {
     std::string data;
     const bool readable = ReadFileRetrying(SegmentPath(segment), &data).ok();
-    for (const auto& [name, at] : tables) {
+    for (const auto& [name, at] : extents) {
       const bool verified =
           readable && at.offset <= data.size() &&
           at.bytes <= data.size() - at.offset &&
           VerifyTableBlob(std::string_view(data).substr(at.offset, at.bytes))
               .ok();
-      if (verified) {
-        ++report.tables_verified;
-      } else {
-        MutexLock lock(&mu_);
-        QuarantineLocked(name);
-        ++report.tables_quarantined;
-      }
+      if (!verified) failed.insert(name);
     }
+  }
+  report.tables_verified = tables - failed.size();
+  report.tables_quarantined = failed.size();
+  {
+    MutexLock lock(&mu_);
+    for (const std::string& name : failed) QuarantineLocked(name);
   }
   // Delete orphaned staging files (crash debris), manifests older than
   // the previous generation, and segments the adopted manifest does not

@@ -30,37 +30,59 @@
 //
 // Durability (what HDFS gave the paper for free): CommitBatch is the one
 // code path that writes durable bytes. A commit at generation g packs the
-// S2TB blob of every table it materializes, then the dictionary blob it
-// carries (the terms minted since the previous commit), into one segment
-// file ("segment-<g>.s2seg", blobs back to back, no framing of its own):
-// it sizes every blob (storage/table_file.h), lays them out in name
-// order, sizes the segment once and writes each blob in place across the
-// shared TaskPool, so the bytes do not depend on the pool's width. It
-// fsyncs the segment once and reads it back; then it writes manifest
-// generation g, reads that back, and flips CURRENT. Each manifest line
-// records where its table lies (segment, offset, bytes), and the
-// manifest lists the dictionary blobs in id order. The manifest is a
-// generation chain — immutable "manifest-<g>.tsv" files (self-
-// checksummed, carrying their generation and the live segments' sizes)
-// plus a CURRENT pointer updated atomically; if the current generation
-// is damaged, loading falls back to the newest generation that still
-// verifies (one that verifies but carries a directive this build does
-// not know fails the load instead). A crash before the flip leaves only
-// an unreferenced segment, which Recover() deletes.
+// S2TB blob of every table it writes, then the dictionary blob it carries
+// (the terms minted since the previous commit), into one segment file
+// ("segment-<g>.s2seg", blobs back to back, no framing of its own): it
+// sizes every blob (storage/table_file.h), lays them out in name order,
+// sizes the segment once and writes each blob in place across the shared
+// TaskPool, so the bytes do not depend on the pool's width. It fsyncs the
+// segment once and reads it back; then it writes manifest generation g,
+// reads that back, and flips CURRENT. The manifest is a generation chain
+// — immutable "manifest-<g>.tsv" files (self-checksummed, carrying their
+// generation and the live segments' sizes) plus a CURRENT pointer updated
+// atomically; if the current generation is damaged, loading falls back to
+// the newest generation that still verifies (one that verifies but
+// carries a directive this build does not know fails the load instead).
+// A crash before the flip leaves only an unreferenced segment, which
+// Recover() deletes.
 //
-// Space: a commit copies forward, byte for byte, the live blobs (tables'
-// and dictionary's alike) of any older segment whose live bytes fall
-// below half its size, and drops that segment — so the generation the
-// catalog serves never references more than twice its live bytes.
+// Extents: where the paper adds a Parquet part file to a table's
+// directory, a commit here adds a patch. A committed table is a base blob
+// plus a chain of patch blobs, its extents, each lying in some segment;
+// its manifest line lists them (segment, offset, bytes), base first. A
+// patch holds the rows one commit inserted, each with its index in the
+// table after that commit (storage/table_file.h), so rows may land
+// anywhere in the table, and a read merges base and patches back into the
+// exact rows the commit held. A TableUpdate that names the rows new since
+// the table's committed version (TableUpdate::new_rows) is written as a
+// patch, unless one of these rules writes it whole:
+//   - size tiers: the new patch absorbs each older patch smaller than
+//     twice its own bytes (re-encoding the union of their rows), so each
+//     patch is at least twice the next newer one, a table has O(log)
+//     extents and a row is re-encoded O(log) times;
+//   - the chain rule: when the patches together would reach the base's
+//     bytes, the table is written whole, so a read touches at most twice
+//     the table's live bytes;
+//   - a quarantined, staged or never-committed table, or an update that
+//     names no new rows, is written whole (the rewrite heals quarantine).
+//
+// Space: a commit drops every older segment that holds no live extent,
+// and copies forward, byte for byte, the live extents (tables' and
+// dictionary's alike) of the older segments with the least live share,
+// dropping each, only while the generation's segments would exceed twice
+// its live bytes — so the generation the catalog serves never references
+// more than twice its live bytes, and a store compacts only once its dead
+// bytes reach its live ones. Patch indices are logical, so a moved extent
+// is not re-encoded.
 //
 // Put/PutStatsOnly only stage: a staged table is cached, cannot be
 // evicted, and becomes durable with the next commit (CommitBatch or
-// SaveManifest). Recover() verifies every materialized table's
-// checksums (one read per segment), quarantines unreadable/corrupt
-// tables (queries then degrade to the base VP table instead of failing
-// — see core/table_selection), and deletes orphaned "*.tmp" staging
-// files, superseded manifests and — when it adopted the generation
-// CURRENT names — unreferenced segments.
+// SaveManifest). Recover() verifies the checksums of every extent of
+// every materialized table (one read per segment) and quarantines a table
+// any of whose extents is unreadable or corrupt (queries then degrade to
+// the base VP table instead of failing — see core/table_selection); it
+// deletes orphaned "*.tmp" staging files, superseded manifests and — when
+// it adopted the generation CURRENT names — unreferenced segments.
 //
 // Readers take one immutable CatalogState (State()) and read every
 // statistic, quarantine bit and table of one generation from it; a
@@ -80,22 +102,6 @@ class Catalog;
 // A segment file, shared by every state that references it (catalog.cc).
 struct SegmentFile;
 
-struct TableStats {
-  std::string name;
-  uint64_t rows = 0;
-  // Selectivity factor SF = |table| / |base VP table| (1.0 for VP/base
-  // tables themselves).
-  double selectivity = 1.0;
-  // Size of the table's S2TB blob on disk; 0 when it is not on disk
-  // (stats-only, staged, or an in-memory catalog).
-  uint64_t bytes = 0;
-  bool materialized = false;
-  // Where the blob lies: the generation of the commit whose segment file
-  // holds it (0 = not on disk) and its byte offset inside that file.
-  uint64_t segment = 0;
-  uint64_t offset = 0;
-};
-
 // Where a committed blob lies: the generation whose segment file holds
 // it, its byte offset there and its size. Equal locations mean equal
 // bytes, since a referenced segment is never rewritten.
@@ -106,11 +112,26 @@ struct BlobLocation {
   bool operator==(const BlobLocation&) const = default;
 };
 
+struct TableStats {
+  std::string name;
+  uint64_t rows = 0;
+  // Selectivity factor SF = |table| / |base VP table| (1.0 for VP/base
+  // tables themselves).
+  double selectivity = 1.0;
+  // Bytes of the table's extents on disk; 0 when it is not on disk
+  // (stats-only, staged, or an in-memory catalog).
+  uint64_t bytes = 0;
+  bool materialized = false;
+  // Where the table lies on disk: its base blob, then its patches, oldest
+  // first. Empty when it is not on disk.
+  std::vector<BlobLocation> extents;
+};
+
 // What startup recovery found and repaired.
 struct RecoveryReport {
   // Manifest generation the store recovered to.
   uint64_t generation = 0;
-  // Materialized tables whose checksums verified.
+  // Materialized tables all of whose extents' checksums verified.
   size_t tables_verified = 0;
   // Tables quarantined (unreadable or corrupt).
   size_t tables_quarantined = 0;
@@ -139,6 +160,20 @@ struct TableUpdate {
   // for reductions whose row set is untouched by a batch. Ignored when
   // the table was not materialized.
   bool retain_table = false;
+  // With `table`: the ascending indices of the rows of `table` that its
+  // committed version lacks, around which `table` holds that version's
+  // rows in their order; empty when unknown. The commit may then write
+  // these rows alone, as a patch (see the header comment).
+  std::vector<uint32_t> new_rows;
+};
+
+// What one CommitBatch wrote.
+struct CommitReport {
+  // Bytes of its segment and its manifest.
+  uint64_t bytes_written = 0;
+  // Tables it wrote as a patch, and tables it wrote whole.
+  uint64_t tables_patched = 0;
+  uint64_t tables_written_whole = 0;
 };
 
 // What a CommitBatch carries besides its table updates.
@@ -203,8 +238,8 @@ class Catalog {
 
   // Atomically applies `updates` together with everything staged — the
   // one commit path of Create and ingest. Protocol: the blobs of every
-  // table the commit materializes, its dictionary blob and the
-  // live blobs copied forward from sparse segments land in
+  // table the commit writes (whole, or as a patch), its dictionary blob
+  // and the live extents copied forward from sparse segments land in
   // "segment-<g>.s2seg", which is fsynced once and read back; then
   // manifest generation g is written and read back, and CURRENT flips
   // to it; then the catalog's maps swap under a single lock hold, and
@@ -213,9 +248,11 @@ class Catalog {
   // generation fully intact — Recover() deletes the unreferenced
   // segment. A segment the commit emptied or compacted is removed once
   // the last state that references it is released. An in-memory catalog
-  // applies the batch with no I/O.
+  // applies the batch with no I/O. When `report` is set, it tells what
+  // the commit wrote.
   Status CommitBatch(std::vector<TableUpdate> updates,
-                     const CommitOptions& options = {});
+                     const CommitOptions& options = {},
+                     CommitReport* report = nullptr);
 
   // The catalog as it is now, as one immutable state: built on the
   // first call after a change and shared by every caller until the next
@@ -229,8 +266,9 @@ class Catalog {
   // Returns shared ownership of table `name` as of `state`, which must
   // be a state of this catalog: a table with no committed blob from the
   // state's handle; a committed one from the cache when the cache holds
-  // the blob at the state's location (a hit), else read from that byte
-  // range of its segment (a miss). The returned pointer stays valid
+  // the table at the state's extents (a hit), else read from those byte
+  // ranges of their segments, base and patches merged (a miss). The
+  // returned pointer stays valid
   // across evictions. NotFound for unknown or unmaterialized names;
   // FailedPrecondition for names the state lists as quarantined.
   // Transient (kIoError) read failures are retried with backoff; a
@@ -301,8 +339,9 @@ class Catalog {
   Status LoadManifest();
 
   // Startup recovery: LoadManifest, then read each referenced segment
-  // once and verify every materialized table's byte range (quarantining
-  // failures table by table), and delete orphaned staging files,
+  // once and verify the byte range of every extent of every materialized
+  // table (quarantining a table any of whose extents fails), and delete
+  // orphaned staging files,
   // superseded manifests and — only when the adopted generation is the
   // one CURRENT names — segments no live blob references.
   StatusOr<RecoveryReport> Recover();
@@ -335,27 +374,27 @@ class Catalog {
   const std::string& dir() const { return dir_; }
 
   // Path of the segment file written by the commit of generation
-  // `segment` (see TableStats::segment).
+  // `segment` (see BlobLocation::segment).
   std::string SegmentPath(uint64_t segment) const;
 
  private:
   using Segments = std::map<uint64_t, std::shared_ptr<SegmentFile>>;
-  // A committed table's cached copy, read from `at`; on the LRU list at
-  // `lru`.
+  using Extents = std::vector<BlobLocation>;
+  // A committed table's cached copy, read from the extents `at`; on the
+  // LRU list at `lru`.
   struct CacheEntry {
     std::shared_ptr<const rdf::Table> table;
-    BlobLocation at;
+    Extents at;
     std::list<std::string>::iterator lru;
   };
-  static BlobLocation LocationOf(const TableStats& stats) {
-    return {stats.segment, stats.offset, stats.bytes};
-  }
 
   // `read` through bounded retry with jittered backoff on transient
   // kIoError, counted in read_retries().
   template <typename ReadFn>
   Status Retrying(const ReadFn& read) const;
   Status ReadFileRetrying(const std::string& path, std::string* data) const;
+  // Reads a committed table: its base blob with its patches applied.
+  StatusOr<rdf::Table> ReadTable(const Extents& extents) const;
   // Reads `path` back in bounded chunks and compares it with `written`.
   Status VerifyWritten(const std::string& path,
                        std::string_view written) const;
@@ -376,7 +415,7 @@ class Catalog {
   void QuarantineLocked(const std::string& name) S2RDF_REQUIRES(mu_);
   void CacheInsertLocked(const std::string& name,
                          std::shared_ptr<const rdf::Table> table,
-                         const BlobLocation& at) S2RDF_REQUIRES(mu_);
+                         Extents at) S2RDF_REQUIRES(mu_);
   void EvictFromMemoryLocked(const std::string& name) S2RDF_REQUIRES(mu_);
   // Sets the handle of a table with no committed blob; null drops it.
   void SetHandleLocked(const std::string& name,

@@ -11,11 +11,14 @@
 // delta-maintains every dependent ExtVP reduction and its SF statistic,
 // and commits everything through one atomic Catalog::CommitBatch. Every
 // batch is maintained this one way, so each generation holds what a full
-// rebuild over its triples would. The batch either becomes fully visible
-// at the manifest flip or — after a crash at any point — is rolled back
-// by Catalog::Recover's orphan sweep. A batch's maintenance grows with
-// the ExtVP pairs it touches more than with its triples, so a bulk
-// writer amortises it with bigger batches (tools/bulkload).
+// rebuild over its triples would. The commit writes each table the batch
+// grew as a patch of the rows it added, unless the catalog's chain rules
+// write it whole, so a batch writes about what it adds. The batch either
+// becomes fully visible at the manifest flip or — after a crash at any
+// point — is rolled back by Catalog::Recover's orphan sweep. A batch's
+// maintenance grows with the ExtVP pairs it touches more than with its
+// triples, so a bulk writer amortises it with bigger batches
+// (tools/bulkload).
 
 namespace s2rdf::storage {
 
@@ -51,6 +54,13 @@ struct IngestResult {
   // fsync and manifest flip (0 on a no-op). Maintenance — dedup, VP
   // appends and ExtVP delta semi-joins — is millis - commit_millis.
   double commit_millis = 0.0;
+  // Bytes the commit wrote: its segment and its manifest (0 on a no-op
+  // and in memory).
+  uint64_t bytes_written = 0;
+  // Tables the commit wrote as a patch of the rows the batch added to
+  // them, and tables it wrote whole (storage/catalog.h says when).
+  uint64_t tables_patched = 0;
+  uint64_t tables_written_whole = 0;
 };
 
 }  // namespace s2rdf::storage

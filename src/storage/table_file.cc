@@ -1,5 +1,6 @@
 #include "storage/table_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -127,7 +128,10 @@ Status VerifyTableBlob(std::string_view blob) {
   return LocalizeCorruption(payload);
 }
 
-StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
+namespace {
+
+// Verifies `blob` and decodes its first `limit` columns.
+StatusOr<rdf::Table> ParseTableBlob(std::string_view blob, uint64_t limit) {
   S2RDF_RETURN_IF_ERROR(VerifyTableBlob(blob));
   // All parsing below is bounded by the payload (trailer excluded), so a
   // damaged length field can never read checksum bytes as data.
@@ -141,7 +145,7 @@ StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
   }
   std::vector<std::string> names;
   std::vector<std::vector<uint32_t>> columns;
-  for (uint64_t c = 0; c < ncols; ++c) {
+  for (uint64_t c = 0; c < std::min(ncols, limit); ++c) {
     uint64_t name_len = 0;
     if (!GetVarint64(payload, &pos, &name_len) ||
         name_len > payload.size() - pos) {
@@ -170,6 +174,89 @@ StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
   rdf::Table table(std::move(names));
   table.AdoptColumns(std::move(columns), nrows);
   return table;
+}
+
+}  // namespace
+
+StatusOr<rdf::Table> DeserializeTable(std::string_view blob) {
+  return ParseTableBlob(blob, UINT64_MAX);
+}
+
+StatusOr<std::vector<uint32_t>> PatchRows(std::string_view blob) {
+  S2RDF_ASSIGN_OR_RETURN(rdf::Table rows, ParseTableBlob(blob, 1));
+  if (rows.NumColumns() != 1) {
+    return InvalidArgumentError("patch without row indices");
+  }
+  return std::move(rows.MutableColumn(0));
+}
+
+rdf::Table MakePatch(const rdf::Table& table,
+                     const std::vector<uint32_t>& rows) {
+  std::vector<std::string> names = {"row"};
+  names.insert(names.end(), table.column_names().begin(),
+               table.column_names().end());
+  std::vector<std::vector<uint32_t>> columns = {rows};
+  for (size_t c = 0; c < table.NumColumns(); ++c) {
+    const uint32_t* from = table.ColumnData(c);
+    std::vector<uint32_t>& column = columns.emplace_back(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) column[i] = from[rows[i]];
+  }
+  rdf::Table patch(std::move(names));
+  patch.AdoptColumns(std::move(columns), rows.size());
+  return patch;
+}
+
+Status ApplyPatch(const rdf::Table& patch, rdf::Table* table) {
+  const size_t width = table->NumColumns();
+  if (patch.NumColumns() != width + 1) {
+    return InvalidArgumentError("patch has " +
+                                std::to_string(patch.NumColumns()) +
+                                " columns for a table of " +
+                                std::to_string(width));
+  }
+  const size_t total = table->NumRows() + patch.NumRows();
+  const uint32_t* at = patch.ColumnData(0);
+  for (size_t i = 0; i < patch.NumRows(); ++i) {
+    if (at[i] >= total || (i > 0 && at[i] <= at[i - 1])) {
+      return InvalidArgumentError("patch row indices out of order");
+    }
+  }
+  std::vector<std::vector<uint32_t>> columns(width);
+  for (size_t c = 0; c < width; ++c) {
+    const uint32_t* old_rows = table->ColumnData(c);
+    const uint32_t* added = patch.ColumnData(c + 1);
+    std::vector<uint32_t>& out = columns[c];
+    out.resize(total);
+    size_t next = 0;  // Next row of `out` to fill.
+    for (size_t i = 0; i < patch.NumRows(); ++i) {
+      // The old rows before this insert, then the insert.
+      std::copy(old_rows + next - i, old_rows + at[i] - i, out.data() + next);
+      out[at[i]] = added[i];
+      next = at[i] + 1;
+    }
+    std::copy(old_rows + next - patch.NumRows(), old_rows + table->NumRows(),
+              out.data() + next);
+  }
+  table->AdoptColumns(std::move(columns), total);
+  return Status::Ok();
+}
+
+std::vector<uint32_t> MergeInsertedRows(const std::vector<uint32_t>& older,
+                                        const std::vector<uint32_t>& newer) {
+  // Row j of the table after the first commit is the j-th row the second
+  // did not insert: it moves past the `n` inserts that land at or before
+  // it. newer[n] - n never decreases, so one walk finds every n.
+  std::vector<uint32_t> shifted;
+  shifted.reserve(older.size());
+  size_t n = 0;
+  for (uint32_t j : older) {
+    while (n < newer.size() && newer[n] <= j + n) ++n;
+    shifted.push_back(static_cast<uint32_t>(j + n));
+  }
+  std::vector<uint32_t> merged(shifted.size() + newer.size());
+  std::merge(shifted.begin(), shifted.end(), newer.begin(), newer.end(),
+             merged.begin());
+  return merged;
 }
 
 }  // namespace s2rdf::storage

@@ -55,6 +55,33 @@ StatusOr<rdf::Table> DeserializeTable(std::string_view blob);
 // the corruption sits.
 Status VerifyTableBlob(std::string_view blob);
 
+// --- Patches ------------------------------------------------------------
+//
+// A committed table is a base blob plus a short chain of patch blobs
+// (storage/catalog.h). A patch is an ordinary S2TB table of the rows one
+// commit inserted: its first column gives each row's index in the table
+// after that commit (ascending), its other columns are the table's. The
+// indices are logical, so a patch's bytes never depend on where it lies.
+
+// The patch holding the rows of `table` at the ascending indices `rows`.
+rdf::Table MakePatch(const rdf::Table& table,
+                     const std::vector<uint32_t>& rows);
+
+// The row indices of the patch blob `blob`: verified like
+// DeserializeTable, with only the first column decoded.
+StatusOr<std::vector<uint32_t>> PatchRows(std::string_view blob);
+
+// Inserts the rows of `patch` into `table` at the indices its first column
+// gives. kInvalidArgument when the patch does not fit the table: another
+// width, or indices that do not ascend or run past the merged table.
+Status ApplyPatch(const rdf::Table& patch, rdf::Table* table);
+
+// The rows two consecutive commits inserted, as ascending indices into
+// the table after the second: `older` indexes the table after the first
+// commit, `newer` the table after the second.
+std::vector<uint32_t> MergeInsertedRows(const std::vector<uint32_t>& older,
+                                        const std::vector<uint32_t>& newer);
+
 }  // namespace s2rdf::storage
 
 #endif  // S2RDF_STORAGE_TABLE_FILE_H_

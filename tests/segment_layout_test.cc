@@ -74,7 +74,8 @@ TEST(SegmentLayoutTest, SegmentHoldsTheReferenceBlobsInNameOrder) {
   for (const auto& [name, table] : tables) {
     const TableStats* stats = catalog.State()->Find(name);
     ASSERT_NE(stats, nullptr) << name;
-    EXPECT_EQ(stats->offset, expected.size()) << name;
+    ASSERT_EQ(stats->extents.size(), 1u) << name;
+    EXPECT_EQ(stats->extents[0].offset, expected.size()) << name;
     expected += reference::SerializeTable(table);
   }
   expected += commit.dictionary_blob;
@@ -95,8 +96,9 @@ TEST(SegmentLayoutTest, CopiedForwardBlobsFollowTheNewOnes) {
   first.dictionary_blob = "first";
   ASSERT_TRUE(catalog.CommitBatch({}, first).ok());
 
-  // Replace all but every tenth table: segment 1 falls below half live,
-  // so its live blobs move behind the second commit's own.
+  // Replace all but every tenth table: segment 1's dead bytes outweigh
+  // the generation's live bytes, so its live blobs move behind the second
+  // commit's own.
   std::vector<TableUpdate> updates;
   std::string expected;
   for (auto& [name, table] : tables) {

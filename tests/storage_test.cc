@@ -754,7 +754,8 @@ TEST(SegmentTest, GetTableReadsExactlyItsBytes) {
   ASSERT_TRUE(catalog.Put("t3", MakeTable(), 1.0).ok());
   ASSERT_TRUE(catalog.SaveManifest().ok());
   // One segment holds all three.
-  EXPECT_EQ(catalog.GetStats("t1")->segment, catalog.GetStats("t3")->segment);
+  EXPECT_EQ(catalog.GetStats("t1")->extents.at(0).segment,
+            catalog.GetStats("t3")->extents.at(0).segment);
   catalog.EvictFromMemory("t2");
   env.bytes_read = 0;
   auto table = catalog.GetTable("t2");
@@ -816,14 +817,15 @@ TEST(SegmentTest, StagedTablesStayCachedUntilCommitted) {
   EXPECT_EQ((*table)->NumRows(), 500u);
 }
 
-// Commits `r1`-`r3` anew at 400 rows each, after the first commit stored
-// them at 500 rows beside the small `keep`.
+// Commits `r1`-`r3` anew at 40 rows each, after the first commit stored
+// them at 500 rows beside the small `keep`: the first segment's dead bytes
+// then outweigh the generation's live bytes, so the commit compacts it.
 std::vector<TableUpdate> ReplaceLargeTables() {
   std::vector<TableUpdate> updates;
   for (const char* name : {"r1", "r2", "r3"}) {
     TableUpdate update;
     update.name = name;
-    update.table = MakeRows(400);
+    update.table = MakeRows(40);
     updates.push_back(std::move(update));
   }
   return updates;
@@ -847,16 +849,17 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
                   ->ReadFileRange(before->path, before->offset, before->bytes,
                                   &blob)
                   .ok());
-  // Replacing the three large tables leaves the first segment far less
-  // than half live: its live blobs, `keep` and the dictionary blob, move
-  // to the new segment, and the dictionary blob stays first in id order.
+  // Replacing the three large tables leaves the first segment mostly
+  // dead: its live blobs, `keep` and the dictionary blob, move to the new
+  // segment, and the dictionary blob stays first in id order.
   CommitOptions second;
   second.dictionary_blob = "terms of the second commit";
   ASSERT_TRUE(catalog.CommitBatch(ReplaceLargeTables(), second).ok());
   std::optional<testing::TableRange> after =
       testing::FindTableRange(catalog, "keep");
   ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(catalog.GetStats("keep")->segment, catalog.State()->generation);
+  EXPECT_EQ(catalog.GetStats("keep")->extents.at(0).segment,
+            catalog.State()->generation);
   EXPECT_FALSE(PathExists(before->path));
   std::string moved;
   ASSERT_TRUE(Env::Default()
@@ -884,6 +887,161 @@ TEST(SegmentTest, SparseSegmentIsCopiedForwardByteForByte) {
   EXPECT_EQ(restored.State()->dictionary_blobs, dictionary);
 }
 
+// `table` with the rows of `rows` (ascending indices into the result)
+// inserted, each row r being {1000 + r, r}.
+rdf::Table WithInserted(const rdf::Table& table,
+                        const std::vector<uint32_t>& rows) {
+  rdf::Table out(table.column_names());
+  size_t next = 0;
+  for (uint32_t r = 0; r < table.NumRows() + rows.size(); ++r) {
+    if (next < rows.size() && rows[next] == r) {
+      out.AppendRow({1000 + r, r});
+      ++next;
+    } else {
+      out.AppendRowFrom(table, r - next);
+    }
+  }
+  return out;
+}
+
+bool SameRows(const rdf::Table& a, const rdf::Table& b) {
+  if (a.NumRows() != b.NumRows() || a.NumColumns() != b.NumColumns()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.NumColumns(); ++c) {
+    if (a.Column(c) != b.Column(c)) return false;
+  }
+  return true;
+}
+
+TEST(TableFileTest, PatchesInsertRowsWhereTheirIndicesSay) {
+  const rdf::Table base = MakeRows(10);
+  // Inserts at the front, inside and at the end.
+  const std::vector<uint32_t> first = {0, 4, 5, 12};
+  const rdf::Table after_first = WithInserted(base, first);
+  const std::vector<uint32_t> second = {3, 15, 16};
+  const rdf::Table after_second = WithInserted(after_first, second);
+
+  // Each patch, through its blob, turns its table into the next.
+  rdf::Table merged = base;
+  for (const auto& [rows, expected] :
+       {std::pair{first, &after_first}, std::pair{second, &after_second}}) {
+    const rdf::Table patch = MakePatch(*expected, rows);
+    EXPECT_EQ(patch.column_names(),
+              (std::vector<std::string>{"row", "s", "o"}));
+    auto decoded = DeserializeTable(SerializeTable(patch));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_TRUE(ApplyPatch(*decoded, &merged).ok());
+    EXPECT_TRUE(SameRows(merged, *expected));
+  }
+
+  // One patch of both commits' rows does the same from the base.
+  const std::vector<uint32_t> both = MergeInsertedRows(first, second);
+  EXPECT_EQ(both, (std::vector<uint32_t>{0, 3, 5, 6, 13, 15, 16}));
+  merged = base;
+  ASSERT_TRUE(ApplyPatch(MakePatch(after_second, both), &merged).ok());
+  EXPECT_TRUE(SameRows(merged, after_second));
+}
+
+TEST(TableFileTest, APatchThatDoesNotFitItsTableIsRejected) {
+  const rdf::Table base = MakeRows(4);
+  const rdf::Table grown = WithInserted(base, {1, 2});
+  for (const std::vector<uint32_t>& rows :
+       {std::vector<uint32_t>{2, 1}, std::vector<uint32_t>{1, 1},
+        std::vector<uint32_t>{1, 6}}) {
+    rdf::Table patch = MakePatch(grown, {1, 2});
+    patch.MutableColumn(0) = rows;  // Out of order, repeated, past the end.
+    rdf::Table table = base;
+    EXPECT_EQ(ApplyPatch(patch, &table).code(), StatusCode::kInvalidArgument);
+  }
+  rdf::Table table = MakeTable();
+  EXPECT_EQ(ApplyPatch(MakeRows(2), &table).code(),
+            StatusCode::kInvalidArgument);  // No row column.
+}
+
+// A table that carries a patch lives in two segments; when both are
+// compacted, base and patch move byte for byte — the patch's indices are
+// logical — and the table reads back, before and after a reopen, as the
+// rows the commits wrote.
+TEST(SegmentTest, CopyForwardMovesPatchExtentsByteForByte) {
+  ScopedTempDir dir;
+  Catalog catalog(dir.path());
+  const rdf::Table keep = MakeRows(200);
+  ASSERT_TRUE(catalog.Put("keep", keep, 1.0).ok());
+  for (const char* name : {"r1", "r2", "r3"}) {
+    ASSERT_TRUE(catalog.Put(name, MakeTable(), 1.0).ok());
+  }
+  ASSERT_TRUE(catalog.SaveManifest().ok());
+
+  // Generation 2 patches `keep` — rows inside it and after it — and
+  // rewrites the large tables whole beside the patch.
+  const std::vector<uint32_t> inserted = {0, 50, 51, 150, 203, 204};
+  const rdf::Table patched = WithInserted(keep, inserted);
+  std::vector<TableUpdate> updates;
+  TableUpdate update;
+  update.name = "keep";
+  update.table = patched;
+  update.new_rows = inserted;
+  updates.push_back(std::move(update));
+  for (const char* name : {"r1", "r2", "r3"}) {
+    TableUpdate large;
+    large.name = name;
+    large.table = MakeRows(400);
+    updates.push_back(std::move(large));
+  }
+  CommitReport report;
+  ASSERT_TRUE(catalog.CommitBatch(std::move(updates), {}, &report).ok());
+  EXPECT_EQ(report.tables_patched, 1u);
+  EXPECT_EQ(report.tables_written_whole, 3u);
+  ASSERT_EQ(testing::CountExtents(catalog, "keep"), 2u);
+  std::string blobs[2];
+  for (size_t e = 0; e < 2; ++e) {
+    std::optional<testing::TableRange> range =
+        testing::FindTableRange(catalog, "keep", e);
+    ASSERT_TRUE(range.has_value());
+    EXPECT_EQ(range->path, catalog.SegmentPath(e + 1));
+    ASSERT_TRUE(Env::Default()
+                    ->ReadFileRange(range->path, range->offset, range->bytes,
+                                    &blobs[e])
+                    .ok());
+  }
+
+  // Shrinking the large tables leaves segments 1 and 2 mostly dead: both
+  // are compacted, and `keep`'s base and patch move to segment 3.
+  ASSERT_TRUE(catalog.CommitBatch(ReplaceLargeTables()).ok());
+  EXPECT_FALSE(PathExists(catalog.SegmentPath(1)));
+  EXPECT_FALSE(PathExists(catalog.SegmentPath(2)));
+  ASSERT_EQ(testing::CountExtents(catalog, "keep"), 2u);
+  for (size_t e = 0; e < 2; ++e) {
+    std::optional<testing::TableRange> range =
+        testing::FindTableRange(catalog, "keep", e);
+    ASSERT_TRUE(range.has_value());
+    EXPECT_EQ(range->path, catalog.SegmentPath(3));
+    std::string moved;
+    ASSERT_TRUE(Env::Default()
+                    ->ReadFileRange(range->path, range->offset, range->bytes,
+                                    &moved)
+                    .ok());
+    EXPECT_EQ(moved, blobs[e]) << "extent " << e;
+  }
+  auto cached = catalog.GetTable("keep");
+  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+  EXPECT_TRUE(SameRows(**cached, patched));
+  catalog.EvictFromMemory("keep");
+  auto merged = catalog.GetTable("keep");
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(SameRows(**merged, patched));
+
+  Catalog restored(dir.path());
+  auto recovered = restored.Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->tables_verified, 4u);
+  EXPECT_EQ(recovered->tables_quarantined, 0u);
+  auto reopened = restored.GetTable("keep");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(SameRows(**reopened, patched));
+}
+
 TEST(SegmentTest, UnreferencedSegmentSweptAtRecovery) {
   ScopedTempDir dir;
   std::string referenced;
@@ -891,7 +1049,8 @@ TEST(SegmentTest, UnreferencedSegmentSweptAtRecovery) {
     Catalog catalog(dir.path());
     ASSERT_TRUE(catalog.Put("t1", MakeTable(), 1.0).ok());
     ASSERT_TRUE(catalog.SaveManifest().ok());
-    referenced = catalog.SegmentPath(catalog.GetStats("t1")->segment);
+    referenced =
+        catalog.SegmentPath(catalog.GetStats("t1")->extents.at(0).segment);
   }
   // A commit that died before its flip leaves its segment behind.
   Catalog restored(dir.path());
@@ -920,7 +1079,7 @@ TEST(SegmentTest, ADictionaryBlobKeepsItsSegmentLive) {
   std::vector<TableUpdate> updates;
   updates.push_back(std::move(update));
   ASSERT_TRUE(catalog.CommitBatch(std::move(updates)).ok());
-  EXPECT_EQ(catalog.GetStats("t1")->segment, 2u);
+  EXPECT_EQ(catalog.GetStats("t1")->extents.at(0).segment, 2u);
   ASSERT_EQ(catalog.State()->dictionary_blobs.size(), 1u);
   EXPECT_EQ(catalog.State()->dictionary_blobs[0].segment, 1u);
 
@@ -1012,7 +1171,8 @@ TEST(SegmentTest, AStateReadsOneGeneration) {
   std::shared_ptr<const CatalogState> new_state = catalog.State();
   EXPECT_EQ(old_state->generation, 1u);
   EXPECT_EQ(new_state->generation, 2u);
-  EXPECT_EQ(new_state->Find("keep")->segment, 2u);  // Copied forward.
+  // Copied forward.
+  EXPECT_EQ(new_state->Find("keep")->extents.at(0).segment, 2u);
   EXPECT_TRUE(PathExists(compacted));
   // Every read below comes from a segment file.
   catalog.SetMemoryBudget(1);
@@ -1025,14 +1185,14 @@ TEST(SegmentTest, AStateReadsOneGeneration) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     const bool replaced = std::string(name) != "keep";
     EXPECT_EQ((*before)->NumRows(), replaced ? 500u : 5u);
-    EXPECT_EQ((*after)->NumRows(), replaced ? 400u : 5u);
+    EXPECT_EQ((*after)->NumRows(), replaced ? 40u : 5u);
   }
   EXPECT_EQ(catalog.quarantined_tables(), 0u);
   old_state.reset();
   EXPECT_FALSE(PathExists(compacted));
   auto table = catalog.GetTable(*new_state, "r1");
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ((*table)->NumRows(), 400u);
+  EXPECT_EQ((*table)->NumRows(), 40u);
 }
 
 TEST(FaultInjectionEnvTest, CrashPointSemantics) {

@@ -6,13 +6,20 @@
 namespace s2rdf::testing {
 
 std::optional<TableRange> FindTableRange(const storage::Catalog& catalog,
-                                         const std::string& name) {
+                                         const std::string& name,
+                                         size_t extent) {
   std::optional<storage::TableStats> stats = catalog.GetStats(name);
-  if (!stats.has_value() || !stats->materialized || stats->segment == 0) {
+  if (!stats.has_value() || !stats->materialized ||
+      extent >= stats->extents.size()) {
     return std::nullopt;
   }
-  return TableRange{catalog.SegmentPath(stats->segment), stats->offset,
-                    stats->bytes};
+  const storage::BlobLocation& at = stats->extents[extent];
+  return TableRange{catalog.SegmentPath(at.segment), at.offset, at.bytes};
+}
+
+size_t CountExtents(const storage::Catalog& catalog, const std::string& name) {
+  std::optional<storage::TableStats> stats = catalog.GetStats(name);
+  return stats.has_value() ? stats->extents.size() : 0;
 }
 
 std::vector<TableRange> FindDictionaryRanges(const storage::Catalog& catalog) {
@@ -24,8 +31,8 @@ std::vector<TableRange> FindDictionaryRanges(const storage::Catalog& catalog) {
 }
 
 bool CorruptTable(const storage::Catalog& catalog, const std::string& name,
-                  std::optional<uint64_t> pos, uint8_t mask) {
-  std::optional<TableRange> range = FindTableRange(catalog, name);
+                  std::optional<uint64_t> pos, uint8_t mask, size_t extent) {
+  std::optional<TableRange> range = FindTableRange(catalog, name, extent);
   if (!range.has_value()) return false;
   const uint64_t at = pos.value_or(range->bytes / 2);
   if (at >= range->bytes) return false;

@@ -98,12 +98,15 @@ int main(int argc, char** argv) {
     total_added += r.triples_added;
     std::printf(
         "batch %d: %llu triples, %llu new, gen %llu, vp=%llu extvp=%llu, "
-        "%llu ms\n",
+        "%llu bytes written (%llu tables patched, %llu whole), %llu ms\n",
         ++batch_no, static_cast<unsigned long long>(r.triples_in_batch),
         static_cast<unsigned long long>(r.triples_added),
         static_cast<unsigned long long>(r.generation),
         static_cast<unsigned long long>(r.vp_tables_updated),
         static_cast<unsigned long long>(r.extvp_tables_updated),
+        static_cast<unsigned long long>(r.bytes_written),
+        static_cast<unsigned long long>(r.tables_patched),
+        static_cast<unsigned long long>(r.tables_written_whole),
         static_cast<unsigned long long>(r.millis));
     return true;
   };
