@@ -9,6 +9,7 @@
 // sizes) are the reproduction target.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,8 @@ struct SfReport {
   uint64_t extvp_sf1 = 0;
 };
 
-SfReport MeasureScaleFactor(double sf) {
+// Nullopt, with the reason on stderr, when a load fails.
+std::optional<SfReport> MeasureScaleFactor(double sf) {
   SfReport report;
   report.sf = sf;
   watdiv::GeneratorOptions gen;
@@ -65,7 +67,7 @@ SfReport MeasureScaleFactor(double sf) {
                      1000.0;
   if (!commit.ok()) {
     std::fprintf(stderr, "VP load failed: %s\n", commit.ToString().c_str());
-    return report;
+    return std::nullopt;
   }
   report.vp_tables = catalog.NumMaterializedTables();
   report.vp_tuples = catalog.TotalTuples();
@@ -84,7 +86,7 @@ SfReport MeasureScaleFactor(double sf) {
                  (extvp_stats.ok() ? commit : extvp_stats.status())
                      .ToString()
                      .c_str());
-    return report;
+    return std::nullopt;
   }
   report.extvp_tables = extvp_stats->tables_materialized;
   report.extvp_empty = extvp_stats->tables_empty;
@@ -98,15 +100,22 @@ SfReport MeasureScaleFactor(double sf) {
                         }) /
                         1000.0;
 
+  Status sempala;
   report.sempala_load_s =
       TimeMs([&] {
         baselines::SempalaOptions options;
         auto engine = baselines::SempalaEngine::Create(&graph, options);
+        sempala = engine.status();
         if (engine.ok()) {
           report.sempala_pt_rows = (*engine)->build_stats().pt_rows;
         }
       }) /
       1000.0;
+  if (!sempala.ok()) {
+    std::fprintf(stderr, "Sempala load failed: %s\n",
+                 sempala.ToString().c_str());
+    return std::nullopt;
+  }
   return report;
 }
 
@@ -121,7 +130,11 @@ int Main() {
   }
 
   std::vector<SfReport> reports;
-  for (double sf : sweep) reports.push_back(MeasureScaleFactor(sf));
+  for (double sf : sweep) {
+    std::optional<SfReport> report = MeasureScaleFactor(sf);
+    if (!report.has_value()) return 1;
+    reports.push_back(*report);
+  }
 
   std::vector<std::string> headers = {"metric"};
   for (const SfReport& r : reports) {

@@ -60,7 +60,7 @@ int Main() {
         if (!result.ok()) {
           std::fprintf(stderr, "%s: %s\n", tmpl.name.c_str(),
                        result.status().ToString().c_str());
-          continue;
+          return 1;
         }
         means.Add(tmpl.category, result->millis);
         means.Add("Total", result->millis);

@@ -108,6 +108,14 @@ fi
 note "benchmark gates (BENCH_parallel.json, BENCH_profile.json, BENCH_optimizer.json, BENCH_ingest.json, BENCH_serving.json)"
 scripts/bench_json.sh build
 
+note "paper-table harnesses (Table 2 load, Table 6 SF threshold)"
+# Each builds its stores at the default SFs in about a second and exits
+# non-zero when a load or a query fails; their table, tuple and byte
+# counts are the record that a build change leaves the stores as they
+# were.
+./build/bench/bench_load_table2
+./build/bench/bench_sf_threshold_table6
+
 if [[ "${1:-}" == "quick" ]]; then
   note "quick mode: skipping analyze + sanitizer legs"
   exit 0

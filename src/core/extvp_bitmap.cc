@@ -1,5 +1,9 @@
 #include "core/extvp_bitmap.h"
 
+#include <vector>
+
+#include "core/extvp_kernel.h"
+
 namespace s2rdf::core {
 
 namespace {
@@ -7,35 +11,32 @@ using rdf::TermId;
 }  // namespace
 
 StatusOr<std::unique_ptr<ExtVpBitmapStore>> ExtVpBitmapStore::Build(
-    const rdf::Graph& graph, const ExtVpOptions& options) {
+    const rdf::Graph& graph, const ExtVpOptions& options,
+    storage::Catalog* catalog) {
   auto store = std::unique_ptr<ExtVpBitmapStore>(new ExtVpBitmapStore());
-  const VpRowData vp = CollectVpRows(graph);
-
-  // One sweep: set bit `r` of bitmap (corr, p1, p2) whenever row `r` of
-  // VP_p1 survives the semi-join against VP_p2.
-  ExtVpSweep(vp).ForEach(
-      [&](Correlation corr, uint32_t i1, uint32_t i2, size_t r) {
-        const uint64_t key = Key(corr, vp.predicates[i1], vp.predicates[i2]);
-        auto it = store->bitmaps_.find(key);
-        if (it == store->bitmaps_.end()) {
-          it = store->bitmaps_.emplace(key, Bitmap(vp.rows[i1].size())).first;
-        }
-        it->second.Set(r);
-      });
-
-  // Post-pass: record SFs; keep only the bitmaps of reductions the table
-  // builder would store. A pruned bitmap would cost nothing at query
-  // time, but it is dropped to honor the configured storage budget.
-  for (auto it = store->bitmaps_.begin(); it != store->bitmaps_.end();) {
+  const std::shared_ptr<const storage::CatalogState> state = catalog->State();
+  VpSource vp(catalog, *state, nullptr);
+  S2RDF_ASSIGN_OR_RETURN(
+      const std::vector<ExtVpPair> pairs,
+      NonEmptyExtVpPairs(VpPredicates(*state), graph.dictionary().size(),
+                         &vp));
+  DeltaMaintainer kernel(options.sf_threshold, catalog, *state, &vp, nullptr);
+  std::vector<uint32_t> rows;
+  for (const ExtVpPair& pair : pairs) {
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* vp1, vp.Table(pair.p1));
+    S2RDF_ASSIGN_OR_RETURN(const size_t count,
+                           kernel.Reduce(*vp1, pair, &rows));
     const ExtVpVerdict verdict =
-        ClassifyExtVp(it->second.CountSetBits(), it->second.size_bits(),
-                      options.sf_threshold);
-    store->known_sf_[it->first] = verdict.sf;
-    if (verdict.kind == ExtVpVerdict::kStored) {
-      ++it;
-    } else {
-      it = store->bitmaps_.erase(it);
-    }
+        ClassifyExtVp(count, vp1->NumRows(), options.sf_threshold);
+    if (verdict.kind == ExtVpVerdict::kEmpty) continue;
+    const uint64_t key = Key(pair.corr, pair.p1, pair.p2);
+    store->known_sf_[key] = verdict.sf;
+    // Only what the table builder would store gets a bitmap: a pruned one
+    // is dropped to honor the configured storage budget.
+    if (verdict.kind != ExtVpVerdict::kStored) continue;
+    Bitmap bitmap(vp1->NumRows());
+    for (size_t i = 0; i < count; ++i) bitmap.Set(rows[i]);
+    store->bitmaps_.emplace(key, std::move(bitmap));
   }
   return store;
 }

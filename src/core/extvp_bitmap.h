@@ -10,6 +10,7 @@
 #include "core/layout_names.h"
 #include "core/layouts.h"
 #include "rdf/graph.h"
+#include "storage/catalog.h"
 
 // Bit-vector representation of ExtVP — the paper's future work (Sec. 8):
 // instead of materializing each semi-join reduction ExtVP_corr_p1|p2 as
@@ -21,22 +22,24 @@
 // *intersection* of all of them, which can be strictly more selective
 // than the single best ExtVP table Algorithm 1 picks.
 //
-// Bitmaps are indexed by the row order of the VP layout built from the
-// same graph (layouts.cc builds both from the same deduplicated row
-// stream), so a bitmap can filter the catalog's VP table directly. The
-// store is built by the same all-pairs sweep (ExtVpSweep) and keeps the
-// same reductions (ClassifyExtVp) as the table builder.
+// Each bitmap marks the surviving row indices the per-pair ExtVP kernel
+// (core/extvp_kernel.h) finds in the VP_p1 table of the catalog the
+// store is built over — the very table it filters — so the bitmaps match
+// the VP tables row for row by construction. The store keeps the same
+// reductions (ClassifyExtVp) as the table builder.
 
 namespace s2rdf::core {
 
 class ExtVpBitmapStore {
  public:
-  // Builds bitmaps for every combination with 0 < SF < 1 (and SF below
+  // Builds bitmaps over the VP tables of `catalog`, as BuildExtVpLayout
+  // builds tables, for every combination with 0 < SF < 1 (and SF below
   // `options.sf_threshold`). Combinations with SF = 1 are represented
   // implicitly (the full VP table); empty combinations are recorded so
   // the statistics shortcut still works.
   static StatusOr<std::unique_ptr<ExtVpBitmapStore>> Build(
-      const rdf::Graph& graph, const ExtVpOptions& options);
+      const rdf::Graph& graph, const ExtVpOptions& options,
+      storage::Catalog* catalog);
 
   // The bitmap for (corr, p1, p2); nullptr when not stored (empty,
   // SF = 1, pruned by threshold, or unknown pair).

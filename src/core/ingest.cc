@@ -1,7 +1,6 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <charconv>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -14,8 +13,8 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "core/extvp_kernel.h"
 #include "core/layout_names.h"
-#include "core/layouts.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "rdf/table.h"
@@ -32,322 +31,12 @@ uint64_t SoKey(TermId s, TermId o) {
   return (static_cast<uint64_t>(s) << 32) | o;
 }
 
-// The column names of VP and ExtVP tables.
-std::vector<std::string> SoColumns() { return {"s", "o"}; }
-
 // Row indices [begin, end): the rows an append adds.
 std::vector<uint32_t> RowRange(size_t begin, size_t end) {
   std::vector<uint32_t> rows(end - begin);
   std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(begin));
   return rows;
 }
-
-// A set of term ids as a bitset over [0, largest id]: term ids are dense,
-// so any set of them — a VP column's join keys, a batch's subjects —
-// fits in one bit per dictionary term. The last word is always zero, and
-// an id past the set's range reads it: a probe takes no branch.
-class TermSet {
- public:
-  void Insert(TermId id) {
-    const size_t word = id >> 6;
-    if (word + 1 >= words_.size()) words_.resize(word + 2);
-    words_[word] |= uint64_t{1} << (id & 63);
-  }
-  bool Contains(TermId id) const {
-    const size_t word = std::min<size_t>(id >> 6, words_.size() - 1);
-    return ((words_[word] >> (id & 63)) & 1) != 0;
-  }
-
- private:
-  std::vector<uint64_t> words_ = std::vector<uint64_t>(1);
-};
-
-// The VP tables of `state`, each loaded on first use. A quarantined or
-// checksum-failing VP is reconstructed from the state's triples table —
-// TT's (s, p, o) dedup restricted to one predicate is exactly
-// CollectVpRows' per-predicate dedup, in the same first-appearance
-// order, so the reconstruction is byte-identical to the lost table (and
-// an ingest commit rewrites it, self-healing the quarantine).
-class VpSource {
- public:
-  // `tt` is the state's triples table when the caller holds it already;
-  // null loads it when a VP table first fails to.
-  VpSource(storage::Catalog* catalog, const storage::CatalogState& state,
-           std::shared_ptr<const rdf::Table> tt)
-      : catalog_(catalog), state_(state), tt_(std::move(tt)) {}
-
-  // VP_p as an (s, o) table; empty when p has none.
-  StatusOr<const rdf::Table*> Table(TermId p) {
-    auto it = cache_.find(p);
-    if (it != cache_.end()) return it->second.get();
-    std::shared_ptr<const rdf::Table> table;
-    const std::string name = VpTableName(p);
-    if (state_.Find(name) != nullptr) {
-      auto table_or = catalog_->GetTable(state_, name);
-      if (table_or.ok()) {
-        table = std::move(*table_or);
-      } else {
-        if (tt_ == nullptr) {
-          S2RDF_ASSIGN_OR_RETURN(
-              tt_, catalog_->GetTable(state_, TriplesTableName()));
-        }
-        auto rebuilt = std::make_shared<rdf::Table>(SoColumns());
-        for (size_t r = 0; r < tt_->NumRows(); ++r) {
-          if (tt_->At(r, 1) != p) continue;
-          rebuilt->AppendRow({tt_->At(r, 0), tt_->At(r, 2)});
-        }
-        table = std::move(rebuilt);
-      }
-    } else {
-      table = std::make_shared<rdf::Table>(SoColumns());
-    }
-    const rdf::Table* out = table.get();
-    cache_.emplace(p, std::move(table));
-    return out;
-  }
-
- private:
-  storage::Catalog* catalog_;
-  const storage::CatalogState& state_;
-  std::shared_ptr<const rdf::Table> tt_;
-  std::unordered_map<TermId, std::shared_ptr<const rdf::Table>> cache_;
-};
-
-
-// The per-pair ExtVP kernel: reduces single pairs against the catalog as
-// of `state`, the VP tables read through `vp` plus a per-predicate
-// delta of (s, o) rows appended after them. Ingest passes the batch as
-// the delta; lazy first use passes none.
-class DeltaMaintainer {
- public:
-  DeltaMaintainer(const IngestConfig& config, storage::Catalog* catalog,
-                  const storage::CatalogState& state, VpSource* vp,
-                  const std::unordered_map<TermId, rdf::Table>* delta)
-      : config_(config),
-        catalog_(catalog),
-        state_(state),
-        vp_(vp),
-        delta_(delta) {}
-
-  std::vector<TableUpdate>& updates() { return updates_; }
-
-  // Delta-maintains the pair: recomputes its rows (when it can gain) or
-  // amends its SF denominator (when only VP_p1 grew), emitting at most
-  // one TableUpdate, and none while the pair stays empty. `gain_possible`
-  // is the affected-pair verdict; for pairs outside that set the row
-  // count provably cannot change.
-  Status MaintainPair(const ExtVpPair& pair, bool gain_possible) {
-    const std::string name = ExtVpTableName(pair.corr, pair.p1, pair.p2);
-    const storage::TableStats* old = state_.Find(name);
-    if (config_.lazy_extvp && old == nullptr) {
-      // "Pay as you go": uncomputed pairs stay uncomputed; their first
-      // use builds them from the updated VP tables.
-      return Status::Ok();
-    }
-    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
-    const rdf::Table* delta_p1 = DeltaOf(pair.p1);
-    const uint64_t new_vp1_rows =
-        old_vp1->NumRows() + (delta_p1 != nullptr ? delta_p1->NumRows() : 0);
-    if (new_vp1_rows == 0) return Status::Ok();
-
-    uint64_t count;
-    std::optional<Rows> rows;  // Computed only when it can gain.
-    if (gain_possible) {
-      S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
-      count = rows->table.NumRows();
-    } else {
-      if (old == nullptr || old->rows == 0) return Status::Ok();
-      count = old->rows;
-    }
-
-    const ExtVpVerdict verdict =
-        ClassifyExtVp(count, new_vp1_rows, config_.sf_threshold);
-    // Still empty: a full rebuild registers nothing, so emit
-    // nothing (a pre-existing zero entry stays as-is).
-    if (verdict.kind == ExtVpVerdict::kEmpty) return Status::Ok();
-    const bool stored = verdict.kind == ExtVpVerdict::kStored;
-    TableUpdate update;
-    update.name = name;
-    update.selectivity = verdict.sf;
-    if (old != nullptr && old->rows == count) {
-      if (old->selectivity == verdict.sf && old->materialized == stored) {
-        return Status::Ok();  // Bit-for-bit unchanged.
-      }
-      if (old->materialized && stored) {
-        // Row set untouched, only the SF denominator moved: amend the
-        // stats and keep the existing file.
-        update.rows = count;
-        update.retain_table = true;
-        updates_.push_back(std::move(update));
-        return Status::Ok();
-      }
-    }
-    if (stored) {
-      if (!rows.has_value()) {
-        S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
-      }
-      update.table = std::move(rows->table);
-      update.new_rows = std::move(rows->added);
-    } else {
-      update.rows = count;  // SF = 1 or pruned: statistics only.
-    }
-    updates_.push_back(std::move(update));
-    return Status::Ok();
-  }
-
- private:
-  const rdf::Table* DeltaOf(TermId p) const {
-    auto it = delta_->find(p);
-    return it == delta_->end() ? nullptr : &it->second;
-  }
-
-  // The join keys of the updated VP_p2's `right_col` (`all`), and those
-  // of them the old VP_p2 lacks, which the delta added (`added`).
-  struct JoinKeys {
-    TermSet all;
-    TermSet added;
-  };
-
-  // The join keys of VP_p2's `right_col`, cached per (predicate, column).
-  StatusOr<const JoinKeys*> RightKeys(TermId p2, int right_col) {
-    uint64_t cache_key = (static_cast<uint64_t>(p2) << 1) |
-                         static_cast<uint64_t>(right_col);
-    auto it = right_keys_.find(cache_key);
-    if (it != right_keys_.end()) return it->second.get();
-    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* vp2, vp_->Table(p2));
-    auto keys = std::make_unique<JoinKeys>();
-    const TermId* column = vp2->ColumnData(right_col);
-    for (size_t r = 0; r < vp2->NumRows(); ++r) keys->all.Insert(column[r]);
-    if (const rdf::Table* delta = DeltaOf(p2); delta != nullptr) {
-      column = delta->ColumnData(right_col);
-      for (size_t r = 0; r < delta->NumRows(); ++r) {
-        if (keys->all.Contains(column[r])) continue;
-        keys->added.Insert(column[r]);
-        keys->all.Insert(column[r]);
-      }
-    }
-    const JoinKeys* out = keys.get();
-    right_keys_.emplace(cache_key, std::move(keys));
-    return out;
-  }
-
-  // The rows of `from` that find a partner in VP_p2 (the pair's
-  // semi-join), as ascending row indices in `(*rows)[0, count)`.
-  StatusOr<size_t> Reduce(const rdf::Table& from, const ExtVpPair& pair,
-                          std::vector<uint32_t>* rows) {
-    const CorrelationRoles& roles = RolesOf(pair.corr);
-    S2RDF_ASSIGN_OR_RETURN(const JoinKeys* keys,
-                           RightKeys(pair.p2, roles.right));
-    const TermId* column = from.ColumnData(roles.left);
-    // Every row is written and only a match advances: no branch on it.
-    if (rows->size() < from.NumRows()) rows->resize(from.NumRows());
-    size_t count = 0;
-    for (size_t r = 0; r < from.NumRows(); ++r) {
-      (*rows)[count] = static_cast<uint32_t>(r);
-      count += keys->all.Contains(column[r]) ? 1 : 0;
-    }
-    return count;
-  }
-
-  // The pair's full (s, o) table, and the ascending indices of its rows
-  // that the pair's current reduction lacks.
-  struct Rows {
-    rdf::Table table;
-    std::vector<uint32_t> added;
-  };
-
-  // Recomputes the pair's full (s, o) table in the updated VP_p1's row
-  // order: the surviving pre-batch rows first (part 1), then the
-  // surviving batch rows (part 2) — exactly the order a from-scratch
-  // rebuild over the concatenated triple stream emits. The table is
-  // sized once, to its rows. Its rows the current reduction lacks are
-  // part 1's retro-gains — old VP_p1 rows whose join key the batch added
-  // to VP_p2, anywhere among the old rows — and every row of part 2.
-  StatusOr<Rows> ComputeRows(const std::string& name,
-                             const storage::TableStats* old,
-                             const ExtVpPair& pair) {
-    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
-    const rdf::Table* delta_p1 = DeltaOf(pair.p1);
-    const rdf::Table* delta_p2 = DeltaOf(pair.p2);
-    const bool right_may_grow = delta_p2 != nullptr && delta_p2->NumRows() > 0;
-    // With a delta (ingest) the catalog's stats describe the old VP
-    // tables exactly, so the pair's entry can stand in for its old rows;
-    // without one (lazy first use) the pair has no entry to trust.
-    const bool trust_old_stats = !delta_->empty();
-
-    // Part 1 — pre-batch VP_p1 rows that (still or newly) match: a whole
-    // table, or the matching rows of VP_p1. The join-key set only ever
-    // grows, so matches are monotone: an SF = 1 pair keeps all rows, and
-    // when VP_p2 gained nothing the old materialized reduction *is* part
-    // 1 verbatim.
-    const rdf::Table* whole = nullptr;
-    std::shared_ptr<const rdf::Table> old_reduction;
-    bool reduce_old = false;
-    if (old != nullptr && old->rows == old_vp1->NumRows() && old->rows > 0) {
-      whole = old_vp1;
-    } else if (trust_old_stats && !right_may_grow &&
-               (old == nullptr || old->rows == 0)) {
-      // Nothing matched before and the key set is unchanged.
-    } else if (trust_old_stats && !right_may_grow && old != nullptr &&
-               old->materialized) {
-      auto table_or = catalog_->GetTable(state_, name);
-      if (table_or.ok()) {
-        old_reduction = std::move(*table_or);
-        whole = old_reduction.get();
-      } else {
-        reduce_old = true;
-      }
-    } else {
-      reduce_old = true;
-    }
-    size_t part1 = whole != nullptr ? whole->NumRows() : 0;
-    if (reduce_old) {
-      S2RDF_ASSIGN_OR_RETURN(part1, Reduce(*old_vp1, pair, &part1_rows_));
-    }
-    // Part 2 — the batch's VP_p1 rows that match.
-    size_t part2 = 0;
-    if (delta_p1 != nullptr && delta_p1->NumRows() > 0) {
-      S2RDF_ASSIGN_OR_RETURN(part2, Reduce(*delta_p1, pair, &part2_rows_));
-    }
-
-    Rows out{rdf::Table(SoColumns()), {}};
-    out.table.Reserve(part1 + part2);
-    if (whole != nullptr) {
-      out.table.Append(*whole);
-    } else if (reduce_old) {
-      out.table.AppendGather(*old_vp1, {0, 1}, part1_rows_.data(), part1);
-    }
-    if (reduce_old && right_may_grow) {
-      const CorrelationRoles& roles = RolesOf(pair.corr);
-      S2RDF_ASSIGN_OR_RETURN(const JoinKeys* keys,
-                             RightKeys(pair.p2, roles.right));
-      const TermId* column = old_vp1->ColumnData(roles.left);
-      for (size_t i = 0; i < part1; ++i) {
-        if (keys->added.Contains(column[part1_rows_[i]])) {
-          out.added.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-    if (part2 > 0) {
-      out.table.AppendGather(*delta_p1, {0, 1}, part2_rows_.data(), part2);
-      for (size_t i = part1; i < part1 + part2; ++i) {
-        out.added.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    return out;
-  }
-
-  const IngestConfig& config_;
-  storage::Catalog* catalog_;
-  const storage::CatalogState& state_;
-  VpSource* vp_;
-  const std::unordered_map<TermId, rdf::Table>* delta_;
-  std::unordered_map<uint64_t, std::unique_ptr<JoinKeys>> right_keys_;
-  // Reduce's row indices of parts 1 and 2, reused across pairs.
-  std::vector<uint32_t> part1_rows_;
-  std::vector<uint32_t> part2_rows_;
-  std::vector<TableUpdate> updates_;
-};
 
 }  // namespace
 
@@ -380,7 +69,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   }
 
   // Batch-internal dedup, keeping arrival order: candidate rows per
-  // predicate under the same (s << 32 | o) key CollectVpRows uses. Each
+  // predicate under the same (s << 32 | o) key the VP builder uses. Each
   // term of a candidate gets a slot, found by id: term ids are dense,
   // and the dictionary bounds them.
   constexpr uint32_t kNoSlot = ~uint32_t{0};
@@ -440,7 +129,7 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
 
   // The surviving delta: per-predicate rows and the interleaved stream
   // (the triples table appends in arrival order, VP tables per
-  // predicate — matching what CollectVpRows/BuildTriplesTable produce
+  // predicate — matching what BuildTriplesTable/BuildVpLayout produce
   // over the concatenated stream).
   std::unordered_map<TermId, rdf::Table> delta;
   std::vector<TermId> delta_preds;
@@ -470,7 +159,8 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
     }
   }
   VpSource old_vp(catalog, *state, old_tt);
-  DeltaMaintainer maintainer(config, catalog, *state, &old_vp, &delta);
+  DeltaMaintainer maintainer(config.sf_threshold, catalog, *state, &old_vp,
+                             &delta);
 
   // Triples-table and VP appends.
   {
@@ -528,6 +218,12 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
       }
     }
     for (const ExtVpPair& pair : affected) {
+      // "Pay as you go": a pair no query has computed stays uncomputed.
+      if (config.lazy_extvp &&
+          state->Find(ExtVpTableName(pair.corr, pair.p1, pair.p2)) ==
+              nullptr) {
+        continue;
+      }
       S2RDF_RETURN_IF_ERROR(
           maintainer.MaintainPair(pair, /*gain_possible=*/true));
     }
@@ -541,16 +237,9 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
         for (auto it = state->stats.lower_bound(prefix);
              it != state->stats.end() && it->first.starts_with(prefix);
              ++it) {
-          const std::string_view p2_digits =
-              std::string_view(it->first).substr(prefix.size());
-          TermId p2 = 0;
-          const auto [end, error] = std::from_chars(
-              p2_digits.data(), p2_digits.data() + p2_digits.size(), p2);
-          if (error != std::errc() ||
-              end != p2_digits.data() + p2_digits.size()) {
-            continue;
-          }
-          const ExtVpPair pair{roles.corr, p1, p2};
+          const std::optional<TermId> p2 = IdAfter(prefix, it->first);
+          if (!p2.has_value()) continue;
+          const ExtVpPair pair{roles.corr, p1, *p2};
           if (affected.contains(pair)) continue;
           S2RDF_RETURN_IF_ERROR(
               maintainer.MaintainPair(pair, /*gain_possible=*/false));
@@ -582,36 +271,25 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
   return result;
 }
 
-Status StageExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
-                       const storage::CatalogState& state,
-                       storage::Catalog* catalog) {
-  // Every pair asked for is computed: skipping uncomputed pairs is what
-  // ingest does on a lazy store.
-  const IngestConfig config{.sf_threshold = sf_threshold};
+Status CommitExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
+                        const storage::CatalogState& state,
+                        storage::Catalog* catalog) {
   VpSource current_vp(catalog, state, nullptr);
-  const std::unordered_map<TermId, rdf::Table> no_delta;
-  DeltaMaintainer maintainer(config, catalog, state, &current_vp, &no_delta);
+  DeltaMaintainer kernel(sf_threshold, catalog, state, &current_vp, nullptr);
   for (const ExtVpPair& pair : pairs) {
     const std::string name = ExtVpTableName(pair.corr, pair.p1, pair.p2);
     if (state.Find(name) != nullptr) continue;  // Computed already.
-    const size_t emitted = maintainer.updates().size();
-    S2RDF_RETURN_IF_ERROR(
-        maintainer.MaintainPair(pair, /*gain_possible=*/true));
-    if (maintainer.updates().size() == emitted) {
+    const size_t emitted = kernel.updates().size();
+    S2RDF_RETURN_IF_ERROR(kernel.MaintainPair(pair, /*gain_possible=*/true));
+    if (kernel.updates().size() == emitted) {
       // Empty. Unlike the eager build, a lazy store records it, with 0
       // rows: its entry is what marks the pair computed.
-      catalog->PutStatsOnly(name, 0, 0.0);
+      TableUpdate& empty = kernel.updates().emplace_back();
+      empty.name = name;
+      empty.selectivity = 0.0;
     }
   }
-  for (TableUpdate& update : maintainer.updates()) {
-    if (update.table.has_value()) {
-      S2RDF_RETURN_IF_ERROR(catalog->Put(
-          update.name, std::move(*update.table), update.selectivity));
-    } else {
-      catalog->PutStatsOnly(update.name, update.rows, update.selectivity);
-    }
-  }
-  return Status::Ok();
+  return catalog->CommitBatch(std::move(kernel.updates()));
 }
 
 StatusOr<storage::IngestBatch> MakeBatchFromNTriples(std::string_view text) {

@@ -12,10 +12,9 @@
 #include "storage/ingest.h"
 
 // Incremental ingest with ExtVP delta maintenance (ROADMAP: "incremental
-// ExtVP maintenance under updates"), and the per-pair ExtVP kernel it
-// shares with lazy first use. S2RDF's batch build computes
-// every reduction anew in one all-pairs sweep (core/layouts.h); this
-// module appends a batch of triples and repairs only the
+// ExtVP maintenance under updates"), and lazy first use. Both run the one
+// per-pair ExtVP kernel (core/extvp_kernel.h) that also builds the eager
+// store; this module appends a batch of triples and repairs only the
 // reductions the batch can actually change, via delta semi-joins:
 //
 //   - the new triples of predicate p1 are probed against the (updated)
@@ -28,22 +27,16 @@
 //     threshold).
 //
 // Every batch is maintained this way before it commits, so no reduction
-// ever lags its VP tables. Lazy first use runs the same kernel with an
-// empty delta: a plain semi-join of the current VP_p1 against VP_p2's
-// key set. Both classify the result with ClassifyExtVp, the eager builder's
-// rule. Rows are emitted in the updated VP_p1's row order — existing
-// rows first, batch rows in arrival order — which is exactly the order
-// a full rebuild over the concatenated triple stream produces, so
-// every generation's tables are byte-identical to a full rebuild
-// (the crash-matrix test's oracle). Every key set the kernel probes is
-// a bitset over the dense term ids, and it reads and emits rdf::Tables,
-// appending surviving rows column by column.
+// ever lags its VP tables. Rows are emitted in the updated VP_p1's row
+// order — existing rows first, batch rows in arrival order — which is
+// exactly the order a full rebuild over the concatenated triple stream
+// produces, so every generation's tables are byte-identical to a full
+// rebuild (the crash-matrix test's oracle).
 //
 // All changed tables commit through one Catalog::CommitBatch, i.e. one
-// atomic manifest flip. The commit sizes every blob, lays the blobs out
-// in its segment and writes each in place across the shared TaskPool;
-// IngestResult::commit_millis is that call's share of the batch's
-// millis.
+// atomic manifest flip, and so do the reductions one lazy first use
+// computes. IngestResult::commit_millis is that call's share of the
+// batch's millis.
 
 namespace s2rdf::core {
 
@@ -71,15 +64,15 @@ StatusOr<storage::IngestResult> ApplyIngestBatch(
 
 // "Pay as you go" first use (Sec. 7): computes each reduction of `pairs`
 // that `state` has no entry for from the VP tables of `state` (a
-// quarantined one rebuilt from the triples table), and stages it in
-// `catalog` — stored or statistics-only by ClassifyExtVp at
+// quarantined one rebuilt from the triples table), and commits them in
+// one CommitBatch — stored or statistics-only by ClassifyExtVp at
 // `sf_threshold`, an empty one as a 0-row entry, so that every computed
-// pair has an entry. Pairs that share a VP_p2 share its key set. The
-// caller serializes this with commits: a pair computed from one
-// generation must not be staged while a batch commits the next.
-Status StageExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
-                       const storage::CatalogState& state,
-                       storage::Catalog* catalog);
+// pair has an entry that survives a reopen. The caller serializes this
+// with every other commit, ingest's included: a pair computed from one
+// generation must not commit while a batch commits the next.
+Status CommitExtVpPairs(const std::set<ExtVpPair>& pairs, double sf_threshold,
+                        const storage::CatalogState& state,
+                        storage::Catalog* catalog);
 
 // Parses N-Triples text into an IngestBatch (the HTTP and CLI entry
 // points accept raw N-Triples bodies).

@@ -2,7 +2,9 @@
 #define S2RDF_CORE_LAYOUT_NAMES_H_
 
 #include <compare>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "rdf/dictionary.h"
 
@@ -61,6 +63,9 @@ struct ExtVpPair {
 // not "empty" (SF = 0).
 inline constexpr char kExtVpMarker[] = "meta_extvp";
 
+// What the name of every VP table starts with, and only theirs.
+inline constexpr char kVpTablePrefix[] = "vp_";
+
 std::string TriplesTableName();
 std::string VpTableName(rdf::TermId predicate);
 std::string ExtVpTableName(Correlation corr, rdf::TermId p1, rdf::TermId p2);
@@ -69,6 +74,11 @@ std::string ExtVpTableName(Correlation corr, rdf::TermId p1, rdf::TermId p2);
 std::string ExtVpTablePrefix(Correlation corr, rdf::TermId p1);
 std::string PropertyTableName();
 std::string PropertyAuxTableName(rdf::TermId predicate);
+
+// The term id that ends `name` after `prefix` (12 for "vp_" and
+// "vp_12"); nullopt unless `name` is `prefix` followed by an id alone.
+std::optional<rdf::TermId> IdAfter(std::string_view prefix,
+                                   std::string_view name);
 
 }  // namespace s2rdf::core
 

@@ -1,25 +1,32 @@
 #include "core/layouts.h"
 
-#include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
-#include "common/check.h"
 #include "common/clock.h"
+#include "core/extvp_kernel.h"
 
 namespace s2rdf::core {
 
 namespace {
-using rdf::TermId;
-}  // namespace
 
-// RDF graphs are sets, so every layout builds from the deduped triple
-// set to stay mutually consistent (and row-aligned with the bitmaps).
-VpRowData CollectVpRows(const rdf::Graph& graph) {
-  VpRowData out;
+using rdf::TermId;
+
+// The graph's deduplicated (s, o) rows per predicate, in first-appearance
+// order, as VP tables: tables[i] holds predicates[i]'s. RDF graphs are
+// sets, so the VP and property-table builders read this one deduped row
+// stream, and the property table's auxiliary tables equal the VP tables.
+struct VpTables {
+  std::vector<TermId> predicates;
+  std::vector<rdf::Table> tables;
+};
+
+VpTables CollectVpTables(const rdf::Graph& graph) {
+  VpTables out;
   std::unordered_map<TermId, uint32_t> index;
   std::vector<std::unordered_set<uint64_t>> seen;
   for (const rdf::Triple& t : graph.triples()) {
@@ -27,15 +34,17 @@ VpRowData CollectVpRows(const rdf::Graph& graph) {
         t.predicate, static_cast<uint32_t>(out.predicates.size()));
     if (added) {
       out.predicates.push_back(t.predicate);
-      out.rows.emplace_back();
+      out.tables.emplace_back(SoColumns());
       seen.emplace_back();
     }
     uint64_t key = (static_cast<uint64_t>(t.subject) << 32) | t.object;
     if (!seen[it->second].insert(key).second) continue;
-    out.rows[it->second].emplace_back(t.subject, t.object);
+    out.tables[it->second].AppendRow({t.subject, t.object});
   }
   return out;
 }
+
+}  // namespace
 
 Status BuildTriplesTable(const rdf::Graph& graph, storage::Catalog* catalog) {
   rdf::Table table({"s", "p", "o"});
@@ -59,13 +68,10 @@ Status BuildTriplesTable(const rdf::Graph& graph, storage::Catalog* catalog) {
 }
 
 Status BuildVpLayout(const rdf::Graph& graph, storage::Catalog* catalog) {
-  VpRowData vp = CollectVpRows(graph);
+  VpTables vp = CollectVpTables(graph);
   for (size_t i = 0; i < vp.predicates.size(); ++i) {
-    rdf::Table table({"s", "o"});
-    table.Reserve(vp.rows[i].size());
-    for (const auto& [s, o] : vp.rows[i]) table.AppendRow({s, o});
-    S2RDF_RETURN_IF_ERROR(
-        catalog->Put(VpTableName(vp.predicates[i]), std::move(table), 1.0));
+    S2RDF_RETURN_IF_ERROR(catalog->Put(VpTableName(vp.predicates[i]),
+                                       std::move(vp.tables[i]), 1.0));
   }
   return Status::Ok();
 }
@@ -81,96 +87,42 @@ ExtVpVerdict ClassifyExtVp(uint64_t rows, uint64_t vp_rows,
           sf};
 }
 
-ExtVpSweep::ExtVpSweep(const VpRowData& vp) : vp_(vp) {
-  for (uint32_t i = 0; i < vp.rows.size(); ++i) {
-    for (const auto& [s, o] : vp.rows[i]) {
-      for (int column = 0; column < 2; ++column) {
-        std::vector<uint32_t>& preds = by_column_[column][column == 0 ? s : o];
-        if (preds.empty() || preds.back() != i) preds.push_back(i);
-      }
-    }
-  }
-}
-
 StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
                                            const ExtVpOptions& options,
                                            storage::Catalog* catalog) {
   auto start_time = MonotonicNow();
   ExtVpBuildStats build_stats;
-  const VpRowData vp = CollectVpRows(graph);
-  const ExtVpSweep sweep(vp);
-  const uint64_t k = vp.predicates.size();
-  constexpr int kNumCorrelations = std::size(kCorrelationRoles);
+  const std::shared_ptr<const storage::CatalogState> state = catalog->State();
+  const std::vector<TermId> predicates = VpPredicates(*state);
+  VpSource vp(catalog, *state, nullptr);
+  S2RDF_ASSIGN_OR_RETURN(
+      const std::vector<ExtVpPair> pairs,
+      NonEmptyExtVpPairs(predicates, graph.dictionary().size(), &vp));
+  DeltaMaintainer kernel(options.sf_threshold, catalog, *state, &vp, nullptr);
+  for (const ExtVpPair& pair : pairs) {
+    S2RDF_RETURN_IF_ERROR(kernel.MaintainPair(pair, /*gain_possible=*/true));
+  }
 
-  auto pair_key = [](uint32_t i1, uint32_t i2) {
-    return (static_cast<uint64_t>(i1) << 32) | i2;
-  };
-
-  // Pass 1: count |ExtVP_corr_p1|p2| for all non-empty combinations.
-  std::unordered_map<uint64_t, uint64_t> counts[kNumCorrelations];
-  sweep.ForEach([&](Correlation corr, uint32_t i1, uint32_t i2, size_t) {
-    ++counts[static_cast<int>(corr)][pair_key(i1, i2)];
-  });
-
-  // Classify every combination and register statistics. selected[corr]
-  // maps pair key -> output table and its SF (filled in pass 2).
-  struct Selected {
-    rdf::Table table;
-    double sf;
-  };
-  std::unordered_map<uint64_t, Selected> selected[kNumCorrelations];
-  for (const CorrelationRoles& roles : kCorrelationRoles) {
-    const int c = static_cast<int>(roles.corr);
-    // The number of combinations considered includes empty ones: all
-    // ordered pairs (minus p1 == p2 for SS).
-    build_stats.tables_considered +=
-        k * k - (roles.corr == Correlation::kSS ? k : 0);
-    for (const auto& [key, count] : counts[c]) {
-      const uint32_t i1 = static_cast<uint32_t>(key >> 32);
-      const uint32_t i2 = static_cast<uint32_t>(key & 0xffffffffu);
-      const ExtVpVerdict verdict =
-          ClassifyExtVp(count, vp.rows[i1].size(), options.sf_threshold);
-      if (verdict.kind != ExtVpVerdict::kStored) {
-        // A counted pair kept a row, so it is never kEmpty.
-        if (verdict.kind == ExtVpVerdict::kEqualVp) {
-          ++build_stats.tables_equal_vp;
-        } else {
-          ++build_stats.tables_pruned;
-        }
-        catalog->PutStatsOnly(
-            ExtVpTableName(roles.corr, vp.predicates[i1], vp.predicates[i2]),
-            count, verdict.sf);
-        continue;
-      }
+  for (storage::TableUpdate& update : kernel.updates()) {
+    if (update.table.has_value()) {
       ++build_stats.tables_materialized;
-      build_stats.tuples_materialized += count;
-      rdf::Table table({"s", "o"});
-      table.Reserve(count);
-      selected[c].emplace(key, Selected{std::move(table), verdict.sf});
+      build_stats.tuples_materialized += update.table->NumRows();
+      S2RDF_RETURN_IF_ERROR(catalog->Put(
+          update.name, std::move(*update.table), update.selectivity));
+      continue;
     }
+    // Statistics only: equal to VP_p1 (SF = 1) or pruned.
+    ++(update.selectivity == 1.0 ? build_stats.tables_equal_vp
+                                 : build_stats.tables_pruned);
+    catalog->PutStatsOnly(update.name, update.rows, update.selectivity);
   }
+  // The number of combinations considered includes empty ones: all
+  // ordered pairs (minus p1 == p2 for SS).
+  const uint64_t k = predicates.size();
+  build_stats.tables_considered = std::size(kCorrelationRoles) * k * k - k;
   build_stats.tables_empty =
-      build_stats.tables_considered -
-      (counts[0].size() + counts[1].size() + counts[2].size());
-
-  // Pass 2: fill the selected tables in one more sweep, each in VP_p1's
-  // row order.
-  sweep.ForEach([&](Correlation corr, uint32_t i1, uint32_t i2, size_t r) {
-    auto& tables = selected[static_cast<int>(corr)];
-    auto it = tables.find(pair_key(i1, i2));
-    if (it == tables.end()) return;
-    const auto& [s, o] = vp.rows[i1][r];
-    it->second.table.AppendRow({s, o});
-  });
-
-  for (const CorrelationRoles& roles : kCorrelationRoles) {
-    for (auto& [key, out] : selected[static_cast<int>(roles.corr)]) {
-      const TermId p1 = vp.predicates[key >> 32];
-      const TermId p2 = vp.predicates[key & 0xffffffffu];
-      S2RDF_RETURN_IF_ERROR(catalog->Put(ExtVpTableName(roles.corr, p1, p2),
-                                         std::move(out.table), out.sf));
-    }
-  }
+      build_stats.tables_considered - build_stats.tables_materialized -
+      build_stats.tables_equal_vp - build_stats.tables_pruned;
 
   // So the compiler can tell "combination empty" from "ExtVP never
   // built".
@@ -184,13 +136,14 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
     const rdf::Graph& graph, PropertyTableStrategy strategy,
     storage::Catalog* catalog) {
   PropertyTableBuildStats build_stats;
-  VpRowData vp = CollectVpRows(graph);
+  VpTables vp = CollectVpTables(graph);
 
   // subject -> predicate -> values.
   std::map<TermId, std::map<TermId, std::vector<TermId>>> by_subject;
   for (size_t i = 0; i < vp.predicates.size(); ++i) {
-    for (const auto& [s, o] : vp.rows[i]) {
-      by_subject[s][vp.predicates[i]].push_back(o);
+    const rdf::Table& rows = vp.tables[i];
+    for (size_t r = 0; r < rows.NumRows(); ++r) {
+      by_subject[rows.At(r, 0)][vp.predicates[i]].push_back(rows.At(r, 1));
     }
   }
 
@@ -263,14 +216,10 @@ StatusOr<PropertyTableBuildStats> BuildPropertyTable(
       catalog->Put(PropertyTableName(), std::move(pt), 1.0));
 
   for (size_t i : aux) {
-    const VpRows& rows = vp.rows[i];
-    rdf::Table table({"s", "o"});
-    table.Reserve(rows.size());
-    for (const auto& [s, o] : rows) table.AppendRow({s, o});
-    build_stats.aux_tuples += rows.size();
+    build_stats.aux_tuples += vp.tables[i].NumRows();
     ++build_stats.aux_tables;
     S2RDF_RETURN_IF_ERROR(catalog->Put(PropertyAuxTableName(vp.predicates[i]),
-                                       std::move(table), 1.0));
+                                       std::move(vp.tables[i]), 1.0));
   }
   return build_stats;
 }

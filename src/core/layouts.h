@@ -2,8 +2,6 @@
 #define S2RDF_CORE_LAYOUTS_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,21 +17,6 @@
 // decides *not* to materialize — in a storage::Catalog.
 
 namespace s2rdf::core {
-
-// One predicate's (s, o) rows.
-using VpRows = std::vector<std::pair<rdf::TermId, rdf::TermId>>;
-
-// Deduplicated (s, o) rows per predicate, in first-appearance order:
-// rows[i] holds predicates[i]'s. All layout builders consume this
-// shared row stream, which guarantees that row indices agree across
-// them — the bit-vector ExtVP store (extvp_bitmap.h) relies on its
-// bitmaps matching the VP tables row for row.
-struct VpRowData {
-  std::vector<rdf::TermId> predicates;
-  std::vector<VpRows> rows;
-};
-
-VpRowData CollectVpRows(const rdf::Graph& graph);
 
 // --- Triples table (Sec. 4.1) -----------------------------------------
 
@@ -75,50 +58,6 @@ struct ExtVpVerdict {
 ExtVpVerdict ClassifyExtVp(uint64_t rows, uint64_t vp_rows,
                            double sf_threshold);
 
-// The all-pairs ExtVP sweep over a VpRowData: a term -> predicate index
-// per column, and one pass over every VP row that reports each
-// reduction the row survives — every reduction's rows in one linear
-// pass instead of k^2 semi-joins. The eager builder's count and fill
-// passes and the bitmap builder run it; ingest and lazy first use
-// reduce single pairs instead (core/ingest.h).
-class ExtVpSweep {
- public:
-  // `vp` must outlive the sweep.
-  explicit ExtVpSweep(const VpRowData& vp);
-
-  // Calls visit(corr, i1, i2, r) for every row r of VP_p1 (p1 =
-  // predicates[i1]) and every p2 = predicates[i2] whose reduction
-  // ExtVP^corr_p1|p2 keeps that row; the rows of each VP_p1 in order.
-  template <typename Visit>
-  void ForEach(Visit&& visit) const;
-
- private:
-  const VpRowData& vp_;
-  // by_column_[c]: term -> the distinct predicate indices, ascending,
-  // whose rows hold the term in column c (0 = s, 1 = o).
-  std::unordered_map<rdf::TermId, std::vector<uint32_t>> by_column_[2];
-};
-
-template <typename Visit>
-void ExtVpSweep::ForEach(Visit&& visit) const {
-  for (uint32_t i1 = 0; i1 < vp_.rows.size(); ++i1) {
-    const VpRows& rows = vp_.rows[i1];
-    for (size_t r = 0; r < rows.size(); ++r) {
-      const rdf::TermId cells[2] = {rows[r].first, rows[r].second};
-      for (const CorrelationRoles& roles : kCorrelationRoles) {
-        const auto& index = by_column_[roles.right];
-        auto partners = index.find(cells[roles.left]);
-        if (partners == index.end()) continue;
-        for (uint32_t i2 : partners->second) {
-          // SS with itself is VP_p1.
-          if (roles.corr == Correlation::kSS && i2 == i1) continue;
-          visit(roles.corr, i1, i2, r);
-        }
-      }
-    }
-  }
-}
-
 struct ExtVpBuildStats {
   // Number of (correlation, p1, p2) combinations examined.
   uint64_t tables_considered = 0;
@@ -131,13 +70,16 @@ struct ExtVpBuildStats {
 };
 
 // Builds the ExtVP semi-join reduction tables over an existing VP layout
-// (BuildVpLayout must have run on the same catalog). Registers stats for
-// every non-empty combination; materializes those within the threshold;
-// registers kExtVpMarker. A combination with no stats entry is then
-// empty (SF = 0) — the query compiler uses this for the statistics-only
-// empty-result shortcut. The "pay as you go" alternative Sec. 7 sketches
-// (S2RdfOptions::lazy_extvp) computes each reduction on first use
-// instead, through core::StageExtVpPairs.
+// (BuildVpLayout, and no ExtVP build, must have run on `catalog`, whose VP
+// tables it reads; `graph`'s dictionary sizes the term index): the
+// paper's semi-joins, one per non-empty pair, by the per-pair kernel
+// (core/extvp_kernel.h).
+// Registers stats for every non-empty combination; materializes those
+// within the threshold; registers kExtVpMarker. A combination with no
+// stats entry is then empty (SF = 0) — the query compiler uses this for
+// the statistics-only empty-result shortcut. The "pay as you go"
+// alternative Sec. 7 sketches (S2RdfOptions::lazy_extvp) computes each
+// reduction on first use instead, through core::CommitExtVpPairs.
 StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
                                            const ExtVpOptions& options,
                                            storage::Catalog* catalog);

@@ -140,8 +140,9 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
         db->load_stats_.extvp_stats.build_seconds;
   }
   if (options.build_extvp_bitmaps) {
-    S2RDF_ASSIGN_OR_RETURN(db->bitmap_store_,
-                           ExtVpBitmapStore::Build(db->graph_, options.extvp));
+    S2RDF_ASSIGN_OR_RETURN(
+        db->bitmap_store_,
+        ExtVpBitmapStore::Build(db->graph_, options.extvp, &db->catalog_));
   }
   // Persist the build parameters ingest needs to reproduce the eager
   // builder's materialization decisions on a reopened store. The SF
@@ -456,18 +457,18 @@ StatusOr<std::shared_ptr<const storage::CatalogState>> S2Rdf::LazyExtVpState(
   std::set<ExtVpPair> missing;
   CollectMissingPairs(where, dict, *state, &missing);
   if (missing.empty()) return state;
-  // Build under ingest_mu_: a pair built from one generation's VP tables
-  // must not be staged while a batch commits the next, which would
-  // commit the pair without maintaining it. The pairs are collected
-  // again from the state under the lock, which holds whatever a racing
-  // query staged meanwhile.
+  // Build and commit under ingest_mu_: commits are serialized, and a pair
+  // built from one generation's VP tables must not commit while a batch
+  // commits the next, which would leave the pair unmaintained. The pairs
+  // are collected again from the state under the lock, which holds
+  // whatever a racing query committed meanwhile.
   MutexLock lock(&ingest_mu_);
   state = catalog_.State();
   missing.clear();
   CollectMissingPairs(where, dict, *state, &missing);
   if (missing.empty()) return state;
   S2RDF_RETURN_IF_ERROR(
-      StageExtVpPairs(missing, sf_threshold_, *state, &catalog_));
+      CommitExtVpPairs(missing, sf_threshold_, *state, &catalog_));
   lazy_pairs_computed_.fetch_add(missing.size(), std::memory_order_relaxed);
   return catalog_.State();
 }

@@ -57,8 +57,8 @@ struct S2RdfOptions {
   bool build_extvp = true;
   // "Pay as you go" mode (Sec. 7's production suggestion): skip the
   // ExtVP precomputation entirely; each reduction a query needs is
-  // materialized on first use and reused by later queries. Mutually
-  // exclusive with build_extvp.
+  // computed on first use and committed for later queries, a reopened
+  // store's included. Mutually exclusive with build_extvp.
   bool lazy_extvp = false;
   // Also build the bit-vector ExtVP representation (future work of
   // Sec. 8), enabling Layout::kExtVpBitmap with correlation
@@ -255,7 +255,7 @@ class S2Rdf {
   // (OPTIONAL, UNION and subqueries included) has an entry. `state` is
   // returned as it is when it has them all (no lock taken); otherwise
   // the missing pairs are computed once, under ingest_mu_, from one
-  // state, and staged.
+  // state, and committed (core::CommitExtVpPairs).
   StatusOr<std::shared_ptr<const storage::CatalogState>> LazyExtVpState(
       const sparql::GraphPattern& where,
       std::shared_ptr<const storage::CatalogState> state);
@@ -292,10 +292,10 @@ class S2Rdf {
   storage::RecoveryReport recovery_report_;
   std::unique_ptr<ExtVpBitmapStore> bitmap_store_;
 
-  // Serializes Ingest calls and lazy ExtVP builds
-  // (queries otherwise run unlocked — they read the prior generation's
-  // state). A lazy build checks again under it, so each pair is computed
-  // once however many queries race for it.
+  // Serializes Ingest calls and lazy ExtVP builds, i.e. every commit
+  // after Create (queries otherwise run unlocked — they read the prior
+  // generation's state). A lazy build checks again under it, so each
+  // pair is computed once however many queries race for it.
   Mutex ingest_mu_;
   // Terms with ids below this lie in a committed dictionary blob; the
   // next commit that mints terms stores the rest.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/centralized_engine.h"
@@ -9,7 +11,11 @@
 #include "baselines/mr_sparql_engine.h"
 #include "baselines/sempala_engine.h"
 #include "common/file_util.h"
+#include "core/extvp_bitmap.h"
+#include "core/layouts.h"
 #include "core/s2rdf.h"
+#include "storage/catalog.h"
+#include "tests/reference_ops.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
 
@@ -250,6 +256,177 @@ TEST(LazyEagerTest, LazyStoreMatchesEagerOnAllWorkloads) {
   }
   EXPECT_GT((*lazy)->lazy_pairs_computed(), 0u);
 }
+
+// A disk-backed lazy store that is only queried commits what first use
+// computes: the reductions are evictable, so the table cache keeps to its
+// budget after every query, and they survive a reopen, which then
+// computes none of them again.
+TEST(LazyEagerTest, LazyDiskStoreCommitsWhatFirstUseComputes) {
+  constexpr uint64_t kBudget = 16 * 1024;
+  watdiv::GeneratorOptions gen;
+  gen.scale_factor = 0.1;
+  ScopedTempDir dir;
+  core::S2RdfOptions options;
+  options.storage_dir = dir.path();
+  options.lazy_extvp = true;
+  options.memory_budget_bytes = kBudget;
+  auto db = core::S2Rdf::Create(watdiv::Generate(gen), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::vector<std::string> queries;
+  SplitMix64 rng(44);
+  for (const watdiv::QueryTemplate& tmpl : watdiv::BasicTestingQueries()) {
+    SplitMix64 query_rng(rng.Next());
+    queries.push_back(
+        watdiv::InstantiateQuery(tmpl, gen.scale_factor, &query_rng));
+    auto result = (*db)->Execute({.query = queries.back()});
+    ASSERT_TRUE(result.ok()) << tmpl.name << ": "
+                             << result.status().ToString();
+    EXPECT_LE((*db)->catalog().CachedBytes(), kBudget) << tmpl.name;
+  }
+  std::map<std::string, storage::TableStats> computed;
+  for (const auto& [name, stats] : (*db)->catalog().State()->stats) {
+    if (name.starts_with("extvp_")) computed.emplace(name, stats);
+  }
+  EXPECT_GT(computed.size(), 0u);
+  EXPECT_EQ(computed.size(), (*db)->lazy_pairs_computed());
+  db->reset();
+
+  auto reopened = core::S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const std::shared_ptr<const storage::CatalogState> state =
+      (*reopened)->catalog().State();
+  for (const auto& [name, want] : computed) {
+    const storage::TableStats* got = state->Find(name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_EQ(got->rows, want.rows) << name;
+    EXPECT_EQ(got->selectivity, want.selectivity) << name;
+    EXPECT_EQ(got->materialized, want.materialized) << name;
+  }
+  for (const std::string& query : queries) {
+    auto result = (*reopened)->Execute({.query = query});
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status().ToString();
+  }
+  EXPECT_EQ((*reopened)->lazy_pairs_computed(), 0u);
+}
+
+// --- An ExtVP oracle independent of the kernel ------------------------------
+
+// Drops the cached copy of every committed table of `catalog`.
+void EvictEveryTable(storage::Catalog* catalog) {
+  for (const storage::TableStats* stats : catalog->AllStats()) {
+    catalog->EvictFromMemory(stats->name);
+  }
+}
+
+// (SF threshold, on disk).
+class ExtVpOracleTest
+    : public ::testing::TestWithParam<std::tuple<double, bool>> {};
+
+// Every (corr, p1, p2) of an eager WatDiv store against a row-at-a-time
+// semi-join of its VP tables (reference::SemiJoinRows): the store has an
+// entry exactly when the reduction is non-empty, with its rows, SF and
+// materialization; a stored table holds the reference's rows in VP_p1's
+// order; the build's counts agree, and every bitmap sets exactly the
+// reference's rows. On disk the VP tables are committed and evicted
+// before each build reads them, as bench_load_table2 loads its store.
+TEST_P(ExtVpOracleTest, EveryReductionIsARowAtATimeSemiJoin) {
+  const auto [threshold, on_disk] = GetParam();
+  watdiv::GeneratorOptions gen;
+  gen.scale_factor = 0.05;
+  const rdf::Graph graph = watdiv::Generate(gen);
+  ScopedTempDir dir;
+  storage::Catalog catalog(on_disk ? dir.path() : "");
+  ASSERT_TRUE(core::BuildVpLayout(graph, &catalog).ok());
+  if (on_disk) {
+    ASSERT_TRUE(catalog.SaveManifest().ok());
+    EvictEveryTable(&catalog);
+  }
+  core::ExtVpOptions options;
+  options.sf_threshold = threshold;
+  auto built = core::BuildExtVpLayout(graph, options, &catalog);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  if (on_disk) EvictEveryTable(&catalog);
+  auto bitmaps = core::ExtVpBitmapStore::Build(graph, options, &catalog);
+  ASSERT_TRUE(bitmaps.ok()) << bitmaps.status().ToString();
+
+  const std::shared_ptr<const storage::CatalogState> state = catalog.State();
+  std::map<rdf::TermId, std::shared_ptr<const rdf::Table>> vp;
+  for (const auto& [name, stats] : state->stats) {
+    if (!name.starts_with("vp_")) continue;
+    auto table = catalog.GetTable(*state, name);
+    ASSERT_TRUE(table.ok()) << name;
+    vp.emplace(static_cast<rdf::TermId>(std::stoul(name.substr(3))),
+               *table);
+  }
+  ASSERT_GT(vp.size(), 1u);
+
+  core::ExtVpBuildStats want;
+  for (const core::CorrelationRoles& roles : core::kCorrelationRoles) {
+    for (const auto& [p1, vp1] : vp) {
+      for (const auto& [p2, vp2] : vp) {
+        if (roles.corr == core::Correlation::kSS && p1 == p2) continue;
+        ++want.tables_considered;
+        const std::string name = core::ExtVpTableName(roles.corr, p1, p2);
+        const std::vector<size_t> rows =
+            reference::SemiJoinRows(*vp1, roles.left, *vp2, roles.right);
+        const storage::TableStats* got = state->Find(name);
+        const Bitmap* bitmap = (*bitmaps)->Get(roles.corr, p1, p2);
+        if (rows.empty()) {
+          ++want.tables_empty;
+          EXPECT_EQ(got, nullptr) << name;
+          EXPECT_TRUE((*bitmaps)->IsEmpty(roles.corr, p1, p2)) << name;
+          EXPECT_EQ(bitmap, nullptr) << name;
+          continue;
+        }
+        const bool equal_vp = rows.size() == vp1->NumRows();
+        const double sf = equal_vp ? 1.0
+                                   : static_cast<double>(rows.size()) /
+                                         static_cast<double>(vp1->NumRows());
+        const bool stored = !equal_vp && sf < threshold;
+        if (stored) {
+          ++want.tables_materialized;
+          want.tuples_materialized += rows.size();
+        } else if (equal_vp) {
+          ++want.tables_equal_vp;
+        } else {
+          ++want.tables_pruned;
+        }
+        ASSERT_NE(got, nullptr) << name;
+        EXPECT_EQ(got->rows, rows.size()) << name;
+        EXPECT_EQ(got->selectivity, sf) << name;
+        EXPECT_EQ(got->materialized, stored) << name;
+        EXPECT_EQ((*bitmaps)->Sf(roles.corr, p1, p2), sf) << name;
+        ASSERT_EQ(bitmap != nullptr, stored) << name;
+        if (!stored) continue;
+        Bitmap want_bits(vp1->NumRows());
+        for (size_t r : rows) want_bits.Set(r);
+        EXPECT_TRUE(*bitmap == want_bits) << name;
+        auto table = catalog.GetTable(*state, name);
+        ASSERT_TRUE(table.ok()) << name;
+        ASSERT_EQ((*table)->NumRows(), rows.size()) << name;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_EQ((*table)->At(i, 0), vp1->At(rows[i], 0))
+              << name << " row " << i;
+          ASSERT_EQ((*table)->At(i, 1), vp1->At(rows[i], 1))
+              << name << " row " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(built->tables_considered, want.tables_considered);
+  EXPECT_EQ(built->tables_materialized, want.tables_materialized);
+  EXPECT_EQ(built->tables_empty, want.tables_empty);
+  EXPECT_EQ(built->tables_equal_vp, want.tables_equal_vp);
+  EXPECT_EQ(built->tables_pruned, want.tables_pruned);
+  EXPECT_EQ(built->tuples_materialized, want.tuples_materialized);
+  EXPECT_EQ((*bitmaps)->NumBitmaps(), want.tables_materialized);
+  EXPECT_GT(want.tables_materialized, 0u);
+  EXPECT_GT(want.tables_empty, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThresholdsInMemoryAndOnDisk, ExtVpOracleTest,
+    ::testing::Combine(::testing::Values(1.0, 0.25), ::testing::Bool()));
 
 // --- One materialization rule across the eager, lazy and bitmap paths ---
 

@@ -1,14 +1,15 @@
 #include "tests/reference_ops.h"
 
 #include <algorithm>
+#include <set>
 #include <unordered_map>
 
 #include "common/check.h"
 #include "engine/value.h"
 
-// The bodies below are the engine's row-at-a-time operators as they
-// stood before the morsel kernels replaced them, kept verbatim so the
-// reference does not drift with the code it checks.
+// The bodies below, SemiJoinRows aside, are the engine's row-at-a-time
+// operators as they stood before the morsel kernels replaced them, kept
+// verbatim so the reference does not drift with the code it checks.
 
 namespace s2rdf::reference {
 
@@ -275,6 +276,19 @@ Table Filter(const Table& t, const Expr& expr, const rdf::Dictionary& dict,
   }
   if (ctx != nullptr) ctx->metrics.intermediate_tuples += out.NumRows();
   return out;
+}
+
+std::vector<size_t> SemiJoinRows(const Table& left, size_t left_col,
+                                 const Table& right, size_t right_col) {
+  std::set<TermId> keys;
+  for (size_t r = 0; r < right.NumRows(); ++r) {
+    keys.insert(right.At(r, right_col));
+  }
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < left.NumRows(); ++r) {
+    if (keys.contains(left.At(r, left_col))) rows.push_back(r);
+  }
+  return rows;
 }
 
 StatusOr<Table> GroupByAggregate(const Table& input,

@@ -1,6 +1,7 @@
 #ifndef S2RDF_TESTS_REFERENCE_OPS_H_
 #define S2RDF_TESTS_REFERENCE_OPS_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,8 @@
 // output table (row order included) and the ExecMetrics every kernel must
 // reproduce byte for byte. Three things compare against them: the parity
 // tests in parallel_test.cc, its speedup floor, and the serial column of
-// bench/bench_parallel.cc.
+// bench/bench_parallel.cc. SemiJoinRows is the ExtVP kernel's oracle
+// (ExtVpOracleTest in integration_test.cc).
 
 namespace s2rdf::reference {
 
@@ -37,6 +39,13 @@ rdf::Table Distinct(const rdf::Table& t, engine::ExecContext* ctx);
 rdf::Table OrderBy(const rdf::Table& t,
                    const std::vector<sparql::SortKey>& keys,
                    const rdf::Dictionary& dict, engine::ExecContext* ctx);
+
+// The semi-join `left` ⋉ `right` on left.`left_col` = right.`right_col`,
+// row at a time over a std::set of `right`'s join keys: the indices of
+// the rows of `left` that find a partner, ascending. Over VP tables it is
+// the reduction ExtVP^corr_p1|p2 = VP_p1 ⋉ VP_p2 (Sec. 5.2).
+std::vector<size_t> SemiJoinRows(const rdf::Table& left, size_t left_col,
+                                 const rdf::Table& right, size_t right_col);
 
 StatusOr<rdf::Table> GroupByAggregate(
     const rdf::Table& input, const std::vector<std::string>& keys,
