@@ -108,13 +108,15 @@ fi
 note "benchmark gates (BENCH_parallel.json, BENCH_profile.json, BENCH_optimizer.json, BENCH_ingest.json, BENCH_serving.json)"
 scripts/bench_json.sh build
 
-note "paper-table harnesses (Table 2 load, Table 6 SF threshold)"
+note "paper-table harnesses (Table 2 load, Table 6 SF threshold, ablations)"
 # Each builds its stores at the default SFs in about a second and exits
 # non-zero when a load or a query fails; their table, tuple and byte
 # counts are the record that a build change leaves the stores as they
-# were.
+# were. The ablations run every layout, the bitmap one included, over
+# the Basic and ST workloads.
 ./build/bench/bench_load_table2
 ./build/bench/bench_sf_threshold_table6
+./build/bench/bench_ablations
 
 if [[ "${1:-}" == "quick" ]]; then
   note "quick mode: skipping analyze + sanitizer legs"

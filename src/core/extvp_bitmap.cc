@@ -11,23 +11,20 @@ using rdf::TermId;
 }  // namespace
 
 StatusOr<std::unique_ptr<ExtVpBitmapStore>> ExtVpBitmapStore::Build(
-    const rdf::Graph& graph, const ExtVpOptions& options,
+    double sf_threshold, const storage::CatalogState& state,
     storage::Catalog* catalog) {
   auto store = std::unique_ptr<ExtVpBitmapStore>(new ExtVpBitmapStore());
-  const std::shared_ptr<const storage::CatalogState> state = catalog->State();
-  VpSource vp(catalog, *state, nullptr);
-  S2RDF_ASSIGN_OR_RETURN(
-      const std::vector<ExtVpPair> pairs,
-      NonEmptyExtVpPairs(VpPredicates(*state), graph.dictionary().size(),
-                         &vp));
-  DeltaMaintainer kernel(options.sf_threshold, catalog, *state, &vp, nullptr);
+  VpSource vp(catalog, state, nullptr);
+  S2RDF_ASSIGN_OR_RETURN(const std::vector<ExtVpPair> pairs,
+                         NonEmptyExtVpPairs(VpPredicates(state), &vp));
+  DeltaMaintainer kernel(sf_threshold, catalog, state, &vp, nullptr);
   std::vector<uint32_t> rows;
   for (const ExtVpPair& pair : pairs) {
     S2RDF_ASSIGN_OR_RETURN(const rdf::Table* vp1, vp.Table(pair.p1));
     S2RDF_ASSIGN_OR_RETURN(const size_t count,
                            kernel.Reduce(*vp1, pair, &rows));
     const ExtVpVerdict verdict =
-        ClassifyExtVp(count, vp1->NumRows(), options.sf_threshold);
+        ClassifyExtVp(count, vp1->NumRows(), sf_threshold);
     if (verdict.kind == ExtVpVerdict::kEmpty) continue;
     const uint64_t key = Key(pair.corr, pair.p1, pair.p2);
     store->known_sf_[key] = verdict.sf;

@@ -8,8 +8,6 @@
 #include "common/bitmap.h"
 #include "common/status.h"
 #include "core/layout_names.h"
-#include "core/layouts.h"
-#include "rdf/graph.h"
 #include "storage/catalog.h"
 
 // Bit-vector representation of ExtVP — the paper's future work (Sec. 8):
@@ -22,23 +20,28 @@
 // *intersection* of all of them, which can be strictly more selective
 // than the single best ExtVP table Algorithm 1 picks.
 //
-// Each bitmap marks the surviving row indices the per-pair ExtVP kernel
-// (core/extvp_kernel.h) finds in the VP_p1 table of the catalog the
-// store is built over — the very table it filters — so the bitmaps match
-// the VP tables row for row by construction. The store keeps the same
-// reductions (ClassifyExtVp) as the table builder.
+// A bitmap depends only on VP_p1, VP_p2 and the SF threshold, so the
+// store is derived, never maintained: Build reads one catalog state, and
+// each bitmap marks the surviving row indices the per-pair ExtVP kernel
+// (core/extvp_kernel.h) finds in that state's VP_p1 table — the very
+// table a query over the same state filters — so the bitmaps match the
+// VP tables row for row by construction. The store keeps the same
+// reductions (ClassifyExtVp) as the table builder. core::S2Rdf builds
+// one for each catalog state a Layout::kExtVpBitmap query reads, so the
+// layout is right after every ingest batch and lazy commit, and on a
+// reopened store.
 
 namespace s2rdf::core {
 
 class ExtVpBitmapStore {
  public:
-  // Builds bitmaps over the VP tables of `catalog`, as BuildExtVpLayout
-  // builds tables, for every combination with 0 < SF < 1 (and SF below
-  // `options.sf_threshold`). Combinations with SF = 1 are represented
-  // implicitly (the full VP table); empty combinations are recorded so
-  // the statistics shortcut still works.
+  // Builds bitmaps over the VP tables of `state`, a state of `catalog`,
+  // for every combination with 0 < SF < 1 (and SF below
+  // `sf_threshold`), as BuildExtVpLayout builds tables. Combinations with
+  // SF = 1 are represented implicitly (the full VP table); empty
+  // combinations are recorded so the statistics shortcut still works.
   static StatusOr<std::unique_ptr<ExtVpBitmapStore>> Build(
-      const rdf::Graph& graph, const ExtVpOptions& options,
+      double sf_threshold, const storage::CatalogState& state,
       storage::Catalog* catalog);
 
   // The bitmap for (corr, p1, p2); nullptr when not stored (empty,

@@ -22,8 +22,10 @@
 // pairs a query asks for, and ingest (ApplyIngestBatch) the pairs a
 // batch can change, with the batch as a delta. Every key set it probes
 // is a bitset over the dense term ids; it reads VP tables as the catalog
-// hands them out and emits rows in VP_p1's order, so a stored reduction
-// (and a bitmap over VP_p1) matches the VP table row for row.
+// hands them out and selects rows in VP_p1's order, so a stored
+// reduction (and a bitmap over VP_p1) matches the VP table row for row.
+// It counts a reduction before it keeps anything of it, and copies rows
+// only for one the store keeps as a table.
 
 namespace s2rdf::core {
 
@@ -117,27 +119,34 @@ inline std::vector<rdf::TermId> VpPredicates(
 }
 
 // The reductions over the VP tables of `predicates` that keep at least
-// one row, each once: a term -> predicates index per column (sized for
-// `num_terms` term ids), then one walk of each VP_p1 per correlation,
-// which lists every partner p2 its join column meets. The rest of the
-// k^2 combinations per correlation are empty.
+// one row, each once: a term -> predicates index per column, then one
+// walk of each VP_p1 per correlation, which lists every partner p2 its
+// join column meets. The rest of the k^2 combinations per correlation
+// are empty.
 inline StatusOr<std::vector<ExtVpPair>> NonEmptyExtVpPairs(
-    const std::vector<rdf::TermId>& predicates, size_t num_terms,
-    VpSource* vp) {
+    const std::vector<rdf::TermId>& predicates, VpSource* vp) {
   const auto k = static_cast<uint32_t>(predicates.size());
   std::vector<const rdf::Table*> tables(k);
-  // by_column[c][t]: the indices into `predicates`, ascending, of the VP
-  // tables that hold term t in column c (0 = s, 1 = o).
-  using Index = std::vector<std::vector<uint32_t>>;
-  Index by_column[2] = {Index(num_terms), Index(num_terms)};
+  rdf::TermId largest = 0;
   for (uint32_t i = 0; i < k; ++i) {
     S2RDF_ASSIGN_OR_RETURN(tables[i], vp->Table(predicates[i]));
     for (int c = 0; c < 2; ++c) {
-      Index& index = by_column[c];
       const rdf::TermId* column = tables[i]->ColumnData(c);
       for (size_t r = 0; r < tables[i]->NumRows(); ++r) {
-        if (column[r] >= index.size()) index.resize(column[r] + 1);
-        std::vector<uint32_t>& list = index[column[r]];
+        largest = std::max(largest, column[r]);
+      }
+    }
+  }
+  // by_column[c][t]: the indices into `predicates`, ascending, of the VP
+  // tables that hold term t in column c (0 = s, 1 = o).
+  using Index = std::vector<std::vector<uint32_t>>;
+  Index by_column[2] = {Index(size_t{largest} + 1),
+                        Index(size_t{largest} + 1)};
+  for (uint32_t i = 0; i < k; ++i) {
+    for (int c = 0; c < 2; ++c) {
+      const rdf::TermId* column = tables[i]->ColumnData(c);
+      for (size_t r = 0; r < tables[i]->NumRows(); ++r) {
+        std::vector<uint32_t>& list = by_column[c][column[r]];
         if (list.empty() || list.back() != i) list.push_back(i);
       }
     }
@@ -155,7 +164,6 @@ inline StatusOr<std::vector<ExtVpPair>> NonEmptyExtVpPairs(
       const Index& index = by_column[roles.right];
       const rdf::TermId* column = tables[i1]->ColumnData(roles.left);
       for (size_t r = 0; r < tables[i1]->NumRows(); ++r) {
-        if (column[r] >= index.size()) continue;
         for (uint32_t i2 : index[column[r]]) {
           if (stamp[i2] == walk) continue;
           stamp[i2] = walk;
@@ -188,10 +196,11 @@ class DeltaMaintainer {
   // Computes the pair as of VP_p1 ++ delta and emits at most one
   // TableUpdate for it — stored or statistics-only by ClassifyExtVp at
   // the kernel's threshold — and none while the pair is empty or its
-  // `state` entry is unchanged. It recomputes the rows when
-  // `gain_possible`, and otherwise (the pair's row count provably cannot
-  // change) only amends the entry's SF denominator. With no delta and no
-  // entry it is a plain semi-join of VP_p1 against VP_p2's key set.
+  // `state` entry is unchanged. It counts the rows when `gain_possible`,
+  // and otherwise (the pair's row count provably cannot change) only
+  // amends the entry's SF denominator; it gathers them only for a stored
+  // verdict. With no delta and no entry it is a plain semi-join of VP_p1
+  // against VP_p2's key set.
   Status MaintainPair(const ExtVpPair& pair, bool gain_possible) {
     const std::string name = ExtVpTableName(pair.corr, pair.p1, pair.p2);
     const storage::TableStats* old = state_.Find(name);
@@ -202,10 +211,10 @@ class DeltaMaintainer {
     if (new_vp1_rows == 0) return Status::Ok();
 
     uint64_t count;
-    std::optional<Rows> rows;  // Computed only when it can gain.
+    std::optional<Selection> selection;  // Made only when it can gain.
     if (gain_possible) {
-      S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
-      count = rows->table.NumRows();
+      S2RDF_ASSIGN_OR_RETURN(selection, Select(name, old, pair));
+      count = selection->part1 + selection->part2;
     } else {
       if (old == nullptr || old->rows == 0) return Status::Ok();
       count = old->rows;
@@ -234,11 +243,12 @@ class DeltaMaintainer {
       }
     }
     if (stored) {
-      if (!rows.has_value()) {
-        S2RDF_ASSIGN_OR_RETURN(rows, ComputeRows(name, old, pair));
+      if (!selection.has_value()) {
+        S2RDF_ASSIGN_OR_RETURN(selection, Select(name, old, pair));
       }
-      update.table = std::move(rows->table);
-      update.new_rows = std::move(rows->added);
+      S2RDF_ASSIGN_OR_RETURN(Rows rows, Gather(*selection, pair));
+      update.table = std::move(rows.table);
+      update.new_rows = std::move(rows.added);
     } else {
       update.rows = count;  // SF = 1 or pruned: statistics only.
     }
@@ -302,42 +312,37 @@ class DeltaMaintainer {
     return out;
   }
 
-  // The pair's full (s, o) table, and the ascending indices of its rows
-  // that the pair's current reduction lacks.
-  struct Rows {
-    rdf::Table table;
-    std::vector<uint32_t> added;
+  // The pair's rows in the updated VP_p1's order, as counts and
+  // sources: the surviving pre-batch rows first (part 1) — a whole table,
+  // or the first `part1` row indices of part1_rows_ over VP_p1 when
+  // `reduced` — then the surviving batch rows (part 2), the first
+  // `part2` of part2_rows_ over the delta: exactly the order a
+  // from-scratch rebuild over the concatenated triple stream emits.
+  struct Selection {
+    const rdf::Table* whole = nullptr;
+    std::shared_ptr<const rdf::Table> old_reduction;  // Owns `whole`.
+    bool reduced = false;
+    size_t part1 = 0;
+    size_t part2 = 0;
   };
 
-  // Recomputes the pair's full (s, o) table in the updated VP_p1's row
-  // order: the surviving pre-batch rows first (part 1), then the
-  // surviving batch rows (part 2) — exactly the order a from-scratch
-  // rebuild over the concatenated triple stream emits. The table is
-  // sized once, to its rows. Its rows the current reduction lacks are
-  // part 1's retro-gains — old VP_p1 rows whose join key the batch added
-  // to VP_p2, anywhere among the old rows — and every row of part 2.
-  StatusOr<Rows> ComputeRows(const std::string& name,
+  // Counts the pair's rows, selecting them where no table stands in.
+  // The join-key set only ever grows, so matches are monotone: an SF = 1
+  // pair keeps all rows, and when VP_p2 gained nothing the old stored
+  // reduction *is* part 1 verbatim. With a delta (ingest) the catalog's
+  // stats describe the old VP tables exactly, so the pair's entry can
+  // stand in for its old rows; without one the pair has no entry to
+  // trust.
+  StatusOr<Selection> Select(const std::string& name,
                              const storage::TableStats* old,
                              const ExtVpPair& pair) {
     S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
     const rdf::Table* delta_p1 = DeltaOf(pair.p1);
-    const rdf::Table* delta_p2 = DeltaOf(pair.p2);
-    const bool right_may_grow = delta_p2 != nullptr && delta_p2->NumRows() > 0;
-    // With a delta (ingest) the catalog's stats describe the old VP
-    // tables exactly, so the pair's entry can stand in for its old rows;
-    // without one the pair has no entry to trust.
+    const bool right_may_grow = RightMayGrow(pair);
     const bool trust_old_stats = delta_ != nullptr && !delta_->empty();
-
-    // Part 1 — pre-batch VP_p1 rows that (still or newly) match: a whole
-    // table, or the matching rows of VP_p1. The join-key set only ever
-    // grows, so matches are monotone: an SF = 1 pair keeps all rows, and
-    // when VP_p2 gained nothing the old materialized reduction *is* part
-    // 1 verbatim.
-    const rdf::Table* whole = nullptr;
-    std::shared_ptr<const rdf::Table> old_reduction;
-    bool reduce_old = false;
+    Selection out;
     if (old != nullptr && old->rows == old_vp1->NumRows() && old->rows > 0) {
-      whole = old_vp1;
+      out.whole = old_vp1;
     } else if (trust_old_stats && !right_may_grow &&
                (old == nullptr || old->rows == 0)) {
       // Nothing matched before and the key set is unchanged.
@@ -345,32 +350,47 @@ class DeltaMaintainer {
                old->materialized) {
       auto table_or = catalog_->GetTable(state_, name);
       if (table_or.ok()) {
-        old_reduction = std::move(*table_or);
-        whole = old_reduction.get();
+        out.old_reduction = std::move(*table_or);
+        out.whole = out.old_reduction.get();
       } else {
-        reduce_old = true;
+        out.reduced = true;
       }
     } else {
-      reduce_old = true;
+      out.reduced = true;
     }
-    size_t part1 = whole != nullptr ? whole->NumRows() : 0;
-    if (reduce_old) {
-      S2RDF_ASSIGN_OR_RETURN(part1, Reduce(*old_vp1, pair, &part1_rows_));
+    if (out.whole != nullptr) out.part1 = out.whole->NumRows();
+    if (out.reduced) {
+      S2RDF_ASSIGN_OR_RETURN(out.part1, Reduce(*old_vp1, pair, &part1_rows_));
     }
-    // Part 2 — the batch's VP_p1 rows that match.
-    size_t part2 = 0;
     if (delta_p1 != nullptr && delta_p1->NumRows() > 0) {
-      S2RDF_ASSIGN_OR_RETURN(part2, Reduce(*delta_p1, pair, &part2_rows_));
+      S2RDF_ASSIGN_OR_RETURN(out.part2,
+                             Reduce(*delta_p1, pair, &part2_rows_));
     }
+    return out;
+  }
 
+  // The pair's full (s, o) table, and the ascending indices of its rows
+  // that the pair's current reduction lacks.
+  struct Rows {
+    rdf::Table table;
+    std::vector<uint32_t> added;
+  };
+
+  // Gathers the rows Select found, into a table sized once. Its rows the
+  // current reduction lacks are part 1's retro-gains — old VP_p1 rows
+  // whose join key the batch added to VP_p2, anywhere among the old
+  // rows — and every row of part 2.
+  StatusOr<Rows> Gather(const Selection& selection, const ExtVpPair& pair) {
+    S2RDF_ASSIGN_OR_RETURN(const rdf::Table* old_vp1, vp_->Table(pair.p1));
+    const size_t part1 = selection.part1;
     Rows out{rdf::Table(SoColumns()), {}};
-    out.table.Reserve(part1 + part2);
-    if (whole != nullptr) {
-      out.table.Append(*whole);
-    } else if (reduce_old) {
+    out.table.Reserve(part1 + selection.part2);
+    if (selection.whole != nullptr) {
+      out.table.Append(*selection.whole);
+    } else if (selection.reduced) {
       out.table.AppendGather(*old_vp1, {0, 1}, part1_rows_.data(), part1);
     }
-    if (reduce_old && right_may_grow) {
+    if (selection.reduced && RightMayGrow(pair)) {
       const CorrelationRoles& roles = RolesOf(pair.corr);
       S2RDF_ASSIGN_OR_RETURN(const JoinKeys* keys,
                              RightKeys(pair.p2, roles.right));
@@ -381,13 +401,20 @@ class DeltaMaintainer {
         }
       }
     }
-    if (part2 > 0) {
-      out.table.AppendGather(*delta_p1, {0, 1}, part2_rows_.data(), part2);
-      for (size_t i = part1; i < part1 + part2; ++i) {
+    if (selection.part2 > 0) {
+      out.table.AppendGather(*DeltaOf(pair.p1), {0, 1}, part2_rows_.data(),
+                             selection.part2);
+      for (size_t i = part1; i < part1 + selection.part2; ++i) {
         out.added.push_back(static_cast<uint32_t>(i));
       }
     }
     return out;
+  }
+
+  // Whether the delta adds rows to the pair's VP_p2, i.e. join keys.
+  bool RightMayGrow(const ExtVpPair& pair) const {
+    const rdf::Table* delta_p2 = DeltaOf(pair.p2);
+    return delta_p2 != nullptr && delta_p2->NumRows() > 0;
   }
 
   const double sf_threshold_;
@@ -396,7 +423,8 @@ class DeltaMaintainer {
   VpSource* vp_;
   const std::unordered_map<rdf::TermId, rdf::Table>* delta_;
   std::unordered_map<uint64_t, std::unique_ptr<JoinKeys>> right_keys_;
-  // Reduce's row indices of parts 1 and 2, reused across pairs.
+  // Reduce's row indices of parts 1 and 2, reused across pairs: Select
+  // fills them and Gather reads them.
   std::vector<uint32_t> part1_rows_;
   std::vector<uint32_t> part2_rows_;
   std::vector<storage::TableUpdate> updates_;

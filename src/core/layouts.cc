@@ -87,7 +87,7 @@ ExtVpVerdict ClassifyExtVp(uint64_t rows, uint64_t vp_rows,
           sf};
 }
 
-StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
+StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& /*graph*/,
                                            const ExtVpOptions& options,
                                            storage::Catalog* catalog) {
   auto start_time = MonotonicNow();
@@ -95,9 +95,8 @@ StatusOr<ExtVpBuildStats> BuildExtVpLayout(const rdf::Graph& graph,
   const std::shared_ptr<const storage::CatalogState> state = catalog->State();
   const std::vector<TermId> predicates = VpPredicates(*state);
   VpSource vp(catalog, *state, nullptr);
-  S2RDF_ASSIGN_OR_RETURN(
-      const std::vector<ExtVpPair> pairs,
-      NonEmptyExtVpPairs(predicates, graph.dictionary().size(), &vp));
+  S2RDF_ASSIGN_OR_RETURN(const std::vector<ExtVpPair> pairs,
+                         NonEmptyExtVpPairs(predicates, &vp));
   DeltaMaintainer kernel(options.sf_threshold, catalog, *state, &vp, nullptr);
   for (const ExtVpPair& pair : pairs) {
     S2RDF_RETURN_IF_ERROR(kernel.MaintainPair(pair, /*gain_possible=*/true));

@@ -71,9 +71,8 @@ struct ExtVpBuildStats {
 
 // Builds the ExtVP semi-join reduction tables over an existing VP layout
 // (BuildVpLayout, and no ExtVP build, must have run on `catalog`, whose VP
-// tables it reads; `graph`'s dictionary sizes the term index): the
-// paper's semi-joins, one per non-empty pair, by the per-pair kernel
-// (core/extvp_kernel.h).
+// tables it reads; `graph` is not read): the paper's semi-joins, one per
+// non-empty pair, by the per-pair kernel (core/extvp_kernel.h).
 // Registers stats for every non-empty combination; materializes those
 // within the threshold; registers kExtVpMarker. A combination with no
 // stats entry is then empty (SF = 0) — the query compiler uses this for

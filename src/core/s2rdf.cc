@@ -139,11 +139,6 @@ StatusOr<std::unique_ptr<S2Rdf>> S2Rdf::Create(rdf::Graph graph,
     db->load_stats_.extvp_seconds =
         db->load_stats_.extvp_stats.build_seconds;
   }
-  if (options.build_extvp_bitmaps) {
-    S2RDF_ASSIGN_OR_RETURN(
-        db->bitmap_store_,
-        ExtVpBitmapStore::Build(db->graph_, options.extvp, &db->catalog_));
-  }
   // Persist the build parameters ingest needs to reproduce the eager
   // builder's materialization decisions on a reopened store. The SF
   // threshold rides in the entry's selectivity field.
@@ -263,16 +258,17 @@ StatusOr<QueryResult> S2Rdf::Execute(const QueryRequest& request) {
                            LazyExtVpState(query.where, std::move(state)));
     if (ctx.CheckInterrupt()) return ctx.interrupt_status;
   }
+  std::shared_ptr<const ExtVpBitmapStore> bitmaps;
+  if (options.layout == Layout::kExtVpBitmap) {
+    S2RDF_ASSIGN_OR_RETURN(bitmaps, BitmapStoreFor(state));
+    if (ctx.CheckInterrupt()) return ctx.interrupt_status;
+  }
   const CompilerOptions compiler_options{
       .layout = options.layout,
       .use_statistics_shortcut = options.use_statistics_shortcut,
       .push_filters = options.push_filters,
-      .bitmap_store = bitmap_store_.get(),
+      .bitmap_store = bitmaps.get(),
       .optimizer = options.optimizer};
-  if (options.layout == Layout::kExtVpBitmap && bitmap_store_ == nullptr) {
-    return FailedPreconditionError(
-        "Layout::kExtVpBitmap requires S2RdfOptions.build_extvp_bitmaps");
-  }
 
   QueryResult result;
   // A DESCRIBE of constant targets has no WHERE clause to compile.
@@ -471,6 +467,18 @@ StatusOr<std::shared_ptr<const storage::CatalogState>> S2Rdf::LazyExtVpState(
       CommitExtVpPairs(missing, sf_threshold_, *state, &catalog_));
   lazy_pairs_computed_.fetch_add(missing.size(), std::memory_order_relaxed);
   return catalog_.State();
+}
+
+StatusOr<std::shared_ptr<const ExtVpBitmapStore>> S2Rdf::BitmapStoreFor(
+    const std::shared_ptr<const storage::CatalogState>& state) {
+  MutexLock lock(&bitmap_mu_);
+  if (bitmap_state_.lock() != state) {
+    S2RDF_ASSIGN_OR_RETURN(
+        bitmap_store_,
+        ExtVpBitmapStore::Build(sf_threshold_, *state, &catalog_));
+    bitmap_state_ = state;
+  }
+  return bitmap_store_;
 }
 
 std::vector<std::vector<std::string>> S2Rdf::DecodeRows(

@@ -26,7 +26,9 @@
 // layouts (triples table, VP, ExtVP with an optional SF threshold), and
 // executes SPARQL queries over a chosen layout, reporting both results
 // and the execution metrics the paper argues about (input size, join
-// comparisons, shuffle volume).
+// comparisons, shuffle volume). Every store serves every Layout; the
+// bit-vector ExtVP of Layout::kExtVpBitmap is derived from the catalog
+// state a query reads (ExtVpBitmapStore), never stored or maintained.
 //
 // Execute is thread-safe: one S2Rdf instance serves many concurrent
 // queries (each with its own ExecContext and metrics). The catalog and
@@ -60,10 +62,6 @@ struct S2RdfOptions {
   // computed on first use and committed for later queries, a reopened
   // store's included. Mutually exclusive with build_extvp.
   bool lazy_extvp = false;
-  // Also build the bit-vector ExtVP representation (future work of
-  // Sec. 8), enabling Layout::kExtVpBitmap with correlation
-  // intersection.
-  bool build_extvp_bitmaps = false;
   // ExtVP build options, the selectivity-factor threshold (Sec. 5.3)
   // among them; the lazy mode and ingest apply the same threshold.
   ExtVpOptions extvp;
@@ -141,9 +139,9 @@ struct QueryResult {
   // Wall-clock time of parse + compile + execute, milliseconds.
   double millis = 0.0;
   // Stage split of `millis`: parsing, compilation (including lazy-ExtVP
-  // materialization), and execution (for graph forms including the
-  // construction of the graph). Always populated; exec_ms is 0 under
-  // EXPLAIN.
+  // materialization and a bitmap build), and execution (for graph forms
+  // including the construction of the graph). Always populated; exec_ms
+  // is 0 under EXPLAIN.
   double parse_ms = 0.0;
   double compile_ms = 0.0;
   double exec_ms = 0.0;
@@ -199,9 +197,7 @@ class S2Rdf {
   // the dictionary from the recovered
   // generation's dictionary blobs (kInvalidArgument naming a blob that
   // cannot be read back intact), then serves queries with tables paged
-  // in lazily from disk. The bit-vector ExtVP store is not
-  // persisted, so Layout::kExtVpBitmap is unavailable on a reopened
-  // store.
+  // in lazily from disk.
   static StatusOr<std::unique_ptr<S2Rdf>> Open(const std::string& storage_dir,
                                                int num_partitions = 9,
                                                Env* env = nullptr);
@@ -209,6 +205,8 @@ class S2Rdf {
   // The one query entry point: parses, compiles and executes
   // request.query under request.options, for every query form, against
   // one catalog state taken after the lazy-ExtVP pre-pass. Thread-safe.
+  // Layout::kExtVpBitmap filters that state's VP tables through bitmaps
+  // built over that same state (BitmapStoreFor).
   StatusOr<QueryResult> Execute(const QueryRequest& request);
 
   // Applies one batch of new triples: appends to the triples table and
@@ -216,8 +214,7 @@ class S2Rdf {
   // statistics (core/ingest.h). The whole batch commits as one atomic
   // manifest flip; in-flight queries keep reading the prior generation
   // through their catalog state. Thread-safe; concurrent Ingest calls are
-  // serialized. Not reflected: the in-memory bitmap ExtVP store and
-  // property tables (rebuild for those layouts).
+  // serialized.
   StatusOr<storage::IngestResult> Ingest(const storage::IngestBatch& batch);
 
   // Decodes a result table's ids back to canonical term strings.
@@ -228,10 +225,6 @@ class S2Rdf {
   storage::Catalog& catalog() { return catalog_; }
   const storage::Catalog& catalog() const { return catalog_; }
   const LoadStats& load_stats() const { return load_stats_; }
-  // Null unless options.build_extvp_bitmaps was set.
-  const ExtVpBitmapStore* bitmap_store() const {
-    return bitmap_store_.get();
-  }
   // Number of (correlation, p1, p2) pairs computed so far by the lazy
   // "pay as you go" mode.
   uint64_t lazy_pairs_computed() const {
@@ -268,6 +261,14 @@ class S2Rdf {
                                    const storage::CatalogState& state,
                                    engine::ExecContext* ctx);
 
+  // The bit-vector ExtVP store over `state` (ExtVpBitmapStore::Build at
+  // the store's SF threshold): the one kept for the state the previous
+  // kExtVpBitmap query read when it is `state`, else one built over
+  // `state` and kept in its place. Queries racing on a new state build it
+  // once.
+  StatusOr<std::shared_ptr<const ExtVpBitmapStore>> BitmapStoreFor(
+      const std::shared_ptr<const storage::CatalogState>& state);
+
   // Writes the query's Chrome trace to S2RdfOptions::trace_dir (no-op
   // when unset).
   Status MaybeDumpTrace(const engine::QueryProfile& profile,
@@ -290,7 +291,6 @@ class S2Rdf {
   std::atomic<uint64_t> lazy_pairs_computed_{0};
   LoadStats load_stats_;
   storage::RecoveryReport recovery_report_;
-  std::unique_ptr<ExtVpBitmapStore> bitmap_store_;
 
   // Serializes Ingest calls and lazy ExtVP builds, i.e. every commit
   // after Create (queries otherwise run unlocked — they read the prior
@@ -300,6 +300,16 @@ class S2Rdf {
   // Terms with ids below this lie in a committed dictionary blob; the
   // next commit that mints terms stores the rest.
   rdf::TermId dictionary_committed_ S2RDF_GUARDED_BY(ingest_mu_) = 0;
+
+  // The bitmaps of the last state a kExtVpBitmap query read, keyed by a
+  // weak reference to it: a state that has gone is never mistaken for a
+  // new one at the same address. Never held together with ingest_mu_, so
+  // a build does not wait for a commit, nor a commit for a build.
+  Mutex bitmap_mu_;
+  std::weak_ptr<const storage::CatalogState> bitmap_state_
+      S2RDF_GUARDED_BY(bitmap_mu_);
+  std::shared_ptr<const ExtVpBitmapStore> bitmap_store_
+      S2RDF_GUARDED_BY(bitmap_mu_);
 };
 
 }  // namespace s2rdf::core

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -7,6 +8,7 @@
 
 #include "common/file_util.h"
 #include "core/compiler.h"
+#include "core/extvp_bitmap.h"
 #include "core/layout_names.h"
 #include "core/layouts.h"
 #include "core/s2rdf.h"
@@ -279,27 +281,35 @@ TEST_F(ExtVpG1Test, JoinOrderOptimizationReducesIntermediates) {
 
 // --- Bit-vector ExtVP (the paper's future work, Sec. 8) -----------------
 
+// The bitmaps over `db`'s current catalog state at `sf_threshold`.
+std::unique_ptr<ExtVpBitmapStore> BitmapsOf(S2Rdf* db, double sf_threshold) {
+  auto store = ExtVpBitmapStore::Build(sf_threshold, *db->catalog().State(),
+                                       &db->catalog());
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return store.ok() ? std::move(*store) : nullptr;
+}
+
 class ExtVpBitmapG1Test : public ::testing::Test {
  protected:
   void SetUp() override {
-    S2RdfOptions options;
-    options.build_extvp_bitmaps = true;
-    auto db = S2Rdf::Create(MakeG1(), options);
+    auto db = S2Rdf::Create(MakeG1(), S2RdfOptions());
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
     const rdf::Dictionary& dict = db_->graph().dictionary();
     follows_ = *dict.Find("<follows>");
     likes_ = *dict.Find("<likes>");
+    bitmaps_ = BitmapsOf(db_.get(), 1.0);
+    ASSERT_NE(bitmaps_, nullptr);
   }
 
   std::unique_ptr<S2Rdf> db_;
+  std::unique_ptr<ExtVpBitmapStore> bitmaps_;
   rdf::TermId follows_ = 0;
   rdf::TermId likes_ = 0;
 };
 
 TEST_F(ExtVpBitmapG1Test, BitmapSfsMatchTableSfs) {
-  const ExtVpBitmapStore* store = db_->bitmap_store();
-  ASSERT_NE(store, nullptr);
+  const ExtVpBitmapStore* store = bitmaps_.get();
   EXPECT_DOUBLE_EQ(store->Sf(Correlation::kOS, follows_, likes_), 0.25);
   EXPECT_DOUBLE_EQ(store->Sf(Correlation::kOS, follows_, follows_), 0.5);
   EXPECT_DOUBLE_EQ(store->Sf(Correlation::kSO, follows_, follows_), 0.75);
@@ -312,12 +322,10 @@ TEST_F(ExtVpBitmapG1Test, BitmapSfsMatchTableSfs) {
 }
 
 TEST_F(ExtVpBitmapG1Test, BitmapsAreFarSmallerThanTables) {
-  const ExtVpBitmapStore* store = db_->bitmap_store();
-  ASSERT_NE(store, nullptr);
-  EXPECT_GT(store->NumBitmaps(), 0u);
+  EXPECT_GT(bitmaps_->NumBitmaps(), 0u);
   // Each bitmap costs 8 bytes here (<=64 rows); the table representation
   // stores two uint32 columns per tuple.
-  EXPECT_LT(store->TotalBitmapBytes(), 100u);
+  EXPECT_LT(bitmaps_->TotalBitmapBytes(), 100u);
 }
 
 TEST_F(ExtVpBitmapG1Test, Q1MatchesOtherLayouts) {
@@ -354,28 +362,42 @@ TEST_F(ExtVpBitmapG1Test, EmptyIntersectionShortCircuits) {
   EXPECT_EQ(result->metrics.input_tuples, 0u);
 }
 
-TEST_F(ExtVpBitmapG1Test, RequiresBitmapBuild) {
-  S2RdfOptions options;  // build_extvp_bitmaps defaults to false.
-  auto db = S2Rdf::Create(MakeG1(), options);
-  ASSERT_TRUE(db.ok());
-  auto result = (*db)->Execute(
-      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+// No option enables the layout: a default-options store serves it, and
+// so does one that stores no ExtVP tables, since the bitmaps derive from
+// the VP tables alone.
+TEST_F(ExtVpBitmapG1Test, DefaultOptionsStoreServesBitmapLayout) {
+  S2RdfOptions vp_only;
+  vp_only.build_extvp = false;
+  for (const S2RdfOptions& options : {S2RdfOptions(), vp_only}) {
+    SCOPED_TRACE(options.build_extvp ? "default options" : "no ExtVP");
+    auto db = S2Rdf::Create(MakeG1(), options);
+    ASSERT_TRUE(db.ok());
+    auto result = (*db)->Execute(
+        {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->table.NumRows(), 1u);
+    EXPECT_EQ((*db)->DecodeRows(result->table)[0][0], "<A>");
+  }
 }
 
 TEST_F(ExtVpBitmapG1Test, ThresholdDropsBitmapsButKeepsResults) {
   S2RdfOptions options;
-  options.build_extvp_bitmaps = true;
   options.extvp.sf_threshold = 0.3;  // Drops the SF 0.5/0.75 bitmaps.
   auto db = S2Rdf::Create(MakeG1(), options);
   ASSERT_TRUE(db.ok());
-  EXPECT_LT((*db)->bitmap_store()->NumBitmaps(),
-            db_->bitmap_store()->NumBitmaps());
+  std::unique_ptr<ExtVpBitmapStore> pruned = BitmapsOf(db->get(), 0.3);
+  ASSERT_NE(pruned, nullptr);
+  EXPECT_LT(pruned->NumBitmaps(), bitmaps_->NumBitmaps());
   auto result = (*db)->Execute(
       {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.NumRows(), 1u);
+  // The store's own bitmaps honor its threshold: with fewer of them Q1
+  // reads more input than on the unthresholded store.
+  auto unpruned = db_->Execute(
+      {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
+  ASSERT_TRUE(unpruned.ok());
+  EXPECT_GT(result->metrics.input_tuples, unpruned->metrics.input_tuples);
 }
 
 // --- Filter pushdown, OPTIONAL and UNION execution ------------------------
@@ -605,9 +627,7 @@ TEST(NonPredicateTermTest, MatchesNothingOnEveryLayoutAndLazyStore) {
       "SELECT * WHERE { ?x <http://e/B> ?y }",
       "SELECT * WHERE { ?x <http://e/follows> ?y . ?y <http://e/B> ?z }",
   };
-  S2RdfOptions eager_options;
-  eager_options.build_extvp_bitmaps = true;
-  auto eager = S2Rdf::Create(make_graph(), eager_options);
+  auto eager = S2Rdf::Create(make_graph(), S2RdfOptions());
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
   S2RdfOptions lazy_options;
   lazy_options.lazy_extvp = true;
@@ -620,6 +640,7 @@ TEST(NonPredicateTermTest, MatchesNothingOnEveryLayoutAndLazyStore) {
       {eager->get(), Layout::kTriplesTable},
       {eager->get(), Layout::kExtVpBitmap},
       {lazy->get(), Layout::kExtVp},
+      {lazy->get(), Layout::kExtVpBitmap},
   };
   for (const char* query : queries) {
     for (const auto& [db, layout] : runs) {
@@ -866,10 +887,11 @@ TEST(S2RdfTest, OpenReloadsPersistedStore) {
   ASSERT_EQ(result->table.NumRows(), 1u);
   auto rows = (*reopened)->DecodeRows(result->table);
   EXPECT_EQ(rows[0][0], "<A>");
-  // The bit-vector store is not persisted.
+  // The bitmaps derive from the reopened store's VP tables.
   auto bitmap = (*reopened)->Execute(
       {.query = kQ1, .options = {.layout = Layout::kExtVpBitmap}});
-  EXPECT_FALSE(bitmap.ok());
+  ASSERT_TRUE(bitmap.ok()) << bitmap.status().ToString();
+  EXPECT_TRUE(rdf::Table::SameBag(bitmap->table, result->table));
 }
 
 TEST(S2RdfTest, OpenFailsWithoutPersistedStore) {

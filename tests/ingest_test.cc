@@ -79,9 +79,9 @@ IngestBatch MakeBatch(const std::vector<T>& triples) {
   return batch;
 }
 
-std::vector<std::vector<std::string>> SortedRows(S2Rdf* db,
-                                                 const std::string& query) {
-  auto result = db->Execute({.query = query});
+std::vector<std::vector<std::string>> SortedRows(
+    S2Rdf* db, const std::string& query, Layout layout = Layout::kExtVp) {
+  auto result = db->Execute({.query = query, .options = {.layout = layout}});
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return {};
   std::vector<std::vector<std::string>> rows = db->DecodeRows(result->table);
@@ -138,9 +138,15 @@ void ExpectStoresIdentical(S2Rdf* delta, S2Rdf* rebuild) {
   }
 }
 
+// Each query on every layout of `a` against `b`'s answer.
 void ExpectSameAnswers(S2Rdf* a, S2Rdf* b) {
   for (const char* q : {kQ1, kLikes, kSpo}) {
-    EXPECT_EQ(SortedRows(a, q), SortedRows(b, q)) << q;
+    const std::vector<std::vector<std::string>> want = SortedRows(b, q);
+    for (Layout layout : {Layout::kExtVp, Layout::kVp, Layout::kTriplesTable,
+                          Layout::kExtVpBitmap}) {
+      EXPECT_EQ(SortedRows(a, q, layout), want)
+          << q << " on layout " << static_cast<int>(layout);
+    }
   }
 }
 
@@ -1133,11 +1139,17 @@ TEST(IngestSpaceTest, SegmentsStayWithinTwiceTheLiveBytes) {
 // capped at one byte every scan reads its table back from the segments,
 // so the readers race each commit's manifest flip, copy-forward and
 // segment removal; on a lazy store they also stage ExtVP pairs while the
-// commits run. Every query must succeed with the
-// answer of one committed generation — an in-memory rebuild of the batch
-// prefix — and once the last batch has committed the store must answer
-// as a rebuild does.
-enum class IngestMode { kEager, kLazyStore };
+// commits run, and with bitmap readers every other pass builds the
+// bitmaps of a state a commit may just have replaced. Every query must
+// succeed with the answer of one committed generation — an in-memory
+// rebuild of the batch prefix — and once the last batch has committed
+// the store must answer as a rebuild does.
+enum class IngestMode {
+  kEager,
+  kLazyStore,
+  // An eager store whose readers alternate kExtVp and kExtVpBitmap.
+  kBitmapReaders,
+};
 
 void QueriesDuringIngest(IngestMode mode,
                          const std::vector<T>& base = G1()) {
@@ -1176,9 +1188,14 @@ void QueriesDuringIngest(IngestMode mode,
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      while (!done.load()) {
+      for (uint64_t pass = 0; !done.load(); ++pass) {
+        const Layout layout =
+            mode == IngestMode::kBitmapReaders && pass % 2 == 1
+                ? Layout::kExtVpBitmap
+                : Layout::kExtVp;
         for (const char* q : queries) {
-          auto result = store->Execute({.query = q});
+          auto result =
+              store->Execute({.query = q, .options = {.layout = layout}});
           if (!result.ok()) {
             failures.fetch_add(1);
           } else {
@@ -1206,7 +1223,7 @@ void QueriesDuringIngest(IngestMode mode,
 
   std::unique_ptr<S2Rdf> reference = Rebuild(stream);
   ExpectSameAnswers(store, reference.get());
-  if (mode == IngestMode::kEager) {
+  if (mode != IngestMode::kLazyStore) {
     ExpectStoresIdentical(store, reference.get());
   }
 }
@@ -1217,6 +1234,10 @@ TEST(IngestConcurrencyTest, QueriesDuringIngestSucceedAndConverge) {
 
 TEST(IngestConcurrencyTest, LazyStoreQueriesDuringIngestSucceed) {
   QueriesDuringIngest(IngestMode::kLazyStore);
+}
+
+TEST(IngestConcurrencyTest, BitmapQueriesDuringIngestSucceedAndConverge) {
+  QueriesDuringIngest(IngestMode::kBitmapReaders);
 }
 
 // Over LargeBase the batches patch the large tables, so every scan merges

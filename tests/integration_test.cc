@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/centralized_engine.h"
@@ -15,6 +17,7 @@
 #include "core/layouts.h"
 #include "core/s2rdf.h"
 #include "storage/catalog.h"
+#include "storage/ingest.h"
 #include "tests/reference_ops.h"
 #include "watdiv/generator.h"
 #include "watdiv/queries.h"
@@ -61,9 +64,7 @@ class CrossEngineTest : public ::testing::TestWithParam<std::string> {
           g_engines->graph.dictionary().Decode(t.predicate),
           g_engines->graph.dictionary().Decode(t.object));
     }
-    core::S2RdfOptions options;
-    options.build_extvp_bitmaps = true;
-    auto db = core::S2Rdf::Create(std::move(copy), options);
+    auto db = core::S2Rdf::Create(std::move(copy), core::S2RdfOptions());
     ASSERT_TRUE(db.ok());
     g_engines->s2rdf = std::move(*db);
 
@@ -326,9 +327,10 @@ class ExtVpOracleTest
 // semi-join of its VP tables (reference::SemiJoinRows): the store has an
 // entry exactly when the reduction is non-empty, with its rows, SF and
 // materialization; a stored table holds the reference's rows in VP_p1's
-// order; the build's counts agree, and every bitmap sets exactly the
-// reference's rows. On disk the VP tables are committed and evicted
-// before each build reads them, as bench_load_table2 loads its store.
+// order; the build's counts agree, and every bitmap over the built state
+// sets exactly the reference's rows. On disk the VP tables are committed
+// and evicted before each build reads them, as bench_load_table2 loads
+// its store.
 TEST_P(ExtVpOracleTest, EveryReductionIsARowAtATimeSemiJoin) {
   const auto [threshold, on_disk] = GetParam();
   watdiv::GeneratorOptions gen;
@@ -346,10 +348,10 @@ TEST_P(ExtVpOracleTest, EveryReductionIsARowAtATimeSemiJoin) {
   auto built = core::BuildExtVpLayout(graph, options, &catalog);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   if (on_disk) EvictEveryTable(&catalog);
-  auto bitmaps = core::ExtVpBitmapStore::Build(graph, options, &catalog);
+  const std::shared_ptr<const storage::CatalogState> state = catalog.State();
+  auto bitmaps = core::ExtVpBitmapStore::Build(threshold, *state, &catalog);
   ASSERT_TRUE(bitmaps.ok()) << bitmaps.status().ToString();
 
-  const std::shared_ptr<const storage::CatalogState> state = catalog.State();
   std::map<rdf::TermId, std::shared_ptr<const rdf::Table>> vp;
   for (const auto& [name, stats] : state->stats) {
     if (!name.starts_with("vp_")) continue;
@@ -434,14 +436,13 @@ class OneRuleTest : public ::testing::TestWithParam<double> {};
 
 // Every reduction a warm lazy store records equals the eager store's
 // entry in rows, SF and materialization (a 0-row entry where the eager
-// store records none, i.e. the pair is empty), and the bitmap store's
-// SF of every pair equals the eager one.
+// store records none, i.e. the pair is empty), and the SF of every pair
+// in the bitmaps over the eager store's state equals the eager one.
 TEST_P(OneRuleTest, LazyAndBitmapStoresClassifyLikeTheEagerStore) {
   watdiv::GeneratorOptions gen;
   gen.scale_factor = 0.04;
   core::S2RdfOptions eager_options;
   eager_options.extvp.sf_threshold = GetParam();
-  eager_options.build_extvp_bitmaps = true;
   auto eager = core::S2Rdf::Create(watdiv::Generate(gen), eager_options);
   core::S2RdfOptions lazy_options;
   lazy_options.extvp.sf_threshold = GetParam();
@@ -482,9 +483,12 @@ TEST_P(OneRuleTest, LazyAndBitmapStoresClassifyLikeTheEagerStore) {
   EXPECT_EQ(compared, (*lazy)->lazy_pairs_computed());
   EXPECT_GT(compared, 0u);
 
-  // The bitmap store against the eager statistics, over every pair of
+  // The bitmaps against the eager statistics, over every pair of
   // predicates.
-  const core::ExtVpBitmapStore& bitmaps = *(*eager)->bitmap_store();
+  auto built = core::ExtVpBitmapStore::Build(GetParam(), *eager_state,
+                                             &(*eager)->catalog());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const core::ExtVpBitmapStore& bitmaps = **built;
   std::vector<rdf::TermId> predicates;
   for (const auto& [name, stats] : eager_state->stats) {
     if (name.starts_with("vp_")) {
@@ -513,14 +517,121 @@ TEST_P(OneRuleTest, LazyAndBitmapStoresClassifyLikeTheEagerStore) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, OneRuleTest,
                          ::testing::Values(1.0, 0.25));
 
+// --- Every layout of an ingested store against a rebuild ------------------
+
+// A solution bag comparable across dictionaries and plans: each row's
+// terms in the order of the sorted column names, the rows sorted.
+std::vector<std::string> DecodedBag(const rdf::Table& table,
+                                    const rdf::Dictionary& dict) {
+  const std::vector<std::string>& names = table.column_names();
+  std::vector<size_t> columns(names.size());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
+  std::sort(columns.begin(), columns.end(),
+            [&](size_t a, size_t b) { return names[a] < names[b]; });
+  std::vector<std::string> rows;
+  rows.reserve(table.NumRows());
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    std::string row;
+    for (size_t c : columns) {
+      const rdf::TermId id = table.At(r, c);
+      row += names[c] + "=" +
+             (id == rdf::kNullTermId ? "NULL" : dict.Decode(id)) + '\x1f';
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// 97 % of the WatDiv data builds an in-memory and an on-disk store, the
+// rest arrives as two ingest batches, and the disk store is reopened.
+// Every template then answers on every layout of both stores as the
+// triples table of a fresh rebuild over all the data does.
+TEST(IngestedStoreTest, EveryLayoutMatchesARebuildAfterTwoBatchesAndReopen) {
+  watdiv::GeneratorOptions gen;
+  gen.scale_factor = kScaleFactor;
+  const rdf::Graph data = watdiv::Generate(gen);
+  const rdf::Dictionary& dict = data.dictionary();
+  const std::vector<rdf::Triple>& triples = data.triples();
+  auto graph_of = [&](size_t end) {
+    rdf::Graph graph;
+    for (size_t i = 0; i < end; ++i) {
+      graph.AddCanonical(dict.Decode(triples[i].subject),
+                         dict.Decode(triples[i].predicate),
+                         dict.Decode(triples[i].object));
+    }
+    return graph;
+  };
+  auto batch_of = [&](size_t begin, size_t end) {
+    storage::IngestBatch batch;
+    for (size_t i = begin; i < end; ++i) {
+      batch.triples.push_back({dict.Decode(triples[i].subject),
+                               dict.Decode(triples[i].predicate),
+                               dict.Decode(triples[i].object)});
+    }
+    return batch;
+  };
+  const size_t base = triples.size() * 97 / 100;
+  const size_t middle = base + (triples.size() - base) / 2;
+
+  ScopedTempDir dir;
+  core::S2RdfOptions disk_options;
+  disk_options.storage_dir = dir.path();
+  auto memory = core::S2Rdf::Create(graph_of(base), core::S2RdfOptions());
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+  auto disk = core::S2Rdf::Create(graph_of(base), disk_options);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  for (const auto& [begin, end] :
+       {std::pair(base, middle), std::pair(middle, triples.size())}) {
+    for (core::S2Rdf* db : {memory->get(), disk->get()}) {
+      auto result = db->Ingest(batch_of(begin, end));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_GT(result->triples_added, 0u);
+    }
+  }
+  disk->reset();
+  auto reopened = core::S2Rdf::Open(dir.path());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto rebuild =
+      core::S2Rdf::Create(graph_of(triples.size()), core::S2RdfOptions());
+  ASSERT_TRUE(rebuild.ok()) << rebuild.status().ToString();
+
+  const std::pair<core::S2Rdf*, const char*> stores[] = {
+      {memory->get(), "in-memory store"}, {reopened->get(), "reopened store"}};
+  SplitMix64 rng(31);
+  for (const std::string& name : AllQueryNames()) {
+    const watdiv::QueryTemplate* tmpl = watdiv::FindQuery(name);
+    ASSERT_NE(tmpl, nullptr) << name;
+    SplitMix64 query_rng(rng.Next());
+    const std::string query =
+        watdiv::InstantiateQuery(*tmpl, kScaleFactor, &query_rng);
+    auto want = (*rebuild)->Execute(
+        {.query = query, .options = {.layout = core::Layout::kTriplesTable}});
+    ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
+    const std::vector<std::string> expected =
+        DecodedBag(want->table, (*rebuild)->graph().dictionary());
+    for (const auto& [db, store] : stores) {
+      for (core::Layout layout :
+           {core::Layout::kExtVp, core::Layout::kVp,
+            core::Layout::kTriplesTable, core::Layout::kExtVpBitmap}) {
+        SCOPED_TRACE(name + " on layout " +
+                     std::to_string(static_cast<int>(layout)) + " of the " +
+                     store);
+        auto got = db->Execute({.query = query, .options = {.layout = layout}});
+        EXPECT_TRUE(got.ok()) << got.status().ToString();
+        if (!got.ok()) continue;
+        EXPECT_EQ(DecodedBag(got->table, db->graph().dictionary()), expected);
+      }
+    }
+  }
+}
+
 // --- ExtVP input reduction on real workload ------------------------------
 
 TEST(MetricsShapeTest, ExtVpReadsNoMoreInputThanVp) {
   watdiv::GeneratorOptions gen;
   gen.scale_factor = 0.05;
-  core::S2RdfOptions options;
-  options.build_extvp_bitmaps = true;
-  auto db = core::S2Rdf::Create(watdiv::Generate(gen), options);
+  auto db = core::S2Rdf::Create(watdiv::Generate(gen), core::S2RdfOptions());
   ASSERT_TRUE(db.ok());
   SplitMix64 rng(3);
   for (const watdiv::QueryTemplate& tmpl :

@@ -84,9 +84,7 @@ TEST_P(RandomBgpTest, AllLayoutsAndIndexEngineAgree) {
   rdf::Graph graph = RandomGraph(&rng, num_entities, num_predicates, 220);
   rdf::Graph baseline_copy = CopyGraph(graph);
 
-  core::S2RdfOptions options;
-  options.build_extvp_bitmaps = true;
-  auto db = core::S2Rdf::Create(std::move(graph), options);
+  auto db = core::S2Rdf::Create(std::move(graph), core::S2RdfOptions());
   ASSERT_TRUE(db.ok());
 
   baselines::PermutationIndexStore store(baseline_copy);
